@@ -4,7 +4,6 @@ dualities, general frames with sigma/pi extensions, class checks, and
 countermodel search.  Subsets of an n-point carrier are int bitmasks;
 families of subsets are Family values ordered by their famask."""
 
-from ._backend import backend_name
 from .bax import (
     BaxSpace,
     bax_map,

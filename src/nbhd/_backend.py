@@ -1,33 +1,5 @@
-"""Kernel backend selection.
+"""The kernel layer under its historical name: the benchmark tracer
+(perfbench/tracer.py) looks the kernels up as nbhd._backend.kernels to
+time them as a layer of their own.  Nothing in the package imports it."""
 
-The compiled extension is preferred when importable; NBHD_PURE_PYTHON=1
-forces the fallback.  The compiled kernels assume famasks fit in 64 bits,
-so callers route families wider than n=6 to the pure twin explicitly.
-"""
-
-from __future__ import annotations
-
-import os
-
-from . import _kernels_py
-
-if os.environ.get("NBHD_PURE_PYTHON"):
-    kernels = _kernels_py
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-    except ImportError:
-        kernels = _kernels_py
-
-KERNEL_FAMASK_BITS = 64
-
-
-def backend_name() -> str:
-    return "compiled" if getattr(kernels, "COMPILED", False) else "pure-python"
-
-
-def membership_kernels(n: int):
-    """Kernel module for famask work at width n."""
-    if (1 << n) <= KERNEL_FAMASK_BITS:
-        return kernels
-    return _kernels_py
+from . import bitslice as kernels

@@ -8,11 +8,12 @@ inside the codomain space; enumerate + act is the finite functor.
 
 Enumeration strategies:
 
-  filter     brute sweep of all 2^(2^n) famasks through the compiled
-             membership programs, n <= 4
-  backtrack  descending-popcount construction of up-closed families with
-             leaf filtering, n <= 5; sound only when some axiom forces
-             up-closure (@M, @CInf, or a degraded @Ck)
+  filter     sweep of all 2^(2^n) famasks through the membership
+             programs, bit-sliced with one lane per famask, n <= 4
+  backtrack  descending-popcount construction of up-closed families,
+             bit-sliced filtering of blocks of them, n <= 5; sound only
+             when some axiom forces up-closure (@M, @CInf, or a degraded
+             @Ck)
   auto       backtrack when sound, otherwise filter
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._backend import membership_kernels
+from .bitslice import family_filter, upset_enumerate
 from .core import (
     ENUM_BACKTRACK_CAP,
     ENUM_FILTER_CAP,
@@ -61,13 +62,14 @@ class BaxSpace:
 
 
 def _split_axioms(axs: AxiomSet, n: int):
-    """Compiled membership programs and residual famask predicates."""
+    """(axiom, compiled membership program) pairs and residual famask
+    predicates."""
     programs = []
     predicates = []
     for ax in axs:
         kind, payload = realize_axiom(ax, n)
         if kind == "formula":
-            programs.append(compile_membership(payload, n))
+            programs.append((ax, compile_membership(payload, n)))
         else:
             predicates.append(payload)
     return programs, predicates
@@ -92,8 +94,7 @@ def _immediate_superset_famasks(n: int) -> tuple[int, ...]:
 def _filter_chunk(n: int, axiom_specs: list[str], start: int, stop: int) -> list[int]:
     axs = axiom_set_from_specs(axiom_specs, n)
     programs, predicates = _split_axioms(axs, n)
-    kern = membership_kernels(n)
-    hits = kern.family_filter(start, stop, [p.kernel_args() for p in programs])
+    hits = family_filter(start, stop, [prog for _, prog in programs])
     if predicates:
         hits = [fm for fm in hits if all(pred(fm, n) for pred in predicates)]
     return hits
@@ -128,28 +129,18 @@ def enumerate_bax(n: int, axs: AxiomSet, strategy: str = "auto", workers: int = 
         else:
             famasks = _filter_chunk(n, specs, 0, total)
     else:
-        _, predicates = _split_axioms(axs, n)
+        programs, predicates = _split_axioms(axs, n)
         # Up-closure is guaranteed by construction; the @M rows would pass
         # every leaf, so only the other programs are worth running there.
-        leaf_programs = [p.kernel_args() for ax, p in _named_programs(axs, n) if ax.name != "M"]
+        leaf_programs = [prog for ax, prog in programs if ax.name != "M"]
         required = 0
         if any(ax.name == "N" for ax in axs):
             required = 1 << full_mask(n)
-        kern = membership_kernels(n)
-        famasks = kern.upset_enumerate(1 << n, _immediate_superset_famasks(n), required, leaf_programs)
+        famasks = upset_enumerate(1 << n, _immediate_superset_famasks(n), required, leaf_programs)
         if predicates:
             famasks = [fm for fm in famasks if all(pred(fm, n) for pred in predicates)]
 
     return BaxSpace(n, axs, tuple(family_from_famask(fm) for fm in famasks))
-
-
-def _named_programs(axs: AxiomSet, n: int):
-    out = []
-    for ax in axs:
-        kind, payload = realize_axiom(ax, n)
-        if kind == "formula":
-            out.append((ax, compile_membership(payload, n)))
-    return out
 
 
 def bax_map(f: FrameMorphism, w: Family, axs: AxiomSet) -> Family:

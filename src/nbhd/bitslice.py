@@ -1,0 +1,267 @@
+"""Bit-sliced evaluation of membership and algebra programs.
+
+Python ints serve as bit vectors with one lane per candidate (Knuth,
+TAOCP 4A, 7.1.3; Biham, FSE 1997).  A membership program is evaluated for
+many families at once: plane[a] holds, in lane f, whether subset a is a
+member of family f, so each deduplicated row of the program is a few
+ANDs and XORs of whole planes, and the families that pass are the lanes
+left set after the rows are AND-ed together.  An algebra program is
+evaluated for every assignment at once: lane i is assignment index i, a
+subset value is n planes (one per point), and a box node becomes the 2^n
+"value equals a" masks OR-ed into the planes of box[a].  Up-closed
+families are grown as plain ints and filtered in blocks of lanes,
+transposed into planes.
+
+Lanes are Python ints, so nothing here assumes a word width.  Planes of
+lane indices are built on first use and cached by their number of bits.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+# The family filter sweeps famasks in aligned blocks of at most 2^16 lanes.
+FILTER_BLOCK_BITS = 16
+# Up-set leaves are collected and filtered in blocks of 2^9 = 512 lanes.
+UPSET_BLOCK_BITS = 9
+
+_BYTE_BITS = tuple(tuple(j for j in range(8) if byte >> j & 1) for byte in range(256))
+
+
+@lru_cache(maxsize=32)
+def _index_planes(bits: int) -> tuple[int, ...]:
+    """Over 2^bits lanes, plane b has lane i set iff bit b of i is set."""
+    total = 1 << bits
+    planes = []
+    for b in range(bits):
+        half = 1 << b
+        plane = ((1 << half) - 1) << half
+        width = half << 1
+        while width < total:
+            plane |= plane << width
+            width <<= 1
+        planes.append(plane)
+    return tuple(planes)
+
+
+def _set_lanes(mask: int, offset: int) -> list[int]:
+    """Ascending indices of the set bits of mask, plus offset."""
+    out = []
+    for i, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
+        if byte:
+            base = offset + (i << 3)
+            out += [base + j for j in _BYTE_BITS[byte]]
+    return out
+
+
+def _accepted(planes, lanes: int, programs) -> int:
+    """Lanes of `lanes` that every membership program accepts.
+
+    Postfix opcodes: 0 pushes the plane of the row's subset in slot arg,
+    1 pushes true, 2 negates the top, 3 folds an and of arg operands.
+    Bits outside `lanes` may hold anything: every operation is lane-wise
+    and the result is masked by `lanes`."""
+    acc = lanes
+    for prog in programs:
+        code = tuple(zip(prog.opcodes, prog.opargs))
+        for row in prog.rows:
+            stack = []
+            for op, arg in code:
+                if op == 0:
+                    stack.append(planes[row[arg]])
+                elif op == 1:
+                    stack.append(lanes)
+                elif op == 2:
+                    stack[-1] ^= lanes
+                elif arg:
+                    value = stack.pop()
+                    for _ in range(arg - 1):
+                        value &= stack.pop()
+                    stack.append(value)
+                else:
+                    stack.append(lanes)
+            acc &= stack[-1]
+            if not acc:
+                return 0
+    return acc
+
+
+def family_accepts(famask: int, m: int, programs) -> bool:
+    """True when every membership program accepts the one family famask
+    over m subset masks."""
+    return bool(_accepted([famask >> a & 1 for a in range(m)], 1, programs))
+
+
+def family_filter(start: int, stop: int, programs) -> list[int]:
+    """Ascending famasks in [start, stop) accepted by every program.
+
+    Lane j of a block at base is famask base + j, so below the block's
+    bit width the planes are the lane-index planes and above it each
+    plane is constant."""
+    if start >= stop:
+        return []
+    width = max((1 << prog.n for prog in programs), default=0)
+    bits = min(FILTER_BLOCK_BITS, (stop - start - 1).bit_length())
+    size = 1 << bits
+    index = _index_planes(bits)
+    full = (1 << size) - 1
+    out = []
+    for base in range(start >> bits << bits, stop, size):
+        lanes = full
+        if base < start:
+            lanes ^= (1 << (start - base)) - 1
+        if stop - base < size:
+            lanes &= (1 << (stop - base)) - 1
+        planes = [index[a] if a < bits else full * (base >> a & 1) for a in range(width)]
+        out += _set_lanes(_accepted(planes, lanes, programs), base)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _transpose_plan(lane_bits: int, width_bits: int) -> tuple[tuple[int, int], ...]:
+    """Delta swaps that move bit j * 2^width_bits + a of a packed block to
+    bit a * 2^lane_bits + j, i.e. rotate the bit-index fields [lane | a]
+    to [a | lane] one swap of two index bits at a time."""
+    k = lane_bits + width_bits
+    index = _index_planes(k)
+    full = (1 << (1 << k)) - 1
+    held = list(range(k))  # held[p]: the original index bit now at position p
+    swaps = []
+    for p in range(k):
+        want = (p - lane_bits) % k
+        q = held.index(want)
+        if q != p:
+            lo, hi = min(p, q), max(p, q)
+            # Positions with index bit lo set and hi clear trade places
+            # with their partners 2^hi - 2^lo above.
+            swaps.append(((1 << hi) - (1 << lo), index[lo] & (full ^ index[hi])))
+            held[p], held[q] = held[q], held[p]
+    return tuple(swaps)
+
+
+def _filter_leaves(block: list[int], m: int, programs) -> list[int]:
+    """The famasks of block (at most 2^UPSET_BLOCK_BITS of them) that every
+    program accepts, in block order."""
+    width_bits = max(3, (m - 1).bit_length())  # at least one byte per lane
+    packed = int.from_bytes(b"".join([fam.to_bytes(1 << (width_bits - 3), "little") for fam in block]), "little")
+    for delta, mask in _transpose_plan(UPSET_BLOCK_BITS, width_bits):
+        t = (packed ^ packed >> delta) & mask
+        packed ^= t | t << delta
+    lane_mask = (1 << (1 << UPSET_BLOCK_BITS)) - 1
+    planes = [packed >> (a << UPSET_BLOCK_BITS) & lane_mask for a in range(m)]
+    return [block[j] for j in _set_lanes(_accepted(planes, (1 << len(block)) - 1, programs), 0)]
+
+
+def upset_enumerate(m: int, succ, required: int, programs) -> list[int]:
+    """Ascending famasks of up-closed families over m subset-masks.
+
+    succ[s] is the famask of the immediate supersets of s; membership of s
+    is decided after all of them, so up-closure is a local test.  required
+    is a famask of subsets that must be present; programs filter the
+    complete families, bit-sliced over blocks of them.
+
+    Partial families grow one subset at a time as a list; a list longer
+    than a block is split and its halves grow on in turn, so no more than
+    a few blocks are held at once.
+    """
+    order = sorted(range(m), key=lambda s: (-(s.bit_count()), s))
+    block_size = 1 << UPSET_BLOCK_BITS
+    out: list[int] = []
+    leaves: list[int] = []
+    pending = [(0, [0])]
+    while pending:
+        p, fams = pending.pop()
+        while p < m and len(fams) <= block_size:
+            s = order[p]
+            above = succ[s]
+            grown = [fam | 1 << s for fam in fams if fam & above == above]
+            fams = grown if required >> s & 1 else fams + grown
+            p += 1
+        if p < m:
+            half = len(fams) >> 1
+            pending += [(p, fams[half:]), (p, fams[:half])]
+            continue
+        leaves += fams
+        while len(leaves) >= block_size or leaves and not pending:
+            block, leaves = leaves[:block_size], leaves[block_size:]
+            out += _filter_leaves(block, m, programs) if programs else block
+    out.sort()
+    return out
+
+
+@lru_cache(maxsize=32)
+def _variable_planes(n: int, n_vars: int) -> tuple[tuple[int, ...], ...]:
+    """Per variable, its n planes over all (2^n)^n_vars assignments, plane
+    x holding the lanes whose value contains point x.  Variable i is digit
+    i base 2^n of the lane index, first most significant."""
+    index = _index_planes(n * n_vars)
+    return tuple(tuple(index[n * (n_vars - 1 - i) + x] for x in range(n)) for i in range(n_vars))
+
+
+@lru_cache(maxsize=32)
+def _points(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each subset mask over n points, its points in ascending order."""
+    return tuple(tuple(y for y in range(n) if a >> y & 1) for a in range(1 << n))
+
+
+def _apply_box(box, n: int, value: tuple[int, ...], full: int) -> tuple[int, ...]:
+    """Planes of box[value]: split the lanes by the subset they hold, one
+    point at a time, and OR each nonempty part into the planes of its
+    image."""
+    parts = [(0, full)]
+    for x, plane in enumerate(value):
+        split = []
+        for a, part in parts:
+            inside = part & plane
+            if inside:
+                split.append((a | 1 << x, inside))
+            if inside != part:
+                split.append((a, part ^ inside))
+        parts = split
+    points = _points(n)
+    out = [0] * n
+    for a, part in parts:
+        for y in points[box[a]]:
+            out[y] |= part
+    return tuple(out)
+
+
+def algebra_refute(box, n: int, opcodes, opargs, n_vars: int) -> int:
+    """Index of the first assignment where the program evaluates below the
+    full set, or -1.  Assignment index idx encodes variable i
+    (first-occurrence order) as digit i base 2^n, first variable most
+    significant.
+
+    Postfix opcodes: 0 pushes variable arg, 1 the full set, 2 complements
+    the top, 3 folds an and of arg operands, 4 applies the box table.
+    Every value is a tuple of n planes over all assignments."""
+    full = (1 << (1 << n * n_vars)) - 1
+    variables = _variable_planes(n, n_vars)
+    top = (full,) * n
+    boxed: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal values, equal images
+    stack = []
+    for op, arg in zip(opcodes, opargs):
+        if op == 0:
+            stack.append(variables[arg])
+        elif op == 1:
+            stack.append(top)
+        elif op == 2:
+            stack[-1] = tuple([plane ^ full for plane in stack[-1]])
+        elif op == 3:
+            if arg:
+                value = stack.pop()
+                for _ in range(arg - 1):
+                    value = tuple([x & y for x, y in zip(value, stack.pop())])
+                stack.append(value)
+            else:
+                stack.append(top)
+        else:
+            value = stack[-1]
+            if value not in boxed:
+                boxed[value] = _apply_box(box, n, value, full)
+            stack[-1] = boxed[value]
+    holds = full
+    for plane in stack[-1]:
+        holds &= plane
+    refuted = full ^ holds
+    return (refuted & -refuted).bit_length() - 1

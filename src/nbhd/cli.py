@@ -348,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nbhd",
         description="Neighborhood frames, their algebras, and the constructions between them.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled modes")
     parser.add_argument("--workers", type=int, default=1, help="worker processes for enumerations")
     parser.add_argument("--json", action="store_true", help="compact JSON output (the default)")
     parser.add_argument("--pretty", action="store_true", help="indented JSON output")

@@ -2,9 +2,9 @@
 
 Two routes compute every semantic question.  The definitional route
 (eval_formula, theta_t_member) recurses over the AST and is the reference.
-The compiled route lowers a formula to postfix programs once and runs the
-assignment sweep in the kernel backend; validates and is_ax_subset use it.
-Tests hold the two routes equal.
+The compiled route lowers a formula to postfix programs once and runs
+them bit-sliced (nbhd.bitslice) over every assignment or every family at
+once; validates and is_ax_subset use it.  Tests hold the two routes equal.
 
 A family W is a phi-subset when the transposed valuation puts W inside
 the value of phi under every assignment of subsets to variables: a boxed
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._backend import kernels, membership_kernels
+from .bitslice import algebra_refute, family_accepts
 from .core import CapExceededError, Family, InvalidInputError, NeighborhoodAlgebra, full_mask
 from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, Var, free_vars, is_one_step, render, semantic_predicate
 
@@ -101,17 +101,19 @@ def assignment_at(names: list[str], n: int, idx: int) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class MembershipProgram:
-    """Postfix membership code plus per-assignment box-argument rows."""
+    """Postfix membership code over box-argument slots at width n.
+
+    n_rows counts the assignments; rows holds the distinct tuples of
+    box-argument masks they produce, one mask per slot, in first-seen
+    order.  A family is accepted when the code holds on every row."""
 
     names: tuple[str, ...]
     opcodes: tuple[int, ...]
     opargs: tuple[int, ...]
+    n: int
     n_slots: int
     n_rows: int
-    rows_flat: tuple[int, ...]
-
-    def kernel_args(self) -> tuple:
-        return (self.opcodes, self.opargs, self.n_slots, self.n_rows, self.rows_flat)
+    rows: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -163,12 +165,11 @@ def compile_membership(f: Formula, n: int) -> MembershipProgram:
 
     _lower(f, opcodes, opargs, on_box, var_slot)
     slot_asts = sorted(slots, key=slots.get)
-    rows: list[int] = []
+    rows: dict[tuple[int, ...], None] = {}
     for idx in range(n_rows):
         env = assignment_at(names, n, idx)
-        for ast in slot_asts:
-            rows.append(eval_box_free(ast, env, n))
-    return MembershipProgram(tuple(names), tuple(opcodes), tuple(opargs), len(slots), n_rows, tuple(rows))
+        rows[tuple(eval_box_free(ast, env, n) for ast in slot_asts)] = None
+    return MembershipProgram(tuple(names), tuple(opcodes), tuple(opargs), n, len(slots), n_rows, tuple(rows))
 
 
 @lru_cache(maxsize=512)
@@ -193,7 +194,7 @@ def compile_algebra(f: Formula) -> AlgebraProgram:
 
 
 def membership_holds(famask: int, program: MembershipProgram, n: int) -> bool:
-    return membership_kernels(n).eval_membership(famask, *program.kernel_args())
+    return family_accepts(famask, 1 << n, [program])
 
 
 def find_refuting_assignment(alg: NeighborhoodAlgebra, f: Formula) -> dict[str, int] | None:
@@ -201,7 +202,7 @@ def find_refuting_assignment(alg: NeighborhoodAlgebra, f: Formula) -> dict[str, 
     falls short of the full set, or None when f is valid."""
     program = compile_algebra(f)
     assignment_space(alg.n, len(program.names), "validates")
-    idx = kernels.algebra_refute(alg.box, alg.n, program.opcodes, program.opargs, len(program.names))
+    idx = algebra_refute(alg.box, alg.n, program.opcodes, program.opargs, len(program.names))
     if idx < 0:
         return None
     return assignment_at(list(program.names), alg.n, idx)

@@ -197,9 +197,6 @@ def compile_target(text: str | None, n: int):
     return "formula", parse(text)
 
 
-_compile_target = compile_target
-
-
 def _test_target(frame: NeighborhoodFrame, target) -> tuple[bool, dict[str, int] | None]:
     """(does the frame validate the target, refuting assignment if not)."""
     kind, payload = target
@@ -216,7 +213,7 @@ def _scan(n, constraints, canonical, target_text, mode, first_list, collect):
     keys is filled only when collect is true.  Find modes stop at the
     first hit, so in_class then counts frames up to and including it."""
     cands, iv = _compile_constraints(n, constraints)
-    target = _compile_target(target_text, n)
+    target = compile_target(target_text, n)
     rest = cands[1:] if n else []
     in_class = 0
     validating = 0
@@ -358,7 +355,7 @@ def find_countermodel(spec: SearchSpec, workers: int = 1) -> dict:
         if hit is not None:
             pos, key, env = hit
             frame = _assemble(n, key)
-            _verify_hit(frame, _compile_target(spec.target, n), spec.mode, env)
+            _verify_hit(frame, compile_target(spec.target, n), spec.mode, env)
             return {
                 "found": True,
                 "frame": frame_to_json(frame),
