@@ -3,10 +3,12 @@
 A frame on n points is a product of n independent family choices, so
 the stream factors: pointwise constraints (one-step axiom sets and the
 per-family class tags) shrink each point's candidate list before any
-frame is assembled, and only whole-frame conditions (iv, canonicity,
-the target formula) run on assembled frames.  Enumeration follows the
-product order with the first point outermost and famasks ascending,
-which is exactly the ascending lexicographic order on frame keys.
+frame is assembled.  Canonicity is tested on the famask key itself,
+through per-permutation relabel tables, and only keys that pass are
+assembled into frames for the other whole-frame conditions (iv, the
+target formula).  Enumeration follows the product order with the first
+point outermost and famasks ascending, which is exactly the ascending
+lexicographic order on frame keys.
 
 Workers partition the first point's candidate list into contiguous
 chunks and results merge in chunk order, so output is identical for
@@ -25,6 +27,7 @@ full in-class total there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 from multiprocessing import get_context
 
@@ -49,7 +52,6 @@ from .core import (
     InvalidInputError,
     NeighborhoodFrame,
     check_width,
-    effective_cap,
     family_from_famask,
     frame_to_json,
     full_mask,
@@ -102,7 +104,7 @@ def relabel_frame(frame: NeighborhoodFrame, perm: tuple[int, ...]) -> Neighborho
 
 def canonical_form(frame: NeighborhoodFrame) -> NeighborhoodFrame:
     """Least relabeling of the frame, by the per-point famask key."""
-    check_width(frame.n, effective_cap(CANONICAL_CAP), "canonical_form")
+    check_width(frame.n, CANONICAL_CAP, "canonical_form")
     best = frame
     best_key = frame.key()
     for perm in permutations(range(frame.n)):
@@ -182,8 +184,45 @@ def _assemble(n: int, key: tuple[int, ...]) -> NeighborhoodFrame:
     return NeighborhoodFrame(n, tuple(family_from_famask(fm) for fm in key))
 
 
-def _is_canonical(frame: NeighborhoodFrame) -> bool:
-    return frame.key() == canonical_form(frame).key()
+@lru_cache(maxsize=None)
+def _perm_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """(inverse, byte tables) for every non-identity permutation p of the
+    n points.  The famask of a family relabeled by p is the OR over i of
+    tables[i][(famask >> 8i) & 255]; slot j of the relabeled key is the
+    relabeled famask of slot inverse[j] of the original."""
+    out = []
+    for perm in permutations(range(n)):
+        if perm == tuple(range(n)):
+            continue
+        inverse = [0] * n
+        for x, p in enumerate(perm):
+            inverse[p] = x
+        tables = []
+        for low in range(0, 1 << n, 8):
+            table = [0]
+            for a in range(low, min(low + 8, 1 << n)):
+                bit = 1 << apply_perm_mask(a, perm)
+                table += [t | bit for t in table]
+            tables.append(tuple(table))
+        out.append((tuple(inverse), tuple(tables)))
+    return tuple(out)
+
+
+def _is_canonical_key(n: int, key: tuple[int, ...]) -> bool:
+    """Whether no relabeling gives a lower key, i.e. whether
+    canonical_form(_assemble(n, key)).key() == key, decided on the key
+    alone.  Each permutation stops at the first slot that differs."""
+    for inverse, tables in _perm_tables(n):
+        for j, x in enumerate(inverse):
+            famask = key[x]
+            image = 0
+            for i, table in enumerate(tables):
+                image |= table[famask >> 8 * i & 255]
+            if image != key[j]:
+                if image < key[j]:
+                    return False
+                break
+    return True
 
 
 def compile_target(text: str | None, n: int):
@@ -206,42 +245,36 @@ def _test_target(frame: NeighborhoodFrame, target) -> tuple[bool, dict[str, int]
     return env is None, env
 
 
-def _scan(n, constraints, canonical, target_text, mode, first_list, collect):
-    """Walk the product stream restricted to first-point famasks in
-    first_list, in order.  Returns (in_class, validating, hit, keys)
-    where hit = (serial in-class position, frame key, refuting env) and
-    keys is filled only when collect is true.  Find modes stop at the
-    first hit, so in_class then counts frames up to and including it."""
-    cands, iv = _compile_constraints(n, constraints)
+def _scan(n, cands, iv, canonical, target_text, mode, collect):
+    """Walk the product of the per-point candidate lists, in order.
+    Returns (in_class, validating, hit, keys) where hit = (serial
+    in-class position, frame key, refuting env) and keys is filled only
+    when collect is true.  Find modes stop at the first hit, so in_class
+    then counts frames up to and including it."""
     target = compile_target(target_text, n)
-    rest = cands[1:] if n else []
     in_class = 0
     validating = 0
-    hit = None
     keys: list[tuple[int, ...]] = []
-    for first in first_list:
-        for tail in product(*rest):
-            key = (first, *tail) if n else ()
+    for key in product(*cands):
+        if canonical and not _is_canonical_key(n, key):
+            continue
+        if iv or target is not None:
             frame = _assemble(n, key)
             if iv and not frame_class_check(frame, ClassTag("iv")):
                 continue
-            if canonical and not _is_canonical(frame):
-                continue
-            in_class += 1
-            if collect:
-                keys.append(key)
-            if target is None:
-                continue
-            ok, env = _test_target(frame, target)
-            if ok:
-                validating += 1
-            if mode == "find_refuting" and not ok:
-                hit = (in_class, key, env)
-                return in_class, validating, hit, keys
-            if mode == "find_validating" and ok:
-                hit = (in_class, key, None)
-                return in_class, validating, hit, keys
-    return in_class, validating, hit, keys
+        in_class += 1
+        if collect:
+            keys.append(key)
+        if target is None:
+            continue
+        ok, env = _test_target(frame, target)
+        if ok:
+            validating += 1
+        if mode == "find_refuting" and not ok:
+            return in_class, validating, (in_class, key, env), keys
+        if mode == "find_validating" and ok:
+            return in_class, validating, (in_class, key, None), keys
+    return in_class, validating, None, keys
 
 
 def _scan_task(args):
@@ -262,13 +295,11 @@ def _chunks(items: list[int], parts: int) -> list[list[int]]:
 
 def _scan_level(n, constraints, canonical, target_text, mode, workers, collect=False):
     """One carrier size, all first-point chunks merged in serial order."""
-    if n == 0:
-        return _scan(n, constraints, canonical, target_text, mode, [0], collect)
-    cands, _ = _compile_constraints(n, constraints)
-    if workers <= 1 or len(cands[0]) < 2:
-        return _scan(n, constraints, canonical, target_text, mode, cands[0], collect)
+    cands, iv = _compile_constraints(n, constraints)
+    if workers <= 1 or n == 0 or len(cands[0]) < 2:
+        return _scan(n, cands, iv, canonical, target_text, mode, collect)
     chunks = _chunks(cands[0], workers * 4)
-    tasks = [(n, constraints, canonical, target_text, mode, chunk, collect) for chunk in chunks]
+    tasks = [(n, [chunk, *cands[1:]], iv, canonical, target_text, mode, collect) for chunk in chunks]
     ctx = get_context("fork")
     with ctx.Pool(workers) as pool:
         results = pool.map(_scan_task, tasks)
@@ -288,7 +319,7 @@ def _scan_level(n, constraints, canonical, target_text, mode, workers, collect=F
 def enumerate_frames(n: int, constraints=(), canonical: bool = False, workers: int = 1):
     """Stream every frame in the constrained class, one representative
     per relabeling orbit when canonical is set."""
-    check_width(n, effective_cap(EXHAUSTIVE_FRAMES_CAP), "enumerate_frames")
+    check_width(n, EXHAUSTIVE_FRAMES_CAP, "enumerate_frames")
     constraints = tuple(constraints)
     if workers <= 1:
         cands, iv = _compile_constraints(n, constraints)
@@ -298,24 +329,28 @@ def enumerate_frames(n: int, constraints=(), canonical: bool = False, workers: i
 
 
 def _frame_gen(n: int, cands, iv: bool, canonical: bool):
-    for key in product(*cands) if n else iter([()]):
+    for key in product(*cands):
+        if canonical and not _is_canonical_key(n, key):
+            continue
         frame = _assemble(n, key)
         if iv and not frame_class_check(frame, ClassTag("iv")):
-            continue
-        if canonical and not _is_canonical(frame):
             continue
         yield frame
 
 
 def count_frames(n: int, constraints=(), canonical: bool = False, workers: int = 1) -> int:
-    check_width(n, effective_cap(EXHAUSTIVE_FRAMES_CAP), "count_frames")
+    check_width(n, EXHAUSTIVE_FRAMES_CAP, "count_frames")
     in_class, _, _, _ = _scan_level(n, tuple(constraints), canonical, None, "count", workers)
     return in_class
 
 
 def _verify_hit(frame: NeighborhoodFrame, target, mode: str, env: dict[str, int] | None) -> None:
     """Recheck a witness through the definitional evaluator before it is
-    returned; a failure here means the fast path lied."""
+    returned; a failure here means the fast path lied.  The witness must
+    also be its own canonical form, which rechecks the key-level
+    canonicity test against the definitional relabeling."""
+    if canonical_form(frame).key() != frame.key():
+        raise AssertionError("search: witness is not its canonical form")
     kind, payload = target
     if kind == "predicate":
         ok = all(payload(fam.famask(), frame.n) for fam in frame.nbhd)
@@ -341,7 +376,7 @@ def find_countermodel(spec: SearchSpec, workers: int = 1) -> dict:
 
     Returns {"found", "frame", "assignment", "checked"} for the find
     modes and {"count", "checked"} for mode "count"."""
-    check_width(spec.max_n, effective_cap(SEARCH_MAX_N_CAP), "find_countermodel")
+    check_width(spec.max_n, SEARCH_MAX_N_CAP, "find_countermodel")
     checked = 0
     count = 0
     for n in range(spec.max_n + 1):

@@ -2,6 +2,8 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nbhd import search
@@ -75,6 +77,47 @@ def test_canonical_form_invariant_sampled_n3():
             assert canonical_form(relabel_frame(frame, perm)) == canon
 
 
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def frame_keys(draw, widths):
+    n = draw(widths)
+    return n, tuple(draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=n, max_size=n)))
+
+
+def definitionally_canonical(n, key):
+    return canonical_form(search._assemble(n, key)).key() == key
+
+
+def test_canonical_key_test_exhaustive_small():
+    for n in range(3):
+        for key in product(range(1 << (1 << n)), repeat=n):
+            assert search._is_canonical_key(n, key) == definitionally_canonical(n, key), key
+    for constraints in (("filter",), ("monotone",)):
+        for frame in enumerate_frames(3, constraints):
+            key = frame.key()
+            assert search._is_canonical_key(3, key) == definitionally_canonical(3, key), key
+
+
+@PROPERTY
+@given(frame_keys(st.integers(3, 4)))
+def test_property_canonical_key_test(case):
+    n, key = case
+    canon = canonical_form(search._assemble(n, key)).key()
+    assert search._is_canonical_key(n, key) == (canon == key)
+    assert search._is_canonical_key(n, canon)
+
+
+@PROPERTY
+@given(frame_keys(st.integers(0, 4)), st.data())
+def test_property_canonical_form_invariant_under_relabeling(case, data):
+    n, key = case
+    frame = search._assemble(n, key)
+    perm = tuple(data.draw(st.permutations(range(n))))
+    assert canonical_form(relabel_frame(frame, perm)) == canonical_form(frame)
+
+
 def test_canonical_form_width_cap():
     wide = NeighborhoodFrame(9, tuple(Family(()) for _ in range(9)))
     with pytest.raises(CapExceededError):
@@ -109,6 +152,9 @@ def test_canonical_counts_match_orbit_oracle():
     raw3 = [f.key() for f in enumerate_frames(3, ("filter",))]
     assert len(raw3) == 8 ** 3
     assert count_frames(3, ("filter",), canonical=True) == oracles.orbit_count(raw3)
+    raw3 = [f.key() for f in enumerate_frames(3, ("monotone",))]
+    assert len(raw3) == 20 ** 3
+    assert count_frames(3, ("monotone",), canonical=True) == oracles.orbit_count(raw3) == 1440
 
 
 def test_workers_match_serial():
@@ -116,6 +162,8 @@ def test_workers_match_serial():
         serial = [f.key() for f in enumerate_frames(2, ("monotone",), canonical)]
         parallel = [f.key() for f in enumerate_frames(2, ("monotone",), canonical, workers=4)]
         assert parallel == serial
+    serial = [f.key() for f in enumerate_frames(3, ("filter",), canonical=True)]
+    assert [f.key() for f in enumerate_frames(3, ("filter",), canonical=True, workers=4)] == serial
     assert count_frames(2, (), canonical=True, workers=4) == count_frames(2, (), canonical=True)
 
 
@@ -259,3 +307,9 @@ def test_verify_hit_rechecks_witnesses():
     assert search._verify_hit(NeighborhoodFrame(1, (Family((0,)),)), pred, "find_refuting", None) is None
     with pytest.raises(AssertionError):
         search._verify_hit(principal, pred, "find_refuting", None)
+    # Key (0, 2) is the canonical form of key (4, 0): both refute box v at
+    # v = 0, but only the canonical one may be a witness.
+    empty_first = NeighborhoodFrame(2, (Family(()), Family((1,))))
+    assert search._verify_hit(empty_first, target, "find_refuting", {"v": 0}) is None
+    with pytest.raises(AssertionError, match="canonical"):
+        search._verify_hit(relabel_frame(empty_first, (1, 0)), target, "find_refuting", {"v": 0})
