@@ -19,22 +19,26 @@ Enumeration strategies:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .bitslice import family_filter, upset_enumerate
 from .core import (
     ENUM_BACKTRACK_CAP,
     ENUM_FILTER_CAP,
+    PLAIN_OP_CAP,
     Family,
     FrameMorphism,
     InvalidInputError,
+    _family_list,
+    check_family,
     check_width,
     family_from_famask,
     full_mask,
     up_cone,
 )
 from .evaluate import compile_membership, is_ax_subset, realize_axiom
-from .formulas import AxiomSet, axiom_set_from_specs
+from .formulas import AxiomSet, axiom_set_from_specs, famask_is_principal
 
 
 @dataclass(frozen=True)
@@ -47,18 +51,10 @@ class BaxSpace:
         return tuple(fam.famask() for fam in self.members)
 
     def index_of(self, fam: Family) -> int:
-        target = fam.famask()
-        masks = self.famasks()
-        lo, hi = 0, len(masks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if masks[mid] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(masks) or masks[lo] != target:
+        i = bisect_left(self.members, fam.famask(), key=Family.famask)
+        if i == len(self.members) or self.members[i] != fam:
             raise InvalidInputError("family is not a member of the space")
-        return lo
+        return i
 
 
 def _split_axioms(axs: AxiomSet, n: int):
@@ -145,26 +141,25 @@ def enumerate_bax(n: int, axs: AxiomSet, strategy: str = "auto", workers: int = 
 
 def bax_map(f: FrameMorphism, w: Family, axs: AxiomSet) -> Family:
     """Image of an Ax-subset along a point map, via preimages."""
+    check_family(w, f.n_dom, "bax_map")
     if not is_ax_subset(w, axs, f.n_dom):
         raise InvalidInputError("bax_map: family is not an Ax-subset of the domain")
-    members = set(w.members)
-    return Family.of(a for a in range(1 << f.n_cod) if f.preimage(a) in members)
+    return Family(tuple(a for a in range(1 << f.n_cod) if f.preimage(a) in w))
 
 
 def principal_iso(n: int, direction: str, value):
     """Bijection between principal up-cone families and plain subsets."""
+    check_width(n, PLAIN_OP_CAP, "principal_iso")
     if direction == "from_subset":
         return up_cone(value, n)
     if direction == "to_subset":
-        fam: Family = value
-        if not fam.members:
+        famask = value.famask()
+        if not famask:
             raise InvalidInputError("principal_iso: empty family has no generating subset")
-        c = full_mask(n)
-        for a in fam:
-            c &= a
-        if fam.famask() != up_cone(c, n).famask():
+        if not famask_is_principal(famask, n):
             raise InvalidInputError("principal_iso: family is not a principal up-cone")
-        return c
+        # The generating subset lies inside every member, so it is the least.
+        return (famask & -famask).bit_length() - 1
     raise InvalidInputError(f"principal_iso: unknown direction {direction!r}")
 
 
@@ -204,7 +199,7 @@ def naturality_check(f: FrameMorphism, axs: AxiomSet, g: FrameMorphism | None = 
 
 
 def baxspace_to_json(space: BaxSpace) -> dict:
-    return {"n": space.n, "axioms": space.axioms.specs(), "members": [list(fam.members) for fam in space.members]}
+    return {"n": space.n, "axioms": space.axioms.specs(), "members": [list(fam) for fam in space.members]}
 
 
 def baxspace_from_json(obj: dict) -> BaxSpace:
@@ -214,5 +209,5 @@ def baxspace_from_json(obj: dict) -> BaxSpace:
     if not isinstance(n, int):
         raise InvalidInputError("bax space: n must be an int")
     axs = axiom_set_from_specs([str(s) for s in obj["axioms"]], n)
-    members = tuple(Family.of(raw) for raw in obj["members"])
+    members = tuple(_family_list(raw, n, "bax space: member") for raw in obj["members"])
     return BaxSpace(n, axs, members)

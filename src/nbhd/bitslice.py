@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .core import _set_lanes
+
 # The family filter sweeps famasks in aligned blocks of at most 2^16 lanes.
 FILTER_BLOCK_BITS = 16
 # Up-set leaves are collected and filtered in blocks of 2^9 = 512 lanes.
 UPSET_BLOCK_BITS = 9
-
-_BYTE_BITS = tuple(tuple(j for j in range(8) if byte >> j & 1) for byte in range(256))
 
 
 @lru_cache(maxsize=32)
@@ -42,16 +42,6 @@ def _index_planes(bits: int) -> tuple[int, ...]:
             width <<= 1
         planes.append(plane)
     return tuple(planes)
-
-
-def _set_lanes(mask: int, offset: int) -> list[int]:
-    """Ascending indices of the set bits of mask, plus offset."""
-    out = []
-    for i, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
-        if byte:
-            base = offset + (i << 3)
-            out += [base + j for j in _BYTE_BITS[byte]]
-    return out
 
 
 def _accepted(planes, lanes: int, programs) -> int:

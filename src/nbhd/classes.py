@@ -12,51 +12,70 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Family, InvalidInputError, NeighborhoodAlgebra, NeighborhoodFrame, box_n, full_mask
+from .bitslice import _index_planes
+from .core import (
+    PLAIN_OP_CAP,
+    CapExceededError,
+    Family,
+    InvalidInputError,
+    NeighborhoodAlgebra,
+    NeighborhoodFrame,
+    box_n,
+    check_width,
+    family_from_famask,
+    full_mask,
+)
 from .duality import complex_algebra
 from .evaluate import validates
 from .formulas import expand_named
 
 
+def _family_width(n: int) -> int:
+    """n, refused above PLAIN_OP_CAP: the planes and masks of a famask over
+    n points take 2^n bits, so a wider n is stopped before they are built."""
+    if n > PLAIN_OP_CAP:
+        raise CapExceededError(f"family over n={n} points exceeds cap {PLAIN_OP_CAP}")
+    return n
+
+
+def _up_closure(famask: int, n: int) -> int:
+    """Famask of the supersets of members: plane i holds the subsets with
+    point i, and shifting by 2^i adds point i to the rest."""
+    for i, plane in enumerate(_index_planes(_family_width(n))):
+        famask |= (famask & ~plane) << (1 << i)
+    return famask
+
+
+def _down_closure(famask: int, n: int) -> int:
+    for i, plane in enumerate(_index_planes(_family_width(n))):
+        famask |= (famask & plane) >> (1 << i)
+    return famask
+
+
+def _complements(famask: int, n: int) -> int:
+    """Famask of the complements of members: toggle every point."""
+    for i, plane in enumerate(_index_planes(_family_width(n))):
+        famask = (famask & plane) >> (1 << i) | (famask & ~plane) << (1 << i)
+    return famask
+
+
 def family_is_up_closed(fam: Family, n: int) -> bool:
-    members = set(fam.members)
-    for a in fam:
-        for i in range(n):
-            if a >> i & 1:
-                continue
-            if (a | 1 << i) not in members:
-                return False
-    return True
+    return _up_closure(fam.famask(), n) == fam.famask()
 
 
 def family_is_convex(fam: Family, n: int) -> bool:
     """Every subset between two members is a member."""
-    members = set(fam.members)
-    for a in fam:
-        for b in fam:
-            if a & b != a:
-                continue
-            gap = b & ~a
-            t = gap
-            while t:
-                if (a | t) not in members:
-                    return False
-                t = (t - 1) & gap
-    return True
+    return _up_closure(fam.famask(), n) & _down_closure(fam.famask(), n) == fam.famask()
 
 
 def family_complement(fam: Family, n: int) -> Family:
-    members = set(fam.members)
-    return Family(tuple(a for a in range(1 << n) if a not in members))
+    return family_from_famask(fam.famask() ^ full_mask(1 << _family_width(n)))
 
 
 def family_is_pair_intersection_closed(fam: Family) -> bool:
-    members = set(fam.members)
-    for a in fam:
-        for b in fam:
-            if a & b not in members:
-                return False
-    return True
+    famask = fam.famask()
+    members = fam.members
+    return all(famask >> (a & b) & 1 for a in members for b in members)
 
 
 def family_is_filter(fam: Family, n: int) -> bool:
@@ -65,9 +84,7 @@ def family_is_filter(fam: Family, n: int) -> bool:
 
 
 def family_is_contingency(fam: Family, n: int) -> bool:
-    members = set(fam.members)
-    full = full_mask(n)
-    return all((full ^ a) in members for a in fam)
+    return _complements(fam.famask(), n) == fam.famask()
 
 
 def family_is_kappa_complete(fam: Family, n: int, kappa: int) -> bool:
@@ -76,13 +93,7 @@ def family_is_kappa_complete(fam: Family, n: int, kappa: int) -> bool:
     generates every larger finite meet, so sizes 0 and 2 decide it."""
     if kappa < 1:
         raise InvalidInputError("kappa completeness needs kappa >= 1")
-    if not family_is_up_closed(fam, n):
-        return False
-    if full_mask(n) not in fam:
-        return False
-    if kappa >= 3 and not family_is_pair_intersection_closed(fam):
-        return False
-    return True
+    return family_is_up_closed(fam, n) and full_mask(n) in fam and (kappa < 3 or family_is_pair_intersection_closed(fam))
 
 
 FRAME_TAGS = ("monotone", "convex", "coconvex", "contingency", "filter", "kappa", "centered", "iv", "pretopological", "topological")
@@ -106,24 +117,36 @@ def parse_class_tag(text: str) -> ClassTag:
     return ClassTag(text)
 
 
-def frame_class_check(frame: NeighborhoodFrame, tag: ClassTag) -> bool:
-    name = tag.name
-    if name == "monotone":
-        return all(family_is_up_closed(fam, frame.n) for fam in frame.nbhd)
-    if name == "convex":
-        return all(family_is_convex(fam, frame.n) for fam in frame.nbhd)
-    if name == "coconvex":
-        return all(family_is_convex(family_complement(fam, frame.n), frame.n) for fam in frame.nbhd)
-    if name == "contingency":
-        return all(family_is_contingency(fam, frame.n) for fam in frame.nbhd)
-    if name == "filter":
-        return all(family_is_filter(fam, frame.n) for fam in frame.nbhd)
-    if name == "kappa":
+_FAMILY_TESTS = {
+    "monotone": family_is_up_closed,
+    "convex": family_is_convex,
+    "coconvex": lambda fam, n: family_is_convex(family_complement(fam, n), n),
+    "contingency": family_is_contingency,
+    "filter": family_is_filter,
+}
+
+
+def family_tag_test(tag: ClassTag):
+    """The test (family, n) -> bool of a per-family frame tag, which a
+    frame has when every one of its families passes; None for the tags
+    that look at the whole frame."""
+    if tag.name == "kappa":
         if tag.kappa is None:
             raise InvalidInputError("kappa tag needs a parameter, e.g. kappa:3")
-        return all(family_is_kappa_complete(fam, frame.n, tag.kappa) for fam in frame.nbhd)
+        return lambda fam, n: family_is_kappa_complete(fam, n, tag.kappa)
+    return _FAMILY_TESTS.get(tag.name)
+
+
+def frame_class_check(frame: NeighborhoodFrame, tag: ClassTag) -> bool:
+    check_width(frame.n, PLAIN_OP_CAP, "frame_class_check")
+    name = tag.name
+    test = family_tag_test(tag)
+    if test is not None:
+        return all(test(fam, frame.n) for fam in frame.nbhd)
     if name == "centered":
-        return all(all(a >> x & 1 for a in fam) for x, fam in enumerate(frame.nbhd))
+        # Every member of N(x) holds x: the famask lies in plane x.
+        planes = _index_planes(frame.n)
+        return all(fam.famask() & planes[x] == fam.famask() for x, fam in enumerate(frame.nbhd))
     if name == "iv":
         return all(box_n(frame, a) in fam for fam in frame.nbhd for a in fam)
     if name == "pretopological":

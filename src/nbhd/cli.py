@@ -26,9 +26,9 @@ from .classes import (
 )
 from .core import (
     CapExceededError,
-    Family,
     InvalidInputError,
     NbhdError,
+    _family_list,
     algebra_from_json,
     algebra_to_json,
     frame_from_json,
@@ -212,11 +212,9 @@ def cmd_bax_enum(args) -> int:
 def cmd_bax_map(args) -> int:
     f = morphism_from_json(_load_json(args.morphism))
     axs = axiom_set_from_specs(_split_specs(args.axioms))
-    raw = _parse_inline_json(args.family, "--family")
-    if not isinstance(raw, list):
-        raise InvalidInputError("--family must be a JSON list of subset masks")
-    image = bax_map(f, Family.of(raw), axs)
-    _emit({"family": list(image.members)}, args)
+    family = _family_list(_parse_inline_json(args.family, "--family"), f.n_dom, "--family")
+    image = bax_map(f, family, axs)
+    _emit({"family": list(image)}, args)
     return 0
 
 
@@ -280,10 +278,8 @@ def cmd_gen_complement(args) -> int:
 
 def cmd_gen_truncate(args) -> int:
     frame = frame_from_json(_load_json(args.frame))
-    raw = _parse_inline_json(args.admissible, "--admissible")
-    if not isinstance(raw, list):
-        raise InvalidInputError("--admissible must be a JSON list of subset masks")
-    gf = truncate(frame, Family.of(raw))
+    admissible = _family_list(_parse_inline_json(args.admissible, "--admissible"), frame.n, "--admissible")
+    gf = truncate(frame, admissible)
     _emit(general_frame_to_json(gf), args)
     return 0
 

@@ -2,11 +2,13 @@
 
 A ground set of size n is the points 0..n-1.  A subset is an int in
 [0, 2^n) whose bit i records membership of point i.  A family of subsets
-is kept as a strictly increasing tuple of such masks; for n <= 5 a family
-also packs into a single "famask" int whose bit a records membership of
-the subset-mask a.  Frames, algebras, relations and morphisms are frozen
-dataclasses, so every value in the package is immutable and safe to share
-across worker processes.
+is held as one "famask" int whose bit a records membership of the
+subset-mask a, i.e. one element of the double powerset; its members are
+decoded, ascending, only when they are listed.  A famask takes 2^n bits,
+so families hold subsets of at most PLAIN_OP_CAP points, and the JSON
+decoders range-check members against n before packing them.  Families,
+frames, algebras, relations and morphisms are frozen, so every value in
+the package is immutable and safe to share across worker processes.
 """
 
 from __future__ import annotations
@@ -66,54 +68,88 @@ def check_subset(a: int, n: int, what: str = "subset") -> None:
         raise InvalidInputError(f"{what}: {a!r} is not a subset mask for n={n}")
 
 
-@dataclass(frozen=True)
+_BYTE_BITS = tuple(tuple(j for j in range(8) if byte >> j & 1) for byte in range(256))
+
+
+def _set_lanes(mask: int, offset: int) -> list[int]:
+    """Ascending indices of the set bits of mask, plus offset."""
+    out = []
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        if byte:
+            # At offset 0 (a famask's first byte) the row needs no shift.
+            out += map(offset.__add__, _BYTE_BITS[byte]) if offset else _BYTE_BITS[byte]
+        offset += 8
+    return out
+
+
+def _pack(masks: Iterable[int]) -> int:
+    """Famask of masks, each a subset of at most PLAIN_OP_CAP points."""
+    famask = 0
+    for m in masks:
+        if not isinstance(m, int) or m < 0:
+            raise InvalidInputError(f"family members must be nonnegative ints, got {m!r}")
+        if m >> PLAIN_OP_CAP:
+            raise CapExceededError(f"family: member {m} needs more than {PLAIN_OP_CAP} points")
+        famask |= 1 << m
+    return famask
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class Family:
-    """A set of subset masks, stored strictly increasing."""
+    """A set of subset masks, held as its famask: bit a is set exactly when
+    mask a is a member.  `members` and iteration decode it ascending."""
 
-    members: tuple[int, ...] = ()
+    _famask: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, members: tuple[int, ...] = ()) -> None:
         prev = -1
-        for m in self.members:
+        for m in members:
             if not isinstance(m, int) or m <= prev:
-                raise InvalidInputError(f"family members must be strictly increasing ints, got {self.members!r}")
+                raise InvalidInputError(f"family members must be strictly increasing ints, got {members!r}")
             prev = m
+        object.__setattr__(self, "_famask", _pack(members))
 
     @staticmethod
     def of(masks: Iterable[int]) -> "Family":
-        return Family(tuple(sorted(set(masks))))
+        """The family of masks given in any order, repeats allowed."""
+        return family_from_famask(_pack(masks))
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return tuple(_set_lanes(self._famask, 0))
 
     def __contains__(self, mask: int) -> bool:
-        return mask in self.members
+        return mask >= 0 and self._famask >> mask & 1 == 1
 
     def __iter__(self):
-        return iter(self.members)
+        return iter(_set_lanes(self._famask, 0))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self._famask.bit_count()
+
+    def __repr__(self) -> str:
+        return f"Family(members={self.members!r})"
 
     def famask(self) -> int:
-        out = 0
-        for m in self.members:
-            out |= 1 << m
-        return out
+        return self._famask
 
 
 def family_from_famask(famask: int) -> Family:
-    members = []
-    a = 0
-    f = famask
-    while f:
-        if f & 1:
-            members.append(a)
-        f >>= 1
-        a += 1
-    return Family(tuple(members))
+    """Wrap a famask as a Family; nothing is decoded or checked."""
+    fam = object.__new__(Family)
+    object.__setattr__(fam, "_famask", famask)
+    return fam
 
 
 def check_family(fam: Family, n: int, what: str = "family") -> None:
-    if fam.members and fam.members[-1] > full_mask(n):
-        raise InvalidInputError(f"{what}: member {fam.members[-1]} is not a subset mask for n={n}")
+    _check_members_below(fam.famask().bit_length() - 1, n, what)
+
+
+def _check_members_below(top: int, n: int, what: str) -> None:
+    """Raise unless the largest member top is a subset mask for n; shifts
+    only, so a huge n or member allocates nothing."""
+    if top > 0 and top >> n:
+        raise InvalidInputError(f"{what}: member {top} is not a subset mask for n={n}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +271,7 @@ def box_n(frame: NeighborhoodFrame, a: int) -> int:
     check_subset(a, frame.n, "box_n: a")
     out = 0
     for x, fam in enumerate(frame.nbhd):
-        if a in fam:
+        if fam.famask() >> a & 1:
             out |= 1 << x
     return out
 
@@ -243,12 +279,8 @@ def box_n(frame: NeighborhoodFrame, a: int) -> int:
 def complement_frame(frame: NeighborhoodFrame) -> NeighborhoodFrame:
     """Swap every family for its complement within the full powerset."""
     check_width(frame.n, PLAIN_OP_CAP, "complement_frame")
-    m = 1 << frame.n
-    families = []
-    for fam in frame.nbhd:
-        present = set(fam.members)
-        families.append(Family(tuple(a for a in range(m) if a not in present)))
-    return NeighborhoodFrame(frame.n, tuple(families))
+    full = full_mask(1 << frame.n)
+    return NeighborhoodFrame(frame.n, tuple(family_from_famask(fam.famask() ^ full) for fam in frame.nbhd))
 
 
 def up_cone(c: int, n: int) -> Family:
@@ -288,11 +320,9 @@ def is_nbhd_morphism(f: FrameMorphism, dom: NeighborhoodFrame, cod: Neighborhood
     if f.n_dom != dom.n or f.n_cod != cod.n:
         raise InvalidInputError("is_nbhd_morphism: morphism and frame sizes disagree")
     check_width(max(dom.n, cod.n), PLAIN_OP_CAP, "is_nbhd_morphism")
-    cod_sets = [set(fam.members) for fam in cod.nbhd]
-    dom_sets = [set(fam.members) for fam in dom.nbhd]
     for x in range(dom.n):
-        target = cod_sets[f.map[x]]
-        source = dom_sets[x]
+        target = cod.nbhd[f.map[x]]
+        source = dom.nbhd[x]
         for a_cod in range(1 << cod.n):
             if (a_cod in target) != (f.preimage(a_cod) in source):
                 return False
@@ -312,15 +342,24 @@ def _int_list(raw, what: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
+def _family_list(raw, n: int, what: str) -> Family:
+    """Family from a JSON list of subset masks, range-checked against n
+    before anything is packed."""
+    members = _int_list(raw, what)
+    if members and n >= 0:
+        _check_members_below(max(members), n, what)
+    return Family.of(members)
+
+
 def frame_to_json(frame: NeighborhoodFrame) -> dict:
-    return {"n": frame.n, "N": [list(fam.members) for fam in frame.nbhd]}
+    return {"n": frame.n, "N": [list(fam) for fam in frame.nbhd]}
 
 
 def frame_from_json(obj: dict) -> NeighborhoodFrame:
     _expect_keys(obj, ("n", "N"), "frame")
     if not isinstance(obj["n"], int) or not isinstance(obj["N"], list):
         raise InvalidInputError("frame: n must be an int and N a list")
-    families = tuple(Family.of(_int_list(raw, "frame: N entry")) for raw in obj["N"])
+    families = tuple(_family_list(raw, obj["n"], f"frame: N({x})") for x, raw in enumerate(obj["N"]))
     return NeighborhoodFrame(obj["n"], families)
 
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import InvalidInputError, full_mask, up_cone
+from .bitslice import _index_planes
+from .core import InvalidInputError, full_mask
 
 
 class Formula:
@@ -291,18 +292,15 @@ class Axiom:
 
 
 def famask_is_principal(famask: int, n: int) -> bool:
-    """True when the family is the nonempty up-cone of its intersection."""
-    if famask == 0:
-        return False
-    inter = full_mask(n)
-    a = 0
-    f = famask
-    while f:
-        if f & 1:
-            inter &= a
-        f >>= 1
-        a += 1
-    return famask == up_cone(inter, n).famask()
+    """True when the family is the nonempty up-cone of its intersection.
+    Plane x is the famask of the subsets holding point x, so the up-cone
+    of the intersection is the meet of the planes that contain the family;
+    its least member is the intersection itself."""
+    cone = full_mask(1 << n)
+    for plane in _index_planes(n):
+        if famask & plane == famask:
+            cone &= plane
+    return famask != 0 and famask == cone
 
 
 def semantic_predicate(tag: str):

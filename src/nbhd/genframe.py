@@ -25,8 +25,10 @@ from .core import (
     FrameMorphism,
     InvalidInputError,
     NeighborhoodFrame,
+    _family_list,
     check_family,
     check_width,
+    family_from_famask,
     full_mask,
     is_nbhd_morphism,
 )
@@ -51,7 +53,7 @@ class GeneralFrame:
 def box_in(gf: GeneralFrame, a: int) -> int:
     out = 0
     for x, fam in enumerate(gf.nbhd):
-        if a in fam:
+        if fam.famask() >> a & 1:
             out |= 1 << x
     return out
 
@@ -59,24 +61,25 @@ def box_in(gf: GeneralFrame, a: int) -> int:
 def validate_general_frame(gf: GeneralFrame) -> None:
     """Raise unless A is a Boolean subalgebra closed under the frame box."""
     check_width(gf.n, PLAIN_OP_CAP, "general frame")
-    admissible = set(gf.admissible.members)
+    admissible = gf.admissible.famask()
+    members = gf.admissible.members
     full = full_mask(gf.n)
-    if 0 not in admissible or full not in admissible:
+    if not admissible & 1 or not admissible >> full & 1:
         raise InvalidInputError("general frame: A must contain the empty and full sets")
-    for a in admissible:
-        if full ^ a not in admissible:
+    for a in members:
+        if not admissible >> (full ^ a) & 1:
             raise InvalidInputError(f"general frame: A not closed under complement at {a}")
-        for b in admissible:
-            if a | b not in admissible:
+        for b in members:
+            if not admissible >> (a | b) & 1:
                 raise InvalidInputError(f"general frame: A not closed under union at {a}, {b}")
-    for a in gf.admissible:
-        if box_in(gf, a) not in admissible:
+    for a in members:
+        if not admissible >> box_in(gf, a) & 1:
             raise InvalidInputError(f"general frame: A not closed under box at {a}")
 
 
 def is_tight(gf: GeneralFrame) -> bool:
-    admissible = set(gf.admissible.members)
-    return all(all(a in admissible for a in fam) for fam in gf.nbhd)
+    admissible = gf.admissible.famask()
+    return all(fam.famask() & admissible == fam.famask() for fam in gf.nbhd)
 
 
 def is_differentiated(gf: GeneralFrame) -> bool:
@@ -158,42 +161,34 @@ def _require_tight(gf: GeneralFrame, what: str) -> None:
         raise InvalidInputError(f"{what}: general frame is not tight")
 
 
-def _sigma_family(members: set[int], admissible: tuple[int, ...], n: int) -> Family:
-    out = []
-    for e in range(1 << n):
-        if _sigma_witness(e, members, admissible):
-            out.append(e)
-    return Family(tuple(out))
+def _sigma_family(famask: int, admissible: tuple[int, ...], n: int) -> Family:
+    return Family(tuple(e for e in range(1 << n) if _sigma_witness(e, famask, admissible)))
 
 
-def _sigma_witness(e: int, members: set[int], admissible: tuple[int, ...]) -> bool:
+def _sigma_witness(e: int, famask: int, admissible: tuple[int, ...]) -> bool:
     for c in admissible:
         if c & e != c:
             continue
         for d in admissible:
             if e & d != e:
                 continue
-            if all(a in members for a in admissible if c & a == c and a & d == a):
+            if all(famask >> a & 1 for a in admissible if c & a == c and a & d == a):
                 return True
     return False
 
 
-def _pi_family(members: set[int], admissible: tuple[int, ...], n: int) -> Family:
-    out = []
-    for e in range(1 << n):
-        if _pi_holds(e, members, admissible):
-            out.append(e)
-    return Family(tuple(out))
+def _pi_family(famask: int, admissible: tuple[int, ...], n: int) -> Family:
+    return Family(tuple(e for e in range(1 << n) if _pi_holds(e, famask, admissible)))
 
 
-def _pi_holds(e: int, members: set[int], admissible: tuple[int, ...]) -> bool:
+def _pi_holds(e: int, famask: int, admissible: tuple[int, ...]) -> bool:
     for c in admissible:
         if c & e != c:
             continue
         for d in admissible:
             if e & d != e:
                 continue
-            if not any(a in members for a in admissible if c & a == c and a & d == a):
+            if not any(famask >> a & 1 for a in admissible if c & a == c and a & d == a):
                 return False
     return True
 
@@ -202,33 +197,30 @@ def sigma_extend(gf: GeneralFrame) -> NeighborhoodFrame:
     """Largest frame whose admissible trace is N, filled by interval evidence."""
     _require_tight(gf, "sigma_extend")
     admissible = gf.admissible.members
-    families = tuple(_sigma_family(set(fam.members), admissible, gf.n) for fam in gf.nbhd)
+    families = tuple(_sigma_family(fam.famask(), admissible, gf.n) for fam in gf.nbhd)
     return NeighborhoodFrame(gf.n, families)
 
 
 def pi_extend(gf: GeneralFrame) -> NeighborhoodFrame:
     _require_tight(gf, "pi_extend")
     admissible = gf.admissible.members
-    families = tuple(_pi_family(set(fam.members), admissible, gf.n) for fam in gf.nbhd)
+    families = tuple(_pi_family(fam.famask(), admissible, gf.n) for fam in gf.nbhd)
     return NeighborhoodFrame(gf.n, families)
 
 
 def complement_within_admissible(gf: GeneralFrame) -> GeneralFrame:
     """Swap each N(x) for its complement inside A, keeping A."""
     _require_tight(gf, "complement_within_admissible")
-    families = []
-    for fam in gf.nbhd:
-        members = set(fam.members)
-        families.append(Family(tuple(a for a in gf.admissible if a not in members)))
-    return GeneralFrame(gf.n, tuple(families), gf.admissible)
+    admissible = gf.admissible.famask()
+    families = tuple(family_from_famask(admissible & ~fam.famask()) for fam in gf.nbhd)
+    return GeneralFrame(gf.n, families, gf.admissible)
 
 
 def truncate(frame: NeighborhoodFrame, admissible: Family) -> GeneralFrame:
     """Restrict every family to its admissible members; errors when the
     result is not a valid general frame."""
     check_family(admissible, frame.n, "truncate: A")
-    keep = set(admissible.members)
-    families = tuple(Family(tuple(a for a in fam if a in keep)) for fam in frame.nbhd)
+    families = tuple(family_from_famask(fam.famask() & admissible.famask()) for fam in frame.nbhd)
     gf = GeneralFrame(frame.n, families, admissible)
     validate_general_frame(gf)
     return gf
@@ -239,10 +231,9 @@ def is_sigma_descriptive(gf: GeneralFrame) -> bool:
     validate_general_frame(gf)
     admissible = gf.admissible.members
     for fam in gf.nbhd:
-        members = set(fam.members)
-        trace = {a for a in members if a in set(admissible)}
+        trace = fam.famask() & gf.admissible.famask()
         for e in range(1 << gf.n):
-            if (e in members) != _sigma_witness(e, trace, admissible):
+            if (e in fam) != _sigma_witness(e, trace, admissible):
                 return False
     return True
 
@@ -251,10 +242,9 @@ def is_pi_descriptive(gf: GeneralFrame) -> bool:
     validate_general_frame(gf)
     admissible = gf.admissible.members
     for fam in gf.nbhd:
-        members = set(fam.members)
-        trace = {a for a in members if a in set(admissible)}
+        trace = fam.famask() & gf.admissible.famask()
         for e in range(1 << gf.n):
-            if (e in members) != _pi_holds(e, trace, admissible):
+            if (e in fam) != _pi_holds(e, trace, admissible):
                 return False
     return True
 
@@ -265,14 +255,14 @@ def check_general_morphism(f: FrameMorphism, dom: GeneralFrame, cod: GeneralFram
     the codomain's admissible sets."""
     if f.n_dom != dom.n or f.n_cod != cod.n:
         raise InvalidInputError("general morphism: sizes disagree")
-    dom_admissible = set(dom.admissible.members)
-    for a_cod in cod.admissible:
-        if f.preimage(a_cod) not in dom_admissible:
+    cod_admissible = cod.admissible.members
+    for a_cod in cod_admissible:
+        if f.preimage(a_cod) not in dom.admissible:
             raise InvalidInputError(f"general morphism: preimage of admissible {a_cod} is not admissible")
     for x in range(dom.n):
-        target = set(cod.nbhd[f.map[x]].members)
-        source = set(dom.nbhd[x].members)
-        for a_cod in cod.admissible:
+        target = cod.nbhd[f.map[x]]
+        source = dom.nbhd[x]
+        for a_cod in cod_admissible:
             if (a_cod in target) != (f.preimage(a_cod) in source):
                 raise InvalidInputError(f"general morphism: membership disagrees at point {x}, admissible {a_cod}")
 
@@ -313,7 +303,7 @@ def sigma_morphism_transfer(f: FrameMorphism, dom: GeneralFrame, cod: GeneralFra
 
 
 def general_frame_to_json(gf: GeneralFrame) -> dict:
-    return {"n": gf.n, "N": [list(fam.members) for fam in gf.nbhd], "A": list(gf.admissible.members)}
+    return {"n": gf.n, "N": [list(fam) for fam in gf.nbhd], "A": list(gf.admissible)}
 
 
 def general_frame_from_json(obj: dict) -> GeneralFrame:
@@ -321,5 +311,6 @@ def general_frame_from_json(obj: dict) -> GeneralFrame:
         raise InvalidInputError("general frame: expected keys ['n', 'N', 'A']")
     if not isinstance(obj["n"], int) or not isinstance(obj["N"], list):
         raise InvalidInputError("general frame: n must be an int and N a list")
-    families = tuple(Family.of(raw) for raw in obj["N"])
-    return GeneralFrame(obj["n"], families, Family.of(obj["A"]))
+    n = obj["n"]
+    families = tuple(_family_list(raw, n, f"general frame: N({x})") for x, raw in enumerate(obj["N"]))
+    return GeneralFrame(n, families, _family_list(obj["A"], n, "general frame: A"))

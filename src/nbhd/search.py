@@ -32,18 +32,8 @@ from itertools import permutations, product
 from multiprocessing import get_context
 
 from .bax import enumerate_bax
-from .classes import (
-    FRAME_TAGS,
-    ClassTag,
-    family_complement,
-    family_is_contingency,
-    family_is_convex,
-    family_is_filter,
-    family_is_kappa_complete,
-    family_is_up_closed,
-    frame_class_check,
-    parse_class_tag,
-)
+from .bitslice import _index_planes
+from .classes import FRAME_TAGS, ClassTag, family_tag_test, frame_class_check, parse_class_tag
 from .core import (
     CANONICAL_CAP,
     EXHAUSTIVE_FRAMES_CAP,
@@ -142,24 +132,6 @@ def _split_constraints(constraints: tuple[str, ...]):
     return axiom_specs, family_tags, centered, iv
 
 
-def _family_tag_holds(tag: ClassTag, fam: Family, n: int) -> bool:
-    if tag.name == "monotone":
-        return family_is_up_closed(fam, n)
-    if tag.name == "convex":
-        return family_is_convex(fam, n)
-    if tag.name == "coconvex":
-        return family_is_convex(family_complement(fam, n), n)
-    if tag.name == "contingency":
-        return family_is_contingency(fam, n)
-    if tag.name == "filter":
-        return family_is_filter(fam, n)
-    if tag.name == "kappa":
-        if tag.kappa is None:
-            raise InvalidInputError("kappa tag needs a parameter, e.g. kappa:3")
-        return family_is_kappa_complete(fam, n, tag.kappa)
-    raise InvalidInputError(f"tag {tag.name!r} is not a per-family class")
-
-
 def _compile_constraints(n: int, constraints: tuple[str, ...]):
     """Per-point famask candidate lists plus the whole-frame iv flag."""
     axiom_specs, family_tags, centered, iv = _split_constraints(constraints)
@@ -167,17 +139,12 @@ def _compile_constraints(n: int, constraints: tuple[str, ...]):
         base = list(enumerate_bax(n, axiom_set_from_specs(axiom_specs, n), strategy="filter").famasks())
     else:
         base = list(range(1 << (1 << n)))
-    shared = []
-    for famask in base:
-        fam = family_from_famask(famask)
-        if all(_family_tag_holds(tag, fam, n) for tag in family_tags):
-            shared.append(famask)
+    tests = [family_tag_test(tag) for tag in family_tags]
+    shared = [fm for fm in base if all(test(family_from_famask(fm), n) for test in tests)]
     if not centered:
         return [shared] * n, iv
-    cands = []
-    for x in range(n):
-        cands.append([fm for fm in shared if all(a >> x & 1 for a in family_from_famask(fm))])
-    return cands, iv
+    # Centered at x: every member holds x, i.e. the famask lies in plane x.
+    return [[fm for fm in shared if fm & plane == fm] for plane in _index_planes(n)], iv
 
 
 def _assemble(n: int, key: tuple[int, ...]) -> NeighborhoodFrame:

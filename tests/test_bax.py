@@ -93,6 +93,9 @@ def test_bax_map_example_and_membership_guard():
     assert bax_map(f, Family(()), axs) == Family(())
     with pytest.raises(InvalidInputError):
         bax_map(f, Family((1,)), axs)
+    # Members outside the domain's powerset are refused, not mapped to [].
+    with pytest.raises(InvalidInputError, match="is not a subset mask for n=2"):
+        bax_map(f, Family((3, 1 << 10)), axs)
 
 
 def test_bax_map_lands_in_codomain_space():
@@ -117,6 +120,8 @@ def test_principal_iso_bijection():
         principal_iso(2, "to_subset", Family((1, 2)))
     with pytest.raises(InvalidInputError):
         principal_iso(2, "sideways", 0)
+    with pytest.raises(CapExceededError):
+        principal_iso(40, "to_subset", Family((1,)))
 
 
 def test_compose_morphisms():

@@ -21,6 +21,7 @@ from nbhd.classes import (
     parse_class_tag,
 )
 from nbhd.core import (
+    CapExceededError,
     Family,
     InvalidInputError,
     NeighborhoodAlgebra,
@@ -264,3 +265,13 @@ def test_tag_errors():
         frame_class_check(frame, ClassTag("kappa"))
     with pytest.raises(InvalidInputError):
         algebra_class_check(NeighborhoodAlgebra(1, (0, 0)), ClassTag("monotone"))
+    # Planes and masks over 40 points take 2^40 bits: refused at once.
+    # (family_is_filter answers False first: no family holds the full set.)
+    fam = Family((1,))
+    assert not family_is_filter(fam, 40)
+    tests = (family_is_up_closed, family_is_convex, family_is_contingency, family_complement)
+    for test in tests + (lambda fam, n: family_is_kappa_complete(fam, n, 3),):
+        with pytest.raises(CapExceededError):
+            test(fam, 40)
+    with pytest.raises(CapExceededError):
+        frame_class_check(NeighborhoodFrame(40, (Family(()),) * 40), ClassTag("iv"))

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,20 @@ def test_bax_map(capsys, tmp_path):
     assert code == 2
 
 
+def test_family_flags_range_check_members(capsys, tmp_path):
+    morphism = write(tmp_path, "m.json", {"n_dom": 2, "n_cod": 1, "map": [0, 0]})
+    frame = write(tmp_path, "f.json", {"n": 2, "N": [[3], [3]]})
+    for raw in ("[1048576]", "[68719476736]"):
+        code, _, err = run(capsys, "bax", "map", "--morphism", morphism, "--axioms", "@M", "--family", raw)
+        assert code == 2 and "is not a subset mask for n=2" in err
+        code, _, err = run(capsys, "gen", "truncate", "--frame", frame, "--admissible", raw)
+        assert code == 2 and "is not a subset mask for n=2" in err
+    code, _, err = run(capsys, "bax", "map", "--morphism", morphism, "--axioms", "@M", "--family", "[true]")
+    assert code == 2
+    code, _, err = run(capsys, "gen", "truncate", "--frame", frame, "--admissible", "[false, true]")
+    assert code == 2
+
+
 def test_lax_build_and_check(capsys, tmp_path):
     code, out = jout(capsys, "lax", "build", "--n", "1", "--axioms", "@C")
     assert code == 0
@@ -158,6 +173,17 @@ def test_class_check_and_correspond(capsys, tmp_path):
         main(["class", "correspond", "--frame", frame, "--pair", "IV5"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # A famask over 40 points would take 2^40 bits: every frame tag stops
+    # at the width check, before any plane is built.
+    wide = write(tmp_path, "wide.json", {"n": 40, "N": [[]] * 40})
+    tracemalloc.start()
+    try:
+        for tag in ("monotone", "convex", "coconvex", "contingency", "filter", "kappa:2", "centered", "iv", "topological"):
+            code, _, err = run(capsys, "class", "check", "--frame", wide, "--tag", tag)
+            assert code == 3 and "n=40 exceeds cap 16" in err
+        assert tracemalloc.get_traced_memory()[1] < 16 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_gen_subcommands(capsys, tmp_path):

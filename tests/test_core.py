@@ -54,6 +54,19 @@ def test_family_is_ordered_and_round_trips():
     assert 2 in fam and 1 not in fam
     for famask in range(256):
         assert family_from_famask(famask).famask() == famask
+    # Random famasks at n <= 5, and sparse families at n = 16 with members
+    # near 2^16 - 1, against a brute decode of the bits.
+    rng = random.Random(5)
+    famasks = [rng.getrandbits(1 << n) for n in range(6) for _ in range(40)]
+    famasks += [sum(1 << (0xFFFF - rng.randrange(64)) for _ in range(rng.randrange(1, 6))) | rng.randrange(2) for _ in range(40)]
+    for famask in famasks:
+        members = tuple(a for a in range(famask.bit_length()) if famask >> a & 1)
+        fam = family_from_famask(famask)
+        assert fam.members == members and tuple(fam) == members and len(fam) == len(members)
+        probes = set(members) | {a ^ 1 for a in members} | {0, famask.bit_length()}
+        assert all((a in fam) == (famask >> a & 1 == 1) for a in probes)
+        assert Family(members) == fam and hash(Family(members)) == hash(fam)
+        assert Family(members).famask() == famask
 
 
 def test_family_rejects_disorder_and_negatives():
@@ -189,6 +202,13 @@ def test_json_rejects_bad_shapes():
         algebra_from_json({"n": 1, "box": [0, "x"]})
     with pytest.raises(InvalidInputError):
         morphism_from_json({"n_dom": 1, "n_cod": 1, "map": "00"})
+    # Members are range-checked against n before a famask is packed, so a
+    # huge member fails at once instead of allocating 2^member bits.
+    for member in (4, 2**40, 2**4000):
+        with pytest.raises(InvalidInputError, match="is not a subset mask for n=2"):
+            frame_from_json({"n": 2, "N": [[1], [0, member]]})
+    with pytest.raises(InvalidInputError):
+        frame_from_json({"n": 2, "N": [[True], [0]]})
 
 
 def test_effective_cap_env(monkeypatch):
@@ -203,6 +223,12 @@ def test_effective_cap_env(monkeypatch):
 
 
 def test_width_caps_raise():
+    # A famask holds subsets of at most PLAIN_OP_CAP = 16 points.
+    assert len(Family((0xFFFF,))) == 1
+    with pytest.raises(CapExceededError):
+        Family((1 << 16,))
+    with pytest.raises(CapExceededError):
+        frame_from_json({"n": 17, "N": [[1 << 16]] + [[]] * 16})
     frame = NeighborhoodFrame(17, tuple(Family(()) for _ in range(17)))
     with pytest.raises(CapExceededError):
         box_n(frame, 0)
