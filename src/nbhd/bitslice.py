@@ -10,7 +10,8 @@ evaluated for every assignment at once: lane i is assignment index i, a
 subset value is n planes (one per point), and a box node becomes the 2^n
 "value equals a" masks OR-ed into the planes of box[a].  Up-closed
 families are grown as plain ints and filtered in blocks of lanes,
-transposed into planes.
+transposed into planes by `transpose`, which also turns per-point
+famasks into box tables and back.
 
 Lanes are Python ints, so nothing here assumes a word width.  Planes of
 lane indices are built on first use and cached by their number of bits.
@@ -107,11 +108,12 @@ def family_filter(start: int, stop: int, programs) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _transpose_plan(lane_bits: int, width_bits: int) -> tuple[tuple[int, int], ...]:
     """Delta swaps that move bit j * 2^width_bits + a of a packed block to
     bit a * 2^lane_bits + j, i.e. rotate the bit-index fields [lane | a]
-    to [a | lane] one swap of two index bits at a time."""
+    to [a | lane] one swap of two index bits at a time.  Unbounded: the
+    pairs in use are few, and an evicted plan is rebuilt on its next call."""
     k = lane_bits + width_bits
     index = _index_planes(k)
     full = (1 << (1 << k)) - 1
@@ -129,17 +131,28 @@ def _transpose_plan(lane_bits: int, width_bits: int) -> tuple[tuple[int, int], .
     return tuple(swaps)
 
 
-def _filter_leaves(block: list[int], m: int, programs) -> list[int]:
-    """The famasks of block (at most 2^UPSET_BLOCK_BITS of them) that every
-    program accepts, in block order."""
-    width_bits = max(3, (m - 1).bit_length())  # at least one byte per lane
-    packed = int.from_bytes(b"".join([fam.to_bytes(1 << (width_bits - 3), "little") for fam in block]), "little")
-    for delta, mask in _transpose_plan(UPSET_BLOCK_BITS, width_bits):
+def transpose(rows, width: int) -> tuple[int, ...]:
+    """Bit j of entry a (a < width) is bit a of rows[j]; every row is below
+    2^width.  Per-point famasks (width 2^n) give the box table, and the box
+    table (width n) gives them back.  The rows are packed a power-of-two
+    number of bytes apart into one int and moved by delta swaps (Warren,
+    Hacker's Delight, ch. 7): a few whole-int steps per index bit."""
+    if not rows:
+        return (0,) * width
+    lane_bits = (len(rows) - 1).bit_length()
+    width_bits = max(3, (width - 1).bit_length())  # at least one byte per row
+    row_bytes = 1 << (width_bits - 3)
+    packed = int.from_bytes(b"".join([row.to_bytes(row_bytes, "little") for row in rows]), "little")
+    for delta, mask in _transpose_plan(lane_bits, width_bits):
         t = (packed ^ packed >> delta) & mask
         packed ^= t | t << delta
-    lane_mask = (1 << (1 << UPSET_BLOCK_BITS)) - 1
-    planes = [packed >> (a << UPSET_BLOCK_BITS) & lane_mask for a in range(m)]
-    return [block[j] for j in _set_lanes(_accepted(planes, (1 << len(block)) - 1, programs), 0)]
+    lane_mask = (1 << len(rows)) - 1
+    return tuple([packed >> (a << lane_bits) & lane_mask for a in range(width)])
+
+
+def _filter_leaves(block: list[int], m: int, programs) -> list[int]:
+    """The famasks of block that every program accepts, in block order."""
+    return [block[j] for j in _set_lanes(_accepted(transpose(block, m), (1 << len(block)) - 1, programs), 0)]
 
 
 def upset_enumerate(m: int, succ, required: int, programs) -> list[int]:

@@ -4,15 +4,18 @@ Frame tags test each neighborhood family, or the whole frame for the
 centered and iv conditions; algebra tags test the box table.  The bridge
 pairs tie the sides together: a frame is centered exactly when its
 complex algebra satisfies box a <= a, and satisfies the iv condition
-exactly when the complex algebra satisfies box box a <= box a.  Both
-sides are computed independently so the agreement stays a real check.
+exactly when the complex algebra satisfies box a <= box box a.  The
+sides are different computations, so the agreement stays a real check:
+the frame side tests members against each N(x), the algebra side
+compares box table entries.  Both read the box table through
+`bitslice.transpose`, which the tests hold to `core.box_n`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitslice import _index_planes
+from .bitslice import _index_planes, transpose
 from .core import (
     PLAIN_OP_CAP,
     CapExceededError,
@@ -20,7 +23,7 @@ from .core import (
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
-    box_n,
+    _set_lanes,
     check_width,
     family_from_famask,
     full_mask,
@@ -137,6 +140,12 @@ def family_tag_test(tag: ClassTag):
     return _FAMILY_TESTS.get(tag.name)
 
 
+def iv_holds(key: tuple[int, ...], box: tuple[int, ...]) -> bool:
+    """The iv condition on a frame given as its famask key and its box
+    table: whenever a is in N(x), so is box a."""
+    return all(famask >> box[a] & 1 for famask in key for a in _set_lanes(famask, 0))
+
+
 def frame_class_check(frame: NeighborhoodFrame, tag: ClassTag) -> bool:
     check_width(frame.n, PLAIN_OP_CAP, "frame_class_check")
     name = tag.name
@@ -148,7 +157,8 @@ def frame_class_check(frame: NeighborhoodFrame, tag: ClassTag) -> bool:
         planes = _index_planes(frame.n)
         return all(fam.famask() & planes[x] == fam.famask() for x, fam in enumerate(frame.nbhd))
     if name == "iv":
-        return all(box_n(frame, a) in fam for fam in frame.nbhd for a in fam)
+        key = frame.key()
+        return iv_holds(key, transpose(key, 1 << frame.n))
     if name == "pretopological":
         return frame_class_check(frame, ClassTag("filter")) and frame_class_check(frame, ClassTag("centered"))
     if name == "topological":

@@ -15,6 +15,7 @@ import json
 import sys
 
 from .bax import bax_map, baxspace_to_json, enumerate_bax
+from .bitslice import transpose
 from .classes import (
     ALGEBRA_TAGS,
     CORRESPONDENCE_PAIRS,
@@ -25,12 +26,14 @@ from .classes import (
     parse_class_tag,
 )
 from .core import (
+    PLAIN_OP_CAP,
     CapExceededError,
     InvalidInputError,
     NbhdError,
     _family_list,
     algebra_from_json,
     algebra_to_json,
+    check_width,
     frame_from_json,
     frame_to_json,
     hom_from_json,
@@ -176,8 +179,9 @@ def cmd_valid(args) -> int:
     alg = _algebra_from_args(args)
     kind, payload = compile_target(_formula_arg(args.formula), alg.n)
     if kind == "predicate":
-        frame = atom_frame(alg)
-        ok = all(payload(fam.famask(), frame.n) for fam in frame.nbhd)
+        # The predicate reads the atom frame's famasks, the box table transposed.
+        check_width(alg.n, PLAIN_OP_CAP, "valid")
+        ok = all(payload(famask, alg.n) for famask in transpose(alg.box, alg.n))
         _emit({"valid": ok, "witness": None}, args)
         return 0 if ok else 1
     from .evaluate import find_refuting_assignment

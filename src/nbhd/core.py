@@ -285,6 +285,7 @@ def complement_frame(frame: NeighborhoodFrame) -> NeighborhoodFrame:
 
 def up_cone(c: int, n: int) -> Family:
     """All supersets of c within the n-wide powerset."""
+    check_width(n, PLAIN_OP_CAP, "up_cone")
     check_subset(c, n, "up_cone: c")
     rest = full_mask(n) & ~c
     members = []

@@ -1,12 +1,14 @@
 """Dualities between finite frames and powerset algebras with a box.
 
 The complex algebra of a frame reads the box table off the membership
-relation box[a] = { x | a in N(x) }; the atom frame inverts it by
-transposition, N(x) = { a | x in box[a] }.  Point maps dualize to
+relation box[a] = { x | a in N(x) }; the atom frame reads it back,
+N(x) = { a | x in box[a] }.  Both are one `bitslice.transpose`, which
+the tests hold to the definitional `core.box_n`.  Point maps dualize to
 complete homs stored by their atom maps, and back.  The one-step space
 of an axiom set is realized as the powerset algebra over the enumerated
 Ax-subsets, with the generator table gen[a] = { atom index i | a is a
-member of family i } standing in for the free one-step box.
+member of family i }, the transpose of their famasks, standing in for
+the free one-step box.
 """
 
 from __future__ import annotations
@@ -14,16 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bax import BaxSpace, enumerate_bax, baxspace_to_json, baxspace_from_json
+from .bitslice import transpose
 from .core import (
     PLAIN_OP_CAP,
     CompleteHom,
-    Family,
     FrameMorphism,
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
-    box_n,
+    _set_lanes,
     check_width,
+    family_from_famask,
 )
 from .evaluate import assignment_space, eval_box_free, realize_axiom
 from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, free_vars, is_one_step, render
@@ -31,15 +34,12 @@ from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, free_vars, i
 
 def complex_algebra(frame: NeighborhoodFrame) -> NeighborhoodAlgebra:
     check_width(frame.n, PLAIN_OP_CAP, "complex_algebra")
-    return NeighborhoodAlgebra(frame.n, tuple(box_n(frame, a) for a in range(1 << frame.n)))
+    return NeighborhoodAlgebra(frame.n, transpose(frame.key(), 1 << frame.n))
 
 
 def atom_frame(alg: NeighborhoodAlgebra) -> NeighborhoodFrame:
     check_width(alg.n, PLAIN_OP_CAP, "atom_frame")
-    families = []
-    for x in range(alg.n):
-        families.append(Family(tuple(a for a in range(1 << alg.n) if alg.box[a] >> x & 1)))
-    return NeighborhoodFrame(alg.n, tuple(families))
+    return NeighborhoodFrame(alg.n, tuple(family_from_famask(fm) for fm in transpose(alg.box, alg.n)))
 
 
 def is_complete_nbhd_hom(h: CompleteHom, dom: NeighborhoodAlgebra, cod: NeighborhoodAlgebra) -> bool:
@@ -86,14 +86,7 @@ class LaxAlgebra:
 
 def lax_algebra(n: int, axs: AxiomSet, strategy: str = "auto") -> LaxAlgebra:
     space = enumerate_bax(n, axs, strategy)
-    gen = []
-    for a in range(1 << n):
-        bits = 0
-        for i, fam in enumerate(space.members):
-            if a in fam:
-                bits |= 1 << i
-        gen.append(bits)
-    return LaxAlgebra(space, tuple(gen))
+    return LaxAlgebra(space, transpose(space.famasks(), 1 << n))
 
 
 def _eval_transposed(lax: LaxAlgebra, f: Formula, env: dict[str, int]) -> int:
@@ -138,7 +131,7 @@ def onestep_top_check(lax: LaxAlgebra, ax: Axiom) -> bool:
 
 def lax_to_json(lax: LaxAlgebra) -> dict:
     obj = baxspace_to_json(lax.space)
-    obj["gen"] = [[i for i in range(lax.n_atoms) if bits >> i & 1] for bits in lax.gen]
+    obj["gen"] = [_set_lanes(bits, 0) for bits in lax.gen]
     return obj
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitslice import algebra_refute, family_accepts
-from .core import CapExceededError, Family, InvalidInputError, NeighborhoodAlgebra, full_mask
+from .core import PLAIN_OP_CAP, CapExceededError, Family, InvalidInputError, NeighborhoodAlgebra, check_width, full_mask
 from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, Var, free_vars, is_one_step, render, semantic_predicate
 
 ASSIGN_SPACE_GUARD = 1 << 18
@@ -227,6 +227,7 @@ def realize_axiom(ax: Axiom, n: int):
 
 def is_ax_subset(fam: Family, axs: AxiomSet, n: int) -> bool:
     """True when the family is a phi-subset for every axiom in the set."""
+    check_width(n, PLAIN_OP_CAP, "is_ax_subset")
     famask = fam.famask()
     for ax in axs:
         kind, payload = realize_axiom(ax, n)

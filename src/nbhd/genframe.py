@@ -10,7 +10,9 @@ evidence: e enters N^sigma(x) when some admissible interval [c, d]
 around e sits entirely inside N(x).  The pi extension is the dual: e
 enters when every admissible interval around e meets N(x).  Taking
 complements within A swaps the two, which the complement_* helpers and
-tests exercise as a two-route identity rather than by definition.
+tests exercise as a two-route identity rather than by definition.  Both
+extensions are unions of interval famasks, one mask test per interval.
+Every finite frame is compact, so the report's "compact" is always true.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .classes import family_is_convex
+from .bitslice import transpose
+from .classes import _down_closure, _up_closure, family_is_convex
 from .core import (
     PLAIN_OP_CAP,
     Family,
@@ -50,14 +53,6 @@ class GeneralFrame:
         check_family(self.admissible, self.n, "general frame: A")
 
 
-def box_in(gf: GeneralFrame, a: int) -> int:
-    out = 0
-    for x, fam in enumerate(gf.nbhd):
-        if fam.famask() >> a & 1:
-            out |= 1 << x
-    return out
-
-
 def validate_general_frame(gf: GeneralFrame) -> None:
     """Raise unless A is a Boolean subalgebra closed under the frame box."""
     check_width(gf.n, PLAIN_OP_CAP, "general frame")
@@ -72,8 +67,9 @@ def validate_general_frame(gf: GeneralFrame) -> None:
         for b in members:
             if not admissible >> (a | b) & 1:
                 raise InvalidInputError(f"general frame: A not closed under union at {a}, {b}")
+    box = transpose([fam.famask() for fam in gf.nbhd], 1 << gf.n)
     for a in members:
-        if not admissible >> box_in(gf, a) & 1:
+        if not admissible >> box[a] & 1:
             raise InvalidInputError(f"general frame: A not closed under box at {a}")
 
 
@@ -89,11 +85,6 @@ def is_differentiated(gf: GeneralFrame) -> bool:
                 continue
             if not any(a >> x & 1 and not a >> y & 1 for a in gf.admissible):
                 return False
-    return True
-
-
-def is_compact(gf: GeneralFrame) -> bool:
-    # Finite covers always refine to finite subcovers.
     return True
 
 
@@ -161,51 +152,41 @@ def _require_tight(gf: GeneralFrame, what: str) -> None:
         raise InvalidInputError(f"{what}: general frame is not tight")
 
 
-def _sigma_family(famask: int, admissible: tuple[int, ...], n: int) -> Family:
-    return Family(tuple(e for e in range(1 << n) if _sigma_witness(e, famask, admissible)))
-
-
-def _sigma_witness(e: int, famask: int, admissible: tuple[int, ...]) -> bool:
-    for c in admissible:
-        if c & e != c:
-            continue
-        for d in admissible:
-            if e & d != e:
-                continue
-            if all(famask >> a & 1 for a in admissible if c & a == c and a & d == a):
-                return True
-    return False
-
-
-def _pi_family(famask: int, admissible: tuple[int, ...], n: int) -> Family:
-    return Family(tuple(e for e in range(1 << n) if _pi_holds(e, famask, admissible)))
-
-
-def _pi_holds(e: int, famask: int, admissible: tuple[int, ...]) -> bool:
-    for c in admissible:
-        if c & e != c:
-            continue
-        for d in admissible:
-            if e & d != e:
-                continue
-            if not any(famask >> a & 1 for a in admissible if c & a == c and a & d == a):
-                return False
-    return True
+def _extend(gf: GeneralFrame, sigma: bool) -> list[int]:
+    """Famask of the sigma (or pi) extension of each N(x), read from its
+    admissible trace.  An admissible interval [c, d] spans the subsets
+    between c and d: e enters N^sigma when an interval around it has all
+    its admissible members in the trace, and leaves N^pi when one has
+    none of them there."""
+    admissible = gf.admissible.famask()
+    members = gf.admissible.members
+    downs = [_down_closure(1 << d, gf.n) for d in members]
+    spans = []
+    for c in members:
+        up = _up_closure(1 << c, gf.n)
+        spans += [(up & down, up & down & admissible) for d, down in zip(members, downs) if c & d == c]
+    out = []
+    for fam in gf.nbhd:
+        trace = fam.famask() & admissible
+        # The admissible sets an interval's admissible members must avoid.
+        avoid = admissible ^ trace if sigma else trace
+        filled = 0
+        for span, inside in spans:
+            if not inside & avoid:
+                filled |= span
+        out.append(filled if sigma else full_mask(1 << gf.n) ^ filled)
+    return out
 
 
 def sigma_extend(gf: GeneralFrame) -> NeighborhoodFrame:
     """Largest frame whose admissible trace is N, filled by interval evidence."""
     _require_tight(gf, "sigma_extend")
-    admissible = gf.admissible.members
-    families = tuple(_sigma_family(fam.famask(), admissible, gf.n) for fam in gf.nbhd)
-    return NeighborhoodFrame(gf.n, families)
+    return NeighborhoodFrame(gf.n, tuple(map(family_from_famask, _extend(gf, True))))
 
 
 def pi_extend(gf: GeneralFrame) -> NeighborhoodFrame:
     _require_tight(gf, "pi_extend")
-    admissible = gf.admissible.members
-    families = tuple(_pi_family(fam.famask(), admissible, gf.n) for fam in gf.nbhd)
-    return NeighborhoodFrame(gf.n, families)
+    return NeighborhoodFrame(gf.n, tuple(map(family_from_famask, _extend(gf, False))))
 
 
 def complement_within_admissible(gf: GeneralFrame) -> GeneralFrame:
@@ -229,24 +210,12 @@ def truncate(frame: NeighborhoodFrame, admissible: Family) -> GeneralFrame:
 def is_sigma_descriptive(gf: GeneralFrame) -> bool:
     """Membership everywhere coincides with sigma interval evidence."""
     validate_general_frame(gf)
-    admissible = gf.admissible.members
-    for fam in gf.nbhd:
-        trace = fam.famask() & gf.admissible.famask()
-        for e in range(1 << gf.n):
-            if (e in fam) != _sigma_witness(e, trace, admissible):
-                return False
-    return True
+    return _extend(gf, True) == [fam.famask() for fam in gf.nbhd]
 
 
 def is_pi_descriptive(gf: GeneralFrame) -> bool:
     validate_general_frame(gf)
-    admissible = gf.admissible.members
-    for fam in gf.nbhd:
-        trace = fam.famask() & gf.admissible.famask()
-        for e in range(1 << gf.n):
-            if (e in fam) != _pi_holds(e, trace, admissible):
-                return False
-    return True
+    return _extend(gf, False) == [fam.famask() for fam in gf.nbhd]
 
 
 def check_general_morphism(f: FrameMorphism, dom: GeneralFrame, cod: GeneralFrame) -> None:

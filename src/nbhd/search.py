@@ -4,11 +4,12 @@ A frame on n points is a product of n independent family choices, so
 the stream factors: pointwise constraints (one-step axiom sets and the
 per-family class tags) shrink each point's candidate list before any
 frame is assembled.  Canonicity is tested on the famask key itself,
-through per-permutation relabel tables, and only keys that pass are
-assembled into frames for the other whole-frame conditions (iv, the
-target formula).  Enumeration follows the product order with the first
-point outermost and famasks ascending, which is exactly the ascending
-lexicographic order on frame keys.
+through per-permutation relabel tables; a key that passes is transposed
+once into its box table for the other whole-frame conditions (iv, the
+target formula), and only emitted frames and hits are assembled.
+Enumeration follows the product order with the first point outermost
+and famasks ascending, which is exactly the ascending lexicographic
+order on frame keys.
 
 Workers partition the first point's candidate list into contiguous
 chunks and results merge in chunk order, so output is identical for
@@ -32,21 +33,22 @@ from itertools import permutations, product
 from multiprocessing import get_context
 
 from .bax import enumerate_bax
-from .bitslice import _index_planes
-from .classes import FRAME_TAGS, ClassTag, family_tag_test, frame_class_check, parse_class_tag
+from .bitslice import _index_planes, transpose
+from .classes import FRAME_TAGS, ClassTag, family_tag_test, iv_holds, parse_class_tag
 from .core import (
     CANONICAL_CAP,
     EXHAUSTIVE_FRAMES_CAP,
     SEARCH_MAX_N_CAP,
     Family,
     InvalidInputError,
+    NeighborhoodAlgebra,
     NeighborhoodFrame,
+    box_n,
     check_width,
     family_from_famask,
     frame_to_json,
     full_mask,
 )
-from .duality import complex_algebra
 from .evaluate import (
     assignment_at,
     assignment_space,
@@ -203,12 +205,13 @@ def compile_target(text: str | None, n: int):
     return "formula", parse(text)
 
 
-def _test_target(frame: NeighborhoodFrame, target) -> tuple[bool, dict[str, int] | None]:
-    """(does the frame validate the target, refuting assignment if not)."""
+def _test_target(n: int, key: tuple[int, ...], box, target) -> tuple[bool, dict[str, int] | None]:
+    """(does the frame with this key and box table validate the target,
+    refuting assignment if not)."""
     kind, payload = target
     if kind == "predicate":
-        return all(payload(fam.famask(), frame.n) for fam in frame.nbhd), None
-    env = find_refuting_assignment(complex_algebra(frame), payload)
+        return all(payload(famask, n) for famask in key), None
+    env = find_refuting_assignment(NeighborhoodAlgebra(n, box), payload)
     return env is None, env
 
 
@@ -226,15 +229,15 @@ def _scan(n, cands, iv, canonical, target_text, mode, collect):
         if canonical and not _is_canonical_key(n, key):
             continue
         if iv or target is not None:
-            frame = _assemble(n, key)
-            if iv and not frame_class_check(frame, ClassTag("iv")):
+            box = transpose(key, 1 << n)
+            if iv and not iv_holds(key, box):
                 continue
         in_class += 1
         if collect:
             keys.append(key)
         if target is None:
             continue
-        ok, env = _test_target(frame, target)
+        ok, env = _test_target(n, key, box, target)
         if ok:
             validating += 1
         if mode == "find_refuting" and not ok:
@@ -299,10 +302,9 @@ def _frame_gen(n: int, cands, iv: bool, canonical: bool):
     for key in product(*cands):
         if canonical and not _is_canonical_key(n, key):
             continue
-        frame = _assemble(n, key)
-        if iv and not frame_class_check(frame, ClassTag("iv")):
+        if iv and not iv_holds(key, transpose(key, 1 << n)):
             continue
-        yield frame
+        yield _assemble(n, key)
 
 
 def count_frames(n: int, constraints=(), canonical: bool = False, workers: int = 1) -> int:
@@ -313,8 +315,9 @@ def count_frames(n: int, constraints=(), canonical: bool = False, workers: int =
 
 def _verify_hit(frame: NeighborhoodFrame, target, mode: str, env: dict[str, int] | None) -> None:
     """Recheck a witness through the definitional evaluator before it is
-    returned; a failure here means the fast path lied.  The witness must
-    also be its own canonical form, which rechecks the key-level
+    returned; a failure here means the fast path lied.  Its box table comes
+    from box_n, sharing no code with the scan's transpose.  The witness
+    must also be its own canonical form, which rechecks the key-level
     canonicity test against the definitional relabeling."""
     if canonical_form(frame).key() != frame.key():
         raise AssertionError("search: witness is not its canonical form")
@@ -325,7 +328,7 @@ def _verify_hit(frame: NeighborhoodFrame, target, mode: str, env: dict[str, int]
         if ok != expect:
             raise AssertionError("search: predicate witness failed re-verification")
         return
-    alg = complex_algebra(frame)
+    alg = NeighborhoodAlgebra(frame.n, tuple(box_n(frame, a) for a in range(1 << frame.n)))
     if mode == "find_refuting":
         if eval_formula(alg, payload, env) == full_mask(frame.n):
             raise AssertionError("search: refuting assignment failed re-verification")

@@ -340,6 +340,7 @@ GOLDEN_COMMANDS = (
         ("search", "enumerate", "--n", "2", "--constraints", "filter", "--canonical", "--count"),
         0,
     ),
+    ("lax_build_m", ("lax", "build", "--n", "3", "--axioms", "@M"), 0),
 )
 
 # Needs no installed console script; source_env() points it at the imported source.

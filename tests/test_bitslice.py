@@ -6,13 +6,14 @@ assignment, up-closure tested member by member, and tests/oracles.py.
 """
 
 import random
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbhd import bitslice
 from nbhd.bax import _immediate_superset_famasks, enumerate_bax
-from nbhd.core import Family, NeighborhoodAlgebra, NeighborhoodFrame, family_from_famask, full_mask
+from nbhd.core import Family, NeighborhoodAlgebra, NeighborhoodFrame, box_n, family_from_famask, full_mask
 from nbhd.duality import complex_algebra
 from nbhd.evaluate import (
     assignment_at,
@@ -212,6 +213,37 @@ def test_property_filter_windows(n, data):
     programs = [program("@M", n), program("@Cont", n)]
     full_run = bitslice.family_filter(0, total, programs)
     assert bitslice.family_filter(start, stop, programs) == [fm for fm in full_run if start <= fm < stop]
+
+
+def brute_transpose(rows, width):
+    return tuple(sum(1 << j for j, row in enumerate(rows) if row >> a & 1) for a in range(width))
+
+
+def test_transpose_matches_box_n_on_every_small_frame():
+    for n in (0, 1, 2):
+        for key in product(range(1 << (1 << n)), repeat=n):
+            frame = NeighborhoodFrame(n, tuple(family_from_famask(fm) for fm in key))
+            assert bitslice.transpose(key, 1 << n) == tuple(box_n(frame, a) for a in range(1 << n))
+
+
+@PROPERTY
+@given(st.integers(3, 4), st.data())
+def test_property_transpose_matches_box_n(n, data):
+    key = tuple(data.draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=n, max_size=n)))
+    frame = NeighborhoodFrame(n, tuple(family_from_famask(fm) for fm in key))
+    box = bitslice.transpose(key, 1 << n)
+    assert box == tuple(box_n(frame, a) for a in range(1 << n))
+    assert bitslice.transpose(box, n) == key
+
+
+def test_transpose_of_uneven_and_long_row_lists():
+    # Row counts off a power of two, and beyond one leaf block; widths
+    # below a byte, at a byte boundary and between byte sizes.
+    rng = random.Random(5)
+    for count in (0, 1, 3, 5, 511, 513, 1100):
+        for width in (0, 1, 5, 8, 9, 16, 32, 40):
+            rows = [rng.getrandbits(width) for _ in range(count)]
+            assert bitslice.transpose(rows, width) == brute_transpose(rows, width)
 
 
 def test_family_accepts_one_lane_wide_famasks():

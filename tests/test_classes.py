@@ -18,6 +18,7 @@ from nbhd.classes import (
     family_is_kappa_complete,
     family_is_up_closed,
     frame_class_check,
+    iv_holds,
     parse_class_tag,
 )
 from nbhd.core import (
@@ -128,6 +129,19 @@ def test_frame_tags_match_oracle_exhaustively():
                 kappa = 3 if name == "kappa" else None
                 got = frame_class_check(frame, ClassTag(name, kappa))
                 assert got == oracle_frame_tag(frame, name, kappa), (frame, name)
+
+
+def test_key_level_iv_agrees_with_four_on_the_complex_algebra():
+    rng = random.Random(8)
+    cases = [frame for n in range(3) for frame in frames(n)]
+    cases += [NeighborhoodFrame(3, tuple(family_from_famask(rng.randrange(256)) for _ in range(3))) for _ in range(300)]
+    seen = set()
+    for frame in cases:
+        alg = complex_algebra(frame)
+        holds = iv_holds(frame.key(), alg.box)
+        assert holds == algebra_class_check(alg, ClassTag("four")), frame
+        seen.add(holds)
+    assert seen == {True, False}
 
 
 def test_kappa_tag_on_frames_equals_filter_tag():

@@ -89,6 +89,10 @@ def test_valid(capsys, tmp_path):
     principal = write(tmp_path, "p.json", {"n": 1, "N": [[1]]})
     code, out = jout(capsys, "valid", "--frame", principal, "--formula", "@Ck(4)")
     assert code == 0 and out == {"valid": True, "witness": None}
+    # Up-cones: the shape test reads the atom frame's families, not the box table.
+    kripke = write(tmp_path, "k.json", {"n": 2, "N": [[1, 3], [2, 3]]})
+    code, out = jout(capsys, "valid", "--frame", kripke, "--formula", "@Ck(4)")
+    assert code == 0 and out == {"valid": True, "witness": None}
 
 
 def test_dualize_round_trip_bytes(capsys, tmp_path):

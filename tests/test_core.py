@@ -236,6 +236,9 @@ def test_width_caps_raise():
         complement_frame(frame)
     with pytest.raises(CapExceededError):
         to_relation(frame)
+    # Refused before any of the 2^40 supersets is listed.
+    with pytest.raises(CapExceededError):
+        up_cone(0, 40)
 
 
 def test_hom_apply_preserves_structure():

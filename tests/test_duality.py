@@ -10,6 +10,7 @@ from nbhd.core import (
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
+    box_n,
     family_from_famask,
     is_nbhd_morphism,
 )
@@ -46,6 +47,7 @@ def test_complex_algebra_example():
 def test_frame_algebra_round_trips_exhaustive():
     for n in (0, 1, 2):
         for frame in all_frames(n):
+            assert complex_algebra(frame).box == tuple(box_n(frame, a) for a in range(1 << n))
             assert atom_frame(complex_algebra(frame)) == frame
         m = 1 << n
         for box in product(range(m), repeat=m):
@@ -107,6 +109,11 @@ def test_is_complete_nbhd_hom_size_guard():
         is_complete_nbhd_hom(h, alg1, alg1)
 
 
+def brute_gen(lax):
+    members = lax.space.members
+    return tuple(sum(1 << i for i, fam in enumerate(members) if a in fam) for a in range(1 << lax.n))
+
+
 def test_lax_algebra_structure():
     lax = lax_algebra(2, axiom_set_from_specs(["@M"], 2))
     assert lax.n == 2
@@ -115,6 +122,9 @@ def test_lax_algebra_structure():
     full_members = [i for i in range(lax.n_atoms) if lax.gen[3] >> i & 1]
     assert len(full_members) == 5
     assert lax.gen[0] == 1 << lax.space.index_of(family_from_famask(0b1111))
+    for n, specs in ((3, ["@M"]), (4, ["@Cont"]), (5, ["@M"])):
+        lax = lax_algebra(n, axiom_set_from_specs(specs, n))
+        assert lax.gen == brute_gen(lax)
 
 
 def test_onestep_top_check_on_member_axioms():
@@ -137,6 +147,7 @@ def test_lax_every_space_axiom_holds():
         for n in (0, 1, 2):
             axs = axiom_set_from_specs(specs, n)
             lax = lax_algebra(n, axs)
+            assert lax.gen == brute_gen(lax)
             for ax in axs:
                 assert onestep_top_check(lax, ax), (specs, n, ax.name)
 

@@ -189,6 +189,13 @@ def test_is_ax_subset_matches_axiom_family_oracle():
             assert got == oracles.axiom_subset_families(n, names)
 
 
+def test_is_ax_subset_refuses_wide_n():
+    # Refused before a famask over 2^40 subsets or a membership program is built.
+    for specs in (["@M"], ["@CInf"]):
+        with pytest.raises(CapExceededError):
+            is_ax_subset(Family(()), axiom_set_from_specs(specs), 40)
+
+
 def test_is_ax_subset_semantic_axioms():
     axs = axiom_set_from_specs(["@CInf"], 2)
     got = sorted(fm for fm in range(16) if is_ax_subset(family_from_famask(fm), axs, 2))
