@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import lt
 
 from .bitslice import family_filter, upset_enumerate
 from .core import (
@@ -30,7 +31,8 @@ from .core import (
     Family,
     FrameMorphism,
     InvalidInputError,
-    _family_list,
+    _json_famask,
+    _set_lanes,
     check_family,
     check_width,
     family_from_famask,
@@ -43,16 +45,24 @@ from .formulas import AxiomSet, axiom_set_from_specs, famask_is_principal
 
 @dataclass(frozen=True)
 class BaxSpace:
+    """The Ax-subset families over n points, held as their famasks in
+    strictly ascending order; the index of a famask is its atom."""
+
     n: int
     axioms: AxiomSet
-    members: tuple[Family, ...]
+    _famasks: tuple[int, ...]
 
     def famasks(self) -> tuple[int, ...]:
-        return tuple(fam.famask() for fam in self.members)
+        return self._famasks
+
+    @property
+    def members(self) -> tuple[Family, ...]:
+        return tuple(map(family_from_famask, self._famasks))
 
     def index_of(self, fam: Family) -> int:
-        i = bisect_left(self.members, fam.famask(), key=Family.famask)
-        if i == len(self.members) or self.members[i] != fam:
+        famask = fam.famask()
+        i = bisect_left(self._famasks, famask)
+        if i == len(self._famasks) or self._famasks[i] != famask:
             raise InvalidInputError("family is not a member of the space")
         return i
 
@@ -136,7 +146,7 @@ def enumerate_bax(n: int, axs: AxiomSet, strategy: str = "auto", workers: int = 
         if predicates:
             famasks = [fm for fm in famasks if all(pred(fm, n) for pred in predicates)]
 
-    return BaxSpace(n, axs, tuple(family_from_famask(fm) for fm in famasks))
+    return BaxSpace(n, axs, tuple(famasks))
 
 
 def bax_map(f: FrameMorphism, w: Family, axs: AxiomSet) -> Family:
@@ -199,7 +209,7 @@ def naturality_check(f: FrameMorphism, axs: AxiomSet, g: FrameMorphism | None = 
 
 
 def baxspace_to_json(space: BaxSpace) -> dict:
-    return {"n": space.n, "axioms": space.axioms.specs(), "members": [list(fam) for fam in space.members]}
+    return {"n": space.n, "axioms": space.axioms.specs(), "members": [_set_lanes(fm, 0) for fm in space.famasks()]}
 
 
 def baxspace_from_json(obj: dict) -> BaxSpace:
@@ -209,5 +219,9 @@ def baxspace_from_json(obj: dict) -> BaxSpace:
     if not isinstance(n, int):
         raise InvalidInputError("bax space: n must be an int")
     axs = axiom_set_from_specs([str(s) for s in obj["axioms"]], n)
-    members = tuple(_family_list(raw, n, "bax space: member") for raw in obj["members"])
-    return BaxSpace(n, axs, members)
+    if not isinstance(obj["members"], list):
+        raise InvalidInputError("bax space: members must be a list")
+    famasks = tuple(_json_famask(raw, n, "bax space: member") for raw in obj["members"])
+    if not all(map(lt, famasks, famasks[1:])):
+        raise InvalidInputError("bax space: members must be strictly ascending by famask")
+    return BaxSpace(n, axs, famasks)

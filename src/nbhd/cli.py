@@ -207,7 +207,7 @@ def cmd_bax_enum(args) -> int:
     axs = axiom_set_from_specs(_split_specs(args.axioms), args.n)
     space = enumerate_bax(args.n, axs, strategy=args.strategy, workers=args.workers)
     if args.count:
-        _emit({"count": len(space.members)}, args)
+        _emit({"count": len(space.famasks())}, args)
     else:
         _emit(baxspace_to_json(space), args)
     return 0

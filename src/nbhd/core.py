@@ -63,21 +63,28 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
+_INT_TYPE = frozenset((int,))
+
+
 def check_subset(a: int, n: int, what: str = "subset") -> None:
     if not isinstance(a, int) or a < 0 or a > full_mask(n):
         raise InvalidInputError(f"{what}: {a!r} is not a subset mask for n={n}")
 
 
 _BYTE_BITS = tuple(tuple(j for j in range(8) if byte >> j & 1) for byte in range(256))
+# The rows of _BYTE_BITS shifted to byte positions 1-3: a famask at n <= 5
+# has at most 32 bits, so it decodes one looked-up row per byte.
+_ROW1, _ROW2, _ROW3 = (tuple(tuple(8 * k + j for j in row) for row in _BYTE_BITS) for k in (1, 2, 3))
 
 
 def _set_lanes(mask: int, offset: int) -> list[int]:
     """Ascending indices of the set bits of mask, plus offset."""
+    if not offset and not mask >> 32:
+        return [*_BYTE_BITS[mask & 255], *_ROW1[mask >> 8 & 255], *_ROW2[mask >> 16 & 255], *_ROW3[mask >> 24]]
     out = []
     for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
         if byte:
-            # At offset 0 (a famask's first byte) the row needs no shift.
-            out += map(offset.__add__, _BYTE_BITS[byte]) if offset else _BYTE_BITS[byte]
+            out += map(offset.__add__, _BYTE_BITS[byte])
         offset += 8
     return out
 
@@ -184,8 +191,11 @@ class NeighborhoodAlgebra:
             raise InvalidInputError("algebra: n must be nonnegative")
         if len(self.box) != 1 << self.n:
             raise InvalidInputError(f"algebra: box table must have {1 << self.n} entries, got {len(self.box)}")
-        for a, value in enumerate(self.box):
-            check_subset(value, self.n, f"algebra: box[{a}]")
+        box = self.box
+        if not (_INT_TYPE.issuperset(map(type, box)) and min(box) >= 0 and max(box) <= full_mask(self.n)):
+            # Name the first bad entry; entries of int subclasses pass here.
+            for a, value in enumerate(box):
+                check_subset(value, self.n, f"algebra: box[{a}]")
 
 
 @dataclass(frozen=True)
@@ -343,13 +353,27 @@ def _int_list(raw, what: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
-def _family_list(raw, n: int, what: str) -> Family:
-    """Family from a JSON list of subset masks, range-checked against n
-    before anything is packed."""
+def _json_famask(raw, n: int, what: str) -> int:
+    """Famask of a JSON list of subset masks, in any order, repeats allowed.
+    One pass checks each member's type and range against n before packing
+    it; on a fault the full checks below name it, in their order."""
+    if isinstance(raw, list):
+        limit = 1 << (n if 0 <= n < PLAIN_OP_CAP else PLAIN_OP_CAP)
+        famask = 0
+        for m in raw:
+            if type(m) is not int or not 0 <= m < limit:
+                break
+            famask |= 1 << m
+        else:
+            return famask
     members = _int_list(raw, what)
     if members and n >= 0:
         _check_members_below(max(members), n, what)
-    return Family.of(members)
+    return _pack(members)
+
+
+def _family_list(raw, n: int, what: str) -> Family:
+    return family_from_famask(_json_famask(raw, n, what))
 
 
 def frame_to_json(frame: NeighborhoodFrame) -> dict:

@@ -66,7 +66,7 @@ class LaxAlgebra:
     """Powerset algebra over the atoms of an Ax-subset space.
 
     gen[a] is the atom set of the generator at subset a: bit i is set when
-    subset-mask a is a member of space.members[i].
+    subset-mask a is a member of the family space.famasks()[i].
     """
 
     space: BaxSpace
@@ -78,7 +78,7 @@ class LaxAlgebra:
 
     @property
     def n_atoms(self) -> int:
-        return len(self.space.members)
+        return len(self.space.famasks())
 
     def full_atoms(self) -> int:
         return (1 << self.n_atoms) - 1
@@ -109,7 +109,7 @@ def onestep_top_check(lax: LaxAlgebra, ax: Axiom) -> bool:
     """Does the axiom evaluate to the top atom set under every assignment?"""
     kind, payload = realize_axiom(ax, lax.n)
     if kind == "predicate":
-        return all(payload(fam.famask(), lax.n) for fam in lax.space.members)
+        return all(payload(fm, lax.n) for fm in lax.space.famasks())
     f = payload
     if not is_one_step(f):
         raise InvalidInputError(f"onestep_top_check: {render(f)} is not one-step")
@@ -142,11 +142,12 @@ def lax_from_json(obj: dict) -> LaxAlgebra:
     raw_gen = obj["gen"]
     if not isinstance(raw_gen, list) or len(raw_gen) != 1 << space.n:
         raise InvalidInputError("lax algebra: gen must list atom sets for every subset mask")
+    n_atoms = len(space.famasks())
     gen = []
     for entry in raw_gen:
         bits = 0
         for i in entry:
-            if not isinstance(i, int) or not 0 <= i < len(space.members):
+            if not isinstance(i, int) or not 0 <= i < n_atoms:
                 raise InvalidInputError("lax algebra: gen entries must be atom indices")
             bits |= 1 << i
         gen.append(bits)

@@ -138,9 +138,9 @@ def _compile_constraints(n: int, constraints: tuple[str, ...]):
     """Per-point famask candidate lists plus the whole-frame iv flag."""
     axiom_specs, family_tags, centered, iv = _split_constraints(constraints)
     if axiom_specs:
-        base = list(enumerate_bax(n, axiom_set_from_specs(axiom_specs, n), strategy="filter").famasks())
+        base = enumerate_bax(n, axiom_set_from_specs(axiom_specs, n), strategy="filter").famasks()
     else:
-        base = list(range(1 << (1 << n)))
+        base = range(1 << (1 << n))
     tests = [family_tag_test(tag) for tag in family_tags]
     shared = [fm for fm in base if all(test(family_from_famask(fm), n) for test in tests)]
     if not centered:

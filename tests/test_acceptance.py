@@ -341,6 +341,7 @@ GOLDEN_COMMANDS = (
         0,
     ),
     ("lax_build_m", ("lax", "build", "--n", "3", "--axioms", "@M"), 0),
+    ("bax_enum_n3_n", ("bax", "enum", "--n", "3", "--axioms", "@N"), 0),
 )
 
 # Needs no installed console script; source_env() points it at the imported source.

@@ -39,28 +39,39 @@ def test_members_match_brute_axiom_oracle():
             assert got == oracles.axiom_subset_families(n, names)
 
 
+# Every spec and size both strategies accept.  A kappa axiom is only a
+# closure guarantee once it degrades to the shape test; while it keeps its
+# formula (@Ck(2) from n = 2), backtrack must refuse it.
+BOTH_STRATEGIES = [
+    (n, specs)
+    for n in (0, 1, 2, 3)
+    for specs in (["@M"], ["@M", "@N"], ["@M", "@C", "@N"], ["@M", "@Cont"], ["@CInf"], ["@M", "@Ck(2)"])
+] + [(n, ["@Ck(2)"]) for n in (0, 1)]
+
+
 def test_famasks_ascending_and_index_of():
-    sp = space(2, ["@M"])
-    fams = sp.famasks()
-    assert list(fams) == sorted(fams)
-    for i, fam in enumerate(sp.members):
-        assert sp.index_of(fam) == i
+    for n, specs in BOTH_STRATEGIES:
+        for strategy in ("filter", "backtrack"):
+            sp = space(n, specs, strategy=strategy)
+            fams = sp.famasks()
+            assert fams is sp.famasks()
+            assert all(a < b for a, b in zip(fams, fams[1:])), (n, specs, strategy)
+            assert tuple(fam.famask() for fam in sp.members) == fams
+            for i, fam in enumerate(sp.members):
+                assert sp.index_of(fam) == i
+            outside = set(range(1 << (1 << n))).difference(fams)
+            for fm in sorted(outside)[:3] + sorted(outside)[-3:]:
+                with pytest.raises(InvalidInputError, match="not a member"):
+                    sp.index_of(family_from_famask(fm))
     with pytest.raises(InvalidInputError):
-        sp.index_of(Family((1,)))
+        space(2, ["@M"]).index_of(Family((1,)))
 
 
 def test_filter_equals_backtrack():
-    for n in (0, 1, 2, 3):
-        for specs in (["@M"], ["@M", "@N"], ["@M", "@C", "@N"], ["@M", "@Cont"], ["@CInf"], ["@M", "@Ck(2)"]):
-            a = space(n, specs, strategy="filter").famasks()
-            b = space(n, specs, strategy="backtrack").famasks()
-            assert a == b, (n, specs)
-    # A kappa axiom is only a closure guarantee once it degrades to the
-    # shape test; while it keeps its formula, backtrack must refuse it.
-    for n in (0, 1):
-        a = space(n, ["@Ck(2)"], strategy="filter").famasks()
-        b = space(n, ["@Ck(2)"], strategy="backtrack").famasks()
-        assert a == b
+    for n, specs in BOTH_STRATEGIES:
+        a = space(n, specs, strategy="filter").famasks()
+        b = space(n, specs, strategy="backtrack").famasks()
+        assert a == b, (n, specs)
     with pytest.raises(InvalidInputError):
         space(2, ["@Ck(2)"], strategy="backtrack")
 
@@ -158,3 +169,21 @@ def test_baxspace_json_round_trip():
         baxspace_from_json({"n": 2, "axioms": []})
     with pytest.raises(InvalidInputError):
         baxspace_from_json({"n": "2", "axioms": [], "members": []})
+    with pytest.raises(InvalidInputError, match="members must be a list"):
+        baxspace_from_json({"n": 2, "axioms": [], "members": 5})
+
+
+def test_baxspace_from_json_refuses_unordered_members():
+    # Out of order, or repeated: index_of would miss members that are there.
+    for members in ([[2, 3], [3], [1, 3], [0, 1, 2, 3], []], [[1], [1]]):
+        with pytest.raises(InvalidInputError, match="strictly ascending by famask"):
+            baxspace_from_json({"n": 2, "axioms": ["@M"], "members": members})
+    # The same families in famask order decode, and every one is found.
+    ordered = [[], [3], [1, 3], [2, 3], [0, 1, 2, 3]]
+    sp = baxspace_from_json({"n": 2, "axioms": ["@M"], "members": ordered})
+    assert baxspace_to_json(sp)["members"] == ordered
+    for i, fam in enumerate(sp.members):
+        assert sp.index_of(fam) == i
+    assert baxspace_from_json({"n": 2, "axioms": ["@M"], "members": [[1]]}).famasks() == (2,)
+    with pytest.raises(InvalidInputError, match="member 4 is not a subset mask for n=2"):
+        baxspace_from_json({"n": 2, "axioms": ["@M"], "members": [[], [0, 4]]})

@@ -8,12 +8,12 @@ assignment, up-closure tested member by member, and tests/oracles.py.
 import random
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nbhd import bitslice
 from nbhd.bax import _immediate_superset_famasks, enumerate_bax
-from nbhd.core import Family, NeighborhoodAlgebra, NeighborhoodFrame, box_n, family_from_famask, full_mask
+from nbhd.core import Family, NeighborhoodAlgebra, NeighborhoodFrame, _set_lanes, box_n, family_from_famask, full_mask
 from nbhd.duality import complex_algebra
 from nbhd.evaluate import (
     assignment_at,
@@ -253,3 +253,12 @@ def test_family_accepts_one_lane_wide_famasks():
     assert bitslice.family_accepts(1 << full_mask(n), 1 << n, [prog])
     assert not bitslice.family_accepts((1 << full_mask(n)) - 1, 1 << n, [prog])
     assert membership_holds(Family.of([full_mask(n)]).famask(), prog, n)
+
+
+@PROPERTY
+@given(st.integers(0, 1 << 40), st.sampled_from((0, 8, 24, 32, 65536)))
+@example((1 << 32) - 1, 0)
+@example(1 << 32, 0)
+@example((1 << 40) - 1, 8)
+def test_property_set_lanes_matches_bit_loop(mask, offset):
+    assert _set_lanes(mask, offset) == [offset + i for i in range(mask.bit_length()) if mask >> i & 1]

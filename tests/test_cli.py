@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -154,6 +155,44 @@ def test_lax_build_and_check(capsys, tmp_path):
     lax = write(tmp_path, "lax.json", out)
     code, report = jout(capsys, "lax", "check", "--lax", lax)
     assert code == 0 and report == {"ok": True, "axioms": {"C": True}}
+
+
+def test_lax_check_refuses_unordered_members(capsys, tmp_path):
+    # gen is consistent with the members as listed; only their order is at fault.
+    for members in ([[2, 3], [3], [1, 3], [0, 1, 2, 3], []], [[1], [1]]):
+        gen = [[i for i, fam in enumerate(members) if a in fam] for a in range(4)]
+        lax = write(tmp_path, "lax.json", {"n": 2, "axioms": ["@M"], "members": members, "gen": gen})
+        code, out, err = run(capsys, "lax", "check", "--lax", lax)
+        assert code == 2 and out == "" and "strictly ascending by famask" in err
+
+
+def test_frame_member_rejections_keep_exit_codes(capsys, tmp_path):
+    cases = (
+        ({"n": 2, "N": [[True], [0]]}, 2, "expected a list of ints"),
+        ({"n": 2, "N": [[0, 1.0], [0]]}, 2, "expected a list of ints"),
+        ({"n": 2, "N": [[1], [0, 4]]}, 2, "is not a subset mask for n=2"),
+        ({"n": 2, "N": [[4, True], [0]]}, 2, "expected a list of ints"),
+        ({"n": 17, "N": [[1 << 16]] + [[]] * 16}, 3, "needs more than 16 points"),
+    )
+    for obj, expected_code, message in cases:
+        code, out, err = run(capsys, "dualize", "--frame", write(tmp_path, "f.json", obj))
+        assert code == expected_code and out == "" and message in err, obj
+
+
+DENSE_N4_SHA256 = "e4f6c634e45601fa7792383a8e0bf4c6c6307291b59532a7120dcde65a8cb465"
+
+
+def test_dense_bax_enum_output_is_pinned():
+    # The 32,768 @N families at n = 4, serially and from the worker pool.
+    for workers in ("1", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nbhd", "--workers", workers, "bax", "enum", "--n", "4", "--axioms", "@N"],
+            capture_output=True,
+            env=source_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == DENSE_N4_SHA256
+        assert proc.stdout.count(b"],[") == 32767
 
 
 def test_class_check_and_correspond(capsys, tmp_path):

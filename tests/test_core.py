@@ -211,6 +211,36 @@ def test_json_rejects_bad_shapes():
         frame_from_json({"n": 2, "N": [[True], [0]]})
 
 
+def test_json_family_faults_keep_their_messages():
+    # One pass packs a well-formed list; a faulty one is named by the full
+    # checks, types before ranges, and the cap as CapExceededError.
+    assert frame_from_json({"n": 2, "N": [[3, 1, 3], []]}).nbhd[0] == Family((1, 3))
+    for raw in ([True], [0, 1.5], [4, False], ["1"], 3):
+        with pytest.raises(InvalidInputError, match="N\\(0\\): expected a list of ints"):
+            frame_from_json({"n": 2, "N": [raw, []]})
+    with pytest.raises(InvalidInputError, match="N\\(1\\): member 7 is not a subset mask for n=2"):
+        frame_from_json({"n": 2, "N": [[], [1, 7, 5]]})
+    with pytest.raises(InvalidInputError, match="nonnegative ints, got -1"):
+        frame_from_json({"n": 2, "N": [[], [1, -1]]})
+    with pytest.raises(CapExceededError, match="member 131072 needs more than 16 points"):
+        frame_from_json({"n": 18, "N": [[0, 1 << 17]] + [[]] * 17})
+
+
+def test_algebra_table_faults_name_the_first_bad_entry():
+    assert NeighborhoodAlgebra(2, (0, 1, 2, 3)).box == (0, 1, 2, 3)
+    cases = (
+        ((0, 1, 4, 9), "box\\[2\\]: 4"),
+        ((0, 0, 0, 4), "box\\[3\\]: 4"),
+        ((0, -1, 0, 0), "box\\[1\\]: -1"),
+        ((0, 0, 0, "3"), "box\\[3\\]: '3'"),
+    )
+    for box, bad in cases:
+        with pytest.raises(InvalidInputError, match=bad + " is not a subset mask for n=2"):
+            NeighborhoodAlgebra(2, box)
+    with pytest.raises(InvalidInputError, match="box\\[0\\]: 2 is not a subset mask for n=1"):
+        algebra_from_json({"n": 1, "box": [2, 0]})
+
+
 def test_effective_cap_env(monkeypatch):
     assert effective_cap(5) == 5
     monkeypatch.setenv("NBHD_MAX_N", "3")

@@ -138,6 +138,12 @@ def test_onestep_top_check_on_member_axioms():
     laxp = lax_algebra(2, axiom_set_from_specs(["@CInf"], 2))
     assert onestep_top_check(laxp, expand_named("@CInf"))
     assert onestep_top_check(laxp, expand_named("@M"))
+    # The shape test reads every famask of the space, the first included:
+    # {1, 2} is not closed under intersection.
+    laxq = lax_from_json(
+        {"n": 2, "axioms": ["@CInf"], "members": [[1, 2], [0, 1, 2, 3]], "gen": [[1], [0, 1], [0, 1], [1]]}
+    )
+    assert not onestep_top_check(laxq, expand_named("@CInf"))
     with pytest.raises(InvalidInputError):
         onestep_top_check(lax, expand_named("@T"))
 
@@ -168,3 +174,7 @@ def test_lax_json_round_trip():
     bad2["gen"] = [[99]] * len(obj["gen"])
     with pytest.raises(InvalidInputError):
         lax_from_json(bad2)
+    bad3 = dict(obj)
+    bad3["gen"] = [[lax.n_atoms]] * len(obj["gen"])
+    with pytest.raises(InvalidInputError, match="atom indices"):
+        lax_from_json(bad3)
