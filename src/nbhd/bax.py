@@ -154,6 +154,8 @@ def bax_map(f: FrameMorphism, w: Family, axs: AxiomSet) -> Family:
     check_family(w, f.n_dom, "bax_map")
     if not is_ax_subset(w, axs, f.n_dom):
         raise InvalidInputError("bax_map: family is not an Ax-subset of the domain")
+    # The image is built over all 2^n_cod codomain subsets.
+    check_width(f.n_cod, PLAIN_OP_CAP, "bax_map")
     return Family(tuple(a for a in range(1 << f.n_cod) if f.preimage(a) in w))
 
 

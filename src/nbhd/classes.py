@@ -1,12 +1,16 @@
 """Frame and algebra class predicates and the two correspondence pairs.
 
-Frame tags test each neighborhood family, or the whole frame for the
-centered and iv conditions; algebra tags test the box table.  The bridge
-pairs tie the sides together: a frame is centered exactly when its
-complex algebra satisfies box a <= a, and satisfies the iv condition
-exactly when the complex algebra satisfies box a <= box box a.  The
-sides are different computations, so the agreement stays a real check:
-the frame side tests members against each N(x), the algebra side
+This module is the one definition of the frame classes:
+`frame_tag_parts` decomposes every frame tag into per-family tests plus
+the whole-frame centered and iv conditions.  `frame_class_check` is the
+conjunction of those parts, and the search folds the same parts into
+its per-point candidate lists.  Algebra tags test the box table.
+
+The bridge pairs tie the sides together: a frame is centered exactly
+when its complex algebra satisfies box a <= a, and satisfies the iv
+condition exactly when the complex algebra satisfies box a <= box box a.
+The sides are different computations, so the agreement stays a real
+check: the frame side tests members against each N(x), the algebra side
 compares box table entries.  Both read the box table through
 `bitslice.transpose`, which the tests hold to `core.box_n`.
 """
@@ -120,24 +124,32 @@ def parse_class_tag(text: str) -> ClassTag:
     return ClassTag(text)
 
 
-_FAMILY_TESTS = {
-    "monotone": family_is_up_closed,
-    "convex": family_is_convex,
-    "coconvex": lambda fam, n: family_is_convex(family_complement(fam, n), n),
-    "contingency": family_is_contingency,
-    "filter": family_is_filter,
+_FRAME_TAG_PARTS = {
+    "monotone": ((family_is_up_closed,), False, False),
+    "convex": ((family_is_convex,), False, False),
+    "coconvex": ((lambda fam, n: family_is_convex(family_complement(fam, n), n),), False, False),
+    "contingency": ((family_is_contingency,), False, False),
+    "filter": ((family_is_filter,), False, False),
+    "centered": ((), True, False),
+    "iv": ((), False, True),
+    "pretopological": ((family_is_filter,), True, False),
+    "topological": ((family_is_filter,), True, True),
 }
 
 
-def family_tag_test(tag: ClassTag):
-    """The test (family, n) -> bool of a per-family frame tag, which a
-    frame has when every one of its families passes; None for the tags
-    that look at the whole frame."""
+def frame_tag_parts(tag: ClassTag):
+    """The one decomposition of a frame tag: (per-family tests, centered,
+    iv).  A frame has the tag when every family passes every test
+    (family, n) -> bool, every member of N(x) holds x if centered is set,
+    and the iv condition holds if iv is set."""
     if tag.name == "kappa":
         if tag.kappa is None:
             raise InvalidInputError("kappa tag needs a parameter, e.g. kappa:3")
-        return lambda fam, n: family_is_kappa_complete(fam, n, tag.kappa)
-    return _FAMILY_TESTS.get(tag.name)
+        return (lambda fam, n: family_is_kappa_complete(fam, n, tag.kappa),), False, False
+    parts = _FRAME_TAG_PARTS.get(tag.name)
+    if parts is None:
+        raise InvalidInputError(f"unknown frame class {tag.name!r}")
+    return parts
 
 
 def iv_holds(key: tuple[int, ...], box: tuple[int, ...]) -> bool:
@@ -147,23 +159,16 @@ def iv_holds(key: tuple[int, ...], box: tuple[int, ...]) -> bool:
 
 
 def frame_class_check(frame: NeighborhoodFrame, tag: ClassTag) -> bool:
+    """The conjunction of the tag's parts, as frame_tag_parts names them."""
     check_width(frame.n, PLAIN_OP_CAP, "frame_class_check")
-    name = tag.name
-    test = family_tag_test(tag)
-    if test is not None:
-        return all(test(fam, frame.n) for fam in frame.nbhd)
-    if name == "centered":
-        # Every member of N(x) holds x: the famask lies in plane x.
-        planes = _index_planes(frame.n)
-        return all(fam.famask() & planes[x] == fam.famask() for x, fam in enumerate(frame.nbhd))
-    if name == "iv":
-        key = frame.key()
-        return iv_holds(key, transpose(key, 1 << frame.n))
-    if name == "pretopological":
-        return frame_class_check(frame, ClassTag("filter")) and frame_class_check(frame, ClassTag("centered"))
-    if name == "topological":
-        return frame_class_check(frame, ClassTag("pretopological")) and frame_class_check(frame, ClassTag("iv"))
-    raise InvalidInputError(f"unknown frame class {name!r}")
+    tests, centered, iv = frame_tag_parts(tag)
+    key = frame.key()
+    if not all(test(fam, frame.n) for test in tests for fam in frame.nbhd):
+        return False
+    # Centered at x: every member holds x, i.e. the famask lies in plane x.
+    if centered and any(famask & plane != famask for famask, plane in zip(key, _index_planes(frame.n))):
+        return False
+    return not iv or iv_holds(key, transpose(key, 1 << frame.n))
 
 
 def algebra_class_check(alg: NeighborhoodAlgebra, tag: ClassTag) -> bool:

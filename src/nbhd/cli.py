@@ -54,7 +54,6 @@ from .duality import (
 )
 from .evaluate import eval_formula
 from .formulas import (
-    ParseError,
     axiom_set_from_specs,
     expand_named,
     free_vars,
@@ -473,19 +472,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except OutputLimitError as exc:
+    except (CapExceededError, OutputLimitError) as exc:
         sys.stderr.write(f"nbhd: {exc}\n")
         return 3
-    except CapExceededError as exc:
-        sys.stderr.write(f"nbhd: {exc}\n")
-        return 3
-    except ParseError as exc:
-        sys.stderr.write(f"nbhd: {exc}\n")
-        return 2
-    except InvalidInputError as exc:
-        sys.stderr.write(f"nbhd: {exc}\n")
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (InvalidInputError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         sys.stderr.write(f"nbhd: {exc}\n")
         return 2
     except BrokenPipeError:

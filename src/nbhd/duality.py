@@ -8,7 +8,9 @@ complete homs stored by their atom maps, and back.  The one-step space
 of an axiom set is realized as the powerset algebra over the enumerated
 Ax-subsets, with the generator table gen[a] = { atom index i | a is a
 member of family i }, the transpose of their famasks, standing in for
-the free one-step box.
+the free one-step box.  Checking an axiom on it is one run of the
+bit-sliced membership engine, with gen as the planes and the atoms as
+the lanes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bax import BaxSpace, enumerate_bax, baxspace_to_json, baxspace_from_json
-from .bitslice import transpose
+from .bitslice import _accepted, transpose
 from .core import (
     PLAIN_OP_CAP,
     CompleteHom,
@@ -28,8 +30,8 @@ from .core import (
     check_width,
     family_from_famask,
 )
-from .evaluate import assignment_space, eval_box_free, realize_axiom
-from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, free_vars, is_one_step, render
+from .evaluate import assignment_space, compile_membership, realize_axiom
+from .formulas import Axiom, AxiomSet, free_vars, is_one_step, render
 
 
 def complex_algebra(frame: NeighborhoodFrame) -> NeighborhoodAlgebra:
@@ -89,44 +91,20 @@ def lax_algebra(n: int, axs: AxiomSet, strategy: str = "auto") -> LaxAlgebra:
     return LaxAlgebra(space, transpose(space.famasks(), 1 << n))
 
 
-def _eval_transposed(lax: LaxAlgebra, f: Formula, env: dict[str, int]) -> int:
-    """Atom-set value of a one-step formula with boxes read through gen."""
-    if isinstance(f, Box):
-        return lax.gen[eval_box_free(f.sub, env, lax.n)]
-    if isinstance(f, Top):
-        return lax.full_atoms()
-    if isinstance(f, Not):
-        return lax.full_atoms() ^ _eval_transposed(lax, f.sub, env)
-    if isinstance(f, And):
-        value = lax.full_atoms()
-        for item in f.items:
-            value &= _eval_transposed(lax, item, env)
-        return value
-    raise InvalidInputError("transposed evaluation needs a one-step formula")
-
-
 def onestep_top_check(lax: LaxAlgebra, ax: Axiom) -> bool:
-    """Does the axiom evaluate to the top atom set under every assignment?"""
+    """Does the axiom evaluate to the top atom set under every assignment?
+    A formula axiom runs on the membership engine with the generator
+    table as its planes: lane i of gen[a] says whether subset a is in
+    the i-th family, so the accepted lanes are the atoms where the axiom
+    holds under every assignment."""
     kind, payload = realize_axiom(ax, lax.n)
     if kind == "predicate":
         return all(payload(fm, lax.n) for fm in lax.space.famasks())
-    f = payload
-    if not is_one_step(f):
-        raise InvalidInputError(f"onestep_top_check: {render(f)} is not one-step")
-    names = free_vars(f)
-    assignment_space(lax.n, len(names), "onestep_top_check")
-    m = 1 << lax.n
-
-    def sweep(i: int, env: dict[str, int]) -> bool:
-        if i == len(names):
-            return _eval_transposed(lax, f, env) == lax.full_atoms()
-        for value in range(m):
-            env[names[i]] = value
-            if not sweep(i + 1, env):
-                return False
-        return True
-
-    return sweep(0, {})
+    if not is_one_step(payload):
+        raise InvalidInputError(f"onestep_top_check: {render(payload)} is not one-step")
+    assignment_space(lax.n, len(free_vars(payload)), "onestep_top_check")
+    top = lax.full_atoms()
+    return _accepted(lax.gen, top, [compile_membership(payload, lax.n)]) == top
 
 
 def lax_to_json(lax: LaxAlgebra) -> dict:

@@ -1,15 +1,17 @@
 """Frame enumeration and countermodel search over small carriers.
 
 A frame on n points is a product of n independent family choices, so
-the stream factors: pointwise constraints (one-step axiom sets and the
-per-family class tags) shrink each point's candidate list before any
-frame is assembled.  Canonicity is tested on the famask key itself,
-through per-permutation relabel tables; a key that passes is transposed
-once into its box table for the other whole-frame conditions (iv, the
-target formula), and only emitted frames and hits are assembled.
-Enumeration follows the product order with the first point outermost
-and famasks ascending, which is exactly the ascending lexicographic
-order on frame keys.
+the stream factors: pointwise constraints (one-step axiom sets, and the
+per-family tests and centered condition that `classes.frame_tag_parts`
+gives for each class tag) shrink each point's candidate list before any
+frame is assembled.  One key loop walks the product: canonicity is
+tested on the famask key itself, through per-permutation relabel
+tables, and a key that passes is transposed once into its box table for
+the other whole-frame conditions (iv, the target formula).  Counting,
+the find modes and enumeration all read that loop, and only emitted
+frames and hits are assembled.  The loop follows the product order with
+the first point outermost and famasks ascending, which is exactly the
+ascending lexicographic order on frame keys.
 
 Workers partition the first point's candidate list into contiguous
 chunks and results merge in chunk order, so output is identical for
@@ -29,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from multiprocessing import get_context
 
 from .bax import enumerate_bax
 from .bitslice import _index_planes, transpose
-from .classes import FRAME_TAGS, ClassTag, family_tag_test, iv_holds, parse_class_tag
+from .classes import FRAME_TAGS, frame_tag_parts, iv_holds, parse_class_tag
 from .core import (
     CANONICAL_CAP,
     EXHAUSTIVE_FRAMES_CAP,
@@ -107,41 +109,25 @@ def canonical_form(frame: NeighborhoodFrame) -> NeighborhoodFrame:
     return best
 
 
-def _split_constraints(constraints: tuple[str, ...]):
+def _compile_constraints(n: int, constraints: tuple[str, ...]):
+    """Per-point famask candidate lists plus the whole-frame iv flag: each
+    frame tag contributes its `frame_tag_parts`, every other constraint is
+    an axiom spec."""
     axiom_specs: list[str] = []
-    family_tags: list[ClassTag] = []
-    centered = False
-    iv = False
-    for text in constraints:
-        text = text.strip()
+    tests = []
+    centered = iv = False
+    for text in map(str.strip, constraints):
         if text in FRAME_TAGS or text.startswith("kappa:"):
-            tag = parse_class_tag(text)
-            if tag.name == "centered":
-                centered = True
-            elif tag.name == "iv":
-                iv = True
-            elif tag.name == "pretopological":
-                family_tags.append(ClassTag("filter"))
-                centered = True
-            elif tag.name == "topological":
-                family_tags.append(ClassTag("filter"))
-                centered = True
-                iv = True
-            else:
-                family_tags.append(tag)
+            tag_tests, tag_centered, tag_iv = frame_tag_parts(parse_class_tag(text))
+            tests += tag_tests
+            centered |= tag_centered
+            iv |= tag_iv
         else:
             axiom_specs.append(text)
-    return axiom_specs, family_tags, centered, iv
-
-
-def _compile_constraints(n: int, constraints: tuple[str, ...]):
-    """Per-point famask candidate lists plus the whole-frame iv flag."""
-    axiom_specs, family_tags, centered, iv = _split_constraints(constraints)
     if axiom_specs:
         base = enumerate_bax(n, axiom_set_from_specs(axiom_specs, n), strategy="filter").famasks()
     else:
         base = range(1 << (1 << n))
-    tests = [family_tag_test(tag) for tag in family_tags]
     shared = [fm for fm in base if all(test(family_from_famask(fm), n) for test in tests)]
     if not centered:
         return [shared] * n, iv
@@ -215,40 +201,48 @@ def _test_target(n: int, key: tuple[int, ...], box, target) -> tuple[bool, dict[
     return env is None, env
 
 
-def _scan(n, cands, iv, canonical, target_text, mode, collect):
-    """Walk the product of the per-point candidate lists, in order.
-    Returns (in_class, validating, hit, keys) where hit = (serial
-    in-class position, frame key, refuting env) and keys is filled only
-    when collect is true.  Find modes stop at the first hit, so in_class
-    then counts frames up to and including it."""
-    target = compile_target(target_text, n)
-    in_class = 0
-    validating = 0
-    keys: list[tuple[int, ...]] = []
+def _in_class(n: int, cands, iv: bool, canonical: bool, boxes: bool):
+    """Each in-class key of the product of the per-point candidate lists,
+    in scan order, with its box table (None unless boxes or iv is set)."""
+    box = None
     for key in product(*cands):
         if canonical and not _is_canonical_key(n, key):
             continue
-        if iv or target is not None:
+        if iv or boxes:
             box = transpose(key, 1 << n)
             if iv and not iv_holds(key, box):
                 continue
+        yield key, box
+
+
+def _scan(n, cands, iv, canonical, target_text, mode):
+    """Count the in-class frames and the ones that validate the target.
+    Returns (in_class, validating, hit) where hit = (serial in-class
+    position, frame key, refuting env).  Find modes stop at the first
+    hit, so in_class then counts frames up to and including it."""
+    target = compile_target(target_text, n)
+    in_class = 0
+    validating = 0
+    for key, box in _in_class(n, cands, iv, canonical, target is not None):
         in_class += 1
-        if collect:
-            keys.append(key)
         if target is None:
             continue
         ok, env = _test_target(n, key, box, target)
         if ok:
             validating += 1
         if mode == "find_refuting" and not ok:
-            return in_class, validating, (in_class, key, env), keys
+            return in_class, validating, (in_class, key, env)
         if mode == "find_validating" and ok:
-            return in_class, validating, (in_class, key, None), keys
-    return in_class, validating, None, keys
+            return in_class, validating, (in_class, key, None)
+    return in_class, validating, None
 
 
 def _scan_task(args):
     return _scan(*args)
+
+
+def _keys_task(args):
+    return [key for key, _ in _in_class(*args, False)]
 
 
 def _chunks(items: list[int], parts: int) -> list[list[int]]:
@@ -263,53 +257,50 @@ def _chunks(items: list[int], parts: int) -> list[list[int]]:
     return out
 
 
-def _scan_level(n, constraints, canonical, target_text, mode, workers, collect=False):
+def _pooled(n: int, cands, workers: int) -> bool:
+    return workers > 1 and n > 0 and len(cands[0]) > 1
+
+
+def _pool_map(task, n: int, cands, args: tuple, workers: int) -> list:
+    """task((n, candidate lists, *args)) once per contiguous chunk of the
+    first point's candidates, on a worker pool; results in chunk order."""
+    tasks = [(n, [chunk, *cands[1:]], *args) for chunk in _chunks(cands[0], workers * 4)]
+    with get_context("fork").Pool(workers) as pool:
+        return pool.map(task, tasks)
+
+
+def _scan_level(n, constraints, canonical, target_text, mode, workers):
     """One carrier size, all first-point chunks merged in serial order."""
     cands, iv = _compile_constraints(n, constraints)
-    if workers <= 1 or n == 0 or len(cands[0]) < 2:
-        return _scan(n, cands, iv, canonical, target_text, mode, collect)
-    chunks = _chunks(cands[0], workers * 4)
-    tasks = [(n, [chunk, *cands[1:]], iv, canonical, target_text, mode, collect) for chunk in chunks]
-    ctx = get_context("fork")
-    with ctx.Pool(workers) as pool:
-        results = pool.map(_scan_task, tasks)
+    args = (iv, canonical, target_text, mode)
+    if not _pooled(n, cands, workers):
+        return _scan(n, cands, *args)
     in_class = 0
     validating = 0
-    keys: list[tuple[int, ...]] = []
-    for chunk_in_class, chunk_validating, hit, chunk_keys in results:
-        keys.extend(chunk_keys)
+    for chunk_in_class, chunk_validating, hit in _pool_map(_scan_task, n, cands, args, workers):
         if hit is not None:
             pos, key, env = hit
-            return in_class + pos, validating + chunk_validating, (in_class + pos, key, env), keys
+            return in_class + pos, validating + chunk_validating, (in_class + pos, key, env)
         in_class += chunk_in_class
         validating += chunk_validating
-    return in_class, validating, None, keys
+    return in_class, validating, None
 
 
 def enumerate_frames(n: int, constraints=(), canonical: bool = False, workers: int = 1):
     """Stream every frame in the constrained class, one representative
     per relabeling orbit when canonical is set."""
     check_width(n, EXHAUSTIVE_FRAMES_CAP, "enumerate_frames")
-    constraints = tuple(constraints)
-    if workers <= 1:
-        cands, iv = _compile_constraints(n, constraints)
-        return _frame_gen(n, cands, iv, canonical)
-    _, _, _, keys = _scan_level(n, constraints, canonical, None, "count", workers, collect=True)
+    cands, iv = _compile_constraints(n, tuple(constraints))
+    if _pooled(n, cands, workers):
+        keys = chain.from_iterable(_pool_map(_keys_task, n, cands, (iv, canonical), workers))
+    else:
+        keys = (key for key, _ in _in_class(n, cands, iv, canonical, False))
     return (_assemble(n, key) for key in keys)
-
-
-def _frame_gen(n: int, cands, iv: bool, canonical: bool):
-    for key in product(*cands):
-        if canonical and not _is_canonical_key(n, key):
-            continue
-        if iv and not iv_holds(key, transpose(key, 1 << n)):
-            continue
-        yield _assemble(n, key)
 
 
 def count_frames(n: int, constraints=(), canonical: bool = False, workers: int = 1) -> int:
     check_width(n, EXHAUSTIVE_FRAMES_CAP, "count_frames")
-    in_class, _, _, _ = _scan_level(n, tuple(constraints), canonical, None, "count", workers)
+    in_class, _, _ = _scan_level(n, tuple(constraints), canonical, None, "count", workers)
     return in_class
 
 
@@ -350,9 +341,7 @@ def find_countermodel(spec: SearchSpec, workers: int = 1) -> dict:
     checked = 0
     count = 0
     for n in range(spec.max_n + 1):
-        in_class, validating, hit, _ = _scan_level(
-            n, spec.constraints, True, spec.target, spec.mode, workers
-        )
+        in_class, validating, hit = _scan_level(n, spec.constraints, True, spec.target, spec.mode, workers)
         if spec.mode == "count":
             checked += in_class
             count += validating if spec.target is not None else in_class

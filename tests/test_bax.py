@@ -109,6 +109,16 @@ def test_bax_map_example_and_membership_guard():
         bax_map(f, Family((3, 1 << 10)), axs)
 
 
+def test_bax_map_refuses_a_wide_codomain():
+    # The image ranges over all 2^n_cod codomain subsets, so the width is
+    # refused before any of them is visited.
+    axs = axiom_set_from_specs(["@M"])
+    for n_cod in (17, 24, 40):
+        with pytest.raises(CapExceededError, match=f"bax_map: n={n_cod} exceeds cap 16"):
+            bax_map(FrameMorphism(0, n_cod, ()), Family(()), axs)
+    assert bax_map(FrameMorphism(0, 3, ()), Family(()), axs) == Family(())
+
+
 def test_bax_map_lands_in_codomain_space():
     axs2 = axiom_set_from_specs(["@M", "@N"], 2)
     dom = enumerate_bax(2, axs2)

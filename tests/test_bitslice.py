@@ -8,9 +8,6 @@ assignment, up-closure tested member by member, and tests/oracles.py.
 import random
 from itertools import product
 
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-
 from nbhd import bitslice
 from nbhd.bax import _immediate_superset_famasks, enumerate_bax
 from nbhd.core import Family, NeighborhoodAlgebra, NeighborhoodFrame, _set_lanes, box_n, family_from_famask, full_mask
@@ -26,10 +23,10 @@ from nbhd.evaluate import (
 )
 from nbhd.formulas import axiom_set_from_specs, expand_named, free_vars, parse
 
+from conftest import example, given, st
 import oracles
 
 AXIOMS = ("@M", "@C", "@N", "@Cont", "@Conv", "@CoConv")
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def program(spec, n):
@@ -185,7 +182,6 @@ def frames_and_formulas(draw):
     return frame, draw(formula_texts(names))
 
 
-@PROPERTY
 @given(frames_and_formulas())
 def test_property_refutation_on_random_frames(case):
     frame, text = case
@@ -194,7 +190,6 @@ def test_property_refutation_on_random_frames(case):
     assert refute(alg, f) == first_refutation(alg, f)
 
 
-@PROPERTY
 @given(st.integers(1, 3), st.sampled_from(AXIOMS), st.data())
 def test_property_membership_of_random_families(n, spec, data):
     famask = data.draw(st.integers(0, (1 << (1 << n)) - 1))
@@ -204,7 +199,6 @@ def test_property_membership_of_random_families(n, spec, data):
     assert bitslice.family_filter(famask, famask + 1, [prog]) == ([famask] if want else [])
 
 
-@PROPERTY
 @given(st.integers(2, 4), st.data())
 def test_property_filter_windows(n, data):
     total = 1 << (1 << n)
@@ -226,7 +220,6 @@ def test_transpose_matches_box_n_on_every_small_frame():
             assert bitslice.transpose(key, 1 << n) == tuple(box_n(frame, a) for a in range(1 << n))
 
 
-@PROPERTY
 @given(st.integers(3, 4), st.data())
 def test_property_transpose_matches_box_n(n, data):
     key = tuple(data.draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=n, max_size=n)))
@@ -255,7 +248,6 @@ def test_family_accepts_one_lane_wide_famasks():
     assert membership_holds(Family.of([full_mask(n)]).famask(), prog, n)
 
 
-@PROPERTY
 @given(st.integers(0, 1 << 40), st.sampled_from((0, 8, 24, 32, 65536)))
 @example((1 << 32) - 1, 0)
 @example(1 << 32, 0)

@@ -31,6 +31,7 @@ from nbhd.core import (
     family_from_famask,
     from_relation,
     full_mask,
+    up_cone,
 )
 from nbhd.duality import complex_algebra
 
@@ -129,6 +130,16 @@ def test_frame_tags_match_oracle_exhaustively():
                 kappa = 3 if name == "kappa" else None
                 got = frame_class_check(frame, ClassTag(name, kappa))
                 assert got == oracle_frame_tag(frame, name, kappa), (frame, name)
+    # Pretopological and topological first part at n = 3: all 64 frames
+    # whose N(x) is the up-cone of a set holding x, some of them not iv.
+    cones = [[up_cone(a, 3) for a in range(8) if a >> x & 1] for x in range(3)]
+    seen = set()
+    for nbhd in product(*cones):
+        frame = NeighborhoodFrame(3, nbhd)
+        for name in ("centered", "filter", "iv", "pretopological", "topological"):
+            assert frame_class_check(frame, ClassTag(name)) == oracle_frame_tag(frame, name), (frame, name)
+        seen.add(oracle_frame_tag(frame, "topological"))
+    assert seen == {True, False}
 
 
 def test_key_level_iv_agrees_with_four_on_the_complex_algebra():

@@ -134,6 +134,21 @@ def test_bax_map(capsys, tmp_path):
     assert code == 2
 
 
+def test_bax_map_wide_codomain_exits_3(tmp_path):
+    # A subprocess with a timeout, so an unbounded loop over the 2^40
+    # codomain subsets fails the test instead of hanging the suite.
+    morphism = write(tmp_path, "m.json", {"n_dom": 0, "n_cod": 40, "map": []})
+    proc = subprocess.run(
+        [sys.executable, "-m", "nbhd", "bax", "map", "--morphism", morphism, "--axioms", "@M", "--family", "[]"],
+        capture_output=True,
+        text=True,
+        env=source_env(),
+        timeout=30,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "nbhd: bax_map: n=40 exceeds cap 16\n"
+
+
 def test_family_flags_range_check_members(capsys, tmp_path):
     morphism = write(tmp_path, "m.json", {"n_dom": 2, "n_cod": 1, "map": [0, 0]})
     frame = write(tmp_path, "f.json", {"n": 2, "N": [[3], [3]]})

@@ -15,6 +15,7 @@ from nbhd.core import (
     is_nbhd_morphism,
 )
 from nbhd.duality import (
+    LaxAlgebra,
     atom_frame,
     complex_algebra,
     dualize_complete_hom,
@@ -25,7 +26,8 @@ from nbhd.duality import (
     lax_to_json,
     onestep_top_check,
 )
-from nbhd.formulas import axiom_set_from_specs, expand_named, parse
+from nbhd.evaluate import assignment_at, theta_t_member
+from nbhd.formulas import axiom_set_from_specs, expand_named, free_vars, parse
 
 
 def all_frames(n):
@@ -156,6 +158,42 @@ def test_lax_every_space_axiom_holds():
             assert lax.gen == brute_gen(lax)
             for ax in axs:
                 assert onestep_top_check(lax, ax), (specs, n, ax.name)
+
+
+def definitional_top(lax, f):
+    """Every W_i = {a : bit i of gen[a]} is in the transposed value of f
+    under every assignment."""
+    names = free_vars(f)
+    m = 1 << lax.n
+    for i in range(lax.n_atoms):
+        w = Family.of(a for a in range(m) if lax.gen[a] >> i & 1)
+        if not all(theta_t_member(w, f, assignment_at(names, lax.n, idx), lax.n) for idx in range(m ** len(names))):
+            return False
+    return True
+
+
+def test_onestep_top_check_reads_gen_like_theta_t_member():
+    # Random gen tables mostly disagree with the members, so a check that
+    # read the members instead of gen would answer true where this is false.
+    rng = random.Random(8)
+    specs = ["@M", "@C", "@N", "@Cont", "@Conv", "@CoConv", "box u | box ~u", "~box (u & v) | box u & box ~v"]
+    outcomes = set()
+    for n in range(3):
+        axs = axiom_set_from_specs(specs, n)
+        for base in (["@M"], ["@C"], ["@Cont"], ["@M", "@N"]):
+            lax = lax_algebra(n, axiom_set_from_specs(base, n))
+            m = 1 << n
+            # The true table, one from the members in shuffled order, and random ones.
+            shuffled = rng.sample(lax.space.famasks(), lax.n_atoms)
+            gens = [lax.gen, tuple(sum(1 << i for i, fm in enumerate(shuffled) if fm >> a & 1) for a in range(m))]
+            gens += [tuple(rng.getrandbits(lax.n_atoms) for _ in range(m)) for _ in range(6)]
+            for gen in gens:
+                table = LaxAlgebra(lax.space, gen)
+                for ax in axs:
+                    want = definitional_top(table, ax.formula)
+                    assert onestep_top_check(table, ax) == want, (n, base, gen, ax.name)
+                    outcomes.add((want, gen == lax.gen))
+    assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
 
 
 def test_lax_json_round_trip():

@@ -2,12 +2,11 @@ import random
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import given, st
 import oracles
 from nbhd import search
-from nbhd.classes import ClassTag, frame_class_check
+from nbhd.classes import FRAME_TAGS, frame_class_check
 from nbhd.core import (
     CapExceededError,
     Family,
@@ -77,7 +76,6 @@ def test_canonical_form_invariant_sampled_n3():
             assert canonical_form(relabel_frame(frame, perm)) == canon
 
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -100,7 +98,6 @@ def test_canonical_key_test_exhaustive_small():
             assert search._is_canonical_key(3, key) == definitionally_canonical(3, key), key
 
 
-@PROPERTY
 @given(frame_keys(st.integers(3, 4)))
 def test_property_canonical_key_test(case):
     n, key = case
@@ -109,7 +106,6 @@ def test_property_canonical_key_test(case):
     assert search._is_canonical_key(n, canon)
 
 
-@PROPERTY
 @given(frame_keys(st.integers(0, 4)), st.data())
 def test_property_canonical_form_invariant_under_relabeling(case, data):
     n, key = case
@@ -168,14 +164,24 @@ def test_workers_match_serial():
 
 
 def test_constraint_semantics_against_direct_check():
-    tags = ("iv", "centered", "pretopological", "topological", "kappa:2", "contingency")
-    for text in tags:
-        brute = sum(
-            1
-            for frame in all_frames(2)
-            if frame_class_check(frame, search.parse_class_tag(text))
-        )
-        assert count_frames(2, (text,)) == brute, text
+    # Every frame tag alone and a few pairs, against the conjunction of
+    # frame_class_check over every frame with n <= 2, in scan order.
+    singles = [(tag,) for tag in FRAME_TAGS if tag != "kappa"] + [("kappa:2",), ("kappa:3",)]
+    pairs = [
+        ("centered", "iv"),
+        ("contingency", "topological"),
+        ("monotone", "centered"),
+        ("kappa:2", "iv"),
+        ("convex", "pretopological"),
+        ("coconvex", "filter"),
+    ]
+    for n in range(3):
+        frames = all_frames(n)
+        for tags in singles + pairs:
+            parsed = [search.parse_class_tag(text) for text in tags]
+            brute = [frame.key() for frame in frames if all(frame_class_check(frame, tag) for tag in parsed)]
+            assert count_frames(n, tags) == len(brute), (n, tags)
+            assert [frame.key() for frame in enumerate_frames(n, tags)] == brute, (n, tags)
     # An axiom constraint prunes per point exactly like its family class.
     assert count_frames(2, ("@M",)) == count_frames(2, ("monotone",)) == 36
     assert count_frames(2, ("@M", "contingency")) == count_frames(2, ("monotone", "contingency"))
