@@ -37,6 +37,7 @@ from .core import (
     complement_frame,
     family_from_famask,
     frame_from_json,
+    frame_from_key,
     frame_to_json,
     from_relation,
     full_mask,

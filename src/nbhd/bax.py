@@ -32,6 +32,7 @@ from .core import (
     FrameMorphism,
     InvalidInputError,
     _json_famask,
+    _push_forward,
     _set_lanes,
     check_family,
     check_width,
@@ -150,13 +151,14 @@ def enumerate_bax(n: int, axs: AxiomSet, strategy: str = "auto", workers: int = 
 
 
 def bax_map(f: FrameMorphism, w: Family, axs: AxiomSet) -> Family:
-    """Image of an Ax-subset along a point map, via preimages."""
+    """Image of an Ax-subset along a point map: the push-forward
+    F(f)(W) = {a' : f^-1[a'] in W}."""
     check_family(w, f.n_dom, "bax_map")
     if not is_ax_subset(w, axs, f.n_dom):
         raise InvalidInputError("bax_map: family is not an Ax-subset of the domain")
     # The image is built over all 2^n_cod codomain subsets.
     check_width(f.n_cod, PLAIN_OP_CAP, "bax_map")
-    return Family(tuple(a for a in range(1 << f.n_cod) if f.preimage(a) in w))
+    return family_from_famask(_push_forward(f)(w.famask()))
 
 
 def principal_iso(n: int, direction: str, value):

@@ -2,7 +2,9 @@
 
 This module is the one definition of the frame classes:
 `frame_tag_parts` decomposes every frame tag into per-family tests plus
-the whole-frame centered and iv conditions.  `frame_class_check` is the
+the whole-frame centered and iv conditions.  Every family test reads a
+famask and n, so frames and the search's candidates are tested on their
+keys as they are stored.  `frame_class_check` is the
 conjunction of those parts, and the search folds the same parts into
 its per-point candidate lists.  Algebra tags test the box table.
 
@@ -23,13 +25,11 @@ from .bitslice import _index_planes, transpose
 from .core import (
     PLAIN_OP_CAP,
     CapExceededError,
-    Family,
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
     _set_lanes,
     check_width,
-    family_from_famask,
     full_mask,
 )
 from .duality import complex_algebra
@@ -66,41 +66,36 @@ def _complements(famask: int, n: int) -> int:
     return famask
 
 
-def family_is_up_closed(fam: Family, n: int) -> bool:
-    return _up_closure(fam.famask(), n) == fam.famask()
+def family_is_up_closed(famask: int, n: int) -> bool:
+    return _up_closure(famask, n) == famask
 
 
-def family_is_convex(fam: Family, n: int) -> bool:
+def family_is_convex(famask: int, n: int) -> bool:
     """Every subset between two members is a member."""
-    return _up_closure(fam.famask(), n) & _down_closure(fam.famask(), n) == fam.famask()
+    return _up_closure(famask, n) & _down_closure(famask, n) == famask
 
 
-def family_complement(fam: Family, n: int) -> Family:
-    return family_from_famask(fam.famask() ^ full_mask(1 << _family_width(n)))
-
-
-def family_is_pair_intersection_closed(fam: Family) -> bool:
-    famask = fam.famask()
-    members = fam.members
+def family_is_pair_intersection_closed(famask: int) -> bool:
+    members = _set_lanes(famask, 0)
     return all(famask >> (a & b) & 1 for a in members for b in members)
 
 
-def family_is_filter(fam: Family, n: int) -> bool:
+def family_is_filter(famask: int, n: int) -> bool:
     """Up-closed, closed under pair meets, and containing the full set."""
-    return full_mask(n) in fam and family_is_up_closed(fam, n) and family_is_pair_intersection_closed(fam)
+    return famask >> full_mask(n) & 1 == 1 and family_is_up_closed(famask, n) and family_is_pair_intersection_closed(famask)
 
 
-def family_is_contingency(fam: Family, n: int) -> bool:
-    return _complements(fam.famask(), n) == fam.famask()
+def family_is_contingency(famask: int, n: int) -> bool:
+    return _complements(famask, n) == famask
 
 
-def family_is_kappa_complete(fam: Family, n: int, kappa: int) -> bool:
+def family_is_kappa_complete(famask: int, n: int, kappa: int) -> bool:
     """Up-closed and closed under meets of fewer than kappa members, the
     empty meet (the full set) included.  On a finite carrier the pair meet
     generates every larger finite meet, so sizes 0 and 2 decide it."""
     if kappa < 1:
         raise InvalidInputError("kappa completeness needs kappa >= 1")
-    return family_is_up_closed(fam, n) and full_mask(n) in fam and (kappa < 3 or family_is_pair_intersection_closed(fam))
+    return family_is_up_closed(famask, n) and famask >> full_mask(n) & 1 == 1 and (kappa < 3 or family_is_pair_intersection_closed(famask))
 
 
 FRAME_TAGS = ("monotone", "convex", "coconvex", "contingency", "filter", "kappa", "centered", "iv", "pretopological", "topological")
@@ -127,7 +122,7 @@ def parse_class_tag(text: str) -> ClassTag:
 _FRAME_TAG_PARTS = {
     "monotone": ((family_is_up_closed,), False, False),
     "convex": ((family_is_convex,), False, False),
-    "coconvex": ((lambda fam, n: family_is_convex(family_complement(fam, n), n),), False, False),
+    "coconvex": ((lambda famask, n: family_is_convex(famask ^ full_mask(1 << _family_width(n)), n),), False, False),
     "contingency": ((family_is_contingency,), False, False),
     "filter": ((family_is_filter,), False, False),
     "centered": ((), True, False),
@@ -139,13 +134,13 @@ _FRAME_TAG_PARTS = {
 
 def frame_tag_parts(tag: ClassTag):
     """The one decomposition of a frame tag: (per-family tests, centered,
-    iv).  A frame has the tag when every family passes every test
-    (family, n) -> bool, every member of N(x) holds x if centered is set,
+    iv).  A frame has the tag when every famask passes every test
+    (famask, n) -> bool, every member of N(x) holds x if centered is set,
     and the iv condition holds if iv is set."""
     if tag.name == "kappa":
         if tag.kappa is None:
             raise InvalidInputError("kappa tag needs a parameter, e.g. kappa:3")
-        return (lambda fam, n: family_is_kappa_complete(fam, n, tag.kappa),), False, False
+        return (lambda famask, n: family_is_kappa_complete(famask, n, tag.kappa),), False, False
     parts = _FRAME_TAG_PARTS.get(tag.name)
     if parts is None:
         raise InvalidInputError(f"unknown frame class {tag.name!r}")
@@ -163,7 +158,7 @@ def frame_class_check(frame: NeighborhoodFrame, tag: ClassTag) -> bool:
     check_width(frame.n, PLAIN_OP_CAP, "frame_class_check")
     tests, centered, iv = frame_tag_parts(tag)
     key = frame.key()
-    if not all(test(fam, frame.n) for test in tests for fam in frame.nbhd):
+    if not all(test(famask, frame.n) for test in tests for famask in key):
         return False
     # Centered at x: every member holds x, i.e. the famask lies in plane x.
     if centered and any(famask & plane != famask for famask, plane in zip(key, _index_planes(frame.n))):

@@ -30,10 +30,11 @@ from .core import (
     CapExceededError,
     InvalidInputError,
     NbhdError,
-    _family_list,
+    _json_famask,
     algebra_from_json,
     algebra_to_json,
     check_width,
+    family_from_famask,
     frame_from_json,
     frame_to_json,
     hom_from_json,
@@ -215,7 +216,7 @@ def cmd_bax_enum(args) -> int:
 def cmd_bax_map(args) -> int:
     f = morphism_from_json(_load_json(args.morphism))
     axs = axiom_set_from_specs(_split_specs(args.axioms))
-    family = _family_list(_parse_inline_json(args.family, "--family"), f.n_dom, "--family")
+    family = family_from_famask(_json_famask(_parse_inline_json(args.family, "--family"), f.n_dom, "--family"))
     image = bax_map(f, family, axs)
     _emit({"family": list(image)}, args)
     return 0
@@ -281,7 +282,7 @@ def cmd_gen_complement(args) -> int:
 
 def cmd_gen_truncate(args) -> int:
     frame = frame_from_json(_load_json(args.frame))
-    admissible = _family_list(_parse_inline_json(args.admissible, "--admissible"), frame.n, "--admissible")
+    admissible = family_from_famask(_json_famask(_parse_inline_json(args.admissible, "--admissible"), frame.n, "--admissible"))
     gf = truncate(frame, admissible)
     _emit(general_frame_to_json(gf), args)
     return 0

@@ -4,8 +4,11 @@ A ground set of size n is the points 0..n-1.  A subset is an int in
 [0, 2^n) whose bit i records membership of point i.  A family of subsets
 is held as one "famask" int whose bit a records membership of the
 subset-mask a, i.e. one element of the double powerset; its members are
-decoded, ascending, only when they are listed.  A famask takes 2^n bits,
-so families hold subsets of at most PLAIN_OP_CAP points, and the JSON
+decoded, ascending, only when they are listed.  A frame, a coalgebra
+X -> 2^2^X, is held as its key: the famask of each N(x).  A point map f
+is a frame morphism when N'(f(x)) = F(f)(N(x)) at every x, F(f)(W) being
+the push-forward {a' : f^-1[a'] in W}.  A famask takes 2^n bits, so
+families hold subsets of at most PLAIN_OP_CAP points, and the JSON
 decoders range-check members against n before packing them.  Families,
 frames, algebras, relations and morphisms are frozen, so every value in
 the package is immutable and safe to share across worker processes.
@@ -159,24 +162,46 @@ def _check_members_below(top: int, n: int, what: str) -> None:
         raise InvalidInputError(f"{what}: member {top} is not a subset mask for n={n}")
 
 
-@dataclass(frozen=True)
+def _check_key(key: tuple[int, ...], n: int, what: str) -> None:
+    """The largest famask holds the top member: one shift checks the key, and a scan names x."""
+    if max(key, default=0).bit_length() - 1 >> n > 0:
+        for x, famask in enumerate(key):
+            _check_members_below(famask.bit_length() - 1, n, f"{what}: N({x})")
+
+
+@dataclass(frozen=True, init=False)
 class NeighborhoodFrame:
     """(X, N) with N assigning an arbitrary family of subsets to each point."""
 
     n: int
-    nbhd: tuple[Family, ...]
+    _key: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, nbhd: Iterable[Family]) -> None:
+        self._hold(n, tuple(fam.famask() for fam in nbhd))
+
+    def _hold(self, n: int, key: tuple[int, ...]) -> None:
+        if n < 0:
             raise InvalidInputError("frame: n must be nonnegative")
-        if len(self.nbhd) != self.n:
-            raise InvalidInputError(f"frame: expected {self.n} neighborhood families, got {len(self.nbhd)}")
-        for x, fam in enumerate(self.nbhd):
-            check_family(fam, self.n, f"frame: N({x})")
+        if len(key) != n:
+            raise InvalidInputError(f"frame: expected {n} neighborhood families, got {len(key)}")
+        _check_key(key, n, "frame")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_key", key)
+
+    @property
+    def nbhd(self) -> tuple[Family, ...]:
+        return tuple(map(family_from_famask, self._key))
 
     def key(self) -> tuple[int, ...]:
         """Total-order key: per-point famasks, compared left to right."""
-        return tuple(fam.famask() for fam in self.nbhd)
+        return self._key
+
+
+def frame_from_key(n: int, key: Iterable[int]) -> NeighborhoodFrame:
+    """The frame over n points whose key is these famask ints; only their width is checked."""
+    frame = object.__new__(NeighborhoodFrame)
+    frame._hold(n, tuple(key))
+    return frame
 
 
 @dataclass(frozen=True)
@@ -230,18 +255,31 @@ class FrameMorphism:
                 raise InvalidInputError(f"morphism: map[{x}]={y!r} is not a point of the codomain")
 
     def preimage(self, a_cod: int) -> int:
-        out = 0
-        for x, y in enumerate(self.map):
-            if a_cod >> y & 1:
-                out |= 1 << x
-        return out
+        return _preimage(self.map, a_cod)
 
-    def image(self, a_dom: int) -> int:
-        out = 0
-        for x, y in enumerate(self.map):
-            if a_dom >> x & 1:
-                out |= 1 << y
-        return out
+
+def _preimage(point_map: tuple[int, ...], a: int) -> int:
+    """Points x whose image point_map[x] lies in a."""
+    return sum(1 << x for x, y in enumerate(point_map) if a >> y & 1)
+
+
+def _push_forward(f: FrameMorphism):
+    """F(f) on famasks: W goes to {a' : f^-1[a'] in W}, read off one table
+    of preimages.  Famask members have at most PLAIN_OP_CAP points, so the
+    table stops there."""
+    preimages = [f.preimage(a) for a in range(1 << min(f.n_cod, PLAIN_OP_CAP))]
+    return lambda famask: sum(1 << a for a, p in enumerate(preimages) if famask >> p & 1)
+
+
+def _disagreement(f: FrameMorphism, dom_key: tuple[int, ...], cod_key: tuple[int, ...], within: int) -> tuple[int, int] | None:
+    """The first (x, a'), a' in the famask within, where N'(f(x)) and
+    F(f)(N(x)) disagree, or None: the lowest set bit of their XOR."""
+    push = _push_forward(f)
+    for x, (y, famask) in enumerate(zip(f.map, dom_key)):
+        diff = (cod_key[y] ^ push(famask)) & within
+        if diff:
+            return x, (diff & -diff).bit_length() - 1
+    return None
 
 
 @dataclass(frozen=True)
@@ -268,11 +306,7 @@ class CompleteHom:
                 raise InvalidInputError(f"hom: atom_map[{y}]={x!r} is not a domain atom")
 
     def apply(self, a_dom: int) -> int:
-        out = 0
-        for y, x in enumerate(self.atom_map):
-            if a_dom >> x & 1:
-                out |= 1 << y
-        return out
+        return _preimage(self.atom_map, a_dom)
 
 
 def box_n(frame: NeighborhoodFrame, a: int) -> int:
@@ -280,8 +314,8 @@ def box_n(frame: NeighborhoodFrame, a: int) -> int:
     check_width(frame.n, PLAIN_OP_CAP, "box_n")
     check_subset(a, frame.n, "box_n: a")
     out = 0
-    for x, fam in enumerate(frame.nbhd):
-        if fam.famask() >> a & 1:
+    for x, famask in enumerate(frame.key()):
+        if famask >> a & 1:
             out |= 1 << x
     return out
 
@@ -290,7 +324,7 @@ def complement_frame(frame: NeighborhoodFrame) -> NeighborhoodFrame:
     """Swap every family for its complement within the full powerset."""
     check_width(frame.n, PLAIN_OP_CAP, "complement_frame")
     full = full_mask(1 << frame.n)
-    return NeighborhoodFrame(frame.n, tuple(family_from_famask(fam.famask() ^ full) for fam in frame.nbhd))
+    return frame_from_key(frame.n, [famask ^ full for famask in frame.key()])
 
 
 def up_cone(c: int, n: int) -> Family:
@@ -318,26 +352,20 @@ def to_relation(frame: NeighborhoodFrame) -> Relation:
     """Successor of x is the intersection of N(x); empty family gives X."""
     check_width(frame.n, PLAIN_OP_CAP, "to_relation")
     succ = []
-    for fam in frame.nbhd:
+    for famask in frame.key():
         s = full_mask(frame.n)
-        for a in fam:
+        for a in _set_lanes(famask, 0):
             s &= a
         succ.append(s)
     return Relation(frame.n, tuple(succ))
 
 
 def is_nbhd_morphism(f: FrameMorphism, dom: NeighborhoodFrame, cod: NeighborhoodFrame) -> bool:
-    """Check: a' in N'(f(x)) iff preimage(a') in N(x), for every x and a'."""
+    """Check the coalgebra square: N'(f(x)) = F(f)(N(x)) for every x."""
     if f.n_dom != dom.n or f.n_cod != cod.n:
         raise InvalidInputError("is_nbhd_morphism: morphism and frame sizes disagree")
     check_width(max(dom.n, cod.n), PLAIN_OP_CAP, "is_nbhd_morphism")
-    for x in range(dom.n):
-        target = cod.nbhd[f.map[x]]
-        source = dom.nbhd[x]
-        for a_cod in range(1 << cod.n):
-            if (a_cod in target) != (f.preimage(a_cod) in source):
-                return False
-    return True
+    return _disagreement(f, dom.key(), cod.key(), full_mask(1 << cod.n)) is None
 
 
 # JSON codecs.  Dict shapes double as the CLI wire formats.
@@ -372,20 +400,15 @@ def _json_famask(raw, n: int, what: str) -> int:
     return _pack(members)
 
 
-def _family_list(raw, n: int, what: str) -> Family:
-    return family_from_famask(_json_famask(raw, n, what))
-
-
 def frame_to_json(frame: NeighborhoodFrame) -> dict:
-    return {"n": frame.n, "N": [list(fam) for fam in frame.nbhd]}
+    return {"n": frame.n, "N": [_set_lanes(famask, 0) for famask in frame.key()]}
 
 
 def frame_from_json(obj: dict) -> NeighborhoodFrame:
     _expect_keys(obj, ("n", "N"), "frame")
     if not isinstance(obj["n"], int) or not isinstance(obj["N"], list):
         raise InvalidInputError("frame: n must be an int and N a list")
-    families = tuple(_family_list(raw, obj["n"], f"frame: N({x})") for x, raw in enumerate(obj["N"]))
-    return NeighborhoodFrame(obj["n"], families)
+    return frame_from_key(obj["n"], [_json_famask(raw, obj["n"], f"frame: N({x})") for x, raw in enumerate(obj["N"])])
 
 
 def algebra_to_json(alg: NeighborhoodAlgebra) -> dict:

@@ -8,9 +8,9 @@ complete homs stored by their atom maps, and back.  The one-step space
 of an axiom set is realized as the powerset algebra over the enumerated
 Ax-subsets, with the generator table gen[a] = { atom index i | a is a
 member of family i }, the transpose of their famasks, standing in for
-the free one-step box.  Checking an axiom on it is one run of the
-bit-sliced membership engine, with gen as the planes and the atoms as
-the lanes.
+the free one-step box; the JSON decoder refuses any other gen table.
+Checking an axiom on it is one run of the bit-sliced membership engine,
+with gen as the planes and the atoms as the lanes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .core import (
     NeighborhoodFrame,
     _set_lanes,
     check_width,
-    family_from_famask,
+    frame_from_key,
 )
 from .evaluate import assignment_space, compile_membership, realize_axiom
 from .formulas import Axiom, AxiomSet, free_vars, is_one_step, render
@@ -41,7 +41,7 @@ def complex_algebra(frame: NeighborhoodFrame) -> NeighborhoodAlgebra:
 
 def atom_frame(alg: NeighborhoodAlgebra) -> NeighborhoodFrame:
     check_width(alg.n, PLAIN_OP_CAP, "atom_frame")
-    return NeighborhoodFrame(alg.n, tuple(family_from_famask(fm) for fm in transpose(alg.box, alg.n)))
+    return frame_from_key(alg.n, transpose(alg.box, alg.n))
 
 
 def is_complete_nbhd_hom(h: CompleteHom, dom: NeighborhoodAlgebra, cod: NeighborhoodAlgebra) -> bool:
@@ -129,4 +129,6 @@ def lax_from_json(obj: dict) -> LaxAlgebra:
                 raise InvalidInputError("lax algebra: gen entries must be atom indices")
             bits |= 1 << i
         gen.append(bits)
+    if tuple(gen) != transpose(space.famasks(), 1 << space.n):
+        raise InvalidInputError("lax algebra: gen must be the transpose of members")
     return LaxAlgebra(space, tuple(gen))

@@ -18,7 +18,6 @@ Every finite frame is compact, so the report's "compact" is always true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .bitslice import transpose
 from .classes import _down_closure, _up_closure, family_is_convex
@@ -28,36 +27,62 @@ from .core import (
     FrameMorphism,
     InvalidInputError,
     NeighborhoodFrame,
-    _family_list,
+    _check_key,
+    _check_members_below,
+    _disagreement,
+    _json_famask,
+    _push_forward,
+    _set_lanes,
     check_family,
     check_width,
     family_from_famask,
+    frame_from_key,
     full_mask,
-    is_nbhd_morphism,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneralFrame:
-    n: int
-    nbhd: tuple[Family, ...]
-    admissible: Family
+    """A frame with admissible sets A, held as its key and the famask of A."""
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    n: int
+    _key: tuple[int, ...]
+    _admissible: int
+
+    def __init__(self, n: int, nbhd, admissible: Family) -> None:
+        self._hold(n, tuple(fam.famask() for fam in nbhd), admissible.famask())
+
+    def _hold(self, n: int, key: tuple[int, ...], admissible: int) -> None:
+        if n < 0:
             raise InvalidInputError("general frame: n must be nonnegative")
-        if len(self.nbhd) != self.n:
-            raise InvalidInputError(f"general frame: expected {self.n} neighborhood families")
-        for x, fam in enumerate(self.nbhd):
-            check_family(fam, self.n, f"general frame: N({x})")
-        check_family(self.admissible, self.n, "general frame: A")
+        if len(key) != n:
+            raise InvalidInputError(f"general frame: expected {n} neighborhood families")
+        _check_key(key, n, "general frame")
+        _check_members_below(admissible.bit_length() - 1, n, "general frame: A")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_admissible", admissible)
+
+    @property
+    def nbhd(self) -> tuple[Family, ...]:
+        return tuple(map(family_from_famask, self._key))
+
+    @property
+    def admissible(self) -> Family:
+        return family_from_famask(self._admissible)
+
+
+def _general_frame(n: int, key, admissible: int) -> GeneralFrame:
+    gf = object.__new__(GeneralFrame)
+    gf._hold(n, tuple(key), admissible)
+    return gf
 
 
 def validate_general_frame(gf: GeneralFrame) -> None:
     """Raise unless A is a Boolean subalgebra closed under the frame box."""
     check_width(gf.n, PLAIN_OP_CAP, "general frame")
-    admissible = gf.admissible.famask()
-    members = gf.admissible.members
+    admissible = gf._admissible
+    members = _set_lanes(admissible, 0)
     full = full_mask(gf.n)
     if not admissible & 1 or not admissible >> full & 1:
         raise InvalidInputError("general frame: A must contain the empty and full sets")
@@ -67,25 +92,20 @@ def validate_general_frame(gf: GeneralFrame) -> None:
         for b in members:
             if not admissible >> (a | b) & 1:
                 raise InvalidInputError(f"general frame: A not closed under union at {a}, {b}")
-    box = transpose([fam.famask() for fam in gf.nbhd], 1 << gf.n)
+    box = transpose(gf._key, 1 << gf.n)
     for a in members:
         if not admissible >> box[a] & 1:
             raise InvalidInputError(f"general frame: A not closed under box at {a}")
 
 
 def is_tight(gf: GeneralFrame) -> bool:
-    admissible = gf.admissible.famask()
-    return all(fam.famask() & admissible == fam.famask() for fam in gf.nbhd)
+    return all(famask & gf._admissible == famask for famask in gf._key)
 
 
 def is_differentiated(gf: GeneralFrame) -> bool:
-    for x in range(gf.n):
-        for y in range(gf.n):
-            if x == y:
-                continue
-            if not any(a >> x & 1 and not a >> y & 1 for a in gf.admissible):
-                return False
-    return True
+    """Every point x is told from every other point y by an admissible set."""
+    members = _set_lanes(gf._admissible, 0)
+    return all(any(a >> x & 1 and not a >> y & 1 for a in members) for x in range(gf.n) for y in range(gf.n) if x != y)
 
 
 def general_frame_report(gf: GeneralFrame) -> dict:
@@ -109,13 +129,9 @@ def subalgebra_from_partition(blocks: list[int], n: int) -> Family:
         seen |= block
     if seen != full:
         raise InvalidInputError("partition: blocks must cover the ground set")
-    unions = set()
-    for r in range(len(blocks) + 1):
-        for combo in combinations(blocks, r):
-            u = 0
-            for block in combo:
-                u |= block
-            unions.add(u)
+    unions = [0]
+    for block in blocks:
+        unions += [u | block for u in unions]
     return Family.of(unions)
 
 
@@ -152,22 +168,22 @@ def _require_tight(gf: GeneralFrame, what: str) -> None:
         raise InvalidInputError(f"{what}: general frame is not tight")
 
 
-def _extend(gf: GeneralFrame, sigma: bool) -> list[int]:
+def _extend(gf: GeneralFrame, sigma: bool) -> tuple[int, ...]:
     """Famask of the sigma (or pi) extension of each N(x), read from its
     admissible trace.  An admissible interval [c, d] spans the subsets
     between c and d: e enters N^sigma when an interval around it has all
     its admissible members in the trace, and leaves N^pi when one has
     none of them there."""
-    admissible = gf.admissible.famask()
-    members = gf.admissible.members
+    admissible = gf._admissible
+    members = _set_lanes(admissible, 0)
     downs = [_down_closure(1 << d, gf.n) for d in members]
     spans = []
     for c in members:
         up = _up_closure(1 << c, gf.n)
         spans += [(up & down, up & down & admissible) for d, down in zip(members, downs) if c & d == c]
     out = []
-    for fam in gf.nbhd:
-        trace = fam.famask() & admissible
+    for famask in gf._key:
+        trace = famask & admissible
         # The admissible sets an interval's admissible members must avoid.
         avoid = admissible ^ trace if sigma else trace
         filled = 0
@@ -175,34 +191,33 @@ def _extend(gf: GeneralFrame, sigma: bool) -> list[int]:
             if not inside & avoid:
                 filled |= span
         out.append(filled if sigma else full_mask(1 << gf.n) ^ filled)
-    return out
+    return tuple(out)
 
 
 def sigma_extend(gf: GeneralFrame) -> NeighborhoodFrame:
     """Largest frame whose admissible trace is N, filled by interval evidence."""
     _require_tight(gf, "sigma_extend")
-    return NeighborhoodFrame(gf.n, tuple(map(family_from_famask, _extend(gf, True))))
+    return frame_from_key(gf.n, _extend(gf, True))
 
 
 def pi_extend(gf: GeneralFrame) -> NeighborhoodFrame:
     _require_tight(gf, "pi_extend")
-    return NeighborhoodFrame(gf.n, tuple(map(family_from_famask, _extend(gf, False))))
+    return frame_from_key(gf.n, _extend(gf, False))
 
 
 def complement_within_admissible(gf: GeneralFrame) -> GeneralFrame:
     """Swap each N(x) for its complement inside A, keeping A."""
     _require_tight(gf, "complement_within_admissible")
-    admissible = gf.admissible.famask()
-    families = tuple(family_from_famask(admissible & ~fam.famask()) for fam in gf.nbhd)
-    return GeneralFrame(gf.n, families, gf.admissible)
+    admissible = gf._admissible
+    return _general_frame(gf.n, [admissible & ~famask for famask in gf._key], admissible)
 
 
 def truncate(frame: NeighborhoodFrame, admissible: Family) -> GeneralFrame:
     """Restrict every family to its admissible members; errors when the
     result is not a valid general frame."""
     check_family(admissible, frame.n, "truncate: A")
-    families = tuple(family_from_famask(fam.famask() & admissible.famask()) for fam in frame.nbhd)
-    gf = GeneralFrame(frame.n, families, admissible)
+    famask = admissible.famask()
+    gf = _general_frame(frame.n, [trace & famask for trace in frame.key()], famask)
     validate_general_frame(gf)
     return gf
 
@@ -210,30 +225,27 @@ def truncate(frame: NeighborhoodFrame, admissible: Family) -> GeneralFrame:
 def is_sigma_descriptive(gf: GeneralFrame) -> bool:
     """Membership everywhere coincides with sigma interval evidence."""
     validate_general_frame(gf)
-    return _extend(gf, True) == [fam.famask() for fam in gf.nbhd]
+    return _extend(gf, True) == gf._key
 
 
 def is_pi_descriptive(gf: GeneralFrame) -> bool:
     validate_general_frame(gf)
-    return _extend(gf, False) == [fam.famask() for fam in gf.nbhd]
+    return _extend(gf, False) == gf._key
 
 
 def check_general_morphism(f: FrameMorphism, dom: GeneralFrame, cod: GeneralFrame) -> None:
     """Raise with a witness unless f is a general-frame morphism: admissible
     preimages are admissible and the membership biconditional holds over
-    the codomain's admissible sets."""
+    the codomain's admissible sets, each read off the push-forward F(f)."""
     if f.n_dom != dom.n or f.n_cod != cod.n:
         raise InvalidInputError("general morphism: sizes disagree")
-    cod_admissible = cod.admissible.members
-    for a_cod in cod_admissible:
-        if f.preimage(a_cod) not in dom.admissible:
-            raise InvalidInputError(f"general morphism: preimage of admissible {a_cod} is not admissible")
-    for x in range(dom.n):
-        target = cod.nbhd[f.map[x]]
-        source = dom.nbhd[x]
-        for a_cod in cod_admissible:
-            if (a_cod in target) != (f.preimage(a_cod) in source):
-                raise InvalidInputError(f"general morphism: membership disagrees at point {x}, admissible {a_cod}")
+    lost = cod._admissible & ~_push_forward(f)(dom._admissible)
+    if lost:
+        a_cod = (lost & -lost).bit_length() - 1
+        raise InvalidInputError(f"general morphism: preimage of admissible {a_cod} is not admissible")
+    witness = _disagreement(f, dom._key, cod._key, cod._admissible)
+    if witness is not None:
+        raise InvalidInputError(f"general morphism: membership disagrees at point {witness[0]}, admissible {witness[1]}")
 
 
 def sigma_morphism_transfer(f: FrameMorphism, dom: GeneralFrame, cod: GeneralFrame) -> dict:
@@ -253,26 +265,17 @@ def sigma_morphism_transfer(f: FrameMorphism, dom: GeneralFrame, cod: GeneralFra
     check_general_morphism(f, dom, cod)
     dom_sigma = sigma_extend(dom)
     cod_sigma = sigma_extend(cod)
-    ok = is_nbhd_morphism(f, dom_sigma, cod_sigma)
-    witness = None
-    if not ok:
-        for x in range(dom.n):
-            for a_cod in range(1 << cod.n):
-                if (a_cod in cod_sigma.nbhd[f.map[x]]) != (f.preimage(a_cod) in dom_sigma.nbhd[x]):
-                    witness = {"x": x, "a_cod": a_cod}
-                    break
-            if witness:
-                break
+    witness = _disagreement(f, dom_sigma.key(), cod_sigma.key(), full_mask(1 << cod.n))
     return {
-        "is_morphism": ok,
-        "dom_convex": all(family_is_convex(fam, dom.n) for fam in dom_sigma.nbhd),
-        "cod_convex": all(family_is_convex(fam, cod.n) for fam in cod_sigma.nbhd),
-        "witness": witness,
+        "is_morphism": witness is None,
+        "dom_convex": all(family_is_convex(famask, dom.n) for famask in dom_sigma.key()),
+        "cod_convex": all(family_is_convex(famask, cod.n) for famask in cod_sigma.key()),
+        "witness": None if witness is None else {"x": witness[0], "a_cod": witness[1]},
     }
 
 
 def general_frame_to_json(gf: GeneralFrame) -> dict:
-    return {"n": gf.n, "N": [list(fam) for fam in gf.nbhd], "A": list(gf.admissible)}
+    return {"n": gf.n, "N": [_set_lanes(famask, 0) for famask in gf._key], "A": _set_lanes(gf._admissible, 0)}
 
 
 def general_frame_from_json(obj: dict) -> GeneralFrame:
@@ -281,5 +284,5 @@ def general_frame_from_json(obj: dict) -> GeneralFrame:
     if not isinstance(obj["n"], int) or not isinstance(obj["N"], list):
         raise InvalidInputError("general frame: n must be an int and N a list")
     n = obj["n"]
-    families = tuple(_family_list(raw, n, f"general frame: N({x})") for x, raw in enumerate(obj["N"]))
-    return GeneralFrame(n, families, _family_list(obj["A"], n, "general frame: A"))
+    key = [_json_famask(raw, n, f"general frame: N({x})") for x, raw in enumerate(obj["N"])]
+    return _general_frame(n, key, _json_famask(obj["A"], n, "general frame: A"))

@@ -41,13 +41,13 @@ from .core import (
     CANONICAL_CAP,
     EXHAUSTIVE_FRAMES_CAP,
     SEARCH_MAX_N_CAP,
-    Family,
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
+    _set_lanes,
     box_n,
     check_width,
-    family_from_famask,
+    frame_from_key,
     frame_to_json,
     full_mask,
 )
@@ -90,23 +90,17 @@ def relabel_frame(frame: NeighborhoodFrame, perm: tuple[int, ...]) -> Neighborho
     """Rename point x to perm[x], inside every subset mask as well."""
     if sorted(perm) != list(range(frame.n)):
         raise InvalidInputError(f"relabel_frame: {perm!r} is not a permutation of 0..{frame.n - 1}")
-    families: list[Family | None] = [None] * frame.n
-    for x in range(frame.n):
-        families[perm[x]] = Family.of(apply_perm_mask(a, perm) for a in frame.nbhd[x])
-    return NeighborhoodFrame(frame.n, tuple(families))
+    key = [0] * frame.n
+    for x, famask in enumerate(frame.key()):
+        for a in _set_lanes(famask, 0):
+            key[perm[x]] |= 1 << apply_perm_mask(a, perm)
+    return frame_from_key(frame.n, key)
 
 
 def canonical_form(frame: NeighborhoodFrame) -> NeighborhoodFrame:
     """Least relabeling of the frame, by the per-point famask key."""
     check_width(frame.n, CANONICAL_CAP, "canonical_form")
-    best = frame
-    best_key = frame.key()
-    for perm in permutations(range(frame.n)):
-        cand = relabel_frame(frame, perm)
-        key = cand.key()
-        if key < best_key:
-            best, best_key = cand, key
-    return best
+    return min((relabel_frame(frame, perm) for perm in permutations(range(frame.n))), key=NeighborhoodFrame.key)
 
 
 def _compile_constraints(n: int, constraints: tuple[str, ...]):
@@ -128,15 +122,11 @@ def _compile_constraints(n: int, constraints: tuple[str, ...]):
         base = enumerate_bax(n, axiom_set_from_specs(axiom_specs, n), strategy="filter").famasks()
     else:
         base = range(1 << (1 << n))
-    shared = [fm for fm in base if all(test(family_from_famask(fm), n) for test in tests)]
+    shared = [fm for fm in base if all(test(fm, n) for test in tests)]
     if not centered:
         return [shared] * n, iv
     # Centered at x: every member holds x, i.e. the famask lies in plane x.
     return [[fm for fm in shared if fm & plane == fm] for plane in _index_planes(n)], iv
-
-
-def _assemble(n: int, key: tuple[int, ...]) -> NeighborhoodFrame:
-    return NeighborhoodFrame(n, tuple(family_from_famask(fm) for fm in key))
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +155,7 @@ def _perm_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], 
 
 def _is_canonical_key(n: int, key: tuple[int, ...]) -> bool:
     """Whether no relabeling gives a lower key, i.e. whether
-    canonical_form(_assemble(n, key)).key() == key, decided on the key
+    canonical_form(frame_from_key(n, key)).key() == key, decided on the key
     alone.  Each permutation stops at the first slot that differs."""
     for inverse, tables in _perm_tables(n):
         for j, x in enumerate(inverse):
@@ -295,7 +285,7 @@ def enumerate_frames(n: int, constraints=(), canonical: bool = False, workers: i
         keys = chain.from_iterable(_pool_map(_keys_task, n, cands, (iv, canonical), workers))
     else:
         keys = (key for key, _ in _in_class(n, cands, iv, canonical, False))
-    return (_assemble(n, key) for key in keys)
+    return (frame_from_key(n, key) for key in keys)
 
 
 def count_frames(n: int, constraints=(), canonical: bool = False, workers: int = 1) -> int:
@@ -314,7 +304,7 @@ def _verify_hit(frame: NeighborhoodFrame, target, mode: str, env: dict[str, int]
         raise AssertionError("search: witness is not its canonical form")
     kind, payload = target
     if kind == "predicate":
-        ok = all(payload(fam.famask(), frame.n) for fam in frame.nbhd)
+        ok = all(payload(famask, frame.n) for famask in frame.key())
         expect = mode == "find_validating"
         if ok != expect:
             raise AssertionError("search: predicate witness failed re-verification")
@@ -348,7 +338,7 @@ def find_countermodel(spec: SearchSpec, workers: int = 1) -> dict:
             continue
         if hit is not None:
             pos, key, env = hit
-            frame = _assemble(n, key)
+            frame = frame_from_key(n, key)
             _verify_hit(frame, compile_target(spec.target, n), spec.mode, env)
             return {
                 "found": True,

@@ -260,3 +260,32 @@ def pi_member_sets(e_set, trace, admissible):
             if not any(a in trace for a in admissible if c <= a <= d):
                 return False
     return True
+
+
+def preimage_set(fmap, a_set):
+    """Points x whose image fmap[x] lies in a_set."""
+    return frozenset(x for x, y in enumerate(fmap) if y in a_set)
+
+
+def morphism_failures(fmap, dom, cod, codomain_sets):
+    """Every (x, a') where a' in N'(f(x)) and f^-1[a'] in N(x) disagree,
+    x ascending and then a' by its mask; dom and cod list each point's
+    family as a set of frozensets, and a' ranges over codomain_sets."""
+    ordered = sorted(codomain_sets, key=set_to_mask)
+    for x, y in enumerate(fmap):
+        for a in ordered:
+            if (a in cod[y]) != (preimage_set(fmap, a) in dom[x]):
+                yield x, a
+
+
+def general_morphism_failure(fmap, dom, dom_admissible, cod, cod_admissible):
+    """The first failure of a general-frame morphism, or None:
+    ('admissible', a') when an admissible a' has an inadmissible preimage,
+    else ('membership', x, a') for the first disagreement over the
+    codomain's admissible sets."""
+    for a in sorted(cod_admissible, key=set_to_mask):
+        if preimage_set(fmap, a) not in dom_admissible:
+            return "admissible", a
+    for x, a in morphism_failures(fmap, dom, cod, cod_admissible):
+        return "membership", x, a
+    return None

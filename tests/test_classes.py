@@ -11,13 +11,13 @@ from nbhd.classes import (
     ClassTag,
     algebra_class_check,
     correspondence_check,
-    family_complement,
     family_is_contingency,
     family_is_convex,
     family_is_filter,
     family_is_kappa_complete,
     family_is_up_closed,
     frame_class_check,
+    frame_tag_parts,
     iv_holds,
     parse_class_tag,
 )
@@ -52,10 +52,11 @@ def test_family_predicates_match_oracles():
     for n in range(4):
         for fam in families(n):
             sets = as_sets(fam)
-            assert family_is_up_closed(fam, n) == oracles.is_up_closed(sets, n)
-            assert family_is_convex(fam, n) == oracles.is_convex(sets, n)
-            assert family_is_filter(fam, n) == oracles.is_filter_family(sets, n)
-            assert family_is_contingency(fam, n) == oracles.is_contingency_family(sets, n)
+            famask = fam.famask()
+            assert family_is_up_closed(famask, n) == oracles.is_up_closed(sets, n)
+            assert family_is_convex(famask, n) == oracles.is_convex(sets, n)
+            assert family_is_filter(famask, n) == oracles.is_filter_family(sets, n)
+            assert family_is_contingency(famask, n) == oracles.is_contingency_family(sets, n)
 
 
 def test_kappa_complete_matches_oracle_and_collapses():
@@ -63,23 +64,16 @@ def test_kappa_complete_matches_oracle_and_collapses():
         for fam in families(n):
             sets = as_sets(fam)
             results = {
-                k: family_is_kappa_complete(fam, n, k) for k in (1, 2, 3, 4, 17)
+                k: family_is_kappa_complete(fam.famask(), n, k) for k in (1, 2, 3, 4, 17)
             }
             for k in (1, 2, 3, 4):
                 assert results[k] == oracles.is_kappa_complete_family(sets, n, k)
             # Meets of size zero and two decide everything on a finite carrier.
             assert results[1] == results[2]
             assert results[3] == results[4] == results[17]
-            assert results[3] == family_is_filter(fam, n)
+            assert results[3] == family_is_filter(fam.famask(), n)
     with pytest.raises(InvalidInputError):
-        family_is_kappa_complete(Family(()), 1, 0)
-
-
-def test_family_complement_examples_and_involution():
-    assert family_complement(Family((0, 3)), 2) == Family((1, 2))
-    assert family_complement(Family(()), 1) == Family((0, 1))
-    for fam in families(2):
-        assert family_complement(family_complement(fam, 2), 2) == fam
+        family_is_kappa_complete(0, 1, 0)
 
 
 def test_parse_class_tag():
@@ -292,11 +286,12 @@ def test_tag_errors():
         algebra_class_check(NeighborhoodAlgebra(1, (0, 0)), ClassTag("monotone"))
     # Planes and masks over 40 points take 2^40 bits: refused at once.
     # (family_is_filter answers False first: no family holds the full set.)
-    fam = Family((1,))
-    assert not family_is_filter(fam, 40)
-    tests = (family_is_up_closed, family_is_convex, family_is_contingency, family_complement)
-    for test in tests + (lambda fam, n: family_is_kappa_complete(fam, n, 3),):
+    famask = Family((1,)).famask()
+    assert not family_is_filter(famask, 40)
+    tests = (family_is_up_closed, family_is_convex, family_is_contingency)
+    tests += frame_tag_parts(ClassTag("coconvex"))[0] + frame_tag_parts(ClassTag("kappa", 3))[0]
+    for test in tests:
         with pytest.raises(CapExceededError):
-            test(fam, 40)
+            test(famask, 40)
     with pytest.raises(CapExceededError):
         frame_class_check(NeighborhoodFrame(40, (Family(()),) * 40), ClassTag("iv"))

@@ -172,6 +172,26 @@ def test_lax_build_and_check(capsys, tmp_path):
     assert code == 0 and report == {"ok": True, "axioms": {"C": True}}
 
 
+def test_lax_check_refuses_a_gen_that_is_not_the_transpose(capsys, tmp_path):
+    # lax build writes the transpose of the members; lax check accepts it
+    # for every fixed one-step registry axiom at n <= 2.
+    for axiom in ("@M", "@C", "@N", "@Cont", "@Conv", "@CoConv"):
+        for n in range(3):
+            code, out = jout(capsys, "lax", "build", "--n", str(n), "--axioms", axiom)
+            assert code == 0
+            code, report = jout(capsys, "lax", "check", "--lax", write(tmp_path, "lax.json", out))
+            assert code == 0 and report == {"ok": True, "axioms": {axiom[1:]: True}}, (axiom, n)
+    # For these members lax build writes "gen":[[2],[1,2]]; this gen
+    # describes three copies of {0, 1} instead.
+    lax = write(tmp_path, "lax.json", {"n": 1, "axioms": ["@M"], "members": [[], [1], [0, 1]], "gen": [[0, 1, 2], [0, 1, 2]]})
+    code, out, err = run(capsys, "lax", "check", "--lax", lax)
+    assert code == 2 and out == "" and "gen must be the transpose of members" in err
+    # Entries may list atoms in any order, as before.
+    lax = write(tmp_path, "lax.json", {"n": 1, "axioms": ["@M"], "members": [[], [1], [0, 1]], "gen": [[2], [2, 1, 2]]})
+    code, report = jout(capsys, "lax", "check", "--lax", lax)
+    assert code == 0 and report == {"ok": True, "axioms": {"M": True}}
+
+
 def test_lax_check_refuses_unordered_members(capsys, tmp_path):
     # gen is consistent with the members as listed; only their order is at fault.
     for members in ([[2, 3], [3], [1, 3], [0, 1, 2, 3], []], [[1], [1]]):
@@ -233,12 +253,15 @@ def test_class_check_and_correspond(capsys, tmp_path):
     capsys.readouterr()
     # A famask over 40 points would take 2^40 bits: every frame tag stops
     # at the width check, before any plane is built.
-    wide = write(tmp_path, "wide.json", {"n": 40, "N": [[]] * 40})
+    # Small members fit a famask at any n, so such a frame decodes first.
+    empty = write(tmp_path, "wide.json", {"n": 40, "N": [[]] * 40})
+    small = write(tmp_path, "small.json", {"n": 40, "N": [[x, 1 << (x % 16)] for x in range(40)]})
     tracemalloc.start()
     try:
-        for tag in ("monotone", "convex", "coconvex", "contingency", "filter", "kappa:2", "centered", "iv", "topological"):
-            code, _, err = run(capsys, "class", "check", "--frame", wide, "--tag", tag)
-            assert code == 3 and "n=40 exceeds cap 16" in err
+        for wide in (empty, small):
+            for tag in ("monotone", "convex", "coconvex", "contingency", "filter", "kappa:2", "centered", "iv", "topological"):
+                code, _, err = run(capsys, "class", "check", "--frame", wide, "--tag", tag)
+                assert code == 3 and "n=40 exceeds cap 16" in err
         assert tracemalloc.get_traced_memory()[1] < 16 << 20
     finally:
         tracemalloc.stop()

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,7 @@ from nbhd.core import (
     effective_cap,
     family_from_famask,
     frame_from_json,
+    frame_from_key,
     frame_to_json,
     from_relation,
     full_mask,
@@ -31,7 +33,10 @@ from nbhd.core import (
     up_cone,
 )
 from nbhd.core import CompleteHom
+from nbhd.genframe import GeneralFrame, general_frame_from_json
 
+from conftest import given, st
+import oracles
 from oracles import kripke_box, mask_to_set
 
 
@@ -44,6 +49,64 @@ def all_frames(n):
             famasks.append(rest % total)
             rest //= total
         yield NeighborhoodFrame(n, tuple(family_from_famask(fm) for fm in famasks))
+
+
+def assert_same_frame(n, key):
+    """frame_from_key and the constructor give the same frame, seen through
+    every accessor."""
+    built = NeighborhoodFrame(n, tuple(family_from_famask(fm) for fm in key))
+    frame = frame_from_key(n, key)
+    assert frame == built and hash(frame) == hash(built)
+    assert frame.key() == built.key() == tuple(key)
+    assert frame.nbhd == built.nbhd == tuple(Family(tuple(a for a in range(fm.bit_length()) if fm >> a & 1)) for fm in key)
+    assert repr(frame) == repr(built)
+    assert frame_to_json(frame) == frame_to_json(built) == {"n": n, "N": [list(fam.members) for fam in built.nbhd]}
+
+
+def test_frame_from_key_matches_the_constructor_on_every_small_frame():
+    for n in range(3):
+        for frame in all_frames(n):
+            assert_same_frame(n, frame.key())
+
+
+@given(st.integers(3, 4), st.data())
+def test_property_frame_from_key_matches_the_constructor(n, data):
+    assert_same_frame(n, tuple(data.draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=n, max_size=n))))
+
+
+def test_frame_checks_name_the_first_bad_point():
+    # Point 2 holds member 9, which needs four points; the key check finds
+    # it with one shift and the scan names it.  N(0) holds every valid
+    # member, so a check of the first famask alone would pass.
+    families = [[0, 1, 2, 3, 4, 5, 6, 7], [1], [2, 9]]
+    key = tuple(sum(1 << a for a in fam) for fam in families)
+    message = "N\\(2\\): member 9 is not a subset mask for n=3"
+    with pytest.raises(InvalidInputError, match="^frame: " + message):
+        NeighborhoodFrame(3, tuple(Family(tuple(fam)) for fam in families))
+    with pytest.raises(InvalidInputError, match="^frame: " + message):
+        frame_from_key(3, key)
+    with pytest.raises(InvalidInputError, match="^frame: " + message):
+        frame_from_json({"n": 3, "N": families})
+    with pytest.raises(InvalidInputError, match="^general frame: " + message):
+        general_frame_from_json({"n": 3, "N": families, "A": [0, 7]})
+    with pytest.raises(InvalidInputError, match="^general frame: " + message):
+        GeneralFrame(3, tuple(Family(tuple(fam)) for fam in families), Family((0, 7)))
+    # With two bad points the first is named, although the second holds
+    # the larger member.
+    with pytest.raises(InvalidInputError, match="N\\(1\\): member 8 is not"):
+        frame_from_key(3, (1, 1 << 8, 1 << 9))
+    with pytest.raises(InvalidInputError, match="general frame: A: member 8 is not"):
+        GeneralFrame(3, (Family(()),) * 3, Family((0, 8)))
+
+
+def test_wide_frames_with_small_members_construct():
+    # Members below 2^16 fit a famask whatever n is; the frame classes
+    # refuse such a frame later, at their width check.
+    families = tuple(Family.of((x, 1 << (x % 16))) for x in range(40))
+    frame = NeighborhoodFrame(40, families)
+    assert frame == frame_from_key(40, [fam.famask() for fam in families])
+    assert frame_from_json(frame_to_json(frame)) == frame
+    assert frame.nbhd == families
 
 
 def test_family_is_ordered_and_round_trips():
@@ -149,12 +212,10 @@ def test_from_relation_box_matches_direct_oracle():
                 assert box_n(frame, a) == want
 
 
-def test_morphism_preimage_image():
+def test_morphism_preimage():
     f = FrameMorphism(3, 2, (0, 0, 1))
     assert f.preimage(0b01) == 0b011
     assert f.preimage(0b10) == 0b100
-    assert f.image(0b011) == 0b01
-    assert f.image(0b110) == 0b11
 
 
 def test_is_nbhd_morphism_biconditional():
@@ -167,6 +228,23 @@ def test_is_nbhd_morphism_biconditional():
     assert not is_nbhd_morphism(f, bad_dom, cod)
     with pytest.raises(InvalidInputError):
         is_nbhd_morphism(f, dom, NeighborhoodFrame(2, (Family(()), Family(()))))
+
+
+def test_is_nbhd_morphism_matches_set_oracle():
+    # Every map and every frame pair with n_dom, n_cod <= 2: 265,493 triples.
+    frames = {n: list(all_frames(n)) for n in range(3)}
+    sets = {n: [[oracles.family_to_sets(fam.members) for fam in frame.nbhd] for frame in frames[n]] for n in range(3)}
+    morphisms = 0
+    for n_dom, n_cod in product(range(3), repeat=2):
+        universe = oracles.subsets(range(n_cod))
+        for fmap in product(range(n_cod), repeat=n_dom):
+            f = FrameMorphism(n_dom, n_cod, fmap)
+            for dom, dom_sets in zip(frames[n_dom], sets[n_dom]):
+                for cod, cod_sets in zip(frames[n_cod], sets[n_cod]):
+                    want = next(oracles.morphism_failures(fmap, dom_sets, cod_sets, universe), None) is None
+                    assert is_nbhd_morphism(f, dom, cod) == want, (fmap, dom, cod)
+                    morphisms += want
+    assert 0 < morphisms
 
 
 def test_identity_and_constant_morphisms_exhaustive_n2():

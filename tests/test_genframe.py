@@ -296,6 +296,50 @@ def test_check_general_morphism():
         check_general_morphism(FrameMorphism(1, 1, (0,)), gf2(A03), gf2(A03))
 
 
+def expect_general_morphism(f, dom, cod):
+    """check_general_morphism raises the set oracle's first failure, in
+    its own words, or nothing when the oracle finds none."""
+    def sets(gf):
+        return [oracles.family_to_sets(fam.members) for fam in gf.nbhd], oracles.family_to_sets(gf.admissible.members)
+
+    (dom_sets, dom_adm), (cod_sets, cod_adm) = sets(dom), sets(cod)
+    failure = oracles.general_morphism_failure(f.map, dom_sets, dom_adm, cod_sets, cod_adm)
+    if failure is None:
+        check_general_morphism(f, dom, cod)
+    elif failure[0] == "admissible":
+        message = f"general morphism: preimage of admissible {oracles.set_to_mask(failure[1])} is not admissible"
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            check_general_morphism(f, dom, cod)
+    else:
+        message = f"general morphism: membership disagrees at point {failure[1]}, admissible {oracles.set_to_mask(failure[2])}"
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            check_general_morphism(f, dom, cod)
+    return failure and failure[0]
+
+
+def test_check_general_morphism_matches_set_oracle():
+    ident = FrameMorphism(2, 2, (0, 1))
+    cases = [
+        (ident, gf2(A03), gf2(A03)),
+        (ident, gf2(A03), gf2(Family((1, 3)), Family((0,)), admissible=FULL2)),
+        (ident, gf2(A03), gf2(Family((0,)))),
+    ]
+    # General frames with n <= 2, valid or not: any A, any N(x).
+    rng = random.Random(41)
+    for _ in range(3000):
+        n_dom, n_cod = rng.randrange(3), rng.randrange(1, 3)
+        gfs = [
+            GeneralFrame(n, tuple(family_from_famask(rng.getrandbits(1 << n)) for _ in range(n)), family_from_famask(rng.getrandbits(1 << n)))
+            for n in (n_dom, n_cod)
+        ]
+        cases.append((FrameMorphism(n_dom, n_cod, tuple(rng.randrange(n_cod) for _ in range(n_dom))), *gfs))
+    # Passing cases: an identity map on one general frame.
+    cases += [(FrameMorphism(2, 2, (0, 1)), gf, gf) for gf in rng.sample(list(valid_tight_gfs(2)), 50)]
+    outcomes = [expect_general_morphism(*case) for case in cases]
+    assert outcomes[:3] == [None, "admissible", "membership"]
+    assert {None, "admissible", "membership"} <= set(outcomes[3:])
+
+
 def test_sigma_morphism_transfer_reports():
     ident = FrameMorphism(2, 2, (0, 1))
     report = sigma_morphism_transfer(ident, gf2(A03), gf2(A03))
@@ -330,6 +374,11 @@ def test_sigma_morphism_transfer_convex_guarantee_on_full_morphisms():
                     except InvalidInputError:
                         continue
                     report = sigma_morphism_transfer(f, dom, cod)
+                    # The witness is the set oracle's first failure on the extensions.
+                    dom_sigma, cod_sigma = ([oracles.family_to_sets(fam.members) for fam in sigma_extend(gf).nbhd] for gf in (dom, cod))
+                    first = next(oracles.morphism_failures(fmap, dom_sigma, cod_sigma, oracles.subsets(range(2))), None)
+                    assert report["is_morphism"] == (first is None)
+                    assert report["witness"] == (first and {"x": first[0], "a_cod": oracles.set_to_mask(first[1])})
                     strong = is_nbhd_morphism(
                         f, NeighborhoodFrame(2, dom.nbhd), NeighborhoodFrame(2, cod.nbhd)
                     )

@@ -13,10 +13,12 @@ from nbhd.core import (
     InvalidInputError,
     NeighborhoodFrame,
     family_from_famask,
+    frame_from_key,
 )
 from nbhd.duality import complex_algebra
 from nbhd.evaluate import find_refuting_assignment
-from nbhd.formulas import parse
+from nbhd.bax import enumerate_bax
+from nbhd.formulas import axiom_set_from_specs, parse
 from nbhd.search import (
     MODES,
     SearchSpec,
@@ -85,7 +87,7 @@ def frame_keys(draw, widths):
 
 
 def definitionally_canonical(n, key):
-    return canonical_form(search._assemble(n, key)).key() == key
+    return canonical_form(frame_from_key(n, key)).key() == key
 
 
 def test_canonical_key_test_exhaustive_small():
@@ -101,7 +103,7 @@ def test_canonical_key_test_exhaustive_small():
 @given(frame_keys(st.integers(3, 4)))
 def test_property_canonical_key_test(case):
     n, key = case
-    canon = canonical_form(search._assemble(n, key)).key()
+    canon = canonical_form(frame_from_key(n, key)).key()
     assert search._is_canonical_key(n, key) == (canon == key)
     assert search._is_canonical_key(n, canon)
 
@@ -109,7 +111,7 @@ def test_property_canonical_key_test(case):
 @given(frame_keys(st.integers(0, 4)), st.data())
 def test_property_canonical_form_invariant_under_relabeling(case, data):
     n, key = case
-    frame = search._assemble(n, key)
+    frame = frame_from_key(n, key)
     perm = tuple(data.draw(st.permutations(range(n))))
     assert canonical_form(relabel_frame(frame, perm)) == canonical_form(frame)
 
@@ -185,6 +187,32 @@ def test_constraint_semantics_against_direct_check():
     # An axiom constraint prunes per point exactly like its family class.
     assert count_frames(2, ("@M",)) == count_frames(2, ("monotone",)) == 36
     assert count_frames(2, ("@M", "contingency")) == count_frames(2, ("monotone", "contingency"))
+
+
+# The per-family frame classes and the one-step axiom sets that present them.
+ONE_STEP_CLASSES = {
+    "monotone": ["@M"],
+    "convex": ["@Conv"],
+    "coconvex": ["@CoConv"],
+    "contingency": ["@Cont"],
+    "filter": ["@M", "@C", "@N"],
+    "kappa:1": ["@M", "@N"],
+    "kappa:2": ["@M", "@N"],
+    "kappa:3": ["@M", "@C", "@N"],
+    "kappa:4": ["@M", "@C", "@N"],
+}
+
+
+def test_family_classes_are_presented_by_one_step_axioms():
+    # A tag's candidates are exactly the families of its axiom set.  n = 0
+    # has no point, so no candidate list to compare.
+    cases = [(n, tag) for n in (1, 2, 3) for tag in ONE_STEP_CLASSES]
+    cases += [(4, tag) for tag in ("monotone", "contingency", "filter", "kappa:2")]
+    for n, tag in cases:
+        cands, iv = search._compile_constraints(n, (tag,))
+        specs = ONE_STEP_CLASSES[tag]
+        space = enumerate_bax(n, axiom_set_from_specs(specs, n), strategy="filter")
+        assert not iv and cands == [list(space.famasks())] * n, (n, tag)
 
 
 def test_compile_target_shapes():
