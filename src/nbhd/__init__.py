@@ -1,8 +1,10 @@
 """Finite neighborhood frames, their Boolean algebras with an operator,
 and the constructions between them: evaluation, closed-family spaces,
 dualities, general frames with sigma/pi extensions, class checks, and
-countermodel search.  Subsets of an n-point carrier are int bitmasks;
-families of subsets are Family values ordered by their famask."""
+countermodel search.  Subsets of an n-point carrier are int bitmasks,
+and a family of subsets is its famask: the int whose bit a is set when
+mask a is a member (`famask_of` packs one, `famask_members` decodes
+one).  A frame is its key, the tuple of its points' famasks."""
 
 from .bax import (
     BaxSpace,
@@ -24,7 +26,6 @@ from .classes import (
 from .core import (
     CapExceededError,
     CompleteHom,
-    Family,
     FrameMorphism,
     InvalidInputError,
     NbhdError,
@@ -35,9 +36,9 @@ from .core import (
     algebra_to_json,
     box_n,
     complement_frame,
-    family_from_famask,
+    famask_members,
+    famask_of,
     frame_from_json,
-    frame_from_key,
     frame_to_json,
     from_relation,
     full_mask,

@@ -5,6 +5,8 @@ of subsets that is a phi-subset for all phi in Ax, in ascending famask
 order so indices are stable atom identifiers.  A point map f acts by
 sending a family W to { a' | preimage of a' lies in W }, which stays
 inside the codomain space; enumerate + act is the finite functor.
+Families are famask ints throughout: a space is a tuple of them, and
+`bax_map`, `index_of` and `principal_iso` take and return them.
 
 Enumeration strategies:
 
@@ -15,6 +17,10 @@ Enumeration strategies:
              when some axiom forces up-closure (@M, @CInf, or a degraded
              @Ck)
   auto       backtrack when sound, otherwise filter
+
+With workers, the filter sweep splits its famask range into contiguous
+chunks on the pool the search uses (core._pool_map) and merges the hits
+in chunk order, so every worker count gives the same space.
 """
 
 from __future__ import annotations
@@ -28,19 +34,18 @@ from .core import (
     ENUM_BACKTRACK_CAP,
     ENUM_FILTER_CAP,
     PLAIN_OP_CAP,
-    Family,
     FrameMorphism,
     InvalidInputError,
+    _check_famask,
     _json_famask,
+    _pool_map,
     _push_forward,
     _set_lanes,
-    check_family,
     check_width,
-    family_from_famask,
     full_mask,
     up_cone,
 )
-from .evaluate import compile_membership, is_ax_subset, realize_axiom
+from .evaluate import _split_axioms, is_ax_subset
 from .formulas import AxiomSet, axiom_set_from_specs, famask_is_principal
 
 
@@ -56,30 +61,11 @@ class BaxSpace:
     def famasks(self) -> tuple[int, ...]:
         return self._famasks
 
-    @property
-    def members(self) -> tuple[Family, ...]:
-        return tuple(map(family_from_famask, self._famasks))
-
-    def index_of(self, fam: Family) -> int:
-        famask = fam.famask()
+    def index_of(self, famask: int) -> int:
         i = bisect_left(self._famasks, famask)
         if i == len(self._famasks) or self._famasks[i] != famask:
             raise InvalidInputError("family is not a member of the space")
         return i
-
-
-def _split_axioms(axs: AxiomSet, n: int):
-    """(axiom, compiled membership program) pairs and residual famask
-    predicates."""
-    programs = []
-    predicates = []
-    for ax in axs:
-        kind, payload = realize_axiom(ax, n)
-        if kind == "formula":
-            programs.append((ax, compile_membership(payload, n)))
-        else:
-            predicates.append(payload)
-    return programs, predicates
 
 
 def _backtrack_sound(axs: AxiomSet) -> bool:
@@ -98,10 +84,10 @@ def _immediate_superset_famasks(n: int) -> tuple[int, ...]:
     return tuple(succ)
 
 
-def _filter_chunk(n: int, axiom_specs: list[str], start: int, stop: int) -> list[int]:
+def _filter_chunk(famasks: range, n: int, axiom_specs: list[str]) -> list[int]:
     axs = axiom_set_from_specs(axiom_specs, n)
     programs, predicates = _split_axioms(axs, n)
-    hits = family_filter(start, stop, [prog for _, prog in programs])
+    hits = family_filter(famasks.start, famasks.stop, [prog for _, prog in programs])
     if predicates:
         hits = [fm for fm in hits if all(pred(fm, n) for pred in predicates)]
     return hits
@@ -122,19 +108,12 @@ def enumerate_bax(n: int, axs: AxiomSet, strategy: str = "auto", workers: int = 
     check_width(n, ENUM_BACKTRACK_CAP if strategy == "backtrack" else ENUM_FILTER_CAP, f"enumerate_bax[{strategy}]")
 
     if strategy == "filter":
-        total = 1 << (1 << n)
+        everything = range(1 << (1 << n))
         specs = axs.specs()
-        if workers > 1 and total >= 1 << 12:
-            import multiprocessing
-
-            chunk_count = workers * 4
-            bounds = [total * i // chunk_count for i in range(chunk_count + 1)]
-            tasks = [(n, specs, bounds[i], bounds[i + 1]) for i in range(chunk_count)]
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                chunks = pool.map(_filter_chunk_task, tasks)
-            famasks = [fm for chunk in chunks for fm in chunk]
+        if workers > 1 and len(everything) >= 1 << 12:
+            famasks = [fm for chunk in _pool_map(_filter_chunk_task, everything, workers, n, specs) for fm in chunk]
         else:
-            famasks = _filter_chunk(n, specs, 0, total)
+            famasks = _filter_chunk(everything, n, specs)
     else:
         programs, predicates = _split_axioms(axs, n)
         # Up-closure is guaranteed by construction; the @M rows would pass
@@ -150,30 +129,29 @@ def enumerate_bax(n: int, axs: AxiomSet, strategy: str = "auto", workers: int = 
     return BaxSpace(n, axs, tuple(famasks))
 
 
-def bax_map(f: FrameMorphism, w: Family, axs: AxiomSet) -> Family:
-    """Image of an Ax-subset along a point map: the push-forward
+def bax_map(f: FrameMorphism, w: int, axs: AxiomSet) -> int:
+    """Image of an Ax-subset famask along a point map: the push-forward
     F(f)(W) = {a' : f^-1[a'] in W}."""
-    check_family(w, f.n_dom, "bax_map")
+    _check_famask(w, f.n_dom, "bax_map")
     if not is_ax_subset(w, axs, f.n_dom):
         raise InvalidInputError("bax_map: family is not an Ax-subset of the domain")
     # The image is built over all 2^n_cod codomain subsets.
     check_width(f.n_cod, PLAIN_OP_CAP, "bax_map")
-    return family_from_famask(_push_forward(f)(w.famask()))
+    return _push_forward(f)(w)
 
 
-def principal_iso(n: int, direction: str, value):
-    """Bijection between principal up-cone families and plain subsets."""
+def principal_iso(n: int, direction: str, value: int) -> int:
+    """Bijection between principal up-cone famasks and plain subsets."""
     check_width(n, PLAIN_OP_CAP, "principal_iso")
     if direction == "from_subset":
         return up_cone(value, n)
     if direction == "to_subset":
-        famask = value.famask()
-        if not famask:
+        if not value:
             raise InvalidInputError("principal_iso: empty family has no generating subset")
-        if not famask_is_principal(famask, n):
+        if not famask_is_principal(value, n):
             raise InvalidInputError("principal_iso: family is not a principal up-cone")
         # The generating subset lies inside every member, so it is the least.
-        return (famask & -famask).bit_length() - 1
+        return (value & -value).bit_length() - 1
     raise InvalidInputError(f"principal_iso: unknown direction {direction!r}")
 
 
@@ -191,14 +169,14 @@ def naturality_check(f: FrameMorphism, axs: AxiomSet, g: FrameMorphism | None = 
     cod_famasks = set(cod.famasks())
     failures = []
     checked = 0
-    for w in dom.members:
+    for w in dom.famasks():
         checked += 1
         image = bax_map(f, w, axs)
-        if image.famask() not in cod_famasks:
-            failures.append({"family": list(w.members), "image": list(image.members)})
+        if image not in cod_famasks:
+            failures.append({"family": _set_lanes(w, 0), "image": _set_lanes(image, 0)})
     if g is not None:
         gf = compose_morphisms(g, f)
-        members = list(dom.members)
+        members = list(dom.famasks())
         if sample is not None and sample < len(members):
             import random
 
@@ -208,7 +186,7 @@ def naturality_check(f: FrameMorphism, axs: AxiomSet, g: FrameMorphism | None = 
             direct = bax_map(gf, w, axs)
             staged = bax_map(g, bax_map(f, w, axs), axs)
             if direct != staged:
-                failures.append({"family": list(w.members), "direct": list(direct.members), "staged": list(staged.members)})
+                failures.append({"family": _set_lanes(w, 0), "direct": _set_lanes(direct, 0), "staged": _set_lanes(staged, 0)})
     return {"functorial": not failures, "checked": checked, "failures": failures}
 
 

@@ -31,10 +31,10 @@ from .core import (
     InvalidInputError,
     NbhdError,
     _json_famask,
+    _set_lanes,
     algebra_from_json,
     algebra_to_json,
     check_width,
-    family_from_famask,
     frame_from_json,
     frame_to_json,
     hom_from_json,
@@ -216,9 +216,9 @@ def cmd_bax_enum(args) -> int:
 def cmd_bax_map(args) -> int:
     f = morphism_from_json(_load_json(args.morphism))
     axs = axiom_set_from_specs(_split_specs(args.axioms))
-    family = family_from_famask(_json_famask(_parse_inline_json(args.family, "--family"), f.n_dom, "--family"))
+    family = _json_famask(_parse_inline_json(args.family, "--family"), f.n_dom, "--family")
     image = bax_map(f, family, axs)
-    _emit({"family": list(image)}, args)
+    _emit({"family": _set_lanes(image, 0)}, args)
     return 0
 
 
@@ -282,7 +282,7 @@ def cmd_gen_complement(args) -> int:
 
 def cmd_gen_truncate(args) -> int:
     frame = frame_from_json(_load_json(args.frame))
-    admissible = family_from_famask(_json_famask(_parse_inline_json(args.admissible, "--admissible"), frame.n, "--admissible"))
+    admissible = _json_famask(_parse_inline_json(args.admissible_json, "--admissible"), frame.n, "--admissible")
     gf = truncate(frame, admissible)
     _emit(general_frame_to_json(gf), args)
     return 0
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_complement)
     p = gen_sub.add_parser("truncate", help="restrict a frame to an admissible subalgebra")
     p.add_argument("--frame", required=True)
-    p.add_argument("--admissible", required=True, help="JSON list of subset masks")
+    p.add_argument("--admissible", dest="admissible_json", required=True, help="JSON list of subset masks")
     p.set_defaults(func=cmd_gen_truncate)
     p = gen_sub.add_parser("descriptive", help="is the frame its own sigma (and pi) extension; exit 0 when sigma holds")
     p.add_argument("--general", required=True)

@@ -2,22 +2,24 @@
 
 A ground set of size n is the points 0..n-1.  A subset is an int in
 [0, 2^n) whose bit i records membership of point i.  A family of subsets
-is held as one "famask" int whose bit a records membership of the
-subset-mask a, i.e. one element of the double powerset; its members are
-decoded, ascending, only when they are listed.  A frame, a coalgebra
-X -> 2^2^X, is held as its key: the famask of each N(x).  A point map f
-is a frame morphism when N'(f(x)) = F(f)(N(x)) at every x, F(f)(W) being
-the push-forward {a' : f^-1[a'] in W}.  A famask takes 2^n bits, so
-families hold subsets of at most PLAIN_OP_CAP points, and the JSON
-decoders range-check members against n before packing them.  Families,
-frames, algebras, relations and morphisms are frozen, so every value in
-the package is immutable and safe to share across worker processes.
+is a "famask": a nonnegative int whose bit a records membership of the
+subset-mask a, i.e. one element of the double powerset.  `famask_of`
+packs masks into one and `famask_members` decodes one, ascending.  A
+frame, a coalgebra X -> 2^2^X, is its key: the famask of each N(x),
+which its one constructor checks.  A point map f is a frame morphism
+when N'(f(x)) = F(f)(N(x)) at every x, F(f)(W) being the push-forward
+{a' : f^-1[a'] in W}.  A famask takes 2^n bits, so families hold subsets
+of at most PLAIN_OP_CAP points, and the JSON decoders range-check
+members against n before packing them.  Famasks are ints and frames,
+algebras, relations and morphisms are frozen, so every value in the
+package is immutable and safe to share across worker processes.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from multiprocessing import get_context
 from typing import Iterable
 
 PLAIN_OP_CAP = 16
@@ -62,6 +64,27 @@ def check_width(n: int, cap: int, what: str) -> None:
         raise CapExceededError(f"{what}: n={n} exceeds cap {limit}")
 
 
+def _chunks(items, parts: int) -> list:
+    """items (a list or a range) cut into at most `parts` contiguous slices."""
+    parts = max(1, min(parts, len(items)))
+    step, extra = divmod(len(items), parts)
+    out = []
+    pos = 0
+    for i in range(parts):
+        width = step + (1 if i < extra else 0)
+        out.append(items[pos : pos + width])
+        pos += width
+    return out
+
+
+def _pool_map(task, items, workers: int, *args) -> list:
+    """task((chunk, *args)) for about four contiguous chunks of items per
+    worker, on a fork pool; results in chunk order, so merging them keeps
+    the serial order."""
+    with get_context("fork").Pool(workers) as pool:
+        return pool.map(task, [(chunk, *args) for chunk in _chunks(items, workers * 4)])
+
+
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -92,11 +115,12 @@ def _set_lanes(mask: int, offset: int) -> list[int]:
     return out
 
 
-def _pack(masks: Iterable[int]) -> int:
-    """Famask of masks, each a subset of at most PLAIN_OP_CAP points."""
+def famask_of(masks: Iterable[int]) -> int:
+    """Famask of masks given in any order, repeats allowed, each a subset of
+    at most PLAIN_OP_CAP points."""
     famask = 0
     for m in masks:
-        if not isinstance(m, int) or m < 0:
+        if type(m) is not int or m < 0:
             raise InvalidInputError(f"family members must be nonnegative ints, got {m!r}")
         if m >> PLAIN_OP_CAP:
             raise CapExceededError(f"family: member {m} needs more than {PLAIN_OP_CAP} points")
@@ -104,55 +128,9 @@ def _pack(masks: Iterable[int]) -> int:
     return famask
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Family:
-    """A set of subset masks, held as its famask: bit a is set exactly when
-    mask a is a member.  `members` and iteration decode it ascending."""
-
-    _famask: int
-
-    def __init__(self, members: tuple[int, ...] = ()) -> None:
-        prev = -1
-        for m in members:
-            if not isinstance(m, int) or m <= prev:
-                raise InvalidInputError(f"family members must be strictly increasing ints, got {members!r}")
-            prev = m
-        object.__setattr__(self, "_famask", _pack(members))
-
-    @staticmethod
-    def of(masks: Iterable[int]) -> "Family":
-        """The family of masks given in any order, repeats allowed."""
-        return family_from_famask(_pack(masks))
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(_set_lanes(self._famask, 0))
-
-    def __contains__(self, mask: int) -> bool:
-        return mask >= 0 and self._famask >> mask & 1 == 1
-
-    def __iter__(self):
-        return iter(_set_lanes(self._famask, 0))
-
-    def __len__(self) -> int:
-        return self._famask.bit_count()
-
-    def __repr__(self) -> str:
-        return f"Family(members={self.members!r})"
-
-    def famask(self) -> int:
-        return self._famask
-
-
-def family_from_famask(famask: int) -> Family:
-    """Wrap a famask as a Family; nothing is decoded or checked."""
-    fam = object.__new__(Family)
-    object.__setattr__(fam, "_famask", famask)
-    return fam
-
-
-def check_family(fam: Family, n: int, what: str = "family") -> None:
-    _check_members_below(fam.famask().bit_length() - 1, n, what)
+def famask_members(famask: int) -> tuple[int, ...]:
+    """The members of a famask, ascending."""
+    return tuple(_set_lanes(famask, 0))
 
 
 def _check_members_below(top: int, n: int, what: str) -> None:
@@ -162,24 +140,31 @@ def _check_members_below(top: int, n: int, what: str) -> None:
         raise InvalidInputError(f"{what}: member {top} is not a subset mask for n={n}")
 
 
+def _check_famask(famask, n: int, what: str) -> None:
+    if type(famask) is not int or famask < 0:
+        raise InvalidInputError(f"{what}: {famask!r} is not a famask")
+    _check_members_below(famask.bit_length() - 1, n, what)
+
+
 def _check_key(key: tuple[int, ...], n: int, what: str) -> None:
-    """The largest famask holds the top member: one shift checks the key, and a scan names x."""
-    if max(key, default=0).bit_length() - 1 >> n > 0:
+    """The entry types, the least famask and the largest, which holds the
+    top member, check the key at once; on a fault a scan names the first
+    bad x."""
+    if key and not (_INT_TYPE.issuperset(map(type, key)) and min(key) >= 0 and max(key).bit_length() - 1 >> n <= 0):
         for x, famask in enumerate(key):
-            _check_members_below(famask.bit_length() - 1, n, f"{what}: N({x})")
+            _check_famask(famask, n, f"{what}: N({x})")
 
 
 @dataclass(frozen=True, init=False)
 class NeighborhoodFrame:
-    """(X, N) with N assigning an arbitrary family of subsets to each point."""
+    """(X, N) with N assigning an arbitrary family of subsets to each point,
+    held as its key: the famask of each N(x)."""
 
     n: int
     _key: tuple[int, ...]
 
-    def __init__(self, n: int, nbhd: Iterable[Family]) -> None:
-        self._hold(n, tuple(fam.famask() for fam in nbhd))
-
-    def _hold(self, n: int, key: tuple[int, ...]) -> None:
+    def __init__(self, n: int, key: Iterable[int]) -> None:
+        key = tuple(key)
         if n < 0:
             raise InvalidInputError("frame: n must be nonnegative")
         if len(key) != n:
@@ -188,20 +173,9 @@ class NeighborhoodFrame:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_key", key)
 
-    @property
-    def nbhd(self) -> tuple[Family, ...]:
-        return tuple(map(family_from_famask, self._key))
-
     def key(self) -> tuple[int, ...]:
         """Total-order key: per-point famasks, compared left to right."""
         return self._key
-
-
-def frame_from_key(n: int, key: Iterable[int]) -> NeighborhoodFrame:
-    """The frame over n points whose key is these famask ints; only their width is checked."""
-    frame = object.__new__(NeighborhoodFrame)
-    frame._hold(n, tuple(key))
-    return frame
 
 
 @dataclass(frozen=True)
@@ -324,22 +298,21 @@ def complement_frame(frame: NeighborhoodFrame) -> NeighborhoodFrame:
     """Swap every family for its complement within the full powerset."""
     check_width(frame.n, PLAIN_OP_CAP, "complement_frame")
     full = full_mask(1 << frame.n)
-    return frame_from_key(frame.n, [famask ^ full for famask in frame.key()])
+    return NeighborhoodFrame(frame.n, [famask ^ full for famask in frame.key()])
 
 
-def up_cone(c: int, n: int) -> Family:
-    """All supersets of c within the n-wide powerset."""
+def up_cone(c: int, n: int) -> int:
+    """Famask of all supersets of c within the n-wide powerset."""
     check_width(n, PLAIN_OP_CAP, "up_cone")
     check_subset(c, n, "up_cone: c")
     rest = full_mask(n) & ~c
-    members = []
+    famask = 0
     t = 0
     while True:
-        members.append(c | t)
+        famask |= 1 << (c | t)
         if t == rest:
-            break
+            return famask
         t = (t - rest) & rest
-    return Family.of(members)
 
 
 def from_relation(rel: Relation) -> NeighborhoodFrame:
@@ -397,7 +370,7 @@ def _json_famask(raw, n: int, what: str) -> int:
     members = _int_list(raw, what)
     if members and n >= 0:
         _check_members_below(max(members), n, what)
-    return _pack(members)
+    return famask_of(members)
 
 
 def frame_to_json(frame: NeighborhoodFrame) -> dict:
@@ -408,7 +381,7 @@ def frame_from_json(obj: dict) -> NeighborhoodFrame:
     _expect_keys(obj, ("n", "N"), "frame")
     if not isinstance(obj["n"], int) or not isinstance(obj["N"], list):
         raise InvalidInputError("frame: n must be an int and N a list")
-    return frame_from_key(obj["n"], [_json_famask(raw, obj["n"], f"frame: N({x})") for x, raw in enumerate(obj["N"])])
+    return NeighborhoodFrame(obj["n"], [_json_famask(raw, obj["n"], f"frame: N({x})") for x, raw in enumerate(obj["N"])])
 
 
 def algebra_to_json(alg: NeighborhoodAlgebra) -> dict:

@@ -28,7 +28,6 @@ from .core import (
     NeighborhoodFrame,
     _set_lanes,
     check_width,
-    frame_from_key,
 )
 from .evaluate import assignment_space, compile_membership, realize_axiom
 from .formulas import Axiom, AxiomSet, free_vars, is_one_step, render
@@ -41,7 +40,7 @@ def complex_algebra(frame: NeighborhoodFrame) -> NeighborhoodAlgebra:
 
 def atom_frame(alg: NeighborhoodAlgebra) -> NeighborhoodFrame:
     check_width(alg.n, PLAIN_OP_CAP, "atom_frame")
-    return frame_from_key(alg.n, transpose(alg.box, alg.n))
+    return NeighborhoodFrame(alg.n, transpose(alg.box, alg.n))
 
 
 def is_complete_nbhd_hom(h: CompleteHom, dom: NeighborhoodAlgebra, cod: NeighborhoodAlgebra) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitslice import algebra_refute, family_accepts
-from .core import PLAIN_OP_CAP, CapExceededError, Family, InvalidInputError, NeighborhoodAlgebra, check_width, full_mask
+from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError, NeighborhoodAlgebra, check_width, full_mask
 from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, Var, free_vars, is_one_step, render, semantic_predicate
 
 ASSIGN_SPACE_GUARD = 1 << 18
@@ -76,16 +76,16 @@ def eval_formula(alg: NeighborhoodAlgebra, f: Formula, env: dict[str, int]) -> i
     raise InvalidInputError(f"eval_formula: not a formula node: {f!r}")
 
 
-def theta_t_member(fam: Family, f: Formula, env: dict[str, int], n: int) -> bool:
-    """Membership of the family in the transposed value of a one-step f."""
+def theta_t_member(famask: int, f: Formula, env: dict[str, int], n: int) -> bool:
+    """Membership of the family famask in the transposed value of a one-step f."""
     if isinstance(f, Box):
-        return eval_box_free(f.sub, env, n) in fam
+        return famask >> eval_box_free(f.sub, env, n) & 1 == 1
     if isinstance(f, Top):
         return True
     if isinstance(f, Not):
-        return not theta_t_member(fam, f.sub, env, n)
+        return not theta_t_member(famask, f.sub, env, n)
     if isinstance(f, And):
-        return all(theta_t_member(fam, item, env, n) for item in f.items)
+        return all(theta_t_member(famask, item, env, n) for item in f.items)
     raise InvalidInputError("theta_t_member: formula is not one-step")
 
 
@@ -193,10 +193,6 @@ def compile_algebra(f: Formula) -> AlgebraProgram:
     return AlgebraProgram(tuple(names), tuple(opcodes), tuple(opargs))
 
 
-def membership_holds(famask: int, program: MembershipProgram, n: int) -> bool:
-    return family_accepts(famask, 1 << n, [program])
-
-
 def find_refuting_assignment(alg: NeighborhoodAlgebra, f: Formula) -> dict[str, int] | None:
     """First assignment (lexicographic, first variable outermost) where f
     falls short of the full set, or None when f is valid."""
@@ -225,16 +221,23 @@ def realize_axiom(ax: Axiom, n: int):
     return "formula", ax.formula
 
 
-def is_ax_subset(fam: Family, axs: AxiomSet, n: int) -> bool:
-    """True when the family is a phi-subset for every axiom in the set."""
-    check_width(n, PLAIN_OP_CAP, "is_ax_subset")
-    famask = fam.famask()
+def _split_axioms(axs: AxiomSet, n: int):
+    """(axiom, compiled membership program) pairs and residual famask
+    predicates."""
+    programs = []
+    predicates = []
     for ax in axs:
         kind, payload = realize_axiom(ax, n)
-        if kind == "predicate":
-            if not payload(famask, n):
-                return False
+        if kind == "formula":
+            programs.append((ax, compile_membership(payload, n)))
         else:
-            if not membership_holds(famask, compile_membership(payload, n), n):
-                return False
-    return True
+            predicates.append(payload)
+    return programs, predicates
+
+
+def is_ax_subset(famask: int, axs: AxiomSet, n: int) -> bool:
+    """True when the family famask is a phi-subset for every axiom in the
+    set: the predicates, then one engine run of all the formula axioms."""
+    check_width(n, PLAIN_OP_CAP, "is_ax_subset")
+    programs, predicates = _split_axioms(axs, n)
+    return all(pred(famask, n) for pred in predicates) and family_accepts(famask, 1 << n, [prog for _, prog in programs])

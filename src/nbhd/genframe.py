@@ -3,7 +3,17 @@
 A general frame carries a distinguished Boolean subalgebra A of the
 powerset that must be closed under the box of its own neighborhood map.
 On a finite carrier the closed and open admissibles both coincide with A,
-so interval conditions quantify over plain pairs c, d in A.
+so interval conditions quantify over plain pairs c, d in A.  A general
+frame is held as its frame's key and the famask of A, which its one
+constructor checks; `truncate`, `subalgebra_from_partition` and
+`all_subalgebras` take and return famasks too.
+
+Validity is decided on the planes of A, never member by member: the
+block at(x) = {y : every member of A holding x holds y} is the atom of x
+when A is a subalgebra, so A is one exactly when the blocks are pairwise
+disjoint and A is the famask of their unions.  Only when that test fails
+are the members searched for the first witness, and "differentiated"
+means every block is a single point.
 
 The sigma extension fills a neighborhood family upward from admissible
 evidence: e enters N^sigma(x) when some admissible interval [c, d]
@@ -19,24 +29,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitslice import transpose
+from .bitslice import _index_planes, transpose
 from .classes import _down_closure, _up_closure, family_is_convex
 from .core import (
     PLAIN_OP_CAP,
-    Family,
     FrameMorphism,
     InvalidInputError,
     NeighborhoodFrame,
+    _check_famask,
     _check_key,
-    _check_members_below,
     _disagreement,
     _json_famask,
     _push_forward,
     _set_lanes,
-    check_family,
     check_width,
-    family_from_famask,
-    frame_from_key,
     full_mask,
 )
 
@@ -49,51 +55,81 @@ class GeneralFrame:
     _key: tuple[int, ...]
     _admissible: int
 
-    def __init__(self, n: int, nbhd, admissible: Family) -> None:
-        self._hold(n, tuple(fam.famask() for fam in nbhd), admissible.famask())
-
-    def _hold(self, n: int, key: tuple[int, ...], admissible: int) -> None:
+    def __init__(self, n: int, key, admissible: int) -> None:
+        key = tuple(key)
         if n < 0:
             raise InvalidInputError("general frame: n must be nonnegative")
         if len(key) != n:
             raise InvalidInputError(f"general frame: expected {n} neighborhood families")
         _check_key(key, n, "general frame")
-        _check_members_below(admissible.bit_length() - 1, n, "general frame: A")
+        _check_famask(admissible, n, "general frame: A")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_admissible", admissible)
 
-    @property
-    def nbhd(self) -> tuple[Family, ...]:
-        return tuple(map(family_from_famask, self._key))
 
-    @property
-    def admissible(self) -> Family:
-        return family_from_famask(self._admissible)
+def _unions(blocks) -> int:
+    """Famask of every union of the pairwise disjoint blocks: each block
+    doubles the famask by a shift, since u | block = u + block."""
+    famask = 1
+    for block in blocks:
+        famask |= famask << block
+    return famask
 
 
-def _general_frame(n: int, key, admissible: int) -> GeneralFrame:
-    gf = object.__new__(GeneralFrame)
-    gf._hold(n, tuple(key), admissible)
-    return gf
+def _blocks(admissible: int, n: int) -> list[int]:
+    """at(x) for each point x: the points y in every member of A that holds x."""
+    planes = _index_planes(n)
+    blocks = []
+    for plane_x in planes:
+        holding = admissible & plane_x
+        block = 0
+        for y, plane_y in enumerate(planes):
+            if holding & plane_y == holding:
+                block |= 1 << y
+        blocks.append(block)
+    return blocks
+
+
+def _is_subalgebra(admissible: int, n: int) -> bool:
+    """A is a Boolean subalgebra exactly when its distinct blocks at(x) are
+    pairwise disjoint (each holds its own x, so their sizes then sum to n)
+    and A is the famask of their unions."""
+    blocks = set(_blocks(admissible, n))
+    return sum(map(int.bit_count, blocks)) == n and _unions(blocks) == admissible
+
+
+def _closure_fault(admissible: int, n: int) -> str:
+    """The first member a, then the first b, where A is not closed under
+    complement or union, as the member-by-member check finds it.  The
+    members b with a | b in A are the preimage of A under b -> b | a,
+    one shift per point of a."""
+    full = full_mask(n)
+    planes = _index_planes(n)
+    for a in _set_lanes(admissible, 0):
+        if not admissible >> (full ^ a) & 1:
+            return f"general frame: A not closed under complement at {a}"
+        closed = admissible
+        for x in _set_lanes(a, 0):
+            hit = closed & planes[x]
+            closed = hit | hit >> (1 << x)
+        missed = admissible & ~closed
+        if missed:
+            return f"general frame: A not closed under union at {a}, {(missed & -missed).bit_length() - 1}"
+    raise AssertionError("general frame: A is a subalgebra")
 
 
 def validate_general_frame(gf: GeneralFrame) -> None:
     """Raise unless A is a Boolean subalgebra closed under the frame box."""
     check_width(gf.n, PLAIN_OP_CAP, "general frame")
     admissible = gf._admissible
-    members = _set_lanes(admissible, 0)
     full = full_mask(gf.n)
     if not admissible & 1 or not admissible >> full & 1:
         raise InvalidInputError("general frame: A must contain the empty and full sets")
-    for a in members:
-        if not admissible >> (full ^ a) & 1:
-            raise InvalidInputError(f"general frame: A not closed under complement at {a}")
-        for b in members:
-            if not admissible >> (a | b) & 1:
-                raise InvalidInputError(f"general frame: A not closed under union at {a}, {b}")
+    if not _is_subalgebra(admissible, gf.n):
+        raise InvalidInputError(_closure_fault(admissible, gf.n))
     box = transpose(gf._key, 1 << gf.n)
-    for a in members:
+    for a in _set_lanes(admissible, 0):
         if not admissible >> box[a] & 1:
             raise InvalidInputError(f"general frame: A not closed under box at {a}")
 
@@ -103,21 +139,23 @@ def is_tight(gf: GeneralFrame) -> bool:
 
 
 def is_differentiated(gf: GeneralFrame) -> bool:
-    """Every point x is told from every other point y by an admissible set."""
-    members = _set_lanes(gf._admissible, 0)
-    return all(any(a >> x & 1 and not a >> y & 1 for a in members) for x in range(gf.n) for y in range(gf.n) if x != y)
+    """Every point x is told from every other point y by an admissible set:
+    every block at(x) is {x}.  Its planes take 2^n bits, so n is capped."""
+    check_width(gf.n, PLAIN_OP_CAP, "is_differentiated")
+    return _blocks(gf._admissible, gf.n) == [1 << x for x in range(gf.n)]
 
 
 def general_frame_report(gf: GeneralFrame) -> dict:
     try:
         validate_general_frame(gf)
+        reason = None
     except InvalidInputError as exc:
-        return {"valid": False, "reason": str(exc), "tight": is_tight(gf), "differentiated": is_differentiated(gf), "compact": True}
-    return {"valid": True, "reason": None, "tight": is_tight(gf), "differentiated": is_differentiated(gf), "compact": True}
+        reason = str(exc)
+    return {"valid": reason is None, "reason": reason, "tight": is_tight(gf), "differentiated": is_differentiated(gf), "compact": True}
 
 
-def subalgebra_from_partition(blocks: list[int], n: int) -> Family:
-    """Subalgebra of all unions of the given partition blocks."""
+def subalgebra_from_partition(blocks: list[int], n: int) -> int:
+    """Famask of the subalgebra of all unions of the given partition blocks."""
     check_width(n, PLAIN_OP_CAP, "subalgebra_from_partition")
     full = full_mask(n)
     seen = 0
@@ -129,10 +167,7 @@ def subalgebra_from_partition(blocks: list[int], n: int) -> Family:
         seen |= block
     if seen != full:
         raise InvalidInputError("partition: blocks must cover the ground set")
-    unions = [0]
-    for block in blocks:
-        unions += [u | block for u in unions]
-    return Family.of(unions)
+    return _unions(blocks)
 
 
 def all_partitions(n: int):
@@ -156,10 +191,10 @@ def all_partitions(n: int):
     yield from rec(1, [1])
 
 
-def all_subalgebras(n: int) -> list[Family]:
-    """Every Boolean subalgebra of the powerset, one per partition."""
-    out = {subalgebra_from_partition(blocks, n) if blocks else Family((0,)) for blocks in all_partitions(n)}
-    return sorted(out, key=Family.famask)
+def all_subalgebras(n: int) -> list[int]:
+    """Famask of every Boolean subalgebra of the powerset, one per
+    partition, ascending."""
+    return sorted(subalgebra_from_partition(blocks, n) for blocks in all_partitions(n))
 
 
 def _require_tight(gf: GeneralFrame, what: str) -> None:
@@ -197,27 +232,26 @@ def _extend(gf: GeneralFrame, sigma: bool) -> tuple[int, ...]:
 def sigma_extend(gf: GeneralFrame) -> NeighborhoodFrame:
     """Largest frame whose admissible trace is N, filled by interval evidence."""
     _require_tight(gf, "sigma_extend")
-    return frame_from_key(gf.n, _extend(gf, True))
+    return NeighborhoodFrame(gf.n, _extend(gf, True))
 
 
 def pi_extend(gf: GeneralFrame) -> NeighborhoodFrame:
     _require_tight(gf, "pi_extend")
-    return frame_from_key(gf.n, _extend(gf, False))
+    return NeighborhoodFrame(gf.n, _extend(gf, False))
 
 
 def complement_within_admissible(gf: GeneralFrame) -> GeneralFrame:
     """Swap each N(x) for its complement inside A, keeping A."""
     _require_tight(gf, "complement_within_admissible")
     admissible = gf._admissible
-    return _general_frame(gf.n, [admissible & ~famask for famask in gf._key], admissible)
+    return GeneralFrame(gf.n, [admissible & ~famask for famask in gf._key], admissible)
 
 
-def truncate(frame: NeighborhoodFrame, admissible: Family) -> GeneralFrame:
-    """Restrict every family to its admissible members; errors when the
-    result is not a valid general frame."""
-    check_family(admissible, frame.n, "truncate: A")
-    famask = admissible.famask()
-    gf = _general_frame(frame.n, [trace & famask for trace in frame.key()], famask)
+def truncate(frame: NeighborhoodFrame, admissible: int) -> GeneralFrame:
+    """Restrict every family to the members of the famask admissible;
+    errors when the result is not a valid general frame."""
+    _check_famask(admissible, frame.n, "truncate: A")
+    gf = GeneralFrame(frame.n, [famask & admissible for famask in frame.key()], admissible)
     validate_general_frame(gf)
     return gf
 
@@ -285,4 +319,4 @@ def general_frame_from_json(obj: dict) -> GeneralFrame:
         raise InvalidInputError("general frame: n must be an int and N a list")
     n = obj["n"]
     key = [_json_famask(raw, n, f"general frame: N({x})") for x, raw in enumerate(obj["N"])]
-    return _general_frame(n, key, _json_famask(obj["A"], n, "general frame: A"))
+    return GeneralFrame(n, key, _json_famask(obj["A"], n, "general frame: A"))

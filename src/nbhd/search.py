@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
-from multiprocessing import get_context
 
 from .bax import enumerate_bax
 from .bitslice import _index_planes, transpose
@@ -44,10 +43,10 @@ from .core import (
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
+    _pool_map,
     _set_lanes,
     box_n,
     check_width,
-    frame_from_key,
     frame_to_json,
     full_mask,
 )
@@ -94,7 +93,7 @@ def relabel_frame(frame: NeighborhoodFrame, perm: tuple[int, ...]) -> Neighborho
     for x, famask in enumerate(frame.key()):
         for a in _set_lanes(famask, 0):
             key[perm[x]] |= 1 << apply_perm_mask(a, perm)
-    return frame_from_key(frame.n, key)
+    return NeighborhoodFrame(frame.n, key)
 
 
 def canonical_form(frame: NeighborhoodFrame) -> NeighborhoodFrame:
@@ -155,7 +154,7 @@ def _perm_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], 
 
 def _is_canonical_key(n: int, key: tuple[int, ...]) -> bool:
     """Whether no relabeling gives a lower key, i.e. whether
-    canonical_form(frame_from_key(n, key)).key() == key, decided on the key
+    canonical_form(NeighborhoodFrame(n, key)).key() == key, decided on the key
     alone.  Each permutation stops at the first slot that differs."""
     for inverse, tables in _perm_tables(n):
         for j, x in enumerate(inverse):
@@ -228,35 +227,17 @@ def _scan(n, cands, iv, canonical, target_text, mode):
 
 
 def _scan_task(args):
-    return _scan(*args)
+    first, n, rest, *scan_args = args
+    return _scan(n, [first, *rest], *scan_args)
 
 
 def _keys_task(args):
-    return [key for key, _ in _in_class(*args, False)]
-
-
-def _chunks(items: list[int], parts: int) -> list[list[int]]:
-    parts = max(1, min(parts, len(items)))
-    step, extra = divmod(len(items), parts)
-    out = []
-    pos = 0
-    for i in range(parts):
-        width = step + (1 if i < extra else 0)
-        out.append(items[pos : pos + width])
-        pos += width
-    return out
+    first, n, rest, iv, canonical = args
+    return [key for key, _ in _in_class(n, [first, *rest], iv, canonical, False)]
 
 
 def _pooled(n: int, cands, workers: int) -> bool:
     return workers > 1 and n > 0 and len(cands[0]) > 1
-
-
-def _pool_map(task, n: int, cands, args: tuple, workers: int) -> list:
-    """task((n, candidate lists, *args)) once per contiguous chunk of the
-    first point's candidates, on a worker pool; results in chunk order."""
-    tasks = [(n, [chunk, *cands[1:]], *args) for chunk in _chunks(cands[0], workers * 4)]
-    with get_context("fork").Pool(workers) as pool:
-        return pool.map(task, tasks)
 
 
 def _scan_level(n, constraints, canonical, target_text, mode, workers):
@@ -267,7 +248,7 @@ def _scan_level(n, constraints, canonical, target_text, mode, workers):
         return _scan(n, cands, *args)
     in_class = 0
     validating = 0
-    for chunk_in_class, chunk_validating, hit in _pool_map(_scan_task, n, cands, args, workers):
+    for chunk_in_class, chunk_validating, hit in _pool_map(_scan_task, cands[0], workers, n, cands[1:], *args):
         if hit is not None:
             pos, key, env = hit
             return in_class + pos, validating + chunk_validating, (in_class + pos, key, env)
@@ -282,10 +263,10 @@ def enumerate_frames(n: int, constraints=(), canonical: bool = False, workers: i
     check_width(n, EXHAUSTIVE_FRAMES_CAP, "enumerate_frames")
     cands, iv = _compile_constraints(n, tuple(constraints))
     if _pooled(n, cands, workers):
-        keys = chain.from_iterable(_pool_map(_keys_task, n, cands, (iv, canonical), workers))
+        keys = chain.from_iterable(_pool_map(_keys_task, cands[0], workers, n, cands[1:], iv, canonical))
     else:
         keys = (key for key, _ in _in_class(n, cands, iv, canonical, False))
-    return (frame_from_key(n, key) for key in keys)
+    return (NeighborhoodFrame(n, key) for key in keys)
 
 
 def count_frames(n: int, constraints=(), canonical: bool = False, workers: int = 1) -> int:
@@ -338,7 +319,7 @@ def find_countermodel(spec: SearchSpec, workers: int = 1) -> dict:
             continue
         if hit is not None:
             pos, key, env = hit
-            frame = frame_from_key(n, key)
+            frame = NeighborhoodFrame(n, key)
             _verify_hit(frame, compile_target(spec.target, n), spec.mode, env)
             return {
                 "found": True,

@@ -289,3 +289,29 @@ def general_morphism_failure(fmap, dom, dom_admissible, cod, cod_admissible):
     for x, a in morphism_failures(fmap, dom, cod, cod_admissible):
         return "membership", x, a
     return None
+
+
+def general_frame_fault(n, nbhd, admissible):
+    """The first reason a general frame is invalid, in the package's words,
+    or None: the pair loop over A (each member a ascending by mask, its
+    complement and then its union with each b), then the box of each
+    member.  nbhd lists each point's family as a set of frozensets."""
+    full = frozenset(range(n))
+    if frozenset() not in admissible or full not in admissible:
+        return "general frame: A must contain the empty and full sets"
+    ordered = sorted(admissible, key=set_to_mask)
+    for a in ordered:
+        if full - a not in admissible:
+            return f"general frame: A not closed under complement at {set_to_mask(a)}"
+        for b in ordered:
+            if a | b not in admissible:
+                return f"general frame: A not closed under union at {set_to_mask(a)}, {set_to_mask(b)}"
+    for a in ordered:
+        if frozenset(x for x in range(n) if a in nbhd[x]) not in admissible:
+            return f"general frame: A not closed under box at {set_to_mask(a)}"
+    return None
+
+
+def is_differentiated(n, admissible):
+    """Every pair of distinct points is told apart by an admissible set."""
+    return all(any(x in a and y not in a for a in admissible) for x in range(n) for y in range(n) if x != y)

@@ -21,14 +21,14 @@ from srcenv import source_env
 from nbhd.bax import bax_map, enumerate_bax, principal_iso
 from nbhd.classes import ClassTag, correspondence_check, frame_class_check
 from nbhd.core import (
-    Family,
     FrameMorphism,
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
     Relation,
     complement_frame,
-    family_from_famask,
+    famask_members,
+    famask_of,
     from_relation,
     full_mask,
     is_nbhd_morphism,
@@ -80,7 +80,7 @@ def criterion(num: int, desc: str, budget: float | None = None):
 
 
 def families(n: int):
-    return [family_from_famask(fm) for fm in range(1 << (1 << n))]
+    return range(1 << (1 << n))
 
 
 def all_frames(n: int):
@@ -90,14 +90,11 @@ def all_frames(n: int):
 def valid_tight_gfs(n: int):
     out = []
     for admissible in all_subalgebras(n):
-        members = admissible.members
+        members = famask_members(admissible)
         picks = range(1 << len(members))
         for combo in product(picks, repeat=n):
-            fams = tuple(
-                Family(tuple(m for i, m in enumerate(members) if pick >> i & 1))
-                for pick in combo
-            )
-            gf = GeneralFrame(n, fams, admissible)
+            key = [famask_of(m for i, m in enumerate(members) if pick >> i & 1) for pick in combo]
+            gf = GeneralFrame(n, key, admissible)
             try:
                 validate_general_frame(gf)
             except InvalidInputError:
@@ -115,7 +112,7 @@ def test_criterion_01_validity_membership():
         alg = complex_algebra(frame)
         for spec in ONE_STEP_AXIOMS:
             valid = validates(alg, formulas[spec])
-            member = all(is_ax_subset(fam, axiom_sets[spec], 2) for fam in frame.nbhd)
+            member = all(is_ax_subset(fm, axiom_sets[spec], 2) for fm in frame.key())
             assert valid == member, (frame, spec)
             verdicts[valid] += 1
     assert verdicts[True] and verdicts[False]
@@ -132,9 +129,7 @@ def test_criterion_02_round_trips():
     rng = random.Random(2)
     for n in (3, 4):
         for _ in range(10_000):
-            frame = NeighborhoodFrame(
-                n, tuple(family_from_famask(rng.randrange(1 << (1 << n))) for _ in range(n))
-            )
+            frame = NeighborhoodFrame(n, [rng.randrange(1 << (1 << n)) for _ in range(n)])
             assert atom_frame(complex_algebra(frame)) == frame
             alg = NeighborhoodAlgebra(n, tuple(rng.randrange(1 << n) for _ in range(1 << n)))
             assert complex_algebra(atom_frame(alg)) == alg
@@ -169,7 +164,7 @@ def test_criterion_04_bax_counts():
     oracle_counts = [oracles.up_closed_family_count(n) for n in range(4)]
     assert oracle_counts == [2, 3, 6, 20]
     for n in range(4):
-        assert len(enumerate_bax(n, monotone).members) == oracle_counts[n]
+        assert len(enumerate_bax(n, monotone).famasks()) == oracle_counts[n]
     for n in range(5):
         filtered = enumerate_bax(n, monotone, strategy="filter") if n <= 4 else None
         backtracked = enumerate_bax(n, monotone, strategy="backtrack")
@@ -177,13 +172,13 @@ def test_criterion_04_bax_counts():
             assert filtered.famasks() == backtracked.famasks()
         fil = enumerate_bax(n, principal, strategy="filter") if n <= 4 else None
         bt = enumerate_bax(n, principal, strategy="backtrack")
-        assert len(bt.members) == 2**n
+        assert len(bt.famasks()) == 2**n
         if fil is not None:
             assert fil.famasks() == bt.famasks()
     start = time.perf_counter()
     big = enumerate_bax(5, monotone, strategy="backtrack")
     elapsed = time.perf_counter() - start
-    assert len(big.members) == 7581
+    assert len(big.famasks()) == 7581
     assert elapsed < 10.0, f"n=5 backtrack took {elapsed:.1f}s"
 
 
@@ -192,9 +187,9 @@ def test_criterion_05_kripke_collapse():
     principal = axiom_set_from_specs(["@N", "@C", "@M"])
     for n in range(4):
         space = enumerate_bax(n, principal, strategy="backtrack")
-        gens = [principal_iso(n, "to_subset", fam) for fam in space.members]
+        gens = [principal_iso(n, "to_subset", fam) for fam in space.famasks()]
         assert sorted(gens) == list(range(1 << n))
-        for fam, c in zip(space.members, gens):
+        for fam, c in zip(space.famasks(), gens):
             assert principal_iso(n, "from_subset", c) == fam
     for n_dom in range(4):
         for n_cod in range(4):
@@ -246,11 +241,9 @@ def test_criterion_07_complement_identity():
         if checked == 300:
             break
         admissible = rng.choice(subalgebras)
-        members = admissible.members
-        fams = tuple(
-            Family(tuple(m for m in members if rng.random() < 0.5)) for _ in range(3)
-        )
-        gf = GeneralFrame(3, fams, admissible)
+        members = famask_members(admissible)
+        key = [famask_of(m for m in members if rng.random() < 0.5) for _ in range(3)]
+        gf = GeneralFrame(3, key, admissible)
         try:
             validate_general_frame(gf)
         except InvalidInputError:
@@ -259,7 +252,7 @@ def test_criterion_07_complement_identity():
         roundabout = complement_frame(sigma_extend(complement_within_admissible(gf)))
         assert pi_extend(gf) == roundabout
     assert checked == 300
-    everything = Family(tuple(range(4)))
+    everything = famask_of(range(4))
     for frame in all_frames(2):
         gf = truncate(frame, everything)
         assert sigma_extend(gf) == frame
@@ -271,18 +264,19 @@ def test_criterion_08_sigma_preservation():
     monotone_hits = convex_hits = 0
     for n in range(3):
         for gf in valid_tight_gfs(n):
-            members = set(gf.admissible.members)
+            members = famask_members(gf._admissible)
+            traces = [famask_members(fm) for fm in gf._key]
             sigma = sigma_extend(gf)
-            assert truncate(sigma, gf.admissible) == gf
+            assert truncate(sigma, gf._admissible) == gf
             a_monotone = all(
-                all(b in fam for b in members if b & a == a) for fam in gf.nbhd for a in fam
+                all(b in fam for b in members if b & a == a) for fam in traces for a in fam
             )
             if a_monotone:
                 monotone_hits += 1
                 assert frame_class_check(sigma, ClassTag("monotone")), gf
             a_convex = all(
                 all(e in fam for e in members if c & e == c and e & d == e)
-                for fam in gf.nbhd
+                for fam in traces
                 for c in fam
                 for d in fam
             )
@@ -297,7 +291,7 @@ def test_criterion_09_convex_transfer():
     pools = {n: valid_tight_gfs(n) for n in range(3)}
     assert [len(pools[n]) for n in range(3)] == [1, 4, 260]
     plain = {
-        n: {id(gf): NeighborhoodFrame(n, gf.nbhd) for gf in pool}
+        n: {id(gf): NeighborhoodFrame(n, gf._key) for gf in pool}
         for n, pool in pools.items()
     }
     triples = convex_failures = nonconvex_failures = 0

@@ -10,7 +10,7 @@ from itertools import product
 
 from nbhd import bitslice
 from nbhd.bax import _immediate_superset_famasks, enumerate_bax
-from nbhd.core import Family, NeighborhoodAlgebra, NeighborhoodFrame, _set_lanes, box_n, family_from_famask, full_mask
+from nbhd.core import NeighborhoodAlgebra, NeighborhoodFrame, _set_lanes, box_n, full_mask
 from nbhd.duality import complex_algebra
 from nbhd.evaluate import (
     assignment_at,
@@ -18,7 +18,6 @@ from nbhd.evaluate import (
     compile_membership,
     eval_formula,
     find_refuting_assignment,
-    membership_holds,
     theta_t_member,
 )
 from nbhd.formulas import axiom_set_from_specs, expand_named, free_vars, parse
@@ -37,8 +36,7 @@ def theta_holds(famask, spec, n):
     """The family is in the transposed value of the axiom under every assignment."""
     f = expand_named(spec, n).formula
     names = free_vars(f)
-    fam = family_from_famask(famask)
-    return all(theta_t_member(fam, f, assignment_at(names, n, idx), n) for idx in range((1 << n) ** len(names)))
+    return all(theta_t_member(famask, f, assignment_at(names, n, idx), n) for idx in range((1 << n) ** len(names)))
 
 
 def first_refutation(alg, f):
@@ -68,7 +66,7 @@ def test_membership_of_every_famask_matches_theta():
             want = [fm for fm in range(total) if theta_holds(fm, spec, n)]
             prog = program(spec, n)
             assert bitslice.family_filter(0, total, [prog]) == want, (spec, n)
-            assert [fm for fm in range(total) if membership_holds(fm, prog, n)] == want, (spec, n)
+            assert [fm for fm in range(total) if bitslice.family_accepts(fm, 1 << n, [prog])] == want, (spec, n)
 
 
 def test_filter_windows_stitch_to_the_full_run(monkeypatch):
@@ -177,7 +175,7 @@ def formula_texts(names):
 def frames_and_formulas(draw):
     n = draw(st.integers(0, 4))
     families = draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=n, max_size=n))
-    frame = NeighborhoodFrame(n, tuple(family_from_famask(fm) for fm in families))
+    frame = NeighborhoodFrame(n, families)
     names = ["p", "q"] if n == 4 else ["p", "q", "r"]
     return frame, draw(formula_texts(names))
 
@@ -195,7 +193,7 @@ def test_property_membership_of_random_families(n, spec, data):
     famask = data.draw(st.integers(0, (1 << (1 << n)) - 1))
     prog = program(spec, n)
     want = theta_holds(famask, spec, n)
-    assert membership_holds(famask, prog, n) == want
+    assert bitslice.family_accepts(famask, 1 << n, [prog]) == want
     assert bitslice.family_filter(famask, famask + 1, [prog]) == ([famask] if want else [])
 
 
@@ -216,14 +214,14 @@ def brute_transpose(rows, width):
 def test_transpose_matches_box_n_on_every_small_frame():
     for n in (0, 1, 2):
         for key in product(range(1 << (1 << n)), repeat=n):
-            frame = NeighborhoodFrame(n, tuple(family_from_famask(fm) for fm in key))
+            frame = NeighborhoodFrame(n, key)
             assert bitslice.transpose(key, 1 << n) == tuple(box_n(frame, a) for a in range(1 << n))
 
 
 @given(st.integers(3, 4), st.data())
 def test_property_transpose_matches_box_n(n, data):
     key = tuple(data.draw(st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=n, max_size=n)))
-    frame = NeighborhoodFrame(n, tuple(family_from_famask(fm) for fm in key))
+    frame = NeighborhoodFrame(n, key)
     box = bitslice.transpose(key, 1 << n)
     assert box == tuple(box_n(frame, a) for a in range(1 << n))
     assert bitslice.transpose(box, n) == key
@@ -245,7 +243,6 @@ def test_family_accepts_one_lane_wide_famasks():
     prog = program("@N", n)
     assert bitslice.family_accepts(1 << full_mask(n), 1 << n, [prog])
     assert not bitslice.family_accepts((1 << full_mask(n)) - 1, 1 << n, [prog])
-    assert membership_holds(Family.of([full_mask(n)]).famask(), prog, n)
 
 
 @given(st.integers(0, 1 << 40), st.sampled_from((0, 8, 24, 32, 65536)))

@@ -23,12 +23,12 @@ from nbhd.classes import (
 )
 from nbhd.core import (
     CapExceededError,
-    Family,
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
     Relation,
-    family_from_famask,
+    famask_members,
+    famask_of,
     from_relation,
     full_mask,
     up_cone,
@@ -37,22 +37,21 @@ from nbhd.duality import complex_algebra
 
 
 def families(n: int):
-    return [family_from_famask(fm) for fm in range(1 << (1 << n))]
+    return range(1 << (1 << n))
 
 
 def frames(n: int):
     return [NeighborhoodFrame(n, nbhd) for nbhd in product(families(n), repeat=n)]
 
 
-def as_sets(fam: Family):
-    return oracles.family_to_sets(fam.members)
+def as_sets(famask: int):
+    return oracles.family_to_sets(famask_members(famask))
 
 
 def test_family_predicates_match_oracles():
     for n in range(4):
-        for fam in families(n):
-            sets = as_sets(fam)
-            famask = fam.famask()
+        for famask in families(n):
+            sets = as_sets(famask)
             assert family_is_up_closed(famask, n) == oracles.is_up_closed(sets, n)
             assert family_is_convex(famask, n) == oracles.is_convex(sets, n)
             assert family_is_filter(famask, n) == oracles.is_filter_family(sets, n)
@@ -61,17 +60,17 @@ def test_family_predicates_match_oracles():
 
 def test_kappa_complete_matches_oracle_and_collapses():
     for n in range(4):
-        for fam in families(n):
-            sets = as_sets(fam)
+        for famask in families(n):
+            sets = as_sets(famask)
             results = {
-                k: family_is_kappa_complete(fam.famask(), n, k) for k in (1, 2, 3, 4, 17)
+                k: family_is_kappa_complete(famask, n, k) for k in (1, 2, 3, 4, 17)
             }
             for k in (1, 2, 3, 4):
                 assert results[k] == oracles.is_kappa_complete_family(sets, n, k)
             # Meets of size zero and two decide everything on a finite carrier.
             assert results[1] == results[2]
             assert results[3] == results[4] == results[17]
-            assert results[3] == family_is_filter(fam.famask(), n)
+            assert results[3] == family_is_filter(famask, n)
     with pytest.raises(InvalidInputError):
         family_is_kappa_complete(0, 1, 0)
 
@@ -87,7 +86,7 @@ def test_parse_class_tag():
 
 def oracle_frame_tag(frame: NeighborhoodFrame, name: str, kappa=None) -> bool:
     n = frame.n
-    traces = [as_sets(fam) for fam in frame.nbhd]
+    traces = [as_sets(famask) for famask in frame.key()]
     if name == "monotone":
         return all(oracles.is_up_closed(t, n) for t in traces)
     if name == "convex":
@@ -139,7 +138,7 @@ def test_frame_tags_match_oracle_exhaustively():
 def test_key_level_iv_agrees_with_four_on_the_complex_algebra():
     rng = random.Random(8)
     cases = [frame for n in range(3) for frame in frames(n)]
-    cases += [NeighborhoodFrame(3, tuple(family_from_famask(rng.randrange(256)) for _ in range(3))) for _ in range(300)]
+    cases += [NeighborhoodFrame(3, [rng.randrange(256) for _ in range(3)]) for _ in range(300)]
     seen = set()
     for frame in cases:
         alg = complex_algebra(frame)
@@ -232,7 +231,7 @@ def test_frame_algebra_tag_bridge():
 
 
 def test_correspondence_report_shape():
-    frame = NeighborhoodFrame(2, (Family((0, 1)), Family(())))
+    frame = NeighborhoodFrame(2, (famask_of((0, 1)), 0))
     assert complex_algebra(frame).box == (1, 1, 0, 0)
     assert correspondence_check(frame, "IV4") == {
         "pair": "IV4",
@@ -277,7 +276,7 @@ def test_correspondence_agrees_sampled_n3():
 
 
 def test_tag_errors():
-    frame = NeighborhoodFrame(1, (Family(()),))
+    frame = NeighborhoodFrame(1, (0,))
     with pytest.raises(InvalidInputError):
         frame_class_check(frame, ClassTag("open"))
     with pytest.raises(InvalidInputError):
@@ -286,7 +285,7 @@ def test_tag_errors():
         algebra_class_check(NeighborhoodAlgebra(1, (0, 0)), ClassTag("monotone"))
     # Planes and masks over 40 points take 2^40 bits: refused at once.
     # (family_is_filter answers False first: no family holds the full set.)
-    famask = Family((1,)).famask()
+    famask = famask_of((1,))
     assert not family_is_filter(famask, 40)
     tests = (family_is_up_closed, family_is_convex, family_is_contingency)
     tests += frame_tag_parts(ClassTag("coconvex"))[0] + frame_tag_parts(ClassTag("kappa", 3))[0]
@@ -294,4 +293,4 @@ def test_tag_errors():
         with pytest.raises(CapExceededError):
             test(famask, 40)
     with pytest.raises(CapExceededError):
-        frame_class_check(NeighborhoodFrame(40, (Family(()),) * 40), ClassTag("iv"))
+        frame_class_check(NeighborhoodFrame(40, (0,) * 40), ClassTag("iv"))

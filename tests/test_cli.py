@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from nbhd.cli import main
-from nbhd.core import Family, frame_from_json, frame_to_json
+from nbhd.core import famask_of, frame_from_json, frame_to_json
 from nbhd.genframe import (
     complement_within_admissible,
     general_frame_from_json,
@@ -149,6 +149,22 @@ def test_bax_map_wide_codomain_exits_3(tmp_path):
     assert proc.stderr == "nbhd: bax_map: n=40 exceeds cap 16\n"
 
 
+def test_gen_validate_decides_a_wide_powerset_quickly(tmp_path):
+    # A is every subset of 16 points: 65,536 members, which a check over
+    # pairs of members would visit 2^32 times.  The subprocess timeout
+    # fails the test instead of hanging the suite.
+    general = write(tmp_path, "g.json", {"n": 16, "N": [[]] * 16, "A": list(range(1 << 16))})
+    proc = subprocess.run(
+        [sys.executable, "-m", "nbhd", "gen", "validate", "--general", general],
+        capture_output=True,
+        text=True,
+        env=source_env(),
+        timeout=30,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == '{"valid":true,"reason":null,"tight":true,"differentiated":true,"compact":true}\n'
+
+
 def test_family_flags_range_check_members(capsys, tmp_path):
     morphism = write(tmp_path, "m.json", {"n_dom": 2, "n_cod": 1, "map": [0, 0]})
     frame = write(tmp_path, "f.json", {"n": 2, "N": [[3], [3]]})
@@ -284,7 +300,7 @@ def test_gen_subcommands(capsys, tmp_path):
     sharp = {"n": 2, "N": [[3], [3]]}
     frame = write(tmp_path, "f.json", sharp)
     code, out = jout(capsys, "gen", "truncate", "--frame", frame, "--admissible", "[0,3]")
-    assert code == 0 and out == general_frame_to_json(truncate(frame_from_json(sharp), Family((0, 3))))
+    assert code == 0 and out == general_frame_to_json(truncate(frame_from_json(sharp), famask_of((0, 3))))
     code, _, err = run(capsys, "gen", "truncate", "--frame", frame, "--admissible", "7")
     assert code == 2
     lopsided = write(tmp_path, "l.json", FRAME)

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from nbhd.core import CapExceededError, Family, InvalidInputError, NeighborhoodAlgebra, family_from_famask, full_mask
+from nbhd.bitslice import family_accepts
+from nbhd.core import CapExceededError, InvalidInputError, NeighborhoodAlgebra, famask_members, full_mask
 from nbhd.evaluate import (
     ASSIGN_SPACE_GUARD,
     assignment_at,
@@ -14,7 +15,6 @@ from nbhd.evaluate import (
     eval_formula,
     find_refuting_assignment,
     is_ax_subset,
-    membership_holds,
     realize_axiom,
     theta_t_member,
     validates,
@@ -80,13 +80,12 @@ def test_theta_membership_matches_set_oracle():
             tree = to_tree(f)
             for _ in range(40):
                 famask = rng.randint(0, (1 << (full + 1)) - 1)
-                fam = family_from_famask(famask)
-                fam_sets = {oracles.mask_to_set(a) for a in fam.members}
+                fam_sets = {oracles.mask_to_set(a) for a in famask_members(famask)}
                 env = {"u": rng.randint(0, full), "v": rng.randint(0, full)}
                 env_sets = {k: oracles.mask_to_set(v) for k, v in env.items()}
-                assert theta_t_member(fam, f, env, n) == oracles.theta_member(fam_sets, tree, env_sets, n)
+                assert theta_t_member(famask, f, env, n) == oracles.theta_member(fam_sets, tree, env_sets, n)
     with pytest.raises(InvalidInputError):
-        theta_t_member(Family(()), parse("u"), {"u": 0}, 1)
+        theta_t_member(0, parse("u"), {"u": 0}, 1)
 
 
 def test_membership_program_equals_all_assignment_sweep():
@@ -97,12 +96,11 @@ def test_membership_program_equals_all_assignment_sweep():
         names = compile_membership(f, n).names
         prog = compile_membership(f, n)
         for famask in range(1 << (full + 1)):
-            fam = family_from_famask(famask)
             want = all(
-                theta_t_member(fam, f, dict(zip(names, vals)), n)
+                theta_t_member(famask, f, dict(zip(names, vals)), n)
                 for vals in product(range(full + 1), repeat=len(names))
             )
-            assert membership_holds(famask, prog, n) == want
+            assert family_accepts(famask, 1 << n, [prog]) == want
 
 
 def test_compile_membership_dedupes_box_arguments():
@@ -184,7 +182,7 @@ def test_is_ax_subset_matches_axiom_family_oracle():
             got = [
                 fm
                 for fm in range(1 << (1 << n))
-                if is_ax_subset(family_from_famask(fm), axs, n)
+                if is_ax_subset(fm, axs, n)
             ]
             assert got == oracles.axiom_subset_families(n, names)
 
@@ -193,14 +191,13 @@ def test_is_ax_subset_refuses_wide_n():
     # Refused before a famask over 2^40 subsets or a membership program is built.
     for specs in (["@M"], ["@CInf"]):
         with pytest.raises(CapExceededError):
-            is_ax_subset(Family(()), axiom_set_from_specs(specs), 40)
+            is_ax_subset(0, axiom_set_from_specs(specs), 40)
 
 
 def test_is_ax_subset_semantic_axioms():
     axs = axiom_set_from_specs(["@CInf"], 2)
-    got = sorted(fm for fm in range(16) if is_ax_subset(family_from_famask(fm), axs, 2))
+    got = sorted(fm for fm in range(16) if is_ax_subset(fm, axs, 2))
     # Exactly the nonempty principal families: up-cones of 0..3.
-    want = sorted(
-        fm for fm in range(16) if fm and oracles.is_up_closed({oracles.mask_to_set(a) for a in family_from_famask(fm).members}, 2) and oracles.is_pair_meet_closed({oracles.mask_to_set(a) for a in family_from_famask(fm).members})
-    )
+    sets = {fm: {oracles.mask_to_set(a) for a in famask_members(fm)} for fm in range(16)}
+    want = sorted(fm for fm in range(16) if fm and oracles.is_up_closed(sets[fm], 2) and oracles.is_pair_meet_closed(sets[fm]))
     assert got == want

@@ -9,11 +9,9 @@ from nbhd import search
 from nbhd.classes import FRAME_TAGS, frame_class_check
 from nbhd.core import (
     CapExceededError,
-    Family,
     InvalidInputError,
     NeighborhoodFrame,
-    family_from_famask,
-    frame_from_key,
+    famask_of,
 )
 from nbhd.duality import complex_algebra
 from nbhd.evaluate import find_refuting_assignment
@@ -33,7 +31,7 @@ from nbhd.search import (
 
 
 def families(n: int):
-    return [family_from_famask(fm) for fm in range(1 << (1 << n))]
+    return range(1 << (1 << n))
 
 
 def all_frames(n: int):
@@ -43,18 +41,18 @@ def all_frames(n: int):
 def test_apply_perm_mask_and_relabel():
     assert apply_perm_mask(0b011, (2, 0, 1)) == 0b101
     assert apply_perm_mask(0, (1, 0)) == 0
-    frame = NeighborhoodFrame(2, (Family((1, 3)), Family((0,))))
+    frame = NeighborhoodFrame(2, (famask_of((1, 3)), famask_of((0,))))
     swapped = relabel_frame(frame, (1, 0))
-    assert swapped.nbhd == (Family((0,)), Family((2, 3)))
+    assert swapped.key() == (famask_of((0,)), famask_of((2, 3)))
     assert relabel_frame(swapped, (1, 0)) == frame
     with pytest.raises(InvalidInputError):
         relabel_frame(frame, (0, 0))
 
 
 def test_canonical_form_example():
-    a = NeighborhoodFrame(2, (Family((2,)), Family(())))
+    a = NeighborhoodFrame(2, (famask_of((2,)), 0))
     b = relabel_frame(a, (1, 0))
-    assert b.nbhd == (Family(()), Family((1,)))
+    assert b.key() == (0, famask_of((1,)))
     assert canonical_form(a) == canonical_form(b)
     assert canonical_form(a).key() == (0, 2)
 
@@ -87,7 +85,7 @@ def frame_keys(draw, widths):
 
 
 def definitionally_canonical(n, key):
-    return canonical_form(frame_from_key(n, key)).key() == key
+    return canonical_form(NeighborhoodFrame(n, key)).key() == key
 
 
 def test_canonical_key_test_exhaustive_small():
@@ -103,7 +101,7 @@ def test_canonical_key_test_exhaustive_small():
 @given(frame_keys(st.integers(3, 4)))
 def test_property_canonical_key_test(case):
     n, key = case
-    canon = canonical_form(frame_from_key(n, key)).key()
+    canon = canonical_form(NeighborhoodFrame(n, key)).key()
     assert search._is_canonical_key(n, key) == (canon == key)
     assert search._is_canonical_key(n, canon)
 
@@ -111,13 +109,13 @@ def test_property_canonical_key_test(case):
 @given(frame_keys(st.integers(0, 4)), st.data())
 def test_property_canonical_form_invariant_under_relabeling(case, data):
     n, key = case
-    frame = frame_from_key(n, key)
+    frame = NeighborhoodFrame(n, key)
     perm = tuple(data.draw(st.permutations(range(n))))
     assert canonical_form(relabel_frame(frame, perm)) == canonical_form(frame)
 
 
 def test_canonical_form_width_cap():
-    wide = NeighborhoodFrame(9, tuple(Family(()) for _ in range(9)))
+    wide = NeighborhoodFrame(9, (0,) * 9)
     with pytest.raises(CapExceededError):
         canonical_form(wide)
 
@@ -329,8 +327,8 @@ def test_spec_and_cap_errors():
 
 def test_verify_hit_rechecks_witnesses():
     target = compile_target("box v", 1)
-    principal = NeighborhoodFrame(1, (Family((1,)),))
-    both = NeighborhoodFrame(1, (Family((0, 1)),))
+    principal = NeighborhoodFrame(1, (famask_of((1,)),))
+    both = NeighborhoodFrame(1, (famask_of((0, 1)),))
     assert search._verify_hit(principal, target, "find_refuting", {"v": 0}) is None
     with pytest.raises(AssertionError):
         search._verify_hit(principal, target, "find_refuting", {"v": 1})
@@ -338,12 +336,12 @@ def test_verify_hit_rechecks_witnesses():
     with pytest.raises(AssertionError):
         search._verify_hit(principal, target, "find_validating", None)
     pred = compile_target("@Ck(4)", 1)
-    assert search._verify_hit(NeighborhoodFrame(1, (Family((0,)),)), pred, "find_refuting", None) is None
+    assert search._verify_hit(NeighborhoodFrame(1, (famask_of((0,)),)), pred, "find_refuting", None) is None
     with pytest.raises(AssertionError):
         search._verify_hit(principal, pred, "find_refuting", None)
     # Key (0, 2) is the canonical form of key (4, 0): both refute box v at
     # v = 0, but only the canonical one may be a witness.
-    empty_first = NeighborhoodFrame(2, (Family(()), Family((1,))))
+    empty_first = NeighborhoodFrame(2, (0, famask_of((1,))))
     assert search._verify_hit(empty_first, target, "find_refuting", {"v": 0}) is None
     with pytest.raises(AssertionError, match="canonical"):
         search._verify_hit(relabel_frame(empty_first, (1, 0)), target, "find_refuting", {"v": 0})
