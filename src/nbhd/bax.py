@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from operator import lt
 
 from .bitslice import family_filter, upset_enumerate
+from .classes import AXIOM_TESTS
 from .core import (
     ENUM_BACKTRACK_CAP,
     ENUM_FILTER_CAP,
@@ -37,6 +38,7 @@ from .core import (
     FrameMorphism,
     InvalidInputError,
     _check_famask,
+    _check_size,
     _json_famask,
     _pool_map,
     _push_forward,
@@ -46,7 +48,7 @@ from .core import (
     up_cone,
 )
 from .evaluate import _split_axioms, is_ax_subset
-from .formulas import AxiomSet, axiom_set_from_specs, famask_is_principal
+from .formulas import AxiomSet, axiom_set_from_specs
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,8 @@ def _filter_chunk(famasks: range, n: int, axiom_specs: list[str]) -> list[int]:
     axs = axiom_set_from_specs(axiom_specs, n)
     programs, predicates = _split_axioms(axs, n)
     hits = family_filter(famasks.start, famasks.stop, [prog for _, prog in programs])
-    if predicates:
-        hits = [fm for fm in hits if all(pred(fm, n) for pred in predicates)]
+    for pred in predicates:
+        hits = [fm for fm in hits if pred(fm, n)]
     return hits
 
 
@@ -123,8 +125,8 @@ def enumerate_bax(n: int, axs: AxiomSet, strategy: str = "auto", workers: int = 
         if any(ax.name == "N" for ax in axs):
             required = 1 << full_mask(n)
         famasks = upset_enumerate(1 << n, _immediate_superset_famasks(n), required, leaf_programs)
-        if predicates:
-            famasks = [fm for fm in famasks if all(pred(fm, n) for pred in predicates)]
+        for pred in predicates:
+            famasks = [fm for fm in famasks if pred(fm, n)]
 
     return BaxSpace(n, axs, tuple(famasks))
 
@@ -148,7 +150,7 @@ def principal_iso(n: int, direction: str, value: int) -> int:
     if direction == "to_subset":
         if not value:
             raise InvalidInputError("principal_iso: empty family has no generating subset")
-        if not famask_is_principal(value, n):
+        if not (AXIOM_TESTS["N"](value, n) and AXIOM_TESTS["C"](value, n)):
             raise InvalidInputError("principal_iso: family is not a principal up-cone")
         # The generating subset lies inside every member, so it is the least.
         return (value & -value).bit_length() - 1
@@ -161,32 +163,23 @@ def compose_morphisms(g: FrameMorphism, f: FrameMorphism) -> FrameMorphism:
     return FrameMorphism(f.n_dom, g.n_cod, tuple(g.map[y] for y in f.map))
 
 
-def naturality_check(f: FrameMorphism, axs: AxiomSet, g: FrameMorphism | None = None, sample: int | None = None, seed: int = 0) -> dict:
-    """Functoriality report: images land in the codomain space, and when a
-    composable g is supplied, acting by g after f equals acting by g of f."""
-    dom = enumerate_bax(f.n_dom, axs)
-    cod = enumerate_bax(f.n_cod, axs)
-    cod_famasks = set(cod.famasks())
-    failures = []
-    checked = 0
-    for w in dom.famasks():
-        checked += 1
-        image = bax_map(f, w, axs)
-        if image not in cod_famasks:
-            failures.append({"family": _set_lanes(w, 0), "image": _set_lanes(image, 0)})
+def naturality_check(f: FrameMorphism, axs: AxiomSet, g: FrameMorphism | None = None) -> dict:
+    """Functoriality report over every member of the domain space: images
+    land in the codomain space, and when a composable g is supplied,
+    acting by g after f equals acting by g of f.  Each map pushes members
+    forward through one table, as `bax_map` does."""
+    dom = enumerate_bax(f.n_dom, axs).famasks()
+    cod_famasks = set(enumerate_bax(f.n_cod, axs).famasks())
+    images = list(map(_push_forward(f), dom))
+    failures = [{"family": _set_lanes(w, 0), "image": _set_lanes(image, 0)} for w, image in zip(dom, images) if image not in cod_famasks]
+    checked = len(dom)
     if g is not None:
-        gf = compose_morphisms(g, f)
-        members = list(dom.famasks())
-        if sample is not None and sample < len(members):
-            import random
-
-            members = random.Random(seed).sample(members, sample)
-        for w in members:
-            checked += 1
-            direct = bax_map(gf, w, axs)
-            staged = bax_map(g, bax_map(f, w, axs), axs)
+        push_gf, push_g = _push_forward(compose_morphisms(g, f)), _push_forward(g)
+        for w, image in zip(dom, images):
+            direct, staged = push_gf(w), push_g(image)
             if direct != staged:
                 failures.append({"family": _set_lanes(w, 0), "direct": _set_lanes(direct, 0), "staged": _set_lanes(staged, 0)})
+        checked += len(dom)
     return {"functorial": not failures, "checked": checked, "failures": failures}
 
 
@@ -198,8 +191,7 @@ def baxspace_from_json(obj: dict) -> BaxSpace:
     if not isinstance(obj, dict) or set(obj) != {"n", "axioms", "members"}:
         raise InvalidInputError("bax space: expected keys ['n', 'axioms', 'members']")
     n = obj["n"]
-    if not isinstance(n, int):
-        raise InvalidInputError("bax space: n must be an int")
+    _check_size(n, "bax space: n")
     axs = axiom_set_from_specs([str(s) for s in obj["axioms"]], n)
     if not isinstance(obj["members"], list):
         raise InvalidInputError("bax space: members must be a list")

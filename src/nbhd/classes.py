@@ -1,20 +1,22 @@
-"""Frame and algebra class predicates and the two correspondence pairs.
+"""Frame and algebra classes, each one set of registry axioms.
 
-This module is the one definition of the frame classes:
-`frame_tag_parts` decomposes every frame tag into per-family tests plus
-the whole-frame centered and iv conditions.  Every family test reads a
-famask and n, so frames and the search's candidates are tested on their
-keys as they are stored.  `frame_class_check` is the
-conjunction of those parts, and the search folds the same parts into
-its per-point candidate lists.  Algebra tags test the box table.
+`CLASS_TABLE` is the one definition of every class tag: it names the
+registry axioms of each class, with its frame tag and, where the class
+has one, its algebra tag.  Each one-step registry axiom has exactly one
+family test (famask, n) -> bool in `AXIOM_TESTS`, so frames and the
+search's candidates are tested on their keys as they are stored.  T and
+Four are not one-step: on a frame they are the centered condition (every
+member of N(x) holds x) and the iv condition (whenever a is in N(x), so
+is box a), both read off the key.  By Thomason duality an algebra lies
+in a class exactly when its atom frame does, so an algebra tag runs the
+one-step tests on the atom frame's key, the box table transposed, and
+reads T and Four off the box table as box a <= a and box a <= box box a.
 
-The bridge pairs tie the sides together: a frame is centered exactly
-when its complex algebra satisfies box a <= a, and satisfies the iv
-condition exactly when the complex algebra satisfies box a <= box box a.
-The sides are different computations, so the agreement stays a real
-check: the frame side tests members against each N(x), the algebra side
-compares box table entries.  Both read the box table through
-`bitslice.transpose`, which the tests hold to `core.box_n`.
+The correspondence pairs tie the sides together: a frame is centered
+exactly when its complex algebra satisfies box a <= a, and satisfies
+the iv condition exactly when the complex algebra satisfies
+box a <= box box a.  The frame side tests the key, the algebra side
+compares box table entries, so the agreement stays a real check.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ from .core import (
     check_width,
     full_mask,
 )
-from .duality import complex_algebra
-from .evaluate import validates
-from .formulas import expand_named
 
 
 def _family_width(n: int) -> int:
@@ -75,31 +74,57 @@ def family_is_convex(famask: int, n: int) -> bool:
     return _up_closure(famask, n) & _down_closure(famask, n) == famask
 
 
-def family_is_pair_intersection_closed(famask: int) -> bool:
-    members = _set_lanes(famask, 0)
-    return all(famask >> (a & b) & 1 for a in members for b in members)
-
-
-def family_is_filter(famask: int, n: int) -> bool:
-    """Up-closed, closed under pair meets, and containing the full set."""
-    return famask >> full_mask(n) & 1 == 1 and family_is_up_closed(famask, n) and family_is_pair_intersection_closed(famask)
-
-
 def family_is_contingency(famask: int, n: int) -> bool:
     return _complements(famask, n) == famask
 
 
-def family_is_kappa_complete(famask: int, n: int, kappa: int) -> bool:
-    """Up-closed and closed under meets of fewer than kappa members, the
-    empty meet (the full set) included.  On a finite carrier the pair meet
-    generates every larger finite meet, so sizes 0 and 2 decide it."""
-    if kappa < 1:
-        raise InvalidInputError("kappa completeness needs kappa >= 1")
-    return family_is_up_closed(famask, n) and famask >> full_mask(n) & 1 == 1 and (kappa < 3 or family_is_pair_intersection_closed(famask))
+def _is_coconvex(famask: int, n: int) -> bool:
+    return family_is_convex(famask ^ full_mask(1 << _family_width(n)), n)
 
 
-FRAME_TAGS = ("monotone", "convex", "coconvex", "contingency", "filter", "kappa", "centered", "iv", "pretopological", "topological")
-ALGEBRA_TAGS = ("bam", "normal", "t", "four", "preinterior", "interior", "contingency", "convex")
+def _holds_full_set(famask: int, n: int) -> bool:
+    return famask >> full_mask(n) & 1 == 1
+
+
+def _is_cone_or_empty(famask: int, n: int) -> bool:
+    """Closed under pair meets and supersets: on a finite carrier, empty or
+    the up-cone of the members' intersection.  Plane x is the famask of
+    the subsets holding point x, so that up-cone is the meet of the planes
+    that contain the family."""
+    cone = full_mask(1 << _family_width(n))
+    for plane in _index_planes(n):
+        if famask & plane == famask:
+            cone &= plane
+    return famask in (0, cone)
+
+
+# The one family test of each one-step registry axiom.
+AXIOM_TESTS = {
+    "M": family_is_up_closed,
+    "C": _is_cone_or_empty,
+    "N": _holds_full_set,
+    "Cont": family_is_contingency,
+    "Conv": family_is_convex,
+    "CoConv": _is_coconvex,
+}
+
+# (frame tag, algebra tag or None, registry axioms) for every class but
+# kappa:k, which frame_tag_parts resolves from k.
+CLASS_TABLE = (
+    ("monotone", "bam", ("M",)),
+    ("convex", "convex", ("Conv",)),
+    ("coconvex", None, ("CoConv",)),
+    ("contingency", "contingency", ("Cont",)),
+    ("filter", "normal", ("N", "C")),
+    ("centered", "t", ("T",)),
+    ("iv", "four", ("Four",)),
+    ("pretopological", "preinterior", ("N", "C", "T")),
+    ("topological", "interior", ("N", "C", "T", "Four")),
+)
+_FRAME_CLASSES = {frame: axioms for frame, _, axioms in CLASS_TABLE}
+_ALGEBRA_CLASSES = {algebra: axioms for _, algebra, axioms in CLASS_TABLE if algebra}
+FRAME_TAGS = (*_FRAME_CLASSES, "kappa")
+ALGEBRA_TAGS = tuple(_ALGEBRA_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -119,32 +144,42 @@ def parse_class_tag(text: str) -> ClassTag:
     return ClassTag(text)
 
 
-_FRAME_TAG_PARTS = {
-    "monotone": ((family_is_up_closed,), False, False),
-    "convex": ((family_is_convex,), False, False),
-    "coconvex": ((lambda famask, n: family_is_convex(famask ^ full_mask(1 << _family_width(n)), n),), False, False),
-    "contingency": ((family_is_contingency,), False, False),
-    "filter": ((family_is_filter,), False, False),
-    "centered": ((), True, False),
-    "iv": ((), False, True),
-    "pretopological": ((family_is_filter,), True, False),
-    "topological": ((family_is_filter,), True, True),
-}
-
-
-def frame_tag_parts(tag: ClassTag):
-    """The one decomposition of a frame tag: (per-family tests, centered,
-    iv).  A frame has the tag when every famask passes every test
-    (famask, n) -> bool, every member of N(x) holds x if centered is set,
-    and the iv condition holds if iv is set."""
+def _frame_tag_axioms(tag: ClassTag) -> tuple[str, ...]:
+    """The registry axioms of a frame tag.  kappa:k is closure under
+    supersets and under meets of fewer than k members, the empty meet
+    (the full set) included; on a finite carrier pair meets generate
+    every larger finite meet, so k <= 2 is @N,@M and k >= 3 is @N,@C."""
     if tag.name == "kappa":
         if tag.kappa is None:
             raise InvalidInputError("kappa tag needs a parameter, e.g. kappa:3")
-        return (lambda famask, n: family_is_kappa_complete(famask, n, tag.kappa),), False, False
-    parts = _FRAME_TAG_PARTS.get(tag.name)
-    if parts is None:
+        if tag.kappa < 1:
+            raise InvalidInputError("kappa completeness needs kappa >= 1")
+        return ("N", "M") if tag.kappa < 3 else ("N", "C")
+    axioms = _FRAME_CLASSES.get(tag.name)
+    if axioms is None:
         raise InvalidInputError(f"unknown frame class {tag.name!r}")
-    return parts
+    return axioms
+
+
+def _parts(axioms: tuple[str, ...]):
+    return tuple(AXIOM_TESTS[name] for name in axioms if name in AXIOM_TESTS), "T" in axioms, "Four" in axioms
+
+
+def frame_tag_parts(tag: ClassTag):
+    """A frame tag's axioms as (per-family tests, centered, iv).  A frame
+    has the tag when every famask passes every test (famask, n) -> bool,
+    every member of N(x) holds x if centered is set, and the iv condition
+    holds if iv is set."""
+    return _parts(_frame_tag_axioms(tag))
+
+
+def _conjunction(names: tuple[str, ...]):
+    """One famask test for one or two one-step registry axioms: the
+    realization of a semantic axiom, called once per family."""
+    if len(names) == 1:
+        return AXIOM_TESTS[names[0]]
+    first, second = (AXIOM_TESTS[name] for name in names)
+    return lambda famask, n: first(famask, n) and second(famask, n)
 
 
 def iv_holds(key: tuple[int, ...], box: tuple[int, ...]) -> bool:
@@ -167,46 +202,33 @@ def frame_class_check(frame: NeighborhoodFrame, tag: ClassTag) -> bool:
 
 
 def algebra_class_check(alg: NeighborhoodAlgebra, tag: ClassTag) -> bool:
-    name = tag.name
-    full = full_mask(alg.n)
-    if name == "bam":
-        # Single-bit steps generate the full inclusion order.
-        for a in range(1 << alg.n):
-            for i in range(alg.n):
-                if a >> i & 1:
-                    continue
-                if alg.box[a] & ~alg.box[a | 1 << i]:
-                    return False
-        return True
-    if name == "normal":
-        return validates(alg, expand_named("@N").formula) and validates(alg, expand_named("@C").formula)
-    if name == "t":
-        return all(alg.box[a] & ~a == 0 for a in range(1 << alg.n))
-    if name == "four":
-        return all(alg.box[a] & ~alg.box[alg.box[a]] == 0 for a in range(1 << alg.n))
-    if name == "preinterior":
-        return algebra_class_check(alg, ClassTag("normal")) and algebra_class_check(alg, ClassTag("t"))
-    if name == "interior":
-        return algebra_class_check(alg, ClassTag("preinterior")) and algebra_class_check(alg, ClassTag("four"))
-    if name == "contingency":
-        return all(alg.box[a] == alg.box[full ^ a] for a in range(1 << alg.n))
-    if name == "convex":
-        return validates(alg, expand_named("@Conv").formula)
-    raise InvalidInputError(f"unknown algebra class {name!r}")
+    """The tag's one-step axioms on the atom frame's key, T and Four on
+    the box table."""
+    axioms = _ALGEBRA_CLASSES.get(tag.name)
+    if axioms is None:
+        raise InvalidInputError(f"unknown algebra class {tag.name!r}")
+    check_width(alg.n, PLAIN_OP_CAP, "algebra_class_check")
+    tests, t, four = _parts(axioms)
+    box = alg.box
+    if t and any(box[a] & ~a for a in range(1 << alg.n)):
+        return False
+    if four and any(box[a] & ~box[box[a]] for a in range(1 << alg.n)):
+        return False
+    key = transpose(box, alg.n) if tests else ()
+    return all(test(famask, alg.n) for test in tests for famask in key)
 
 
-CORRESPONDENCE_PAIRS = ("CentT", "IV4")
+# Each pair's frame tag and algebra tag.
+CORRESPONDENCE_PAIRS = {"CentT": ("centered", "t"), "IV4": ("iv", "four")}
 
 
 def correspondence_check(frame: NeighborhoodFrame, pair: str) -> dict:
     """Two-sided report for one of the frame/algebra bridge pairs."""
-    alg = complex_algebra(frame)
-    if pair == "CentT":
-        frame_side = frame_class_check(frame, ClassTag("centered"))
-        algebra_side = algebra_class_check(alg, ClassTag("t"))
-    elif pair == "IV4":
-        frame_side = frame_class_check(frame, ClassTag("iv"))
-        algebra_side = algebra_class_check(alg, ClassTag("four"))
-    else:
+    if pair not in CORRESPONDENCE_PAIRS:
         raise InvalidInputError(f"unknown correspondence pair {pair!r}")
+    frame_tag, algebra_tag = CORRESPONDENCE_PAIRS[pair]
+    frame_side = frame_class_check(frame, ClassTag(frame_tag))
+    # The complex algebra: duality imports evaluate, which imports this module.
+    alg = NeighborhoodAlgebra(frame.n, transpose(frame.key(), 1 << frame.n))
+    algebra_side = algebra_class_check(alg, ClassTag(algebra_tag))
     return {"pair": pair, "frame_side": frame_side, "algebra_side": algebra_side, "agree": frame_side == algebra_side}

@@ -56,8 +56,14 @@ def effective_cap(default: int) -> int:
     return min(default, value)
 
 
+def _check_size(n, what: str) -> None:
+    """Refuse a carrier size that is not a nonnegative int; a bool is not one."""
+    if type(n) is not int or n < 0:
+        raise InvalidInputError(f"{what} must be a nonnegative int, got {n!r}")
+
+
 def check_width(n: int, cap: int, what: str) -> None:
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise InvalidInputError(f"{what}: ground set size must be a nonnegative int")
     limit = effective_cap(cap)
     if n > limit:
@@ -165,8 +171,7 @@ class NeighborhoodFrame:
 
     def __init__(self, n: int, key: Iterable[int]) -> None:
         key = tuple(key)
-        if n < 0:
-            raise InvalidInputError("frame: n must be nonnegative")
+        _check_size(n, "frame: n")
         if len(key) != n:
             raise InvalidInputError(f"frame: expected {n} neighborhood families, got {len(key)}")
         _check_key(key, n, "frame")
@@ -186,8 +191,7 @@ class NeighborhoodAlgebra:
     box: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InvalidInputError("algebra: n must be nonnegative")
+        _check_size(self.n, "algebra: n")
         if len(self.box) != 1 << self.n:
             raise InvalidInputError(f"algebra: box table must have {1 << self.n} entries, got {len(self.box)}")
         box = self.box
@@ -205,6 +209,7 @@ class Relation:
     succ: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_size(self.n, "relation: n")
         if len(self.succ) != self.n:
             raise InvalidInputError(f"relation: expected {self.n} successor masks, got {len(self.succ)}")
         for x, s in enumerate(self.succ):
@@ -220,8 +225,8 @@ class FrameMorphism:
     map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n_dom < 0 or self.n_cod < 0:
-            raise InvalidInputError("morphism: sizes must be nonnegative")
+        _check_size(self.n_dom, "morphism: n_dom")
+        _check_size(self.n_cod, "morphism: n_cod")
         if len(self.map) != self.n_dom:
             raise InvalidInputError(f"morphism: expected {self.n_dom} entries, got {len(self.map)}")
         for x, y in enumerate(self.map):
@@ -271,8 +276,8 @@ class CompleteHom:
     atom_map: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n_dom < 0 or self.n_cod < 0:
-            raise InvalidInputError("hom: sizes must be nonnegative")
+        _check_size(self.n_dom, "hom: n_dom")
+        _check_size(self.n_cod, "hom: n_cod")
         if len(self.atom_map) != self.n_cod:
             raise InvalidInputError(f"hom: expected {self.n_cod} atom entries, got {len(self.atom_map)}")
         for y, x in enumerate(self.atom_map):
@@ -379,8 +384,9 @@ def frame_to_json(frame: NeighborhoodFrame) -> dict:
 
 def frame_from_json(obj: dict) -> NeighborhoodFrame:
     _expect_keys(obj, ("n", "N"), "frame")
-    if not isinstance(obj["n"], int) or not isinstance(obj["N"], list):
-        raise InvalidInputError("frame: n must be an int and N a list")
+    _check_size(obj["n"], "frame: n")
+    if not isinstance(obj["N"], list):
+        raise InvalidInputError("frame: N must be a list")
     return NeighborhoodFrame(obj["n"], [_json_famask(raw, obj["n"], f"frame: N({x})") for x, raw in enumerate(obj["N"])])
 
 
@@ -390,8 +396,6 @@ def algebra_to_json(alg: NeighborhoodAlgebra) -> dict:
 
 def algebra_from_json(obj: dict) -> NeighborhoodAlgebra:
     _expect_keys(obj, ("n", "box"), "algebra")
-    if not isinstance(obj["n"], int):
-        raise InvalidInputError("algebra: n must be an int")
     return NeighborhoodAlgebra(obj["n"], _int_list(obj["box"], "algebra: box"))
 
 
@@ -401,8 +405,6 @@ def relation_to_json(rel: Relation) -> dict:
 
 def relation_from_json(obj: dict) -> Relation:
     _expect_keys(obj, ("n", "R"), "relation")
-    if not isinstance(obj["n"], int):
-        raise InvalidInputError("relation: n must be an int")
     return Relation(obj["n"], _int_list(obj["R"], "relation: R"))
 
 
@@ -412,8 +414,6 @@ def morphism_to_json(f: FrameMorphism) -> dict:
 
 def morphism_from_json(obj: dict) -> FrameMorphism:
     _expect_keys(obj, ("n_dom", "n_cod", "map"), "morphism")
-    if not isinstance(obj["n_dom"], int) or not isinstance(obj["n_cod"], int):
-        raise InvalidInputError("morphism: sizes must be ints")
     return FrameMorphism(obj["n_dom"], obj["n_cod"], _int_list(obj["map"], "morphism: map"))
 
 
@@ -423,6 +423,4 @@ def hom_to_json(h: CompleteHom) -> dict:
 
 def hom_from_json(obj: dict) -> CompleteHom:
     _expect_keys(obj, ("n_dom", "n_cod", "atom_map"), "hom")
-    if not isinstance(obj["n_dom"], int) or not isinstance(obj["n_cod"], int):
-        raise InvalidInputError("hom: sizes must be ints")
     return CompleteHom(obj["n_dom"], obj["n_cod"], _int_list(obj["atom_map"], "hom: atom_map"))

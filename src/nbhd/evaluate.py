@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitslice import algebra_refute, family_accepts
+from .classes import _conjunction
 from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError, NeighborhoodAlgebra, check_width, full_mask
-from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, Var, free_vars, is_one_step, render, semantic_predicate
+from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, Var, expand_named, free_vars, is_one_step, render
 
 ASSIGN_SPACE_GUARD = 1 << 18
 
@@ -209,13 +210,12 @@ def validates(alg: NeighborhoodAlgebra, f: Formula) -> bool:
 
 
 def realize_axiom(ax: Axiom, n: int):
-    """('formula', Formula) or ('predicate', famask test) at width n."""
+    """('formula', Formula) or ('predicate', famask test) at width n; a
+    semantic axiom is the family tests of the registry axioms it names."""
     if ax.kappa is not None:
-        from .formulas import expand_named
-
         ax = expand_named(ax.name, n)
     if ax.semantic is not None:
-        return "predicate", semantic_predicate(ax.semantic)
+        return "predicate", _conjunction(ax.semantic)
     if ax.formula is None:
         raise InvalidInputError(f"axiom @{ax.name} has no formula at n={n}")
     return "formula", ax.formula

@@ -22,8 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .bitslice import _index_planes
-from .core import InvalidInputError, full_mask
+from .core import InvalidInputError
 
 
 class Formula:
@@ -273,13 +272,10 @@ def modal_depth(f: Formula) -> int:
     return 0
 
 
-# Named axioms.  Semantic tags stand in for formulas whose instantiation
-# space would collapse anyway: on n points any family closed under binary
-# intersections and upward closure is the up-cone of its minimum, so the
-# unbounded closure axioms reduce to a shape test on the family.
-
-SEM_PRINCIPAL = "principal"
-SEM_PRINCIPAL_OR_EMPTY = "principal-or-empty"
+# Named axioms.  A semantic axiom names the registry axioms whose family
+# tests decide it, in place of a formula whose instantiation space would
+# collapse anyway: on n points a family closed under binary meets and
+# supersets is empty or the up-cone of its minimum.
 
 
 @dataclass(frozen=True)
@@ -288,27 +284,7 @@ class Axiom:
     formula: Formula | None
     one_step: bool
     kappa: int | None = None
-    semantic: str | None = None
-
-
-def famask_is_principal(famask: int, n: int) -> bool:
-    """True when the family is the nonempty up-cone of its intersection.
-    Plane x is the famask of the subsets holding point x, so the up-cone
-    of the intersection is the meet of the planes that contain the family;
-    its least member is the intersection itself."""
-    cone = full_mask(1 << n)
-    for plane in _index_planes(n):
-        if famask & plane == famask:
-            cone &= plane
-    return famask != 0 and famask == cone
-
-
-def semantic_predicate(tag: str):
-    if tag == SEM_PRINCIPAL:
-        return famask_is_principal
-    if tag == SEM_PRINCIPAL_OR_EMPTY:
-        return lambda famask, n: famask == 0 or famask_is_principal(famask, n)
-    raise InvalidInputError(f"unknown semantic tag {tag!r}")
+    semantic: tuple[str, ...] | None = None
 
 
 def _kappa_formula(k: int) -> Formula:
@@ -338,22 +314,23 @@ def expand_named(name: str, n: int | None = None) -> Axiom:
     """Resolve a registry name, with or without the leading '@'.
 
     Ck(k) keeps its k-variable formula while k < 2^n and degrades to the
-    semantic shape test once instantiation values must repeat; CInf is
-    always semantic.  When n is unknown, Ck(k) keeps the formula.
+    family test of @C once instantiation values must repeat; CInf is
+    always the family tests of @N and @C.  When n is unknown, Ck(k) keeps
+    the formula.
     """
     bare = name[1:] if name.startswith("@") else name
     if bare in _FIXED_AXIOMS:
         text, one_step = _FIXED_AXIOMS[bare]
         return Axiom(bare, parse(text), one_step)
     if bare == "CInf":
-        return Axiom(bare, None, True, semantic=SEM_PRINCIPAL)
+        return Axiom(bare, None, True, semantic=("N", "C"))
     m = _CK_RE.match(bare)
     if m:
         k = int(m.group(1))
         if k < 1:
             raise InvalidInputError("Ck(k): k must be at least 1")
         if n is not None and k >= (1 << n):
-            return Axiom(bare, None, True, kappa=k, semantic=SEM_PRINCIPAL_OR_EMPTY)
+            return Axiom(bare, None, True, kappa=k, semantic=("C",))
         return Axiom(bare, _kappa_formula(k), True, kappa=k)
     raise InvalidInputError(f"unknown axiom name {name!r}")
 

@@ -38,6 +38,7 @@ from .core import (
     NeighborhoodFrame,
     _check_famask,
     _check_key,
+    _check_size,
     _disagreement,
     _json_famask,
     _push_forward,
@@ -57,8 +58,7 @@ class GeneralFrame:
 
     def __init__(self, n: int, key, admissible: int) -> None:
         key = tuple(key)
-        if n < 0:
-            raise InvalidInputError("general frame: n must be nonnegative")
+        _check_size(n, "general frame: n")
         if len(key) != n:
             raise InvalidInputError(f"general frame: expected {n} neighborhood families")
         _check_key(key, n, "general frame")
@@ -315,8 +315,9 @@ def general_frame_to_json(gf: GeneralFrame) -> dict:
 def general_frame_from_json(obj: dict) -> GeneralFrame:
     if not isinstance(obj, dict) or set(obj) != {"n", "N", "A"}:
         raise InvalidInputError("general frame: expected keys ['n', 'N', 'A']")
-    if not isinstance(obj["n"], int) or not isinstance(obj["N"], list):
-        raise InvalidInputError("general frame: n must be an int and N a list")
+    _check_size(obj["n"], "general frame: n")
+    if not isinstance(obj["N"], list):
+        raise InvalidInputError("general frame: N must be a list")
     n = obj["n"]
     key = [_json_famask(raw, n, f"general frame: N({x})") for x, raw in enumerate(obj["N"])]
     return GeneralFrame(n, key, _json_famask(obj["A"], n, "general frame: A"))

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from nbhd.bax import (
@@ -10,7 +12,7 @@ from nbhd.bax import (
     naturality_check,
     principal_iso,
 )
-from nbhd.core import CapExceededError, FrameMorphism, InvalidInputError, famask_of, up_cone
+from nbhd.core import CapExceededError, FrameMorphism, InvalidInputError, famask_members, famask_of, up_cone
 from nbhd.formulas import axiom_set_from_specs
 
 import oracles
@@ -164,10 +166,33 @@ def test_naturality_check():
     both = naturality_check(f, axs, g=g)
     assert both["functorial"]
     assert both["checked"] == 2 * len(enumerate_bax(2, axs).famasks())
-    sampled = naturality_check(f, axs, g=g, sample=3, seed=1)
-    again = naturality_check(f, axs, g=g, sample=3, seed=1)
-    assert sampled == again
-    assert sampled["checked"] == len(enumerate_bax(2, axs).famasks()) + 3
+    with pytest.raises(InvalidInputError, match="codomain of f must match domain of g"):
+        naturality_check(f, axs, g=f)
+
+
+def bax_map_report(f, axs, g):
+    """naturality_check's report, built member by member through bax_map."""
+    dom = enumerate_bax(f.n_dom, axs).famasks()
+    cod = set(enumerate_bax(f.n_cod, axs).famasks())
+    failures = [{"family": list(famask_members(w)), "image": list(famask_members(bax_map(f, w, axs)))} for w in dom if bax_map(f, w, axs) not in cod]
+    if g is not None:
+        gf = compose_morphisms(g, f)
+        for w in dom:
+            direct, staged = bax_map(gf, w, axs), bax_map(g, bax_map(f, w, axs), axs)
+            if direct != staged:
+                failures.append({"family": list(famask_members(w)), "direct": list(famask_members(direct)), "staged": list(famask_members(staged))})
+    return {"functorial": not failures, "checked": len(dom) * (1 if g is None else 2), "failures": failures}
+
+
+def test_naturality_check_equals_the_bax_map_route():
+    # Every point map between carriers of at most two points, alone and
+    # followed by every map out of its codomain.
+    maps = {n: [FrameMorphism(n, m, t) for m in range(3) for t in product(range(m), repeat=n)] for n in range(3)}
+    for specs in (["@M"], ["@Conv"], ["@Cont"], ["@CInf"], ["@N", "@C"]):
+        for f in (f for fs in maps.values() for f in fs):
+            axs = axiom_set_from_specs(specs, f.n_dom)
+            for g in [None] + maps[f.n_cod]:
+                assert naturality_check(f, axs, g) == bax_map_report(f, axs, g), (specs, f, g)
 
 
 def test_baxspace_json_round_trip():

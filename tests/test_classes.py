@@ -4,18 +4,16 @@ from itertools import product
 import pytest
 
 import oracles
+from nbhd import search
 from nbhd.classes import (
     ALGEBRA_TAGS,
+    AXIOM_TESTS,
+    CLASS_TABLE,
     CORRESPONDENCE_PAIRS,
     FRAME_TAGS,
     ClassTag,
     algebra_class_check,
     correspondence_check,
-    family_is_contingency,
-    family_is_convex,
-    family_is_filter,
-    family_is_kappa_complete,
-    family_is_up_closed,
     frame_class_check,
     frame_tag_parts,
     iv_holds,
@@ -48,31 +46,38 @@ def as_sets(famask: int):
     return oracles.family_to_sets(famask_members(famask))
 
 
+def family_tag(famask: int, n: int, tag: ClassTag) -> bool:
+    return all(test(famask, n) for test in frame_tag_parts(tag)[0])
+
+
 def test_family_predicates_match_oracles():
     for n in range(4):
+        universe = set(oracles.subsets(range(n)))
         for famask in families(n):
             sets = as_sets(famask)
-            assert family_is_up_closed(famask, n) == oracles.is_up_closed(sets, n)
-            assert family_is_convex(famask, n) == oracles.is_convex(sets, n)
-            assert family_is_filter(famask, n) == oracles.is_filter_family(sets, n)
-            assert family_is_contingency(famask, n) == oracles.is_contingency_family(sets, n)
+            holds = {name: test(famask, n) for name, test in AXIOM_TESTS.items()}
+            assert holds["M"] == oracles.is_up_closed(sets, n)
+            assert holds["Conv"] == oracles.is_convex(sets, n)
+            assert holds["CoConv"] == oracles.is_convex(universe - sets, n)
+            assert holds["Cont"] == oracles.is_contingency_family(sets, n)
+            assert holds["N"] == (frozenset(range(n)) in sets)
+            assert holds["C"] == (not sets or oracles.is_filter_family(sets, n))
+            assert (holds["N"] and holds["C"]) == oracles.is_filter_family(sets, n)
 
 
 def test_kappa_complete_matches_oracle_and_collapses():
     for n in range(4):
         for famask in families(n):
             sets = as_sets(famask)
-            results = {
-                k: family_is_kappa_complete(famask, n, k) for k in (1, 2, 3, 4, 17)
-            }
+            results = {k: family_tag(famask, n, ClassTag("kappa", k)) for k in (1, 2, 3, 4, 17)}
             for k in (1, 2, 3, 4):
                 assert results[k] == oracles.is_kappa_complete_family(sets, n, k)
             # Meets of size zero and two decide everything on a finite carrier.
             assert results[1] == results[2]
             assert results[3] == results[4] == results[17]
-            assert results[3] == family_is_filter(famask, n)
-    with pytest.raises(InvalidInputError):
-        family_is_kappa_complete(0, 1, 0)
+            assert results[3] == family_tag(famask, n, ClassTag("filter"))
+    with pytest.raises(InvalidInputError, match="kappa >= 1"):
+        frame_tag_parts(ClassTag("kappa", 0))
 
 
 def test_parse_class_tag():
@@ -206,25 +211,33 @@ def test_algebra_tags_match_oracle_sampled_n3():
             assert algebra_class_check(alg, ClassTag(name)) == oracle_algebra_tag(alg, name)
 
 
-# Each frame tag names the same class as its algebra tag through the
-# complex algebra; checking all 256 two-point frames exercises every pair.
-BRIDGE = (
-    ("monotone", "bam"),
-    ("filter", "normal"),
-    ("centered", "t"),
-    ("iv", "four"),
-    ("pretopological", "preinterior"),
-    ("topological", "interior"),
-    ("contingency", "contingency"),
-    ("convex", "convex"),
-)
+def test_algebra_tags_match_oracle_sampled_n4():
+    # Random box tables fail almost every tag, so most samples are the
+    # complex algebras of frames drawn from each class's candidate lists.
+    rng = random.Random(4)
+    algebras = [NeighborhoodAlgebra(4, tuple(rng.randrange(16) for _ in range(16))) for _ in range(20)]
+    for frame_tag, _, _ in CLASS_TABLE:
+        cands, _ = search._compile_constraints(4, (frame_tag,))
+        for _ in range(8):
+            algebras.append(complex_algebra(NeighborhoodFrame(4, [rng.choice(c) for c in cands])))
+    seen = set()
+    for alg in algebras:
+        for name in ALGEBRA_TAGS:
+            holds = algebra_class_check(alg, ClassTag(name))
+            assert holds == oracle_algebra_tag(alg, name), (alg, name)
+            seen.add((name, holds))
+    assert len(seen) == 2 * len(ALGEBRA_TAGS)
 
 
 def test_frame_algebra_tag_bridge():
+    # Each frame tag names the same class as its algebra tag through the
+    # complex algebra; checking all 256 two-point frames exercises every pair.
+    bridge = [(frame_tag, algebra_tag) for frame_tag, algebra_tag, _ in CLASS_TABLE if algebra_tag]
+    assert sorted(algebra_tag for _, algebra_tag in bridge) == sorted(ALGEBRA_TAGS)
     for n in range(3):
         for frame in frames(n):
             alg = complex_algebra(frame)
-            for frame_tag, algebra_tag in BRIDGE:
+            for frame_tag, algebra_tag in bridge:
                 assert frame_class_check(frame, ClassTag(frame_tag)) == algebra_class_check(
                     alg, ClassTag(algebra_tag)
                 ), (frame, frame_tag)
@@ -283,14 +296,15 @@ def test_tag_errors():
         frame_class_check(frame, ClassTag("kappa"))
     with pytest.raises(InvalidInputError):
         algebra_class_check(NeighborhoodAlgebra(1, (0, 0)), ClassTag("monotone"))
+    with pytest.raises(InvalidInputError, match="unknown algebra class 'coconvex'"):
+        algebra_class_check(NeighborhoodAlgebra(1, (0, 0)), ClassTag("coconvex"))
     # Planes and masks over 40 points take 2^40 bits: refused at once.
-    # (family_is_filter answers False first: no family holds the full set.)
+    # (@N is one shift: no family over 40 points holds the full set.)
     famask = famask_of((1,))
-    assert not family_is_filter(famask, 40)
-    tests = (family_is_up_closed, family_is_convex, family_is_contingency)
-    tests += frame_tag_parts(ClassTag("coconvex"))[0] + frame_tag_parts(ClassTag("kappa", 3))[0]
-    for test in tests:
-        with pytest.raises(CapExceededError):
-            test(famask, 40)
+    assert not AXIOM_TESTS["N"](famask, 40)
+    for name, test in AXIOM_TESTS.items():
+        if name != "N":
+            with pytest.raises(CapExceededError):
+                test(famask, 40)
     with pytest.raises(CapExceededError):
         frame_class_check(NeighborhoodFrame(40, (0,) * 40), ClassTag("iv"))

@@ -224,6 +224,7 @@ def test_frame_member_rejections_keep_exit_codes(capsys, tmp_path):
         ({"n": 2, "N": [[1], [0, 4]]}, 2, "is not a subset mask for n=2"),
         ({"n": 2, "N": [[4, True], [0]]}, 2, "expected a list of ints"),
         ({"n": 17, "N": [[1 << 16]] + [[]] * 16}, 3, "needs more than 16 points"),
+        ({"n": True, "N": [[1]]}, 2, "frame: n must be a nonnegative int, got True"),
     )
     for obj, expected_code, message in cases:
         code, out, err = run(capsys, "dualize", "--frame", write(tmp_path, "f.json", obj))
@@ -260,6 +261,22 @@ def test_class_check_and_correspond(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "class", "check", "--frame", frame, "--tag", "open")
     assert code == 2
+    flagged = write(tmp_path, "ab.json", {"n": True, "box": [0, 1]})
+    code, out, err = run(capsys, "class", "check", "--algebra", flagged, "--tag", "bam")
+    assert code == 2 and out == "" and "algebra: n must be a nonnegative int" in err
+    # Algebra tags run on the atom frame's key, so they answer past the
+    # assignment-space guard of the formula route: the identity box is
+    # convex and normal, a box that is empty everywhere is not normal.
+    identity = write(tmp_path, "id7.json", {"n": 7, "box": list(range(1 << 7))})
+    code, out = jout(capsys, "class", "check", "--algebra", identity, "--tag", "convex")
+    assert code == 0 and out == {"tag": "convex", "holds": True}
+    empty = write(tmp_path, "zero10.json", {"n": 10, "box": [0] * (1 << 10)})
+    code, out = jout(capsys, "class", "check", "--algebra", empty, "--tag", "normal")
+    assert code == 1 and out == {"tag": "normal", "holds": False}
+    identity = write(tmp_path, "id10.json", {"n": 10, "box": list(range(1 << 10))})
+    for tag in ("normal", "interior"):
+        code, out = jout(capsys, "class", "check", "--algebra", identity, "--tag", tag)
+        assert code == 0 and out == {"tag": tag, "holds": True}
     code, out = jout(capsys, "class", "correspond", "--frame", frame, "--pair", "IV4")
     assert code == 0
     assert out == {"pair": "IV4", "frame_side": False, "algebra_side": False, "agree": True}
@@ -331,6 +348,9 @@ def test_morphism_subcommands(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "morphism", "dualize")
     assert code == 2
+    flagged = write(tmp_path, "mb.json", {"n_dom": 1, "n_cod": True, "map": [0]})
+    code, out, err = run(capsys, "morphism", "dualize", "--morphism", flagged)
+    assert code == 2 and out == "" and "n_cod must be a nonnegative int" in err
 
 
 def test_search_countermodel_cli(capsys):

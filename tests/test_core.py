@@ -32,6 +32,8 @@ from nbhd.core import (
     up_cone,
 )
 from nbhd.core import CompleteHom
+from nbhd.bax import baxspace_from_json
+from nbhd.duality import lax_from_json
 from nbhd.genframe import GeneralFrame, general_frame_from_json
 
 import oracles
@@ -276,6 +278,42 @@ def test_json_rejects_bad_shapes():
             frame_from_json({"n": 2, "N": [[1], [0, member]]})
     with pytest.raises(InvalidInputError):
         frame_from_json({"n": 2, "N": [[True], [0]]})
+
+
+def test_every_decoder_and_constructor_refuses_a_bad_size():
+    # A bool is an int to isinstance, so true once passed as n = 1 and was
+    # echoed back as "n":true; sizes must be nonnegative ints proper.
+    valid = {
+        frame_from_json: {"n": 1, "N": [[1]]},
+        algebra_from_json: {"n": 1, "box": [0, 1]},
+        relation_from_json: {"n": 1, "R": [1]},
+        morphism_from_json: {"n_dom": 1, "n_cod": 1, "map": [0]},
+        hom_from_json: {"n_dom": 1, "n_cod": 1, "atom_map": [0]},
+        general_frame_from_json: {"n": 1, "N": [[1]], "A": [0, 1]},
+        baxspace_from_json: {"n": 1, "axioms": ["@M"], "members": [[1]]},
+        lax_from_json: {"n": 1, "axioms": ["@M"], "members": [[1]], "gen": [[], [0]]},
+    }
+    for decode, obj in valid.items():
+        decode(obj)
+        for key in [k for k in obj if k.startswith("n")]:
+            for bad in (True, False, -1, 1.0, "1", None):
+                with pytest.raises(InvalidInputError, match=f"{key} must be a nonnegative int"):
+                    decode({**obj, key: bad})
+    constructors = (
+        lambda n: NeighborhoodFrame(n, (0,)),
+        lambda n: NeighborhoodAlgebra(n, (0, 0)),
+        lambda n: Relation(n, (0,)),
+        lambda n: FrameMorphism(n, 1, (0,)),
+        lambda n: FrameMorphism(1, n, (0,)),
+        lambda n: CompleteHom(n, 1, (0,)),
+        lambda n: CompleteHom(1, n, (0,)),
+        lambda n: GeneralFrame(n, (0,), 0b11),
+    )
+    for construct in constructors:
+        construct(1)
+        for bad in (True, -1, 1.0):
+            with pytest.raises(InvalidInputError, match="must be a nonnegative int"):
+                construct(bad)
 
 
 def test_json_family_faults_keep_their_messages():

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from nbhd.classes import AXIOM_TESTS
 from nbhd.core import InvalidInputError
+from nbhd.evaluate import realize_axiom
 from nbhd.formulas import (
     TOP,
     And,
@@ -18,7 +20,6 @@ from nbhd.formulas import (
     bot,
     disj,
     expand_named,
-    famask_is_principal,
     free_vars,
     iff,
     implies,
@@ -27,9 +28,6 @@ from nbhd.formulas import (
     modal_depth,
     parse,
     render,
-    semantic_predicate,
-    SEM_PRINCIPAL,
-    SEM_PRINCIPAL_OR_EMPTY,
 )
 
 U, V, W = Var("u"), Var("v"), Var("w")
@@ -187,9 +185,9 @@ def test_registry_kappa_degrade():
     wide = expand_named("@Ck(2)", n=3)
     assert wide.formula == plain.formula
     tight = expand_named("@Ck(2)", n=1)
-    assert tight.formula is None and tight.semantic == SEM_PRINCIPAL_OR_EMPTY
+    assert tight.formula is None and tight.semantic == ("C",)
     assert tight.kappa == 2 and tight.one_step
-    assert expand_named("@Ck(4)", n=2).semantic == SEM_PRINCIPAL_OR_EMPTY
+    assert expand_named("@Ck(4)", n=2).semantic == ("C",)
     assert expand_named("@Ck(3)", n=2).semantic is None
     with pytest.raises(InvalidInputError):
         expand_named("@Ck(0)")
@@ -199,23 +197,26 @@ def test_registry_kappa_degrade():
 
 def test_registry_cinf():
     ax = expand_named("@CInf")
-    assert ax.formula is None and ax.semantic == SEM_PRINCIPAL and ax.one_step
+    assert ax.formula is None and ax.semantic == ("N", "C") and ax.one_step
     assert ax.kappa is None
 
 
 def test_famask_is_principal():
+    # The principal families are the @CInf ones: @N and @C hold.
+    kind, principal = realize_axiom(expand_named("@CInf"), 2)
+    assert kind == "predicate"
     # n=2 masks: family {2,3} is the up-cone of {1}; {1,2} has meet 0 but misses 0.
-    assert famask_is_principal(0b1100, 2)
-    assert famask_is_principal(0b1000, 2)
-    assert famask_is_principal(0b1111, 2)
-    assert not famask_is_principal(0, 2)
-    assert not famask_is_principal(0b0110, 2)
-    assert not famask_is_principal(0b1101, 2)
-    assert famask_is_principal(0b1, 0)
-    pred = semantic_predicate(SEM_PRINCIPAL_OR_EMPTY)
+    assert principal(0b1100, 2)
+    assert principal(0b1000, 2)
+    assert principal(0b1111, 2)
+    assert not principal(0, 2)
+    assert not principal(0b0110, 2)
+    assert not principal(0b1101, 2)
+    assert principal(0b1, 0)
+    # A degraded @Ck(k) is @C alone, which also takes the empty family.
+    kind, pred = realize_axiom(expand_named("@Ck(4)", 2), 2)
+    assert kind == "predicate" and pred is AXIOM_TESTS["C"]
     assert pred(0, 2) and pred(0b1100, 2) and not pred(0b0110, 2)
-    with pytest.raises(InvalidInputError):
-        semantic_predicate("bogus")
 
 
 def test_axiom_set_from_specs():

@@ -1,4 +1,5 @@
-"""The README's Python Quick start, run as written.
+"""The README's Python Quick start, run as written, and its tables
+against the code.
 
 Each statement of the block runs in turn.  A statement followed by a
 comment, on its own line or on the comment lines after it, shows its
@@ -7,7 +8,11 @@ of the expression.
 """
 
 import ast
+import re
 from pathlib import Path
+
+from nbhd.classes import CLASS_TABLE, ClassTag, _frame_tag_axioms
+from nbhd.formulas import REGISTRY_NAMES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -45,3 +50,27 @@ def test_readme_quick_start_shows_its_results():
     # The block shows five results: the key, a decoded family, the box
     # table, the validity verdict and the countermodel.
     assert checked == 5
+
+
+def table_rows(heading: str) -> list[list[str]]:
+    """The cells of each body row of the first table under a heading; a
+    cell's backslash-escaped pipes stay inside it."""
+    section = README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    return [[cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]] for line in lines[2:]]
+
+
+def test_readme_registry_table_lists_every_registry_name():
+    names = [row[0] for row in table_rows("Formulas and named axioms")]
+    assert names == [f"`@{name}`" for name in REGISTRY_NAMES]
+
+
+def test_readme_class_table_is_the_code_table():
+    def cells(frame_tag, algebra_tag, axioms):
+        return [frame_tag, f"`{algebra_tag}`" if algebra_tag else "", ", ".join(f"`@{name}`" for name in axioms)]
+
+    want = [cells(f"`{frame_tag}`", algebra_tag, axioms) for frame_tag, algebra_tag, axioms in CLASS_TABLE]
+    for label, ks in (("`kappa:k`, k ≤ 2", (1, 2)), ("`kappa:k`, k ≥ 3", (3, 4, 17))):
+        (axioms,) = {_frame_tag_axioms(ClassTag("kappa", k)) for k in ks}
+        want.append(cells(label, None, axioms))
+    assert table_rows("Class tags") == want

@@ -6,7 +6,7 @@ import pytest
 from conftest import given, st
 import oracles
 from nbhd import search
-from nbhd.classes import FRAME_TAGS, frame_class_check
+from nbhd.classes import AXIOM_TESTS, FRAME_TAGS, frame_class_check
 from nbhd.core import (
     CapExceededError,
     InvalidInputError,
@@ -187,30 +187,19 @@ def test_constraint_semantics_against_direct_check():
     assert count_frames(2, ("@M", "contingency")) == count_frames(2, ("monotone", "contingency"))
 
 
-# The per-family frame classes and the one-step axiom sets that present them.
-ONE_STEP_CLASSES = {
-    "monotone": ["@M"],
-    "convex": ["@Conv"],
-    "coconvex": ["@CoConv"],
-    "contingency": ["@Cont"],
-    "filter": ["@M", "@C", "@N"],
-    "kappa:1": ["@M", "@N"],
-    "kappa:2": ["@M", "@N"],
-    "kappa:3": ["@M", "@C", "@N"],
-    "kappa:4": ["@M", "@C", "@N"],
-}
-
-
 def test_family_classes_are_presented_by_one_step_axioms():
-    # A tag's candidates are exactly the families of its axiom set.  n = 0
-    # has no point, so no candidate list to compare.
-    cases = [(n, tag) for n in (1, 2, 3) for tag in ONE_STEP_CLASSES]
-    cases += [(4, tag) for tag in ("monotone", "contingency", "filter", "kappa:2")]
-    for n, tag in cases:
-        cands, iv = search._compile_constraints(n, (tag,))
-        specs = ONE_STEP_CLASSES[tag]
-        space = enumerate_bax(n, axiom_set_from_specs(specs, n), strategy="filter")
-        assert not iv and cands == [list(space.famasks())] * n, (n, tag)
+    # Each one-step registry axiom's family test picks out exactly the
+    # families of its formula, at every n <= 4; every per-family class is
+    # a conjunction of these tests.  The semantic axioms equal the formula
+    # axioms they stand for.
+    def space(n, specs):
+        return enumerate_bax(n, axiom_set_from_specs(specs, n)).famasks()
+
+    for n in range(5):
+        for name, test in AXIOM_TESTS.items():
+            assert tuple(fm for fm in range(1 << (1 << n)) if test(fm, n)) == space(n, ["@" + name]), (n, name)
+        assert space(n, ["@CInf"]) == space(n, ["@N", "@C"]), n
+        assert space(n, [f"@Ck({1 << n})"]) == space(n, ["@C"]), n
 
 
 def test_compile_target_shapes():
