@@ -6,9 +6,11 @@ many families at once: plane[a] holds, in lane f, whether subset a is a
 member of family f, so each deduplicated row of the program is a few
 ANDs and XORs of whole planes, and the families that pass are the lanes
 left set after the rows are AND-ed together.  An algebra program is
-evaluated for every assignment at once: lane i is assignment index i, a
-subset value is n planes (one per point), and a box node becomes the 2^n
-"value equals a" masks OR-ed into the planes of box[a].  Up-closed
+evaluated for every assignment of a block of frames at once: lane
+i * 2^b + f is assignment i of frame f, a subset value is n planes (one
+per point), and a box node ANDs each of the 2^n "value equals a" masks
+with the plane of the frames whose N(y) holds a and ORs it into plane y.
+A single algebra is a block of one frame.  Up-closed
 families are grown as plain ints and filtered in blocks of lanes,
 transposed into planes by `transpose`, which also turns per-point
 famasks into box tables and back.
@@ -193,12 +195,13 @@ def upset_enumerate(m: int, succ, required: int, programs) -> list[int]:
 
 
 @lru_cache(maxsize=32)
-def _variable_planes(n: int, n_vars: int) -> tuple[tuple[int, ...], ...]:
-    """Per variable, its n planes over all (2^n)^n_vars assignments, plane
-    x holding the lanes whose value contains point x.  Variable i is digit
-    i base 2^n of the lane index, first most significant."""
-    index = _index_planes(n * n_vars)
-    return tuple(tuple(index[n * (n_vars - 1 - i) + x] for x in range(n)) for i in range(n_vars))
+def _variable_planes(n: int, n_vars: int, frame_bits: int) -> tuple[tuple[int, ...], ...]:
+    """Per variable, its n planes over the lanes of 2^frame_bits frames'
+    assignments, plane x holding the lanes whose value contains point x.
+    Lane i * 2^frame_bits + f is assignment i of frame f, and variable i
+    is digit i base 2^n of i, first most significant."""
+    index = _index_planes(n * n_vars + frame_bits)
+    return tuple(tuple(index[frame_bits + n * (n_vars - 1 - i) + x] for x in range(n)) for i in range(n_vars))
 
 
 @lru_cache(maxsize=32)
@@ -207,10 +210,19 @@ def _points(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(y for y in range(n) if a >> y & 1) for a in range(1 << n))
 
 
-def _apply_box(box, n: int, value: tuple[int, ...], full: int) -> tuple[int, ...]:
-    """Planes of box[value]: split the lanes by the subset they hold, one
-    point at a time, and OR each nonempty part into the planes of its
-    image."""
+def _repeat(mask: int, frame_bits: int, assign_bits: int) -> int:
+    """A plane with lane i * 2^frame_bits + f set iff bit f of mask is,
+    for every assignment i below 2^assign_bits."""
+    for b in range(frame_bits, frame_bits + assign_bits):
+        mask |= mask << (1 << b)
+    return mask
+
+
+def _apply_box(box, points, within, n: int, value: tuple[int, ...], full: int) -> tuple[int, ...]:
+    """Planes of box[value]: split the lanes by the subset a they hold,
+    one point at a time; each part joins the planes of points[box[a]]
+    whole and, for each pair (y, plane) of within[a], plane y within
+    the given plane."""
     parts = [(0, full)]
     for x, plane in enumerate(value):
         split = []
@@ -221,25 +233,27 @@ def _apply_box(box, n: int, value: tuple[int, ...], full: int) -> tuple[int, ...
             if inside != part:
                 split.append((a, part ^ inside))
         parts = split
-    points = _points(n)
     out = [0] * n
     for a, part in parts:
         for y in points[box[a]]:
             out[y] |= part
+    if within:
+        for a, part in parts:
+            for y, plane in within[a]:
+                out[y] |= part & plane
     return tuple(out)
 
 
-def algebra_refute(box, n: int, opcodes, opargs, n_vars: int) -> int:
-    """Index of the first assignment where the program evaluates below the
-    full set, or -1.  Assignment index idx encodes variable i
-    (first-occurrence order) as digit i base 2^n, first variable most
-    significant.
+def _refuted(box, points, within, n: int, opcodes, opargs, n_vars: int, frame_bits: int) -> int:
+    """Lanes (i * 2^frame_bits + f) where the program evaluates below the
+    full set in frame f under assignment i.  box, points and within give
+    the box node, as `_apply_box` reads them.
 
     Postfix opcodes: 0 pushes variable arg, 1 the full set, 2 complements
-    the top, 3 folds an and of arg operands, 4 applies the box table.
-    Every value is a tuple of n planes over all assignments."""
-    full = (1 << (1 << n * n_vars)) - 1
-    variables = _variable_planes(n, n_vars)
+    the top, 3 folds an and of arg operands, 4 applies the box.  Every
+    value is a tuple of n planes over all lanes."""
+    full = (1 << (1 << n * n_vars + frame_bits)) - 1
+    variables = _variable_planes(n, n_vars, frame_bits)
     top = (full,) * n
     boxed: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal values, equal images
     stack = []
@@ -261,10 +275,52 @@ def algebra_refute(box, n: int, opcodes, opargs, n_vars: int) -> int:
         else:
             value = stack[-1]
             if value not in boxed:
-                boxed[value] = _apply_box(box, n, value, full)
+                boxed[value] = _apply_box(box, points, within, n, value, full)
             stack[-1] = boxed[value]
     holds = full
     for plane in stack[-1]:
         holds &= plane
-    refuted = full ^ holds
+    return full ^ holds
+
+
+def algebra_refute(box, n: int, opcodes, opargs, n_vars: int) -> int:
+    """Index of the first assignment where the program evaluates below the
+    full set in the algebra with this box table, or -1: the sweep of a
+    block of one frame.  Assignment index idx encodes variable i
+    (first-occurrence order) as digit i base 2^n, first variable most
+    significant."""
+    refuted = _refuted(box, _points(n), (), n, opcodes, opargs, n_vars, 0)
     return (refuted & -refuted).bit_length() - 1
+
+
+def block_refute(keys, n: int, opcodes, opargs, n_vars: int) -> tuple[int, int]:
+    """Sweep every assignment of every frame in a block at once.
+
+    keys are the famask keys of frames on n points.  With 2^b the number
+    of frames rounded up to a power of two, lane i * 2^b + f is
+    assignment i of frame f, and the box node reads, per subset a and
+    point y, the frames whose N(y) holds a (a transpose of the keys'
+    slot y) repeated over the assignments.  Returns (bit f set when
+    frame f has a refuting assignment, the least refuting assignment of
+    the least such frame or -1)."""
+    frame_bits = (len(keys) - 1).bit_length()
+    assign_bits = n * n_vars
+    members = [transpose([key[y] for key in keys], 1 << n) for y in range(n)]
+    every = (1 << len(keys)) - 1
+    # Per subset a: the points whose N(y) holds a in every frame, and the
+    # points where only some frames do, with the plane of those frames.
+    whole = [[y for y, slot in enumerate(members) if slot[a] == every] for a in range(1 << n)]
+    within = [
+        [(y, _repeat(slot[a], frame_bits, assign_bits)) for y, slot in enumerate(members) if 0 < slot[a] < every]
+        for a in range(1 << n)
+    ]
+    refuted = _refuted(range(1 << n), whole, within, n, opcodes, opargs, n_vars, frame_bits)
+    # Fold the assignments onto lane f: bit f is then frame f's any-refuted bit.
+    frames = refuted
+    for b in range(frame_bits, frame_bits + assign_bits):
+        frames |= frames >> (1 << b)
+    frames &= (1 << len(keys)) - 1
+    if not frames:
+        return 0, -1
+    column = (refuted >> (frames & -frames).bit_length() - 1) & _repeat(1, frame_bits, assign_bits)
+    return frames, ((column & -column).bit_length() - 1) >> frame_bits

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .bax import bax_map, baxspace_to_json, enumerate_bax
 from .bitslice import transpose
@@ -53,7 +54,7 @@ from .duality import (
     lax_to_json,
     onestep_top_check,
 )
-from .evaluate import eval_formula
+from .evaluate import eval_formula, find_refuting_assignment
 from .formulas import (
     axiom_set_from_specs,
     expand_named,
@@ -184,8 +185,6 @@ def cmd_valid(args) -> int:
         ok = all(payload(famask, alg.n) for famask in transpose(alg.box, alg.n))
         _emit({"valid": ok, "witness": None}, args)
         return 0 if ok else 1
-    from .evaluate import find_refuting_assignment
-
     witness = find_refuting_assignment(alg, payload)
     _emit({"valid": witness is None, "witness": witness}, args)
     return 0 if witness is None else 1
@@ -465,9 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of main rather than at import;
+    parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.json and args.pretty:
         sys.stderr.write("nbhd: --json and --pretty are mutually exclusive\n")
         return 2

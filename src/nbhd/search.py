@@ -6,12 +6,21 @@ per-family tests and centered condition that `classes.frame_tag_parts`
 gives for each class tag) shrink each point's candidate list before any
 frame is assembled.  One key loop walks the product: canonicity is
 tested on the famask key itself, through per-permutation relabel
-tables, and a key that passes is transposed once into its box table for
-the other whole-frame conditions (iv, the target formula).  Counting,
-the find modes and enumeration all read that loop, and only emitted
-frames and hits are assembled.  The loop follows the product order with
-the first point outermost and famasks ascending, which is exactly the
-ascending lexicographic order on frame keys.
+tables, and a key that passes is transposed into its box table only for
+the iv condition.  Counting, the find modes and enumeration all read
+that loop, and only emitted frames and hits are assembled.  The loop
+follows the product order with the first point outermost and famasks
+ascending, which is exactly the ascending lexicographic order on frame
+keys.
+
+A target formula is checked on blocks of in-class keys, taken in scan
+order (1, 2, 4, ... keys, up to 2^TARGET_BLOCK_BITS lanes): one
+`bitslice.block_refute` sweep evaluates it with one lane per frame and
+assignment, lane i * 2^b + f for assignment i of frame f, the box node
+reading per subset a and point y the frames whose N(y) holds a, a
+transpose of the block's keys.  The least frame with a refuted lane is
+the block's first refuting frame, and its least refuted lane is the
+least assignment, so blocks change neither the hit nor "checked".
 
 Workers partition the first point's candidate list into contiguous
 chunks and results merge in chunk order, so output is identical for
@@ -31,10 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import chain, islice, permutations, product
 
 from .bax import enumerate_bax
-from .bitslice import _index_planes, transpose
+from .bitslice import _index_planes, block_refute, transpose
 from .classes import FRAME_TAGS, frame_tag_parts, iv_holds, parse_class_tag
 from .core import (
     CANONICAL_CAP,
@@ -55,12 +64,14 @@ from .evaluate import (
     assignment_space,
     compile_algebra,
     eval_formula,
-    find_refuting_assignment,
     realize_axiom,
 )
 from .formulas import axiom_set_from_specs, expand_named, parse
 
 MODES = ("find_refuting", "find_validating", "count")
+# A target block holds at most 2^16 lanes (frames times assignments) and
+# at least one frame.
+TARGET_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -180,28 +191,49 @@ def compile_target(text: str | None, n: int):
     return "formula", parse(text)
 
 
-def _test_target(n: int, key: tuple[int, ...], box, target) -> tuple[bool, dict[str, int] | None]:
-    """(does the frame with this key and box table validate the target,
-    refuting assignment if not)."""
+def _target_check(n: int, target):
+    """(check, cap) for a compiled target: check maps a list of keys to
+    (bit f set when frame f refutes the target, the first refuting
+    assignment of the least such frame), and blocks hold at most cap
+    frames.  A formula is swept over the whole block at once."""
     kind, payload = target
     if kind == "predicate":
-        return all(payload(famask, n) for famask in key), None
-    env = find_refuting_assignment(NeighborhoodAlgebra(n, box), payload)
-    return env is None, env
+
+        def check(block):
+            refuted = sum(1 << f for f, key in enumerate(block) if not all(payload(fm, n) for fm in key))
+            return refuted, None
+
+        return check, 1 << TARGET_BLOCK_BITS
+    program = compile_algebra(payload)
+    names = list(program.names)
+
+    def check(block):
+        assignment_space(n, len(names), "validates")
+        refuted, idx = block_refute(block, n, program.opcodes, program.opargs, len(names))
+        return refuted, None if idx < 0 else assignment_at(names, n, idx)
+
+    return check, 1 << max(0, TARGET_BLOCK_BITS - n * len(names))
 
 
-def _in_class(n: int, cands, iv: bool, canonical: bool, boxes: bool):
+def _in_class(n: int, cands, iv: bool, canonical: bool):
     """Each in-class key of the product of the per-point candidate lists,
-    in scan order, with its box table (None unless boxes or iv is set)."""
-    box = None
+    in scan order."""
     for key in product(*cands):
         if canonical and not _is_canonical_key(n, key):
             continue
-        if iv or boxes:
-            box = transpose(key, 1 << n)
-            if iv and not iv_holds(key, box):
-                continue
-        yield key, box
+        if iv and not iv_holds(key, transpose(key, 1 << n)):
+            continue
+        yield key
+
+
+def _blocks(keys, cap: int):
+    """Consecutive lists of keys of 1, 2, 4, ... up to cap keys, so that
+    a find mode whose hit comes early sweeps little past it."""
+    keys = iter(keys)
+    size = 1
+    while block := list(islice(keys, size)):
+        yield block
+        size = min(2 * size, cap)
 
 
 def _scan(n, cands, iv, canonical, target_text, mode):
@@ -210,19 +242,23 @@ def _scan(n, cands, iv, canonical, target_text, mode):
     position, frame key, refuting env).  Find modes stop at the first
     hit, so in_class then counts frames up to and including it."""
     target = compile_target(target_text, n)
+    keys = _in_class(n, cands, iv, canonical)
+    if target is None:
+        return sum(1 for _ in keys), 0, None
+    check, cap = _target_check(n, target)
     in_class = 0
     validating = 0
-    for key, box in _in_class(n, cands, iv, canonical, target is not None):
-        in_class += 1
-        if target is None:
-            continue
-        ok, env = _test_target(n, key, box, target)
-        if ok:
-            validating += 1
-        if mode == "find_refuting" and not ok:
-            return in_class, validating, (in_class, key, env)
-        if mode == "find_validating" and ok:
-            return in_class, validating, (in_class, key, None)
+    for block in _blocks(keys, cap):
+        refuted, env = check(block)
+        if mode == "find_refuting" and refuted:
+            f = (refuted & -refuted).bit_length() - 1
+            return in_class + f + 1, validating + f, (in_class + f + 1, block[f], env)
+        holding = ((1 << len(block)) - 1) ^ refuted
+        if mode == "find_validating" and holding:
+            f = (holding & -holding).bit_length() - 1
+            return in_class + f + 1, validating + 1, (in_class + f + 1, block[f], None)
+        in_class += len(block)
+        validating += holding.bit_count()
     return in_class, validating, None
 
 
@@ -233,7 +269,7 @@ def _scan_task(args):
 
 def _keys_task(args):
     first, n, rest, iv, canonical = args
-    return [key for key, _ in _in_class(n, [first, *rest], iv, canonical, False)]
+    return list(_in_class(n, [first, *rest], iv, canonical))
 
 
 def _pooled(n: int, cands, workers: int) -> bool:
@@ -265,7 +301,7 @@ def enumerate_frames(n: int, constraints=(), canonical: bool = False, workers: i
     if _pooled(n, cands, workers):
         keys = chain.from_iterable(_pool_map(_keys_task, cands[0], workers, n, cands[1:], iv, canonical))
     else:
-        keys = (key for key, _ in _in_class(n, cands, iv, canonical, False))
+        keys = _in_class(n, cands, iv, canonical)
     return (NeighborhoodFrame(n, key) for key in keys)
 
 

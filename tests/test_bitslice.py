@@ -188,6 +188,41 @@ def test_property_refutation_on_random_frames(case):
     assert refute(alg, f) == first_refutation(alg, f)
 
 
+def box_n_refutation(n, key, f):
+    """First refuting assignment index of f on the frame with this key,
+    through box_n tables and eval_formula, or -1."""
+    frame = NeighborhoodFrame(n, key)
+    return first_refutation(NeighborhoodAlgebra(n, tuple(box_n(frame, a) for a in range(1 << n))), f)
+
+
+@st.composite
+def key_blocks_and_formulas(draw):
+    n = draw(st.integers(3, 4))
+    key = st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=n, max_size=n).map(tuple)
+    keys = draw(st.lists(key, min_size=1, max_size=8))
+    sizes = [1] + draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    return n, keys, sizes, draw(formula_texts(["p", "q"]))
+
+
+@given(key_blocks_and_formulas())
+def test_property_block_refute_matches_eval_formula(case):
+    # Blocks of mixed sizes, a block of one among them: each frame's
+    # verdict, and the least refuted frame's first refuting assignment.
+    n, keys, sizes, text = case
+    f = parse(text)
+    prog = compile_algebra(f)
+    want = [box_n_refutation(n, key, f) for key in keys]
+    start = 0
+    for size in sizes * len(keys):
+        block, wanted = keys[start:start + size], want[start:start + size]
+        if not block:
+            break
+        refuted, idx = bitslice.block_refute(block, n, prog.opcodes, prog.opargs, len(prog.names))
+        assert refuted == sum(1 << j for j, w in enumerate(wanted) if w >= 0), (block, text)
+        assert idx == next((w for w in wanted if w >= 0), -1), (block, text)
+        start += size
+
+
 @given(st.integers(1, 3), st.sampled_from(AXIOMS), st.data())
 def test_property_membership_of_random_families(n, spec, data):
     famask = data.draw(st.integers(0, (1 << (1 << n)) - 1))

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -401,6 +402,53 @@ def test_stdin_inputs(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(FRAME)))
     code, out = jout(capsys, "valid", "--frame", "-", "--formula", "box u -> box u")
     assert code == 0 and out["valid"] is True
+
+
+def test_successive_main_calls_leak_no_state(capsys):
+    # main reuses one parser for every call in a process.
+    argv = ("search", "enumerate", "--n", "2")
+    code, out = jout(capsys, *argv, "--count")
+    assert code == 0 and out == {"count": 256}
+    code, out = jout(capsys, *argv)
+    assert code == 0 and len(out["frames"]) == 256
+    code, pretty, _ = run(capsys, "--pretty", "parse", "--formula", "u")
+    assert code == 0 and pretty.startswith('{\n  "formula"')
+    code, plain, _ = run(capsys, "parse", "--formula", "u")
+    assert code == 0 and plain == json.dumps(json.loads(pretty), separators=(",", ":")) + "\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "enumerate", "--count"])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+    code, out = jout(capsys, *argv, "--count")
+    assert code == 0 and out == {"count": 256}
+
+
+# The commands of the search-canon benchmark workload, and a pooled search.
+IN_PROCESS_COMMANDS = (
+    "search enumerate --n 3 --constraints filter --canonical",
+    "search countermodel --mode count --target @T --constraints filter --max-n 3",
+    "search countermodel --mode count --target @Conv --constraints filter --max-n 3",
+    "search countermodel --target @Four --constraints filter --max-n 4",
+    "search enumerate --n 3 --constraints topological --canonical --count",
+    "--workers 2 search countermodel --mode count --target @T --constraints filter --max-n 3",
+)
+
+
+def test_main_writes_nothing_past_a_redirected_stdout(capfd):
+    # A caller that redirects sys.stdout gets every byte, and nothing
+    # reaches file descriptor 1: not from a stream saved at import, not at
+    # exit, not from a forked worker.
+    for line in IN_PROCESS_COMMANDS:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = main(line.split())
+        assert code in (0, 1) and buf.getvalue().count("\n") == 1 and json.loads(buf.getvalue()), line
+    out, _ = capfd.readouterr()
+    assert out == ""
+    argv = ["--workers", "2", "search", "countermodel", "--target", "@T", "--constraints", "filter", "--max-n", "3"]
+    proc = subprocess.run([sys.executable, "-m", "nbhd", *argv], capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 1
+    assert len(proc.stdout.splitlines()) == 1 and json.loads(proc.stdout)["found"] is True
 
 
 def test_runs_are_byte_identical(capsys):

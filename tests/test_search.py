@@ -1,5 +1,5 @@
 import random
-from itertools import permutations, product
+from itertools import cycle, permutations, product
 
 import pytest
 
@@ -10,13 +10,16 @@ from nbhd.classes import AXIOM_TESTS, FRAME_TAGS, frame_class_check
 from nbhd.core import (
     CapExceededError,
     InvalidInputError,
+    NeighborhoodAlgebra,
     NeighborhoodFrame,
+    box_n,
     famask_of,
+    full_mask,
 )
 from nbhd.duality import complex_algebra
-from nbhd.evaluate import find_refuting_assignment
+from nbhd.evaluate import assignment_at, eval_formula, find_refuting_assignment
 from nbhd.bax import enumerate_bax
-from nbhd.formulas import axiom_set_from_specs, parse
+from nbhd.formulas import axiom_set_from_specs, free_vars, parse
 from nbhd.search import (
     MODES,
     SearchSpec,
@@ -284,11 +287,73 @@ def test_count_mode_cross_checked_against_enumeration():
     assert total == 13
 
 
+def test_count_mode_pins_the_centered_correspondence():
+    # @T holds exactly on the centered frames (CentT): 1 + 2 + 10 canonical
+    # ones at n <= 2 among 141, and all 765 centered ones at n <= 3.
+    assert find_countermodel(SearchSpec(target="@T", mode="count", max_n=2)) == {"count": 13, "checked": 141}
+    spec = SearchSpec(target="@T", constraints=("centered",), mode="count", max_n=3)
+    assert find_countermodel(spec) == {"count": 765, "checked": 765}
+
+
+BLOCK_TARGETS = ("@T", "@Four", "@M", "@C", "box v", "~box ~u | box (u & ~v) | v", "T")
+
+
+def box_n_refutation(n, key, f):
+    """First refuting assignment index of f on the frame with this key,
+    through box_n tables and eval_formula, or -1."""
+    frame = NeighborhoodFrame(n, key)
+    alg = NeighborhoodAlgebra(n, tuple(box_n(frame, a) for a in range(1 << n)))
+    names = free_vars(f)
+    for idx in range((1 << n) ** len(names)):
+        if eval_formula(alg, f, assignment_at(names, n, idx)) != full_mask(n):
+            return idx
+    return -1
+
+
+def assert_block_check_is_definitional(n, keys, texts):
+    """The search's block check on consecutive blocks of mixed sizes gives
+    each frame's eval_formula verdict, and as the least refuted frame of a
+    block every refuting frame gets its first refuting assignment."""
+    for text in texts:
+        f = compile_target(text, n)[1]
+        names = free_vars(f)
+        check, cap = search._target_check(n, ("formula", f))
+        want = [box_n_refutation(n, key, f) for key in keys]
+        start = 0
+        for size in cycle((1, 2, 7, 64, cap)):
+            block = keys[start:start + size]
+            if not block:
+                break
+            refuted, _ = check(block)
+            assert refuted == sum(1 << j for j, w in enumerate(want[start:start + size]) if w >= 0), (n, text)
+            start += size
+        for j, w in enumerate(want):
+            if w >= 0:
+                refuted, env = check(keys[j:j + 1 + j % 4])
+                assert refuted & 1 and env == assignment_at(names, n, w), (n, keys[j], text)
+
+
+def test_block_check_matches_eval_formula_on_small_spaces():
+    for n in range(3):
+        assert_block_check_is_definitional(n, [frame.key() for frame in all_frames(n)], BLOCK_TARGETS)
+
+
+def test_block_check_matches_eval_formula_on_filter_and_monotone_n3():
+    filters = [frame.key() for frame in enumerate_frames(3, ("filter",))]
+    assert_block_check_is_definitional(3, filters, BLOCK_TARGETS)
+    monotone = [frame.key() for frame in enumerate_frames(3, ("monotone",))]
+    assert len(monotone) == 20 ** 3
+    assert_block_check_is_definitional(3, monotone, ("@T", "@Four", "box v"))
+
+
 def test_find_countermodel_workers_match():
     specs = (
         SearchSpec(target="@M"),
         SearchSpec(target="@M", constraints=("monotone",), max_n=2),
         SearchSpec(constraints=("filter",), mode="count", max_n=2),
+        SearchSpec(target="@T", constraints=("filter",), max_n=3),
+        SearchSpec(target="@Four", constraints=("filter",), max_n=4),
+        SearchSpec(target="@Four", constraints=("monotone",), mode="find_validating", max_n=3),
     )
     for spec in specs:
         assert find_countermodel(spec, workers=4) == find_countermodel(spec, workers=1)
