@@ -88,11 +88,7 @@ def _immediate_superset_famasks(n: int) -> tuple[int, ...]:
 
 def _filter_chunk(famasks: range, n: int, axiom_specs: list[str]) -> list[int]:
     axs = axiom_set_from_specs(axiom_specs, n)
-    programs, predicates = _split_axioms(axs, n)
-    hits = family_filter(famasks.start, famasks.stop, [prog for _, prog in programs])
-    for pred in predicates:
-        hits = [fm for fm in hits if pred(fm, n)]
-    return hits
+    return family_filter(famasks.start, famasks.stop, [prog for _, prog in _split_axioms(axs, n)])
 
 
 def _filter_chunk_task(args) -> list[int]:
@@ -117,16 +113,13 @@ def enumerate_bax(n: int, axs: AxiomSet, strategy: str = "auto", workers: int = 
         else:
             famasks = _filter_chunk(everything, n, specs)
     else:
-        programs, predicates = _split_axioms(axs, n)
         # Up-closure is guaranteed by construction; the @M rows would pass
         # every leaf, so only the other programs are worth running there.
-        leaf_programs = [prog for ax, prog in programs if ax.name != "M"]
+        leaf_programs = [prog for ax, prog in _split_axioms(axs, n) if ax.name != "M"]
         required = 0
-        if any(ax.name == "N" for ax in axs):
+        if any("N" in (ax.name, *(ax.semantic or ())) for ax in axs):
             required = 1 << full_mask(n)
         famasks = upset_enumerate(1 << n, _immediate_superset_famasks(n), required, leaf_programs)
-        for pred in predicates:
-            famasks = [fm for fm in famasks if pred(fm, n)]
 
     return BaxSpace(n, axs, tuple(famasks))
 

@@ -173,15 +173,6 @@ def frame_tag_parts(tag: ClassTag):
     return _parts(_frame_tag_axioms(tag))
 
 
-def _conjunction(names: tuple[str, ...]):
-    """One famask test for one or two one-step registry axioms: the
-    realization of a semantic axiom, called once per family."""
-    if len(names) == 1:
-        return AXIOM_TESTS[names[0]]
-    first, second = (AXIOM_TESTS[name] for name in names)
-    return lambda famask, n: first(famask, n) and second(famask, n)
-
-
 def iv_holds(key: tuple[int, ...], box: tuple[int, ...]) -> bool:
     """The iv condition on a frame given as its famask key and its box
     table: whenever a is in N(x), so is box a."""

@@ -16,7 +16,6 @@ import sys
 from functools import lru_cache
 
 from .bax import bax_map, baxspace_to_json, enumerate_bax
-from .bitslice import transpose
 from .classes import (
     ALGEBRA_TAGS,
     CORRESPONDENCE_PAIRS,
@@ -27,7 +26,6 @@ from .classes import (
     parse_class_tag,
 )
 from .core import (
-    PLAIN_OP_CAP,
     CapExceededError,
     InvalidInputError,
     NbhdError,
@@ -35,7 +33,6 @@ from .core import (
     _set_lanes,
     algebra_from_json,
     algebra_to_json,
-    check_width,
     frame_from_json,
     frame_to_json,
     hom_from_json,
@@ -134,13 +131,7 @@ def _formula_arg(text: str):
 
 def cmd_parse(args) -> int:
     text = _formula_arg(args.formula)
-    if text.strip().startswith("@"):
-        ax = expand_named(text.strip())
-        if ax.formula is None:
-            raise InvalidInputError(f"@{ax.name} has no formula form; it is a family shape test")
-        f = ax.formula
-    else:
-        f = parse_formula(text)
+    f = expand_named(text.strip()).formula if text.strip().startswith("@") else parse_formula(text)
     _emit(
         {
             "formula": render(f),
@@ -165,27 +156,18 @@ def _algebra_from_args(args):
 
 def cmd_eval(args) -> int:
     alg = _algebra_from_args(args)
-    kind, payload = compile_target(_formula_arg(args.formula), alg.n)
-    if kind != "formula":
-        raise InvalidInputError("this axiom is a family shape test; it cannot be evaluated pointwise")
+    f = compile_target(_formula_arg(args.formula), alg.n)
     env_raw = _parse_inline_json(args.assign, "--assign")
     if not isinstance(env_raw, dict):
         raise InvalidInputError("--assign must be a JSON object of variable masks")
-    value = eval_formula(alg, payload, env_raw)
+    value = eval_formula(alg, f, env_raw)
     _emit({"value": value}, args)
     return 0
 
 
 def cmd_valid(args) -> int:
     alg = _algebra_from_args(args)
-    kind, payload = compile_target(_formula_arg(args.formula), alg.n)
-    if kind == "predicate":
-        # The predicate reads the atom frame's famasks, the box table transposed.
-        check_width(alg.n, PLAIN_OP_CAP, "valid")
-        ok = all(payload(famask, alg.n) for famask in transpose(alg.box, alg.n))
-        _emit({"valid": ok, "witness": None}, args)
-        return 0 if ok else 1
-    witness = find_refuting_assignment(alg, payload)
+    witness = find_refuting_assignment(alg, compile_target(_formula_arg(args.formula), alg.n))
     _emit({"valid": witness is None, "witness": witness}, args)
     return 0 if witness is None else 1
 

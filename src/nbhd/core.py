@@ -28,6 +28,8 @@ ENUM_BACKTRACK_CAP = 5
 CANONICAL_CAP = 8
 EXHAUSTIVE_FRAMES_CAP = 3
 SEARCH_MAX_N_CAP = 4
+# Most worker processes one pool forks.
+WORKERS_CAP = 64
 
 
 class NbhdError(Exception):
@@ -86,7 +88,10 @@ def _chunks(items, parts: int) -> list:
 def _pool_map(task, items, workers: int, *args) -> list:
     """task((chunk, *args)) for about four contiguous chunks of items per
     worker, on a fork pool; results in chunk order, so merging them keeps
-    the serial order."""
+    the serial order.  More than WORKERS_CAP workers is refused before
+    anything is forked."""
+    if workers > WORKERS_CAP:
+        raise CapExceededError(f"workers={workers} exceeds cap {WORKERS_CAP}")
     with get_context("fork").Pool(workers) as pool:
         return pool.map(task, [(chunk, *args) for chunk in _chunks(items, workers * 4)])
 

@@ -92,18 +92,16 @@ def lax_algebra(n: int, axs: AxiomSet, strategy: str = "auto") -> LaxAlgebra:
 
 def onestep_top_check(lax: LaxAlgebra, ax: Axiom) -> bool:
     """Does the axiom evaluate to the top atom set under every assignment?
-    A formula axiom runs on the membership engine with the generator
+    Its formula runs on the membership engine with the generator
     table as its planes: lane i of gen[a] says whether subset a is in
     the i-th family, so the accepted lanes are the atoms where the axiom
     holds under every assignment."""
-    kind, payload = realize_axiom(ax, lax.n)
-    if kind == "predicate":
-        return all(payload(fm, lax.n) for fm in lax.space.famasks())
-    if not is_one_step(payload):
-        raise InvalidInputError(f"onestep_top_check: {render(payload)} is not one-step")
-    assignment_space(lax.n, len(free_vars(payload)), "onestep_top_check")
+    f = realize_axiom(ax, lax.n)
+    if not is_one_step(f):
+        raise InvalidInputError(f"onestep_top_check: {render(f)} is not one-step")
+    assignment_space(lax.n, len(free_vars(f)), "onestep_top_check")
     top = lax.full_atoms()
-    return _accepted(lax.gen, top, [compile_membership(payload, lax.n)]) == top
+    return _accepted(lax.gen, top, [compile_membership(f, lax.n)]) == top
 
 
 def lax_to_json(lax: LaxAlgebra) -> dict:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitslice import algebra_refute, family_accepts
-from .classes import _conjunction
 from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError, NeighborhoodAlgebra, check_width, full_mask
 from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, Var, expand_named, free_vars, is_one_step, render
 
@@ -60,7 +59,7 @@ def eval_formula(alg: NeighborhoodAlgebra, f: Formula, env: dict[str, int]) -> i
             value = env[f.name]
         except KeyError:
             raise InvalidInputError(f"unbound variable {f.name!r}")
-        if not 0 <= value <= full:
+        if type(value) is not int or not 0 <= value <= full:
             raise InvalidInputError(f"assignment for {f.name!r} is not a subset mask for n={alg.n}")
         return value
     if isinstance(f, Top):
@@ -209,35 +208,21 @@ def validates(alg: NeighborhoodAlgebra, f: Formula) -> bool:
     return find_refuting_assignment(alg, f) is None
 
 
-def realize_axiom(ax: Axiom, n: int):
-    """('formula', Formula) or ('predicate', famask test) at width n; a
-    semantic axiom is the family tests of the registry axioms it names."""
+def realize_axiom(ax: Axiom, n: int) -> Formula:
+    """The axiom's formula at width n: a kappa axiom is resolved again at
+    n, so one resolved at another width degrades or not as n asks."""
     if ax.kappa is not None:
         ax = expand_named(ax.name, n)
-    if ax.semantic is not None:
-        return "predicate", _conjunction(ax.semantic)
-    if ax.formula is None:
-        raise InvalidInputError(f"axiom @{ax.name} has no formula at n={n}")
-    return "formula", ax.formula
+    return ax.formula
 
 
 def _split_axioms(axs: AxiomSet, n: int):
-    """(axiom, compiled membership program) pairs and residual famask
-    predicates."""
-    programs = []
-    predicates = []
-    for ax in axs:
-        kind, payload = realize_axiom(ax, n)
-        if kind == "formula":
-            programs.append((ax, compile_membership(payload, n)))
-        else:
-            predicates.append(payload)
-    return programs, predicates
+    """(axiom, compiled membership program) pairs."""
+    return [(ax, compile_membership(realize_axiom(ax, n), n)) for ax in axs]
 
 
 def is_ax_subset(famask: int, axs: AxiomSet, n: int) -> bool:
     """True when the family famask is a phi-subset for every axiom in the
-    set: the predicates, then one engine run of all the formula axioms."""
+    set: one engine run of all their membership programs."""
     check_width(n, PLAIN_OP_CAP, "is_ax_subset")
-    programs, predicates = _split_axioms(axs, n)
-    return all(pred(famask, n) for pred in predicates) and family_accepts(famask, 1 << n, [prog for _, prog in programs])
+    return family_accepts(famask, 1 << n, [prog for _, prog in _split_axioms(axs, n)])

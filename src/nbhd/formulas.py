@@ -272,16 +272,17 @@ def modal_depth(f: Formula) -> int:
     return 0
 
 
-# Named axioms.  A semantic axiom names the registry axioms whose family
-# tests decide it, in place of a formula whose instantiation space would
-# collapse anyway: on n points a family closed under binary meets and
-# supersets is empty or the up-cone of its minimum.
+# Named axioms.  A semantic axiom names the finitary registry axioms it
+# reduces to on a finite carrier, and its formula is their conjunction:
+# on n points a family closed under binary meets and supersets is empty
+# or the up-cone of its minimum, so @CInf is @N and @C, and @Ck(k) is @C
+# once k >= 2^n values must repeat.
 
 
 @dataclass(frozen=True)
 class Axiom:
     name: str
-    formula: Formula | None
+    formula: Formula
     one_step: bool
     kappa: int | None = None
     semantic: tuple[str, ...] | None = None
@@ -310,27 +311,33 @@ _CK_RE = re.compile(r"^Ck\((\d+)\)$")
 REGISTRY_NAMES = tuple(_FIXED_AXIOMS) + ("Ck(k)", "CInf")
 
 
+def _semantic(bare: str, names: tuple[str, ...], kappa: int | None = None) -> Axiom:
+    """The axiom standing for the conjunction of the named registry axioms."""
+    parts = [parse(_FIXED_AXIOMS[name][0]) for name in names]
+    return Axiom(bare, parts[0] if len(parts) == 1 else And(tuple(parts)), True, kappa, names)
+
+
 def expand_named(name: str, n: int | None = None) -> Axiom:
     """Resolve a registry name, with or without the leading '@'.
 
     Ck(k) keeps its k-variable formula while k < 2^n and degrades to the
-    family test of @C once instantiation values must repeat; CInf is
-    always the family tests of @N and @C.  When n is unknown, Ck(k) keeps
-    the formula.
+    formula of @C once instantiation values must repeat; CInf is always
+    the formulas of @N and @C.  When n is unknown, Ck(k) keeps its
+    k-variable formula.
     """
     bare = name[1:] if name.startswith("@") else name
     if bare in _FIXED_AXIOMS:
         text, one_step = _FIXED_AXIOMS[bare]
         return Axiom(bare, parse(text), one_step)
     if bare == "CInf":
-        return Axiom(bare, None, True, semantic=("N", "C"))
+        return _semantic(bare, ("N", "C"))
     m = _CK_RE.match(bare)
     if m:
         k = int(m.group(1))
         if k < 1:
             raise InvalidInputError("Ck(k): k must be at least 1")
         if n is not None and k >= (1 << n):
-            return Axiom(bare, None, True, kappa=k, semantic=("C",))
+            return _semantic(bare, ("C",), k)
         return Axiom(bare, _kappa_formula(k), True, kappa=k)
     raise InvalidInputError(f"unknown axiom name {name!r}")
 

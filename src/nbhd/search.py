@@ -66,7 +66,7 @@ from .evaluate import (
     eval_formula,
     realize_axiom,
 )
-from .formulas import axiom_set_from_specs, expand_named, parse
+from .formulas import Formula, axiom_set_from_specs, expand_named, free_vars, parse
 
 MODES = ("find_refuting", "find_validating", "count")
 # A target block holds at most 2^16 lanes (frames times assignments) and
@@ -129,7 +129,7 @@ def _compile_constraints(n: int, constraints: tuple[str, ...]):
         else:
             axiom_specs.append(text)
     if axiom_specs:
-        base = enumerate_bax(n, axiom_set_from_specs(axiom_specs, n), strategy="filter").famasks()
+        base = enumerate_bax(n, axiom_set_from_specs(axiom_specs, n)).famasks()
     else:
         base = range(1 << (1 << n))
     shared = [fm for fm in base if all(test(fm, n) for test in tests)]
@@ -180,39 +180,15 @@ def _is_canonical_key(n: int, key: tuple[int, ...]) -> bool:
     return True
 
 
-def compile_target(text: str | None, n: int):
-    """('formula', Formula) | ('predicate', famask test) | None from a
-    target string, resolving registry names at width n."""
+def compile_target(text: str | None, n: int) -> Formula | None:
+    """The target formula, or None, from a target string, resolving
+    registry names at width n."""
     if text is None:
         return None
     text = text.strip()
     if text.startswith("@"):
         return realize_axiom(expand_named(text, n), n)
-    return "formula", parse(text)
-
-
-def _target_check(n: int, target):
-    """(check, cap) for a compiled target: check maps a list of keys to
-    (bit f set when frame f refutes the target, the first refuting
-    assignment of the least such frame), and blocks hold at most cap
-    frames.  A formula is swept over the whole block at once."""
-    kind, payload = target
-    if kind == "predicate":
-
-        def check(block):
-            refuted = sum(1 << f for f, key in enumerate(block) if not all(payload(fm, n) for fm in key))
-            return refuted, None
-
-        return check, 1 << TARGET_BLOCK_BITS
-    program = compile_algebra(payload)
-    names = list(program.names)
-
-    def check(block):
-        assignment_space(n, len(names), "validates")
-        refuted, idx = block_refute(block, n, program.opcodes, program.opargs, len(names))
-        return refuted, None if idx < 0 else assignment_at(names, n, idx)
-
-    return check, 1 << max(0, TARGET_BLOCK_BITS - n * len(names))
+    return parse(text)
 
 
 def _in_class(n: int, cands, iv: bool, canonical: bool):
@@ -245,14 +221,16 @@ def _scan(n, cands, iv, canonical, target_text, mode):
     keys = _in_class(n, cands, iv, canonical)
     if target is None:
         return sum(1 for _ in keys), 0, None
-    check, cap = _target_check(n, target)
+    program = compile_algebra(target)
+    names = list(program.names)
     in_class = 0
     validating = 0
-    for block in _blocks(keys, cap):
-        refuted, env = check(block)
+    for block in _blocks(keys, 1 << max(0, TARGET_BLOCK_BITS - n * len(names))):
+        assignment_space(n, len(names), "validates")
+        refuted, idx = block_refute(block, n, program.opcodes, program.opargs, len(names))
         if mode == "find_refuting" and refuted:
             f = (refuted & -refuted).bit_length() - 1
-            return in_class + f + 1, validating + f, (in_class + f + 1, block[f], env)
+            return in_class + f + 1, validating + f, (in_class + f + 1, block[f], assignment_at(names, n, idx))
         holding = ((1 << len(block)) - 1) ^ refuted
         if mode == "find_validating" and holding:
             f = (holding & -holding).bit_length() - 1
@@ -311,7 +289,7 @@ def count_frames(n: int, constraints=(), canonical: bool = False, workers: int =
     return in_class
 
 
-def _verify_hit(frame: NeighborhoodFrame, target, mode: str, env: dict[str, int] | None) -> None:
+def _verify_hit(frame: NeighborhoodFrame, target: Formula, mode: str, env: dict[str, int] | None) -> None:
     """Recheck a witness through the definitional evaluator before it is
     returned; a failure here means the fast path lied.  Its box table comes
     from box_n, sharing no code with the scan's transpose.  The witness
@@ -319,23 +297,15 @@ def _verify_hit(frame: NeighborhoodFrame, target, mode: str, env: dict[str, int]
     canonicity test against the definitional relabeling."""
     if canonical_form(frame).key() != frame.key():
         raise AssertionError("search: witness is not its canonical form")
-    kind, payload = target
-    if kind == "predicate":
-        ok = all(payload(famask, frame.n) for famask in frame.key())
-        expect = mode == "find_validating"
-        if ok != expect:
-            raise AssertionError("search: predicate witness failed re-verification")
-        return
     alg = NeighborhoodAlgebra(frame.n, tuple(box_n(frame, a) for a in range(1 << frame.n)))
     if mode == "find_refuting":
-        if eval_formula(alg, payload, env) == full_mask(frame.n):
+        if eval_formula(alg, target, env) == full_mask(frame.n):
             raise AssertionError("search: refuting assignment failed re-verification")
         return
-    program = compile_algebra(payload)
-    names = list(program.names)
+    names = free_vars(target)
     total = assignment_space(frame.n, len(names), "search verify")
     for idx in range(total):
-        if eval_formula(alg, payload, assignment_at(names, frame.n, idx)) != full_mask(frame.n):
+        if eval_formula(alg, target, assignment_at(names, frame.n, idx)) != full_mask(frame.n):
             raise AssertionError("search: validating frame failed re-verification")
 
 

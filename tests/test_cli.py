@@ -9,8 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from nbhd import core
 from nbhd.cli import main
 from nbhd.core import famask_of, frame_from_json, frame_to_json
+from nbhd.duality import complex_algebra
+from nbhd.evaluate import eval_formula
+from nbhd.formulas import expand_named
 from nbhd.genframe import (
     complement_within_admissible,
     general_frame_from_json,
@@ -57,8 +61,14 @@ def test_parse(capsys):
     assert code == 0 and out["formula"] == "~(box (u & v) & ~box u)"
     code, _, err = run(capsys, "parse", "--formula", "u &")
     assert code == 2 and err.startswith("nbhd:")
-    code, _, err = run(capsys, "parse", "--formula", "@CInf")
-    assert code == 2 and "shape test" in err
+    # @CInf is the conjunction of the @N and @C formulas.
+    code, out = jout(capsys, "parse", "--formula", "@CInf")
+    assert code == 0 and out == {
+        "formula": "box T & (~((box u & box v) & ~box (u & v)) & ~(box (u & v) & ~(box u & box v)))",
+        "vars": ["u", "v"],
+        "one_step": True,
+        "modal_depth": 1,
+    }
 
 
 def test_eval(capsys, tmp_path):
@@ -78,6 +88,15 @@ def test_eval(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "eval", "--frame", str(tmp_path / "missing.json"), "--formula", "u", "--assign", "{}")
     assert code == 2
+    # A value must be an int subset mask: floats and booleans are refused
+    # with exit 2, under a naked variable as much as under box or ~.
+    for formula in ("u", "box u", "~u"):
+        for value in ("1.5", "true", '"1"'):
+            code, out, err = run(capsys, "eval", "--frame", frame, "--formula", formula, "--assign", f'{{"u":{value}}}')
+            assert (code, out) == (2, "") and "not a subset mask" in err, (formula, value)
+    # A semantic axiom evaluates through its registry formulas.
+    code, out = jout(capsys, "eval", "--frame", frame, "--formula", "@CInf", "--assign", '{"u":0,"v":1}')
+    assert code == 0 and out == {"value": 1}
 
 
 def test_valid(capsys, tmp_path):
@@ -86,15 +105,21 @@ def test_valid(capsys, tmp_path):
     assert code == 0 and out == {"valid": True, "witness": None}
     code, out = jout(capsys, "valid", "--frame", frame, "--formula", "@M")
     assert code == 1 and out["valid"] is False and out["witness"] is not None
-    code, out = jout(capsys, "valid", "--frame", frame, "--formula", "@Ck(4)")
-    assert code == 1 and out == {"valid": False, "witness": None}
+    # Semantic axioms answer with their least refuting assignment, which
+    # the definitional evaluator refutes too.
+    alg = complex_algebra(frame_from_json(FRAME))
+    for name, witness in (("@Ck(4)", {"u": 0, "v": 1}), ("@CInf", {"u": 0, "v": 0})):
+        code, out = jout(capsys, "valid", "--frame", frame, "--formula", name)
+        assert code == 1 and out == {"valid": False, "witness": witness}
+        assert eval_formula(alg, expand_named(name, 2).formula, witness) != 0b11
     principal = write(tmp_path, "p.json", {"n": 1, "N": [[1]]})
     code, out = jout(capsys, "valid", "--frame", principal, "--formula", "@Ck(4)")
     assert code == 0 and out == {"valid": True, "witness": None}
-    # Up-cones: the shape test reads the atom frame's families, not the box table.
+    # Up-cones, so both hold on the box table of this Kripke frame.
     kripke = write(tmp_path, "k.json", {"n": 2, "N": [[1, 3], [2, 3]]})
-    code, out = jout(capsys, "valid", "--frame", kripke, "--formula", "@Ck(4)")
-    assert code == 0 and out == {"valid": True, "witness": None}
+    for name in ("@Ck(4)", "@CInf"):
+        code, out = jout(capsys, "valid", "--frame", kripke, "--formula", name)
+        assert code == 0 and out == {"valid": True, "witness": None}
 
 
 def test_dualize_round_trip_bytes(capsys, tmp_path):
@@ -123,6 +148,26 @@ def test_bax_enum(capsys):
     assert code == 2
     code, _, err = run(capsys, "bax", "enum", "--n", "6", "--axioms", "@M")
     assert code == 3
+    # @CInf forces up-closure, so it backtracks at n = 5, past the filter
+    # sweep's cap of 4: the 32 principal families.
+    code, out = jout(capsys, "bax", "enum", "--n", "5", "--axioms", "@CInf", "--count")
+    assert code == 0 and out == {"count": 32}
+
+
+def test_workers_above_the_cap_exit_3_before_forking(capsys, monkeypatch):
+    def no_fork(method):
+        raise AssertionError("a pool was forked")
+
+    monkeypatch.setattr(core, "get_context", no_fork)
+    for argv in (
+        ("bax", "enum", "--n", "4", "--axioms", "@N", "--strategy", "filter", "--count"),
+        ("search", "countermodel", "--target", "@M", "--max-n", "2"),
+    ):
+        code, out, err = run(capsys, "--workers", str(core.WORKERS_CAP + 1), *argv)
+        assert (code, out) == (3, "") and "exceeds cap" in err
+        # At the cap itself the pool is asked for.
+        with pytest.raises(AssertionError, match="forked"):
+            main(["--workers", str(core.WORKERS_CAP), *argv])
 
 
 def test_bax_map(capsys, tmp_path):

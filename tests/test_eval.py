@@ -161,18 +161,15 @@ def test_validates_on_fixed_algebra():
 
 
 def test_realize_axiom():
-    kind, payload = realize_axiom(expand_named("@M"), 2)
-    assert kind == "formula" and payload == parse("box(u & v) -> box u")
-    kind, payload = realize_axiom(expand_named("@Ck(4)"), 1)
-    assert kind == "predicate" and payload(0, 1)
-    kind, payload = realize_axiom(expand_named("@Ck(4)"), 3)
-    assert kind == "formula" and len(compile_algebra(payload).names) == 4
-    kind, payload = realize_axiom(expand_named("@CInf"), 2)
-    assert kind == "predicate" and not payload(0, 2)
+    assert realize_axiom(expand_named("@M"), 2) == parse("box(u & v) -> box u")
+    c = parse("box u & box v <-> box(u & v)")
+    assert realize_axiom(expand_named("@Ck(4)"), 1) == c
+    assert len(compile_algebra(realize_axiom(expand_named("@Ck(4)"), 3)).names) == 4
+    assert realize_axiom(expand_named("@CInf"), 2) == parse("box T & (box u & box v <-> box(u & v))")
     # A kappa axiom resolved at one width re-realizes correctly at another.
     degraded = expand_named("@Ck(2)", n=1)
-    kind, payload = realize_axiom(degraded, 3)
-    assert kind == "formula"
+    assert realize_axiom(degraded, 1) == c
+    assert realize_axiom(degraded, 3) == expand_named("@Ck(2)").formula
 
 
 def test_is_ax_subset_matches_axiom_family_oracle():

@@ -4,7 +4,7 @@ import pytest
 
 from nbhd.classes import AXIOM_TESTS
 from nbhd.core import InvalidInputError
-from nbhd.evaluate import realize_axiom
+from nbhd.evaluate import is_ax_subset, realize_axiom
 from nbhd.formulas import (
     TOP,
     And,
@@ -185,7 +185,7 @@ def test_registry_kappa_degrade():
     wide = expand_named("@Ck(2)", n=3)
     assert wide.formula == plain.formula
     tight = expand_named("@Ck(2)", n=1)
-    assert tight.formula is None and tight.semantic == ("C",)
+    assert tight.formula == expand_named("@C").formula and tight.semantic == ("C",)
     assert tight.kappa == 2 and tight.one_step
     assert expand_named("@Ck(4)", n=2).semantic == ("C",)
     assert expand_named("@Ck(3)", n=2).semantic is None
@@ -197,26 +197,23 @@ def test_registry_kappa_degrade():
 
 def test_registry_cinf():
     ax = expand_named("@CInf")
-    assert ax.formula is None and ax.semantic == ("N", "C") and ax.one_step
-    assert ax.kappa is None
+    assert ax.formula == And((expand_named("@N").formula, expand_named("@C").formula))
+    assert ax.semantic == ("N", "C") and ax.one_step and ax.kappa is None
 
 
 def test_famask_is_principal():
-    # The principal families are the @CInf ones: @N and @C hold.
-    kind, principal = realize_axiom(expand_named("@CInf"), 2)
-    assert kind == "predicate"
+    # The principal families are the @CInf ones: @N and @C hold, by the
+    # family tests and by one engine run of the @CInf formula alike.
     # n=2 masks: family {2,3} is the up-cone of {1}; {1,2} has meet 0 but misses 0.
-    assert principal(0b1100, 2)
-    assert principal(0b1000, 2)
-    assert principal(0b1111, 2)
-    assert not principal(0, 2)
-    assert not principal(0b0110, 2)
-    assert not principal(0b1101, 2)
-    assert principal(0b1, 0)
+    cases = ((0b1100, 2, True), (0b1000, 2, True), (0b1111, 2, True), (0, 2, False), (0b0110, 2, False), (0b1101, 2, False), (0b1, 0, True))
+    for famask, n, principal in cases:
+        assert (AXIOM_TESTS["N"](famask, n) and AXIOM_TESTS["C"](famask, n)) == principal
+        assert is_ax_subset(famask, axiom_set_from_specs(["@CInf"], n), n) == principal
     # A degraded @Ck(k) is @C alone, which also takes the empty family.
-    kind, pred = realize_axiom(expand_named("@Ck(4)", 2), 2)
-    assert kind == "predicate" and pred is AXIOM_TESTS["C"]
-    assert pred(0, 2) and pred(0b1100, 2) and not pred(0b0110, 2)
+    assert realize_axiom(expand_named("@Ck(4)", 2), 2) == expand_named("@C").formula
+    degraded = axiom_set_from_specs(["@Ck(4)"], 2)
+    for famask, holds in ((0, True), (0b1100, True), (0b0110, False)):
+        assert AXIOM_TESTS["C"](famask, 2) == is_ax_subset(famask, degraded, 2) == holds
 
 
 def test_axiom_set_from_specs():

@@ -14,10 +14,12 @@ from nbhd.core import (
     NeighborhoodFrame,
     box_n,
     famask_of,
+    frame_from_json,
     full_mask,
 )
+from nbhd.bitslice import block_refute
 from nbhd.duality import complex_algebra
-from nbhd.evaluate import assignment_at, eval_formula, find_refuting_assignment
+from nbhd.evaluate import assignment_at, compile_algebra, eval_formula, find_refuting_assignment
 from nbhd.bax import enumerate_bax
 from nbhd.formulas import axiom_set_from_specs, free_vars, parse
 from nbhd.search import (
@@ -207,14 +209,13 @@ def test_family_classes_are_presented_by_one_step_axioms():
 
 def test_compile_target_shapes():
     assert compile_target(None, 2) is None
-    kind, payload = compile_target("box u -> u", 1)
-    assert kind == "formula" and payload == parse("box u -> u")
-    kind, payload = compile_target(" @M ", 2)
-    assert kind == "formula" and payload == parse("box (u & v) -> box u")
-    kind, payload = compile_target("@Ck(4)", 1)
-    assert kind == "predicate"
-    assert payload(0b00, 1) and payload(0b10, 1) and payload(0b11, 1)
-    assert not payload(0b01, 1)
+    assert compile_target("box u -> u", 1) == parse("box u -> u")
+    assert compile_target(" @M ", 2) == parse("box (u & v) -> box u")
+    # @Ck(4) degrades to the @C formula on one point and keeps its four
+    # variables on three.
+    assert compile_target("@Ck(4)", 1) == parse("box u & box v <-> box(u & v)")
+    assert free_vars(compile_target("@Ck(4)", 3)) == ["v1", "v2", "v3", "v4"]
+    assert compile_target("@CInf", 1) == parse("box T & (box u & box v <-> box(u & v))")
 
 
 def test_find_refuting_golden_m():
@@ -243,13 +244,16 @@ def test_find_refuting_monotone_m_exhausts():
 
 
 def test_find_refuting_predicate_target():
-    result = find_countermodel(SearchSpec(target="@Ck(4)", max_n=1))
-    assert result == {
-        "found": True,
-        "frame": {"n": 1, "N": [[0]]},
-        "assignment": None,
-        "checked": 3,
-    }
+    # A semantic axiom's countermodel comes with the least assignment
+    # refuting its registry formulas, rechecked here by eval_formula.
+    for target, frame, assignment, checked in (
+        ("@Ck(4)", {"n": 1, "N": [[0]]}, {"u": 0, "v": 1}, 3),
+        ("@CInf", {"n": 1, "N": [[]]}, {"u": 0, "v": 0}, 2),
+    ):
+        result = find_countermodel(SearchSpec(target=target, max_n=1))
+        assert result == {"found": True, "frame": frame, "assignment": assignment, "checked": checked}
+        alg = complex_algebra(frame_from_json(frame))
+        assert eval_formula(alg, compile_target(target, 1), assignment) != 1
 
 
 def test_find_validating_hits_empty_carrier():
@@ -311,13 +315,21 @@ def box_n_refutation(n, key, f):
 
 
 def assert_block_check_is_definitional(n, keys, texts):
-    """The search's block check on consecutive blocks of mixed sizes gives
-    each frame's eval_formula verdict, and as the least refuted frame of a
-    block every refuting frame gets its first refuting assignment."""
+    """The search's block check, one block_refute sweep, on consecutive
+    blocks of mixed sizes gives each frame's eval_formula verdict, and as
+    the least refuted frame of a block every refuting frame gets its first
+    refuting assignment."""
     for text in texts:
-        f = compile_target(text, n)[1]
+        f = compile_target(text, n)
+        program = compile_algebra(f)
         names = free_vars(f)
-        check, cap = search._target_check(n, ("formula", f))
+        assert list(program.names) == names
+
+        def check(block):
+            refuted, idx = block_refute(block, n, program.opcodes, program.opargs, len(names))
+            return refuted, None if idx < 0 else assignment_at(names, n, idx)
+
+        cap = 1 << max(0, search.TARGET_BLOCK_BITS - n * len(names))
         want = [box_n_refutation(n, key, f) for key in keys]
         start = 0
         for size in cycle((1, 2, 7, 64, cap)):
@@ -335,7 +347,8 @@ def assert_block_check_is_definitional(n, keys, texts):
 
 def test_block_check_matches_eval_formula_on_small_spaces():
     for n in range(3):
-        assert_block_check_is_definitional(n, [frame.key() for frame in all_frames(n)], BLOCK_TARGETS)
+        # @Ck(4) is the @C formula up to n = 2; @CInf adds @N to it.
+        assert_block_check_is_definitional(n, [frame.key() for frame in all_frames(n)], BLOCK_TARGETS + ("@CInf", "@Ck(4)"))
 
 
 def test_block_check_matches_eval_formula_on_filter_and_monotone_n3():
@@ -389,10 +402,10 @@ def test_verify_hit_rechecks_witnesses():
     assert search._verify_hit(both, target, "find_validating", None) is None
     with pytest.raises(AssertionError):
         search._verify_hit(principal, target, "find_validating", None)
-    pred = compile_target("@Ck(4)", 1)
-    assert search._verify_hit(NeighborhoodFrame(1, (famask_of((0,)),)), pred, "find_refuting", None) is None
+    ck = compile_target("@Ck(4)", 1)
+    assert search._verify_hit(NeighborhoodFrame(1, (famask_of((0,)),)), ck, "find_refuting", {"u": 0, "v": 1}) is None
     with pytest.raises(AssertionError):
-        search._verify_hit(principal, pred, "find_refuting", None)
+        search._verify_hit(principal, ck, "find_refuting", {"u": 0, "v": 1})
     # Key (0, 2) is the canonical form of key (4, 0): both refute box v at
     # v = 0, but only the canonical one may be a witness.
     empty_first = NeighborhoodFrame(2, (0, famask_of((1,))))
