@@ -8,19 +8,13 @@ inside the codomain space; enumerate + act is the finite functor.
 Families are famask ints throughout: a space is a tuple of them, and
 `bax_map`, `index_of` and `principal_iso` take and return them.
 
-Enumeration strategies:
-
-  filter     sweep of all 2^(2^n) famasks through the membership
-             programs, bit-sliced with one lane per famask, n <= 4
-  backtrack  descending-popcount construction of up-closed families,
-             bit-sliced filtering of blocks of them, n <= 5; sound only
-             when some axiom forces up-closure (@M, @CInf, or a degraded
-             @Ck)
-  auto       backtrack when sound, otherwise filter
-
-With workers, the filter sweep splits its famask range into contiguous
-chunks on the pool the search uses (core._pool_map) and merges the hits
-in chunk order, so every worker count gives the same space.
+`enumerate_bax` is the one route from an axiom set to its families.
+When some axiom forces up-closure (@M, @CInf, or a degraded @Ck) it
+backtracks: up-closed families are built in descending popcount order
+and bit-sliced blocks of them are filtered, n <= 5.  Otherwise it sweeps
+all 2^(2^n) famasks through the membership programs, bit-sliced with one
+lane per famask, n <= 4.  Both give the same ascending space wherever
+both apply.
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ from .core import (
     _check_famask,
     _check_size,
     _json_famask,
-    _pool_map,
     _push_forward,
     _set_lanes,
     check_width,
@@ -86,33 +79,14 @@ def _immediate_superset_famasks(n: int) -> tuple[int, ...]:
     return tuple(succ)
 
 
-def _filter_chunk(famasks: range, n: int, axiom_specs: list[str]) -> list[int]:
-    axs = axiom_set_from_specs(axiom_specs, n)
-    return family_filter(famasks.start, famasks.stop, [prog for _, prog in _split_axioms(axs, n)])
-
-
-def _filter_chunk_task(args) -> list[int]:
-    return _filter_chunk(*args)
-
-
-def enumerate_bax(n: int, axs: AxiomSet, strategy: str = "auto", workers: int = 1) -> BaxSpace:
-    """All Ax-subset families over ground size n, ascending famask order."""
-    if strategy not in ("auto", "filter", "backtrack"):
-        raise InvalidInputError(f"unknown strategy {strategy!r}")
-    if strategy == "auto":
-        strategy = "backtrack" if _backtrack_sound(axs) else "filter"
-    if strategy == "backtrack" and not _backtrack_sound(axs):
-        raise InvalidInputError("backtrack strategy needs an up-closure axiom (@M or a semantic closure axiom)")
-    check_width(n, ENUM_BACKTRACK_CAP if strategy == "backtrack" else ENUM_FILTER_CAP, f"enumerate_bax[{strategy}]")
-
-    if strategy == "filter":
-        everything = range(1 << (1 << n))
-        specs = axs.specs()
-        if workers > 1 and len(everything) >= 1 << 12:
-            famasks = [fm for chunk in _pool_map(_filter_chunk_task, everything, workers, n, specs) for fm in chunk]
-        else:
-            famasks = _filter_chunk(everything, n, specs)
+def enumerate_bax(n: int, axs: AxiomSet) -> BaxSpace:
+    """All Ax-subset families over ground size n, ascending famask order:
+    backtracked when an axiom forces up-closure, filtered otherwise."""
+    if not _backtrack_sound(axs):
+        check_width(n, ENUM_FILTER_CAP, "enumerate_bax[filter]")
+        famasks = family_filter(0, 1 << (1 << n), [prog for _, prog in _split_axioms(axs, n)])
     else:
+        check_width(n, ENUM_BACKTRACK_CAP, "enumerate_bax[backtrack]")
         # Up-closure is guaranteed by construction; the @M rows would pass
         # every leaf, so only the other programs are worth running there.
         leaf_programs = [prog for ax, prog in _split_axioms(axs, n) if ax.name != "M"]
@@ -120,7 +94,6 @@ def enumerate_bax(n: int, axs: AxiomSet, strategy: str = "auto", workers: int = 
         if any("N" in (ax.name, *(ax.semantic or ())) for ax in axs):
             required = 1 << full_mask(n)
         famasks = upset_enumerate(1 << n, _immediate_superset_famasks(n), required, leaf_programs)
-
     return BaxSpace(n, axs, tuple(famasks))
 
 

@@ -2,15 +2,18 @@
 
 `CLASS_TABLE` is the one definition of every class tag: it names the
 registry axioms of each class, with its frame tag and, where the class
-has one, its algebra tag.  Each one-step registry axiom has exactly one
-family test (famask, n) -> bool in `AXIOM_TESTS`, so frames and the
-search's candidates are tested on their keys as they are stored.  T and
-Four are not one-step: on a frame they are the centered condition (every
-member of N(x) holds x) and the iv condition (whenever a is in N(x), so
-is box a), both read off the key.  By Thomason duality an algebra lies
-in a class exactly when its atom frame does, so an algebra tag runs the
-one-step tests on the atom frame's key, the box table transposed, and
-reads T and Four off the box table as box a <= a and box a <= box box a.
+has one, its algebra tag.  The search reads a frame tag's axioms through
+`frame_tag_axioms` and enumerates the one-step ones with
+`bax.enumerate_bax`.  The class checks here decide the same axioms
+another way, up to PLAIN_OP_CAP points: each one-step registry axiom has
+exactly one family test (famask, n) -> bool in `AXIOM_TESTS`, run on a
+frame's key as it is stored.  T and Four are not one-step: on a frame
+they are the centered condition (every member of N(x) holds x) and the
+iv condition (whenever a is in N(x), so is box a), both read off the
+key.  By Thomason duality an algebra lies in a class exactly when its
+atom frame does, so an algebra tag runs the one-step tests on the atom
+frame's key, the box table transposed, and reads T and Four off the box
+table as box a <= a and box a <= box box a.
 
 The correspondence pairs tie the sides together: a frame is centered
 exactly when its complex algebra satisfies box a <= a, and satisfies
@@ -109,7 +112,7 @@ AXIOM_TESTS = {
 }
 
 # (frame tag, algebra tag or None, registry axioms) for every class but
-# kappa:k, which frame_tag_parts resolves from k.
+# kappa:k, which frame_tag_axioms resolves from k.
 CLASS_TABLE = (
     ("monotone", "bam", ("M",)),
     ("convex", "convex", ("Conv",)),
@@ -144,7 +147,7 @@ def parse_class_tag(text: str) -> ClassTag:
     return ClassTag(text)
 
 
-def _frame_tag_axioms(tag: ClassTag) -> tuple[str, ...]:
+def frame_tag_axioms(tag: ClassTag) -> tuple[str, ...]:
     """The registry axioms of a frame tag.  kappa:k is closure under
     supersets and under meets of fewer than k members, the empty meet
     (the full set) included; on a finite carrier pair meets generate
@@ -162,15 +165,8 @@ def _frame_tag_axioms(tag: ClassTag) -> tuple[str, ...]:
 
 
 def _parts(axioms: tuple[str, ...]):
+    """(family tests, T, Four) of a tuple of registry axioms."""
     return tuple(AXIOM_TESTS[name] for name in axioms if name in AXIOM_TESTS), "T" in axioms, "Four" in axioms
-
-
-def frame_tag_parts(tag: ClassTag):
-    """A frame tag's axioms as (per-family tests, centered, iv).  A frame
-    has the tag when every famask passes every test (famask, n) -> bool,
-    every member of N(x) holds x if centered is set, and the iv condition
-    holds if iv is set."""
-    return _parts(_frame_tag_axioms(tag))
 
 
 def iv_holds(key: tuple[int, ...], box: tuple[int, ...]) -> bool:
@@ -180,9 +176,11 @@ def iv_holds(key: tuple[int, ...], box: tuple[int, ...]) -> bool:
 
 
 def frame_class_check(frame: NeighborhoodFrame, tag: ClassTag) -> bool:
-    """The conjunction of the tag's parts, as frame_tag_parts names them."""
+    """The conjunction of the tag's axioms: each famask passes the family
+    test of every one-step axiom, every member of N(x) holds x under T,
+    and the iv condition holds under Four."""
     check_width(frame.n, PLAIN_OP_CAP, "frame_class_check")
-    tests, centered, iv = frame_tag_parts(tag)
+    tests, centered, iv = _parts(frame_tag_axioms(tag))
     key = frame.key()
     if not all(test(famask, frame.n) for test in tests for famask in key):
         return False

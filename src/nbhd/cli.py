@@ -5,7 +5,8 @@ assignment exists, a countermodel was found, a validating frame was not
 found, a class check failed), 2 usage or input errors, 3 cap or output
 limit errors.  Machine output goes to stdout, diagnostics to stderr.
 "-" names stdin for any file argument.  Output is compact JSON; --pretty
-switches to indented form and is mutually exclusive with --json.
+switches to indented form.  --workers K, checked before any command
+runs, splits the search over K processes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .classes import (
     parse_class_tag,
 )
 from .core import (
+    WORKERS_CAP,
     CapExceededError,
     InvalidInputError,
     NbhdError,
@@ -186,7 +188,7 @@ def cmd_dualize(args) -> int:
 
 def cmd_bax_enum(args) -> int:
     axs = axiom_set_from_specs(_split_specs(args.axioms), args.n)
-    space = enumerate_bax(args.n, axs, strategy=args.strategy, workers=args.workers)
+    space = enumerate_bax(args.n, axs)
     if args.count:
         _emit({"count": len(space.famasks())}, args)
     else:
@@ -196,7 +198,7 @@ def cmd_bax_enum(args) -> int:
 
 def cmd_bax_map(args) -> int:
     f = morphism_from_json(_load_json(args.morphism))
-    axs = axiom_set_from_specs(_split_specs(args.axioms))
+    axs = axiom_set_from_specs(_split_specs(args.axioms), f.n_dom)
     family = _json_famask(_parse_inline_json(args.family, "--family"), f.n_dom, "--family")
     image = bax_map(f, family, axs)
     _emit({"family": _set_lanes(image, 0)}, args)
@@ -205,7 +207,7 @@ def cmd_bax_map(args) -> int:
 
 def cmd_lax_build(args) -> int:
     axs = axiom_set_from_specs(_split_specs(args.axioms), args.n)
-    lax = lax_algebra(args.n, axs, strategy=args.strategy)
+    lax = lax_algebra(args.n, axs)
     _emit(lax_to_json(lax), args)
     return 0
 
@@ -329,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nbhd",
         description="Neighborhood frames, their algebras, and the constructions between them.",
     )
-    parser.add_argument("--workers", type=int, default=1, help="worker processes for enumerations")
-    parser.add_argument("--json", action="store_true", help="compact JSON output (the default)")
+    parser.add_argument("--workers", type=int, default=1, help=f"worker processes for the search, 1 to {WORKERS_CAP}")
     parser.add_argument("--pretty", action="store_true", help="indented JSON output")
     parser.add_argument("--limit-bytes", type=int, default=None, help="fail with exit 3 if output exceeds this size")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -362,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = bax_sub.add_parser("enum", help="enumerate all closed families at width n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--axioms", required=True, help="comma-separated @names or one-step formulas")
-    p.add_argument("--strategy", choices=("auto", "filter", "backtrack"), default="auto")
     p.add_argument("--count", action="store_true")
     p.set_defaults(func=cmd_bax_enum)
     p = bax_sub.add_parser("map", help="push a closed family along a point map")
@@ -376,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = lax_sub.add_parser("build")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--axioms", required=True)
-    p.add_argument("--strategy", choices=("auto", "filter", "backtrack"), default="auto")
     p.set_defaults(func=cmd_lax_build)
     p = lax_sub.add_parser("check", help="verify each axiom evaluates to the top element")
     p.add_argument("--lax", required=True, help="lax algebra JSON file or -")
@@ -455,10 +454,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.json and args.pretty:
-        sys.stderr.write("nbhd: --json and --pretty are mutually exclusive\n")
-        return 2
     try:
+        if args.workers < 1:
+            raise InvalidInputError(f"--workers must be at least 1, got {args.workers}")
+        if args.workers > WORKERS_CAP:
+            raise CapExceededError(f"workers={args.workers} exceeds cap {WORKERS_CAP}")
         return args.func(args)
     except (CapExceededError, OutputLimitError) as exc:
         sys.stderr.write(f"nbhd: {exc}\n")

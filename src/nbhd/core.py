@@ -73,7 +73,7 @@ def check_width(n: int, cap: int, what: str) -> None:
 
 
 def _chunks(items, parts: int) -> list:
-    """items (a list or a range) cut into at most `parts` contiguous slices."""
+    """items (a sequence) cut into at most `parts` contiguous slices."""
     parts = max(1, min(parts, len(items)))
     step, extra = divmod(len(items), parts)
     out = []

@@ -85,8 +85,8 @@ class LaxAlgebra:
         return (1 << self.n_atoms) - 1
 
 
-def lax_algebra(n: int, axs: AxiomSet, strategy: str = "auto") -> LaxAlgebra:
-    space = enumerate_bax(n, axs, strategy)
+def lax_algebra(n: int, axs: AxiomSet) -> LaxAlgebra:
+    space = enumerate_bax(n, axs)
     return LaxAlgebra(space, transpose(space.famasks(), 1 << n))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import InvalidInputError
+from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError
 
 
 class Formula:
@@ -221,12 +221,11 @@ def _render_tight(f: Formula) -> str:
 
 def free_vars(f: Formula) -> list[str]:
     """Variable names in first-occurrence order."""
-    seen: list[str] = []
+    seen: dict[str, None] = {}
 
     def walk(node: Formula) -> None:
         if isinstance(node, Var):
-            if node.name not in seen:
-                seen.append(node.name)
+            seen.setdefault(node.name)
         elif isinstance(node, Not):
             walk(node.sub)
         elif isinstance(node, Box):
@@ -236,7 +235,7 @@ def free_vars(f: Formula) -> list[str]:
                 walk(item)
 
     walk(f)
-    return seen
+    return list(seen)
 
 
 def is_box_free(f: Formula) -> bool:
@@ -295,15 +294,19 @@ def _kappa_formula(k: int) -> Formula:
     return iff(boxes, Box(meet))
 
 
+# Each fixed axiom is parsed once, here; expand_named hands out these.
 _FIXED_AXIOMS = {
-    "M": ("box(u & v) -> box u", True),
-    "C": ("box u & box v <-> box(u & v)", True),
-    "N": ("box T", True),
-    "Cont": ("box v <-> box ~v", True),
-    "Conv": ("box(v & v1) & box(v | v2) -> box v", True),
-    "CoConv": ("box v -> box(v & v1) | box(v | v2)", True),
-    "T": ("box b -> b", False),
-    "Four": ("box b -> box box b", False),
+    name: Axiom(name, parse(text), one_step)
+    for name, text, one_step in (
+        ("M", "box(u & v) -> box u", True),
+        ("C", "box u & box v <-> box(u & v)", True),
+        ("N", "box T", True),
+        ("Cont", "box v <-> box ~v", True),
+        ("Conv", "box(v & v1) & box(v | v2) -> box v", True),
+        ("CoConv", "box v -> box(v & v1) | box(v | v2)", True),
+        ("T", "box b -> b", False),
+        ("Four", "box b -> box box b", False),
+    )
 }
 
 _CK_RE = re.compile(r"^Ck\((\d+)\)$")
@@ -313,7 +316,7 @@ REGISTRY_NAMES = tuple(_FIXED_AXIOMS) + ("Ck(k)", "CInf")
 
 def _semantic(bare: str, names: tuple[str, ...], kappa: int | None = None) -> Axiom:
     """The axiom standing for the conjunction of the named registry axioms."""
-    parts = [parse(_FIXED_AXIOMS[name][0]) for name in names]
+    parts = [_FIXED_AXIOMS[name].formula for name in names]
     return Axiom(bare, parts[0] if len(parts) == 1 else And(tuple(parts)), True, kappa, names)
 
 
@@ -323,12 +326,12 @@ def expand_named(name: str, n: int | None = None) -> Axiom:
     Ck(k) keeps its k-variable formula while k < 2^n and degrades to the
     formula of @C once instantiation values must repeat; CInf is always
     the formulas of @N and @C.  When n is unknown, Ck(k) keeps its
-    k-variable formula.
+    k-variable formula, refused above 2^PLAIN_OP_CAP variables: any such
+    k is @C at every carrier size the package accepts.
     """
     bare = name[1:] if name.startswith("@") else name
     if bare in _FIXED_AXIOMS:
-        text, one_step = _FIXED_AXIOMS[bare]
-        return Axiom(bare, parse(text), one_step)
+        return _FIXED_AXIOMS[bare]
     if bare == "CInf":
         return _semantic(bare, ("N", "C"))
     m = _CK_RE.match(bare)
@@ -338,6 +341,8 @@ def expand_named(name: str, n: int | None = None) -> Axiom:
             raise InvalidInputError("Ck(k): k must be at least 1")
         if n is not None and k >= (1 << n):
             return _semantic(bare, ("C",), k)
+        if k > 1 << PLAIN_OP_CAP:
+            raise CapExceededError(f"Ck(k): k={k} exceeds cap {1 << PLAIN_OP_CAP}")
         return Axiom(bare, _kappa_formula(k), True, kappa=k)
     raise InvalidInputError(f"unknown axiom name {name!r}")
 
@@ -362,18 +367,10 @@ class AxiomSet:
     def __len__(self) -> int:
         return len(self.axioms)
 
-    def names(self) -> list[str]:
-        return [ax.name for ax in self.axioms]
-
     def specs(self) -> list[str]:
-        """Round-trippable spec strings, '@' for registry entries."""
-        out = []
-        for ax in self.axioms:
-            if ax.semantic is not None or ax.name in _FIXED_AXIOMS or _CK_RE.match(ax.name):
-                out.append("@" + ax.name)
-            else:
-                out.append(ax.name)
-        return out
+        """Round-trippable spec strings, '@' for registry entries.  An
+        inline axiom is named by its rendering, which no registry name is."""
+        return [ax.name if render(ax.formula) == ax.name else "@" + ax.name for ax in self.axioms]
 
 
 def axiom_set_from_specs(specs: list[str], n: int | None = None) -> AxiomSet:

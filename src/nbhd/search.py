@@ -1,17 +1,18 @@
 """Frame enumeration and countermodel search over small carriers.
 
-A frame on n points is a product of n independent family choices, so
-the stream factors: pointwise constraints (one-step axiom sets, and the
-per-family tests and centered condition that `classes.frame_tag_parts`
-gives for each class tag) shrink each point's candidate list before any
-frame is assembled.  One key loop walks the product: canonicity is
-tested on the famask key itself, through per-permutation relabel
-tables, and a key that passes is transposed into its box table only for
-the iv condition.  Counting, the find modes and enumeration all read
-that loop, and only emitted frames and hits are assembled.  The loop
-follows the product order with the first point outermost and famasks
-ascending, which is exactly the ascending lexicographic order on frame
-keys.
+A frame on n points is a product of n independent family choices, so the
+stream factors: pointwise constraints shrink each point's candidate list
+before any frame is assembled.  A class tag stands for its registry
+axioms (`classes.frame_tag_axioms`); its one-step axioms join the axiom
+specs, and one `bax.enumerate_bax` call of them gives the candidates
+every point shares, which T then restricts per point to the centered
+families.  One key loop walks the product: canonicity is tested on the
+famask key itself, through per-permutation relabel tables, and a key
+that passes is transposed into its box table only for the iv condition.
+Counting, the find modes and enumeration all read that loop, and only
+emitted frames and hits are assembled.  The loop follows the product
+order with the first point outermost and famasks ascending, which is
+exactly the ascending lexicographic order on frame keys.
 
 A target formula is checked on blocks of in-class keys, taken in scan
 order (1, 2, 4, ... keys, up to 2^TARGET_BLOCK_BITS lanes): one
@@ -44,7 +45,7 @@ from itertools import chain, islice, permutations, product
 
 from .bax import enumerate_bax
 from .bitslice import _index_planes, block_refute, transpose
-from .classes import FRAME_TAGS, frame_tag_parts, iv_holds, parse_class_tag
+from .classes import FRAME_TAGS, frame_tag_axioms, iv_holds, parse_class_tag
 from .core import (
     CANONICAL_CAP,
     EXHAUSTIVE_FRAMES_CAP,
@@ -114,25 +115,22 @@ def canonical_form(frame: NeighborhoodFrame) -> NeighborhoodFrame:
 
 
 def _compile_constraints(n: int, constraints: tuple[str, ...]):
-    """Per-point famask candidate lists plus the whole-frame iv flag: each
-    frame tag contributes its `frame_tag_parts`, every other constraint is
-    an axiom spec."""
-    axiom_specs: list[str] = []
-    tests = []
-    centered = iv = False
+    """Per-point famask candidate lists plus the whole-frame iv flag.  The
+    axiom specs keep their order; each frame tag's one-step axioms follow
+    them, skipping any already listed, T sets the centered condition and
+    Four the iv flag."""
+    specs: list[str] = []
+    tag_axioms: list[str] = []
     for text in map(str.strip, constraints):
         if text in FRAME_TAGS or text.startswith("kappa:"):
-            tag_tests, tag_centered, tag_iv = frame_tag_parts(parse_class_tag(text))
-            tests += tag_tests
-            centered |= tag_centered
-            iv |= tag_iv
+            tag_axioms += frame_tag_axioms(parse_class_tag(text))
         else:
-            axiom_specs.append(text)
-    if axiom_specs:
-        base = enumerate_bax(n, axiom_set_from_specs(axiom_specs, n)).famasks()
-    else:
-        base = range(1 << (1 << n))
-    shared = [fm for fm in base if all(test(fm, n) for test in tests)]
+            specs.append(text)
+    for name in tag_axioms:
+        if name not in ("T", "Four") and f"@{name}" not in specs:
+            specs.append(f"@{name}")
+    centered, iv = "T" in tag_axioms, "Four" in tag_axioms
+    shared = enumerate_bax(n, axiom_set_from_specs(specs, n)).famasks()
     if not centered:
         return [shared] * n, iv
     # Centered at x: every member holds x, i.e. the famask lies in plane x.

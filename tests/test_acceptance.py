@@ -18,6 +18,7 @@ from pathlib import Path
 
 import oracles
 from srcenv import source_env
+from nbhd import bitslice
 from nbhd.bax import bax_map, enumerate_bax, principal_iso
 from nbhd.classes import ClassTag, correspondence_check, frame_class_check
 from nbhd.core import (
@@ -40,7 +41,7 @@ from nbhd.duality import (
     dualize_frame_morphism,
     is_complete_nbhd_hom,
 )
-from nbhd.evaluate import is_ax_subset, validates
+from nbhd.evaluate import compile_membership, is_ax_subset, realize_axiom, validates
 from nbhd.formulas import axiom_set_from_specs, expand_named
 from nbhd.genframe import (
     GeneralFrame,
@@ -165,18 +166,14 @@ def test_criterion_04_bax_counts():
     assert oracle_counts == [2, 3, 6, 20]
     for n in range(4):
         assert len(enumerate_bax(n, monotone).famasks()) == oracle_counts[n]
+    # Both spaces backtrack; up to n = 4 they equal the full membership sweep.
     for n in range(5):
-        filtered = enumerate_bax(n, monotone, strategy="filter") if n <= 4 else None
-        backtracked = enumerate_bax(n, monotone, strategy="backtrack")
-        if filtered is not None:
-            assert filtered.famasks() == backtracked.famasks()
-        fil = enumerate_bax(n, principal, strategy="filter") if n <= 4 else None
-        bt = enumerate_bax(n, principal, strategy="backtrack")
-        assert len(bt.famasks()) == 2**n
-        if fil is not None:
-            assert fil.famasks() == bt.famasks()
+        assert len(enumerate_bax(n, principal).famasks()) == 2**n
+        for axs in (monotone, principal):
+            sweep = bitslice.family_filter(0, 1 << (1 << n), [compile_membership(realize_axiom(ax, n), n) for ax in axs])
+            assert enumerate_bax(n, axs).famasks() == tuple(sweep)
     start = time.perf_counter()
-    big = enumerate_bax(5, monotone, strategy="backtrack")
+    big = enumerate_bax(5, monotone)
     elapsed = time.perf_counter() - start
     assert len(big.famasks()) == 7581
     assert elapsed < 10.0, f"n=5 backtrack took {elapsed:.1f}s"
@@ -186,7 +183,7 @@ def test_criterion_04_bax_counts():
 def test_criterion_05_kripke_collapse():
     principal = axiom_set_from_specs(["@N", "@C", "@M"])
     for n in range(4):
-        space = enumerate_bax(n, principal, strategy="backtrack")
+        space = enumerate_bax(n, principal)
         gens = [principal_iso(n, "to_subset", fam) for fam in space.famasks()]
         assert sorted(gens) == list(range(1 << n))
         for fam, c in zip(space.famasks(), gens):

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from nbhd import bax, bitslice
 from nbhd.bax import (
     BaxSpace,
     bax_map,
@@ -13,13 +14,14 @@ from nbhd.bax import (
     principal_iso,
 )
 from nbhd.core import CapExceededError, FrameMorphism, InvalidInputError, famask_members, famask_of, up_cone
+from nbhd.evaluate import compile_membership, realize_axiom
 from nbhd.formulas import axiom_set_from_specs
 
 import oracles
 
 
-def space(n, specs, **kw):
-    return enumerate_bax(n, axiom_set_from_specs(specs, n), **kw)
+def space(n, specs):
+    return enumerate_bax(n, axiom_set_from_specs(specs, n))
 
 
 def test_monotone_space_counts_match_up_closed_oracle():
@@ -41,60 +43,56 @@ def test_members_match_brute_axiom_oracle():
             assert got == oracles.axiom_subset_families(n, names)
 
 
-# Every spec and size both strategies accept.  A kappa axiom is only a
-# closure guarantee once it degrades to the shape test; while it keeps its
-# formula (@Ck(2) from n = 2), backtrack must refuse it.
-BOTH_STRATEGIES = [
+# Specs and sizes where the up-closure backtrack runs, and a kappa axiom
+# that keeps its formula (@Ck(2) from n = 2), which the filter sweep takes.
+SPACES = [
     (n, specs)
-    for n in (0, 1, 2, 3)
-    for specs in (["@M"], ["@M", "@N"], ["@M", "@C", "@N"], ["@M", "@Cont"], ["@CInf"], ["@M", "@Ck(2)"])
-] + [(n, ["@Ck(2)"]) for n in (0, 1)]
+    for n in (0, 1, 2, 3, 4)
+    for specs in (["@M"], ["@M", "@N"], ["@M", "@C", "@N"], ["@M", "@Cont"], ["@CInf"], ["@M", "@Ck(2)"], ["@Ck(2)"])
+]
+
+
+def full_sweep(n, specs):
+    """The membership programs run on all 2^(2^n) famasks: the sweep that
+    the backtrack's up-closure pruning must agree with."""
+    axs = axiom_set_from_specs(specs, n)
+    return tuple(bitslice.family_filter(0, 1 << (1 << n), [compile_membership(realize_axiom(ax, n), n) for ax in axs]))
 
 
 def test_famasks_ascending_and_index_of():
-    for n, specs in BOTH_STRATEGIES:
-        for strategy in ("filter", "backtrack"):
-            sp = space(n, specs, strategy=strategy)
-            fams = sp.famasks()
-            assert fams is sp.famasks()
-            assert all(a < b for a, b in zip(fams, fams[1:])), (n, specs, strategy)
-            for i, fm in enumerate(fams):
-                assert sp.index_of(fm) == i
-            outside = set(range(1 << (1 << n))).difference(fams)
-            for fm in sorted(outside)[:3] + sorted(outside)[-3:]:
-                with pytest.raises(InvalidInputError, match="not a member"):
-                    sp.index_of(fm)
+    for n, specs in SPACES:
+        sp = space(n, specs)
+        fams = sp.famasks()
+        assert fams is sp.famasks()
+        assert all(a < b for a, b in zip(fams, fams[1:])), (n, specs)
+        for i, fm in enumerate(fams):
+            assert sp.index_of(fm) == i
+        outside = set(range(1 << (1 << n))).difference(fams)
+        for fm in sorted(outside)[:3] + sorted(outside)[-3:]:
+            with pytest.raises(InvalidInputError, match="not a member"):
+                sp.index_of(fm)
     with pytest.raises(InvalidInputError):
         space(2, ["@M"]).index_of(famask_of((1,)))
 
 
 def test_filter_equals_backtrack():
-    for n, specs in BOTH_STRATEGIES:
-        a = space(n, specs, strategy="filter").famasks()
-        b = space(n, specs, strategy="backtrack").famasks()
-        assert a == b, (n, specs)
-    with pytest.raises(InvalidInputError):
-        space(2, ["@Ck(2)"], strategy="backtrack")
+    # enumerate_bax backtracks exactly when an axiom forces up-closure,
+    # and every space equals the full membership sweep.
+    for n, specs in SPACES:
+        backtracks = specs != ["@Ck(2)"] or n < 2
+        assert bax._backtrack_sound(axiom_set_from_specs(specs, n)) == backtracks, (n, specs)
+        assert space(n, specs).famasks() == full_sweep(n, specs), (n, specs)
+    assert len(space(4, ["@M", "@N"]).famasks()) == 167
 
 
-def test_worker_pools_agree_with_serial():
-    serial = space(4, ["@M", "@N"], strategy="filter", workers=1).famasks()
-    pooled = space(4, ["@M", "@N"], strategy="filter", workers=4).famasks()
-    assert serial == pooled
-
-
-def test_strategy_errors_and_caps():
-    with pytest.raises(InvalidInputError):
-        space(2, ["@M"], strategy="bogus")
-    with pytest.raises(InvalidInputError):
-        space(2, ["@Cont"], strategy="backtrack")
-    with pytest.raises(CapExceededError):
-        space(5, ["@Cont"], strategy="filter")
-    with pytest.raises(CapExceededError):
-        space(6, ["@M"], strategy="backtrack")
-    # auto picks a sound strategy either way.
-    assert space(2, ["@Cont"]).famasks() == space(2, ["@Cont"], strategy="filter").famasks()
-    assert space(2, ["@M"]).famasks() == space(2, ["@M"], strategy="backtrack").famasks()
+def test_enumeration_caps():
+    # The filter sweep stops at n = 4 and the backtrack at n = 5.
+    with pytest.raises(CapExceededError, match=r"enumerate_bax\[filter\]: n=5 exceeds cap 4"):
+        space(5, ["@Cont"])
+    with pytest.raises(CapExceededError, match=r"enumerate_bax\[backtrack\]: n=6 exceeds cap 5"):
+        space(6, ["@M"])
+    assert len(space(5, ["@M"]).famasks()) == 7581
+    assert space(4, ["@Cont"]).famasks() == full_sweep(4, ["@Cont"])
 
 
 def test_bax_map_example_and_membership_guard():

@@ -76,7 +76,7 @@ def test_filter_windows_stitch_to_the_full_run(monkeypatch):
         programs = [program(spec, n) for spec in specs]
         total = 1 << (1 << n)
         full_run = bitslice.family_filter(0, total, programs)
-        assert full_run == list(enumerate_bax(n, axiom_set_from_specs(specs, n), strategy="filter").famasks())
+        assert full_run == list(enumerate_bax(n, axiom_set_from_specs(specs, n)).famasks())
         if n < 4:
             assert full_run == oracles.axiom_subset_families(n, ["M", "C"])
         for _ in range(3):

@@ -15,7 +15,7 @@ from nbhd.classes import (
     algebra_class_check,
     correspondence_check,
     frame_class_check,
-    frame_tag_parts,
+    frame_tag_axioms,
     iv_holds,
     parse_class_tag,
 )
@@ -47,7 +47,7 @@ def as_sets(famask: int):
 
 
 def family_tag(famask: int, n: int, tag: ClassTag) -> bool:
-    return all(test(famask, n) for test in frame_tag_parts(tag)[0])
+    return all(AXIOM_TESTS[name](famask, n) for name in frame_tag_axioms(tag))
 
 
 def test_family_predicates_match_oracles():
@@ -77,7 +77,7 @@ def test_kappa_complete_matches_oracle_and_collapses():
             assert results[3] == results[4] == results[17]
             assert results[3] == family_tag(famask, n, ClassTag("filter"))
     with pytest.raises(InvalidInputError, match="kappa >= 1"):
-        frame_tag_parts(ClassTag("kappa", 0))
+        frame_tag_axioms(ClassTag("kappa", 0))
 
 
 def test_parse_class_tag():

@@ -15,6 +15,7 @@ from nbhd.core import famask_of, frame_from_json, frame_to_json
 from nbhd.duality import complex_algebra
 from nbhd.evaluate import eval_formula
 from nbhd.formulas import expand_named
+from nbhd.search import SearchSpec, find_countermodel
 from nbhd.genframe import (
     complement_within_admissible,
     general_frame_from_json,
@@ -144,8 +145,12 @@ def test_bax_enum(capsys):
     assert code == 0
     assert out["n"] == 2 and out["axioms"] == ["@M", "@N"]
     assert all(3 in members for members in out["members"])
-    code, _, err = run(capsys, "bax", "enum", "--n", "1", "--axioms", "@Cont", "--strategy", "backtrack")
-    assert code == 2
+    # An inline T is the formula T, which every family satisfies, not @T.
+    code, out, err = run(capsys, "bax", "enum", "--n", "1", "--axioms", "T")
+    assert (code, out, err) == (0, '{"n":1,"axioms":["T"],"members":[[],[0],[1],[0,1]]}\n', "")
+    with pytest.raises(SystemExit) as exc:
+        main(["bax", "enum", "--n", "1", "--axioms", "@Cont", "--strategy", "backtrack"])
+    assert exc.value.code == 2 and "--strategy" in capsys.readouterr().err
     code, _, err = run(capsys, "bax", "enum", "--n", "6", "--axioms", "@M")
     assert code == 3
     # @CInf forces up-closure, so it backtracks at n = 5, past the filter
@@ -159,15 +164,23 @@ def test_workers_above_the_cap_exit_3_before_forking(capsys, monkeypatch):
         raise AssertionError("a pool was forked")
 
     monkeypatch.setattr(core, "get_context", no_fork)
-    for argv in (
-        ("bax", "enum", "--n", "4", "--axioms", "@N", "--strategy", "filter", "--count"),
-        ("search", "countermodel", "--target", "@M", "--max-n", "2"),
-    ):
+    bax_enum = ("bax", "enum", "--n", "4", "--axioms", "@N", "--count")
+    search = ("search", "countermodel", "--target", "@M", "--max-n", "2")
+    # The flag is checked before any command runs, forking or not.
+    for argv in (bax_enum, search, ("parse", "--formula", "u")):
         code, out, err = run(capsys, "--workers", str(core.WORKERS_CAP + 1), *argv)
         assert (code, out) == (3, "") and "exceeds cap" in err
-        # At the cap itself the pool is asked for.
-        with pytest.raises(AssertionError, match="forked"):
-            main(["--workers", str(core.WORKERS_CAP), *argv])
+        for workers in ("0", "-3"):
+            code, out, err = run(capsys, "--workers", workers, *argv)
+            assert (code, out) == (2, "") and "--workers must be at least 1" in err
+    # At the cap itself the search asks for the pool; bax enum runs serially.
+    with pytest.raises(AssertionError, match="forked"):
+        main(["--workers", str(core.WORKERS_CAP), *search])
+    code, out = jout(capsys, "--workers", str(core.WORKERS_CAP), *bax_enum)
+    assert code == 0 and out == {"count": 32768}
+    # Library callers meet the pool's own check, also before forking.
+    with pytest.raises(core.CapExceededError, match="workers=65 exceeds cap 64"):
+        find_countermodel(SearchSpec(target="@M", max_n=2), workers=core.WORKERS_CAP + 1)
 
 
 def test_bax_map(capsys, tmp_path):
@@ -178,6 +191,12 @@ def test_bax_map(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "bax", "map", "--morphism", morphism, "--axioms", "@M", "--family", "[1]")
     assert code == 2
+    # The axioms are resolved at the domain's size, where @Ck(70000) is @C;
+    # unresolved, its 70,000 variables exceed the cap, exit 3.
+    code, out = jout(capsys, "bax", "map", "--morphism", morphism, "--axioms", "@Ck(70000)", "--family", "[3]")
+    assert code == 0 and out == {"family": [1]}
+    code, out, err = run(capsys, "parse", "--formula", "@Ck(70000)")
+    assert (code, out) == (3, "") and "exceeds cap 65536" in err
 
 
 def test_bax_map_wide_codomain_exits_3(tmp_path):
@@ -232,6 +251,11 @@ def test_lax_build_and_check(capsys, tmp_path):
     lax = write(tmp_path, "lax.json", out)
     code, report = jout(capsys, "lax", "check", "--lax", lax)
     assert code == 0 and report == {"ok": True, "axioms": {"C": True}}
+    # An inline T round-trips as the formula T, not as the registry @T.
+    code, out = jout(capsys, "lax", "build", "--n", "1", "--axioms", "T")
+    assert code == 0 and out["axioms"] == ["T"]
+    code, report = jout(capsys, "lax", "check", "--lax", write(tmp_path, "t.json", out))
+    assert code == 0 and report == {"ok": True, "axioms": {"T": True}}
 
 
 def test_lax_check_refuses_a_gen_that_is_not_the_transpose(capsys, tmp_path):
@@ -426,13 +450,22 @@ def test_search_enumerate_cli(capsys):
     assert code == 0 and out == {"count": 16}
     code, _, err = run(capsys, "search", "enumerate", "--n", "4", "--count")
     assert code == 3
+    # An inline T constrains nothing; the tag's @M joins a listed @M once.
+    code, out = jout(capsys, "search", "enumerate", "--n", "2", "--constraints", "T", "--count")
+    assert code == 0 and out == {"count": 256}
+    code, out = jout(capsys, "search", "enumerate", "--n", "2", "--constraints", "monotone,@M", "--count")
+    assert code == 0 and out == {"count": 36}
+    code, out, err = run(capsys, "search", "enumerate", "--n", "2", "--constraints", "@M,@M", "--count")
+    assert (code, out) == (2, "") and "duplicate names" in err
 
 
 def test_output_flags(capsys):
     code, out, _ = run(capsys, "--pretty", "parse", "--formula", "u")
     assert code == 0 and out.startswith('{\n  "formula"')
-    code, _, err = run(capsys, "--json", "--pretty", "parse", "--formula", "u")
-    assert code == 2 and "mutually exclusive" in err
+    # Compact output is the default; there is no --json flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "parse", "--formula", "u"])
+    assert exc.value.code == 2 and "--json" in capsys.readouterr().err
     code, _, err = run(capsys, "--limit-bytes", "10", "parse", "--formula", "u")
     assert code == 3 and "exceeds" in err
     code, out, _ = run(capsys, "--limit-bytes", "10000", "parse", "--formula", "u")

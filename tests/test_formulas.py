@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nbhd.classes import AXIOM_TESTS
-from nbhd.core import InvalidInputError
+from nbhd.core import CapExceededError, InvalidInputError
 from nbhd.evaluate import is_ax_subset, realize_axiom
 from nbhd.formulas import (
     TOP,
@@ -193,6 +193,14 @@ def test_registry_kappa_degrade():
         expand_named("@Ck(0)")
     one = expand_named("@Ck(1)")
     assert one.formula == iff(Box(Var("v1")), Box(Var("v1")))
+    # A k-variable formula is refused above 2^16 variables, where every
+    # carrier size up to 16 points degrades it to @C anyway.
+    top = expand_named("@Ck(65536)")
+    assert free_vars(top.formula) == [f"v{i}" for i in range(1, 65537)]
+    for n in (None, 17):
+        with pytest.raises(CapExceededError, match="k=65537 exceeds cap 65536"):
+            expand_named("@Ck(65537)", n)
+    assert expand_named("@Ck(65537)", 16).semantic == ("C",)
 
 
 def test_registry_cinf():
@@ -218,8 +226,12 @@ def test_famask_is_principal():
 
 def test_axiom_set_from_specs():
     axs = axiom_set_from_specs(["@M", "@N", "box w"])
-    assert axs.names() == ["M", "N", "box w"]
+    assert [ax.name for ax in axs] == ["M", "N", "box w"]
     assert axs.specs() == ["@M", "@N", "box w"]
+    # An inline axiom is its own rendering, so inline T is not the registry @T.
+    inline = axiom_set_from_specs(["T", "@CInf", "box T"])
+    assert inline.specs() == ["T", "@CInf", "box T"]
+    assert axiom_set_from_specs(inline.specs()) == inline
     assert len(axs) == 3
     degraded = axiom_set_from_specs(["@Ck(2)"], n=1)
     assert degraded.specs() == ["@Ck(2)"]

@@ -7,11 +7,13 @@ result: the comment is read as a Python literal and must equal the value
 of the expression.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
-from nbhd.classes import CLASS_TABLE, ClassTag, _frame_tag_axioms
+from nbhd.classes import CLASS_TABLE, ClassTag, frame_tag_axioms
+from nbhd.cli import build_parser
 from nbhd.formulas import REGISTRY_NAMES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -71,6 +73,22 @@ def test_readme_class_table_is_the_code_table():
 
     want = [cells(f"`{frame_tag}`", algebra_tag, axioms) for frame_tag, algebra_tag, axioms in CLASS_TABLE]
     for label, ks in (("`kappa:k`, k ≤ 2", (1, 2)), ("`kappa:k`, k ≥ 3", (3, 4, 17))):
-        (axioms,) = {_frame_tag_axioms(ClassTag("kappa", k)) for k in ks}
+        (axioms,) = {frame_tag_axioms(ClassTag("kappa", k)) for k in ks}
         want.append(cells(label, None, axioms))
     assert table_rows("Class tags") == want
+
+
+def long_options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every long option of a parser and of its subparsers, --help aside."""
+    out = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= long_options(sub)
+        out.update(opt for opt in action.option_strings if opt.startswith("--") and opt != "--help")
+    return out
+
+
+def test_readme_command_line_names_every_flag_and_no_other():
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == long_options(build_parser())

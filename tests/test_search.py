@@ -6,7 +6,7 @@ import pytest
 from conftest import given, st
 import oracles
 from nbhd import search
-from nbhd.classes import AXIOM_TESTS, FRAME_TAGS, frame_class_check
+from nbhd.classes import AXIOM_TESTS, FRAME_TAGS, frame_class_check, frame_tag_axioms
 from nbhd.core import (
     CapExceededError,
     InvalidInputError,
@@ -190,6 +190,31 @@ def test_constraint_semantics_against_direct_check():
     # An axiom constraint prunes per point exactly like its family class.
     assert count_frames(2, ("@M",)) == count_frames(2, ("monotone",)) == 36
     assert count_frames(2, ("@M", "contingency")) == count_frames(2, ("monotone", "contingency"))
+
+
+def test_tag_candidates_equal_their_family_tests_n4():
+    # The search enumerates a tag's one-step axioms with enumerate_bax; the
+    # class checks' family tests and the centered test give the same lists.
+    passing = {name: {fm for fm in families(4) if test(fm, 4)} for name, test in AXIOM_TESTS.items()}
+    planes = [sum(1 << a for a in range(16) if a >> x & 1) for x in range(4)]
+    for text in [tag for tag in FRAME_TAGS if tag != "kappa"] + [f"kappa:{k}" for k in (1, 2, 3, 4)]:
+        axioms = frame_tag_axioms(search.parse_class_tag(text))
+        shared = [fm for fm in families(4) if all(fm in passing[name] for name in axioms if name in passing)]
+        want = [[fm for fm in shared if "T" not in axioms or fm & plane == fm] for plane in planes]
+        cands, iv = search._compile_constraints(4, (text,))
+        assert [list(c) for c in cands] == want, text
+        assert iv == ("Four" in axioms), text
+
+
+def test_tag_axioms_follow_the_specs():
+    # A tag's axioms skip a spec already listed; the specs keep their
+    # duplicates, and a bad tag is reported before a bad spec.
+    assert count_frames(2, ("monotone", "@M")) == count_frames(2, ("@M", "monotone")) == 36
+    assert count_frames(2, ("filter", "kappa:3", "@N")) == count_frames(2, ("filter",)) == 16
+    with pytest.raises(InvalidInputError, match="duplicate names"):
+        count_frames(2, ("@M", "@M"))
+    with pytest.raises(InvalidInputError, match="kappa >= 1"):
+        count_frames(2, ("@Bogus", "kappa:0"))
 
 
 def test_family_classes_are_presented_by_one_step_axioms():
