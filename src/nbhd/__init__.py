@@ -10,6 +10,7 @@ from .bax import (
     BaxSpace,
     bax_map,
     baxspace_from_json,
+    baxspace_text,
     baxspace_to_json,
     compose_morphisms,
     enumerate_bax,
@@ -61,6 +62,7 @@ from .duality import (
     is_complete_nbhd_hom,
     lax_algebra,
     lax_from_json,
+    lax_text,
     lax_to_json,
     onestep_top_check,
 )

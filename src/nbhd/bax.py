@@ -7,6 +7,9 @@ sending a family W to { a' | preimage of a' lies in W }, which stays
 inside the codomain space; enumerate + act is the finite functor.
 Families are famask ints throughout: a space is a tuple of them, and
 `bax_map`, `index_of` and `principal_iso` take and return them.
+`baxspace_text` writes a space's compact JSON straight from its famasks,
+through byte tables of decimal text; `baxspace_to_json` is the
+definitional dict codec it must match.
 
 `enumerate_bax` is the one route from an axiom set to its families.
 When some axiom forces up-closure (@M, @CInf, or a degraded @Ck) it
@@ -19,8 +22,10 @@ both apply.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import lt
 
 from .bitslice import family_filter, upset_enumerate
@@ -31,6 +36,10 @@ from .core import (
     PLAIN_OP_CAP,
     FrameMorphism,
     InvalidInputError,
+    _BYTE_BITS,
+    _ROW1,
+    _ROW2,
+    _ROW3,
     _check_famask,
     _check_size,
     _json_famask,
@@ -151,6 +160,30 @@ def naturality_check(f: FrameMorphism, axs: AxiomSet, g: FrameMorphism | None = 
 
 def baxspace_to_json(space: BaxSpace) -> dict:
     return {"n": space.n, "axioms": space.axioms.specs(), "members": [_set_lanes(fm, 0) for fm in space.famasks()]}
+
+
+@lru_cache(maxsize=None)
+def _byte_texts() -> tuple[tuple[str, ...], ...]:
+    """Per byte position k, the indices 8k + j of a byte's set bits j as
+    decimal text, each followed by a comma; built on first use, not at
+    import."""
+    return tuple(tuple("".join(f"{i}," for i in row) for row in rows) for rows in (_BYTE_BITS, _ROW1, _ROW2, _ROW3))
+
+
+def baxspace_text(space: BaxSpace) -> str:
+    """`baxspace_to_json(space)` as compact JSON text.  A famask below 2^32
+    (n <= 5) is four table lookups, one per byte, minus the last comma; a
+    larger one (n >= 6, only from `baxspace_from_json`) is decoded by
+    `_set_lanes`."""
+    t0, t1, t2, t3 = _byte_texts()
+    members = [
+        (t0[w & 255] + t1[w >> 8 & 255] + t2[w >> 16 & 255] + t3[w >> 24])[:-1]
+        if not w >> 32
+        else ",".join(map(str, _set_lanes(w, 0)))
+        for w in space.famasks()
+    ]
+    head = json.dumps({"n": space.n, "axioms": space.axioms.specs()}, separators=(",", ":"))
+    return head[:-1] + ',"members":[' + ("[" + "],[".join(members) + "]" if members else "") + "]}"
 
 
 def baxspace_from_json(obj: dict) -> BaxSpace:

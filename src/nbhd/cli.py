@@ -6,7 +6,8 @@ found, a class check failed), 2 usage or input errors, 3 cap or output
 limit errors.  Machine output goes to stdout, diagnostics to stderr.
 "-" names stdin for any file argument.  Output is compact JSON; --pretty
 switches to indented form.  --workers K, checked before any command
-runs, splits the search over K processes.
+runs, splits the search over K processes; --limit-bytes B, checked
+there too, refuses an output of more than B bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .bax import bax_map, baxspace_to_json, enumerate_bax
+from .bax import bax_map, baxspace_text, enumerate_bax
 from .classes import (
     ALGEBRA_TAGS,
     CORRESPONDENCE_PAIRS,
@@ -50,7 +51,7 @@ from .duality import (
     dualize_frame_morphism,
     lax_algebra,
     lax_from_json,
-    lax_to_json,
+    lax_text,
     onestep_top_check,
 )
 from .evaluate import eval_formula, find_refuting_assignment
@@ -109,13 +110,16 @@ def _parse_inline_json(text: str, what: str):
 
 
 def _emit(obj, args) -> None:
+    """Write obj as JSON, compact or under --pretty indented.  A str is
+    compact JSON text already encoded.  Every output is ASCII, so its
+    length is its size in bytes."""
     if args.pretty:
-        text = json.dumps(obj, indent=2, sort_keys=False)
+        text = json.dumps(json.loads(obj) if isinstance(obj, str) else obj, indent=2)
     else:
-        text = json.dumps(obj, separators=(",", ":"), sort_keys=False)
+        text = obj if isinstance(obj, str) else json.dumps(obj, separators=(",", ":"))
     data = text + "\n"
-    if args.limit_bytes is not None and len(data.encode("utf-8")) > args.limit_bytes:
-        raise OutputLimitError(f"output of {len(data.encode('utf-8'))} bytes exceeds --limit-bytes {args.limit_bytes}")
+    if args.limit_bytes is not None and len(data) > args.limit_bytes:
+        raise OutputLimitError(f"output of {len(data)} bytes exceeds --limit-bytes {args.limit_bytes}")
     sys.stdout.write(data)
 
 
@@ -192,7 +196,7 @@ def cmd_bax_enum(args) -> int:
     if args.count:
         _emit({"count": len(space.famasks())}, args)
     else:
-        _emit(baxspace_to_json(space), args)
+        _emit(baxspace_text(space), args)
     return 0
 
 
@@ -207,8 +211,7 @@ def cmd_bax_map(args) -> int:
 
 def cmd_lax_build(args) -> int:
     axs = axiom_set_from_specs(_split_specs(args.axioms), args.n)
-    lax = lax_algebra(args.n, axs)
-    _emit(lax_to_json(lax), args)
+    _emit(lax_text(lax_algebra(args.n, axs)), args)
     return 0
 
 
@@ -459,6 +462,8 @@ def main(argv=None) -> int:
             raise InvalidInputError(f"--workers must be at least 1, got {args.workers}")
         if args.workers > WORKERS_CAP:
             raise CapExceededError(f"workers={args.workers} exceeds cap {WORKERS_CAP}")
+        if args.limit_bytes is not None and args.limit_bytes < 0:
+            raise InvalidInputError(f"--limit-bytes must be at least 0, got {args.limit_bytes}")
         return args.func(args)
     except (CapExceededError, OutputLimitError) as exc:
         sys.stderr.write(f"nbhd: {exc}\n")

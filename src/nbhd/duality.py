@@ -15,9 +15,10 @@ with gen as the planes and the atoms as the lanes.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
-from .bax import BaxSpace, enumerate_bax, baxspace_to_json, baxspace_from_json
+from .bax import BaxSpace, enumerate_bax, baxspace_to_json, baxspace_from_json, baxspace_text
 from .bitslice import _accepted, transpose
 from .core import (
     PLAIN_OP_CAP,
@@ -108,6 +109,13 @@ def lax_to_json(lax: LaxAlgebra) -> dict:
     obj = baxspace_to_json(lax.space)
     obj["gen"] = [_set_lanes(bits, 0) for bits in lax.gen]
     return obj
+
+
+def lax_text(lax: LaxAlgebra) -> str:
+    """`lax_to_json(lax)` as compact JSON text: the members from
+    `baxspace_text`, then the gen table."""
+    gen = json.dumps([_set_lanes(bits, 0) for bits in lax.gen], separators=(",", ":"))
+    return baxspace_text(lax.space)[:-1] + ',"gen":' + gen + "}"
 
 
 def lax_from_json(obj: dict) -> LaxAlgebra:

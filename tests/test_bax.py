@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from nbhd.bax import (
     BaxSpace,
     bax_map,
     baxspace_from_json,
+    baxspace_text,
     baxspace_to_json,
     compose_morphisms,
     enumerate_bax,
@@ -205,6 +207,21 @@ def test_baxspace_json_round_trip():
         baxspace_from_json({"n": "2", "axioms": [], "members": []})
     with pytest.raises(InvalidInputError, match="members must be a list"):
         baxspace_from_json({"n": 2, "axioms": [], "members": 5})
+
+
+def test_baxspace_text_equals_dict_codec():
+    # The byte-table text route against the definitional dict codec.
+    def compact(sp):
+        return json.dumps(baxspace_to_json(sp), separators=(",", ":"))
+
+    for n, specs in SPACES + [(5, ["@M"]), (4, ["@N"])]:
+        sp = space(n, specs)
+        assert baxspace_text(sp) == compact(sp), (n, specs)
+    # Famasks of 2^32 or more arrive only through the decoder, at n >= 6.
+    for members in ([], [[]], [[0, 7, 8, 31]], [[], [5, 31], [63], [0, 31, 32, 63]]):
+        sp = baxspace_from_json({"n": 6, "axioms": ["@M"], "members": members})
+        assert baxspace_text(sp) == compact(sp), members
+    assert max(sp.famasks()) >> 32
 
 
 def test_baxspace_from_json_refuses_unordered_members():

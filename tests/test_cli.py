@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 from nbhd import core
+from nbhd.bax import baxspace_to_json, enumerate_bax
 from nbhd.cli import main
 from nbhd.core import famask_of, frame_from_json, frame_to_json
-from nbhd.duality import complex_algebra
+from nbhd.duality import complex_algebra, lax_algebra, lax_to_json
 from nbhd.evaluate import eval_formula
-from nbhd.formulas import expand_named
+from nbhd.formulas import axiom_set_from_specs, expand_named
 from nbhd.search import SearchSpec, find_countermodel
 from nbhd.genframe import (
     complement_within_admissible,
@@ -157,6 +158,20 @@ def test_bax_enum(capsys):
     # sweep's cap of 4: the 32 principal families.
     code, out = jout(capsys, "bax", "enum", "--n", "5", "--axioms", "@CInf", "--count")
     assert code == 0 and out == {"count": 32}
+
+
+def test_bax_enum_and_lax_build_text_match_the_dict_route(capsys):
+    # The commands write pre-encoded text; both output forms and the
+    # --limit-bytes refusal equal the dict codecs' encodings.
+    for verb, n, specs in [("bax", 0, "@M"), ("bax", 3, "@M,@Cont"), ("bax", 4, "@N"), ("bax", 5, "@M"), ("lax", 3, "@M,@N")]:
+        argv = [verb, "enum" if verb == "bax" else "build", "--n", str(n), "--axioms", specs]
+        axs = axiom_set_from_specs(specs.split(","), n)
+        obj = baxspace_to_json(enumerate_bax(n, axs)) if verb == "bax" else lax_to_json(lax_algebra(n, axs))
+        for flags, text in (([], json.dumps(obj, separators=(",", ":"))), (["--pretty"], json.dumps(obj, indent=2))):
+            code, out, err = run(capsys, *flags, *argv)
+            assert (code, out, err) == (0, text + "\n", ""), (flags, argv)
+            code, out, err = run(capsys, *flags, "--limit-bytes", str(len(text)), *argv)
+            assert (code, out) == (3, "") and f"output of {len(text) + 1} bytes exceeds" in err
 
 
 def test_workers_above_the_cap_exit_3_before_forking(capsys, monkeypatch):
@@ -471,6 +486,11 @@ def test_output_flags(capsys):
     code, out, _ = run(capsys, "--limit-bytes", "10000", "parse", "--formula", "u")
     assert code == 0
     assert ", " not in out and ": " not in out
+    # A negative limit is a usage error at the flag; 0 refuses any output.
+    code, out, err = run(capsys, "--limit-bytes", "-5", "parse", "--formula", "u")
+    assert (code, out) == (2, "") and "--limit-bytes must be at least 0, got -5" in err
+    code, out, err = run(capsys, "--limit-bytes", "0", "parse", "--formula", "u")
+    assert (code, out) == (3, "") and "exceeds --limit-bytes 0" in err
 
 
 def test_stdin_inputs(capsys, monkeypatch):

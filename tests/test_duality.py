@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -22,6 +23,7 @@ from nbhd.duality import (
     is_complete_nbhd_hom,
     lax_algebra,
     lax_from_json,
+    lax_text,
     lax_to_json,
     onestep_top_check,
 )
@@ -215,3 +217,9 @@ def test_lax_json_round_trip():
     bad3["gen"] = [[lax.n_atoms]] * len(obj["gen"])
     with pytest.raises(InvalidInputError, match="atom indices"):
         lax_from_json(bad3)
+
+
+def test_lax_text_equals_dict_codec():
+    for n, specs in [(0, ["@M"]), (2, ["@M", "@N"]), (3, ["@Cont"]), (4, ["@M", "@C"]), (5, ["@M"])]:
+        lax = lax_algebra(n, axiom_set_from_specs(specs, n))
+        assert lax_text(lax) == json.dumps(lax_to_json(lax), separators=(",", ":")), (n, specs)
