@@ -5,9 +5,8 @@ assignment exists, a countermodel was found, a validating frame was not
 found, a class check failed), 2 usage or input errors, 3 cap or output
 limit errors.  Machine output goes to stdout, diagnostics to stderr.
 "-" names stdin for any file argument.  Output is compact JSON; --pretty
-switches to indented form.  --workers K, checked before any command
-runs, splits the search over K processes; --limit-bytes B, checked
-there too, refuses an output of more than B bytes.
+switches to indented form.  --limit-bytes B, checked before any
+command runs, refuses an output of more than B bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .classes import (
     parse_class_tag,
 )
 from .core import (
-    WORKERS_CAP,
     CapExceededError,
     InvalidInputError,
     NbhdError,
@@ -309,7 +307,7 @@ def cmd_search_countermodel(args) -> int:
         mode=args.mode,
         max_n=args.max_n,
     )
-    result = find_countermodel(spec, workers=args.workers)
+    result = find_countermodel(spec)
     _emit(result, args)
     if spec.mode == "find_refuting":
         return 1 if result["found"] else 0
@@ -321,10 +319,10 @@ def cmd_search_countermodel(args) -> int:
 def cmd_search_enumerate(args) -> int:
     constraints = _split_specs(args.constraints) if args.constraints else []
     if args.count:
-        total = count_frames(args.n, constraints, canonical=args.canonical, workers=args.workers)
+        total = count_frames(args.n, constraints, canonical=args.canonical)
         _emit({"count": total}, args)
     else:
-        frames = [frame_to_json(frame) for frame in enumerate_frames(args.n, constraints, canonical=args.canonical, workers=args.workers)]
+        frames = [frame_to_json(frame) for frame in enumerate_frames(args.n, constraints, canonical=args.canonical)]
         _emit({"frames": frames}, args)
     return 0
 
@@ -334,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nbhd",
         description="Neighborhood frames, their algebras, and the constructions between them.",
     )
-    parser.add_argument("--workers", type=int, default=1, help=f"worker processes for the search, 1 to {WORKERS_CAP}")
     parser.add_argument("--pretty", action="store_true", help="indented JSON output")
     parser.add_argument("--limit-bytes", type=int, default=None, help="fail with exit 3 if output exceeds this size")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -458,10 +455,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.workers < 1:
-            raise InvalidInputError(f"--workers must be at least 1, got {args.workers}")
-        if args.workers > WORKERS_CAP:
-            raise CapExceededError(f"workers={args.workers} exceeds cap {WORKERS_CAP}")
         if args.limit_bytes is not None and args.limit_bytes < 0:
             raise InvalidInputError(f"--limit-bytes must be at least 0, got {args.limit_bytes}")
         return args.func(args)

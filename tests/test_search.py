@@ -6,18 +6,19 @@ import pytest
 from conftest import given, st
 import oracles
 from nbhd import search
-from nbhd.classes import AXIOM_TESTS, FRAME_TAGS, frame_class_check, frame_tag_axioms
+from nbhd.classes import AXIOM_TESTS, FRAME_TAGS, frame_class_check, frame_tag_axioms, iv_holds
 from nbhd.core import (
     CapExceededError,
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
     box_n,
+    famask_members,
     famask_of,
     frame_from_json,
     full_mask,
 )
-from nbhd.bitslice import block_refute
+from nbhd.bitslice import block_refute, transpose
 from nbhd.duality import complex_algebra
 from nbhd.evaluate import assignment_at, compile_algebra, eval_formula, find_refuting_assignment
 from nbhd.bax import enumerate_bax
@@ -93,22 +94,73 @@ def definitionally_canonical(n, key):
     return canonical_form(NeighborhoodFrame(n, key)).key() == key
 
 
-def test_canonical_key_test_exhaustive_small():
+def definitional_scan(n, cands, iv, canonical):
+    """The in-class keys of the product of cands, key by key through
+    canonical_form and iv_holds."""
+    return [
+        key
+        for key in product(*cands)
+        if (not canonical or definitionally_canonical(n, key)) and (not iv or iv_holds(key, transpose(key, 1 << n)))
+    ]
+
+
+def test_scan_canonical_keys_equal_canonical_form_exhaustive_small():
     for n in range(3):
-        for key in product(range(1 << (1 << n)), repeat=n):
-            assert search._is_canonical_key(n, key) == definitionally_canonical(n, key), key
+        keys = [f.key() for f in enumerate_frames(n, (), canonical=True)]
+        assert keys == [key for key in product(families(n), repeat=n) if definitionally_canonical(n, key)], n
     for constraints in (("filter",), ("monotone",)):
-        for frame in enumerate_frames(3, constraints):
-            key = frame.key()
-            assert search._is_canonical_key(3, key) == definitionally_canonical(3, key), key
+        keys = [f.key() for f in enumerate_frames(3, constraints)]
+        canonical = [f.key() for f in enumerate_frames(3, constraints, canonical=True)]
+        assert canonical == [key for key in keys if definitionally_canonical(3, key)], constraints
 
 
-@given(frame_keys(st.integers(3, 4)))
-def test_property_canonical_key_test(case):
-    n, key = case
-    canon = canonical_form(NeighborhoodFrame(n, key)).key()
-    assert search._is_canonical_key(n, key) == (canon == key)
-    assert search._is_canonical_key(n, canon)
+def test_lane_iv_equals_iv_holds():
+    for n in range(3):
+        cands = [list(families(n))] * n
+        assert list(search._in_class(n, cands, True, False)) == definitional_scan(n, cands, True, False), n
+    cands, _ = search._compile_constraints(3, ("monotone",))
+    assert list(search._in_class(3, cands, True, False)) == definitional_scan(3, cands, True, False)
+
+
+MONOTONE = {n: enumerate_bax(n, axiom_set_from_specs(["@M"], n)).famasks() for n in (3, 4)}
+
+
+@st.composite
+def candidate_lists(draw):
+    """n in {3, 4}, per point a short ascending list of famasks drawn from
+    every family and from the monotone ones, the iv flag, and a scan
+    block of 2^bits < 2^n lanes, so that a block fixes at least one point."""
+    n = draw(st.integers(3, 4))
+    famask = st.one_of(st.integers(0, (1 << (1 << n)) - 1), st.sampled_from(MONOTONE[n]))
+    cands = [sorted(draw(st.sets(famask, min_size=2, max_size=4))) for _ in range(n)]
+    return n, cands, draw(st.booleans()), draw(st.integers(1, n - 1))
+
+
+@given(candidate_lists())
+def test_property_plane_scan_matches_definitions(case):
+    n, cands, iv, bits = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "SCAN_BLOCK_BITS", bits)
+        p, _, _ = search._level_shape(cands)
+        assert p >= 1
+        for canonical in (False, True):
+            want = definitional_scan(n, cands, iv, canonical)
+            assert list(search._in_class(n, cands, iv, canonical)) == want
+            assert search._scan(n, cands, iv, canonical, None, "count") == (len(want), 0, None)
+
+
+def test_block_shapes_fix_one_and_two_points(monkeypatch):
+    monkeypatch.setattr(search, "SCAN_BLOCK_BITS", 2)
+    assert search._level_shape([[1, 2]] * 3)[:2] == (1, 4)
+    assert search._level_shape([[1, 2, 3]] * 3)[:2] == (2, 3)
+    assert search._level_shape([[1], [], [2]]) == (3, 1, [])
+
+
+def test_canonical_counts_at_n3_are_pinned():
+    # The values of the key-by-key scan that the plane scan replaced.
+    assert count_frames(3, (), canonical=True) == 2_804_480
+    assert count_frames(3, ("convex",), canonical=True) == 173_417
+    assert count_frames(3, ("iv",), canonical=True) == 43_383
 
 
 @given(frame_keys(st.integers(0, 4)), st.data())
@@ -156,16 +208,6 @@ def test_canonical_counts_match_orbit_oracle():
     raw3 = [f.key() for f in enumerate_frames(3, ("monotone",))]
     assert len(raw3) == 20 ** 3
     assert count_frames(3, ("monotone",), canonical=True) == oracles.orbit_count(raw3) == 1440
-
-
-def test_workers_match_serial():
-    for canonical in (False, True):
-        serial = [f.key() for f in enumerate_frames(2, ("monotone",), canonical)]
-        parallel = [f.key() for f in enumerate_frames(2, ("monotone",), canonical, workers=4)]
-        assert parallel == serial
-    serial = [f.key() for f in enumerate_frames(3, ("filter",), canonical=True)]
-    assert [f.key() for f in enumerate_frames(3, ("filter",), canonical=True, workers=4)] == serial
-    assert count_frames(2, (), canonical=True, workers=4) == count_frames(2, (), canonical=True)
 
 
 def test_constraint_semantics_against_direct_check():
@@ -384,7 +426,31 @@ def test_block_check_matches_eval_formula_on_filter_and_monotone_n3():
     assert_block_check_is_definitional(3, monotone, ("@T", "@Four", "box v"))
 
 
-def test_find_countermodel_workers_match():
+def key_by_key_search(spec):
+    """find_countermodel, definitionally: each level's in-class keys in
+    scan order, every target check an eval_formula sweep."""
+    checked = count = 0
+    for n in range(spec.max_n + 1):
+        cands, iv = search._compile_constraints(n, spec.constraints)
+        target = compile_target(spec.target, n)
+        for key in definitional_scan(n, cands, iv, True):
+            checked += 1
+            if target is None:
+                count += 1
+                continue
+            refuting = box_n_refutation(n, key, target)
+            count += refuting < 0
+            if spec.mode == "find_refuting" and refuting >= 0:
+                env = assignment_at(free_vars(target), n, refuting)
+                return {"found": True, "frame": {"n": n, "N": [list(famask_members(fm)) for fm in key]}, "assignment": env, "checked": checked}
+            if spec.mode == "find_validating" and refuting < 0:
+                return {"found": True, "frame": {"n": n, "N": [list(famask_members(fm)) for fm in key]}, "assignment": None, "checked": checked}
+    if spec.mode == "count":
+        return {"count": count, "checked": checked}
+    return {"found": False, "frame": None, "assignment": None, "checked": checked}
+
+
+def test_find_countermodel_matches_key_by_key_search():
     specs = (
         SearchSpec(target="@M"),
         SearchSpec(target="@M", constraints=("monotone",), max_n=2),
@@ -392,9 +458,35 @@ def test_find_countermodel_workers_match():
         SearchSpec(target="@T", constraints=("filter",), max_n=3),
         SearchSpec(target="@Four", constraints=("filter",), max_n=4),
         SearchSpec(target="@Four", constraints=("monotone",), mode="find_validating", max_n=3),
+        SearchSpec(target="@T", constraints=("iv",), mode="count", max_n=2),
+        SearchSpec(target="box v", constraints=("topological",), max_n=3),
     )
     for spec in specs:
-        assert find_countermodel(spec, workers=4) == find_countermodel(spec, workers=1)
+        assert find_countermodel(spec) == key_by_key_search(spec), spec
+
+
+def test_level_work_guard():
+    # The unconstrained n = 4 level has 65,536^4 keys: refused before any
+    # plane is built, after the levels below it were scanned.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_lane_blocks", lambda *args: pytest.fail("a level was scanned"))
+        with pytest.raises(CapExceededError, match=f"level n=4 has {1 << 64} keys, exceeds cap {search.SCAN_KEYS_CAP}"):
+            search._scan_level(4, (), True, None, "count")
+    with pytest.raises(CapExceededError, match="n=4"):
+        find_countermodel(SearchSpec(mode="count", max_n=4))
+    assert 1 << 24 <= search.SCAN_KEYS_CAP < 1 << 64
+    assert find_countermodel(SearchSpec(constraints=("filter",), mode="count", max_n=4)) == {"count": 3161, "checked": 3161}
+
+
+def test_a_string_is_not_a_constraint_sequence():
+    for call in (
+        lambda: count_frames(2, "filter"),
+        lambda: enumerate_frames(2, "filter"),
+        lambda: SearchSpec(mode="count", constraints="filter"),
+    ):
+        with pytest.raises(InvalidInputError, match="sequence of specs"):
+            call()
+    assert count_frames(2, ["filter"]) == count_frames(2, ("filter",)) == 16
 
 
 def test_spec_and_cap_errors():
