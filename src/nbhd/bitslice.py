@@ -218,10 +218,10 @@ def _repeat(mask: int, frame_bits: int, assign_bits: int) -> int:
     return mask
 
 
-def _apply_box(box, points, within, n: int, value: tuple[int, ...], full: int) -> tuple[int, ...]:
+def _apply_box(whole, within, n: int, value: tuple[int, ...], full: int) -> tuple[int, ...]:
     """Planes of box[value]: split the lanes by the subset a they hold,
-    one point at a time; each part joins the planes of points[box[a]]
-    whole and, for each pair (y, plane) of within[a], plane y within
+    one point at a time; each part joins the planes of the points of
+    whole[a] and, for each pair (y, plane) of within[a], plane y within
     the given plane."""
     parts = [(0, full)]
     for x, plane in enumerate(value):
@@ -235,7 +235,7 @@ def _apply_box(box, points, within, n: int, value: tuple[int, ...], full: int) -
         parts = split
     out = [0] * n
     for a, part in parts:
-        for y in points[box[a]]:
+        for y in whole[a]:
             out[y] |= part
     if within:
         for a, part in parts:
@@ -244,10 +244,11 @@ def _apply_box(box, points, within, n: int, value: tuple[int, ...], full: int) -
     return tuple(out)
 
 
-def _refuted(box, points, within, n: int, opcodes, opargs, n_vars: int, frame_bits: int) -> int:
+def _refuted(whole, within, n: int, opcodes, opargs, n_vars: int, frame_bits: int) -> int:
     """Lanes (i * 2^frame_bits + f) where the program evaluates below the
-    full set in frame f under assignment i.  box, points and within give
-    the box node, as `_apply_box` reads them.
+    full set in frame f under assignment i.  whole[a] lists the points
+    whose N holds a in every frame, and within[a] the rest, as
+    `_apply_box` reads them.
 
     Postfix opcodes: 0 pushes variable arg, 1 the full set, 2 complements
     the top, 3 folds an and of arg operands, 4 applies the box.  Every
@@ -275,7 +276,7 @@ def _refuted(box, points, within, n: int, opcodes, opargs, n_vars: int, frame_bi
         else:
             value = stack[-1]
             if value not in boxed:
-                boxed[value] = _apply_box(box, points, within, n, value, full)
+                boxed[value] = _apply_box(whole, within, n, value, full)
             stack[-1] = boxed[value]
     holds = full
     for plane in stack[-1]:
@@ -289,24 +290,25 @@ def algebra_refute(box, n: int, opcodes, opargs, n_vars: int) -> int:
     block of one frame.  Assignment index idx encodes variable i
     (first-occurrence order) as digit i base 2^n, first variable most
     significant."""
-    refuted = _refuted(box, _points(n), (), n, opcodes, opargs, n_vars, 0)
+    points = _points(n)
+    refuted = _refuted([points[b] for b in box], (), n, opcodes, opargs, n_vars, 0)
     return (refuted & -refuted).bit_length() - 1
 
 
-def block_refute(keys, n: int, opcodes, opargs, n_vars: int) -> tuple[int, int]:
-    """Sweep every assignment of every frame in a block at once.
+def block_refute(columns, frames: int, n: int, opcodes, opargs, n_vars: int) -> tuple[int, int]:
+    """Sweep every assignment of a block of frames at once.
 
-    keys are the famask keys of frames on n points.  With 2^b the number
-    of frames rounded up to a power of two, lane i * 2^b + f is
-    assignment i of frame f, and the box node reads, per subset a and
-    point y, the frames whose N(y) holds a (a transpose of the keys'
-    slot y) repeated over the assignments.  Returns (bit f set when
-    frame f has a refuting assignment, the least refuting assignment of
-    the least such frame or -1)."""
-    frame_bits = (len(keys) - 1).bit_length()
+    The block holds `frames` frames on n points, and columns[y][f] is the
+    famask of N(y) in frame f.  With 2^b the number of frames rounded up
+    to a power of two, lane i * 2^b + f is assignment i of frame f, and
+    the box node reads, per subset a and point y, the frames whose N(y)
+    holds a (a transpose of column y) repeated over the assignments.
+    Returns (bit f set when frame f has a refuting assignment, the least
+    refuting assignment of the least such frame or -1)."""
+    frame_bits = (frames - 1).bit_length()
     assign_bits = n * n_vars
-    members = [transpose([key[y] for key in keys], 1 << n) for y in range(n)]
-    every = (1 << len(keys)) - 1
+    members = [transpose(column, 1 << n) for column in columns]
+    every = (1 << frames) - 1
     # Per subset a: the points whose N(y) holds a in every frame, and the
     # points where only some frames do, with the plane of those frames.
     whole = [[y for y, slot in enumerate(members) if slot[a] == every] for a in range(1 << n)]
@@ -314,13 +316,13 @@ def block_refute(keys, n: int, opcodes, opargs, n_vars: int) -> tuple[int, int]:
         [(y, _repeat(slot[a], frame_bits, assign_bits)) for y, slot in enumerate(members) if 0 < slot[a] < every]
         for a in range(1 << n)
     ]
-    refuted = _refuted(range(1 << n), whole, within, n, opcodes, opargs, n_vars, frame_bits)
+    refuted = _refuted(whole, within, n, opcodes, opargs, n_vars, frame_bits)
     # Fold the assignments onto lane f: bit f is then frame f's any-refuted bit.
-    frames = refuted
+    hit = refuted
     for b in range(frame_bits, frame_bits + assign_bits):
-        frames |= frames >> (1 << b)
-    frames &= (1 << len(keys)) - 1
-    if not frames:
+        hit |= hit >> (1 << b)
+    hit &= every
+    if not hit:
         return 0, -1
-    column = (refuted >> (frames & -frames).bit_length() - 1) & _repeat(1, frame_bits, assign_bits)
-    return frames, ((column & -column).bit_length() - 1) >> frame_bits
+    first = (refuted >> (hit & -hit).bit_length() - 1) & _repeat(1, frame_bits, assign_bits)
+    return hit, ((first & -first).bit_length() - 1) >> frame_bits

@@ -13,21 +13,22 @@ A block fixes the first points and gives one lane to each key of the
 others' candidates; plane (x, a) holds the lanes whose N(x) contains a,
 and canonicity and the iv condition are decided lane-wise on the planes.
 A count with no target sums the passing lanes; every other caller
-decodes them into keys in scan order.  A level of more than
+decodes them into one famask column per point, and only
+`enumerate_frames` zips the columns into keys.  A level of more than
 SCAN_KEYS_CAP keys is refused before it is scanned.
 
-A target is checked on blocks of in-class keys in scan order (1, 2, 4,
-... keys, up to 2^TARGET_BLOCK_BITS lanes) by one `bitslice.block_refute`
+A target is checked on slices of a block's columns in scan order, each
+of at most 2^TARGET_BLOCK_BITS lanes, by one `bitslice.block_refute`
 sweep, lane i * 2^b + f for assignment i of frame f.  The least frame
-with a refuted lane is the block's first refuting frame and its least
-refuted lane the least assignment, so blocks change neither the hit nor
-"checked".  The search visits n = 0, 1, ... and scans canonical
-representatives only (every class here is closed under point
-relabeling), so ties break toward the least canonical frame and then the
-least assignment index.  "checked" counts the in-class frames examined
-up to and including the hit; in mode "count", which tallies the frames
-that validate the target (all of them when there is none), it is the
-full in-class total.
+with a refuted lane is the slice's first refuting frame and its least
+refuted lane the least assignment, so slicing changes neither the hit
+nor "checked", and only the hit's key is built.  The search visits n =
+0, 1, ... and scans canonical representatives only (every class here is
+closed under point relabeling), so ties break toward the least canonical
+frame and then the least assignment index.  "checked" counts the
+in-class frames examined up to and including the hit; in mode "count",
+which tallies the frames that validate the target (all of them when
+there is none), it is the full in-class total.
 """
 
 from __future__ import annotations
@@ -236,52 +237,45 @@ def compile_target(text: str | None, n: int) -> Formula | None:
 
 
 def _in_class(n: int, cands, iv: bool, canonical: bool):
-    """Each in-class key of the product of the per-point candidate lists,
-    in scan order: a block's lanes decoded through one column per free
-    point, entry i the famask of that point in lane i."""
+    """(count, columns) per block with an in-class key, in scan order: the
+    block's in-class lanes decoded into one column per point, entry i the
+    famask of that point in the block's i-th in-class key."""
     _, _, runs = _level_shape(cands)
     columns = [list(chain.from_iterable(repeat(famask, stride) for famask in cands[x])) * times for x, stride, times in runs]
     for prefix, lanes in _lane_blocks(n, cands, iv, canonical):
-        idx = _set_lanes(lanes, 0)
-        slots = [[famask] * len(idx) for famask in prefix] + [list(map(column.__getitem__, idx)) for column in columns]
-        yield from zip(*slots) if n else [()] * len(idx)
-
-
-def _blocks(keys, cap: int):
-    """Consecutive lists of keys of 1, 2, 4, ... up to cap keys, so that
-    a find mode whose hit comes early sweeps little past it."""
-    keys = iter(keys)
-    size = 1
-    while block := list(islice(keys, size)):
-        yield block
-        size = min(2 * size, cap)
+        if lanes:
+            idx = _set_lanes(lanes, 0)
+            yield len(idx), [[famask] * len(idx) for famask in prefix] + [list(map(column.__getitem__, idx)) for column in columns]
 
 
 def _scan(n, cands, iv, canonical, target_text, mode):
     """Count the in-class frames and the ones that validate the target.
-    Returns (in_class, validating, hit) where hit = (serial in-class
-    position, frame key, refuting env).  Find modes stop at the first
-    hit, so in_class then counts frames up to and including it."""
+    Returns (in_class, validating, hit) where hit = (frame key, refuting
+    env).  Find modes stop at the first hit, so in_class then counts
+    frames up to and including it."""
     target = compile_target(target_text, n)
     if target is None:
         return sum(lanes.bit_count() for _, lanes in _lane_blocks(n, cands, iv, canonical)), 0, None
     program = compile_algebra(target)
     names = list(program.names)
+    cap = 1 << max(0, TARGET_BLOCK_BITS - n * len(names))
     in_class = 0
     validating = 0
-    keys = _in_class(n, cands, iv, canonical)
-    for block in _blocks(keys, 1 << max(0, TARGET_BLOCK_BITS - n * len(names))):
-        assignment_space(n, len(names), "validates")
-        refuted, idx = block_refute(block, n, program.opcodes, program.opargs, len(names))
-        if mode == "find_refuting" and refuted:
-            f = (refuted & -refuted).bit_length() - 1
-            return in_class + f + 1, validating + f, (in_class + f + 1, block[f], assignment_at(names, n, idx))
-        holding = ((1 << len(block)) - 1) ^ refuted
-        if mode == "find_validating" and holding:
-            f = (holding & -holding).bit_length() - 1
-            return in_class + f + 1, validating + 1, (in_class + f + 1, block[f], None)
-        in_class += len(block)
-        validating += holding.bit_count()
+    for count, columns in _in_class(n, cands, iv, canonical):
+        for start in range(0, count, cap):
+            assignment_space(n, len(names), "validates")
+            block = [column[start:start + cap] for column in columns]
+            frames = min(cap, count - start)
+            refuted, idx = block_refute(block, frames, n, program.opcodes, program.opargs, len(names))
+            if mode == "find_refuting" and refuted:
+                f = (refuted & -refuted).bit_length() - 1
+                return in_class + f + 1, validating + f, (tuple(column[f] for column in block), assignment_at(names, n, idx))
+            holding = ((1 << frames) - 1) ^ refuted
+            if mode == "find_validating" and holding:
+                f = (holding & -holding).bit_length() - 1
+                return in_class + f + 1, validating + 1, (tuple(column[f] for column in block), None)
+            in_class += frames
+            validating += holding.bit_count()
     return in_class, validating, None
 
 
@@ -306,7 +300,8 @@ def enumerate_frames(n: int, constraints=(), canonical: bool = False):
     per relabeling orbit when canonical is set."""
     check_width(n, EXHAUSTIVE_FRAMES_CAP, "enumerate_frames")
     cands, iv = _compile_constraints(n, _constraint_tuple(constraints))
-    return (NeighborhoodFrame(n, key) for key in _in_class(n, cands, iv, canonical))
+    blocks = _in_class(n, cands, iv, canonical)
+    return (NeighborhoodFrame(n, key) for count, columns in blocks for key in (zip(*columns) if n else [()] * count))
 
 
 def count_frames(n: int, constraints=(), canonical: bool = False) -> int:
@@ -345,21 +340,14 @@ def find_countermodel(spec: SearchSpec) -> dict:
     count = 0
     for n in range(spec.max_n + 1):
         in_class, validating, hit = _scan_level(n, spec.constraints, True, spec.target, spec.mode)
+        checked += in_class
         if spec.mode == "count":
-            checked += in_class
             count += validating if spec.target is not None else in_class
-            continue
-        if hit is not None:
-            pos, key, env = hit
+        elif hit is not None:
+            key, env = hit
             frame = NeighborhoodFrame(n, key)
             _verify_hit(frame, compile_target(spec.target, n), spec.mode, env)
-            return {
-                "found": True,
-                "frame": frame_to_json(frame),
-                "assignment": env,
-                "checked": checked + pos,
-            }
-        checked += in_class
+            return {"found": True, "frame": frame_to_json(frame), "assignment": env, "checked": checked}
     if spec.mode == "count":
         return {"count": count, "checked": checked}
     return {"found": False, "frame": None, "assignment": None, "checked": checked}

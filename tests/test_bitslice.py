@@ -206,8 +206,9 @@ def key_blocks_and_formulas(draw):
 
 @given(key_blocks_and_formulas())
 def test_property_block_refute_matches_eval_formula(case):
-    # Blocks of mixed sizes, a block of one among them: each frame's
-    # verdict, and the least refuted frame's first refuting assignment.
+    # Blocks of mixed sizes, a block of one among them, each given as its
+    # columns: each frame's verdict, and the least refuted frame's first
+    # refuting assignment.
     n, keys, sizes, text = case
     f = parse(text)
     prog = compile_algebra(f)
@@ -217,7 +218,8 @@ def test_property_block_refute_matches_eval_formula(case):
         block, wanted = keys[start:start + size], want[start:start + size]
         if not block:
             break
-        refuted, idx = bitslice.block_refute(block, n, prog.opcodes, prog.opargs, len(prog.names))
+        columns = [[key[y] for key in block] for y in range(n)]
+        refuted, idx = bitslice.block_refute(columns, len(block), n, prog.opcodes, prog.opargs, len(prog.names))
         assert refuted == sum(1 << j for j, w in enumerate(wanted) if w >= 0), (block, text)
         assert idx == next((w for w in wanted if w >= 0), -1), (block, text)
         start += size

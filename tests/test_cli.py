@@ -193,6 +193,16 @@ def test_search_level_guard_exits_3(capsys):
     assert code == 0 and out == {"count": 3161, "checked": 3161}
 
 
+def test_assignment_guard_fires_only_before_a_sweep(capsys):
+    # Seven variables at n = 3 exceed the guard, but it is checked before
+    # each target sweep: levels 1-3 of @N,~box(T) have no frame to sweep.
+    argv = ("search", "countermodel", "--mode", "count", "--target", "a&b&c&d&e&f&g", "--max-n", "3")
+    code, out, err = run(capsys, *argv, "--constraints", "@N,~box(T)")
+    assert (code, out, err) == (0, '{"count":1,"checked":1}\n', "")
+    code, out, err = run(capsys, *argv, "--constraints", "filter")
+    assert (code, out) == (3, "") and "validates: assignment space (2^3)^7 exceeds guard 262144" in err
+
+
 def test_unconstrained_target_count_at_n3(capsys):
     code, out, err = run(capsys, "search", "countermodel", "--mode", "count", "--target", "@T", "--max-n", "3")
     assert (code, out, err) == (0, '{"count":765,"checked":2804621}\n', "")

@@ -1,7 +1,10 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses or keeps a
+private name nothing reads.
 
 Each `from ... import` binding of a module must be read somewhere in
-it as a name.  `__init__` re-exports its imports and `_backend` picks
+it as a name.  Each private name a module binds at top level must be
+read as a name in that module, or imported by name into another module
+that reads it.  `__init__` re-exports its imports and `_backend` picks
 a module by name, so both are left out.  Importing the CLI loads no
 module the package does not use.
 """
@@ -30,6 +33,45 @@ def unused_from_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def loaded(tree) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def top_level_private(tree) -> list[str]:
+    """Names starting with one underscore that a def, class or assignment
+    at module level binds."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return [name for name in bound if name.startswith("_") and not name.startswith("__")]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """"module.name" for each module-level private name of a module in
+    sources (file name to text) that no module reads: not its own module,
+    and no module that binds it by `from .module import name` and reads
+    that binding."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = set()
+    for name, tree in trees.items():
+        used = loaded(tree)
+        reads |= {(name, read) for read in used}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                reads |= {(f"{node.module}.py", alias.name) for alias in node.names if (alias.asname or alias.name) in used}
+    return [
+        f"{name[:-3]}.{private}"
+        for name, tree in trees.items()
+        if name not in EXEMPT
+        for private in top_level_private(tree)
+        if (name, private) not in reads
+    ]
+
+
 def test_the_check_catches_an_unused_import():
     assert unused_from_imports("from .core import a, b as c\nprint(a)\n") == ["c"]
     assert unused_from_imports("from __future__ import annotations\nfrom .x import T\ndef f(v: T): pass\n") == []
@@ -40,6 +82,22 @@ def test_no_module_has_an_unused_from_import():
     assert len(modules) >= 10
     unused = {path.name: names for path in modules if (names := unused_from_imports(path.read_text()))}
     assert unused == {}
+
+
+def test_the_check_catches_an_unread_private_name():
+    sources = {
+        "a.py": "_SIZE = 2\ndef _used(): return _SIZE\ndef _shared(): pass\ndef _blocks(): pass\n_used()\n",
+        "b.py": "from .a import _shared\ndef _blocks(): pass\n_shared(_blocks)\n",
+        "c.py": "from .a import _blocks\n",
+    }
+    # b reads its own _blocks, and c imports a's without reading it.
+    assert unread_private_names(sources) == ["a._blocks"]
+
+
+def test_every_module_level_private_name_is_read():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert sum(len(top_level_private(ast.parse(text))) for name, text in sources.items() if name not in EXEMPT) >= 70
+    assert unread_private_names(sources) == []
 
 
 def test_importing_the_cli_loads_no_multiprocessing():

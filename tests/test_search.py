@@ -104,6 +104,21 @@ def definitional_scan(n, cands, iv, canonical):
     ]
 
 
+def columns_of(n, keys):
+    """Column y of a block of keys: the famasks of N(y), frame by frame."""
+    return [[key[y] for key in keys] for y in range(n)]
+
+
+def scan_keys(n, cands, iv, canonical):
+    """The keys of search._in_class's blocks, in scan order.  Each block
+    is non-empty and holds one column per point, each of its count."""
+    keys = []
+    for count, columns in search._in_class(n, cands, iv, canonical):
+        assert count > 0 and len(columns) == n and all(len(column) == count for column in columns)
+        keys += zip(*columns) if n else [()] * count
+    return keys
+
+
 def test_scan_canonical_keys_equal_canonical_form_exhaustive_small():
     for n in range(3):
         keys = [f.key() for f in enumerate_frames(n, (), canonical=True)]
@@ -117,9 +132,9 @@ def test_scan_canonical_keys_equal_canonical_form_exhaustive_small():
 def test_lane_iv_equals_iv_holds():
     for n in range(3):
         cands = [list(families(n))] * n
-        assert list(search._in_class(n, cands, True, False)) == definitional_scan(n, cands, True, False), n
+        assert scan_keys(n, cands, True, False) == definitional_scan(n, cands, True, False), n
     cands, _ = search._compile_constraints(3, ("monotone",))
-    assert list(search._in_class(3, cands, True, False)) == definitional_scan(3, cands, True, False)
+    assert scan_keys(3, cands, True, False) == definitional_scan(3, cands, True, False)
 
 
 MONOTONE = {n: enumerate_bax(n, axiom_set_from_specs(["@M"], n)).famasks() for n in (3, 4)}
@@ -145,7 +160,7 @@ def test_property_plane_scan_matches_definitions(case):
         assert p >= 1
         for canonical in (False, True):
             want = definitional_scan(n, cands, iv, canonical)
-            assert list(search._in_class(n, cands, iv, canonical)) == want
+            assert scan_keys(n, cands, iv, canonical) == want
             assert search._scan(n, cands, iv, canonical, None, "count") == (len(want), 0, None)
 
 
@@ -382,10 +397,10 @@ def box_n_refutation(n, key, f):
 
 
 def assert_block_check_is_definitional(n, keys, texts):
-    """The search's block check, one block_refute sweep, on consecutive
-    blocks of mixed sizes gives each frame's eval_formula verdict, and as
-    the least refuted frame of a block every refuting frame gets its first
-    refuting assignment."""
+    """The search's block check, one block_refute sweep over a block's
+    columns, on consecutive blocks of mixed sizes gives each frame's
+    eval_formula verdict, and as the least refuted frame of a block every
+    refuting frame gets its first refuting assignment."""
     for text in texts:
         f = compile_target(text, n)
         program = compile_algebra(f)
@@ -393,7 +408,7 @@ def assert_block_check_is_definitional(n, keys, texts):
         assert list(program.names) == names
 
         def check(block):
-            refuted, idx = block_refute(block, n, program.opcodes, program.opargs, len(names))
+            refuted, idx = block_refute(columns_of(n, block), len(block), n, program.opcodes, program.opargs, len(names))
             return refuted, None if idx < 0 else assignment_at(names, n, idx)
 
         cap = 1 << max(0, search.TARGET_BLOCK_BITS - n * len(names))
@@ -450,7 +465,33 @@ def key_by_key_search(spec):
     return {"found": False, "frame": None, "assignment": None, "checked": checked}
 
 
+def traced_search(spec, patch):
+    """find_countermodel with a log of its scan blocks and target sweeps:
+    per level, the number of frames of each block's sweeps, one list per
+    scan block."""
+    levels = {}
+    in_class, sweep = search._in_class, search.block_refute
+
+    def logged_in_class(n, *args):
+        for count, columns in in_class(n, *args):
+            levels.setdefault(n, []).append([])
+            yield count, columns
+
+    def logged_sweep(columns, frames, n, *args):
+        levels[n][-1].append(frames)
+        return sweep(columns, frames, n, *args)
+
+    patch.setattr(search, "_in_class", logged_in_class)
+    patch.setattr(search, "block_refute", logged_sweep)
+    return find_countermodel(spec), levels
+
+
 def test_find_countermodel_matches_key_by_key_search():
+    # Again with scan blocks of at most 8 keys and target slices of at
+    # most 2^(3 - n * v) frames: a count and a refuting search then span
+    # several scan blocks at a level and several slices in one block, and
+    # a refuting hit lies past its level's first slice.  A validating
+    # search always stops at the 0-point frame, one block of one slice.
     specs = (
         SearchSpec(target="@M"),
         SearchSpec(target="@M", constraints=("monotone",), max_n=2),
@@ -460,9 +501,26 @@ def test_find_countermodel_matches_key_by_key_search():
         SearchSpec(target="@Four", constraints=("monotone",), mode="find_validating", max_n=3),
         SearchSpec(target="@T", constraints=("iv",), mode="count", max_n=2),
         SearchSpec(target="box v", constraints=("topological",), max_n=3),
+        SearchSpec(target="@T", constraints=("monotone",), mode="count", max_n=2),
+        SearchSpec(target="box v -> box box v", constraints=("centered",), max_n=3),
     )
+    spread = {"count": False, "find_refuting": False}
+    late_hit = False
     for spec in specs:
-        assert find_countermodel(spec) == key_by_key_search(spec), spec
+        want = key_by_key_search(spec)
+        assert find_countermodel(spec) == want, spec
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "SCAN_BLOCK_BITS", 3)
+            patch.setattr(search, "TARGET_BLOCK_BITS", 3)
+            got, levels = traced_search(spec, patch)
+        assert got == want, spec
+        if spec.mode in spread:
+            spread[spec.mode] |= any(len(blocks) > 1 and max(map(len, blocks)) > 1 for blocks in levels.values())
+        if spec.mode == "find_refuting" and want["found"]:
+            late_hit |= sum(map(len, levels[want["frame"]["n"]])) > 1
+        if spec.mode == "find_validating":
+            assert levels == {0: [[1]]}, spec
+    assert all(spread.values()) and late_hit, (spread, late_hit)
 
 
 def test_level_work_guard():
