@@ -13,9 +13,10 @@ definitional dict codec it must match.
 
 `enumerate_bax` is the one route from an axiom set to its families.
 When some axiom forces up-closure (@M, @CInf, or a degraded @Ck) it
-backtracks: up-closed families are built in descending popcount order
-and bit-sliced blocks of them are filtered, n <= 5.  Otherwise it sweeps
-all 2^(2^n) famasks through the membership programs, bit-sliced with one
+takes the up-set route, n <= 5: the up-closed families are built in
+ascending order as pairs of up-closed families over one point fewer,
+and bit-sliced blocks of them are filtered.  Otherwise it sweeps all
+2^(2^n) famasks through the membership programs, bit-sliced with one
 lane per famask, n <= 4.  Both give the same ascending space wherever
 both apply.
 """
@@ -46,7 +47,6 @@ from .core import (
     _push_forward,
     _set_lanes,
     check_width,
-    full_mask,
     up_cone,
 )
 from .evaluate import _split_axioms, is_ax_subset
@@ -72,37 +72,25 @@ class BaxSpace:
         return i
 
 
-def _backtrack_sound(axs: AxiomSet) -> bool:
+def _forces_up_closure(axs: AxiomSet) -> bool:
     return any(ax.name == "M" or ax.semantic is not None for ax in axs)
-
-
-def _immediate_superset_famasks(n: int) -> tuple[int, ...]:
-    m = 1 << n
-    succ = []
-    for s in range(m):
-        bits = 0
-        for i in range(n):
-            if not s >> i & 1:
-                bits |= 1 << (s | 1 << i)
-        succ.append(bits)
-    return tuple(succ)
 
 
 def enumerate_bax(n: int, axs: AxiomSet) -> BaxSpace:
     """All Ax-subset families over ground size n, ascending famask order:
-    backtracked when an axiom forces up-closure, filtered otherwise."""
-    if not _backtrack_sound(axs):
+    from the up-closed families when an axiom forces up-closure (refused
+    past its cap under the name `enumerate_bax[backtrack]`), filtered
+    otherwise."""
+    if not _forces_up_closure(axs):
         check_width(n, ENUM_FILTER_CAP, "enumerate_bax[filter]")
         famasks = family_filter(0, 1 << (1 << n), [prog for _, prog in _split_axioms(axs, n)])
     else:
         check_width(n, ENUM_BACKTRACK_CAP, "enumerate_bax[backtrack]")
-        # Up-closure is guaranteed by construction; the @M rows would pass
-        # every leaf, so only the other programs are worth running there.
-        leaf_programs = [prog for ax, prog in _split_axioms(axs, n) if ax.name != "M"]
-        required = 0
-        if any("N" in (ax.name, *(ax.semantic or ())) for ax in axs):
-            required = 1 << full_mask(n)
-        famasks = upset_enumerate(1 << n, _immediate_superset_famasks(n), required, leaf_programs)
+        # Up-closure is guaranteed by construction, and @N then only drops
+        # the empty family, so the @M and @N rows would pass every family.
+        leaf_programs = [prog for ax, prog in _split_axioms(axs, n) if ax.name not in ("M", "N")]
+        nonempty = any("N" in (ax.name, *(ax.semantic or ())) for ax in axs)
+        famasks = upset_enumerate(n, nonempty, leaf_programs)
     return BaxSpace(n, axs, tuple(famasks))
 
 

@@ -10,9 +10,10 @@ evaluated for every assignment of a block of frames at once: lane
 i * 2^b + f is assignment i of frame f, a subset value is n planes (one
 per point), and a box node ANDs each of the 2^n "value equals a" masks
 with the plane of the frames whose N(y) holds a and ORs it into plane y.
-A single algebra is a block of one frame.  Up-closed
-families are grown as plain ints and filtered in blocks of lanes,
-transposed into planes by `transpose`, which also turns per-point
+A single algebra is a block of one frame.  The up-closed
+families over n points are built as plain ints, as pairs L <= H of
+up-closed families over one point fewer, and filtered in blocks of
+lanes, transposed into planes by `transpose`, which also turns per-point
 famasks into box tables and back.
 
 Lanes are Python ints, so nothing here assumes a word width.  Planes of
@@ -25,10 +26,9 @@ from functools import lru_cache
 
 from .core import _set_lanes
 
-# The family filter sweeps famasks in aligned blocks of at most 2^16 lanes.
+# The family filter sweeps famasks, and the up-set filter up-closed
+# families, in blocks of at most 2^16 lanes.
 FILTER_BLOCK_BITS = 16
-# Up-set leaves are collected and filtered in blocks of 2^9 = 512 lanes.
-UPSET_BLOCK_BITS = 9
 
 
 @lru_cache(maxsize=32)
@@ -157,40 +157,28 @@ def _filter_leaves(block: list[int], m: int, programs) -> list[int]:
     return [block[j] for j in _set_lanes(_accepted(transpose(block, m), (1 << len(block)) - 1, programs), 0)]
 
 
-def upset_enumerate(m: int, succ, required: int, programs) -> list[int]:
-    """Ascending famasks of up-closed families over m subset-masks.
+def upset_enumerate(n: int, nonempty: bool, programs) -> list[int]:
+    """Ascending famasks of the up-closed families over n points that every
+    program accepts, without the empty family when nonempty is set.
 
-    succ[s] is the famask of the immediate supersets of s; membership of s
-    is decided after all of them, so up-closure is a local test.  required
-    is a famask of subsets that must be present; programs filter the
-    complete families, bit-sliced over blocks of them.
-
-    Partial families grow one subset at a time as a list; a list longer
-    than a block is split and its halves grow on in turn, so no more than
-    a few blocks are held at once.
-    """
-    order = sorted(range(m), key=lambda s: (-(s.bit_count()), s))
-    block_size = 1 << UPSET_BLOCK_BITS
-    out: list[int] = []
-    leaves: list[int] = []
-    pending = [(0, [0])]
-    while pending:
-        p, fams = pending.pop()
-        while p < m and len(fams) <= block_size:
-            s = order[p]
-            above = succ[s]
-            grown = [fam | 1 << s for fam in fams if fam & above == above]
-            fams = grown if required >> s & 1 else fams + grown
-            p += 1
-        if p < m:
-            half = len(fams) >> 1
-            pending += [(p, fams[half:]), (p, fams[:half])]
-            continue
-        leaves += fams
-        while len(leaves) >= block_size or leaves and not pending:
-            block, leaves = leaves[:block_size], leaves[block_size:]
-            out += _filter_leaves(block, m, programs) if programs else block
-    out.sort()
+    Over k + 1 points a family is up-closed exactly when L, its members
+    without point k, and H, those with point k, k removed, are up-closed
+    over k points and L is inside H (the recursion behind the Dedekind
+    numbers).  Famask L | H << 2^k runs through the pairs in ascending
+    order, H outer.  The empty family is the only up-closed one without
+    the full set.  The programs run bit-sliced over blocks of
+    2^FILTER_BLOCK_BITS families, one lane each."""
+    ups = [0, 1]
+    for k in range(n):
+        ups = [low | high << (1 << k) for high in ups for low in ups if not low & ~high]
+    if nonempty:
+        del ups[0]
+    if not programs:
+        return ups
+    size = 1 << FILTER_BLOCK_BITS
+    out = []
+    for start in range(0, len(ups), size):
+        out += _filter_leaves(ups[start:start + size], 1 << n, programs)
     return out
 
 
@@ -218,12 +206,11 @@ def _repeat(mask: int, frame_bits: int, assign_bits: int) -> int:
     return mask
 
 
-def _apply_box(whole, within, n: int, value: tuple[int, ...], full: int) -> tuple[int, ...]:
-    """Planes of box[value]: split the lanes by the subset a they hold,
-    one point at a time; each part joins the planes of the points of
-    whole[a] and, for each pair (y, plane) of within[a], plane y within
-    the given plane."""
-    parts = [(0, full)]
+def _lane_parts(value, lanes: int) -> list[tuple[int, int]]:
+    """(a, part) for each subset a that some lane of `lanes` holds, part
+    being those lanes, where value[x] is the plane of the lanes holding
+    point x: the lanes split one point at a time."""
+    parts = [(0, lanes)]
     for x, plane in enumerate(value):
         split = []
         for a, part in parts:
@@ -233,6 +220,14 @@ def _apply_box(whole, within, n: int, value: tuple[int, ...], full: int) -> tupl
             if inside != part:
                 split.append((a, part ^ inside))
         parts = split
+    return parts
+
+
+def _apply_box(whole, within, n: int, value: tuple[int, ...], full: int) -> tuple[int, ...]:
+    """Planes of box[value]: each part of `_lane_parts` joins the planes
+    of the points of whole[a] and, for each pair (y, plane) of within[a],
+    plane y within the given plane."""
+    parts = _lane_parts(value, full)
     out = [0] * n
     for a, part in parts:
         for y in whole[a]:

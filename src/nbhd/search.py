@@ -39,7 +39,7 @@ from itertools import chain, islice, permutations, product, repeat
 from math import prod
 
 from .bax import enumerate_bax
-from .bitslice import _index_planes, block_refute
+from .bitslice import _index_planes, _lane_parts, block_refute
 from .classes import FRAME_TAGS, frame_tag_axioms, parse_class_tag
 from .core import (
     CANONICAL_CAP,
@@ -172,14 +172,11 @@ def _canonical_lanes(planes, n: int, lanes: int) -> int:
 
 def _iv_lanes(planes, n: int, lanes: int) -> int:
     """The lanes whose frame meets the iv condition: whenever a is in
-    N(x), so is box a.  Per subset a the lanes split by the value of box
-    a, read from the planes (y, a); a part with box a = c fails at x where
-    N(x) holds a but not c."""
+    N(x), so is box a.  Per subset a, `_lane_parts` splits the lanes by
+    the value of box a, read from the planes (y, a); a part with box a = c
+    fails at x where N(x) holds a but not c."""
     for a in range(1 << n):
-        parts = [(0, lanes)]
-        for y in range(n):
-            plane = planes[y][a]
-            parts = [(c | bit, sub) for c, part in parts for bit, sub in ((1 << y, part & plane), (0, part & ~plane)) if sub]
+        parts = _lane_parts([planes[y][a] for y in range(n)], lanes)
         for x in range(n):
             holds = planes[x][a]
             if holds:

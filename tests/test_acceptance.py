@@ -166,7 +166,8 @@ def test_criterion_04_bax_counts():
     assert oracle_counts == [2, 3, 6, 20]
     for n in range(4):
         assert len(enumerate_bax(n, monotone).famasks()) == oracle_counts[n]
-    # Both spaces backtrack; up to n = 4 they equal the full membership sweep.
+    # Both spaces take the up-set route; up to n = 4 they equal the full
+    # membership sweep.
     for n in range(5):
         assert len(enumerate_bax(n, principal).famasks()) == 2**n
         for axs in (monotone, principal):
@@ -176,7 +177,7 @@ def test_criterion_04_bax_counts():
     big = enumerate_bax(5, monotone)
     elapsed = time.perf_counter() - start
     assert len(big.famasks()) == 7581
-    assert elapsed < 10.0, f"n=5 backtrack took {elapsed:.1f}s"
+    assert elapsed < 10.0, f"n=5 up-set route took {elapsed:.1f}s"
 
 
 @criterion(5, "principal families mirror subsets and Kripke boxes")

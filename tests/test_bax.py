@@ -15,6 +15,7 @@ from nbhd.bax import (
     naturality_check,
     principal_iso,
 )
+from nbhd.classes import AXIOM_TESTS
 from nbhd.core import CapExceededError, FrameMorphism, InvalidInputError, famask_members, famask_of, up_cone
 from nbhd.evaluate import compile_membership, realize_axiom
 from nbhd.formulas import axiom_set_from_specs
@@ -45,18 +46,30 @@ def test_members_match_brute_axiom_oracle():
             assert got == oracles.axiom_subset_families(n, names)
 
 
-# Specs and sizes where the up-closure backtrack runs, and a kappa axiom
-# that keeps its formula (@Ck(2) from n = 2), which the filter sweep takes.
+# Specs and sizes where the up-set route runs, and a kappa axiom that
+# keeps its formula (@Ck(2) from n = 2), which the filter sweep takes.
 SPACES = [
     (n, specs)
     for n in (0, 1, 2, 3, 4)
-    for specs in (["@M"], ["@M", "@N"], ["@M", "@C", "@N"], ["@M", "@Cont"], ["@CInf"], ["@M", "@Ck(2)"], ["@Ck(2)"])
+    for specs in (
+        ["@M"],
+        ["@M", "@N"],
+        ["@M", "@C", "@N"],
+        ["@M", "@Cont"],
+        ["@CInf"],
+        ["@M", "@Ck(2)"],
+        ["@Ck(2)"],
+        ["@Ck(16)"],
+        ["@M", "@Conv"],
+        ["@N", "@M", "@CoConv"],
+        ["@M", "box u | box ~u"],
+    )
 ]
 
 
 def full_sweep(n, specs):
     """The membership programs run on all 2^(2^n) famasks: the sweep that
-    the backtrack's up-closure pruning must agree with."""
+    the up-set route must agree with."""
     axs = axiom_set_from_specs(specs, n)
     return tuple(bitslice.family_filter(0, 1 << (1 << n), [compile_membership(realize_axiom(ax, n), n) for ax in axs]))
 
@@ -78,23 +91,41 @@ def test_famasks_ascending_and_index_of():
 
 
 def test_filter_equals_backtrack():
-    # enumerate_bax backtracks exactly when an axiom forces up-closure,
-    # and every space equals the full membership sweep.
+    # enumerate_bax takes the up-set route exactly when an axiom forces
+    # up-closure, and every space equals the full membership sweep.
     for n, specs in SPACES:
-        backtracks = specs != ["@Ck(2)"] or n < 2
-        assert bax._backtrack_sound(axiom_set_from_specs(specs, n)) == backtracks, (n, specs)
+        up_set_route = specs != ["@Ck(2)"] or n < 2
+        assert bax._forces_up_closure(axiom_set_from_specs(specs, n)) == up_set_route, (n, specs)
         assert space(n, specs).famasks() == full_sweep(n, specs), (n, specs)
     assert len(space(4, ["@M", "@N"]).famasks()) == 167
 
 
 def test_enumeration_caps():
-    # The filter sweep stops at n = 4 and the backtrack at n = 5.
+    # The filter sweep stops at n = 4 and the up-set route, which is
+    # refused under its old name, at n = 5.
     with pytest.raises(CapExceededError, match=r"enumerate_bax\[filter\]: n=5 exceeds cap 4"):
         space(5, ["@Cont"])
     with pytest.raises(CapExceededError, match=r"enumerate_bax\[backtrack\]: n=6 exceeds cap 5"):
         space(6, ["@M"])
     assert len(space(5, ["@M"]).famasks()) == 7581
     assert space(4, ["@Cont"]).famasks() == full_sweep(4, ["@Cont"])
+
+
+def test_n5_spaces_equal_the_family_test_route():
+    # At n = 5 the up-set route runs neither the @M nor the @N program;
+    # the family tests of classes.AXIOM_TESTS decide each axiom another
+    # way, on every up-closed family.
+    upsets = space(5, ["@M"]).famasks()
+    for specs, names, count in (
+        (["@M", "@N"], ("M", "N"), 7580),
+        (["@CInf"], ("N", "C"), 32),
+        (["@M", "@Cont"], ("M", "Cont"), 2),
+        (["@M", "@C", "@N"], ("M", "C", "N"), 32),
+        (["@M", "@N", "@Cont"], ("M", "N", "Cont"), 1),
+    ):
+        want = tuple(fm for fm in upsets if all(AXIOM_TESTS[name](fm, 5) for name in names))
+        assert len(want) == count, specs
+        assert space(5, specs).famasks() == want, specs
 
 
 def test_bax_map_example_and_membership_guard():

@@ -9,7 +9,7 @@ import random
 from itertools import product
 
 from nbhd import bitslice
-from nbhd.bax import _immediate_superset_famasks, enumerate_bax
+from nbhd.bax import enumerate_bax
 from nbhd.core import NeighborhoodAlgebra, NeighborhoodFrame, _set_lanes, box_n, full_mask
 from nbhd.duality import complex_algebra
 from nbhd.evaluate import (
@@ -93,27 +93,26 @@ def test_filter_windows_stitch_to_the_full_run(monkeypatch):
 
 
 def test_upset_enumerate_matches_brute_up_closure(monkeypatch):
-    for block_bits in (bitslice.UPSET_BLOCK_BITS, 2):
-        monkeypatch.setattr(bitslice, "UPSET_BLOCK_BITS", block_bits)
-        for n in (1, 2, 3, 4):
-            m = 1 << n
-            succ = _immediate_superset_famasks(n)
-            up_closed = [fm for fm in range(1 << m) if is_up_closed(fm, n)]
-            for required in (0, 1 << full_mask(n)):
+    brute_up_closed = {n: [fm for fm in range(1 << (1 << n)) if is_up_closed(fm, n)] for n in (1, 2, 3, 4)}
+    for block_bits in (bitslice.FILTER_BLOCK_BITS, 2):
+        monkeypatch.setattr(bitslice, "FILTER_BLOCK_BITS", block_bits)
+        for n, up_closed in brute_up_closed.items():
+            for nonempty in (False, True):
                 for specs in ([], ["@C"]):
-                    got = bitslice.upset_enumerate(m, succ, required, [program(spec, n) for spec in specs])
+                    got = bitslice.upset_enumerate(n, nonempty, [program(spec, n) for spec in specs])
                     brute = [
                         fm
                         for fm in up_closed
-                        if fm & required == required and all(theta_holds(fm, spec, n) for spec in specs)
+                        if (fm or not nonempty) and all(theta_holds(fm, spec, n) for spec in specs)
                     ]
-                    assert got == brute, (block_bits, n, required, specs)
+                    assert got == brute, (block_bits, n, nonempty, specs)
 
 
 def test_upset_enumerate_runs_many_blocks_at_n5(monkeypatch):
-    n, m = 5, 32
-    succ = _immediate_superset_famasks(n)
-    upsets = bitslice.upset_enumerate(m, succ, 0, [])
+    # The Dedekind numbers M(0), ..., M(5) (OEIS A000372).
+    assert [len(bitslice.upset_enumerate(k, False, [])) for k in range(6)] == [2, 3, 6, 20, 168, 7581]
+    n = 5
+    upsets = bitslice.upset_enumerate(n, False, [])
     assert len(upsets) == 7581  # the Dedekind number M(5)
     assert upsets == sorted(set(upsets))
     assert all(is_up_closed(fm, n) for fm in upsets)
@@ -126,7 +125,9 @@ def test_upset_enumerate_runs_many_blocks_at_n5(monkeypatch):
         return filter_leaves(block, *args)
 
     monkeypatch.setattr(bitslice, "_filter_leaves", counted)
-    got = bitslice.upset_enumerate(m, succ, 0, [program("@C", n)])
+    # Blocks of 512 lanes: the 7,581 families fill 15 of them.
+    monkeypatch.setattr(bitslice, "FILTER_BLOCK_BITS", 9)
+    got = bitslice.upset_enumerate(n, False, [program("@C", n)])
     assert len(blocks) > 1 and sum(blocks) == 7581
     # Up-closed and closed under binary meets: the empty family and the
     # principal filters, one per subset.

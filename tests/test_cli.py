@@ -152,8 +152,8 @@ def test_bax_enum(capsys):
     assert exc.value.code == 2 and "--strategy" in capsys.readouterr().err
     code, _, err = run(capsys, "bax", "enum", "--n", "6", "--axioms", "@M")
     assert code == 3
-    # @CInf forces up-closure, so it backtracks at n = 5, past the filter
-    # sweep's cap of 4: the 32 principal families.
+    # @CInf forces up-closure, so it takes the up-set route at n = 5, past
+    # the filter sweep's cap of 4: the 32 principal families.
     code, out = jout(capsys, "bax", "enum", "--n", "5", "--axioms", "@CInf", "--count")
     assert code == 0 and out == {"count": 32}
 
