@@ -8,11 +8,13 @@ inside the codomain space; enumerate + act is the finite functor.
 Families are famask ints throughout: a space is a tuple of them, and
 `bax_map`, `index_of` and `principal_iso` take and return them.
 `baxspace_text` writes a space's compact JSON straight from its famasks,
-through byte tables of decimal text; `baxspace_to_json` is the
-definitional dict codec it must match.
+through byte tables of decimal text: famasks that share their high half
+(the sets with the top point) form a run, written by one join of their
+low halves' texts; `baxspace_to_json` is the definitional dict codec it
+must match.
 
 `enumerate_bax` is the one route from an axiom set to its families.
-When some axiom forces up-closure (@M, @CInf, or a degraded @Ck) it
+When some axiom forces up-closure (@M, @C, @CInf, or a degraded @Ck) it
 takes the up-set route, n <= 5: the up-closed families are built in
 ascending order as pairs of up-closed families over one point fewer,
 and bit-sliced blocks of them are filtered.  Otherwise it sweeps all
@@ -73,7 +75,8 @@ class BaxSpace:
 
 
 def _forces_up_closure(axs: AxiomSet) -> bool:
-    return any(ax.name == "M" or ax.semantic is not None for ax in axs)
+    # box(u & v) -> box u is @M and one half of @C.
+    return any(ax.name in ("M", "C") or ax.semantic is not None for ax in axs)
 
 
 def enumerate_bax(n: int, axs: AxiomSet) -> BaxSpace:
@@ -158,20 +161,47 @@ def _byte_texts() -> tuple[tuple[str, ...], ...]:
     return tuple(tuple("".join(f"{i}," for i in row) for row in rows) for rows in (_BYTE_BITS, _ROW1, _ROW2, _ROW3))
 
 
+def _lane_text(x: int) -> str:
+    """The indices of x's set bits as decimal text, each followed by a
+    comma: four table lookups below 2^32, `_set_lanes` above."""
+    if not x >> 32:
+        t0, t1, t2, t3 = _byte_texts()
+        return t0[x & 255] + t1[x >> 8 & 255] + t2[x >> 16 & 255] + t3[x >> 24]
+    return "".join([f"{i}," for i in _set_lanes(x, 0)])
+
+
 def baxspace_text(space: BaxSpace) -> str:
-    """`baxspace_to_json(space)` as compact JSON text.  A famask below 2^32
-    (n <= 5) is four table lookups, one per byte, minus the last comma; a
-    larger one (n >= 6, only from `baxspace_from_json`) is decoded by
-    `_set_lanes`."""
-    t0, t1, t2, t3 = _byte_texts()
-    members = [
-        (t0[w & 255] + t1[w >> 8 & 255] + t2[w >> 16 & 255] + t3[w >> 24])[:-1]
-        if not w >> 32
-        else ",".join(map(str, _set_lanes(w, 0)))
-        for w in space.famasks()
-    ]
+    """`baxspace_to_json(space)` as compact JSON text, written in runs.
+
+    Each famask splits at bit `shift` = max(8, 2^(n-1)) into a low half,
+    the members without the top point, and a high half, those with it
+    (the L/H split of `upset_enumerate`).  Famasks that share a high half
+    are adjacent in the ascending tuple, and each such run is one join of
+    its low halves' texts, built once per distinct low half, with the
+    high half's text and `],[` as the separator.  Only the first run can
+    have an empty high half; its members are their low texts without the
+    last comma."""
+    famasks = space.famasks()
+    shift = max(8, (1 << space.n) >> 1)
+    mask = (1 << shift) - 1
+    if shift == 8:
+        low_texts = _byte_texts()[0]
+    else:
+        low_texts = {low: _lane_text(low) for low in set(map(mask.__and__, famasks))}
+    runs = []
+    start = 0
+    while start < len(famasks):
+        high = famasks[start] >> shift
+        stop = bisect_left(famasks, (high + 1) << shift, start)
+        run = famasks[start:stop]
+        if high:
+            high_text = _lane_text(high << shift)[:-1]
+            runs.append((high_text + "],[").join(map(low_texts.__getitem__, map(mask.__and__, run))) + high_text)
+        else:
+            runs.append("],[".join([low_texts[w][:-1] for w in run]))
+        start = stop
     head = json.dumps({"n": space.n, "axioms": space.axioms.specs()}, separators=(",", ":"))
-    return head[:-1] + ',"members":[' + ("[" + "],[".join(members) + "]" if members else "") + "]}"
+    return head[:-1] + ',"members":[' + ("[" + "],[".join(runs) + "]" if runs else "") + "]}"
 
 
 def baxspace_from_json(obj: dict) -> BaxSpace:

@@ -22,6 +22,8 @@ lane indices are built on first use and cached by their number of bits.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 
 from .core import _set_lanes
@@ -29,6 +31,9 @@ from .core import _set_lanes
 # The family filter sweeps famasks, and the up-set filter up-closed
 # families, in blocks of at most 2^16 lanes.
 FILTER_BLOCK_BITS = 16
+
+# Unsigned array item codes by item size in bytes, for packing rows.
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 @lru_cache(maxsize=32)
@@ -137,14 +142,21 @@ def transpose(rows, width: int) -> tuple[int, ...]:
     """Bit j of entry a (a < width) is bit a of rows[j]; every row is below
     2^width.  Per-point famasks (width 2^n) give the box table, and the box
     table (width n) gives them back.  The rows are packed a power-of-two
-    number of bytes apart into one int and moved by delta swaps (Warren,
-    Hacker's Delight, ch. 7): a few whole-int steps per index bit."""
+    number of bytes apart into one int, through an `array` when a row is
+    1, 2, 4 or 8 bytes, and moved by delta swaps (Warren, Hacker's
+    Delight, ch. 7): a few whole-int steps per index bit."""
     if not rows:
         return (0,) * width
     lane_bits = (len(rows) - 1).bit_length()
     width_bits = max(3, (width - 1).bit_length())  # at least one byte per row
     row_bytes = 1 << (width_bits - 3)
-    packed = int.from_bytes(b"".join([row.to_bytes(row_bytes, "little") for row in rows]), "little")
+    if row_bytes in _ARRAY_CODES:
+        packed_rows = array(_ARRAY_CODES[row_bytes], rows)
+        if sys.byteorder == "big":
+            packed_rows.byteswap()
+    else:
+        packed_rows = b"".join([row.to_bytes(row_bytes, "little") for row in rows])
+    packed = int.from_bytes(packed_rows, "little")
     for delta, mask in _transpose_plan(lane_bits, width_bits):
         t = (packed ^ packed >> delta) & mask
         packed ^= t | t << delta
@@ -165,12 +177,14 @@ def upset_enumerate(n: int, nonempty: bool, programs) -> list[int]:
     without point k, and H, those with point k, k removed, are up-closed
     over k points and L is inside H (the recursion behind the Dedekind
     numbers).  Famask L | H << 2^k runs through the pairs in ascending
-    order, H outer.  The empty family is the only up-closed one without
-    the full set.  The programs run bit-sliced over blocks of
-    2^FILTER_BLOCK_BITS families, one lane each."""
+    order, H outer.  L inside H makes L <= H as ints, and the list is
+    ascending, so each H is tried only with the L's up to it.  The empty
+    family is the only up-closed one without the full set.  The programs
+    run bit-sliced over blocks of 2^FILTER_BLOCK_BITS families, one lane
+    each."""
     ups = [0, 1]
     for k in range(n):
-        ups = [low | high << (1 << k) for high in ups for low in ups if not low & ~high]
+        ups = [low | high << (1 << k) for i, high in enumerate(ups) for low in ups[:i + 1] if not low & ~high]
     if nonempty:
         del ups[0]
     if not programs:

@@ -15,8 +15,8 @@ with gen as the planes and the atoms as the lanes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import compress
 
 from .bax import BaxSpace, enumerate_bax, baxspace_to_json, baxspace_from_json, baxspace_text
 from .bitslice import _accepted, transpose
@@ -111,11 +111,18 @@ def lax_to_json(lax: LaxAlgebra) -> dict:
     return obj
 
 
+# bin() digits as the bytes 0 and 1, for `itertools.compress`.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def lax_text(lax: LaxAlgebra) -> str:
     """`lax_to_json(lax)` as compact JSON text: the members from
-    `baxspace_text`, then the gen table."""
-    gen = json.dumps([_set_lanes(bits, 0) for bits in lax.gen], separators=(",", ":"))
-    return baxspace_text(lax.space)[:-1] + ',"gen":' + gen + "}"
+    `baxspace_text`, then the gen table.  Each atom's index is written
+    once as text; a gen entry joins those its bits select, read as flags
+    from its binary digits, lowest first."""
+    texts = [f"{i}," for i in range(lax.n_atoms)]
+    gen = "],[".join(["".join(compress(texts, bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)))[:-1] for bits in lax.gen])
+    return baxspace_text(lax.space)[:-1] + ',"gen":[[' + gen + "]]}"
 
 
 def lax_from_json(obj: dict) -> LaxAlgebra:

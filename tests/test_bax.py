@@ -20,6 +20,7 @@ from nbhd.core import CapExceededError, FrameMorphism, InvalidInputError, famask
 from nbhd.evaluate import compile_membership, realize_axiom
 from nbhd.formulas import axiom_set_from_specs
 
+from conftest import given, st
 import oracles
 
 
@@ -55,6 +56,8 @@ SPACES = [
         ["@M"],
         ["@M", "@N"],
         ["@M", "@C", "@N"],
+        ["@C"],
+        ["@N", "@C"],
         ["@M", "@Cont"],
         ["@CInf"],
         ["@M", "@Ck(2)"],
@@ -92,7 +95,9 @@ def test_famasks_ascending_and_index_of():
 
 def test_filter_equals_backtrack():
     # enumerate_bax takes the up-set route exactly when an axiom forces
-    # up-closure, and every space equals the full membership sweep.
+    # up-closure: @M, @C (whose right-to-left half is @M), @CInf or a
+    # degraded @Ck(k).  In SPACES only @Ck(2) from n = 2 forces none.
+    # Every space equals the full membership sweep.
     for n, specs in SPACES:
         up_set_route = specs != ["@Ck(2)"] or n < 2
         assert bax._forces_up_closure(axiom_set_from_specs(specs, n)) == up_set_route, (n, specs)
@@ -119,6 +124,8 @@ def test_n5_spaces_equal_the_family_test_route():
     for specs, names, count in (
         (["@M", "@N"], ("M", "N"), 7580),
         (["@CInf"], ("N", "C"), 32),
+        (["@C"], ("C",), 33),
+        (["@Ck(32)"], ("C",), 33),
         (["@M", "@Cont"], ("M", "Cont"), 2),
         (["@M", "@C", "@N"], ("M", "C", "N"), 32),
         (["@M", "@N", "@Cont"], ("M", "N", "Cont"), 1),
@@ -240,19 +247,64 @@ def test_baxspace_json_round_trip():
         baxspace_from_json({"n": 2, "axioms": [], "members": 5})
 
 
-def test_baxspace_text_equals_dict_codec():
-    # The byte-table text route against the definitional dict codec.
-    def compact(sp):
-        return json.dumps(baxspace_to_json(sp), separators=(",", ":"))
+def compact(sp):
+    return json.dumps(baxspace_to_json(sp), separators=(",", ":"))
 
+
+def famask_space(n, famasks):
+    """A space holding the given famasks, ascending, whatever they are:
+    the text writer reads only n, the axioms and the famasks."""
+    return BaxSpace(n, axiom_set_from_specs([], n), tuple(sorted(set(famasks))))
+
+
+def test_baxspace_text_equals_dict_codec():
+    # The run writer against the definitional dict codec.
     for n, specs in SPACES + [(5, ["@M"]), (4, ["@N"])]:
         sp = space(n, specs)
         assert baxspace_text(sp) == compact(sp), (n, specs)
+    # Every set of famasks at n <= 2.
+    for n in (0, 1, 2):
+        m = 1 << (1 << n)
+        for chosen in range(1 << m):
+            sp = famask_space(n, [w for w in range(m) if chosen >> w & 1])
+            assert baxspace_text(sp) == compact(sp), (n, sp.famasks())
+    # Below 2^8 at n = 4, below 2^16 at n = 5 and below 2^32 at n = 6 no
+    # set of a family holds the top point, and a multiple of those bounds
+    # is a family whose every set holds it.  The lists mix both kinds with
+    # the empty family, and one-member runs with longer ones.
+    for n, famasks in (
+        (4, [0, 3, 255, 0x100, 0x107, 0x109, 0x8000, 0xFFFF]),
+        (4, [0x100]),
+        (4, [5, 0x8000]),
+        (5, [0, 1, 0xFFFF, 0x10000, 0x10005, 0x1FFFF, 0x80000000, 0xFFFFFFFF]),
+        (5, [0x10000, 0x20000, 0x30001]),
+        (6, [0, 1 << 32, (1 << 32) + 1, (1 << 33) + 7, (1 << 64) - 1]),
+    ):
+        sp = famask_space(n, famasks)
+        assert baxspace_text(sp) == compact(sp), (n, famasks)
+    # The empty family alone, and the empty space.
+    for n in (0, 3, 4, 5, 6, 7):
+        for famasks in ([0], []):
+            sp = famask_space(n, famasks)
+            assert baxspace_text(sp) == compact(sp), (n, famasks)
     # Famasks of 2^32 or more arrive only through the decoder, at n >= 6.
     for members in ([], [[]], [[0, 7, 8, 31]], [[], [5, 31], [63], [0, 31, 32, 63]]):
         sp = baxspace_from_json({"n": 6, "axioms": ["@M"], "members": members})
         assert baxspace_text(sp) == compact(sp), members
     assert max(sp.famasks()) >> 32
+
+
+@given(st.integers(3, 6), st.data())
+def test_property_baxspace_text_equals_dict_codec(n, data):
+    # Famasks that share their bits above a split point sit next to each
+    # other, wherever the split falls; a few random ones join them.
+    width = 1 << n
+    split = data.draw(st.integers(1, width - 1))
+    highs = data.draw(st.lists(st.integers(0, (1 << (width - split)) - 1), max_size=4))
+    lows = data.draw(st.lists(st.integers(0, (1 << split) - 1), max_size=8))
+    loose = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=4))
+    sp = famask_space(n, [high << split | low for high in highs for low in lows] + loose)
+    assert baxspace_text(sp) == compact(sp)
 
 
 def test_baxspace_from_json_refuses_unordered_members():

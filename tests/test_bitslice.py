@@ -267,10 +267,11 @@ def test_property_transpose_matches_box_n(n, data):
 
 def test_transpose_of_uneven_and_long_row_lists():
     # Row counts off a power of two, and beyond one leaf block; widths
-    # below a byte, at a byte boundary and between byte sizes.
+    # below a byte, at a byte boundary and between byte sizes, up to the
+    # 8-byte rows packed through an array and past them.
     rng = random.Random(5)
     for count in (0, 1, 3, 5, 511, 513, 1100):
-        for width in (0, 1, 5, 8, 9, 16, 32, 40):
+        for width in (0, 1, 5, 8, 9, 16, 32, 40, 64, 65, 128):
             rows = [rng.getrandbits(width) for _ in range(count)]
             assert bitslice.transpose(rows, width) == brute_transpose(rows, width)
 

@@ -10,6 +10,7 @@ from nbhd.core import (
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
+    _set_lanes,
     box_n,
     famask_of,
     is_nbhd_morphism,
@@ -220,6 +221,16 @@ def test_lax_json_round_trip():
 
 
 def test_lax_text_equals_dict_codec():
-    for n, specs in [(0, ["@M"]), (2, ["@M", "@N"]), (3, ["@Cont"]), (4, ["@M", "@C"]), (5, ["@M"])]:
+    def compact(lax):
+        return json.dumps(lax_to_json(lax), separators=(",", ":"))
+
+    for n, specs in [(0, ["@M"]), (2, ["@M", "@N"]), (3, ["@Cont"]), (4, ["@M", "@C"]), (4, ["@N"]), (5, ["@M"])]:
         lax = lax_algebra(n, axiom_set_from_specs(specs, n))
-        assert lax_text(lax) == json.dumps(lax_to_json(lax), separators=(",", ":")), (n, specs)
+        assert lax_text(lax) == compact(lax), (n, specs)
+    # Subsets 0 and 2 are in no member and subset 3 in every one, so the
+    # gen table has empty entries and a full one; the empty space has
+    # only empty entries.
+    for members, gen in (([[3], [1, 3]], (0, 2, 0, 3)), ([], (0, 0, 0, 0))):
+        lax = lax_from_json({"n": 2, "axioms": ["@M"], "members": members, "gen": [_set_lanes(g, 0) for g in gen]})
+        assert lax.gen == gen
+        assert lax_text(lax) == compact(lax), members
