@@ -8,10 +8,11 @@ inside the codomain space; enumerate + act is the finite functor.
 Families are famask ints throughout: a space is a tuple of them, and
 `bax_map`, `index_of` and `principal_iso` take and return them.
 `baxspace_text` writes a space's compact JSON straight from its famasks,
-through byte tables of decimal text: famasks that share their high half
-(the sets with the top point) form a run, written by one join of their
-low halves' texts; `baxspace_to_json` is the definitional dict codec it
-must match.
+through tables of decimal text: every famask's low half (the sets
+without the top point) is looked up once, at n <= 4 by the famask itself,
+and famasks that share their high half (the sets with it) form a run,
+written by one join of their low texts; `baxspace_to_json` is the
+definitional dict codec it must match.
 
 `enumerate_bax` is the one route from an axiom set to its families.
 When some axiom forces up-closure (@M, @C, @CInf, or a degraded @Ck) it
@@ -29,7 +30,8 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import lt
+from itertools import repeat
+from operator import and_, itemgetter, lt
 
 from .bitslice import family_filter, upset_enumerate
 from .classes import AXIOM_TESTS
@@ -161,6 +163,13 @@ def _byte_texts() -> tuple[tuple[str, ...], ...]:
     return tuple(tuple("".join(f"{i}," for i in row) for row in rows) for rows in (_BYTE_BITS, _ROW1, _ROW2, _ROW3))
 
 
+@lru_cache(maxsize=None)
+def _famask_texts(n: int) -> tuple[str, ...]:
+    """At n <= 4, entry w is the text of famask w's low byte: the byte
+    texts repeated to 2^(2^n) entries, at least 256; built on first use."""
+    return _byte_texts()[0] * max(1, (1 << (1 << n)) >> 8)
+
+
 def _lane_text(x: int) -> str:
     """The indices of x's set bits as decimal text, each followed by a
     comma: four table lookups below 2^32, `_set_lanes` above."""
@@ -175,33 +184,42 @@ def baxspace_text(space: BaxSpace) -> str:
 
     Each famask splits at bit `shift` = max(8, 2^(n-1)) into a low half,
     the members without the top point, and a high half, those with it
-    (the L/H split of `upset_enumerate`).  Famasks that share a high half
-    are adjacent in the ascending tuple, and each such run is one join of
-    its low halves' texts, built once per distinct low half, with the
-    high half's text and `],[` as the separator.  Only the first run can
-    have an empty high half; its members are their low texts without the
-    last comma."""
+    (the L/H split of `upset_enumerate`).  Every member's low text is
+    looked up in one C-level pass: at n <= 4 the famask indexes
+    `_famask_texts(n)` through `itemgetter`, above it the low half indexes
+    a dict built once per distinct low half.  Famasks that share a high
+    half are adjacent in the ascending tuple, and each such run is one
+    join of a slice of those texts, with the high half's text and `],[`
+    as the separator.  Only the first run can have an empty high half;
+    its members are their low texts without the last comma.  The head
+    and tail of the JSON ride on the first and last runs, so the whole
+    text is copied by one last join."""
     famasks = space.famasks()
     shift = max(8, (1 << space.n) >> 1)
-    mask = (1 << shift) - 1
     if shift == 8:
-        low_texts = _byte_texts()[0]
+        # The trailing 0 keeps the result a tuple when there is one famask.
+        texts = itemgetter(*famasks, 0)(_famask_texts(space.n))
     else:
-        low_texts = {low: _lane_text(low) for low in set(map(mask.__and__, famasks))}
+        lows = list(map(and_, famasks, repeat((1 << shift) - 1)))
+        low_texts = {low: _lane_text(low) for low in set(lows)}
+        texts = list(map(low_texts.__getitem__, lows))
     runs = []
     start = 0
     while start < len(famasks):
         high = famasks[start] >> shift
         stop = bisect_left(famasks, (high + 1) << shift, start)
-        run = famasks[start:stop]
         if high:
             high_text = _lane_text(high << shift)[:-1]
-            runs.append((high_text + "],[").join(map(low_texts.__getitem__, map(mask.__and__, run))) + high_text)
+            runs.append((high_text + "],[").join(texts[start:stop]) + high_text)
         else:
-            runs.append("],[".join([low_texts[w][:-1] for w in run]))
+            runs.append("],[".join(map(str.rstrip, texts[start:stop], repeat(","))))
         start = stop
-    head = json.dumps({"n": space.n, "axioms": space.axioms.specs()}, separators=(",", ":"))
-    return head[:-1] + ',"members":[' + ("[" + "],[".join(runs) + "]" if runs else "") + "]}"
+    head = json.dumps({"n": space.n, "axioms": space.axioms.specs()}, separators=(",", ":"))[:-1] + ',"members":['
+    if not runs:
+        return head + "]}"
+    runs[0] = head + "[" + runs[0]
+    runs[-1] += "]]}"
+    return "],[".join(runs)
 
 
 def baxspace_from_json(obj: dict) -> BaxSpace:

@@ -14,7 +14,10 @@ A single algebra is a block of one frame.  The up-closed
 families over n points are built as plain ints, as pairs L <= H of
 up-closed families over one point fewer, and filtered in blocks of
 lanes, transposed into planes by `transpose`, which also turns per-point
-famasks into box tables and back.
+famasks into box tables and back.  Accepted lanes are decoded by
+`core._set_lanes` and picked from a block by `core._lane_picker`: through
+`itertools.compress` when more than one lane in twelve is set, by a byte
+loop over the mask otherwise.
 
 Lanes are Python ints, so nothing here assumes a word width.  Planes of
 lane indices are built on first use and cached by their number of bits.
@@ -26,7 +29,7 @@ import sys
 from array import array
 from functools import lru_cache
 
-from .core import _set_lanes
+from .core import _lane_picker, _set_lanes
 
 # The family filter sweeps famasks, and the up-set filter up-closed
 # families, in blocks of at most 2^16 lanes.
@@ -165,8 +168,9 @@ def transpose(rows, width: int) -> tuple[int, ...]:
 
 
 def _filter_leaves(block: list[int], m: int, programs) -> list[int]:
-    """The famasks of block that every program accepts, in block order."""
-    return [block[j] for j in _set_lanes(_accepted(transpose(block, m), (1 << len(block)) - 1, programs), 0)]
+    """The famasks of block that every program accepts, in block order,
+    picked from the block by the accepted lanes through `_lane_picker`."""
+    return _lane_picker(_accepted(transpose(block, m), (1 << len(block)) - 1, programs))(block)
 
 
 def upset_enumerate(n: int, nonempty: bool, programs) -> list[int]:

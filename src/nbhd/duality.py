@@ -27,6 +27,7 @@ from .core import (
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
+    _lane_flags,
     _set_lanes,
     check_width,
 )
@@ -111,17 +112,13 @@ def lax_to_json(lax: LaxAlgebra) -> dict:
     return obj
 
 
-# bin() digits as the bytes 0 and 1, for `itertools.compress`.
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
 def lax_text(lax: LaxAlgebra) -> str:
     """`lax_to_json(lax)` as compact JSON text: the members from
     `baxspace_text`, then the gen table.  Each atom's index is written
     once as text; a gen entry joins those its bits select, read as flags
     from its binary digits, lowest first."""
     texts = [f"{i}," for i in range(lax.n_atoms)]
-    gen = "],[".join(["".join(compress(texts, bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)))[:-1] for bits in lax.gen])
+    gen = "],[".join(["".join(compress(texts, _lane_flags(bits)))[:-1] for bits in lax.gen])
     return baxspace_text(lax.space)[:-1] + ',"gen":[[' + gen + "]]}"
 
 

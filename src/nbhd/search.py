@@ -50,6 +50,7 @@ from .core import (
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
+    _lane_picker,
     _set_lanes,
     box_n,
     check_width,
@@ -241,8 +242,9 @@ def _in_class(n: int, cands, iv: bool, canonical: bool):
     columns = [list(chain.from_iterable(repeat(famask, stride) for famask in cands[x])) * times for x, stride, times in runs]
     for prefix, lanes in _lane_blocks(n, cands, iv, canonical):
         if lanes:
-            idx = _set_lanes(lanes, 0)
-            yield len(idx), [[famask] * len(idx) for famask in prefix] + [list(map(column.__getitem__, idx)) for column in columns]
+            count = lanes.bit_count()
+            pick = _lane_picker(lanes)
+            yield count, [[famask] * count for famask in prefix] + [pick(column) for column in columns]
 
 
 def _scan(n, cands, iv, canonical, target_text, mode):

@@ -8,9 +8,9 @@ assignment, up-closure tested member by member, and tests/oracles.py.
 import random
 from itertools import product
 
-from nbhd import bitslice
+from nbhd import bitslice, core
 from nbhd.bax import enumerate_bax
-from nbhd.core import NeighborhoodAlgebra, NeighborhoodFrame, _set_lanes, box_n, full_mask
+from nbhd.core import NeighborhoodAlgebra, NeighborhoodFrame, _lane_picker, _set_lanes, box_n, full_mask
 from nbhd.duality import complex_algebra
 from nbhd.evaluate import (
     assignment_at,
@@ -284,9 +284,53 @@ def test_family_accepts_one_lane_wide_famasks():
     assert not bitslice.family_accepts((1 << full_mask(n)) - 1, 1 << n, [prog])
 
 
-@given(st.integers(0, 1 << 40), st.sampled_from((0, 8, 24, 32, 65536)))
+def bit_loop(mask):
+    """The set bits of mask, ascending, tested one at a time within each
+    64-bit word."""
+    out = []
+    for base in range(0, mask.bit_length(), 64):
+        word = mask >> base & (1 << 64) - 1
+        out += [base + i for i in range(64) if word >> i & 1]
+    return out
+
+
+@st.composite
+def lane_masks(draw):
+    """Masks over up to 2^12 lanes, from every lane set to one in 32."""
+    width = draw(st.integers(0, 1 << 12))
+    share = draw(st.integers(1, 32))
+    rng = draw(st.randoms(use_true_random=False))
+    return int("".join("1" if rng.randrange(share) == 0 else "0" for _ in range(width)) or "0", 2)
+
+
+@given(st.one_of(st.integers(0, 1 << 40), lane_masks()), st.sampled_from((0, 8, 24, 32, 65536)))
 @example((1 << 32) - 1, 0)
 @example(1 << 32, 0)
 @example((1 << 40) - 1, 8)
 def test_property_set_lanes_matches_bit_loop(mask, offset):
-    assert _set_lanes(mask, offset) == [offset + i for i in range(mask.bit_length()) if mask >> i & 1]
+    lanes = bit_loop(mask)
+    assert _set_lanes(mask, offset) == [offset + i for i in lanes]
+    items = [f"item {i}" for i in range(mask.bit_length())]
+    assert _lane_picker(mask)(items) == [items[i] for i in lanes]
+
+
+def test_lane_decodes_of_filter_blocks_match_bit_loop():
+    # Masks over the 2^16 lanes of a filter block, top lane set: random
+    # lanes at densities 1/2, 1/11, 1/13 (either side of the switch to
+    # `compress`) and 1/256, every lane, and the top lane alone.
+    lanes = 1 << bitslice.FILTER_BLOCK_BITS
+    rng = random.Random(21)
+    masks = [
+        int("1" + "".join("1" if rng.randrange(share) == 0 else "0" for _ in range(lanes - 1)), 2)
+        for share in (2, 11, 13, 256)
+    ]
+    masks += [(1 << lanes) - 1, 1 << lanes - 1]
+    dense = [core._dense(mask) for mask in masks]
+    assert dense == [True, True, False, False, True, False]
+    items = [f"item {i}" for i in range(lanes)]
+    for mask in masks:
+        set_bits = bit_loop(mask)
+        for offset in (0, 8, 65536):
+            assert _set_lanes(mask, offset) == [offset + i for i in set_bits]
+        for seq in (items, tuple(items), range(lanes, 2 * lanes)):
+            assert _lane_picker(mask)(seq) == [seq[i] for i in set_bits]
