@@ -16,11 +16,13 @@ definitional dict codec it must match.
 
 `enumerate_bax` is the one route from an axiom set to its families.
 When some axiom forces up-closure (@M, @C, @CInf, or a degraded @Ck) it
-takes the up-set route, n <= 5: the up-closed families are built in
-ascending order as pairs of up-closed families over one point fewer,
-and bit-sliced blocks of them are filtered.  Otherwise it sweeps all
-2^(2^n) famasks through the membership programs, bit-sliced with one
-lane per famask, n <= 4.  Both give the same ascending space wherever
+takes the up-set route, n <= 5: the up-closed families, tabulated once
+per n in ascending order as pairs of up-closed families over one point
+fewer, are filtered in cached bit-sliced blocks.  The @M and @N
+programs are not compiled there: the construction guarantees @M, and
+@N only drops the empty family.  Otherwise it sweeps all 2^(2^n)
+famasks through the membership programs, bit-sliced with one lane per
+famask, n <= 4.  Both give the same ascending space wherever
 both apply.
 """
 
@@ -53,7 +55,7 @@ from .core import (
     check_width,
     up_cone,
 )
-from .evaluate import _split_axioms, is_ax_subset
+from .evaluate import _membership_programs, is_ax_subset
 from .formulas import AxiomSet, axiom_set_from_specs
 
 
@@ -88,12 +90,13 @@ def enumerate_bax(n: int, axs: AxiomSet) -> BaxSpace:
     otherwise."""
     if not _forces_up_closure(axs):
         check_width(n, ENUM_FILTER_CAP, "enumerate_bax[filter]")
-        famasks = family_filter(0, 1 << (1 << n), [prog for _, prog in _split_axioms(axs, n)])
+        famasks = family_filter(0, 1 << (1 << n), _membership_programs(axs, n))
     else:
         check_width(n, ENUM_BACKTRACK_CAP, "enumerate_bax[backtrack]")
         # Up-closure is guaranteed by construction, and @N then only drops
-        # the empty family, so the @M and @N rows would pass every family.
-        leaf_programs = [prog for ax, prog in _split_axioms(axs, n) if ax.name not in ("M", "N")]
+        # the empty family, so the @M and @N rows would pass every family:
+        # they are dropped by name before they are compiled.
+        leaf_programs = _membership_programs([ax for ax in axs if ax.name not in ("M", "N")], n)
         nonempty = any("N" in (ax.name, *(ax.semantic or ())) for ax in axs)
         famasks = upset_enumerate(n, nonempty, leaf_programs)
     return BaxSpace(n, axs, tuple(famasks))

@@ -5,22 +5,29 @@ TAOCP 4A, 7.1.3; Biham, FSE 1997).  A membership program is evaluated for
 many families at once: plane[a] holds, in lane f, whether subset a is a
 member of family f, so each deduplicated row of the program is a few
 ANDs and XORs of whole planes, and the families that pass are the lanes
-left set after the rows are AND-ed together.  An algebra program is
-evaluated for every assignment of a block of frames at once: lane
-i * 2^b + f is assignment i of frame f, a subset value is n planes (one
-per point), and a box node ANDs each of the 2^n "value equals a" masks
-with the plane of the frames whose N(y) holds a and ORs it into plane y.
-A single algebra is a block of one frame.  The up-closed
-families over n points are built as plain ints, as pairs L <= H of
-up-closed families over one point fewer, and filtered in blocks of
-lanes, transposed into planes by `transpose`, which also turns per-point
-famasks into box tables and back.  Accepted lanes are decoded by
-`core._set_lanes` and picked from a block by `core._lane_picker`: through
-`itertools.compress` when more than one lane in twelve is set, by a byte
-loop over the mask otherwise.
+left set after the rows are AND-ed together.  Each program shape
+(opcodes, opargs) runs as a row sweep generated once (`_row_sweep`):
+straight-line Python with one operator per statement and the row loop
+inside, so no interpreter steps through the opcodes per row.  An algebra
+program is evaluated for every assignment of a block of frames at once:
+lane i * 2^b + f is assignment i of frame f, a subset value is n planes
+(one per point), and a box node ANDs each of the 2^n "value equals a"
+masks with the plane of the frames whose N(y) holds a and ORs it into
+plane y; it is interpreted, once per call.  A single algebra is a block
+of one frame.  The up-closed families over n points are built once per
+n, as pairs L <= H of up-closed families over one point fewer, and cut
+once per block size into blocks of lanes with their planes (`transpose`,
+which also turns per-point famasks into box tables and back).  Accepted
+lanes are decoded by `core._set_lanes` and picked from a block by
+`core._lane_picker`: through `itertools.compress` when more than one lane
+in twelve is set, by a byte loop over the mask otherwise.
 
 Lanes are Python ints, so nothing here assumes a word width.  Planes of
-lane indices are built on first use and cached by their number of bits.
+lane indices are built on first use and cached by their number of bits,
+the up-closed families by n and their blocks by (n, block size).  Up to
+n = 5, the widest `bax.enumerate_bax` asks for, the families number
+7,780 in all and the blocks' planes hold the same bits transposed: about
+0.35 MB for every n at once.
 """
 
 from __future__ import annotations
@@ -55,35 +62,58 @@ def _index_planes(bits: int) -> tuple[int, ...]:
     return tuple(planes)
 
 
-def _accepted(planes, lanes: int, programs) -> int:
-    """Lanes of `lanes` that every membership program accepts.
+@lru_cache(maxsize=512)
+def _row_sweep(opcodes: tuple[int, ...], opargs: tuple[int, ...]):
+    """The row sweep of one program shape, generated once: a function
+    sweep(planes, lanes, rows, acc) that ANDs into acc, row by row, the
+    lanes of `lanes` where the program holds and returns acc, 0 as soon
+    as no lane is left.
 
     Postfix opcodes: 0 pushes the plane of the row's subset in slot arg,
-    1 pushes true, 2 negates the top, 3 folds an and of arg operands.
-    Bits outside `lanes` may hold anything: every operation is lane-wise
-    and the result is masked by `lanes`."""
+    1 pushes true, 2 negates the top, 3 folds an and of arg operands (true
+    when arg is 0).  Stack position d holds an operand text: `lanes`, a
+    plane `planes[s<slot>]`, or the local v<d> once an operation wrote it.
+    Each operation is one statement with one operator on such operands,
+    so the code never nests however long the formula.  Bits outside
+    `lanes` may hold anything: every operation is lane-wise and acc stays
+    inside it."""
+    slots = 1 + max((int(arg) for op, arg in zip(opcodes, opargs) if op == 0), default=-1)
+    stack = []
+    body = []
+    for op, arg in zip(opcodes, opargs):
+        op, arg = int(op), int(arg)
+        if op == 0:
+            stack.append(f"planes[s{arg}]")
+        elif op == 2:
+            d = len(stack) - 1
+            body.append(f"v{d} = {stack[d]} ^ lanes")
+            stack[d] = f"v{d}"
+        elif op == 1 or not arg:
+            stack.append("lanes")
+        elif arg > 1:  # an and of one operand is that operand
+            d = len(stack) - arg
+            first, *rest = stack[d:]
+            del stack[d:]
+            body.append(f"v{d} = {first} & {rest[0]}")
+            body += [f"v{d} &= {operand}" for operand in rest[1:]]
+            stack.append(f"v{d}")
+    targets = "".join(f"s{i}, " for i in range(slots))
+    lines = ["def sweep(planes, lanes, rows, acc):", f"    for ({targets}) in rows:"]
+    lines += [f"        {statement}" for statement in body]
+    lines += [f"        acc &= {stack[0]}", "        if not acc:", "            return 0", "    return acc"]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<row sweep>", "exec"), namespace)
+    return namespace["sweep"]
+
+
+def _accepted(planes, lanes: int, programs) -> int:
+    """Lanes of `lanes` that every membership program accepts, each program
+    run by its generated row sweep (`_row_sweep`)."""
     acc = lanes
     for prog in programs:
-        code = tuple(zip(prog.opcodes, prog.opargs))
-        for row in prog.rows:
-            stack = []
-            for op, arg in code:
-                if op == 0:
-                    stack.append(planes[row[arg]])
-                elif op == 1:
-                    stack.append(lanes)
-                elif op == 2:
-                    stack[-1] ^= lanes
-                elif arg:
-                    value = stack.pop()
-                    for _ in range(arg - 1):
-                        value &= stack.pop()
-                    stack.append(value)
-                else:
-                    stack.append(lanes)
-            acc &= stack[-1]
-            if not acc:
-                return 0
+        acc = _row_sweep(prog.opcodes, prog.opargs)(planes, lanes, prog.rows, acc)
+        if not acc:
+            break
     return acc
 
 
@@ -167,36 +197,58 @@ def transpose(rows, width: int) -> tuple[int, ...]:
     return tuple([packed >> (a << lane_bits) & lane_mask for a in range(width)])
 
 
-def _filter_leaves(block: list[int], m: int, programs) -> list[int]:
+@lru_cache(maxsize=None)
+def _upsets(n: int) -> tuple[int, ...]:
+    """Ascending famasks of the up-closed families over n points, built
+    once per n from those over n - 1.
+
+    Over k + 1 points a family is up-closed exactly when L, its members
+    without point k, and H, those with point k, k removed, are up-closed
+    over k points and L is inside H (the recursion behind the Dedekind
+    numbers).  Famask L | H << 2^k runs through the pairs in ascending
+    order, H outer.  L inside H makes L <= H as ints, and the tuple is
+    ascending, so each H is tried only with the L's up to it."""
+    if not n:
+        return (0, 1)
+    ups = _upsets(n - 1)
+    shift = 1 << (n - 1)
+    return tuple([low | high << shift for i, high in enumerate(ups) for low in ups[:i + 1] if not low & ~high])
+
+
+@lru_cache(maxsize=32)
+def _upset_blocks(n: int, bits: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """`_upsets(n)` cut into blocks of 2^bits families, each with its
+    2^n planes (the block's `transpose`), built once per (n, bits)."""
+    ups = _upsets(n)
+    size = 1 << bits
+    blocks = [ups[start:start + size] for start in range(0, len(ups), size)]
+    return tuple([(block, transpose(block, 1 << n)) for block in blocks])
+
+
+def _filter_leaves(block: tuple[int, ...], planes: tuple[int, ...], programs) -> list[int]:
     """The famasks of block that every program accepts, in block order,
-    picked from the block by the accepted lanes through `_lane_picker`."""
-    return _lane_picker(_accepted(transpose(block, m), (1 << len(block)) - 1, programs))(block)
+    planes being the block's transpose: picked from the block by the
+    accepted lanes through `_lane_picker`."""
+    return _lane_picker(_accepted(planes, (1 << len(block)) - 1, programs))(block)
 
 
 def upset_enumerate(n: int, nonempty: bool, programs) -> list[int]:
     """Ascending famasks of the up-closed families over n points that every
     program accepts, without the empty family when nonempty is set.
 
-    Over k + 1 points a family is up-closed exactly when L, its members
-    without point k, and H, those with point k, k removed, are up-closed
-    over k points and L is inside H (the recursion behind the Dedekind
-    numbers).  Famask L | H << 2^k runs through the pairs in ascending
-    order, H outer.  L inside H makes L <= H as ints, and the list is
-    ascending, so each H is tried only with the L's up to it.  The empty
-    family is the only up-closed one without the full set.  The programs
-    run bit-sliced over blocks of 2^FILTER_BLOCK_BITS families, one lane
-    each."""
-    ups = [0, 1]
-    for k in range(n):
-        ups = [low | high << (1 << k) for i, high in enumerate(ups) for low in ups[:i + 1] if not low & ~high]
-    if nonempty:
-        del ups[0]
+    The families come from the per-width table `_upsets(n)` and are
+    filtered in its cached blocks of 2^FILTER_BLOCK_BITS families, one
+    lane each (`_upset_blocks`), so a call builds and transposes nothing
+    that an earlier call at the same width built.  The empty family,
+    famask 0, is the first of the table and the only up-closed family
+    without the full set.  The list returned is the caller's own."""
     if not programs:
-        return ups
-    size = 1 << FILTER_BLOCK_BITS
+        return list(_upsets(n)[nonempty:])
     out = []
-    for start in range(0, len(ups), size):
-        out += _filter_leaves(ups[start:start + size], 1 << n, programs)
+    for block, planes in _upset_blocks(n, FILTER_BLOCK_BITS):
+        out += _filter_leaves(block, planes, programs)
+    if nonempty and out and not out[0]:
+        del out[0]
     return out
 
 

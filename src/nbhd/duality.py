@@ -16,6 +16,7 @@ with gen as the planes and the atoms as the lanes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 
 from .bax import BaxSpace, enumerate_bax, baxspace_to_json, baxspace_from_json, baxspace_text
@@ -112,12 +113,20 @@ def lax_to_json(lax: LaxAlgebra) -> dict:
     return obj
 
 
+@lru_cache(maxsize=8)
+def _index_texts(count: int) -> tuple[str, ...]:
+    """Entry i is atom index i as decimal text followed by a comma, for
+    the `count` atoms of a space; built once per atom count, and kept for
+    the last 8 counts (32,768 atoms, @N at n = 4, take about 2 MB)."""
+    return tuple([f"{i}," for i in range(count)])
+
+
 def lax_text(lax: LaxAlgebra) -> str:
     """`lax_to_json(lax)` as compact JSON text: the members from
-    `baxspace_text`, then the gen table.  Each atom's index is written
-    once as text; a gen entry joins those its bits select, read as flags
-    from its binary digits, lowest first."""
-    texts = [f"{i}," for i in range(lax.n_atoms)]
+    `baxspace_text`, then the gen table.  The atoms' index texts come
+    from `_index_texts`; a gen entry joins those its bits select, read as
+    flags from its binary digits, lowest first."""
+    texts = _index_texts(lax.n_atoms)
     gen = "],[".join(["".join(compress(texts, _lane_flags(bits)))[:-1] for bits in lax.gen])
     return baxspace_text(lax.space)[:-1] + ',"gen":[[' + gen + "]]}"
 

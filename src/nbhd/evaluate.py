@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .bitslice import algebra_refute, family_accepts
 from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError, NeighborhoodAlgebra, check_width, full_mask
@@ -216,13 +217,13 @@ def realize_axiom(ax: Axiom, n: int) -> Formula:
     return ax.formula
 
 
-def _split_axioms(axs: AxiomSet, n: int):
-    """(axiom, compiled membership program) pairs."""
-    return [(ax, compile_membership(realize_axiom(ax, n), n)) for ax in axs]
+def _membership_programs(axioms: Iterable[Axiom], n: int) -> list[MembershipProgram]:
+    """The compiled membership program of each axiom at width n."""
+    return [compile_membership(realize_axiom(ax, n), n) for ax in axioms]
 
 
 def is_ax_subset(famask: int, axs: AxiomSet, n: int) -> bool:
     """True when the family famask is a phi-subset for every axiom in the
     set: one engine run of all their membership programs."""
     check_width(n, PLAIN_OP_CAP, "is_ax_subset")
-    return family_accepts(famask, 1 << n, [prog for _, prog in _split_axioms(axs, n)])
+    return family_accepts(famask, 1 << n, _membership_programs(axs, n))

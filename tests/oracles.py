@@ -315,3 +315,37 @@ def general_frame_fault(n, nbhd, admissible):
 def is_differentiated(n, admissible):
     """Every pair of distinct points is told apart by an admissible set."""
     return all(any(x in a and y not in a for a in admissible) for x in range(n) for y in range(n) if x != y)
+
+
+def membership_program_lanes(programs, planes, lanes):
+    """Lanes j of the mask `lanes` at which every row of every membership
+    program holds, decided one lane and one row at a time over bools:
+    lane j reads subset a as a member when bit j of planes[a] is set.
+    Postfix opcodes: 0 pushes the membership of the row's subset in slot
+    arg, 1 pushes True, 2 negates the top, 3 replaces the top arg values
+    by their conjunction (True when arg is 0)."""
+    out = 0
+    for j in range(lanes.bit_length()):
+        if lanes >> j & 1 and all(_row_holds(prog, row, planes, j) for prog in programs for row in prog.rows):
+            out |= 1 << j
+    return out
+
+
+def _row_holds(prog, row, planes, j):
+    stack = []
+    for op, arg in zip(prog.opcodes, prog.opargs):
+        if op == 0:
+            stack.append(planes[row[arg]] >> j & 1 == 1)
+        elif op == 1:
+            stack.append(True)
+        elif op == 2:
+            stack.append(not stack.pop())
+        elif op == 3:
+            operands = stack[len(stack) - arg:]
+            del stack[len(stack) - arg:]
+            stack.append(all(operands))
+        else:
+            raise ValueError(f"unknown membership opcode {op}")
+    if len(stack) != 1:
+        raise ValueError("membership program leaves more than one value")
+    return stack[0]

@@ -18,7 +18,7 @@ from nbhd.bax import (
 from nbhd.classes import AXIOM_TESTS
 from nbhd.core import CapExceededError, FrameMorphism, InvalidInputError, famask_members, famask_of, up_cone
 from nbhd.evaluate import compile_membership, realize_axiom
-from nbhd.formulas import axiom_set_from_specs
+from nbhd.formulas import axiom_set_from_specs, expand_named
 
 from conftest import given, st
 import oracles
@@ -133,6 +133,23 @@ def test_n5_spaces_equal_the_family_test_route():
         want = tuple(fm for fm in upsets if all(AXIOM_TESTS[name](fm, 5) for name in names))
         assert len(want) == count, specs
         assert space(5, specs).famasks() == want, specs
+
+
+def test_up_set_route_compiles_no_program_it_drops():
+    # @M and @N are dropped by name before compiling: at n = 5 the @M
+    # program alone is 1,024 assignments.  Of @M,@N,@Cont only @Cont is
+    # compiled.
+    n = 5
+    compile_membership.cache_clear()
+    assert len(space(n, ["@M"]).famasks()) == 7581
+    assert compile_membership.cache_info().currsize == 0
+    assert len(space(n, ["@M", "@N", "@Cont"]).famasks()) == 1
+    assert compile_membership.cache_info().currsize == 1
+    hits = compile_membership.cache_info().hits
+    compile_membership(realize_axiom(expand_named("@Cont"), n), n)
+    assert compile_membership.cache_info().hits == hits + 1
+    compile_membership(realize_axiom(expand_named("@M"), n), n)
+    assert compile_membership.cache_info().currsize == 2
 
 
 def test_bax_map_example_and_membership_guard():

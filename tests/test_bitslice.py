@@ -20,7 +20,7 @@ from nbhd.evaluate import (
     find_refuting_assignment,
     theta_t_member,
 )
-from nbhd.formulas import axiom_set_from_specs, expand_named, free_vars, parse
+from nbhd.formulas import And, axiom_set_from_specs, expand_named, free_vars, parse
 
 from conftest import example, given, st
 import oracles
@@ -136,6 +136,60 @@ def test_upset_enumerate_runs_many_blocks_at_n5(monkeypatch):
     assert got == sorted({0} | {sum(1 << oracles.set_to_mask(s) for s in cone) for cone in cones})
 
 
+def dedekind_recursion(n):
+    """The up-closed famasks over n points, sorted: pairs L <= H of those
+    over n - 1 points, as famask L | H << 2^(n-1)."""
+    if not n:
+        return [0, 1]
+    prev = dedekind_recursion(n - 1)
+    return sorted(low | high << (1 << n - 1) for low in prev for high in prev if low & ~high == 0)
+
+
+def test_upset_tables_match_the_dedekind_recursion(monkeypatch):
+    for n in range(6):
+        table = bitslice._upsets(n)
+        assert isinstance(table, tuple) and list(table) == dedekind_recursion(n), n
+        for bits in (bitslice.FILTER_BLOCK_BITS, 9, 2):
+            blocks = bitslice._upset_blocks(n, bits)
+            assert [fm for block, _ in blocks for fm in block] == list(table)
+            assert all(len(block) == 1 << bits for block, _ in blocks[:-1])
+            for block, planes in blocks:
+                assert planes == brute_transpose(block, 1 << n), (n, bits)
+    # upset_enumerate reads its block size when called.
+    monkeypatch.setattr(bitslice, "FILTER_BLOCK_BITS", 2)
+    assert bitslice.upset_enumerate(3, True, [program("@C", 3)]) == [fm for fm in bitslice._upsets(3) if fm and theta_holds(fm, "@C", 3)]
+
+
+def test_upset_enumerate_returns_a_fresh_list():
+    for programs in ([], [program("@C", 4)]):
+        for nonempty in (False, True):
+            want = list(bitslice.upset_enumerate(4, nonempty, programs))
+            got = bitslice.upset_enumerate(4, nonempty, programs)
+            got[0] = -1
+            got.append(-2)
+            assert bitslice.upset_enumerate(4, nonempty, programs) == want
+    assert len(bitslice._upsets(4)) == 168
+
+
+def test_generated_sweep_of_a_long_conjunction_matches_theta():
+    # A flat conjunction of 5,000 items: M, N twice negated, T, C and the
+    # empty conjunction, in turn.  One expression of that many operators
+    # is more than CPython's compiler nests (it raises RecursionError
+    # from about 3,000 chained `&`); the generated sweep is one
+    # statement per operation.
+    kinds = [parse(text) for text in ("box (p & q) -> box p", "~~box T", "T", "box p & box q -> box (p & q)")] + [And(())]
+    f = And(tuple(kinds[i % len(kinds)] for i in range(5000)))
+    n = 2
+    names = free_vars(f)
+    want = [
+        fm
+        for fm in range(1 << (1 << n))
+        if all(theta_t_member(fm, f, assignment_at(names, n, idx), n) for idx in range((1 << n) ** len(names)))
+    ]
+    assert 1 < len(want) < 1 << (1 << n)
+    assert bitslice.family_filter(0, 1 << (1 << n), [compile_membership(f, n)]) == want
+
+
 def test_algebra_refute_matches_first_eval_formula_failure():
     rng = random.Random(5)
     texts = (
@@ -233,6 +287,57 @@ def test_property_membership_of_random_families(n, spec, data):
     want = theta_holds(famask, spec, n)
     assert bitslice.family_accepts(famask, 1 << n, [prog]) == want
     assert bitslice.family_filter(famask, famask + 1, [prog]) == ([famask] if want else [])
+
+
+# Every one-step registry axiom (@Ck(1) to @Ck(3) keep their formula
+# at some n <= 3 and degrade to @C at the others), then T, the empty
+# conjunction (opcode 3 with arg 0) and a double negation.
+ORACLE_SPECS = ("@M", "@C", "@N", "@Cont", "@Conv", "@CoConv", "@CInf", "@Ck(1)", "@Ck(2)", "@Ck(3)", "T", "()", "~~box p")
+
+
+def oracle_program(spec, n):
+    if spec == "()":
+        return compile_membership(And(()), n)
+    return compile_membership(expand_named(spec, n).formula if spec.startswith("@") else parse(spec), n)
+
+
+def assert_accepted_matches_oracle(n, specs, planes, lanes):
+    programs = [oracle_program(spec, n) for spec in specs]
+    got = bitslice._accepted(planes, lanes, programs)
+    assert got == oracles.membership_program_lanes(programs, planes, lanes), (n, specs)
+    assert got & ~lanes == 0
+
+
+def test_accepted_matches_lane_oracle_for_every_registry_axiom():
+    # Planes reach 8 lanes past the top of `lanes` and set lanes it
+    # leaves out; the oracle reads each lane on its own.
+    rng = random.Random(22)
+    assert oracle_program("()", 2).opcodes == (3,) and oracle_program("()", 2).opargs == (0,)
+    for n in range(4):
+        for spec in ORACLE_SPECS:
+            for width in (1, 7, 40):
+                lanes = rng.getrandbits(width) | 1 << width - 1
+                planes = [rng.getrandbits(width + 8) for _ in range(1 << n)]
+                assert_accepted_matches_oracle(n, [spec], planes, lanes)
+            # Every lane, and the families of famasks 0 to 255 on the 2^n
+            # subsets (lane j holding subset a when bit a of j is set).
+            planes = [sum(1 << j for j in range(256) if j >> a & 1) for a in range(1 << n)]
+            assert_accepted_matches_oracle(n, [spec], planes, (1 << 256) - 1)
+
+
+@st.composite
+def planes_and_programs(draw):
+    n = draw(st.integers(0, 3))
+    specs = draw(st.lists(st.sampled_from(ORACLE_SPECS), min_size=1, max_size=3))
+    width = draw(st.integers(1, 48))
+    lanes = draw(st.integers(0, (1 << width) - 1))
+    planes = draw(st.lists(st.integers(0, (1 << width + 8) - 1), min_size=1 << n, max_size=1 << n))
+    return n, specs, planes, lanes
+
+
+@given(planes_and_programs())
+def test_property_accepted_matches_lane_oracle(case):
+    assert_accepted_matches_oracle(*case)
 
 
 @given(st.integers(2, 4), st.data())

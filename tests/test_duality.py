@@ -227,6 +227,13 @@ def test_lax_text_equals_dict_codec():
     for n, specs in [(0, ["@M"]), (2, ["@M", "@N"]), (3, ["@Cont"]), (4, ["@M", "@C"]), (4, ["@N"]), (5, ["@M"])]:
         lax = lax_algebra(n, axiom_set_from_specs(specs, n))
         assert lax_text(lax) == compact(lax), (n, specs)
+    # The atom index texts are cached by atom count: spaces of 20 and of
+    # 168 atoms written back to back, each way round, keep their own.
+    small, large = (lax_algebra(n, axiom_set_from_specs(["@M"], n)) for n in (3, 4))
+    assert (small.n_atoms, large.n_atoms) == (20, 168)
+    for pair in ((small, large), (large, small)):
+        for lax in pair:
+            assert lax_text(lax) == compact(lax), lax.n_atoms
     # Subsets 0 and 2 are in no member and subset 3 in every one, so the
     # gen table has empty entries and a full one; the empty space has
     # only empty entries.
