@@ -5,14 +5,17 @@ of subsets that is a phi-subset for all phi in Ax, in ascending famask
 order so indices are stable atom identifiers.  A point map f acts by
 sending a family W to { a' | preimage of a' lies in W }, which stays
 inside the codomain space; enumerate + act is the finite functor.
-Families are famask ints throughout: a space is a tuple of them, and
-`bax_map`, `index_of` and `principal_iso` take and return them.
-`baxspace_text` writes a space's compact JSON straight from its famasks,
-through tables of decimal text: every famask's low half (the sets
-without the top point) is looked up once, at n <= 4 by the famask itself,
-and famasks that share their high half (the sets with it) form a run,
-written by one join of their low texts; `baxspace_to_json` is the
-definitional dict codec it must match.
+Families are famask ints throughout: `bax_map`, `index_of` and
+`principal_iso` take and return them.  A space holds its families as a
+`bitslice.Lanes` view, the lanes its route accepted over the famasks it
+swept, so `len(space.lanes)` counts them without decoding any, and
+`famasks()` decodes them once, into a tuple.  `baxspace_text` writes a
+space's compact JSON from its lanes, through a text table per base: the
+base's famasks split into runs that share their high half (the sets
+with the top point), each with its high half's text and its famasks'
+low-half texts (the sets without it).  The tables of the two bases
+`enumerate_bax` sweeps are built once and cached.  `baxspace_to_json` is
+the definitional dict codec the text must match.
 
 `enumerate_bax` is the one route from an axiom set to its families.
 When some axiom forces up-closure (@M, @C, @CInf, or a degraded @Ck) it
@@ -32,10 +35,10 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import and_, itemgetter, lt
+from itertools import compress
+from operator import lt
 
-from .bitslice import family_filter, upset_enumerate
+from .bitslice import Lanes, _upsets, family_filter, upset_enumerate
 from .classes import AXIOM_TESTS
 from .core import (
     ENUM_BACKTRACK_CAP,
@@ -50,6 +53,7 @@ from .core import (
     _check_famask,
     _check_size,
     _json_famask,
+    _lane_flags,
     _push_forward,
     _set_lanes,
     check_width,
@@ -61,19 +65,29 @@ from .formulas import AxiomSet, axiom_set_from_specs
 
 @dataclass(frozen=True)
 class BaxSpace:
-    """The Ax-subset families over n points, held as their famasks in
-    strictly ascending order; the index of a famask is its atom."""
+    """The Ax-subset families over n points, as the lanes that accepted
+    them, whose famasks run in strictly ascending order; the index of a
+    famask is its atom.  Given famasks instead of a view, the space holds
+    every lane of them."""
 
     n: int
     axioms: AxiomSet
-    _famasks: tuple[int, ...]
+    lanes: Lanes
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.lanes, Lanes):
+            famasks = tuple(self.lanes)
+            object.__setattr__(self, "lanes", Lanes(famasks, (1 << len(famasks)) - 1))
 
     def famasks(self) -> tuple[int, ...]:
-        return self._famasks
+        """The famasks, decoded on the first call; later calls return the
+        same tuple."""
+        return self.lanes.famasks
 
     def index_of(self, famask: int) -> int:
-        i = bisect_left(self._famasks, famask)
-        if i == len(self._famasks) or self._famasks[i] != famask:
+        famasks = self.famasks()
+        i = bisect_left(famasks, famask)
+        if i == len(famasks) or famasks[i] != famask:
             raise InvalidInputError("family is not a member of the space")
         return i
 
@@ -90,7 +104,7 @@ def enumerate_bax(n: int, axs: AxiomSet) -> BaxSpace:
     otherwise."""
     if not _forces_up_closure(axs):
         check_width(n, ENUM_FILTER_CAP, "enumerate_bax[filter]")
-        famasks = family_filter(0, 1 << (1 << n), _membership_programs(axs, n))
+        lanes = family_filter(0, 1 << (1 << n), _membership_programs(axs, n))
     else:
         check_width(n, ENUM_BACKTRACK_CAP, "enumerate_bax[backtrack]")
         # Up-closure is guaranteed by construction, and @N then only drops
@@ -98,8 +112,8 @@ def enumerate_bax(n: int, axs: AxiomSet) -> BaxSpace:
         # they are dropped by name before they are compiled.
         leaf_programs = _membership_programs([ax for ax in axs if ax.name not in ("M", "N")], n)
         nonempty = any("N" in (ax.name, *(ax.semantic or ())) for ax in axs)
-        famasks = upset_enumerate(n, nonempty, leaf_programs)
-    return BaxSpace(n, axs, tuple(famasks))
+        lanes = upset_enumerate(n, nonempty, leaf_programs)
+    return BaxSpace(n, axs, lanes)
 
 
 def bax_map(f: FrameMorphism, w: int, axs: AxiomSet) -> int:
@@ -166,13 +180,6 @@ def _byte_texts() -> tuple[tuple[str, ...], ...]:
     return tuple(tuple("".join(f"{i}," for i in row) for row in rows) for rows in (_BYTE_BITS, _ROW1, _ROW2, _ROW3))
 
 
-@lru_cache(maxsize=None)
-def _famask_texts(n: int) -> tuple[str, ...]:
-    """At n <= 4, entry w is the text of famask w's low byte: the byte
-    texts repeated to 2^(2^n) entries, at least 256; built on first use."""
-    return _byte_texts()[0] * max(1, (1 << (1 << n)) >> 8)
-
-
 def _lane_text(x: int) -> str:
     """The indices of x's set bits as decimal text, each followed by a
     comma: four table lookups below 2^32, `_set_lanes` above."""
@@ -182,47 +189,92 @@ def _lane_text(x: int) -> str:
     return "".join([f"{i}," for i in _set_lanes(x, 0)])
 
 
-def baxspace_text(space: BaxSpace) -> str:
-    """`baxspace_to_json(space)` as compact JSON text, written in runs.
+def _runs(base, n: int) -> tuple[tuple[int, int, tuple[str, ...], str, str], ...]:
+    """The text table of a base of ascending famasks over n points: per
+    run of lanes [a, b) whose famasks share their high half, the low
+    texts of those famasks, the separator between members and the tail
+    after the last.
 
     Each famask splits at bit `shift` = max(8, 2^(n-1)) into a low half,
     the members without the top point, and a high half, those with it
-    (the L/H split of `upset_enumerate`).  Every member's low text is
-    looked up in one C-level pass: at n <= 4 the famask indexes
-    `_famask_texts(n)` through `itemgetter`, above it the low half indexes
-    a dict built once per distinct low half.  Famasks that share a high
-    half are adjacent in the ascending tuple, and each such run is one
-    join of a slice of those texts, with the high half's text and `],[`
-    as the separator.  Only the first run can have an empty high half;
-    its members are their low texts without the last comma.  The head
-    and tail of the JSON ride on the first and last runs, so the whole
-    text is copied by one last join."""
-    famasks = space.famasks()
-    shift = max(8, (1 << space.n) >> 1)
-    if shift == 8:
-        # The trailing 0 keeps the result a tuple when there is one famask.
-        texts = itemgetter(*famasks, 0)(_famask_texts(space.n))
+    (the L/H split of `bitslice._upsets`).  A member's text is its low
+    text, then its high half's text without the last comma.  Only the
+    first run can have an empty high half; its low texts lose their last
+    comma instead.  In a sweep below 2^16, the low texts of a run of
+    consecutive famasks are one slice of the byte texts; elsewhere each
+    distinct low half's text is built once."""
+    shift = max(8, (1 << n) >> 1)
+    low = (1 << shift) - 1
+    byte_texts = _byte_texts()[0]
+    if shift == 8 and type(base) is range:
+        low_texts = None
     else:
-        lows = list(map(and_, famasks, repeat((1 << shift) - 1)))
-        low_texts = {low: _lane_text(low) for low in set(lows)}
-        texts = list(map(low_texts.__getitem__, lows))
+        lows = [famask & low for famask in base]
+        text_of = {x: _lane_text(x) for x in set(lows)}
+        low_texts = tuple(map(text_of.__getitem__, lows))
     runs = []
-    start = 0
-    while start < len(famasks):
-        high = famasks[start] >> shift
-        stop = bisect_left(famasks, (high + 1) << shift, start)
+    a = 0
+    while a < len(base):
+        high = base[a] >> shift
+        b = bisect_left(base, (high + 1) << shift, a)
+        texts = byte_texts[base[a] & low:(base[b - 1] & low) + 1] if low_texts is None else low_texts[a:b]
         if high:
             high_text = _lane_text(high << shift)[:-1]
-            runs.append((high_text + "],[").join(texts[start:stop]) + high_text)
+            runs.append((a, b, texts, high_text + "],[", high_text))
         else:
-            runs.append("],[".join(map(str.rstrip, texts[start:stop], repeat(","))))
-        start = stop
+            runs.append((a, b, tuple([text[:-1] for text in texts]), "],[", ""))
+        a = b
+    return tuple(runs)
+
+
+@lru_cache(maxsize=32)
+def _kept_runs(n: int, sweep: range | None):
+    """`_runs` of a range of famasks, or of `bitslice._upsets(n)` when
+    sweep is None: built once per base."""
+    return _runs(_upsets(n) if sweep is None else sweep, n)
+
+
+def _text_table(base, n: int):
+    """The runs of base: kept for a range, as `family_filter` sweeps, and
+    for `_upsets(n)`, told by identity so that no lookup hashes its
+    famasks; built on the call for any other base."""
+    if type(base) is range:
+        return _kept_runs(n, base)
+    if n <= ENUM_BACKTRACK_CAP and base is _upsets(n):
+        return _kept_runs(n, None)
+    return _runs(base, n)
+
+
+def baxspace_text(space: BaxSpace) -> str:
+    """`baxspace_to_json(space)` as compact JSON text, written from the
+    space's lanes without decoding them.
+
+    The mask becomes one flag byte per lane of the base, and each run of
+    the base's text table (`_runs`) reads its slice of the flags: a run
+    with every lane set joins its low texts as they stand, one with none
+    is skipped, and any other selects its texts through
+    `itertools.compress`, only from its first set lane to its last, so a
+    sparse run costs little more than an empty one.  The head and tail
+    of the JSON ride on the first and last runs, so the whole text is
+    copied by one last join."""
+    lanes = space.lanes
+    flags = _lane_flags(lanes.mask).ljust(len(lanes.base), b"\0")
+    parts = []
+    for a, b, texts, sep, tail in _text_table(lanes.base, space.n):
+        run_flags = flags[a:b]
+        members = texts
+        if 0 in run_flags:
+            if 1 not in run_flags:
+                continue
+            first, last = run_flags.find(1), run_flags.rfind(1) + 1
+            members = compress(texts[first:last], run_flags[first:last])
+        parts.append(sep.join(members) + tail)
     head = json.dumps({"n": space.n, "axioms": space.axioms.specs()}, separators=(",", ":"))[:-1] + ',"members":['
-    if not runs:
+    if not parts:
         return head + "]}"
-    runs[0] = head + "[" + runs[0]
-    runs[-1] += "]]}"
-    return "],[".join(runs)
+    parts[0] = head + "[" + parts[0]
+    parts[-1] += "]]}"
+    return "],[".join(parts)
 
 
 def baxspace_from_json(obj: dict) -> BaxSpace:

@@ -17,10 +17,13 @@ plane y; it is interpreted, once per call.  A single algebra is a block
 of one frame.  The up-closed families over n points are built once per
 n, as pairs L <= H of up-closed families over one point fewer, and cut
 once per block size into blocks of lanes with their planes (`transpose`,
-which also turns per-point famasks into box tables and back).  Accepted
-lanes are decoded by `core._set_lanes` and picked from a block by
-`core._lane_picker`: through `itertools.compress` when more than one lane
-in twelve is set, by a byte loop over the mask otherwise.
+which also turns per-point famasks into box tables and back).  Both
+filters return their accepted lanes over the base they swept, as a
+`Lanes` view: its length is the popcount of the lanes, and it decodes
+them at most once, when iterated or indexed, by `core._lane_picker`
+(through `itertools.compress` when more than one lane in twelve is set,
+by a byte loop over the mask otherwise).  A caller that only counts, or
+that writes text per base as `bax.baxspace_text` does, decodes nothing.
 
 Lanes are Python ints, so nothing here assumes a word width.  Planes of
 lane indices are built on first use and cached by their number of bits,
@@ -34,9 +37,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
-from .core import _lane_picker, _set_lanes
+from .core import _lane_picker
 
 # The family filter sweeps famasks, and the up-set filter up-closed
 # families, in blocks of at most 2^16 lanes.
@@ -123,29 +128,62 @@ def family_accepts(famask: int, m: int, programs) -> bool:
     return bool(_accepted([famask >> a & 1 for a in range(m)], 1, programs))
 
 
-def family_filter(start: int, stop: int, programs) -> list[int]:
-    """Ascending famasks in [start, stop) accepted by every program.
+@dataclass(frozen=True, eq=False)
+class Lanes:
+    """The famasks base[i] at the set bits i of mask, in base order: the
+    lanes a filter accepted over the famasks it swept.  Its length is the
+    popcount of mask; iterating or indexing it decodes the lanes, once,
+    into the tuple `famasks`.  Views holding the same famasks are equal
+    and hash alike, whatever their bases."""
+
+    base: Sequence[int]
+    mask: int
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    @cached_property
+    def famasks(self) -> tuple[int, ...]:
+        return tuple(_lane_picker(self.mask)(self.base))
+
+    def __iter__(self):
+        return iter(self.famasks)
+
+    def __getitem__(self, i):
+        return self.famasks[i]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Lanes) and self.famasks == other.famasks
+
+    def __hash__(self) -> int:
+        return hash(self.famasks)
+
+
+def family_filter(start: int, stop: int, programs) -> Lanes:
+    """The famasks in [start, stop) accepted by every program, as lanes
+    over range(start, stop).
 
     Lane j of a block at base is famask base + j, so below the block's
     bit width the planes are the lane-index planes and above it each
     plane is constant."""
     if start >= stop:
-        return []
+        return Lanes(range(start, stop), 0)
     width = max((1 << prog.n for prog in programs), default=0)
     bits = min(FILTER_BLOCK_BITS, (stop - start - 1).bit_length())
     size = 1 << bits
     index = _index_planes(bits)
     full = (1 << size) - 1
-    out = []
-    for base in range(start >> bits << bits, stop, size):
+    origin = start >> bits << bits
+    mask = 0
+    for base in range(origin, stop, size):
         lanes = full
         if base < start:
             lanes ^= (1 << (start - base)) - 1
         if stop - base < size:
             lanes &= (1 << (stop - base)) - 1
         planes = [index[a] if a < bits else full * (base >> a & 1) for a in range(width)]
-        out += _set_lanes(_accepted(planes, lanes, programs), base)
-    return out
+        mask |= _accepted(planes, lanes, programs) << (base - origin)
+    return Lanes(range(start, stop), mask >> (start - origin))
 
 
 @lru_cache(maxsize=None)
@@ -225,31 +263,28 @@ def _upset_blocks(n: int, bits: int) -> tuple[tuple[tuple[int, ...], tuple[int, 
     return tuple([(block, transpose(block, 1 << n)) for block in blocks])
 
 
-def _filter_leaves(block: tuple[int, ...], planes: tuple[int, ...], programs) -> list[int]:
-    """The famasks of block that every program accepts, in block order,
-    planes being the block's transpose: picked from the block by the
-    accepted lanes through `_lane_picker`."""
-    return _lane_picker(_accepted(planes, (1 << len(block)) - 1, programs))(block)
+def upset_enumerate(n: int, nonempty: bool, programs) -> Lanes:
+    """The up-closed families over n points that every program accepts,
+    without the empty family when nonempty is set, as lanes over the
+    per-width table `_upsets(n)`, in its ascending order.
 
-
-def upset_enumerate(n: int, nonempty: bool, programs) -> list[int]:
-    """Ascending famasks of the up-closed families over n points that every
-    program accepts, without the empty family when nonempty is set.
-
-    The families come from the per-width table `_upsets(n)` and are
-    filtered in its cached blocks of 2^FILTER_BLOCK_BITS families, one
-    lane each (`_upset_blocks`), so a call builds and transposes nothing
-    that an earlier call at the same width built.  The empty family,
-    famask 0, is the first of the table and the only up-closed family
-    without the full set.  The list returned is the caller's own."""
-    if not programs:
-        return list(_upsets(n)[nonempty:])
-    out = []
-    for block, planes in _upset_blocks(n, FILTER_BLOCK_BITS):
-        out += _filter_leaves(block, planes, programs)
-    if nonempty and out and not out[0]:
-        del out[0]
-    return out
+    The families are filtered in the table's cached blocks of
+    2^FILTER_BLOCK_BITS families, one lane each (`_upset_blocks`), so a
+    call builds and transposes nothing that an earlier call at the same
+    width built; with no programs every lane is set and no block is
+    used.  The empty family, famask 0, is lane 0: the first of the table
+    and the only up-closed family without the full set."""
+    ups = _upsets(n)
+    if programs:
+        bits = FILTER_BLOCK_BITS
+        mask = 0
+        for i, (block, planes) in enumerate(_upset_blocks(n, bits)):
+            mask |= _accepted(planes, (1 << len(block)) - 1, programs) << (i << bits)
+    else:
+        mask = (1 << len(ups)) - 1
+    if nonempty:
+        mask &= ~1
+    return Lanes(ups, mask)
 
 
 @lru_cache(maxsize=32)

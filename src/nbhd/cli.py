@@ -192,7 +192,7 @@ def cmd_bax_enum(args) -> int:
     axs = axiom_set_from_specs(_split_specs(args.axioms), args.n)
     space = enumerate_bax(args.n, axs)
     if args.count:
-        _emit({"count": len(space.famasks())}, args)
+        _emit({"count": len(space.lanes)}, args)
     else:
         _emit(baxspace_text(space), args)
     return 0

@@ -82,7 +82,7 @@ class LaxAlgebra:
 
     @property
     def n_atoms(self) -> int:
-        return len(self.space.famasks())
+        return len(self.space.lanes)
 
     def full_atoms(self) -> int:
         return (1 << self.n_atoms) - 1

@@ -1,9 +1,13 @@
+import hashlib
+import io
 import json
+import sys
+from contextlib import redirect_stdout
 from itertools import product
 
 import pytest
 
-from nbhd import bax, bitslice
+from nbhd import bax, bitslice, core
 from nbhd.bax import (
     BaxSpace,
     bax_map,
@@ -15,7 +19,9 @@ from nbhd.bax import (
     naturality_check,
     principal_iso,
 )
+from nbhd.bitslice import Lanes
 from nbhd.classes import AXIOM_TESTS
+from nbhd.cli import main
 from nbhd.core import CapExceededError, FrameMorphism, InvalidInputError, famask_members, famask_of, up_cone
 from nbhd.evaluate import compile_membership, realize_axiom
 from nbhd.formulas import axiom_set_from_specs, expand_named
@@ -116,20 +122,24 @@ def test_enumeration_caps():
     assert space(4, ["@Cont"]).famasks() == full_sweep(4, ["@Cont"])
 
 
+# Spaces at n = 5, with the family tests that decide them and their sizes.
+N5_SPACES = (
+    (["@M", "@N"], ("M", "N"), 7580),
+    (["@CInf"], ("N", "C"), 32),
+    (["@C"], ("C",), 33),
+    (["@Ck(32)"], ("C",), 33),
+    (["@M", "@Cont"], ("M", "Cont"), 2),
+    (["@M", "@C", "@N"], ("M", "C", "N"), 32),
+    (["@M", "@N", "@Cont"], ("M", "N", "Cont"), 1),
+)
+
+
 def test_n5_spaces_equal_the_family_test_route():
     # At n = 5 the up-set route runs neither the @M nor the @N program;
     # the family tests of classes.AXIOM_TESTS decide each axiom another
     # way, on every up-closed family.
     upsets = space(5, ["@M"]).famasks()
-    for specs, names, count in (
-        (["@M", "@N"], ("M", "N"), 7580),
-        (["@CInf"], ("N", "C"), 32),
-        (["@C"], ("C",), 33),
-        (["@Ck(32)"], ("C",), 33),
-        (["@M", "@Cont"], ("M", "Cont"), 2),
-        (["@M", "@C", "@N"], ("M", "C", "N"), 32),
-        (["@M", "@N", "@Cont"], ("M", "N", "Cont"), 1),
-    ):
+    for specs, names, count in N5_SPACES:
         want = tuple(fm for fm in upsets if all(AXIOM_TESTS[name](fm, 5) for name in names))
         assert len(want) == count, specs
         assert space(5, specs).famasks() == want, specs
@@ -338,3 +348,104 @@ def test_baxspace_from_json_refuses_unordered_members():
     assert baxspace_from_json({"n": 2, "axioms": ["@M"], "members": [[1]]}).famasks() == (2,)
     with pytest.raises(InvalidInputError, match="member 4 is not a subset mask for n=2"):
         baxspace_from_json({"n": 2, "axioms": ["@M"], "members": [[], [0, 4]]})
+
+
+def cli_out(*argv):
+    """Exit code and stdout of one CLI command, run in process."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+def test_count_equals_the_members_written():
+    # `--count` reads the popcount of the accepted lanes and the text
+    # writer reads the lanes per run: neither decodes, so each is held
+    # to the other and to the decoded famasks.
+    cases = [(n, specs) for n, specs in SPACES] + [(n, [spec]) for n in range(5) for spec in ("@N", "@Cont", "@Ck(32)")]
+    cases += [(5, specs) for specs, _, _ in N5_SPACES]
+    for n, specs in cases:
+        argv = ["bax", "enum", "--n", str(n), "--axioms", ",".join(specs)]
+        code, counted = cli_out(*argv, "--count")
+        assert code == 0, (n, specs)
+        code, written = cli_out(*argv)
+        assert code == 0, (n, specs)
+        count = json.loads(counted)["count"]
+        assert count == len(json.loads(written)["members"]) == len(space(n, specs).famasks()), (n, specs)
+
+
+# The pinned outputs of the bax benchmark workloads: SHA-256 of the text.
+PINNED = {
+    "bax enum --n 4 --axioms @N": "e4f6c634e45601fa7792383a8e0bf4c6c6307291b59532a7120dcde65a8cb465",
+    "bax enum --n 5 --axioms @M": "4201916d31e5786061d2efe14477d5d0d8019f03871aac02bed07df266186880",
+    "bax enum --n 4 --axioms @Cont --count": hashlib.sha256(b'{"count":256}\n').hexdigest(),
+}
+
+
+def test_bax_enum_decodes_no_lanes(monkeypatch):
+    # Once the tables of the two bases exist, writing or counting a space
+    # never decodes a lane: every binding of the two decoders raises.
+    for line, digest in PINNED.items():
+        assert hashlib.sha256(cli_out(*line.split())[1].encode()).hexdigest() == digest, line
+
+    def refuse(*args):
+        raise AssertionError("a lane was decoded")
+
+    for decoder in (core._set_lanes, core._lane_picker):
+        for module in [m for name, m in sys.modules.items() if name == "nbhd" or name.startswith("nbhd.")]:
+            for attr, value in list(vars(module).items()):
+                if value is decoder:
+                    monkeypatch.setattr(module, attr, refuse)
+    with pytest.raises(AssertionError, match="a lane was decoded"):
+        space(2, ["@M"]).famasks()
+    for line, digest in PINNED.items():
+        code, out = cli_out(*line.split())
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, line
+
+
+# Bases of lane views: the sweeps at n = 3 and 4, the up-closed families
+# at n = 4 and 5, and famasks chosen by hand at n = 6, across 2^32.
+BASES = (
+    (3, range(1 << 8)),
+    (4, range(1 << 16)),
+    (4, bitslice._upsets(4)),
+    (5, bitslice._upsets(5)),
+    (6, (0, 1, 0xFFFF, 1 << 31, 1 << 32, (1 << 32) + 1, (1 << 33) + 7, 5 << 40, (1 << 64) - 1)),
+)
+
+
+def lane_space(n, base, mask):
+    return BaxSpace(n, axiom_set_from_specs([], n), Lanes(base, mask))
+
+
+def test_text_of_edge_lane_subsets():
+    for n, base in BASES:
+        top = len(base) - 1
+        for mask in (0, (1 << len(base)) - 1, 1, 1 << top, 1 | 1 << top):
+            sp = lane_space(n, base, mask)
+            assert baxspace_text(sp) == compact(sp), (n, len(base), mask)
+
+
+@given(st.sampled_from(range(len(BASES))), st.data())
+def test_property_text_of_random_lane_subsets(which, data):
+    # Dense masks drawn whole, and sparse ones as a few lanes.
+    n, base = BASES[which]
+    lanes = len(base)
+    mask = data.draw(
+        st.one_of(
+            st.integers(0, (1 << lanes) - 1),
+            st.lists(st.integers(0, lanes - 1), max_size=12).map(lambda picked: sum(1 << i for i in set(picked))),
+        )
+    )
+    sp = lane_space(n, base, mask)
+    assert baxspace_text(sp) == compact(sp)
+
+
+def test_decoded_space_equals_and_hashes_like_the_enumerated_one():
+    for n, specs in SPACES + [(5, ["@M"]), (5, ["@M", "@Cont"])]:
+        sp = space(n, specs)
+        back = baxspace_from_json(baxspace_to_json(sp))
+        assert back == sp and hash(back) == hash(sp), (n, specs)
+        assert back.lanes.base is not sp.lanes.base
+        assert baxspace_text(back) == baxspace_text(sp), (n, specs)
+    assert space(3, ["@M"]) != space(3, ["@M", "@N"])

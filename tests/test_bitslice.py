@@ -6,7 +6,10 @@ assignment, up-closure tested member by member, and tests/oracles.py.
 """
 
 import random
+from dataclasses import FrozenInstanceError
 from itertools import product
+
+import pytest
 
 from nbhd import bitslice, core
 from nbhd.bax import enumerate_bax
@@ -65,7 +68,7 @@ def test_membership_of_every_famask_matches_theta():
         for spec in AXIOMS:
             want = [fm for fm in range(total) if theta_holds(fm, spec, n)]
             prog = program(spec, n)
-            assert bitslice.family_filter(0, total, [prog]) == want, (spec, n)
+            assert list(bitslice.family_filter(0, total, [prog])) == want, (spec, n)
             assert [fm for fm in range(total) if bitslice.family_accepts(fm, 1 << n, [prog])] == want, (spec, n)
 
 
@@ -75,7 +78,7 @@ def test_filter_windows_stitch_to_the_full_run(monkeypatch):
         specs = ["@M", "@C"]
         programs = [program(spec, n) for spec in specs]
         total = 1 << (1 << n)
-        full_run = bitslice.family_filter(0, total, programs)
+        full_run = list(bitslice.family_filter(0, total, programs))
         assert full_run == list(enumerate_bax(n, axiom_set_from_specs(specs, n)).famasks())
         if n < 4:
             assert full_run == oracles.axiom_subset_families(n, ["M", "C"])
@@ -83,12 +86,12 @@ def test_filter_windows_stitch_to_the_full_run(monkeypatch):
             bounds = [0] + sorted(rng.sample(range(1, total), 5)) + [total]
             pieces = []
             for start, stop in zip(bounds, bounds[1:]):
-                pieces += bitslice.family_filter(start, stop, programs)
+                pieces += list(bitslice.family_filter(start, stop, programs))
             assert pieces == full_run
-        assert bitslice.family_filter(5, 5, programs) == []
+        assert list(bitslice.family_filter(5, 5, programs)) == []
         # Blocks of 8 lanes: every window spans several blocks.
         monkeypatch.setattr(bitslice, "FILTER_BLOCK_BITS", 3)
-        assert bitslice.family_filter(3, total - 3, programs) == [fm for fm in full_run if 3 <= fm < total - 3]
+        assert list(bitslice.family_filter(3, total - 3, programs)) == [fm for fm in full_run if 3 <= fm < total - 3]
         monkeypatch.undo()
 
 
@@ -99,7 +102,7 @@ def test_upset_enumerate_matches_brute_up_closure(monkeypatch):
         for n, up_closed in brute_up_closed.items():
             for nonempty in (False, True):
                 for specs in ([], ["@C"]):
-                    got = bitslice.upset_enumerate(n, nonempty, [program(spec, n) for spec in specs])
+                    got = list(bitslice.upset_enumerate(n, nonempty, [program(spec, n) for spec in specs]))
                     brute = [
                         fm
                         for fm in up_closed
@@ -112,22 +115,23 @@ def test_upset_enumerate_runs_many_blocks_at_n5(monkeypatch):
     # The Dedekind numbers M(0), ..., M(5) (OEIS A000372).
     assert [len(bitslice.upset_enumerate(k, False, [])) for k in range(6)] == [2, 3, 6, 20, 168, 7581]
     n = 5
-    upsets = bitslice.upset_enumerate(n, False, [])
+    upsets = list(bitslice.upset_enumerate(n, False, []))
     assert len(upsets) == 7581  # the Dedekind number M(5)
     assert upsets == sorted(set(upsets))
     assert all(is_up_closed(fm, n) for fm in upsets)
 
     blocks = []
-    filter_leaves = bitslice._filter_leaves
+    accepted = bitslice._accepted
 
-    def counted(block, *args):
-        blocks.append(len(block))
-        return filter_leaves(block, *args)
+    def counted(planes, lanes, programs):
+        # Each block runs its programs once, over one lane per family.
+        blocks.append(lanes.bit_length())
+        return accepted(planes, lanes, programs)
 
-    monkeypatch.setattr(bitslice, "_filter_leaves", counted)
+    monkeypatch.setattr(bitslice, "_accepted", counted)
     # Blocks of 512 lanes: the 7,581 families fill 15 of them.
     monkeypatch.setattr(bitslice, "FILTER_BLOCK_BITS", 9)
-    got = bitslice.upset_enumerate(n, False, [program("@C", n)])
+    got = list(bitslice.upset_enumerate(n, False, [program("@C", n)]))
     assert len(blocks) > 1 and sum(blocks) == 7581
     # Up-closed and closed under binary meets: the empty family and the
     # principal filters, one per subset.
@@ -157,18 +161,32 @@ def test_upset_tables_match_the_dedekind_recursion(monkeypatch):
                 assert planes == brute_transpose(block, 1 << n), (n, bits)
     # upset_enumerate reads its block size when called.
     monkeypatch.setattr(bitslice, "FILTER_BLOCK_BITS", 2)
-    assert bitslice.upset_enumerate(3, True, [program("@C", 3)]) == [fm for fm in bitslice._upsets(3) if fm and theta_holds(fm, "@C", 3)]
+    assert list(bitslice.upset_enumerate(3, True, [program("@C", 3)])) == [fm for fm in bitslice._upsets(3) if fm and theta_holds(fm, "@C", 3)]
 
 
-def test_upset_enumerate_returns_a_fresh_list():
+def test_upset_enumerate_result_cannot_alter_the_table():
+    # The view shares the cached table `_upsets(n)` as its base, so it
+    # must refuse every change: to its items, its lanes and its base.
     for programs in ([], [program("@C", 4)]):
         for nonempty in (False, True):
             want = list(bitslice.upset_enumerate(4, nonempty, programs))
             got = bitslice.upset_enumerate(4, nonempty, programs)
-            got[0] = -1
-            got.append(-2)
-            assert bitslice.upset_enumerate(4, nonempty, programs) == want
+            with pytest.raises(TypeError):
+                got[0] = -1
+            with pytest.raises(AttributeError):
+                got.append(-2)
+            with pytest.raises(FrozenInstanceError):
+                got.mask = -1
+            with pytest.raises(FrozenInstanceError):
+                got.base = [-1]
+            with pytest.raises(TypeError):
+                got.base[0] = -1
+            with pytest.raises(TypeError):
+                got.famasks[0] = -1
+            assert list(got) == want
+            assert list(bitslice.upset_enumerate(4, nonempty, programs)) == want
     assert len(bitslice._upsets(4)) == 168
+    assert list(bitslice._upsets(4)) == dedekind_recursion(4)
 
 
 def test_generated_sweep_of_a_long_conjunction_matches_theta():
@@ -187,7 +205,7 @@ def test_generated_sweep_of_a_long_conjunction_matches_theta():
         if all(theta_t_member(fm, f, assignment_at(names, n, idx), n) for idx in range((1 << n) ** len(names)))
     ]
     assert 1 < len(want) < 1 << (1 << n)
-    assert bitslice.family_filter(0, 1 << (1 << n), [compile_membership(f, n)]) == want
+    assert list(bitslice.family_filter(0, 1 << (1 << n), [compile_membership(f, n)])) == want
 
 
 def test_algebra_refute_matches_first_eval_formula_failure():
@@ -286,7 +304,7 @@ def test_property_membership_of_random_families(n, spec, data):
     prog = program(spec, n)
     want = theta_holds(famask, spec, n)
     assert bitslice.family_accepts(famask, 1 << n, [prog]) == want
-    assert bitslice.family_filter(famask, famask + 1, [prog]) == ([famask] if want else [])
+    assert list(bitslice.family_filter(famask, famask + 1, [prog])) == ([famask] if want else [])
 
 
 # Every one-step registry axiom (@Ck(1) to @Ck(3) keep their formula
@@ -346,8 +364,8 @@ def test_property_filter_windows(n, data):
     start = data.draw(st.integers(0, total))
     stop = data.draw(st.integers(start, total))
     programs = [program("@M", n), program("@Cont", n)]
-    full_run = bitslice.family_filter(0, total, programs)
-    assert bitslice.family_filter(start, stop, programs) == [fm for fm in full_run if start <= fm < stop]
+    full_run = list(bitslice.family_filter(0, total, programs))
+    assert list(bitslice.family_filter(start, stop, programs)) == [fm for fm in full_run if start <= fm < stop]
 
 
 def brute_transpose(rows, width):
