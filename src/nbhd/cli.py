@@ -7,6 +7,11 @@ limit errors.  Machine output goes to stdout, diagnostics to stderr.
 "-" names stdin for any file argument.  Output is compact JSON; --pretty
 switches to indented form.  --limit-bytes B, checked before any
 command runs, refuses an output of more than B bytes.
+
+Global flags come before the command.  `main` parses an argv that
+begins with a full command path, such as `search enumerate`, by one
+parse of that command's own parser, and any other argv by the whole
+tree; both give the same namespace and the same usage errors.
 """
 
 from __future__ import annotations
@@ -77,8 +82,8 @@ from .search import (
     SearchSpec,
     compile_target,
     count_frames,
-    enumerate_frames,
     find_countermodel,
+    frames_text,
 )
 
 
@@ -322,8 +327,7 @@ def cmd_search_enumerate(args) -> int:
         total = count_frames(args.n, constraints, canonical=args.canonical)
         _emit({"count": total}, args)
     else:
-        frames = [frame_to_json(frame) for frame in enumerate_frames(args.n, constraints, canonical=args.canonical)]
-        _emit({"frames": frames}, args)
+        _emit(frames_text(args.n, constraints, canonical=args.canonical), args)
     return 0
 
 
@@ -448,12 +452,44 @@ def build_parser() -> argparse.ArgumentParser:
 @lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call of main rather than at import;
-    parse_args keeps no state between calls."""
+    parsing keeps no state between calls."""
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`_parser().parse_args(argv)` by one parse of the leaf parser when
+    argv begins with a full command path.
+
+    argparse hands every token after the command words to the leaf
+    parser, so the words are walked through the subparser choices, and
+    the leaf parses the rest into a namespace that holds each level's
+    defaults and command word, as the whole tree leaves them.  Leftover
+    tokens are refused by the top parser, in parse_args' words.  Any other
+    argv (a global flag or -h first, a word that names no command, a
+    missing word) is parsed by the whole tree, and so is one with a token
+    the top parser refuses as ambiguous, which starts with "--="."""
+    top = parser = _parser()
+    namespace = argparse.Namespace()
+    depth = 0
+    while sub := next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None):
+        if depth == len(argv) or argv[depth] not in sub.choices:
+            return top.parse_args(argv)
+        for action in parser._actions:
+            if action.default is not argparse.SUPPRESS:
+                setattr(namespace, action.dest, action.default)
+        setattr(namespace, sub.dest, argv[depth])
+        parser = sub.choices[argv[depth]]
+        depth += 1
+    if any(arg.startswith("--=") for arg in argv):
+        return top.parse_args(argv)
+    namespace, extras = parser.parse_known_args(argv[depth:], namespace)
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    return namespace
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.limit_bytes is not None and args.limit_bytes < 0:
             raise InvalidInputError(f"--limit-bytes must be at least 0, got {args.limit_bytes}")

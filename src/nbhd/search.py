@@ -13,9 +13,10 @@ A block fixes the first points and gives one lane to each key of the
 others' candidates; plane (x, a) holds the lanes whose N(x) contains a,
 and canonicity and the iv condition are decided lane-wise on the planes.
 A count with no target sums the passing lanes; every other caller
-decodes them into one famask column per point, and only
-`enumerate_frames` zips the columns into keys.  A level of more than
-SCAN_KEYS_CAP keys is refused before it is scanned.
+decodes them into one famask column per point.  Only `enumerate_frames`
+zips the columns into keys: `frames_text`, the compact JSON text of its
+frames, joins one text per candidate family along the columns.  A level
+of more than SCAN_KEYS_CAP keys is refused before it is scanned.
 
 A target is checked on slices of a block's columns in scan order, each
 of at most 2^TARGET_BLOCK_BITS lanes, by one `bitslice.block_refute`
@@ -38,7 +39,7 @@ from functools import lru_cache
 from itertools import chain, islice, permutations, product, repeat
 from math import prod
 
-from .bax import enumerate_bax
+from .bax import _lane_text, enumerate_bax
 from .bitslice import _index_planes, _lane_parts, block_refute
 from .classes import FRAME_TAGS, frame_tag_axioms, parse_class_tag
 from .core import (
@@ -294,13 +295,40 @@ def _scan_level(n, constraints, canonical, target_text, mode):
     return _scan(n, cands, iv, canonical, target_text, mode)
 
 
+def _class_blocks(n: int, constraints, canonical: bool):
+    """The candidate lists of the constrained class and its `_in_class`
+    blocks, refused past EXHAUSTIVE_FRAMES_CAP."""
+    check_width(n, EXHAUSTIVE_FRAMES_CAP, "enumerate_frames")
+    cands, iv = _compile_constraints(n, _constraint_tuple(constraints))
+    return cands, _in_class(n, cands, iv, canonical)
+
+
 def enumerate_frames(n: int, constraints=(), canonical: bool = False):
     """Stream every frame in the constrained class, one representative
     per relabeling orbit when canonical is set."""
-    check_width(n, EXHAUSTIVE_FRAMES_CAP, "enumerate_frames")
-    cands, iv = _compile_constraints(n, _constraint_tuple(constraints))
-    blocks = _in_class(n, cands, iv, canonical)
+    _, blocks = _class_blocks(n, constraints, canonical)
     return (NeighborhoodFrame(n, key) for count, columns in blocks for key in (zip(*columns) if n else [()] * count))
+
+
+def _frames_text(n: int, cands, blocks) -> str:
+    """The frames JSON text of (count, columns) blocks as `_in_class`
+    yields them, whose famasks are drawn from the candidate lists cands:
+    each candidate's text is built once, through `bax._lane_text`, and a
+    frame's text joins the texts of its points' famasks."""
+    text_of = {famask: f"[{_lane_text(famask)[:-1]}]" for famask in set(chain.from_iterable(cands))}
+    head = f'{{"n":{n},"N":['
+    frames = []
+    for count, columns in blocks:
+        rows = zip(*[map(text_of.__getitem__, column) for column in columns]) if n else repeat((), count)
+        frames += [head + ",".join(row) + "]}" for row in rows]
+    return '{"frames":[' + ",".join(frames) + "]}"
+
+
+def frames_text(n: int, constraints=(), canonical: bool = False) -> str:
+    """`{"frames": [frame_to_json(f) for f in enumerate_frames(...)]}` as
+    compact JSON text, written from the scan's famask columns, so no frame
+    or key is built."""
+    return _frames_text(n, *_class_blocks(n, constraints, canonical))
 
 
 def count_frames(n: int, constraints=(), canonical: bool = False) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from nbhd.bax import baxspace_to_json, enumerate_bax
-from nbhd.cli import main
+from nbhd.cli import _parse, build_parser, main
 from nbhd.core import famask_of, frame_from_json, frame_to_json
 from nbhd.duality import complex_algebra, lax_algebra, lax_to_json
 from nbhd.evaluate import eval_formula
@@ -23,6 +24,7 @@ from nbhd.genframe import (
     sigma_extend,
     truncate,
 )
+from nbhd.search import enumerate_frames
 from srcenv import source_env
 
 FRAME = {"n": 2, "N": [[1, 3], [0]]}
@@ -169,6 +171,20 @@ def test_bax_enum_and_lax_build_text_match_the_dict_route(capsys):
             code, out, err = run(capsys, *flags, *argv)
             assert (code, out, err) == (0, text + "\n", ""), (flags, argv)
             code, out, err = run(capsys, *flags, "--limit-bytes", str(len(text)), *argv)
+            assert (code, out) == (3, "") and f"output of {len(text) + 1} bytes exceeds" in err
+
+
+def test_search_enumerate_text_matches_the_dict_route(capsys):
+    # The frames are written as text; both output forms and the
+    # --limit-bytes refusal equal the encodings of frame_to_json's dicts.
+    for n, constraints, flags in ((0, "", []), (2, "", []), (3, "filter", ["--canonical"]), (3, "kappa:1", [])):
+        argv = ["search", "enumerate", "--n", str(n), "--constraints", constraints, *flags]
+        frames = enumerate_frames(n, [constraints] if constraints else [], canonical=bool(flags))
+        obj = {"frames": [frame_to_json(frame) for frame in frames]}
+        for pretty, text in (([], json.dumps(obj, separators=(",", ":"))), (["--pretty"], json.dumps(obj, indent=2))):
+            assert run(capsys, *pretty, *argv) == (0, text + "\n", ""), argv
+            assert run(capsys, *pretty, "--limit-bytes", str(len(text) + 1), *argv) == (0, text + "\n", "")
+            code, out, err = run(capsys, *pretty, "--limit-bytes", str(len(text)), *argv)
             assert (code, out) == (3, "") and f"output of {len(text) + 1} bytes exceeds" in err
 
 
@@ -510,12 +526,22 @@ def test_stdin_inputs(capsys, monkeypatch):
 
 
 def test_successive_main_calls_leak_no_state(capsys):
-    # main reuses one parser for every call in a process.
+    # main reuses one parser for every call in a process, and the whole
+    # tree and the leaf route share its leaf parsers.
     argv = ("search", "enumerate", "--n", "2")
     code, out = jout(capsys, *argv, "--count")
     assert code == 0 and out == {"count": 256}
     code, out = jout(capsys, *argv)
     assert code == 0 and len(out["frames"]) == 256
+    compact = json.dumps(out, separators=(",", ":")) + "\n"
+    for _ in range(2):
+        code, pretty, _ = run(capsys, "--pretty", *argv)
+        assert code == 0 and pretty == json.dumps(out, indent=2) + "\n"
+        assert run(capsys, *argv) == (0, compact, "")
+        code, counted = jout(capsys, *argv, "--count")
+        assert code == 0 and counted == {"count": 256}
+        assert run(capsys, "--limit-bytes", "5", *argv)[:2] == (3, "")
+        assert run(capsys, *argv) == (0, compact, "")
     code, pretty, _ = run(capsys, "--pretty", "parse", "--formula", "u")
     assert code == 0 and pretty.startswith('{\n  "formula"')
     code, plain, _ = run(capsys, "parse", "--formula", "u")
@@ -579,3 +605,116 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["one_step"] is True
+
+
+# The commands of the three CLI benchmark workloads.
+BENCHMARK_COMMANDS = (
+    "bax enum --n 4 --axioms @Cont --count",
+    "bax enum --n 4 --axioms @M,@C --count",
+    "bax enum --n 5 --axioms @M,@Cont --count",
+    "bax enum --n 4 --axioms @N",
+    "bax enum --n 5 --axioms @M",
+    *IN_PROCESS_COMMANDS,
+)
+
+
+def leaves(parser, path=()):
+    """(command words, parser) for each leaf of the parser tree."""
+    subs = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for sub in subs:
+        for word, child in sub.choices.items():
+            yield from leaves(child, (*path, word))
+
+
+def option_argv(action, choice=0):
+    """An option of a leaf parser with a value it accepts."""
+    if action.nargs == 0:
+        return [action.option_strings[0]]
+    value = list(action.choices)[choice] if action.choices else "2" if action.type is int else "x"
+    return [action.option_strings[0], value]
+
+
+def parse_corpus():
+    """The argvs the leaf route is held to the whole tree on: the
+    benchmark commands, each leaf with its required options and with each
+    option in turn, and the forms and errors argparse treats apart."""
+    corpus = [line.split() for line in BENCHMARK_COMMANDS]
+    for path, leaf in leaves(build_parser()):
+        options = [action for action in leaf._actions if action.option_strings and action.dest != "help"]
+        corpus.append([*path, *(word for action in options if action.required for word in option_argv(action))])
+        for action in options:
+            rest = [word for other in options if other.required and other is not action for word in option_argv(other)]
+            corpus.append([*path, *rest, *option_argv(action, -1)])
+    corpus += [
+        ["search", "enumerate", "--n=2"],
+        ["--limit-bytes=5", "search", "enumerate", "--n", "2"],
+        ["search", "enumerate", "--n", "2", "--limit-bytes=5"],
+        ["--pre", "bax", "enum", "--n", "2", "--axioms", "@M"],
+        ["--lim", "100", "parse", "--formula", "u"],
+        ["parse", "--form", "u"],
+        ["search", "enumerate", "--n", "2", "--c"],
+        ["search", "enumerate", "--n", "2", "--can", "--cou"],
+        ["-h"],
+        ["search", "-h"],
+        ["search", "enumerate", "-h"],
+        ["parse", "--help"],
+        ["nope"],
+        ["search"],
+        ["search", "nope"],
+        ["bax", "enum", "--n", "2", "--axioms", "@M", "--pretty"],
+        ["search", "enumerate", "--n", "2", "--limit-bytes", "5"],
+        ["--workers", "2", "search", "enumerate", "--n", "2"],
+        ["search", "enumerate", "--n", "2", "--workers", "2"],
+        ["search", "enumerate"],
+        ["search", "enumerate", "--n", "two"],
+        ["search", "countermodel", "--mode", "nope"],
+        ["morphism", "dualize", "--morphism", "m.json", "--", "x"],
+        # The top parser finds "--=x" ambiguous before any subparser runs.
+        ["search", "enumerate", "--n", "2", "--=x"],
+        [],
+    ]
+    return corpus
+
+
+def parse_outcome(capsys, parse, argv):
+    try:
+        result = ("namespace", parse(list(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def test_leaf_route_parses_as_the_whole_tree(capsys):
+    # Where parse_args succeeds the route returns an equal namespace, and
+    # where it exits the route exits with the same code and text.
+    corpus = parse_corpus()
+    assert len(corpus) > 80
+    kinds = set()
+    for argv in corpus:
+        expected = parse_outcome(capsys, build_parser().parse_args, argv)
+        assert parse_outcome(capsys, _parse, argv) == expected, argv
+        kinds.add(expected[0][0] if expected[0][0] == "namespace" else expected[0])
+    assert kinds == {"namespace", ("exit", 0), ("exit", 2)}
+
+
+def test_main_parses_a_routed_command_once(monkeypatch):
+    # A work counter, not a timer: the whole tree parses once per level,
+    # and main parses a full command path with its leaf parser alone.
+    progs = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    build_parser().parse_args(["search", "enumerate", "--n", "2"])
+    assert progs == ["nbhd", "nbhd search", "nbhd search enumerate"]
+    for line in BENCHMARK_COMMANDS:
+        progs.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(line.split()) in (0, 1)
+        assert progs == ["nbhd " + " ".join(line.split()[:2])], line

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import cycle, permutations, product
 
@@ -16,6 +17,7 @@ from nbhd.core import (
     famask_members,
     famask_of,
     frame_from_json,
+    frame_to_json,
     full_mask,
 )
 from nbhd.bitslice import block_refute, transpose
@@ -32,6 +34,7 @@ from nbhd.search import (
     count_frames,
     enumerate_frames,
     find_countermodel,
+    frames_text,
     relabel_frame,
 )
 
@@ -204,6 +207,41 @@ def test_enumerate_order_and_raw_counts():
     for constraints in ((), ("filter",), ("monotone", "contingency")):
         got = list(enumerate_frames(2, constraints, canonical=True))
         assert len(got) == count_frames(2, constraints, canonical=True)
+
+
+def frames_json(frames) -> str:
+    return json.dumps({"frames": [frame_to_json(frame) for frame in frames]}, separators=(",", ":"))
+
+
+def test_frames_text_equals_the_dict_codec():
+    # The text `search enumerate` prints, against the frames
+    # enumerate_frames streams, encoded from frame_to_json's dicts.  A
+    # level of more than 2^18 frames is left out for time.
+    left_out = set()
+    for n in range(4):
+        for constraints in ((), ("filter",), ("monotone",), ("iv",), ("topological",), ("centered",), ("kappa:1",), ("@Conv",), ("box(u)",)):
+            for canonical in (False, True):
+                if count_frames(n, constraints, canonical=canonical) > 1 << 18:
+                    left_out.add((n, constraints, canonical))
+                    continue
+                expected = frames_json(enumerate_frames(n, constraints, canonical=canonical))
+                assert frames_text(n, constraints, canonical=canonical) == expected, (n, constraints, canonical)
+    assert left_out == {(3, (), False), (3, (), True), (3, ("@Conv",), False)}
+    with pytest.raises(CapExceededError):
+        frames_text(4, ("filter",))
+
+
+def test_frame_text_of_wide_famasks():
+    # Famasks of 9 to 32 bits, as frames at n = 4 and 5 have, written
+    # from hand-made columns as the scan yields them.
+    rng = random.Random(24)
+    for n in (4, 5):
+        widths = [0, 9, *range(9, (1 << n) + 1, 3), 1 << n]
+        keys = [tuple(rng.getrandbits(w - 1) | 1 << (w - 1) if w else 0 for w in rng.sample(widths, n)) for _ in range(20)]
+        keys.append(((1 << (1 << n)) - 1,) * n)
+        columns = [list(column) for column in zip(*keys)]
+        text = search._frames_text(n, columns, [(12, [column[:12] for column in columns]), (9, [column[12:] for column in columns])])
+        assert text == frames_json(NeighborhoodFrame(n, key) for key in keys)
 
 
 def test_filter_counts_raw_and_canonical():
