@@ -156,20 +156,20 @@ def naturality_check(f: FrameMorphism, axs: AxiomSet, g: FrameMorphism | None = 
     dom = enumerate_bax(f.n_dom, axs).famasks()
     cod_famasks = set(enumerate_bax(f.n_cod, axs).famasks())
     images = list(map(_push_forward(f), dom))
-    failures = [{"family": _set_lanes(w, 0), "image": _set_lanes(image, 0)} for w, image in zip(dom, images) if image not in cod_famasks]
+    failures = [{"family": _set_lanes(w), "image": _set_lanes(image)} for w, image in zip(dom, images) if image not in cod_famasks]
     checked = len(dom)
     if g is not None:
         push_gf, push_g = _push_forward(compose_morphisms(g, f)), _push_forward(g)
         for w, image in zip(dom, images):
             direct, staged = push_gf(w), push_g(image)
             if direct != staged:
-                failures.append({"family": _set_lanes(w, 0), "direct": _set_lanes(direct, 0), "staged": _set_lanes(staged, 0)})
+                failures.append({"family": _set_lanes(w), "direct": _set_lanes(direct), "staged": _set_lanes(staged)})
         checked += len(dom)
     return {"functorial": not failures, "checked": checked, "failures": failures}
 
 
 def baxspace_to_json(space: BaxSpace) -> dict:
-    return {"n": space.n, "axioms": space.axioms.specs(), "members": [_set_lanes(fm, 0) for fm in space.famasks()]}
+    return {"n": space.n, "axioms": space.axioms.specs(), "members": [_set_lanes(fm) for fm in space.famasks()]}
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +186,7 @@ def _lane_text(x: int) -> str:
     if not x >> 32:
         t0, t1, t2, t3 = _byte_texts()
         return t0[x & 255] + t1[x >> 8 & 255] + t2[x >> 16 & 255] + t3[x >> 24]
-    return "".join([f"{i}," for i in _set_lanes(x, 0)])
+    return "".join([f"{i}," for i in _set_lanes(x)])
 
 
 def _runs(base, n: int) -> tuple[tuple[int, int, tuple[str, ...], str, str], ...]:

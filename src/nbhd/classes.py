@@ -172,7 +172,7 @@ def _parts(axioms: tuple[str, ...]):
 def iv_holds(key: tuple[int, ...], box: tuple[int, ...]) -> bool:
     """The iv condition on a frame given as its famask key and its box
     table: whenever a is in N(x), so is box a."""
-    return all(famask >> box[a] & 1 for famask in key for a in _set_lanes(famask, 0))
+    return all(famask >> box[a] & 1 for famask in key for a in _set_lanes(famask))
 
 
 def frame_class_check(frame: NeighborhoodFrame, tag: ClassTag) -> bool:

@@ -208,7 +208,7 @@ def cmd_bax_map(args) -> int:
     axs = axiom_set_from_specs(_split_specs(args.axioms), f.n_dom)
     family = _json_famask(_parse_inline_json(args.family, "--family"), f.n_dom, "--family")
     image = bax_map(f, family, axs)
-    _emit({"family": _set_lanes(image, 0)}, args)
+    _emit({"family": _set_lanes(image)}, args)
     return 0
 
 

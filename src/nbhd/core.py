@@ -26,10 +26,10 @@ PLAIN_OP_CAP = 16
 ENUM_FILTER_CAP = 4
 ENUM_BACKTRACK_CAP = 5
 CANONICAL_CAP = 8
-EXHAUSTIVE_FRAMES_CAP = 3
-SEARCH_MAX_N_CAP = 4
-# Most keys (product of the candidate counts) one search level may scan.
+# Most keys (product of the candidate counts) of a search level that is
+# scanned, and of one whose every frame is held (256^3, n = 3).
 SCAN_KEYS_CAP = 1 << 30
+EXHAUSTIVE_FRAMES_CAP = 1 << 24
 
 
 class NbhdError(Exception):
@@ -108,20 +108,17 @@ def _dense(mask: int) -> bool:
     return mask.bit_count() * _DENSE_SHARE > mask.bit_length()
 
 
-def _set_lanes(mask: int, offset: int) -> list[int]:
-    """Ascending indices of the set bits of mask, plus offset: four
-    looked-up rows for a mask below 2^32 at offset 0, else `compress`
-    over the lane indices for a dense mask and a byte loop for a sparse
-    one."""
-    if not offset and not mask >> 32:
+def _set_lanes(mask: int) -> list[int]:
+    """Ascending indices of the set bits of mask: four looked-up rows below
+    2^32, else `compress` for a dense mask and a byte loop for a sparse one."""
+    if not mask >> 32:
         return [*_BYTE_BITS[mask & 255], *_ROW1[mask >> 8 & 255], *_ROW2[mask >> 16 & 255], *_ROW3[mask >> 24]]
     if _dense(mask):
-        return list(compress(range(offset, offset + mask.bit_length()), _lane_flags(mask)))
+        return list(compress(range(mask.bit_length()), _lane_flags(mask)))
     out = []
-    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+    for i, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) >> 3, "little")):
         if byte:
-            out += map(offset.__add__, _BYTE_BITS[byte])
-        offset += 8
+            out += map((i << 3).__add__, _BYTE_BITS[byte])
     return out
 
 
@@ -133,7 +130,7 @@ def _lane_picker(mask: int):
     if _dense(mask):
         flags = _lane_flags(mask)
         return lambda seq: list(compress(seq, flags))
-    lanes = _set_lanes(mask, 0)
+    lanes = _set_lanes(mask)
     return lambda seq: list(map(seq.__getitem__, lanes))
 
 
@@ -152,7 +149,7 @@ def famask_of(masks: Iterable[int]) -> int:
 
 def famask_members(famask: int) -> tuple[int, ...]:
     """The members of a famask, ascending."""
-    return tuple(_set_lanes(famask, 0))
+    return tuple(_set_lanes(famask))
 
 
 def _check_members_below(top: int, n: int, what: str) -> None:
@@ -348,7 +345,7 @@ def to_relation(frame: NeighborhoodFrame) -> Relation:
     succ = []
     for famask in frame.key():
         s = full_mask(frame.n)
-        for a in _set_lanes(famask, 0):
+        for a in _set_lanes(famask):
             s &= a
         succ.append(s)
     return Relation(frame.n, tuple(succ))
@@ -395,7 +392,7 @@ def _json_famask(raw, n: int, what: str) -> int:
 
 
 def frame_to_json(frame: NeighborhoodFrame) -> dict:
-    return {"n": frame.n, "N": [_set_lanes(famask, 0) for famask in frame.key()]}
+    return {"n": frame.n, "N": [_set_lanes(famask) for famask in frame.key()]}
 
 
 def frame_from_json(obj: dict) -> NeighborhoodFrame:

@@ -109,7 +109,7 @@ def onestep_top_check(lax: LaxAlgebra, ax: Axiom) -> bool:
 
 def lax_to_json(lax: LaxAlgebra) -> dict:
     obj = baxspace_to_json(lax.space)
-    obj["gen"] = [_set_lanes(bits, 0) for bits in lax.gen]
+    obj["gen"] = [_set_lanes(bits) for bits in lax.gen]
     return obj
 
 

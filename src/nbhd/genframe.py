@@ -106,11 +106,11 @@ def _closure_fault(admissible: int, n: int) -> str:
     one shift per point of a."""
     full = full_mask(n)
     planes = _index_planes(n)
-    for a in _set_lanes(admissible, 0):
+    for a in _set_lanes(admissible):
         if not admissible >> (full ^ a) & 1:
             return f"general frame: A not closed under complement at {a}"
         closed = admissible
-        for x in _set_lanes(a, 0):
+        for x in _set_lanes(a):
             hit = closed & planes[x]
             closed = hit | hit >> (1 << x)
         missed = admissible & ~closed
@@ -129,7 +129,7 @@ def validate_general_frame(gf: GeneralFrame) -> None:
     if not _is_subalgebra(admissible, gf.n):
         raise InvalidInputError(_closure_fault(admissible, gf.n))
     box = transpose(gf._key, 1 << gf.n)
-    for a in _set_lanes(admissible, 0):
+    for a in _set_lanes(admissible):
         if not admissible >> box[a] & 1:
             raise InvalidInputError(f"general frame: A not closed under box at {a}")
 
@@ -210,7 +210,7 @@ def _extend(gf: GeneralFrame, sigma: bool) -> tuple[int, ...]:
     its admissible members in the trace, and leaves N^pi when one has
     none of them there."""
     admissible = gf._admissible
-    members = _set_lanes(admissible, 0)
+    members = _set_lanes(admissible)
     downs = [_down_closure(1 << d, gf.n) for d in members]
     spans = []
     for c in members:
@@ -309,7 +309,7 @@ def sigma_morphism_transfer(f: FrameMorphism, dom: GeneralFrame, cod: GeneralFra
 
 
 def general_frame_to_json(gf: GeneralFrame) -> dict:
-    return {"n": gf.n, "N": [_set_lanes(famask, 0) for famask in gf._key], "A": _set_lanes(gf._admissible, 0)}
+    return {"n": gf.n, "N": [_set_lanes(famask) for famask in gf._key], "A": _set_lanes(gf._admissible)}
 
 
 def general_frame_from_json(obj: dict) -> GeneralFrame:

@@ -15,8 +15,8 @@ and canonicity and the iv condition are decided lane-wise on the planes.
 A count with no target sums the passing lanes; every other caller
 decodes them into one famask column per point.  Only `enumerate_frames`
 zips the columns into keys: `frames_text`, the compact JSON text of its
-frames, joins one text per candidate family along the columns.  A level
-of more than SCAN_KEYS_CAP keys is refused before it is scanned.
+frames, joins one text per candidate family along the columns.  `_level`
+refuses a level of more keys than its route's cap before it is scanned.
 
 A target is checked on slices of a block's columns in scan order, each
 of at most 2^TARGET_BLOCK_BITS lanes, by one `bitslice.block_refute`
@@ -44,9 +44,9 @@ from .bitslice import _index_planes, _lane_parts, block_refute
 from .classes import FRAME_TAGS, frame_tag_axioms, parse_class_tag
 from .core import (
     CANONICAL_CAP,
+    ENUM_BACKTRACK_CAP,
     EXHAUSTIVE_FRAMES_CAP,
     SCAN_KEYS_CAP,
-    SEARCH_MAX_N_CAP,
     CapExceededError,
     InvalidInputError,
     NeighborhoodAlgebra,
@@ -103,7 +103,7 @@ def relabel_frame(frame: NeighborhoodFrame, perm: tuple[int, ...]) -> Neighborho
         raise InvalidInputError(f"relabel_frame: {perm!r} is not a permutation of 0..{frame.n - 1}")
     key = [0] * frame.n
     for x, famask in enumerate(frame.key()):
-        for a in _set_lanes(famask, 0):
+        for a in _set_lanes(famask):
             key[perm[x]] |= 1 << apply_perm_mask(a, perm)
     return NeighborhoodFrame(frame.n, key)
 
@@ -285,21 +285,24 @@ def _constraint_tuple(constraints) -> tuple[str, ...]:
     return tuple(constraints)
 
 
-def _scan_level(n, constraints, canonical, target_text, mode):
-    """One carrier size, scanned in serial order; refused when the product
-    of its candidate lists exceeds SCAN_KEYS_CAP keys."""
-    cands, iv = _compile_constraints(n, constraints)
+def _level(n: int, constraints, cap: int):
+    """The candidate lists and iv flag of level n, refused when the product
+    of their lengths exceeds cap keys."""
+    cands, iv = _compile_constraints(n, _constraint_tuple(constraints))
     keys = prod(map(len, cands))
-    if keys > SCAN_KEYS_CAP:
-        raise CapExceededError(f"search: level n={n} has {keys} keys, exceeds cap {SCAN_KEYS_CAP}")
-    return _scan(n, cands, iv, canonical, target_text, mode)
+    if keys > cap:
+        raise CapExceededError(f"search: level n={n} has {keys} keys, exceeds cap {cap}")
+    return cands, iv
+
+
+def _scan_level(n, constraints, canonical, target_text, mode):
+    """One carrier size, scanned in serial order."""
+    return _scan(n, *_level(n, constraints, SCAN_KEYS_CAP), canonical, target_text, mode)
 
 
 def _class_blocks(n: int, constraints, canonical: bool):
-    """The candidate lists of the constrained class and its `_in_class`
-    blocks, refused past EXHAUSTIVE_FRAMES_CAP."""
-    check_width(n, EXHAUSTIVE_FRAMES_CAP, "enumerate_frames")
-    cands, iv = _compile_constraints(n, _constraint_tuple(constraints))
+    """The candidate lists of the constrained class and its `_in_class` blocks."""
+    cands, iv = _level(n, constraints, EXHAUSTIVE_FRAMES_CAP)
     return cands, _in_class(n, cands, iv, canonical)
 
 
@@ -317,11 +320,11 @@ def _frames_text(n: int, cands, blocks) -> str:
     frame's text joins the texts of its points' famasks."""
     text_of = {famask: f"[{_lane_text(famask)[:-1]}]" for famask in set(chain.from_iterable(cands))}
     head = f'{{"n":{n},"N":['
-    frames = []
+    texts = []
     for count, columns in blocks:
         rows = zip(*[map(text_of.__getitem__, column) for column in columns]) if n else repeat((), count)
-        frames += [head + ",".join(row) + "]}" for row in rows]
-    return '{"frames":[' + ",".join(frames) + "]}"
+        texts.append(",".join([head + ",".join(row) + "]}" for row in rows]))
+    return '{"frames":[' + ",".join(texts) + "]}"
 
 
 def frames_text(n: int, constraints=(), canonical: bool = False) -> str:
@@ -332,9 +335,7 @@ def frames_text(n: int, constraints=(), canonical: bool = False) -> str:
 
 
 def count_frames(n: int, constraints=(), canonical: bool = False) -> int:
-    check_width(n, EXHAUSTIVE_FRAMES_CAP, "count_frames")
-    in_class, _, _ = _scan_level(n, _constraint_tuple(constraints), canonical, None, "count")
-    return in_class
+    return _scan_level(n, constraints, canonical, None, "count")[0]
 
 
 def _verify_hit(frame: NeighborhoodFrame, target: Formula, mode: str, env: dict[str, int] | None) -> None:
@@ -362,7 +363,8 @@ def find_countermodel(spec: SearchSpec) -> dict:
 
     Returns {"found", "frame", "assignment", "checked"} for the find
     modes and {"count", "checked"} for mode "count"."""
-    check_width(spec.max_n, SEARCH_MAX_N_CAP, "find_countermodel")
+    # No level past ENUM_BACKTRACK_CAP has candidates: refuse before any scan.
+    check_width(spec.max_n, ENUM_BACKTRACK_CAP, "find_countermodel")
     checked = 0
     count = 0
     for n in range(spec.max_n + 1):

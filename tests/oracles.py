@@ -221,19 +221,23 @@ def relabel_key(key, perm):
     return tuple(new)
 
 
-def orbit_count(keys):
-    """Number of point-relabeling orbits among the given frame keys."""
-    keys = set(keys)
+def orbit_minima(keys):
+    """The least key of each point-relabeling orbit among the given frame
+    keys, ascending."""
     seen = set()
-    orbits = 0
-    for key in sorted(keys):
+    minima = []
+    for key in sorted(set(keys)):
         if key in seen:
             continue
-        orbits += 1
-        n = len(key)
-        for perm in permutations(range(n)):
+        minima.append(key)
+        for perm in permutations(range(len(key))):
             seen.add(relabel_key(key, perm))
-    return orbits
+    return minima
+
+
+def orbit_count(keys):
+    """Number of point-relabeling orbits among the given frame keys."""
+    return len(orbit_minima(keys))
 
 
 def sigma_member_sets(e_set, trace, admissible):

@@ -426,13 +426,13 @@ def lane_masks(draw):
     return int("".join("1" if rng.randrange(share) == 0 else "0" for _ in range(width)) or "0", 2)
 
 
-@given(st.one_of(st.integers(0, 1 << 40), lane_masks()), st.sampled_from((0, 8, 24, 32, 65536)))
-@example((1 << 32) - 1, 0)
-@example(1 << 32, 0)
-@example((1 << 40) - 1, 8)
-def test_property_set_lanes_matches_bit_loop(mask, offset):
+@given(st.one_of(st.integers(0, 1 << 40), lane_masks()))
+@example((1 << 32) - 1)
+@example(1 << 32)
+@example((1 << 40) - 1)
+def test_property_set_lanes_matches_bit_loop(mask):
     lanes = bit_loop(mask)
-    assert _set_lanes(mask, offset) == [offset + i for i in lanes]
+    assert _set_lanes(mask) == lanes
     items = [f"item {i}" for i in range(mask.bit_length())]
     assert _lane_picker(mask)(items) == [items[i] for i in lanes]
 
@@ -453,7 +453,6 @@ def test_lane_decodes_of_filter_blocks_match_bit_loop():
     items = [f"item {i}" for i in range(lanes)]
     for mask in masks:
         set_bits = bit_loop(mask)
-        for offset in (0, 8, 65536):
-            assert _set_lanes(mask, offset) == [offset + i for i in set_bits]
+        assert _set_lanes(mask) == set_bits
         for seq in (items, tuple(items), range(lanes, 2 * lanes)):
             assert _lane_picker(mask)(seq) == [seq[i] for i in set_bits]

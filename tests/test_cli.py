@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from nbhd import search
 from nbhd.bax import baxspace_to_json, enumerate_bax
 from nbhd.cli import _parse, build_parser, main
 from nbhd.core import famask_of, frame_from_json, frame_to_json
@@ -207,6 +208,34 @@ def test_search_level_guard_exits_3(capsys):
     assert (code, out) == (3, "") and f"level n=4 has {1 << 64} keys, exceeds cap" in err
     code, out = jout(capsys, "search", "countermodel", "--mode", "count", "--constraints", "filter", "--max-n", "4")
     assert code == 0 and out == {"count": 3161, "checked": 3161}
+
+
+def test_search_answers_at_n5(capsys):
+    # Labeled and unlabeled topologies on n points: OEIS A000798 and A001930.
+    for n, labeled, unlabeled in zip(range(6), (1, 1, 4, 29, 355, 6942), (1, 1, 3, 9, 33, 139)):
+        argv = ("search", "enumerate", "--n", str(n), "--constraints", "topological", "--count")
+        assert run(capsys, *argv) == (0, f'{{"count":{labeled}}}\n', "")
+        assert run(capsys, *argv, "--canonical") == (0, f'{{"count":{unlabeled}}}\n', "")
+    for argv, out in (
+        (("--constraints", "filter"), '{"count":295129,"checked":295129}\n'),
+        (("--constraints", "topological"), '{"count":186,"checked":186}\n'),
+        (("--target", "@Four", "--constraints", "filter"), '{"count":2187,"checked":295129}\n'),
+    ):
+        assert run(capsys, "search", "countermodel", "--mode", "count", *argv, "--max-n", "5") == (0, out, "")
+
+
+def test_search_refusals_by_work(capsys, monkeypatch):
+    # Frames whose text would be held: 32^5 filter keys exceed 2^24.
+    code, out, err = run(capsys, "search", "enumerate", "--n", "5", "--constraints", "filter")
+    assert (code, out) == (3, "") and f"level n=5 has {1 << 25} keys, exceeds cap {1 << 24}" in err
+    code, out, err = run(capsys, "search", "enumerate", "--n", "-1")
+    assert (code, out) == (2, "")
+    # No level past 5 has candidates: a --max-n 6 range is refused before
+    # its first level is compiled.
+    monkeypatch.setattr(search, "_compile_constraints", lambda *args: pytest.fail("a level was compiled"))
+    for argv in (("--mode", "count"), ("--target", "@M"), ("--mode", "count", "--constraints", "filter")):
+        code, out, err = run(capsys, "search", "countermodel", *argv, "--max-n", "6")
+        assert (code, out) == (3, "") and "find_countermodel: n=6 exceeds cap 5" in err
 
 
 def test_assignment_guard_fires_only_before_a_sweep(capsys):
@@ -473,7 +502,10 @@ def test_search_countermodel_cli(capsys):
     assert code == 0 and out["frame"] == {"n": 0, "N": []}
     code, out = jout(capsys, "search", "countermodel", "--mode", "count", "--constraints", "monotone", "--max-n", "2")
     assert code == 0 and out == {"count": 25, "checked": 25}
-    code, _, err = run(capsys, "search", "countermodel", "--target", "@M", "--max-n", "5")
+    code, out, _ = run(capsys, "search", "countermodel", "--target", "@M", "--max-n", "5")
+    assert code == 1
+    assert out == '{"found":true,"frame":{"n":1,"N":[[0]]},"assignment":{"u":1,"v":0},"checked":3}\n'
+    code, _, err = run(capsys, "search", "countermodel", "--target", "@M", "--max-n", "6")
     assert code == 3 and "cap" in err
     code, _, err = run(capsys, "search", "countermodel", "--mode", "find_refuting")
     assert code == 2

@@ -238,6 +238,6 @@ def test_lax_text_equals_dict_codec():
     # gen table has empty entries and a full one; the empty space has
     # only empty entries.
     for members, gen in (([[3], [1, 3]], (0, 2, 0, 3)), ([], (0, 0, 0, 0))):
-        lax = lax_from_json({"n": 2, "axioms": ["@M"], "members": members, "gen": [_set_lanes(g, 0) for g in gen]})
+        lax = lax_from_json({"n": 2, "axioms": ["@M"], "members": members, "gen": [_set_lanes(g) for g in gen]})
         assert lax.gen == gen
         assert lax_text(lax) == compact(lax), members

@@ -5,8 +5,9 @@ Each `from ... import` binding of a module must be read somewhere in
 it as a name.  Each private name a module binds at top level must be
 read as a name in that module, or imported by name into another module
 that reads it.  `__init__` re-exports its imports and `_backend` picks
-a module by name, so both are left out.  Importing the CLI loads no
-module the package does not use.
+a module by name, so both are left out.  No parameter of a private
+function takes the same literal at every call in the package.
+Importing the CLI loads no module the package does not use.
 """
 
 import ast
@@ -72,6 +73,55 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     ]
 
 
+def constant_parameters(sources: dict[str, str]) -> list[str]:
+    """"module.function(parameter)" for each parameter of a module-level
+    private function that every call in sources (file name to text)
+    passes as one and the same literal, by position or by keyword.  A
+    call `name(...)` in a module is a call of that module's own function
+    or of the one it imports by `from .module import name`; a function
+    read other than as the callee of such a call is left out, since its
+    calls cannot all be seen."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    defs = {
+        (name, node.name): node
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    calls = {target: [] for target in defs}
+    escaped = set()
+    for name, tree in trees.items():
+        resolve = {function: (name, function) for module, function in defs if module == name}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                resolve |= {alias.asname or alias.name: (f"{node.module}.py", alias.name) for alias in node.names}
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and resolve.get(node.func.id) in calls:
+                calls[resolve[node.func.id]].append(node)
+                callees.add(id(node.func))
+        escaped |= {
+            resolve[node.id]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in callees and node.id in resolve
+        }
+    found = []
+    for target, function in defs.items():
+        if target in escaped or not calls[target]:
+            continue
+        for i, param in enumerate(function.args.posonlyargs + function.args.args):
+            passed = set()
+            for call in calls[target]:
+                if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+                    passed.add(None)
+                    break
+                arg = call.args[i] if i < len(call.args) else next((kw.value for kw in call.keywords if kw.arg == param.arg), None)
+                passed.add(repr(arg.value) if isinstance(arg, ast.Constant) else None)
+            if len(passed) == 1 and None not in passed:
+                found.append(f"{target[0][:-3]}.{target[1]}({param.arg})")
+    return found
+
+
 def test_the_check_catches_an_unused_import():
     assert unused_from_imports("from .core import a, b as c\nprint(a)\n") == ["c"]
     assert unused_from_imports("from __future__ import annotations\nfrom .x import T\ndef f(v: T): pass\n") == []
@@ -98,6 +148,21 @@ def test_every_module_level_private_name_is_read():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert sum(len(top_level_private(ast.parse(text))) for name, text in sources.items() if name not in EXEMPT) >= 70
     assert unread_private_names(sources) == []
+
+
+def test_the_check_catches_a_parameter_every_call_fixes():
+    sources = {
+        "a.py": "def _pick(mask, offset): pass\ndef _spread(x, k): pass\ndef _seen(x, k): pass\n_pick(3, 0)\n_spread(1, k=2)\nmap(_seen, [])\n_seen(1, 2)\n",
+        "b.py": "from .a import _pick, _spread\ndef _pick2(v): pass\n_pick(mask=4, offset=0)\n_spread(2, 3)\n_pick2(*[1])\n",
+    }
+    # _spread's k varies, _seen escapes as a value, _pick2 is called with *args.
+    assert constant_parameters(sources) == ["a._pick(offset)"]
+    assert constant_parameters({"a.py": "def _f(x): pass\n_f(0)\n_f(False)\n_f(0.0)\n"}) == []
+
+
+def test_no_private_function_has_a_parameter_every_call_fixes():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert constant_parameters(sources) == []
 
 
 def test_importing_the_cli_loads_no_multiprocessing():

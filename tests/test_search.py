@@ -7,7 +7,7 @@ import pytest
 from conftest import given, st
 import oracles
 from nbhd import search
-from nbhd.classes import AXIOM_TESTS, FRAME_TAGS, frame_class_check, frame_tag_axioms, iv_holds
+from nbhd.classes import AXIOM_TESTS, CLASS_TABLE, FRAME_TAGS, frame_class_check, frame_tag_axioms, iv_holds
 from nbhd.core import (
     CapExceededError,
     InvalidInputError,
@@ -227,8 +227,12 @@ def test_frames_text_equals_the_dict_codec():
                 expected = frames_json(enumerate_frames(n, constraints, canonical=canonical))
                 assert frames_text(n, constraints, canonical=canonical) == expected, (n, constraints, canonical)
     assert left_out == {(3, (), False), (3, (), True), (3, ("@Conv",), False)}
-    with pytest.raises(CapExceededError):
-        frames_text(4, ("filter",))
+    assert frames_text(4, ("filter",)) == frames_json(enumerate_frames(4, ("filter",)))
+    # 32^5 keys at n = 5: refused before any plane is built.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_lane_blocks", lambda *args: pytest.fail("a level was scanned"))
+        with pytest.raises(CapExceededError, match=f"level n=5 has {1 << 25} keys, exceeds cap {1 << 24}"):
+            frames_text(5, ("filter",))
 
 
 def test_frame_text_of_wide_famasks():
@@ -242,6 +246,34 @@ def test_frame_text_of_wide_famasks():
         columns = [list(column) for column in zip(*keys)]
         text = search._frames_text(n, columns, [(12, [column[:12] for column in columns]), (9, [column[12:] for column in columns])])
         assert text == frames_json(NeighborhoodFrame(n, key) for key in keys)
+
+
+def test_topological_counts_match_the_literature():
+    # Labeled and unlabeled topologies on n points: OEIS A000798 and
+    # A001930 (Evans, Harary and Lynn, Comm. ACM 10, 1967).
+    assert [count_frames(n, ("topological",)) for n in range(6)] == [1, 1, 4, 29, 355, 6942]
+    assert [count_frames(n, ("topological",), canonical=True) for n in range(6)] == [1, 1, 3, 9, 33, 139]
+
+
+def test_canonical_topologies_at_n5_are_the_orbit_minima():
+    labeled = [f.key() for f in enumerate_frames(5, ("topological",))]
+    assert len(labeled) == 6942
+    assert [f.key() for f in enumerate_frames(5, ("topological",), canonical=True)] == oracles.orbit_minima(labeled)
+
+
+def test_count_enumerate_and_text_routes_agree():
+    # The scan's count, the frames enumerate_frames streams and the frames
+    # frames_text writes; the count mode sums the canonical counts.
+    for tag in [frame_tag for frame_tag, _, _ in CLASS_TABLE] + ["kappa:2"]:
+        max_n = 4 if tag in ("filter", "topological", "pretopological") else 3
+        for n in range(max_n + 1):
+            for canonical in (False, True):
+                count = count_frames(n, (tag,), canonical=canonical)
+                streamed = sum(1 for _ in enumerate_frames(n, (tag,), canonical=canonical))
+                written = frames_text(n, (tag,), canonical=canonical).count('{"n":')
+                assert count == streamed == written, (tag, n, canonical)
+        total = sum(count_frames(n, (tag,), canonical=True) for n in range(max_n + 1))
+        assert find_countermodel(SearchSpec(constraints=(tag,), mode="count", max_n=max_n)) == {"count": total, "checked": total}
 
 
 def test_filter_counts_raw_and_canonical():
@@ -593,8 +625,11 @@ def test_spec_and_cap_errors():
         SearchSpec(mode="find_refuting")
     with pytest.raises(InvalidInputError):
         SearchSpec(mode="find_validating")
-    with pytest.raises(CapExceededError):
-        find_countermodel(SearchSpec(target="@M", max_n=5))
+    assert find_countermodel(SearchSpec(target="@M", max_n=5))["checked"] == 3
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_compile_constraints", lambda *args: pytest.fail("a level was compiled"))
+        with pytest.raises(CapExceededError, match="n=6 exceeds cap 5"):
+            find_countermodel(SearchSpec(target="@M", max_n=6))
     with pytest.raises(CapExceededError):
         enumerate_frames(4)
     with pytest.raises(CapExceededError):
