@@ -74,9 +74,10 @@ def _row_sweep(opcodes: tuple[int, ...], opargs: tuple[int, ...]):
     lanes of `lanes` where the program holds and returns acc, 0 as soon
     as no lane is left.
 
-    Postfix opcodes: 0 pushes the plane of the row's subset in slot arg,
-    1 pushes true, 2 negates the top, 3 folds an and of arg operands (true
-    when arg is 0).  Stack position d holds an operand text: `lanes`, a
+    Postfix opcodes: 0 pushes the plane the row names in slot arg (a
+    subset's membership plane, or for a naked variable one of the two
+    constant planes after them), 1 pushes true, 2 negates the top, 3
+    folds an and of arg operands (true when arg is 0).  Stack position d holds an operand text: `lanes`, a
     plane `planes[s<slot>]`, or the local v<d> once an operation wrote it.
     Each operation is one statement with one operator on such operands,
     so the code never nests however long the formula.  Bits outside

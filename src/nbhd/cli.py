@@ -331,6 +331,9 @@ def cmd_search_enumerate(args) -> int:
     return 0
 
 
+CONSTRAINTS_HELP = "comma-separated class tags, @names, one-step formulas, or formulas of modal depth 1 such as @T"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbhd",
@@ -435,13 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     search_sub = p_search.add_subparsers(dest="subcommand", required=True)
     p = search_sub.add_parser("countermodel", help="smallest frame refuting (or validating) a target")
     p.add_argument("--target", help="formula text or @name")
-    p.add_argument("--constraints", default="", help="comma-separated class tags, @names, or one-step formulas")
+    p.add_argument("--constraints", default="", help=CONSTRAINTS_HELP)
     p.add_argument("--max-n", type=int, default=3, dest="max_n")
     p.add_argument("--mode", choices=("find_refuting", "find_validating", "count"), default="find_refuting")
     p.set_defaults(func=cmd_search_countermodel)
     p = search_sub.add_parser("enumerate", help="stream or count the frames in a constrained class")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--constraints", default="")
+    p.add_argument("--constraints", default="", help=CONSTRAINTS_HELP)
     p.add_argument("--canonical", action="store_true")
     p.add_argument("--count", action="store_true")
     p.set_defaults(func=cmd_search_enumerate)

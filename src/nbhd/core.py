@@ -17,7 +17,6 @@ package is immutable.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
@@ -44,20 +43,6 @@ class CapExceededError(NbhdError):
     """A size cap or work guard was exceeded."""
 
 
-def effective_cap(default: int) -> int:
-    """Apply the NBHD_MAX_N environment override, which only lowers caps."""
-    raw = os.environ.get("NBHD_MAX_N")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidInputError(f"NBHD_MAX_N must be an integer, got {raw!r}")
-    if value < 0:
-        raise InvalidInputError("NBHD_MAX_N must be nonnegative")
-    return min(default, value)
-
-
 def _check_size(n, what: str) -> None:
     """Refuse a carrier size that is not a nonnegative int; a bool is not one."""
     if type(n) is not int or n < 0:
@@ -67,9 +52,8 @@ def _check_size(n, what: str) -> None:
 def check_width(n: int, cap: int, what: str) -> None:
     if type(n) is not int or n < 0:
         raise InvalidInputError(f"{what}: ground set size must be a nonnegative int")
-    limit = effective_cap(cap)
-    if n > limit:
-        raise CapExceededError(f"{what}: n={n} exceeds cap {limit}")
+    if n > cap:
+        raise CapExceededError(f"{what}: n={n} exceeds cap {cap}")
 
 
 def full_mask(n: int) -> int:

@@ -11,6 +11,8 @@ the value of phi under every assignment of subsets to variables: a boxed
 box-free argument contributes "argument value is a member of W", and the
 Boolean structure is evaluated on top.  Families of that kind are never
 materialized as sets of families; everything is a membership predicate.
+A formula of modal depth 1 with naked variables is such a predicate at
+each point x, the naked variables read at x (`compile_pointwise`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable
 
 from .bitslice import algebra_refute, family_accepts
 from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError, NeighborhoodAlgebra, check_width, full_mask
-from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, Var, expand_named, free_vars, is_one_step, render
+from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, Var, expand_named, free_vars, is_one_step, modal_depth, render
 
 ASSIGN_SPACE_GUARD = 1 << 18
 
@@ -102,11 +104,12 @@ def assignment_at(names: list[str], n: int, idx: int) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class MembershipProgram:
-    """Postfix membership code over box-argument slots at width n.
+    """Postfix membership code over slots at width n.
 
-    n_rows counts the assignments; rows holds the distinct tuples of
-    box-argument masks they produce, one mask per slot, in first-seen
-    order.  A family is accepted when the code holds on every row."""
+    n_rows counts the assignments; rows holds the distinct tuples of slot
+    entries they produce, in first-seen order: a boxed argument's subset
+    mask, or for a naked variable 2^n or 2^n + 1 (`_membership_program`).
+    A family is accepted when the code holds on every row."""
 
     names: tuple[str, ...]
     opcodes: tuple[int, ...]
@@ -145,32 +148,60 @@ def _lower(f: Formula, opcodes: list[int], opargs: list[int], on_box, var_slot) 
         raise InvalidInputError(f"cannot lower {f!r}")
 
 
-@lru_cache(maxsize=512)
-def compile_membership(f: Formula, n: int) -> MembershipProgram:
-    """Lower a one-step formula for the family-membership kernel."""
-    if not is_one_step(f):
-        raise InvalidInputError(f"not a one-step formula: {render(f)}")
+def _membership_program(f: Formula, n: int, point: int | None) -> MembershipProgram:
+    """The one row builder: f, of modal depth at most 1, lowered with one
+    slot per distinct boxed argument and per distinct naked variable.  A
+    boxed slot's row entry is its argument's value, a subset mask below
+    2^n.  A naked variable p is read at the point: its entry is 2^n + 1
+    when the point lies in V(p) and 2^n otherwise, so the membership
+    planes of the subsets are followed by an empty and a full plane."""
     names = free_vars(f)
     n_rows = assignment_space(n, len(names), "compile_membership")
     slots: dict[Formula, int] = {}
     opcodes: list[int] = []
     opargs: list[int] = []
 
-    def on_box(node: Box, ops: list[int], args: list[int]) -> None:
-        slot = slots.setdefault(node.sub, len(slots))
+    def slot(node: Formula, ops: list[int], args: list[int]) -> None:
         ops.append(0)
-        args.append(slot)
+        args.append(slots.setdefault(node, len(slots)))
 
-    def var_slot(node: Var, ops: list[int], args: list[int]) -> None:
-        raise InvalidInputError("naked variable in one-step formula")
-
-    _lower(f, opcodes, opargs, on_box, var_slot)
-    slot_asts = sorted(slots, key=slots.get)
+    _lower(f, opcodes, opargs, slot, slot)
+    nodes = sorted(slots, key=slots.get)
+    args = [node.sub if isinstance(node, Box) else node for node in nodes]
+    naked = [i for i, node in enumerate(nodes) if not isinstance(node, Box)]
+    m = 1 << n
     rows: dict[tuple[int, ...], None] = {}
     for idx in range(n_rows):
         env = assignment_at(names, n, idx)
-        rows[tuple(eval_box_free(ast, env, n) for ast in slot_asts)] = None
+        row = [eval_box_free(arg, env, n) for arg in args]
+        for i in naked:
+            row[i] = m | row[i] >> point & 1
+        rows[tuple(row)] = None
     return MembershipProgram(tuple(names), tuple(opcodes), tuple(opargs), n, len(slots), n_rows, tuple(rows))
+
+
+@lru_cache(maxsize=512)
+def compile_membership(f: Formula, n: int) -> MembershipProgram:
+    """Lower a one-step formula for the family-membership kernel."""
+    if not is_one_step(f):
+        raise InvalidInputError(f"not a one-step formula: {render(f)}")
+    return _membership_program(f, n, None)
+
+
+@lru_cache(maxsize=512)
+def compile_pointwise(f: Formula, n: int) -> tuple[MembershipProgram, ...]:
+    """Per point x of an n-point frame, the membership program of a formula
+    of modal depth at most 1 at x: a family W passes when f holds at x in
+    every model on a frame whose N(x) is W.  The test reads only x and
+    N(x), so f is valid on a frame exactly when every N(x) passes at x.
+    Without a naked variable f is one-step and every point shares its
+    `compile_membership` program."""
+    depth = modal_depth(f)
+    if depth > 1:
+        raise InvalidInputError(f"modal depth {depth} exceeds 1: {render(f)}")
+    if is_one_step(f):
+        return (compile_membership(f, n),) * n
+    return tuple(_membership_program(f, n, x) for x in range(n))
 
 
 @lru_cache(maxsize=512)

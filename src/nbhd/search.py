@@ -4,32 +4,46 @@ A frame on n points is a product of n independent family choices, so
 pointwise constraints shrink each point's candidate list before any
 frame is assembled.  A class tag stands for its registry axioms
 (`classes.frame_tag_axioms`); its one-step axioms join the axiom specs,
-one `bax.enumerate_bax` call of them gives the candidates every point
-shares, and T restricts them per point to the centered families.
+and one `bax.enumerate_bax` call of them gives the candidates every
+point shares.  A formula of modal depth 1 with a naked variable, such as
+T (the centered condition of `centered` and the topological tags), is
+still a test on x and N(x) alone: `evaluate.compile_pointwise` gives one
+membership program per point, and each point keeps the candidates that
+pass its program (`_pass_masks`, one transpose of the shared list).
+Four, the iv condition, reads other points' neighborhoods and is
+decided per frame.
 
 The product is scanned serially in blocks, first point outermost and
 famasks ascending, which is the ascending lexicographic order on keys.
 A block fixes the first points and gives one lane to each key of the
 others' candidates; plane (x, a) holds the lanes whose N(x) contains a,
 and canonicity and the iv condition are decided lane-wise on the planes.
-A count with no target sums the passing lanes; every other caller
-decodes them into one famask column per point.  Only `enumerate_frames`
-zips the columns into keys: `frames_text`, the compact JSON text of its
-frames, joins one text per candidate family along the columns.  `_level`
-refuses a level of more keys than its route's cap before it is scanned.
+`enumerate_frames` and `frames_text` decode the passing lanes into one
+famask column per point; only `enumerate_frames` zips the columns into
+keys, while `frames_text`, the compact JSON text of its frames, joins
+one text per candidate family along the columns.  `_level` refuses a
+level of more keys than its route's cap before it is scanned.
 
-A target is checked on slices of a block's columns in scan order, each
-of at most 2^TARGET_BLOCK_BITS lanes, by one `bitslice.block_refute`
-sweep, lane i * 2^b + f for assignment i of frame f.  The least frame
-with a refuted lane is the slice's first refuting frame and its least
-refuted lane the least assignment, so slicing changes neither the hit
-nor "checked", and only the hit's key is built.  The search visits n =
-0, 1, ... and scans canonical representatives only (every class here is
-closed under point relabeling), so ties break toward the least canonical
-frame and then the least assignment index.  "checked" counts the
-in-class frames examined up to and including the hit; in mode "count",
-which tallies the frames that validate the target (all of them when
-there is none), it is the full in-class total.
+A target of modal depth at most 1 is valid on a frame exactly when every
+N(x) passes x's program, so it is decided by the same pass masks: a
+block's validating lanes are its in-class lanes within the passing runs
+of its free points, when every fixed point passes.  A count sums both
+popcounts, and a find mode takes the least lane of the validating or of
+the other in-class lanes; only that frame's key is built, and a
+refuting frame's least assignment comes from `find_refuting_assignment`
+on its box table.  A target of depth 2 or more is checked on slices of
+a block's columns in scan order, each of at most 2^TARGET_BLOCK_BITS
+lanes, by one `bitslice.block_refute` sweep, lane i * 2^b + f for
+assignment i of frame f.  The least frame with a refuted lane is the
+slice's first refuting frame and its least refuted lane the least
+assignment, so slicing changes neither the hit nor "checked".
+
+The search visits n = 0, 1, ... and scans canonical representatives
+only (every class here is closed under point relabeling), so ties break
+toward the least canonical frame and then the least assignment index.
+"checked" counts the in-class frames examined up to and including the
+hit; in mode "count", which tallies the frames that validate the target
+(all of them when there is none), it is the full in-class total.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ from itertools import chain, islice, permutations, product, repeat
 from math import prod
 
 from .bax import _lane_text, enumerate_bax
-from .bitslice import _index_planes, _lane_parts, block_refute
+from .bitslice import _accepted, _lane_parts, block_refute, transpose
 from .classes import FRAME_TAGS, frame_tag_axioms, parse_class_tag
 from .core import (
     CANONICAL_CAP,
@@ -62,10 +76,12 @@ from .evaluate import (
     assignment_at,
     assignment_space,
     compile_algebra,
+    compile_pointwise,
     eval_formula,
+    find_refuting_assignment,
     realize_axiom,
 )
-from .formulas import Formula, axiom_set_from_specs, expand_named, free_vars, parse
+from .formulas import Formula, axiom_set_from_specs, expand_named, free_vars, is_one_step, modal_depth, parse
 
 MODES = ("find_refuting", "find_validating", "count")
 # A target block holds at most 2^16 lanes (frames times assignments) and
@@ -114,11 +130,39 @@ def canonical_form(frame: NeighborhoodFrame) -> NeighborhoodFrame:
     return min((relabel_frame(frame, perm) for perm in permutations(range(frame.n))), key=NeighborhoodFrame.key)
 
 
+def _pass_masks(n: int, cands, formulas) -> list[int]:
+    """Per point x, the mask over cands[x] of the famasks that pass at x
+    under every formula of modal depth at most 1: their `compile_pointwise`
+    programs at x run on the planes of cands[x], with the empty and the
+    full plane after them.  Points that share one list share its planes,
+    transposed once."""
+    programs = [compile_pointwise(f, n) for f in formulas]
+    planes = {}
+    masks = []
+    for x, cand in enumerate(cands):
+        full = (1 << len(cand)) - 1
+        if id(cand) not in planes:
+            planes[id(cand)] = (*transpose(cand, 1 << n), 0, full)
+        masks.append(_accepted(planes[id(cand)], full, [program[x] for program in programs]))
+    return masks
+
+
+@lru_cache(maxsize=16)
+def _point_candidates(n: int, formulas: tuple[Formula, ...], shared: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per point, the famasks of shared that pass at it under every
+    formula (`_pass_masks`), built once per (n, formulas, shared)."""
+    return tuple(tuple(_lane_picker(mask)(shared)) for mask in _pass_masks(n, [shared] * n, formulas))
+
+
 def _compile_constraints(n: int, constraints: tuple[str, ...]):
     """Per-point famask candidate lists plus the whole-frame iv flag.  The
-    axiom specs keep their order; each frame tag's one-step axioms follow
-    them, skipping any already listed, T sets the centered condition and
-    Four the iv flag."""
+    axiom specs keep their order; each frame tag's registry axioms follow
+    them, skipping any already listed, and Four sets the iv flag.  The
+    one-step specs give the candidates every point shares, one
+    `enumerate_bax` call of them.  Each other spec of modal depth 1, such
+    as T, has a naked variable: it cuts every point's list to the famasks
+    that pass at that point.  A box-free spec with a variable (a misspelt
+    tag parses as one) and a spec of depth 2 or more are refused."""
     specs: list[str] = []
     tag_axioms: list[str] = []
     for text in map(str.strip, constraints):
@@ -127,14 +171,30 @@ def _compile_constraints(n: int, constraints: tuple[str, ...]):
         else:
             specs.append(text)
     for name in tag_axioms:
-        if name not in ("T", "Four") and f"@{name}" not in specs:
+        if name != "Four" and f"@{name}" not in specs:
             specs.append(f"@{name}")
-    centered, iv = "T" in tag_axioms, "Four" in tag_axioms
-    shared = enumerate_bax(n, axiom_set_from_specs(specs, n)).famasks()
-    if not centered:
-        return [shared] * n, iv
-    # Centered at x: every member holds x, i.e. the famask lies in plane x.
-    return [[fm for fm in shared if fm & plane == fm] for plane in _index_planes(n)], iv
+    one_step: list[str] = []
+    pointwise: list[Formula] = []
+    for spec in specs:
+        if spec.startswith("@"):
+            ax = expand_named(spec, n)
+            f, one = ax.formula, ax.one_step
+        else:
+            f = parse(spec) if spec else None
+            one = f is None or is_one_step(f)
+        if one:
+            one_step.append(spec)
+        elif modal_depth(f) == 1:
+            pointwise.append(f)
+        else:
+            raise InvalidInputError(
+                f"constraint {spec!r} has modal depth {modal_depth(f)}: a constraint is a class tag, a one-step formula"
+                " or a formula of modal depth 1"
+            )
+    shared = enumerate_bax(n, axiom_set_from_specs(one_step, n)).famasks()
+    if not pointwise:
+        return [shared] * n, "Four" in tag_axioms
+    return list(_point_candidates(n, tuple(pointwise), shared)), "Four" in tag_axioms
 
 
 @lru_cache(maxsize=None)
@@ -252,10 +312,48 @@ def _scan(n, cands, iv, canonical, target_text, mode):
     """Count the in-class frames and the ones that validate the target.
     Returns (in_class, validating, hit) where hit = (frame key, refuting
     env).  Find modes stop at the first hit, so in_class then counts
-    frames up to and including it."""
+    frames up to and including it.
+
+    A target of modal depth at most 1 holds on a block's lane when every
+    point's famask passes that point's program: the fixed points' famasks
+    are looked up in their passing sets, and the free points' passing
+    candidates fill runs of lanes, as their famasks fill the planes."""
     target = compile_target(target_text, n)
     if target is None:
         return sum(lanes.bit_count() for _, lanes in _lane_blocks(n, cands, iv, canonical)), 0, None
+    if modal_depth(target) > 1:
+        return _sweep_scan(n, cands, iv, canonical, target, mode)
+    in_class = validating = 0
+    passing = None
+    for prefix, lanes in _lane_blocks(n, cands, iv, canonical):
+        if not lanes:
+            continue
+        if passing is None:
+            # Built at the level's first in-class frame: a level without
+            # one meets no assignment guard, as with a sweep.
+            assignment_space(n, len(free_vars(target)), "validates")
+            p, _, runs = _level_shape(cands)
+            masks = _pass_masks(n, cands, [target])
+            passing = [set(_lane_picker(mask)(cand)) for mask, cand in zip(masks, cands[:p])]
+            free = -1
+            for x, stride, times in runs:
+                free &= int("".join(bit * stride for bit in bin(masks[x])[2:].zfill(len(cands[x]))) * times, 2)
+        holding = lanes & free if all(map(set.__contains__, passing, prefix)) else 0
+        hits = 0 if mode == "count" else holding if mode == "find_validating" else lanes ^ holding
+        if hits:
+            lane = (hits & -hits).bit_length() - 1
+            key = prefix + tuple(cands[x][lane // stride % len(cands[x])] for x, stride, _ in runs)
+            env = None if mode == "find_validating" else find_refuting_assignment(NeighborhoodAlgebra(n, transpose(key, 1 << n)), target)
+            upto = (2 << lane) - 1
+            return in_class + (lanes & upto).bit_count(), validating + (holding & upto).bit_count(), (key, env)
+        in_class += lanes.bit_count()
+        validating += holding.bit_count()
+    return in_class, validating, None
+
+
+def _sweep_scan(n, cands, iv, canonical, target, mode):
+    """`_scan` for a target of modal depth 2 or more: slices of each
+    block's in-class columns go through one `block_refute` sweep each."""
     program = compile_algebra(target)
     names = list(program.names)
     cap = 1 << max(0, TARGET_BLOCK_BITS - n * len(names))

@@ -253,6 +253,45 @@ def test_unconstrained_target_count_at_n3(capsys):
     assert (code, out, err) == (0, '{"count":765,"checked":2804621}\n', "")
 
 
+def test_rank1_targets_never_sweep(capsys, monkeypatch):
+    # A target of modal depth at most 1 is decided by per-point pass
+    # planes in every mode: block_refute is never called.  It still
+    # sweeps @Four, whose witness the benchmark pins byte for byte.
+    sweeps = []
+    sweep = search.block_refute
+    monkeypatch.setattr(search, "block_refute", lambda *args: sweeps.append(args[2]) or sweep(*args))
+    rank1 = ("@M", "@C", "@N", "@Cont", "@Conv", "@CoConv", "@T", "@Ck(2)", "@CInf", "box p -> p | box ~p", "p", "T")
+    for target in rank1:
+        for mode in ("find_refuting", "find_validating", "count"):
+            for constraints, max_n in (("", "2"), ("filter", "3"), ("monotone", "2"), ("topological", "3")):
+                argv = ["search", "countermodel", "--target", target, "--mode", mode, "--max-n", max_n]
+                code, out, err = run(capsys, *argv, *(["--constraints", constraints] if constraints else []))
+                assert code in (0, 1) and err == "" and out, argv
+    for target, text in (("@T", '{"count":21,"checked":117}\n'), ("@Conv", '{"count":117,"checked":117}\n')):
+        argv = ("search", "countermodel", "--mode", "count", "--target", target, "--constraints", "filter", "--max-n", "3")
+        assert run(capsys, *argv) == (0, text, "")
+    assert sweeps == []
+    code, out, err = run(capsys, "search", "countermodel", "--target", "@Four", "--constraints", "filter", "--max-n", "4")
+    assert (code, out, err) == (1, '{"found":true,"frame":{"n":2,"N":[[3],[1,3]]},"assignment":{"b":1},"checked":5}\n', "")
+    assert sweeps == [0, 1, 2]
+
+
+def test_rank1_constraints(capsys):
+    # @T and inline formulas of modal depth 1 are constraints; T is the
+    # centered class.  A constraint of depth 2 that is not a tag, and a
+    # box-free formula with a variable (a misspelt tag), exit 2.
+    for argv in (("countermodel", "--mode", "count", "--max-n", "3"), ("enumerate", "--n", "3", "--count")):
+        centered = run(capsys, "search", *argv, "--constraints", "centered")
+        assert centered[0] == 0
+        for constraints in ("@T", "box b -> b", "box p -> p,@T"):
+            assert run(capsys, "search", *argv, "--constraints", constraints) == centered, (argv, constraints)
+    code, out = jout(capsys, "search", "enumerate", "--n", "2", "--constraints", "filter,box p -> p")
+    assert (code, out) == (0, json.loads(run(capsys, "search", "enumerate", "--n", "2", "--constraints", "pretopological")[1]))
+    for constraints, depth in (("box b -> box box b", 2), ("@Four", 2), ("topologcal", 0)):
+        code, out, err = run(capsys, "search", "enumerate", "--n", "2", "--constraints", constraints)
+        assert (code, out) == (2, "") and f"has modal depth {depth}" in err, constraints
+
+
 def test_bax_map(capsys, tmp_path):
     morphism = write(tmp_path, "m.json", {"n_dom": 2, "n_cod": 1, "map": [0, 0]})
     code, out = jout(capsys, "bax", "map", "--morphism", morphism, "--axioms", "@M", "--family", "[3]")

@@ -14,7 +14,6 @@ from nbhd.core import (
     algebra_to_json,
     box_n,
     complement_frame,
-    effective_cap,
     famask_members,
     famask_of,
     frame_from_json,
@@ -344,17 +343,6 @@ def test_algebra_table_faults_name_the_first_bad_entry():
             NeighborhoodAlgebra(2, box)
     with pytest.raises(InvalidInputError, match="box\\[0\\]: 2 is not a subset mask for n=1"):
         algebra_from_json({"n": 1, "box": [2, 0]})
-
-
-def test_effective_cap_env(monkeypatch):
-    assert effective_cap(5) == 5
-    monkeypatch.setenv("NBHD_MAX_N", "3")
-    assert effective_cap(5) == 3
-    monkeypatch.setenv("NBHD_MAX_N", "9")
-    assert effective_cap(5) == 5
-    monkeypatch.setenv("NBHD_MAX_N", "zebra")
-    with pytest.raises(InvalidInputError):
-        effective_cap(5)
 
 
 def test_width_caps_raise():

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import lru_cache
 from itertools import cycle, permutations, product
 
 import pytest
@@ -24,7 +25,7 @@ from nbhd.bitslice import block_refute, transpose
 from nbhd.duality import complex_algebra
 from nbhd.evaluate import assignment_at, compile_algebra, eval_formula, find_refuting_assignment
 from nbhd.bax import enumerate_bax
-from nbhd.formulas import axiom_set_from_specs, free_vars, parse
+from nbhd.formulas import axiom_set_from_specs, free_vars, is_one_step, modal_depth, parse
 from nbhd.search import (
     MODES,
     SearchSpec,
@@ -454,9 +455,11 @@ def test_count_mode_pins_the_centered_correspondence():
 BLOCK_TARGETS = ("@T", "@Four", "@M", "@C", "box v", "~box ~u | box (u & ~v) | v", "T")
 
 
+@lru_cache(maxsize=None)
 def box_n_refutation(n, key, f):
     """First refuting assignment index of f on the frame with this key,
-    through box_n tables and eval_formula, or -1."""
+    through box_n tables and eval_formula, or -1; kept per (n, key, f),
+    since the oracle searches ask it again across modes."""
     frame = NeighborhoodFrame(n, key)
     alg = NeighborhoodAlgebra(n, tuple(box_n(frame, a) for a in range(1 << n)))
     names = free_vars(f)
@@ -558,10 +561,12 @@ def traced_search(spec, patch):
 
 def test_find_countermodel_matches_key_by_key_search():
     # Again with scan blocks of at most 8 keys and target slices of at
-    # most 2^(3 - n * v) frames: a count and a refuting search then span
-    # several scan blocks at a level and several slices in one block, and
-    # a refuting hit lies past its level's first slice.  A validating
-    # search always stops at the 0-point frame, one block of one slice.
+    # most 2^(3 - n * v) frames.  A target of modal depth 2 is swept: a
+    # count and a refuting search then span several scan blocks at a
+    # level and several slices in one block, and a refuting hit lies past
+    # its level's first slice.  A validating search always stops at the
+    # 0-point frame, one block of one slice.  A target of depth at most 1,
+    # or none, is decided by pass planes: no columns, no sweep.
     specs = (
         SearchSpec(target="@M"),
         SearchSpec(target="@M", constraints=("monotone",), max_n=2),
@@ -573,6 +578,8 @@ def test_find_countermodel_matches_key_by_key_search():
         SearchSpec(target="box v", constraints=("topological",), max_n=3),
         SearchSpec(target="@T", constraints=("monotone",), mode="count", max_n=2),
         SearchSpec(target="box v -> box box v", constraints=("centered",), max_n=3),
+        SearchSpec(target="@Four", constraints=("monotone",), mode="count", max_n=2),
+        SearchSpec(target="box box v -> box v", constraints=("monotone",), max_n=2),
     )
     spread = {"count": False, "find_refuting": False}
     late_hit = False
@@ -584,6 +591,10 @@ def test_find_countermodel_matches_key_by_key_search():
             patch.setattr(search, "TARGET_BLOCK_BITS", 3)
             got, levels = traced_search(spec, patch)
         assert got == want, spec
+        target = compile_target(spec.target, 1)
+        if target is None or modal_depth(target) <= 1:
+            assert levels == {}, spec
+            continue
         if spec.mode in spread:
             spread[spec.mode] |= any(len(blocks) > 1 and max(map(len, blocks)) > 1 for blocks in levels.values())
         if spec.mode == "find_refuting" and want["found"]:
@@ -591,6 +602,70 @@ def test_find_countermodel_matches_key_by_key_search():
         if spec.mode == "find_validating":
             assert levels == {0: [[1]]}, spec
     assert all(spread.values()) and late_hit, (spread, late_hit)
+
+
+RANK1_AXIOMS = ("@M", "@C", "@N", "@Cont", "@Conv", "@CoConv", "@T", "@Ck(2)", "@CInf")
+# The classes whose n = 3 level the definitional search walks quickly.
+SMALL_AT_N3 = ("filter", "pretopological", "topological")
+
+
+def test_pointwise_route_matches_key_by_key_search_on_every_class():
+    # Every rank-1 registry axiom over every class tag, in all three
+    # modes: the pass-plane route against the definitional search, and
+    # level by level against the block_refute sweep it replaces.
+    for tag, _, _ in CLASS_TABLE:
+        max_n = 3 if tag in SMALL_AT_N3 else 2
+        levels = [search._compile_constraints(n, (tag,)) for n in range(max_n + 1)]
+        for target in RANK1_AXIOMS:
+            for mode in MODES:
+                spec = SearchSpec(target=target, constraints=(tag,), mode=mode, max_n=max_n)
+                assert find_countermodel(spec) == key_by_key_search(spec), spec
+                for n, (cands, iv) in enumerate(levels):
+                    want = search._sweep_scan(n, cands, iv, True, compile_target(target, n), mode)
+                    assert search._scan(n, cands, iv, True, target, mode) == want, (spec, n)
+
+
+@st.composite
+def rank1_formulas(draw):
+    """A formula of modal depth 1 with a naked variable: a Boolean
+    combination of a part with boxes over box-free formulas and a
+    box-free part, over the variables p and q."""
+    atoms = st.sampled_from(["p", "q", "T", "~p", "~q"])
+    box_free = st.recursive(atoms, lambda inner: st.tuples(inner, st.sampled_from(["&", "|", "->"]), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"), max_leaves=3)
+    boxed = st.recursive(
+        box_free.map(lambda text: f"box {text}"),
+        lambda inner: st.one_of(inner.map(lambda text: f"~{text}"), st.tuples(inner, st.sampled_from(["&", "|"]), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})")),
+        max_leaves=3,
+    )
+    naked = draw(st.sampled_from(["p", "q", "~p", "(p & q)", "(p | ~q)"]))
+    op = draw(st.sampled_from(["&", "|", "->", "<->"]))
+    first, second = draw(boxed), naked
+    if draw(st.booleans()):
+        first, second = second, first
+    return f"{first} {op} {second}"
+
+
+@given(rank1_formulas(), st.sampled_from([(), ("monotone",), ("filter",), ("centered",), ("contingency",)]), st.sampled_from(MODES))
+def test_property_rank1_targets_and_constraints_match_definitions(text, constraints, mode):
+    f = parse(text)
+    assert modal_depth(f) == 1 and not is_one_step(f)
+    spec = SearchSpec(target=text, constraints=constraints, mode=mode, max_n=2)
+    assert find_countermodel(spec) == key_by_key_search(spec)
+    # As a constraint it keeps exactly the frames it is valid on.
+    for n in range(3):
+        cands, _ = search._compile_constraints(n, (text,))
+        assert [list(c) for c in cands] == [[fm for fm in families(n) if pointwise_passes(n, x, fm, f)] for x in range(n)], (text, n)
+
+
+def pointwise_passes(n, x, famask, f):
+    """f holds at x under every assignment in every frame whose N(x) is
+    famask, by eval_formula: the other points' neighborhoods do not
+    matter at depth 1, so they are left empty."""
+    key = tuple(famask if y == x else 0 for y in range(n))
+    frame = NeighborhoodFrame(n, key)
+    alg = NeighborhoodAlgebra(n, tuple(box_n(frame, a) for a in range(1 << n)))
+    names = free_vars(f)
+    return all(eval_formula(alg, f, assignment_at(names, n, idx)) >> x & 1 for idx in range((1 << n) ** len(names)))
 
 
 def test_level_work_guard():
@@ -636,8 +711,11 @@ def test_spec_and_cap_errors():
         count_frames(4)
     with pytest.raises(InvalidInputError):
         count_frames(1, ("zebra",))
-    with pytest.raises(InvalidInputError):
-        count_frames(1, ("@T",))
+    with pytest.raises(InvalidInputError, match="modal depth 2"):
+        count_frames(1, ("box b -> box box b",))
+    for n in range(4):
+        for canonical in (False, True):
+            assert count_frames(n, ("@T",), canonical=canonical) == count_frames(n, ("centered",), canonical=canonical), n
 
 
 def test_verify_hit_rechecks_witnesses():
