@@ -26,34 +26,71 @@ from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError
 
 
 class Formula:
-    """Base marker for AST nodes."""
+    """Base marker for AST nodes.  A node's structural hash is computed on
+    its first `hash()` and kept in the node, so formula-keyed caches do
+    not walk the tree per lookup.  Only the hashed node keeps it: its
+    subformulas go through `_tree_hash`, which keeps nothing, so hashing
+    a fresh formula once costs about what a plain structural hash does.
+    Pickling leaves the kept hash out: a str hash differs between
+    processes."""
 
     __slots__ = ()
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = _tree_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass node with the generated equality and the
+    kept `Formula.__hash__`."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     items: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     sub: Formula
+
+
+def _tree_hash(f: Formula) -> int:
+    """The structural hash of f, kept nowhere."""
+    kind = type(f)
+    if kind is And:
+        return hash((And, *map(_tree_hash, f.items)))
+    if kind is Var:
+        return hash((Var, f.name))
+    if kind is Top:
+        return hash(Top)
+    return hash((kind, _tree_hash(f.sub)))
 
 
 TOP = Top()

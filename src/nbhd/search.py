@@ -21,8 +21,17 @@ and canonicity and the iv condition are decided lane-wise on the planes.
 `enumerate_frames` and `frames_text` decode the passing lanes into one
 famask column per point; only `enumerate_frames` zips the columns into
 keys, while `frames_text`, the compact JSON text of its frames, joins
-one text per candidate family along the columns.  `_level` refuses a
-level of more keys than its route's cap before it is scanned.
+one text per candidate family along the columns.
+
+A level, the frames on n points in a class, does not depend on the
+formula tested against it, so every target and mode shares one compiled
+level: `_class_level` holds its candidate tuples, its iv flag, its block
+shape (p, size, runs) and its free points' planes, and nothing that
+depends on a target.  It is one `lru_cache` of at most 16 levels, keyed
+by n, the constraint specs (each stripped, a repeat dropped) and
+SCAN_BLOCK_BITS.  `_level` refuses a level of more keys than its route's
+cap on every call, before it is scanned; a level past SCAN_KEYS_CAP is
+never cached.
 
 A target of modal depth at most 1 is valid on a frame exactly when every
 N(x) passes x's program, so it is decided by the same pass masks: a
@@ -147,35 +156,29 @@ def _pass_masks(n: int, cands, formulas) -> list[int]:
     return masks
 
 
-@lru_cache(maxsize=16)
-def _point_candidates(n: int, formulas: tuple[Formula, ...], shared: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Per point, the famasks of shared that pass at it under every
-    formula (`_pass_masks`), built once per (n, formulas, shared)."""
-    return tuple(tuple(_lane_picker(mask)(shared)) for mask in _pass_masks(n, [shared] * n, formulas))
-
-
-def _compile_constraints(n: int, constraints: tuple[str, ...]):
-    """Per-point famask candidate lists plus the whole-frame iv flag.  The
-    axiom specs keep their order; each frame tag's registry axioms follow
-    them, skipping any already listed, and Four sets the iv flag.  The
-    one-step specs give the candidates every point shares, one
-    `enumerate_bax` call of them.  Each other spec of modal depth 1, such
-    as T, has a naked variable: it cuts every point's list to the famasks
-    that pass at that point.  A box-free spec with a variable (a misspelt
-    tag parses as one) and a spec of depth 2 or more are refused."""
-    specs: list[str] = []
+def _compile_constraints(n: int, specs: tuple[str, ...]):
+    """Per-point famask candidate tuples plus the whole-frame iv flag, of
+    stripped specs.  The axiom specs keep their order; each frame tag's
+    registry axioms follow them, skipping any already listed, and Four
+    sets the iv flag.  The one-step specs give the candidates every point
+    shares, one `enumerate_bax` call of them.  Each other spec of modal
+    depth 1, such as T, has a naked variable: it cuts every point's list
+    to the famasks that pass at that point.  A box-free spec with a
+    variable (a misspelt tag parses as one) and a spec of depth 2 or more
+    are refused."""
+    axioms: list[str] = []
     tag_axioms: list[str] = []
-    for text in map(str.strip, constraints):
+    for text in specs:
         if text in FRAME_TAGS or text.startswith("kappa:"):
             tag_axioms += frame_tag_axioms(parse_class_tag(text))
         else:
-            specs.append(text)
+            axioms.append(text)
     for name in tag_axioms:
-        if name != "Four" and f"@{name}" not in specs:
-            specs.append(f"@{name}")
+        if name != "Four" and f"@{name}" not in axioms:
+            axioms.append(f"@{name}")
     one_step: list[str] = []
     pointwise: list[Formula] = []
-    for spec in specs:
+    for spec in axioms:
         if spec.startswith("@"):
             ax = expand_named(spec, n)
             f, one = ax.formula, ax.one_step
@@ -193,8 +196,9 @@ def _compile_constraints(n: int, constraints: tuple[str, ...]):
             )
     shared = enumerate_bax(n, axiom_set_from_specs(one_step, n)).famasks()
     if not pointwise:
-        return [shared] * n, "Four" in tag_axioms
-    return list(_point_candidates(n, tuple(pointwise), shared)), "Four" in tag_axioms
+        return (shared,) * n, "Four" in tag_axioms
+    masks = _pass_masks(n, [shared] * n, pointwise)
+    return tuple(tuple(_lane_picker(mask)(shared)) for mask in masks), "Four" in tag_axioms
 
 
 @lru_cache(maxsize=None)
@@ -266,18 +270,26 @@ def _level_shape(cands) -> tuple[int, int, list[tuple[int, int, int]]]:
     return p, size, runs
 
 
-def _lane_blocks(n: int, cands, iv: bool, canonical: bool):
+def _block_plan(n: int, cands):
+    """(p, size, runs, free): the `_level_shape` of the candidate lists,
+    and per free point its planes over a block's lanes, plane a holding
+    the lanes whose famask contains subset a.  Every block shares them."""
+    p, size, runs = _level_shape(cands)
+    free = tuple(
+        tuple(int("".join("01"[famask >> a & 1] * stride for famask in reversed(cands[x])) * times, 2) for a in range(1 << n))
+        for x, stride, times in runs
+    )
+    return p, size, tuple(runs), free
+
+
+def _lane_blocks(n: int, cands, iv: bool, canonical: bool, plan):
     """(prefix, in-class lanes) per block, in scan order.  Plane (x, a) of
     a block holds the lanes whose N(x) contains a: a constant for a fixed
-    point, and for a free point the same runs in every block."""
-    p, size, runs = _level_shape(cands)
+    point, and for a free point its plane in the level's `_block_plan`."""
+    p, size, _, free = plan
     full = (1 << size) - 1
-    free = [
-        [int("".join("01"[famask >> a & 1] * stride for famask in reversed(cands[x])) * times, 2) for a in range(1 << n)]
-        for x, stride, times in runs
-    ]
     for prefix in product(*cands[:p]):
-        planes = [[full if famask >> a & 1 else 0 for a in range(1 << n)] for famask in prefix] + free
+        planes = [[full if famask >> a & 1 else 0 for a in range(1 << n)] for famask in prefix] + list(free)
         lanes = _iv_lanes(planes, n, full) if iv else full
         if canonical and lanes:
             lanes = _canonical_lanes(planes, n, lanes)
@@ -295,20 +307,22 @@ def compile_target(text: str | None, n: int) -> Formula | None:
     return parse(text)
 
 
-def _in_class(n: int, cands, iv: bool, canonical: bool):
+def _in_class(n: int, cands, iv: bool, canonical: bool, plan=None):
     """(count, columns) per block with an in-class key, in scan order: the
     block's in-class lanes decoded into one column per point, entry i the
-    famask of that point in the block's i-th in-class key."""
-    _, _, runs = _level_shape(cands)
+    famask of that point in the block's i-th in-class key.  Without a
+    plan, the candidate lists' own is built."""
+    plan = plan or _block_plan(n, cands)
+    runs = plan[2]
     columns = [list(chain.from_iterable(repeat(famask, stride) for famask in cands[x])) * times for x, stride, times in runs]
-    for prefix, lanes in _lane_blocks(n, cands, iv, canonical):
+    for prefix, lanes in _lane_blocks(n, cands, iv, canonical, plan):
         if lanes:
             count = lanes.bit_count()
             pick = _lane_picker(lanes)
             yield count, [[famask] * count for famask in prefix] + [pick(column) for column in columns]
 
 
-def _scan(n, cands, iv, canonical, target_text, mode):
+def _scan(n, cands, iv, canonical, target_text, mode, plan=None):
     """Count the in-class frames and the ones that validate the target.
     Returns (in_class, validating, hit) where hit = (frame key, refuting
     env).  Find modes stop at the first hit, so in_class then counts
@@ -317,22 +331,24 @@ def _scan(n, cands, iv, canonical, target_text, mode):
     A target of modal depth at most 1 holds on a block's lane when every
     point's famask passes that point's program: the fixed points' famasks
     are looked up in their passing sets, and the free points' passing
-    candidates fill runs of lanes, as their famasks fill the planes."""
+    candidates fill runs of lanes, as their famasks fill the planes.
+    Without a plan, the candidate lists' own is built."""
+    plan = plan or _block_plan(n, cands)
     target = compile_target(target_text, n)
     if target is None:
-        return sum(lanes.bit_count() for _, lanes in _lane_blocks(n, cands, iv, canonical)), 0, None
+        return sum(lanes.bit_count() for _, lanes in _lane_blocks(n, cands, iv, canonical, plan)), 0, None
     if modal_depth(target) > 1:
-        return _sweep_scan(n, cands, iv, canonical, target, mode)
+        return _sweep_scan(n, cands, iv, canonical, target, mode, plan)
+    p, _, runs, _ = plan
     in_class = validating = 0
     passing = None
-    for prefix, lanes in _lane_blocks(n, cands, iv, canonical):
+    for prefix, lanes in _lane_blocks(n, cands, iv, canonical, plan):
         if not lanes:
             continue
         if passing is None:
             # Built at the level's first in-class frame: a level without
             # one meets no assignment guard, as with a sweep.
             assignment_space(n, len(free_vars(target)), "validates")
-            p, _, runs = _level_shape(cands)
             masks = _pass_masks(n, cands, [target])
             passing = [set(_lane_picker(mask)(cand)) for mask, cand in zip(masks, cands[:p])]
             free = -1
@@ -351,7 +367,7 @@ def _scan(n, cands, iv, canonical, target_text, mode):
     return in_class, validating, None
 
 
-def _sweep_scan(n, cands, iv, canonical, target, mode):
+def _sweep_scan(n, cands, iv, canonical, target, mode, plan=None):
     """`_scan` for a target of modal depth 2 or more: slices of each
     block's in-class columns go through one `block_refute` sweep each."""
     program = compile_algebra(target)
@@ -359,7 +375,7 @@ def _sweep_scan(n, cands, iv, canonical, target, mode):
     cap = 1 << max(0, TARGET_BLOCK_BITS - n * len(names))
     in_class = 0
     validating = 0
-    for count, columns in _in_class(n, cands, iv, canonical):
+    for count, columns in _in_class(n, cands, iv, canonical, plan):
         for start in range(0, count, cap):
             assignment_space(n, len(names), "validates")
             block = [column[start:start + cap] for column in columns]
@@ -383,25 +399,49 @@ def _constraint_tuple(constraints) -> tuple[str, ...]:
     return tuple(constraints)
 
 
-def _level(n: int, constraints, cap: int):
-    """The candidate lists and iv flag of level n, refused when the product
-    of their lengths exceeds cap keys."""
-    cands, iv = _compile_constraints(n, _constraint_tuple(constraints))
+class _Unscannable(Exception):
+    """A level of more keys, args[0], than SCAN_KEYS_CAP."""
+
+
+@lru_cache(maxsize=16)
+def _class_level(n: int, specs: tuple[str, ...], bits: int):
+    """(cands, iv, plan) of the class level of normalized specs at n: its
+    candidate tuples, iv flag and `_block_plan`, none of which depends on
+    a target.  bits is SCAN_BLOCK_BITS, which the plan reads.  A level of
+    more keys than SCAN_KEYS_CAP, the larger route cap, raises before its
+    plan is built, and lru_cache keeps no exception."""
+    cands, iv = _compile_constraints(n, specs)
     keys = prod(map(len, cands))
+    if keys > SCAN_KEYS_CAP:
+        raise _Unscannable(keys)
+    return cands, iv, _block_plan(n, cands)
+
+
+def _level(n: int, constraints, cap: int):
+    """`_class_level` of the constraints, each spec stripped and kept at its
+    first occurrence, so a repeated spec names the same level; refused, on
+    every call, when the product of the candidate counts exceeds cap keys."""
+    specs = tuple(dict.fromkeys(map(str.strip, _constraint_tuple(constraints))))
+    try:
+        level = _class_level(n, specs, SCAN_BLOCK_BITS)
+        keys = prod(map(len, level[0]))
+    except _Unscannable as unscannable:
+        keys = unscannable.args[0]
     if keys > cap:
         raise CapExceededError(f"search: level n={n} has {keys} keys, exceeds cap {cap}")
-    return cands, iv
+    return level
 
 
 def _scan_level(n, constraints, canonical, target_text, mode):
     """One carrier size, scanned in serial order."""
-    return _scan(n, *_level(n, constraints, SCAN_KEYS_CAP), canonical, target_text, mode)
+    cands, iv, plan = _level(n, constraints, SCAN_KEYS_CAP)
+    return _scan(n, cands, iv, canonical, target_text, mode, plan)
 
 
 def _class_blocks(n: int, constraints, canonical: bool):
     """The candidate lists of the constrained class and its `_in_class` blocks."""
-    cands, iv = _level(n, constraints, EXHAUSTIVE_FRAMES_CAP)
-    return cands, _in_class(n, cands, iv, canonical)
+    cands, iv, plan = _level(n, constraints, EXHAUSTIVE_FRAMES_CAP)
+    return cands, _in_class(n, cands, iv, canonical, plan)
 
 
 def enumerate_frames(n: int, constraints=(), canonical: bool = False):

@@ -564,7 +564,10 @@ def test_search_enumerate_cli(capsys):
     assert code == 0 and out == {"count": 256}
     code, out = jout(capsys, "search", "enumerate", "--n", "2", "--constraints", "monotone,@M", "--count")
     assert code == 0 and out == {"count": 36}
-    code, out, err = run(capsys, "search", "enumerate", "--n", "2", "--constraints", "@M,@M", "--count")
+    # A repeated spec names the same class; bax enum keeps its refusal.
+    code, out = jout(capsys, "search", "enumerate", "--n", "2", "--constraints", "@M,@M", "--count")
+    assert code == 0 and out == {"count": 36}
+    code, out, err = run(capsys, "bax", "enum", "--n", "2", "--axioms", "@M,@M")
     assert (code, out) == (2, "") and "duplicate names" in err
 
 
@@ -650,6 +653,26 @@ def test_main_writes_nothing_past_a_redirected_stdout(capfd):
     proc = subprocess.run([sys.executable, "-m", "nbhd", *argv], capture_output=True, text=True, env=source_env())
     assert proc.returncode == 1
     assert len(proc.stdout.splitlines()) == 1 and json.loads(proc.stdout)["found"] is True
+
+
+def test_benchmark_commands_compile_each_class_level_once(monkeypatch):
+    # A work counter, not a timer: every target and mode over one class
+    # level shares one compiled level, so the five commands compile filter
+    # at n = 0..3 and topological at n = 3, and a second pass compiles none.
+    compiled = []
+    compile_constraints = search._compile_constraints
+
+    def spy(n, specs):
+        compiled.append((n, specs))
+        return compile_constraints(n, specs)
+
+    monkeypatch.setattr(search, "_compile_constraints", spy)
+    search._class_level.cache_clear()
+    for _ in range(2):
+        for line in IN_PROCESS_COMMANDS:
+            with redirect_stdout(io.StringIO()):
+                assert main(line.split()) in (0, 1), line
+    assert compiled == [(n, ("filter",)) for n in (3, 0, 1, 2)] + [(3, ("topological",))]
 
 
 def test_runs_are_byte_identical(capsys):

@@ -1,6 +1,12 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
+
+from srcenv import source_env
 
 from nbhd.classes import AXIOM_TESTS
 from nbhd.core import CapExceededError, InvalidInputError
@@ -44,6 +50,30 @@ def test_parse_basic_shapes():
     assert parse("u -> v") == implies(U, V)
     assert parse("u <-> v") == iff(U, V)
     assert parse("(u)") == U
+
+
+def test_equal_formulas_hash_equal_and_keep_their_hash():
+    text = "box (u & ~v) <-> (box u | v & T)"
+    first, second = parse(text), parse(text)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert {first: 1}[second] == 1
+    assert hash(first) == hash(first) and first != parse("box (u & ~v) <-> (box u | v & F)")
+    # Nodes of different shapes over one child stay unequal.
+    assert Not(U) != Box(U) and And((U,)) != U and Top() == TOP
+
+
+def test_a_pickled_formula_hashes_like_a_fresh_parse():
+    # The kept hash is not pickled: a str hash differs between processes.
+    text = "box (u & box v) -> ~w"
+    hashed = parse(text)
+    hash(hashed)
+    assert pickle.dumps(hashed) == pickle.dumps(parse(text))
+    code = f"import pickle, sys; from nbhd.formulas import parse; f = parse({text!r}); hash(f); sys.stdout.buffer.write(pickle.dumps(f))"
+    env = source_env() | {"PYTHONHASHSEED": str(os.getpid() % 4000 + 1)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = pickle.loads(proc.stdout)
+    assert loaded == parse(text) and hash(loaded) == hash(parse(text))
 
 
 def test_precedence_and_associativity():

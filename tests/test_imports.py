@@ -6,8 +6,10 @@ it as a name.  Each private name a module binds at top level must be
 read as a name in that module, or imported by name into another module
 that reads it.  `__init__` re-exports its imports and `_backend` picks
 a module by name, so both are left out.  No parameter of a private
-function takes the same literal at every call in the package.
-Importing the CLI loads no module the package does not use.
+function takes the same literal at every call in the package.  Every
+`lru_cache` is bounded by a numeric maxsize, or caches a function whose
+parameters are all ints, or that has none.  Importing the CLI loads no
+module the package does not use.
 """
 
 import ast
@@ -120,6 +122,48 @@ def constant_parameters(sources: dict[str, str]) -> list[str]:
             if len(passed) == 1 and None not in passed:
                 found.append(f"{target[0][:-3]}.{target[1]}({param.arg})")
     return found
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """The functions under an `lru_cache` (or `cache`) with no numeric
+    maxsize, by position or keyword, unless every parameter is annotated
+    int or there is none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for deco in node.decorator_list:
+            func = deco.func if isinstance(deco, ast.Call) else deco
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) not in ("lru_cache", "cache"):
+                continue
+            sizes = [*deco.args[:1], *(kw.value for kw in deco.keywords if kw.arg == "maxsize")] if isinstance(deco, ast.Call) else []
+            if any(isinstance(size, ast.Constant) and type(size.value) is int for size in sizes):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            if not all(isinstance(param.annotation, ast.Name) and param.annotation.id == "int" for param in params):
+                found.append(node.name)
+    return found
+
+
+def test_the_check_catches_an_unbounded_cache():
+    source = (
+        "@lru_cache(maxsize=16)\ndef _a(f, n: int): pass\n"
+        "@lru_cache(8)\ndef _b(f): pass\n"
+        "@lru_cache(maxsize=None)\ndef _c(n: int, bits: int): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef _d(): pass\n"
+        "@lru_cache(maxsize=None)\ndef _e(n: int, f): pass\n"
+        "@lru_cache\ndef _f(f: str): pass\n"
+        "@cache\ndef _g(*ns: int): pass\n"
+        "@functools.cache\ndef _h(f: Formula): pass\n"
+    )
+    assert unbounded_caches(source) == ["_e", "_f", "_h"]
+
+
+def test_every_cache_is_bounded():
+    sources = [path.read_text() for path in PACKAGE.glob("*.py")]
+    assert sum(text.count("@lru_cache") for text in sources) >= 15
+    assert [name for text in sources for name in unbounded_caches(text)] == []
 
 
 def test_the_check_catches_an_unused_import():

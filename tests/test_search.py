@@ -335,12 +335,11 @@ def test_tag_candidates_equal_their_family_tests_n4():
 
 
 def test_tag_axioms_follow_the_specs():
-    # A tag's axioms skip a spec already listed; the specs keep their
-    # duplicates, and a bad tag is reported before a bad spec.
+    # A tag's axioms skip a spec already listed, a repeated spec counts
+    # once, and a bad tag is reported before a bad spec.
     assert count_frames(2, ("monotone", "@M")) == count_frames(2, ("@M", "monotone")) == 36
     assert count_frames(2, ("filter", "kappa:3", "@N")) == count_frames(2, ("filter",)) == 16
-    with pytest.raises(InvalidInputError, match="duplicate names"):
-        count_frames(2, ("@M", "@M"))
+    assert count_frames(2, ("@M", " @M ")) == count_frames(2, ("@M",)) == 36
     with pytest.raises(InvalidInputError, match="kappa >= 1"):
         count_frames(2, ("@Bogus", "kappa:0"))
 
@@ -666,6 +665,55 @@ def pointwise_passes(n, x, famask, f):
     alg = NeighborhoodAlgebra(n, tuple(box_n(frame, a) for a in range(1 << n)))
     names = free_vars(f)
     return all(eval_formula(alg, f, assignment_at(names, n, idx)) >> x & 1 for idx in range((1 << n) ** len(names)))
+
+
+def test_a_level_refused_by_its_cap_raises_on_every_call():
+    # Past SCAN_KEYS_CAP no level is cached; filter at n = 5 is scannable,
+    # so it is cached, and enumeration, which holds every frame, still
+    # refuses it on every call.
+    search._class_level.cache_clear()
+    for cap in (search.SCAN_KEYS_CAP, search.EXHAUSTIVE_FRAMES_CAP):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(CapExceededError) as refused:
+                search._level(4, (), cap)
+            texts.append(str(refused.value))
+        assert texts == [f"search: level n=4 has {1 << 64} keys, exceeds cap {cap}"] * 2
+    assert search._class_level.cache_info().currsize == 0
+    texts = []
+    for _ in range(2):
+        with pytest.raises(CapExceededError) as refused:
+            frames_text(5, ("filter",))
+        texts.append(str(refused.value))
+    assert texts == [f"search: level n=5 has {1 << 25} keys, exceeds cap {search.EXHAUSTIVE_FRAMES_CAP}"] * 2
+    assert search._level(5, ("filter",), search.SCAN_KEYS_CAP)[0] == search._compile_constraints(5, ("filter",))[0]
+    assert search._class_level.cache_info().currsize == 1
+
+
+def test_a_level_is_immutable_and_shared_by_repeated_specs():
+    for specs in (("filter",), ("@T", "monotone")):
+        cands, iv, (p, size, runs, free) = level = search._level(3, specs, search.SCAN_KEYS_CAP)
+        assert type(cands) is tuple and all(type(cand) is tuple for cand in cands)
+        assert type(runs) is tuple and type(free) is tuple and all(type(planes) is tuple for planes in free)
+        assert (cands, iv) == search._compile_constraints(3, specs)
+        assert (p, size, list(runs)) == search._level_shape(cands)
+        assert search._level(3, (*specs, f" {specs[0]} ", *reversed(specs)), search.SCAN_KEYS_CAP) is level
+
+
+# Targets of depth 1, decided by pass planes, of depth 2, swept, and none.
+CACHE_TARGETS = RANK1_AXIOMS + ("@Four", "box v", "box v -> v", "box box v -> box v", "box v -> box box v", None)
+
+
+def test_cold_and_warm_levels_give_the_same_answers():
+    # Every target and mode over every class, each search once with no
+    # level cached and once with the class's levels warm.
+    for tag, _, _ in CLASS_TABLE:
+        specs = [SearchSpec(target=target, constraints=(tag,), mode=mode, max_n=3) for target in CACHE_TARGETS for mode in MODES if target or mode == "count"]
+        cold = []
+        for spec in specs:
+            search._class_level.cache_clear()
+            cold.append(find_countermodel(spec))
+        assert [find_countermodel(spec) for spec in specs] == cold, tag
 
 
 def test_level_work_guard():
