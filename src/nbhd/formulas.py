@@ -29,10 +29,10 @@ class Formula:
     """Base marker for AST nodes.  A node's structural hash is computed on
     its first `hash()` and kept in the node, so formula-keyed caches do
     not walk the tree per lookup.  Only the hashed node keeps it: its
-    subformulas go through `_tree_hash`, which keeps nothing, so hashing
-    a fresh formula once costs about what a plain structural hash does.
-    Pickling leaves the kept hash out: a str hash differs between
-    processes."""
+    subformulas go through `_tree_hash`, which keeps nothing.  So the
+    first hash of a fresh formula costs more than a plain structural
+    hash, and every later one an attribute read.  Pickling leaves the
+    kept hash out: a str hash differs between processes."""
 
     __slots__ = ()
     _hash = None

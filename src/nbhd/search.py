@@ -25,13 +25,15 @@ one text per candidate family along the columns.
 
 A level, the frames on n points in a class, does not depend on the
 formula tested against it, so every target and mode shares one compiled
-level: `_class_level` holds its candidate tuples, its iv flag, its block
-shape (p, size, runs) and its free points' planes, and nothing that
-depends on a target.  It is one `lru_cache` of at most 16 levels, keyed
-by n, the constraint specs (each stripped, a repeat dropped) and
-SCAN_BLOCK_BITS.  `_level` refuses a level of more keys than its route's
-cap on every call, before it is scanned; a level past SCAN_KEYS_CAP is
-never cached.
+`_Level`: its candidate tuples, its iv flag and, built on its first
+scan, its block plan, the block shape (p, size, runs) and the free
+points' planes; it holds nothing that depends on a target.  `_class_level`
+is one `lru_cache` of at most 16 levels, keyed by n, the constraint specs
+(each stripped, a repeat dropped) and SCAN_BLOCK_BITS, which the plan
+reads.  `_level` refuses a level of more keys than its route's cap on
+every call, before any plane is built.  The cache serves a process that
+scans one class more than once, with several targets or commands; one
+CLI search visits each of its levels once.
 
 A target of modal depth at most 1 is valid on a frame exactly when every
 N(x) passes x's program, so it is decided by the same pass masks: a
@@ -58,7 +60,7 @@ hit; in mode "count", which tallies the frames that validate the target
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, islice, permutations, product, repeat
 from math import prod
 
@@ -270,27 +272,40 @@ def _level_shape(cands) -> tuple[int, int, list[tuple[int, int, int]]]:
     return p, size, runs
 
 
-def _block_plan(n: int, cands):
-    """(p, size, runs, free): the `_level_shape` of the candidate lists,
-    and per free point its planes over a block's lanes, plane a holding
-    the lanes whose famask contains subset a.  Every block shares them."""
-    p, size, runs = _level_shape(cands)
-    free = tuple(
-        tuple(int("".join("01"[famask >> a & 1] * stride for famask in reversed(cands[x])) * times, 2) for a in range(1 << n))
-        for x, stride, times in runs
-    )
-    return p, size, tuple(runs), free
+@dataclass(frozen=True, eq=False)
+class _Level:
+    """The frames on n points in a class: the candidate tuple of each
+    point, the iv flag and, built on the level's first scan, the plan
+    every block shares."""
+
+    n: int
+    cands: tuple[tuple[int, ...], ...]
+    iv: bool
+
+    @cached_property
+    def plan(self):
+        """(p, size, runs, free): the `_level_shape` of the candidate
+        tuples, and per free point its planes over a block's lanes, plane
+        a holding the lanes whose famask contains subset a."""
+        cands = self.cands
+        p, size, runs = _level_shape(cands)
+        free = tuple(
+            tuple(int("".join("01"[famask >> a & 1] * stride for famask in reversed(cands[x])) * times, 2) for a in range(1 << self.n))
+            for x, stride, times in runs
+        )
+        return p, size, tuple(runs), free
 
 
-def _lane_blocks(n: int, cands, iv: bool, canonical: bool, plan):
+def _lane_blocks(level: _Level, canonical: bool):
     """(prefix, in-class lanes) per block, in scan order.  Plane (x, a) of
     a block holds the lanes whose N(x) contains a: a constant for a fixed
-    point, and for a free point its plane in the level's `_block_plan`."""
-    p, size, _, free = plan
+    point, and for a free point its plane in the level's plan."""
+    n, cands = level.n, level.cands
+    p, size, _, free = level.plan
     full = (1 << size) - 1
     for prefix in product(*cands[:p]):
         planes = [[full if famask >> a & 1 else 0 for a in range(1 << n)] for famask in prefix] + list(free)
-        lanes = _iv_lanes(planes, n, full) if iv else full
+        lanes = _iv_lanes(planes, n, full) if level.iv else full
         if canonical and lanes:
             lanes = _canonical_lanes(planes, n, lanes)
         yield prefix, lanes
@@ -307,22 +322,21 @@ def compile_target(text: str | None, n: int) -> Formula | None:
     return parse(text)
 
 
-def _in_class(n: int, cands, iv: bool, canonical: bool, plan=None):
+def _in_class(level: _Level, canonical: bool):
     """(count, columns) per block with an in-class key, in scan order: the
     block's in-class lanes decoded into one column per point, entry i the
-    famask of that point in the block's i-th in-class key.  Without a
-    plan, the candidate lists' own is built."""
-    plan = plan or _block_plan(n, cands)
-    runs = plan[2]
+    famask of that point in the block's i-th in-class key."""
+    cands = level.cands
+    runs = level.plan[2]
     columns = [list(chain.from_iterable(repeat(famask, stride) for famask in cands[x])) * times for x, stride, times in runs]
-    for prefix, lanes in _lane_blocks(n, cands, iv, canonical, plan):
+    for prefix, lanes in _lane_blocks(level, canonical):
         if lanes:
             count = lanes.bit_count()
             pick = _lane_picker(lanes)
             yield count, [[famask] * count for famask in prefix] + [pick(column) for column in columns]
 
 
-def _scan(n, cands, iv, canonical, target_text, mode, plan=None):
+def _scan(level: _Level, canonical, target_text, mode):
     """Count the in-class frames and the ones that validate the target.
     Returns (in_class, validating, hit) where hit = (frame key, refuting
     env).  Find modes stop at the first hit, so in_class then counts
@@ -331,18 +345,17 @@ def _scan(n, cands, iv, canonical, target_text, mode, plan=None):
     A target of modal depth at most 1 holds on a block's lane when every
     point's famask passes that point's program: the fixed points' famasks
     are looked up in their passing sets, and the free points' passing
-    candidates fill runs of lanes, as their famasks fill the planes.
-    Without a plan, the candidate lists' own is built."""
-    plan = plan or _block_plan(n, cands)
+    candidates fill runs of lanes, as their famasks fill the planes."""
+    n, cands = level.n, level.cands
     target = compile_target(target_text, n)
     if target is None:
-        return sum(lanes.bit_count() for _, lanes in _lane_blocks(n, cands, iv, canonical, plan)), 0, None
+        return sum(lanes.bit_count() for _, lanes in _lane_blocks(level, canonical)), 0, None
     if modal_depth(target) > 1:
-        return _sweep_scan(n, cands, iv, canonical, target, mode, plan)
-    p, _, runs, _ = plan
+        return _sweep_scan(level, canonical, target, mode)
+    p, _, runs, _ = level.plan
     in_class = validating = 0
     passing = None
-    for prefix, lanes in _lane_blocks(n, cands, iv, canonical, plan):
+    for prefix, lanes in _lane_blocks(level, canonical):
         if not lanes:
             continue
         if passing is None:
@@ -367,15 +380,16 @@ def _scan(n, cands, iv, canonical, target_text, mode, plan=None):
     return in_class, validating, None
 
 
-def _sweep_scan(n, cands, iv, canonical, target, mode, plan=None):
+def _sweep_scan(level: _Level, canonical, target, mode):
     """`_scan` for a target of modal depth 2 or more: slices of each
     block's in-class columns go through one `block_refute` sweep each."""
+    n = level.n
     program = compile_algebra(target)
     names = list(program.names)
     cap = 1 << max(0, TARGET_BLOCK_BITS - n * len(names))
     in_class = 0
     validating = 0
-    for count, columns in _in_class(n, cands, iv, canonical, plan):
+    for count, columns in _in_class(level, canonical):
         for start in range(0, count, cap):
             assignment_space(n, len(names), "validates")
             block = [column[start:start + cap] for column in columns]
@@ -399,34 +413,20 @@ def _constraint_tuple(constraints) -> tuple[str, ...]:
     return tuple(constraints)
 
 
-class _Unscannable(Exception):
-    """A level of more keys, args[0], than SCAN_KEYS_CAP."""
-
-
 @lru_cache(maxsize=16)
-def _class_level(n: int, specs: tuple[str, ...], bits: int):
-    """(cands, iv, plan) of the class level of normalized specs at n: its
-    candidate tuples, iv flag and `_block_plan`, none of which depends on
-    a target.  bits is SCAN_BLOCK_BITS, which the plan reads.  A level of
-    more keys than SCAN_KEYS_CAP, the larger route cap, raises before its
-    plan is built, and lru_cache keeps no exception."""
-    cands, iv = _compile_constraints(n, specs)
-    keys = prod(map(len, cands))
-    if keys > SCAN_KEYS_CAP:
-        raise _Unscannable(keys)
-    return cands, iv, _block_plan(n, cands)
+def _class_level(n: int, specs: tuple[str, ...], bits: int) -> _Level:
+    """The `_Level` of normalized specs at n.  bits is SCAN_BLOCK_BITS,
+    which the level's plan reads."""
+    return _Level(n, *_compile_constraints(n, specs))
 
 
-def _level(n: int, constraints, cap: int):
+def _level(n: int, constraints, cap: int) -> _Level:
     """`_class_level` of the constraints, each spec stripped and kept at its
     first occurrence, so a repeated spec names the same level; refused, on
     every call, when the product of the candidate counts exceeds cap keys."""
     specs = tuple(dict.fromkeys(map(str.strip, _constraint_tuple(constraints))))
-    try:
-        level = _class_level(n, specs, SCAN_BLOCK_BITS)
-        keys = prod(map(len, level[0]))
-    except _Unscannable as unscannable:
-        keys = unscannable.args[0]
+    level = _class_level(n, specs, SCAN_BLOCK_BITS)
+    keys = prod(map(len, level.cands))
     if keys > cap:
         raise CapExceededError(f"search: level n={n} has {keys} keys, exceeds cap {cap}")
     return level
@@ -434,14 +434,13 @@ def _level(n: int, constraints, cap: int):
 
 def _scan_level(n, constraints, canonical, target_text, mode):
     """One carrier size, scanned in serial order."""
-    cands, iv, plan = _level(n, constraints, SCAN_KEYS_CAP)
-    return _scan(n, cands, iv, canonical, target_text, mode, plan)
+    return _scan(_level(n, constraints, SCAN_KEYS_CAP), canonical, target_text, mode)
 
 
 def _class_blocks(n: int, constraints, canonical: bool):
     """The candidate lists of the constrained class and its `_in_class` blocks."""
-    cands, iv, plan = _level(n, constraints, EXHAUSTIVE_FRAMES_CAP)
-    return cands, _in_class(n, cands, iv, canonical, plan)
+    level = _level(n, constraints, EXHAUSTIVE_FRAMES_CAP)
+    return level.cands, _in_class(level, canonical)
 
 
 def enumerate_frames(n: int, constraints=(), canonical: bool = False):

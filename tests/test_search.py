@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import cycle, permutations, product
 
@@ -117,7 +118,7 @@ def scan_keys(n, cands, iv, canonical):
     """The keys of search._in_class's blocks, in scan order.  Each block
     is non-empty and holds one column per point, each of its count."""
     keys = []
-    for count, columns in search._in_class(n, cands, iv, canonical):
+    for count, columns in search._in_class(search._Level(n, cands, iv), canonical):
         assert count > 0 and len(columns) == n and all(len(column) == count for column in columns)
         keys += zip(*columns) if n else [()] * count
     return keys
@@ -165,7 +166,7 @@ def test_property_plane_scan_matches_definitions(case):
         for canonical in (False, True):
             want = definitional_scan(n, cands, iv, canonical)
             assert scan_keys(n, cands, iv, canonical) == want
-            assert search._scan(n, cands, iv, canonical, None, "count") == (len(want), 0, None)
+            assert search._scan(search._Level(n, cands, iv), canonical, None, "count") == (len(want), 0, None)
 
 
 def test_block_shapes_fix_one_and_two_points(monkeypatch):
@@ -544,9 +545,9 @@ def traced_search(spec, patch):
     levels = {}
     in_class, sweep = search._in_class, search.block_refute
 
-    def logged_in_class(n, *args):
-        for count, columns in in_class(n, *args):
-            levels.setdefault(n, []).append([])
+    def logged_in_class(level, canonical):
+        for count, columns in in_class(level, canonical):
+            levels.setdefault(level.n, []).append([])
             yield count, columns
 
     def logged_sweep(columns, frames, n, *args):
@@ -614,14 +615,14 @@ def test_pointwise_route_matches_key_by_key_search_on_every_class():
     # level by level against the block_refute sweep it replaces.
     for tag, _, _ in CLASS_TABLE:
         max_n = 3 if tag in SMALL_AT_N3 else 2
-        levels = [search._compile_constraints(n, (tag,)) for n in range(max_n + 1)]
+        levels = [search._Level(n, *search._compile_constraints(n, (tag,))) for n in range(max_n + 1)]
         for target in RANK1_AXIOMS:
             for mode in MODES:
                 spec = SearchSpec(target=target, constraints=(tag,), mode=mode, max_n=max_n)
                 assert find_countermodel(spec) == key_by_key_search(spec), spec
-                for n, (cands, iv) in enumerate(levels):
-                    want = search._sweep_scan(n, cands, iv, True, compile_target(target, n), mode)
-                    assert search._scan(n, cands, iv, True, target, mode) == want, (spec, n)
+                for level in levels:
+                    want = search._sweep_scan(level, True, compile_target(target, level.n), mode)
+                    assert search._scan(level, True, target, mode) == want, (spec, level.n)
 
 
 @st.composite
@@ -668,9 +669,9 @@ def pointwise_passes(n, x, famask, f):
 
 
 def test_a_level_refused_by_its_cap_raises_on_every_call():
-    # Past SCAN_KEYS_CAP no level is cached; filter at n = 5 is scannable,
-    # so it is cached, and enumeration, which holds every frame, still
-    # refuses it on every call.
+    # The refusal is decided on every call, and no plane is built for it:
+    # the unconstrained n = 4 level is past both caps, and filter at n = 5
+    # is scannable but refused by enumeration, which holds every frame.
     search._class_level.cache_clear()
     for cap in (search.SCAN_KEYS_CAP, search.EXHAUSTIVE_FRAMES_CAP):
         texts = []
@@ -679,25 +680,42 @@ def test_a_level_refused_by_its_cap_raises_on_every_call():
                 search._level(4, (), cap)
             texts.append(str(refused.value))
         assert texts == [f"search: level n=4 has {1 << 64} keys, exceeds cap {cap}"] * 2
-    assert search._class_level.cache_info().currsize == 0
     texts = []
     for _ in range(2):
         with pytest.raises(CapExceededError) as refused:
             frames_text(5, ("filter",))
         texts.append(str(refused.value))
     assert texts == [f"search: level n=5 has {1 << 25} keys, exceeds cap {search.EXHAUSTIVE_FRAMES_CAP}"] * 2
-    assert search._level(5, ("filter",), search.SCAN_KEYS_CAP)[0] == search._compile_constraints(5, ("filter",))[0]
-    assert search._class_level.cache_info().currsize == 1
+    for n, specs in ((4, ()), (5, ("filter",))):
+        assert "plan" not in vars(search._class_level(n, specs, search.SCAN_BLOCK_BITS))
+    assert search._class_level.cache_info().currsize == 2
 
 
 def test_a_level_is_immutable_and_shared_by_repeated_specs():
     for specs in (("filter",), ("@T", "monotone")):
-        cands, iv, (p, size, runs, free) = level = search._level(3, specs, search.SCAN_KEYS_CAP)
-        assert type(cands) is tuple and all(type(cand) is tuple for cand in cands)
+        level = search._level(3, specs, search.SCAN_KEYS_CAP)
+        p, size, runs, free = level.plan
+        assert type(level.cands) is tuple and all(type(cand) is tuple for cand in level.cands)
         assert type(runs) is tuple and type(free) is tuple and all(type(planes) is tuple for planes in free)
-        assert (cands, iv) == search._compile_constraints(3, specs)
-        assert (p, size, list(runs)) == search._level_shape(cands)
+        assert (level.cands, level.iv) == search._compile_constraints(3, specs)
+        assert (p, size, list(runs)) == search._level_shape(level.cands)
         assert search._level(3, (*specs, f" {specs[0]} ", *reversed(specs)), search.SCAN_KEYS_CAP) is level
+        with pytest.raises(FrozenInstanceError):
+            level.cands = ()
+
+
+def test_a_level_is_keyed_by_the_block_bits(monkeypatch):
+    # A plan is built for the block bits in force, so other bits name
+    # another level; both scan alike.
+    wide = search._level(3, ("filter",), search.SCAN_KEYS_CAP)
+    assert wide.plan[:2] == (0, 512)
+    monkeypatch.setattr(search, "SCAN_BLOCK_BITS", 3)
+    narrow = search._level(3, ("filter",), search.SCAN_KEYS_CAP)
+    assert narrow is not wide and narrow.cands == wide.cands and narrow.plan[:2] == (2, 8)
+    for target in ("@Conv", "box box v -> box v", None):
+        assert search._scan(narrow, True, target, "count") == search._scan(wide, True, target, "count"), target
+    monkeypatch.undo()
+    assert search._level(3, ("filter",), search.SCAN_KEYS_CAP) is wide
 
 
 # Targets of depth 1, decided by pass planes, of depth 2, swept, and none.
