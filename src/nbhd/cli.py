@@ -12,6 +12,17 @@ Global flags come before the command.  `main` parses an argv that
 begins with a full command path, such as `search enumerate`, by one
 parse of that command's own parser, and any other argv by the whole
 tree; both give the same namespace and the same usage errors.
+
+A command reads the library names it calls through the package, as
+`nbhd.search.count_frames`, and the package imports a submodule on its
+first access, so a process loads only the modules of the commands it
+runs: `bax enum` never loads `search`, `genframe` or `duality`, and
+`parse` loads `formulas` and the `classes` tables the parser reads.
+Importing this module loads `core`, whose errors `main` catches and
+whose codecs the commands share, and nothing more of the package; the
+parser is built on the first `main`.  After the first access a name
+costs two attribute reads per call, where an import statement in the
+command would run the import system on every call.
 """
 
 from __future__ import annotations
@@ -21,16 +32,8 @@ import json
 import sys
 from functools import lru_cache
 
-from .bax import bax_map, baxspace_text, enumerate_bax
-from .classes import (
-    ALGEBRA_TAGS,
-    CORRESPONDENCE_PAIRS,
-    FRAME_TAGS,
-    algebra_class_check,
-    correspondence_check,
-    frame_class_check,
-    parse_class_tag,
-)
+import nbhd
+
 from .core import (
     CapExceededError,
     InvalidInputError,
@@ -46,44 +49,6 @@ from .core import (
     is_nbhd_morphism,
     morphism_from_json,
     morphism_to_json,
-)
-from .duality import (
-    atom_frame,
-    complex_algebra,
-    dualize_complete_hom,
-    dualize_frame_morphism,
-    lax_algebra,
-    lax_from_json,
-    lax_text,
-    onestep_top_check,
-)
-from .evaluate import eval_formula, find_refuting_assignment
-from .formulas import (
-    axiom_set_from_specs,
-    expand_named,
-    free_vars,
-    is_one_step,
-    modal_depth,
-    parse as parse_formula,
-    render,
-)
-from .genframe import (
-    complement_within_admissible,
-    general_frame_from_json,
-    general_frame_report,
-    general_frame_to_json,
-    is_pi_descriptive,
-    is_sigma_descriptive,
-    pi_extend,
-    sigma_extend,
-    truncate,
-)
-from .search import (
-    SearchSpec,
-    compile_target,
-    count_frames,
-    find_countermodel,
-    frames_text,
 )
 
 
@@ -140,13 +105,13 @@ def _formula_arg(text: str):
 
 def cmd_parse(args) -> int:
     text = _formula_arg(args.formula)
-    f = expand_named(text.strip()).formula if text.strip().startswith("@") else parse_formula(text)
+    f = nbhd.formulas.expand_named(text.strip()).formula if text.strip().startswith("@") else nbhd.formulas.parse(text)
     _emit(
         {
-            "formula": render(f),
-            "vars": list(free_vars(f)),
-            "one_step": is_one_step(f),
-            "modal_depth": modal_depth(f),
+            "formula": nbhd.formulas.render(f),
+            "vars": list(nbhd.formulas.free_vars(f)),
+            "one_step": nbhd.formulas.is_one_step(f),
+            "modal_depth": nbhd.formulas.modal_depth(f),
         },
         args,
     )
@@ -159,24 +124,24 @@ def _algebra_from_args(args):
     if getattr(args, "algebra", None):
         return algebra_from_json(_load_json(args.algebra))
     if getattr(args, "frame", None):
-        return complex_algebra(frame_from_json(_load_json(args.frame)))
+        return nbhd.duality.complex_algebra(frame_from_json(_load_json(args.frame)))
     raise InvalidInputError("an algebra or a frame input is required")
 
 
 def cmd_eval(args) -> int:
     alg = _algebra_from_args(args)
-    f = compile_target(_formula_arg(args.formula), alg.n)
+    f = nbhd.search.compile_target(_formula_arg(args.formula), alg.n)
     env_raw = _parse_inline_json(args.assign, "--assign")
     if not isinstance(env_raw, dict):
         raise InvalidInputError("--assign must be a JSON object of variable masks")
-    value = eval_formula(alg, f, env_raw)
+    value = nbhd.evaluate.eval_formula(alg, f, env_raw)
     _emit({"value": value}, args)
     return 0
 
 
 def cmd_valid(args) -> int:
     alg = _algebra_from_args(args)
-    witness = find_refuting_assignment(alg, compile_target(_formula_arg(args.formula), alg.n))
+    witness = nbhd.evaluate.find_refuting_assignment(alg, nbhd.search.compile_target(_formula_arg(args.formula), alg.n))
     _emit({"valid": witness is None, "witness": witness}, args)
     return 0 if witness is None else 1
 
@@ -185,102 +150,102 @@ def cmd_dualize(args) -> int:
     if bool(args.frame) == bool(args.algebra):
         raise InvalidInputError("give exactly one of --frame or --algebra")
     if args.frame:
-        alg = complex_algebra(frame_from_json(_load_json(args.frame)))
+        alg = nbhd.duality.complex_algebra(frame_from_json(_load_json(args.frame)))
         _emit(algebra_to_json(alg), args)
     else:
-        frame = atom_frame(algebra_from_json(_load_json(args.algebra)))
+        frame = nbhd.duality.atom_frame(algebra_from_json(_load_json(args.algebra)))
         _emit(frame_to_json(frame), args)
     return 0
 
 
 def cmd_bax_enum(args) -> int:
-    axs = axiom_set_from_specs(_split_specs(args.axioms), args.n)
-    space = enumerate_bax(args.n, axs)
+    axs = nbhd.formulas.axiom_set_from_specs(_split_specs(args.axioms), args.n)
+    space = nbhd.bax.enumerate_bax(args.n, axs)
     if args.count:
         _emit({"count": len(space.lanes)}, args)
     else:
-        _emit(baxspace_text(space), args)
+        _emit(nbhd.bax.baxspace_text(space), args)
     return 0
 
 
 def cmd_bax_map(args) -> int:
     f = morphism_from_json(_load_json(args.morphism))
-    axs = axiom_set_from_specs(_split_specs(args.axioms), f.n_dom)
+    axs = nbhd.formulas.axiom_set_from_specs(_split_specs(args.axioms), f.n_dom)
     family = _json_famask(_parse_inline_json(args.family, "--family"), f.n_dom, "--family")
-    image = bax_map(f, family, axs)
+    image = nbhd.bax.bax_map(f, family, axs)
     _emit({"family": _set_lanes(image)}, args)
     return 0
 
 
 def cmd_lax_build(args) -> int:
-    axs = axiom_set_from_specs(_split_specs(args.axioms), args.n)
-    _emit(lax_text(lax_algebra(args.n, axs)), args)
+    axs = nbhd.formulas.axiom_set_from_specs(_split_specs(args.axioms), args.n)
+    _emit(nbhd.duality.lax_text(nbhd.duality.lax_algebra(args.n, axs)), args)
     return 0
 
 
 def cmd_lax_check(args) -> int:
-    lax = lax_from_json(_load_json(args.lax))
-    per = {ax.name: onestep_top_check(lax, ax) for ax in lax.space.axioms}
+    lax = nbhd.duality.lax_from_json(_load_json(args.lax))
+    per = {ax.name: nbhd.duality.onestep_top_check(lax, ax) for ax in lax.space.axioms}
     ok = all(per.values())
     _emit({"ok": ok, "axioms": per}, args)
     return 0 if ok else 1
 
 
 def cmd_class_check(args) -> int:
-    tag = parse_class_tag(args.tag)
+    tag = nbhd.classes.parse_class_tag(args.tag)
     if bool(args.frame) == bool(args.algebra):
         raise InvalidInputError("give exactly one of --frame or --algebra")
     if args.frame:
-        holds = frame_class_check(frame_from_json(_load_json(args.frame)), tag)
+        holds = nbhd.classes.frame_class_check(frame_from_json(_load_json(args.frame)), tag)
     else:
-        holds = algebra_class_check(algebra_from_json(_load_json(args.algebra)), tag)
+        holds = nbhd.classes.algebra_class_check(algebra_from_json(_load_json(args.algebra)), tag)
     _emit({"tag": args.tag, "holds": holds}, args)
     return 0 if holds else 1
 
 
 def cmd_class_correspond(args) -> int:
     frame = frame_from_json(_load_json(args.frame))
-    report = correspondence_check(frame, args.pair)
+    report = nbhd.classes.correspondence_check(frame, args.pair)
     _emit(report, args)
     return 0 if report["agree"] else 1
 
 
 def cmd_gen_validate(args) -> int:
-    report = general_frame_report(general_frame_from_json(_load_json(args.general)))
+    report = nbhd.genframe.general_frame_report(nbhd.genframe.general_frame_from_json(_load_json(args.general)))
     _emit(report, args)
     return 0 if report["valid"] else 1
 
 
 def cmd_gen_sigma(args) -> int:
-    frame = sigma_extend(general_frame_from_json(_load_json(args.general)))
+    frame = nbhd.genframe.sigma_extend(nbhd.genframe.general_frame_from_json(_load_json(args.general)))
     _emit(frame_to_json(frame), args)
     return 0
 
 
 def cmd_gen_pi(args) -> int:
-    frame = pi_extend(general_frame_from_json(_load_json(args.general)))
+    frame = nbhd.genframe.pi_extend(nbhd.genframe.general_frame_from_json(_load_json(args.general)))
     _emit(frame_to_json(frame), args)
     return 0
 
 
 def cmd_gen_complement(args) -> int:
-    gf = complement_within_admissible(general_frame_from_json(_load_json(args.general)))
-    _emit(general_frame_to_json(gf), args)
+    gf = nbhd.genframe.complement_within_admissible(nbhd.genframe.general_frame_from_json(_load_json(args.general)))
+    _emit(nbhd.genframe.general_frame_to_json(gf), args)
     return 0
 
 
 def cmd_gen_truncate(args) -> int:
     frame = frame_from_json(_load_json(args.frame))
     admissible = _json_famask(_parse_inline_json(args.admissible_json, "--admissible"), frame.n, "--admissible")
-    gf = truncate(frame, admissible)
-    _emit(general_frame_to_json(gf), args)
+    gf = nbhd.genframe.truncate(frame, admissible)
+    _emit(nbhd.genframe.general_frame_to_json(gf), args)
     return 0
 
 
 def cmd_gen_descriptive(args) -> int:
-    gf = general_frame_from_json(_load_json(args.general))
-    sigma = is_sigma_descriptive(gf)
-    pi = is_pi_descriptive(gf)
+    gf = nbhd.genframe.general_frame_from_json(_load_json(args.general))
+    sigma = nbhd.genframe.is_sigma_descriptive(gf)
+    pi = nbhd.genframe.is_pi_descriptive(gf)
     _emit({"sigma": sigma, "pi": pi}, args)
     return 0 if sigma else 1
 
@@ -298,21 +263,21 @@ def cmd_morphism_dualize(args) -> int:
     if bool(args.morphism) == bool(args.hom):
         raise InvalidInputError("give exactly one of --morphism or --hom")
     if args.morphism:
-        _emit(hom_to_json(dualize_frame_morphism(morphism_from_json(_load_json(args.morphism)))), args)
+        _emit(hom_to_json(nbhd.duality.dualize_frame_morphism(morphism_from_json(_load_json(args.morphism)))), args)
     else:
-        _emit(morphism_to_json(dualize_complete_hom(hom_from_json(_load_json(args.hom)))), args)
+        _emit(morphism_to_json(nbhd.duality.dualize_complete_hom(hom_from_json(_load_json(args.hom)))), args)
     return 0
 
 
 def cmd_search_countermodel(args) -> int:
     constraints = tuple(_split_specs(args.constraints)) if args.constraints else ()
-    spec = SearchSpec(
+    spec = nbhd.search.SearchSpec(
         target=_formula_arg(args.target) if args.target else None,
         constraints=constraints,
         mode=args.mode,
         max_n=args.max_n,
     )
-    result = find_countermodel(spec)
+    result = nbhd.search.find_countermodel(spec)
     _emit(result, args)
     if spec.mode == "find_refuting":
         return 1 if result["found"] else 0
@@ -324,10 +289,10 @@ def cmd_search_countermodel(args) -> int:
 def cmd_search_enumerate(args) -> int:
     constraints = _split_specs(args.constraints) if args.constraints else []
     if args.count:
-        total = count_frames(args.n, constraints, canonical=args.canonical)
+        total = nbhd.search.count_frames(args.n, constraints, canonical=args.canonical)
         _emit({"count": total}, args)
     else:
-        _emit(frames_text(args.n, constraints, canonical=args.canonical), args)
+        _emit(nbhd.search.frames_text(args.n, constraints, canonical=args.canonical), args)
     return 0
 
 
@@ -335,6 +300,8 @@ CONSTRAINTS_HELP = "comma-separated class tags, @names, one-step formulas, or fo
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .classes import ALGEBRA_TAGS, CORRESPONDENCE_PAIRS, FRAME_TAGS
+
     parser = argparse.ArgumentParser(
         prog="nbhd",
         description="Neighborhood frames, their algebras, and the constructions between them.",

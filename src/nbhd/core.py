@@ -17,9 +17,9 @@ package is immutable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable
 
 PLAIN_OP_CAP = 16
 ENUM_FILTER_CAP = 4

@@ -17,9 +17,9 @@ each point x, the naked variables read at x (`compile_pointwise`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .bitslice import algebra_refute, family_accepts
 from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError, NeighborhoodAlgebra, check_width, full_mask

@@ -92,7 +92,7 @@ from .evaluate import (
     find_refuting_assignment,
     realize_axiom,
 )
-from .formulas import Formula, axiom_set_from_specs, expand_named, free_vars, is_one_step, modal_depth, parse
+from .formulas import Formula, axiom_set_from_specs, expand_named, free_vars, is_one_step, modal_depth, parse, render
 
 MODES = ("find_refuting", "find_validating", "count")
 # A target block holds at most 2^16 lanes (frames times assignments) and
@@ -162,12 +162,13 @@ def _compile_constraints(n: int, specs: tuple[str, ...]):
     """Per-point famask candidate tuples plus the whole-frame iv flag, of
     stripped specs.  The axiom specs keep their order; each frame tag's
     registry axioms follow them, skipping any already listed, and Four
-    sets the iv flag.  The one-step specs give the candidates every point
-    shares, one `enumerate_bax` call of them.  Each other spec of modal
-    depth 1, such as T, has a naked variable: it cuts every point's list
-    to the famasks that pass at that point.  A box-free spec with a
-    variable (a misspelt tag parses as one) and a spec of depth 2 or more
-    are refused."""
+    sets the iv flag.  A formula spec stands for its parsed formula, so
+    two spellings of one formula are one constraint.  The one-step specs
+    give the candidates every point shares, one `enumerate_bax` call of
+    them.  Each other spec of modal depth 1, such as T, has a naked
+    variable: it cuts every point's list to the famasks that pass at that
+    point.  A box-free spec with a variable (a misspelt tag parses as one)
+    and a spec of depth 2 or more are refused."""
     axioms: list[str] = []
     tag_axioms: list[str] = []
     for text in specs:
@@ -188,9 +189,12 @@ def _compile_constraints(n: int, specs: tuple[str, ...]):
             f = parse(spec) if spec else None
             one = f is None or is_one_step(f)
         if one:
-            one_step.append(spec)
+            name = spec if f is None or spec.startswith("@") else render(f)
+            if name not in one_step:
+                one_step.append(name)
         elif modal_depth(f) == 1:
-            pointwise.append(f)
+            if f not in pointwise:
+                pointwise.append(f)
         else:
             raise InvalidInputError(
                 f"constraint {spec!r} has modal depth {modal_depth(f)}: a constraint is a class tag, a one-step formula"

@@ -571,6 +571,21 @@ def test_search_enumerate_cli(capsys):
     assert (code, out) == (2, "") and "duplicate names" in err
 
 
+def test_two_spellings_of_one_constraint_name_one_class(capsys):
+    # A formula constraint stands for its parsed formula, whatever its spacing.
+    for spec, count in (("box(u&v)->box u", 36), ("box b->b", 16)):
+        spaced = spec.replace("->", " -> ").replace("box(", "box (").replace("&", " & ")
+        for constraints in (spec, f"{spec},{spaced}", f"{spaced},{spec},{spaced}"):
+            code, out = jout(capsys, "search", "enumerate", "--n", "2", "--constraints", constraints, "--count")
+            assert (code, out) == (0, {"count": count}), constraints
+    both = "box(u&v)->box u,@M,box (u & v) -> box u"
+    code, out = jout(capsys, "search", "countermodel", "--mode", "count", "--constraints", both, "--max-n", "2")
+    assert (code, out) == (0, {"count": 25, "checked": 25})
+    # bax enum takes an axiom set, in which a name may appear once.
+    code, out, err = run(capsys, "bax", "enum", "--n", "2", "--axioms", "box(u&v)->box u,box (u & v) -> box u")
+    assert (code, out) == (2, "") and "duplicate names" in err
+
+
 def test_output_flags(capsys):
     code, out, _ = run(capsys, "--pretty", "parse", "--formula", "u")
     assert code == 0 and out.startswith('{\n  "formula"')

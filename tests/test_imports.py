@@ -8,14 +8,19 @@ that reads it.  `__init__` re-exports its imports and `_backend` picks
 a module by name, so both are left out.  No parameter of a private
 function takes the same literal at every call in the package.  Every
 `lru_cache` is bounded by a numeric maxsize, or caches a function whose
-parameters are all ints, or that has none.  Importing the CLI loads no
-module the package does not use.
+parameters are all ints, or that has none.
+
+`import nbhd` loads no submodule, each public name resolves to the
+object its module defines, and a process loads only the modules of the
+commands it runs, and no module the package does not use.
 """
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import nbhd
 from srcenv import source_env
@@ -209,8 +214,83 @@ def test_no_private_function_has_a_parameter_every_call_fixes():
     assert constant_parameters(sources) == []
 
 
-def test_importing_the_cli_loads_no_multiprocessing():
-    # The search runs in one process; multiprocessing costs import time.
-    code = "import sys, nbhd, nbhd.cli; print('multiprocessing' in sys.modules)"
+SUBMODULES = ("bax", "bitslice", "classes", "core", "duality", "evaluate", "formulas", "genframe", "search")
+# The public names of the package, its submodules among them.
+ALL = sorted(
+    (
+        *SUBMODULES,
+        *"Axiom AxiomSet BaxSpace CapExceededError ClassTag CompleteHom FrameMorphism GeneralFrame".split(),
+        *"InvalidInputError LaxAlgebra NbhdError NeighborhoodAlgebra NeighborhoodFrame ParseError".split(),
+        *"Relation SearchSpec algebra_class_check algebra_from_json algebra_to_json all_subalgebras".split(),
+        *"atom_frame axiom_set_from_specs bax_map baxspace_from_json baxspace_text baxspace_to_json".split(),
+        *"box_n canonical_form complement_frame complement_within_admissible complex_algebra".split(),
+        *"compose_morphisms correspondence_check count_frames dualize_complete_hom".split(),
+        *"dualize_frame_morphism enumerate_bax enumerate_frames eval_formula expand_named".split(),
+        *"famask_members famask_of find_countermodel find_refuting_assignment frame_class_check".split(),
+        *"frame_from_json frame_to_json free_vars from_relation full_mask general_frame_from_json".split(),
+        *"general_frame_report general_frame_to_json hom_from_json hom_to_json is_ax_subset".split(),
+        *"is_complete_nbhd_hom is_nbhd_morphism is_one_step is_pi_descriptive is_sigma_descriptive".split(),
+        *"lax_algebra lax_from_json lax_text lax_to_json morphism_from_json morphism_to_json".split(),
+        *"naturality_check onestep_top_check parse parse_class_tag pi_extend principal_iso".split(),
+        *"relabel_frame relation_from_json relation_to_json render sigma_extend".split(),
+        *"sigma_morphism_transfer subalgebra_from_partition theta_t_member to_relation truncate".split(),
+        *"up_cone validate_general_frame validates".split(),
+    )
+)
+
+
+def run_command(*argv: str) -> str:
+    """A statement that runs `python -m nbhd argv` as -m does, through runpy."""
+    return f"import runpy; sys.argv = ['nbhd', *{list(argv)!r}]; runpy.run_module('nbhd', run_name='__main__', alter_sys=True)"
+
+
+LAZY = tuple(f"nbhd.{name}" for name in ("bax", "search", "genframe", "duality", "evaluate"))
+# Per process: interpreter flags, the statement it runs, modules it must
+# load and modules it must not.  The loaded modules are read from
+# sys.modules at exit.  multiprocessing and typing cost start-up time and
+# the package needs neither; -S keeps site from loading typing first.
+LOADS = {
+    "package": ([], "import nbhd", ("nbhd",), tuple(f"nbhd.{path.stem}" for path in PACKAGE.glob("*.py") if path.stem != "__init__")),
+    "cli": ([], "import nbhd, nbhd.cli", ("nbhd.cli", "nbhd.core"), ("multiprocessing", *LAZY)),
+    "everything-without-site": (["-S"], "import nbhd.cli; from nbhd import *", LAZY, ("typing", "multiprocessing")),
+    "bax-enum": (
+        [],
+        run_command("bax", "enum", "--n", "2", "--axioms", "@M", "--count"),
+        ("nbhd.bax", "nbhd.formulas", "nbhd.evaluate"),
+        ("nbhd.search", "nbhd.genframe", "nbhd.duality"),
+    ),
+    "parse": ([], run_command("parse", "--formula", "@M"), ("nbhd.formulas",), LAZY),
+}
+
+
+@pytest.mark.parametrize("case", LOADS)
+def test_a_process_loads_only_the_modules_it_runs(case):
+    flags, statement, present, absent = LOADS[case]
+    code = f"import atexit, sys\natexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n{statement}"
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.split())
+    assert set(present) <= loaded, sorted(set(present) - loaded)
+    assert sorted(loaded & set(absent)) == []
+
+
+def test_the_package_names_resolve_to_their_modules():
+    assert nbhd.__all__ == ALL and len(ALL) == 95
+    for name in ALL:
+        value = getattr(nbhd, name)
+        home = sys.modules[f"nbhd.{name}"] if name in SUBMODULES else sys.modules[value.__module__]
+        assert (value if name in SUBMODULES else getattr(home, name)) is value, name
+        assert name in SUBMODULES or home.__name__.startswith("nbhd."), name
+    star = {}
+    exec("from nbhd import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == ALL
+    assert all(star[name] is getattr(nbhd, name) for name in ALL)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nbhd.no_such_name
+    assert getattr(nbhd, "backend_name", None) is None
+    # A fresh package lists its public names and dunders, and nothing of how it loads them.
+    code = "import nbhd; print(' '.join(dir(nbhd)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=source_env())
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    listed = proc.stdout.split()
+    assert [name for name in listed if not name.startswith("__")] == ALL
+    assert "__version__" in listed and "__getattr__" not in listed
