@@ -9,13 +9,15 @@ Families are famask ints throughout: `bax_map`, `index_of` and
 `principal_iso` take and return them.  A space holds its families as a
 `bitslice.Lanes` view, the lanes its route accepted over the famasks it
 swept, so `len(space.lanes)` counts them without decoding any, and
-`famasks()` decodes them once, into a tuple.  `baxspace_text` writes a
-space's compact JSON from its lanes, through a text table per base: the
+`famasks()` decodes them once, into a tuple.  `baxspace_chunks` writes
+a space's compact JSON from its lanes, as a list of text chunks that
+is never joined into one string, through a text table per base: the
 base's famasks split into runs that share their high half (the sets
 with the top point), each with its high half's text and its famasks'
 low-half texts (the sets without it).  The tables of the two bases
-`enumerate_bax` sweeps are built once and cached.  `baxspace_to_json` is
-the definitional dict codec the text must match.
+`enumerate_bax` sweeps are built once and cached.  `baxspace_text`
+joins the chunks, and `baxspace_to_json` is the definitional dict codec
+the text must match.
 
 `enumerate_bax` is the one route from an axiom set to its families.
 When some axiom forces up-closure (@M, @C, @CInf, or a degraded @Ck) it
@@ -245,21 +247,23 @@ def _text_table(base, n: int):
     return _runs(base, n)
 
 
-def baxspace_text(space: BaxSpace) -> str:
-    """`baxspace_to_json(space)` as compact JSON text, written from the
-    space's lanes without decoding them.
+def baxspace_chunks(space: BaxSpace) -> list[str]:
+    """`baxspace_to_json(space)` as compact JSON text in chunks, written
+    from the space's lanes without decoding them: one chunk per run of
+    the base's text table (`_runs`) that holds a member, and the "],["
+    between two runs as an item of its own.  The head of the JSON is the
+    first item and its tail rides on the last chunk; no chunk is joined
+    to another.
 
-    The mask becomes one flag byte per lane of the base, and each run of
-    the base's text table (`_runs`) reads its slice of the flags: a run
-    with every lane set joins its low texts as they stand, one with none
-    is skipped, and any other selects its texts through
-    `itertools.compress`, only from its first set lane to its last, so a
-    sparse run costs little more than an empty one.  The head and tail
-    of the JSON ride on the first and last runs, so the whole text is
-    copied by one last join."""
+    The mask becomes one flag byte per lane of the base, and each run
+    reads its slice of the flags: a run with every lane set joins its
+    low texts as they stand, one with none is skipped, and any other
+    selects its texts through `itertools.compress`, only from its first
+    set lane to its last, so a sparse run costs little more than an empty
+    one."""
     lanes = space.lanes
     flags = _lane_flags(lanes.mask).ljust(len(lanes.base), b"\0")
-    parts = []
+    chunks = []
     for a, b, texts, sep, tail in _text_table(lanes.base, space.n):
         run_flags = flags[a:b]
         members = texts
@@ -268,13 +272,19 @@ def baxspace_text(space: BaxSpace) -> str:
                 continue
             first, last = run_flags.find(1), run_flags.rfind(1) + 1
             members = compress(texts[first:last], run_flags[first:last])
-        parts.append(sep.join(members) + tail)
+        chunks += ("],[", sep.join(members) + tail)
     head = json.dumps({"n": space.n, "axioms": space.axioms.specs()}, separators=(",", ":"))[:-1] + ',"members":['
-    if not parts:
-        return head + "]}"
-    parts[0] = head + "[" + parts[0]
-    parts[-1] += "]]}"
-    return "],[".join(parts)
+    if not chunks:
+        return [head + "]}"]
+    chunks[0] = head + "["
+    chunks[-1] += "]]}"
+    return chunks
+
+
+def baxspace_text(space: BaxSpace) -> str:
+    """`baxspace_chunks(space)` joined: `baxspace_to_json(space)` as
+    compact JSON text."""
+    return "".join(baxspace_chunks(space))
 
 
 def baxspace_from_json(obj: dict) -> BaxSpace:

@@ -23,7 +23,7 @@ filters return their accepted lanes over the base they swept, as a
 them at most once, when iterated or indexed, by `core._lane_picker`
 (through `itertools.compress` when more than one lane in twelve is set,
 by a byte loop over the mask otherwise).  A caller that only counts, or
-that writes text per base as `bax.baxspace_text` does, decodes nothing.
+that writes text per base as `bax.baxspace_chunks` does, decodes nothing.
 
 Lanes are Python ints, so nothing here assumes a word width.  Planes of
 lane indices are built on first use and cached by their number of bits,

@@ -5,8 +5,13 @@ assignment exists, a countermodel was found, a validating frame was not
 found, a class check failed), 2 usage or input errors, 3 cap or output
 limit errors.  Machine output goes to stdout, diagnostics to stderr.
 "-" names stdin for any file argument.  Output is compact JSON; --pretty
-switches to indented form.  --limit-bytes B, checked before any
-command runs, refuses an output of more than B bytes.
+switches to indented form.  --limit-bytes B, whose sign is checked
+before any command runs, refuses an output of more than B bytes before
+any byte of it is written.  `bax enum`, `lax build` and `search
+enumerate` get their text from their writers as chunks, which are
+written as they are: the whole output is never joined into one string,
+and under --pretty each chunk is laid out on its own (`_pretty`), with
+no `json.loads` of the output.
 
 Global flags come before the command.  `main` parses an argv that
 begins with a full command path, such as `search enumerate`, by one
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 
@@ -77,18 +83,92 @@ def _parse_inline_json(text: str, what: str):
         raise InvalidInputError(f"bad JSON for {what}: {exc}") from exc
 
 
+# A token of compact JSON text that --pretty lays out: a string, an empty
+# list or object, an opening or closing bracket, or "],[" between two
+# lists that holds no empty list.  The text between tokens holds only
+# numbers, literals, commas and colons.
+_TOKEN = re.compile(r'("(?:[^"\\]|\\.)*"|\[\]|\{\}|\],\[(?!\])|[\[\]{}])')
+# Numbers in lists at one depth, each list closed before the next opens,
+# as a run of `bax.baxspace_chunks` is: laid out by two replaces.
+_LISTS = re.compile(r"[0-9,]*(?:\],\[[0-9][0-9,]*)*")
+
+
+class _Indents(dict):
+    """A newline and the indent of a depth, per depth, built on first use."""
+
+    def __missing__(self, depth: int) -> str:
+        self[depth] = text = "\n" + "  " * depth
+        return text
+
+
+def _pretty(chunks) -> list[str]:
+    """Compact JSON text in chunks, laid out as `json.dumps(obj, indent=2)`
+    lays out the object it encodes, one chunk out per non-empty chunk in.
+
+    A comma gains a newline and the indent of its depth, and a colon a
+    space.  A non-empty list or object opens with a newline and the next
+    depth's indent and closes on a line of its own, while `[]`, `{}` and
+    strings stay as they are.  No string may span two chunks.  An opening
+    bracket that ends a chunk is laid out with the next chunk, which tells
+    whether it opens an empty list."""
+    indents = _Indents()
+    out = []
+    depth = 0
+    carry = ""
+    for chunk in chunks:
+        if not chunk:
+            continue
+        pieces = []
+        if carry:
+            if chunk.startswith(("]", "}")):
+                pieces.append(carry + chunk[0])
+                chunk = chunk[1:]
+            else:
+                depth += 1
+                pieces.append(carry + indents[depth])
+        carry = chunk[-1:] if chunk.endswith(("[", "{")) else ""
+        if carry:
+            chunk = chunk[:-1]
+        if depth and _LISTS.fullmatch(chunk):
+            comma = "," + indents[depth]
+            pieces.append(chunk.replace(",", comma).replace("]" + comma + "[", indents[depth - 1] + "]," + indents[depth - 1] + "[" + indents[depth]))
+        else:
+            for i, part in enumerate(_TOKEN.split(chunk)):
+                if not i & 1:
+                    if part:
+                        pieces.append(part.replace(",", "," + indents[depth]).replace(":", ": "))
+                elif part in ("[", "{"):
+                    depth += 1
+                    pieces.append(part + indents[depth])
+                elif part in ("]", "}"):
+                    depth -= 1
+                    pieces.append(indents[depth] + part)
+                elif part == "],[":
+                    pieces.append(indents[depth - 1] + "]," + indents[depth - 1] + "[" + indents[depth])
+                else:
+                    pieces.append(part)
+        out.append("".join(pieces))
+    return out
+
+
 def _emit(obj, args) -> None:
-    """Write obj as JSON, compact or under --pretty indented.  A str is
-    compact JSON text already encoded.  Every output is ASCII, so its
-    length is its size in bytes."""
-    if args.pretty:
-        text = json.dumps(json.loads(obj) if isinstance(obj, str) else obj, indent=2)
+    """Write obj as JSON and a newline, compact or under --pretty indented.
+    A dict is encoded here; a list is compact JSON text already encoded,
+    in the chunks of one of the text writers (`bax.baxspace_chunks`,
+    `duality.lax_chunks`, `search.frames_chunks`), which --pretty lays out
+    chunk by chunk (`_pretty`).  Every output is ASCII, so its length is
+    its size in bytes: --limit-bytes is checked against the sum of the
+    chunk lengths and the newline, before any byte is written, and the
+    chunks and the newline are written as they are, never joined."""
+    if isinstance(obj, list):
+        chunks = _pretty(obj) if args.pretty else obj
     else:
-        text = obj if isinstance(obj, str) else json.dumps(obj, separators=(",", ":"))
-    data = text + "\n"
-    if args.limit_bytes is not None and len(data) > args.limit_bytes:
-        raise OutputLimitError(f"output of {len(data)} bytes exceeds --limit-bytes {args.limit_bytes}")
-    sys.stdout.write(data)
+        chunks = [json.dumps(obj, indent=2) if args.pretty else json.dumps(obj, separators=(",", ":"))]
+    size = sum(map(len, chunks)) + 1
+    if args.limit_bytes is not None and size > args.limit_bytes:
+        raise OutputLimitError(f"output of {size} bytes exceeds --limit-bytes {args.limit_bytes}")
+    sys.stdout.writelines(chunks)
+    sys.stdout.write("\n")
 
 
 def _split_specs(text: str) -> list[str]:
@@ -164,7 +244,7 @@ def cmd_bax_enum(args) -> int:
     if args.count:
         _emit({"count": len(space.lanes)}, args)
     else:
-        _emit(nbhd.bax.baxspace_text(space), args)
+        _emit(nbhd.bax.baxspace_chunks(space), args)
     return 0
 
 
@@ -179,7 +259,7 @@ def cmd_bax_map(args) -> int:
 
 def cmd_lax_build(args) -> int:
     axs = nbhd.formulas.axiom_set_from_specs(_split_specs(args.axioms), args.n)
-    _emit(nbhd.duality.lax_text(nbhd.duality.lax_algebra(args.n, axs)), args)
+    _emit(nbhd.duality.lax_chunks(nbhd.duality.lax_algebra(args.n, axs)), args)
     return 0
 
 
@@ -292,7 +372,7 @@ def cmd_search_enumerate(args) -> int:
         total = nbhd.search.count_frames(args.n, constraints, canonical=args.canonical)
         _emit({"count": total}, args)
     else:
-        _emit(nbhd.search.frames_text(args.n, constraints, canonical=args.canonical), args)
+        _emit(nbhd.search.frames_chunks(args.n, constraints, canonical=args.canonical), args)
     return 0
 
 

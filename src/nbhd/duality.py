@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
-from .bax import BaxSpace, enumerate_bax, baxspace_to_json, baxspace_from_json, baxspace_text
+from .bax import BaxSpace, enumerate_bax, baxspace_chunks, baxspace_to_json, baxspace_from_json
 from .bitslice import _accepted, transpose
 from .core import (
     PLAIN_OP_CAP,
@@ -121,14 +121,35 @@ def _index_texts(count: int) -> tuple[str, ...]:
     return tuple([f"{i}," for i in range(count)])
 
 
-def lax_text(lax: LaxAlgebra) -> str:
-    """`lax_to_json(lax)` as compact JSON text: the members from
-    `baxspace_text`, then the gen table.  The atoms' index texts come
-    from `_index_texts`; a gen entry joins those its bits select, read as
-    flags from its binary digits, lowest first."""
+# Atoms per chunk of a gen entry: at most 24 KB of text below 10^5 atoms.
+_GEN_CHUNK_ATOMS = 4096
+
+
+def lax_chunks(lax: LaxAlgebra) -> list[str]:
+    """`lax_to_json(lax)` as compact JSON text in chunks: the chunks of
+    `baxspace_chunks`, the last without its closing brace, then the gen
+    table.  The atoms' index texts come from `_index_texts`; a gen entry
+    selects those its bits flag, read from its binary digits lowest
+    first, in chunks of at most _GEN_CHUNK_ATOMS atoms, and "],[" between
+    two entries is an item of its own."""
     texts = _index_texts(lax.n_atoms)
-    gen = "],[".join(["".join(compress(texts, _lane_flags(bits)))[:-1] for bits in lax.gen])
-    return baxspace_text(lax.space)[:-1] + ',"gen":[[' + gen + "]]}"
+    chunks = baxspace_chunks(lax.space)
+    chunks[-1] = chunks[-1][:-1] + ',"gen":[['
+    step = _GEN_CHUNK_ATOMS
+    for bits in lax.gen:
+        flags = _lane_flags(bits)
+        entry = [part for i in range(0, len(flags), step) if (part := "".join(compress(texts[i:i + step], flags[i:i + step])))]
+        if entry:
+            entry[-1] = entry[-1][:-1]
+        chunks += entry
+        chunks.append("],[")
+    chunks[-1] = "]]}"
+    return chunks
+
+
+def lax_text(lax: LaxAlgebra) -> str:
+    """`lax_chunks(lax)` joined: `lax_to_json(lax)` as compact JSON text."""
+    return "".join(lax_chunks(lax))
 
 
 def lax_from_json(obj: dict) -> LaxAlgebra:

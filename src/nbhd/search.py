@@ -18,10 +18,11 @@ famasks ascending, which is the ascending lexicographic order on keys.
 A block fixes the first points and gives one lane to each key of the
 others' candidates; plane (x, a) holds the lanes whose N(x) contains a,
 and canonicity and the iv condition are decided lane-wise on the planes.
-`enumerate_frames` and `frames_text` decode the passing lanes into one
+`enumerate_frames` and `frames_chunks` decode the passing lanes into one
 famask column per point; only `enumerate_frames` zips the columns into
-keys, while `frames_text`, the compact JSON text of its frames, joins
-one text per candidate family along the columns.
+keys, while `frames_chunks`, the compact JSON text of its frames in
+chunks of at most _FRAMES_CHUNK_CHARS characters, joins one text per
+candidate family along the columns.  `frames_text` joins the chunks.
 
 A level, the frames on n points in a class, does not depend on the
 formula tested against it, so every target and mode shares one compiled
@@ -454,25 +455,45 @@ def enumerate_frames(n: int, constraints=(), canonical: bool = False):
     return (NeighborhoodFrame(n, key) for count, columns in blocks for key in (zip(*columns) if n else [()] * count))
 
 
-def _frames_text(n: int, cands, blocks) -> str:
+# Characters per chunk of frames text, at most.
+_FRAMES_CHUNK_CHARS = 1 << 14
+
+
+def _frames_chunks(n: int, cands, blocks) -> list[str]:
     """The frames JSON text of (count, columns) blocks as `_in_class`
-    yields them, whose famasks are drawn from the candidate lists cands:
-    each candidate's text is built once, through `bax._lane_text`, and a
-    frame's text joins the texts of its points' famasks."""
+    yields them, whose famasks are drawn from the candidate lists cands,
+    in chunks: each candidate's text is built once, through
+    `bax._lane_text`, and a frame's text joins the texts of its points'
+    famasks.  A block's frames are joined in chunks of as many frames as
+    fit in _FRAMES_CHUNK_CHARS at their longest, and at least one; the ","
+    between two chunks is an item of its own."""
     text_of = {famask: f"[{_lane_text(famask)[:-1]}]" for famask in set(chain.from_iterable(cands))}
     head = f'{{"n":{n},"N":['
-    texts = []
+    # A frame's text and the comma after it take at most width characters.
+    width = len(head) + 3 + n * (1 + max(map(len, text_of.values()), default=0))
+    step = max(1, _FRAMES_CHUNK_CHARS // width)
+    chunks = ['{"frames":[']
     for count, columns in blocks:
         rows = zip(*[map(text_of.__getitem__, column) for column in columns]) if n else repeat((), count)
-        texts.append(",".join([head + ",".join(row) + "]}" for row in rows]))
-    return '{"frames":[' + ",".join(texts) + "]}"
+        texts = [head + ",".join(row) + "]}" for row in rows]
+        for start in range(0, count, step):
+            chunks += (",".join(texts[start:start + step]), ",")
+    if len(chunks) > 1:
+        chunks.pop()
+    chunks.append("]}")
+    return chunks
+
+
+def frames_chunks(n: int, constraints=(), canonical: bool = False) -> list[str]:
+    """`{"frames": [frame_to_json(f) for f in enumerate_frames(...)]}` as
+    compact JSON text in chunks, written from the scan's famask columns,
+    so no frame or key is built."""
+    return _frames_chunks(n, *_class_blocks(n, constraints, canonical))
 
 
 def frames_text(n: int, constraints=(), canonical: bool = False) -> str:
-    """`{"frames": [frame_to_json(f) for f in enumerate_frames(...)]}` as
-    compact JSON text, written from the scan's famask columns, so no frame
-    or key is built."""
-    return _frames_text(n, *_class_blocks(n, constraints, canonical))
+    """`frames_chunks(...)` joined into one string."""
+    return "".join(frames_chunks(n, constraints, canonical))
 
 
 def count_frames(n: int, constraints=(), canonical: bool = False) -> int:

@@ -12,7 +12,8 @@ import pytest
 
 from nbhd import search
 from nbhd.bax import baxspace_to_json, enumerate_bax
-from nbhd.cli import _parse, build_parser, main
+from nbhd.classes import CLASS_TABLE
+from nbhd.cli import _parse, _pretty, build_parser, main
 from nbhd.core import famask_of, frame_from_json, frame_to_json
 from nbhd.duality import complex_algebra, lax_algebra, lax_to_json
 from nbhd.evaluate import eval_formula
@@ -27,6 +28,7 @@ from nbhd.genframe import (
 )
 from nbhd.search import enumerate_frames
 from srcenv import source_env
+from test_bax import SPACES
 
 FRAME = {"n": 2, "N": [[1, 3], [0]]}
 GENERAL = {"n": 2, "N": [[3], [3]], "A": [0, 3]}
@@ -161,32 +163,98 @@ def test_bax_enum(capsys):
     assert code == 0 and out == {"count": 32}
 
 
+def limit_sides(capsys, flags, argv, text):
+    """--limit-bytes of exactly the output's size, newline included,
+    passes; one byte less exits 3 with empty stdout and the message that
+    names the size."""
+    size = len(text) + 1
+    assert run(capsys, *flags, "--limit-bytes", str(size), *argv) == (0, text + "\n", ""), (flags, argv)
+    refusal = f"nbhd: output of {size} bytes exceeds --limit-bytes {size - 1}\n"
+    assert run(capsys, *flags, "--limit-bytes", str(size - 1), *argv) == (3, "", refusal), (flags, argv)
+
+
 def test_bax_enum_and_lax_build_text_match_the_dict_route(capsys):
-    # The commands write pre-encoded text; both output forms and the
-    # --limit-bytes refusal equal the dict codecs' encodings.
-    for verb, n, specs in [("bax", 0, "@M"), ("bax", 3, "@M,@Cont"), ("bax", 4, "@N"), ("bax", 5, "@M"), ("lax", 3, "@M,@N")]:
+    # The commands write pre-encoded text; both output forms and both
+    # sides of the --limit-bytes boundary follow the dict codecs' encodings.
+    for verb, n, specs in [("bax", 0, "@M"), ("bax", 3, "@M,@Cont"), ("bax", 4, "@N"), ("bax", 5, "@M"), ("lax", 3, "@M,@N"), ("lax", 4, "@N")]:
         argv = [verb, "enum" if verb == "bax" else "build", "--n", str(n), "--axioms", specs]
         axs = axiom_set_from_specs(specs.split(","), n)
         obj = baxspace_to_json(enumerate_bax(n, axs)) if verb == "bax" else lax_to_json(lax_algebra(n, axs))
         for flags, text in (([], json.dumps(obj, separators=(",", ":"))), (["--pretty"], json.dumps(obj, indent=2))):
             code, out, err = run(capsys, *flags, *argv)
             assert (code, out, err) == (0, text + "\n", ""), (flags, argv)
-            code, out, err = run(capsys, *flags, "--limit-bytes", str(len(text)), *argv)
-            assert (code, out) == (3, "") and f"output of {len(text) + 1} bytes exceeds" in err
+            limit_sides(capsys, flags, argv, text)
 
 
 def test_search_enumerate_text_matches_the_dict_route(capsys):
-    # The frames are written as text; both output forms and the
-    # --limit-bytes refusal equal the encodings of frame_to_json's dicts.
+    # The frames are written as text; both output forms and both sides of
+    # the --limit-bytes boundary follow the encodings of frame_to_json's dicts.
     for n, constraints, flags in ((0, "", []), (2, "", []), (3, "filter", ["--canonical"]), (3, "kappa:1", [])):
         argv = ["search", "enumerate", "--n", str(n), "--constraints", constraints, *flags]
         frames = enumerate_frames(n, [constraints] if constraints else [], canonical=bool(flags))
         obj = {"frames": [frame_to_json(frame) for frame in frames]}
         for pretty, text in (([], json.dumps(obj, separators=(",", ":"))), (["--pretty"], json.dumps(obj, indent=2))):
             assert run(capsys, *pretty, *argv) == (0, text + "\n", ""), argv
-            assert run(capsys, *pretty, "--limit-bytes", str(len(text) + 1), *argv) == (0, text + "\n", "")
-            code, out, err = run(capsys, *pretty, "--limit-bytes", str(len(text)), *argv)
-            assert (code, out) == (3, "") and f"output of {len(text) + 1} bytes exceeds" in err
+            limit_sides(capsys, pretty, argv, text)
+
+
+def test_pretty_writers_lay_out_their_compact_text_as_the_indented_round_trip(capsys):
+    # --pretty rewrites a text writer's compact chunks; the result equals
+    # json.dumps(json.loads(compact), indent=2), for every SPACES axiom set
+    # at n <= 5 (at n = 5 only the up-set route answers), lax build, and
+    # search enumerate over every class tag at n <= 3.
+    def same_layout(argv):
+        code, compact, _ = run(capsys, *argv)
+        if code == 3:
+            return False
+        assert run(capsys, "--pretty", *argv) == (0, json.dumps(json.loads(compact), indent=2) + "\n", ""), argv
+        return True
+
+    spec_sets = list(dict.fromkeys(",".join(specs) for _, specs in SPACES))
+    answered = [n for n in range(6) for specs in spec_sets if same_layout(["bax", "enum", "--n", str(n), "--axioms", specs])]
+    # @Ck(2) and @Ck(16) force no up-closure at n = 5, so they are refused there.
+    assert len(answered) == 6 * len(spec_sets) - 2
+    for n in range(4):
+        for specs in spec_sets:
+            assert same_layout(["lax", "build", "--n", str(n), "--axioms", specs])
+    for tag, _, _ in CLASS_TABLE:
+        for n in range(4):
+            for canonical in ([], ["--canonical"]):
+                if n < 3 or tag not in ("convex", "coconvex", "iv"):
+                    assert same_layout(["search", "enumerate", "--n", str(n), "--constraints", tag, *canonical])
+    # These three classes write 2-49 MB at n = 3: their layout is checked
+    # on the first 32 chunks of frames, closed after the last.
+    for tag in ("convex", "coconvex", "iv"):
+        for canonical in (False, True):
+            chunks = search.frames_chunks(3, (tag,), canonical=canonical)[:64] + ["]}"]
+            assert "".join(_pretty(chunks)) == json.dumps(json.loads("".join(chunks)), indent=2), tag
+
+
+def test_text_writers_write_chunks_never_one_joined_copy(capsys, monkeypatch):
+    # Each write to stdout is recorded: the writes join to the dict codec's
+    # text, and none is longer than 64 KiB, so no writer or _emit joins
+    # the whole output (737 KB, 2.3 MB and 4.9 MB of text here).
+    class Writes(io.TextIOBase):
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+    axs = axiom_set_from_specs(["@N"], 4)
+    frames = enumerate_frames(4, ["filter"])
+    for argv, obj in (
+        (["bax", "enum", "--n", "4", "--axioms", "@N"], baxspace_to_json(enumerate_bax(4, axs))),
+        (["lax", "build", "--n", "4", "--axioms", "@N"], lax_to_json(lax_algebra(4, axs))),
+        (["search", "enumerate", "--n", "4", "--constraints", "filter"], {"frames": [frame_to_json(frame) for frame in frames]}),
+    ):
+        stdout = Writes()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        text = json.dumps(obj, separators=(",", ":")) + "\n"
+        assert "".join(stdout.writes) == text and len(text) > 700_000, argv
+        assert max(map(len, stdout.writes)) <= 64 << 10, argv
 
 
 def test_workers_flag_is_unrecognized(capsys):

@@ -246,7 +246,7 @@ def test_frame_text_of_wide_famasks():
         keys = [tuple(rng.getrandbits(w - 1) | 1 << (w - 1) if w else 0 for w in rng.sample(widths, n)) for _ in range(20)]
         keys.append(((1 << (1 << n)) - 1,) * n)
         columns = [list(column) for column in zip(*keys)]
-        text = search._frames_text(n, columns, [(12, [column[:12] for column in columns]), (9, [column[12:] for column in columns])])
+        text = "".join(search._frames_chunks(n, columns, [(12, [column[:12] for column in columns]), (9, [column[12:] for column in columns])]))
         assert text == frames_json(NeighborhoodFrame(n, key) for key in keys)
 
 
