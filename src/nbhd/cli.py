@@ -88,17 +88,6 @@ def _parse_inline_json(text: str, what: str):
 # lists that holds no empty list.  The text between tokens holds only
 # numbers, literals, commas and colons.
 _TOKEN = re.compile(r'("(?:[^"\\]|\\.)*"|\[\]|\{\}|\],\[(?!\])|[\[\]{}])')
-# Numbers in lists at one depth, each list closed before the next opens,
-# as a run of `bax.baxspace_chunks` is: laid out by two replaces.
-_LISTS = re.compile(r"[0-9,]*(?:\],\[[0-9][0-9,]*)*")
-
-
-class _Indents(dict):
-    """A newline and the indent of a depth, per depth, built on first use."""
-
-    def __missing__(self, depth: int) -> str:
-        self[depth] = text = "\n" + "  " * depth
-        return text
 
 
 def _pretty(chunks) -> list[str]:
@@ -111,7 +100,6 @@ def _pretty(chunks) -> list[str]:
     strings stay as they are.  No string may span two chunks.  An opening
     bracket that ends a chunk is laid out with the next chunk, which tells
     whether it opens an empty list."""
-    indents = _Indents()
     out = []
     depth = 0
     carry = ""
@@ -125,28 +113,25 @@ def _pretty(chunks) -> list[str]:
                 chunk = chunk[1:]
             else:
                 depth += 1
-                pieces.append(carry + indents[depth])
+                pieces.append(carry + "\n" + "  " * depth)
         carry = chunk[-1:] if chunk.endswith(("[", "{")) else ""
         if carry:
             chunk = chunk[:-1]
-        if depth and _LISTS.fullmatch(chunk):
-            comma = "," + indents[depth]
-            pieces.append(chunk.replace(",", comma).replace("]" + comma + "[", indents[depth - 1] + "]," + indents[depth - 1] + "[" + indents[depth]))
-        else:
-            for i, part in enumerate(_TOKEN.split(chunk)):
-                if not i & 1:
-                    if part:
-                        pieces.append(part.replace(",", "," + indents[depth]).replace(":", ": "))
-                elif part in ("[", "{"):
-                    depth += 1
-                    pieces.append(part + indents[depth])
-                elif part in ("]", "}"):
-                    depth -= 1
-                    pieces.append(indents[depth] + part)
-                elif part == "],[":
-                    pieces.append(indents[depth - 1] + "]," + indents[depth - 1] + "[" + indents[depth])
-                else:
-                    pieces.append(part)
+        for i, part in enumerate(_TOKEN.split(chunk)):
+            if not i & 1:
+                if part:
+                    pieces.append(part.replace(",", ",\n" + "  " * depth).replace(":", ": "))
+            elif part in ("[", "{"):
+                depth += 1
+                pieces.append(part + "\n" + "  " * depth)
+            elif part in ("]", "}"):
+                depth -= 1
+                pieces.append("\n" + "  " * depth + part)
+            elif part == "],[":
+                outer = "\n" + "  " * (depth - 1)
+                pieces.append(outer + "]," + outer + "[\n" + "  " * depth)
+            else:
+                pieces.append(part)
         out.append("".join(pieces))
     return out
 
