@@ -13,19 +13,34 @@ Boolean structure is evaluated on top.  Families of that kind are never
 materialized as sets of families; everything is a membership predicate.
 A formula of modal depth 1 with naked variables is such a predicate at
 each point x, the naked variables read at x (`compile_pointwise`).
+
+A membership program holds one row per distinct constraint on W, not one
+per assignment.  Its rows are built bit-sliced as well: every assignment
+is a lane, each boxed argument is evaluated over all lanes at once, and
+the subsets it takes are read off its planes as one column.  A one-step
+formula constrains W under an assignment only through the memberships of
+the subsets that assignment names (Schroeder and Pattinson, "Shallow
+models for non-iterative modal logics", KI 2008), so assignments that
+name the same subsets and forbid the same memberships of them give one
+row, and an assignment that forbids none gives no row.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bitslice import algebra_refute, family_accepts
-from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError, NeighborhoodAlgebra, check_width, full_mask
+from .bitslice import _ARRAY_CODES, _index_planes, _row_sweep, _variable_planes, algebra_refute, family_accepts
+from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError, NeighborhoodAlgebra, _check_famask, check_width, full_mask
 from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, Var, expand_named, free_vars, is_one_step, modal_depth, render
 
 ASSIGN_SPACE_GUARD = 1 << 18
+
+# Binary digits "0" and "1" as flag bytes 0 and 1.
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def assignment_space(n: int, k: int, what: str) -> int:
@@ -36,6 +51,10 @@ def assignment_space(n: int, k: int, what: str) -> int:
 
 
 def eval_box_free(f: Formula, env: dict[str, int], n: int) -> int:
+    """Subset value of the box-free f over n points.  Only the full set
+    `full_mask(n)` enters, so values given as planes laid end to end, n
+    planes of L lanes each, are evaluated on every lane at once at width
+    n * L (`_membership_program`)."""
     full = full_mask(n)
     if isinstance(f, Var):
         try:
@@ -106,10 +125,14 @@ def assignment_at(names: list[str], n: int, idx: int) -> dict[str, int]:
 class MembershipProgram:
     """Postfix membership code over slots at width n.
 
-    n_rows counts the assignments; rows holds the distinct tuples of slot
-    entries they produce, in first-seen order: a boxed argument's subset
-    mask, or for a naked variable 2^n or 2^n + 1 (`_membership_program`).
-    A family is accepted when the code holds on every row."""
+    n_rows counts the assignments.  An assignment gives a row, its tuple of
+    slot entries: a boxed argument's subset mask, or for a naked variable
+    2^n or 2^n + 1 (`_membership_program`).  The row's constraint is its
+    sorted distinct entries with the memberships of them under which the
+    code fails, entry 2^n read as never a member and 2^n + 1 as always
+    one.  rows holds one row per distinct constraint, the first in
+    assignment order, and none whose code never fails.  A family is
+    accepted when the code holds on every row."""
 
     names: tuple[str, ...]
     opcodes: tuple[int, ...]
@@ -148,13 +171,39 @@ def _lower(f: Formula, opcodes: list[int], opargs: list[int], on_box, var_slot) 
         raise InvalidInputError(f"cannot lower {f!r}")
 
 
+def _column(value: int, bits: int, lanes: int, size: int) -> array:
+    """Per lane i, the entry whose bit x is bit x * lanes + i of value, as
+    an array of `size`-byte items: the value's binary digits give one flag
+    byte per lane per bit, and each bit's flags are spread `size` bytes
+    apart and shifted into place.  (`bitslice.transpose` would cut one
+    shift of the whole block per lane, quadratic in the lanes.)"""
+    flags = format(value, f"0{bits * lanes}b")[::-1].encode().translate(_FLAGS)
+    packed = 0
+    for x in range(bits):
+        spread = bytearray(lanes * size)
+        spread[::size] = flags[x * lanes:(x + 1) * lanes]
+        packed |= int.from_bytes(spread, "little") << x
+    column = array(_ARRAY_CODES[size], packed.to_bytes(lanes * size, "little"))
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
+
+
 def _membership_program(f: Formula, n: int, point: int | None) -> MembershipProgram:
     """The one row builder: f, of modal depth at most 1, lowered with one
     slot per distinct boxed argument and per distinct naked variable.  A
     boxed slot's row entry is its argument's value, a subset mask below
     2^n.  A naked variable p is read at the point: its entry is 2^n + 1
     when the point lies in V(p) and 2^n otherwise, so the membership
-    planes of the subsets are followed by an empty and a full plane."""
+    planes of the subsets are followed by an empty and a full plane.
+
+    Every assignment is a lane: each slot's value is `eval_box_free` over
+    all lanes at once, its n planes laid end to end (`_variable_planes`),
+    and its entries are read off as one column (`_column`).  Which
+    memberships a row forbids (`MembershipProgram`) depends only on which
+    of its slots share an entry, so the program's own row sweep decides
+    it once per such pattern, over the 2^d membership lanes of the row's
+    d distinct entries."""
     names = free_vars(f)
     n_rows = assignment_space(n, len(names), "compile_membership")
     slots: dict[Formula, int] = {}
@@ -166,18 +215,37 @@ def _membership_program(f: Formula, n: int, point: int | None) -> MembershipProg
         args.append(slots.setdefault(node, len(slots)))
 
     _lower(f, opcodes, opargs, slot, slot)
-    nodes = sorted(slots, key=slots.get)
-    args = [node.sub if isinstance(node, Box) else node for node in nodes]
-    naked = [i for i, node in enumerate(nodes) if not isinstance(node, Box)]
-    m = 1 << n
-    rows: dict[tuple[int, ...], None] = {}
-    for idx in range(n_rows):
-        env = assignment_at(names, n, idx)
-        row = [eval_box_free(arg, env, n) for arg in args]
-        for i in naked:
-            row[i] = m | row[i] >> point & 1
-        rows[tuple(row)] = None
-    return MembershipProgram(tuple(names), tuple(opcodes), tuple(opargs), n, len(slots), n_rows, tuple(rows))
+    planes = _variable_planes(n, len(names), 0)
+    env = {name: sum(plane << x * n_rows for x, plane in enumerate(value)) for name, value in zip(names, planes)}
+    width = n * n_rows  # a value's n planes, end to end
+    lane_mask = (1 << n_rows) - 1
+    size = min(size for size in _ARRAY_CODES if n < 8 * size)
+    columns = []
+    for node in sorted(slots, key=slots.get):
+        if isinstance(node, Box):
+            value = eval_box_free(node.sub, env, width)
+        else:
+            value = env[node.name] >> point * n_rows & lane_mask | lane_mask << width
+        columns.append(_column(value, n + 1, n_rows, size))
+    sweep = _row_sweep(tuple(opcodes), tuple(opargs))
+    forbidden: dict[tuple[int, ...], int] = {}
+    rows: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    # Without slots, the one assignment gives the empty row.
+    for row in dict.fromkeys(zip(*columns)) if columns else [()]:
+        entries = sorted(set(row))
+        rank = {entry: i for i, entry in enumerate(entries)}
+        pattern = tuple([rank[entry] for entry in row])
+        if pattern not in forbidden:
+            every = (1 << (1 << len(entries))) - 1
+            forbidden[pattern] = every ^ sweep(_index_planes(len(entries)), every, (pattern,), every)
+        fails = forbidden[pattern]
+        for entry in entries[-2:]:
+            if entry >> n:  # a naked variable's plane: empty at 2^n, full at 2^n + 1
+                plane = _index_planes(len(entries))[rank[entry]]
+                fails &= plane if entry > 1 << n else ~plane
+        if fails:
+            rows.setdefault((tuple(entries), fails), row)
+    return MembershipProgram(tuple(names), tuple(opcodes), tuple(opargs), n, len(slots), n_rows, tuple(rows.values()))
 
 
 @lru_cache(maxsize=512)
@@ -257,4 +325,5 @@ def is_ax_subset(famask: int, axs: AxiomSet, n: int) -> bool:
     """True when the family famask is a phi-subset for every axiom in the
     set: one engine run of all their membership programs."""
     check_width(n, PLAIN_OP_CAP, "is_ax_subset")
+    _check_famask(famask, n, "is_ax_subset")
     return family_accepts(famask, 1 << n, _membership_programs(axs, n))

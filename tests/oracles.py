@@ -3,9 +3,15 @@
 Everything here recomputes results from definitions using plain sets of
 frozensets and double loops, deliberately sharing no representation
 tricks (famasks, postfix programs, submask iteration) with the package.
+The membership helpers at the end read the package's programs: one
+decides them a lane and a row at a time, and the other builds their rows
+one assignment at a time with the package's definitional evaluators.
 """
 
 from itertools import permutations, product
+
+from nbhd import evaluate
+from nbhd.formulas import And, Box, Not, Var, free_vars
 
 
 def subsets(points):
@@ -353,3 +359,31 @@ def _row_holds(prog, row, planes, j):
     if len(stack) != 1:
         raise ValueError("membership program leaves more than one value")
     return stack[0]
+
+
+def membership_rows(f, n, point=None):
+    """The distinct rows of f's membership program, in first-seen order,
+    built one assignment at a time (first variable most significant).
+    The slots are f's distinct boxed arguments and naked variables in the
+    order the package lowers them, left to right outside the boxes.  A
+    boxed slot reads its argument's value, and a naked variable 2^n + 1
+    when `point` lies in its value and 2^n otherwise."""
+    slots = {}
+
+    def walk(node):
+        if isinstance(node, (Box, Var)):
+            slots.setdefault(node)
+        elif isinstance(node, Not):
+            walk(node.sub)
+        elif isinstance(node, And):
+            for item in node.items:
+                walk(item)
+
+    walk(f)
+    names = free_vars(f)
+    m = 1 << n
+    rows = {}
+    for idx in range(m ** len(names)):
+        env = evaluate.assignment_at(names, n, idx)
+        rows[tuple(evaluate.eval_box_free(node.sub, env, n) if isinstance(node, Box) else m | env[node.name] >> point & 1 for node in slots)] = None
+    return tuple(rows)

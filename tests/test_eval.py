@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from itertools import product
 
 import pytest
 
-from nbhd.bitslice import family_accepts
+from nbhd import evaluate
+from nbhd.bitslice import family_accepts, family_filter
 from nbhd.core import CapExceededError, InvalidInputError, NeighborhoodAlgebra, famask_members, full_mask
 from nbhd.evaluate import (
     ASSIGN_SPACE_GUARD,
@@ -11,6 +13,7 @@ from nbhd.evaluate import (
     assignment_space,
     compile_algebra,
     compile_membership,
+    compile_pointwise,
     eval_box_free,
     eval_formula,
     find_refuting_assignment,
@@ -19,9 +22,11 @@ from nbhd.evaluate import (
     theta_t_member,
     validates,
 )
-from nbhd.formulas import And, Box, Not, Top, Var, axiom_set_from_specs, expand_named, parse
+from nbhd.formulas import And, Box, Not, Top, Var, axiom_set_from_specs, expand_named, is_one_step, parse
 
 import oracles
+from conftest import given, st
+from test_bax import SPACES
 
 
 ALG = NeighborhoodAlgebra(2, (2, 1, 0, 1))
@@ -112,6 +117,135 @@ def test_compile_membership_dedupes_box_arguments():
         compile_membership(parse("box b -> b"), 1)
 
 
+# Rows kept per width n = 2, 3, 4, 5: one per distinct constraint.
+REDUCED_ROWS = {
+    "@M": (5, 19, 65, 211),
+    "@C": (6, 28, 120, 496),
+    "@Cont": (2, 4, 8, 16),
+    "@Conv": (2, 18, 110, 570),
+    "@CoConv": (2, 18, 110, 570),
+    "@N": (1, 1, 1, 1),
+}
+
+
+def test_compile_membership_keeps_one_row_per_constraint():
+    # n_rows still counts the assignments, which the benchmark's
+    # evaluate.membership_rows counter sums.
+    for spec, counts in REDUCED_ROWS.items():
+        for n, count in zip((2, 3, 4, 5), counts):
+            f = realize_axiom(expand_named(spec, n), n)
+            prog = compile_membership(f, n)
+            assert len(prog.rows) == count, (spec, n)
+            assert prog.n_rows == (1 << n) ** len(prog.names), (spec, n)
+    # T at x: a row whose b holds x reads the full plane and never fails.
+    for n in (2, 3, 4):
+        f = realize_axiom(expand_named("@T", n), n)
+        assert [len(prog.rows) for prog in compile_pointwise(f, n)] == [1 << (n - 1)] * n
+    # A valid formula constrains nothing; an unsatisfiable one keeps its row.
+    assert compile_membership(parse("box u | ~box u"), 3).rows == ()
+    assert compile_membership(parse("F"), 3).rows == ((),)
+
+
+def test_compile_membership_refuses_before_building_planes(monkeypatch):
+    def no_planes(*args):
+        raise AssertionError("a plane was built for a refused program")
+
+    monkeypatch.setattr(evaluate, "_variable_planes", no_planes)
+    with pytest.raises(CapExceededError, match="exceeds guard"):
+        compile_membership(parse("box v1 & box v2 & box v3 & box v4 & box v5"), 4)
+
+
+def famask_planes(n, famasks):
+    """Over one lane per listed famask on n points: each subset's
+    membership plane, then the empty and the full plane a naked variable
+    reads."""
+    planes = [sum(1 << j for j, fm in enumerate(famasks) if fm >> a & 1) for a in range(1 << n)]
+    lanes = (1 << len(famasks)) - 1
+    return planes + [0, lanes], lanes
+
+
+def assert_rows_match_oracle(f, n, planes, lanes):
+    """At every point (once for a one-step f), the program decides each
+    lane as the program with the rows built one assignment at a time
+    does; every row it keeps is one of those rows."""
+    points = [None] if is_one_step(f) else range(n)
+    for point in points:
+        prog = compile_membership(f, n) if point is None else compile_pointwise(f, n)[point]
+        rows = oracles.membership_rows(f, n, point)
+        assert prog.n_rows == (1 << n) ** len(prog.names)
+        assert set(prog.rows) <= set(rows), (f, n, point)
+        oracle = dataclasses.replace(prog, rows=rows)
+        want = oracles.membership_program_lanes([oracle], planes, lanes)
+        assert oracles.membership_program_lanes([prog], planes, lanes) == want, (f, n, point)
+
+
+def test_rows_match_the_assignment_oracle_on_every_famask():
+    # Every one-step registry axiom and T, at every point, on every
+    # famask through n = 3 (@Ck(1) to @Ck(3) keep their formula at some
+    # n and degrade to @C at the others).
+    specs = ("@M", "@C", "@N", "@Cont", "@Conv", "@CoConv", "@CInf", "@Ck(1)", "@Ck(2)", "@Ck(3)", "@T")
+    for n in range(4):
+        planes, lanes = famask_planes(n, range(1 << (1 << n)))
+        for spec in specs:
+            assert_rows_match_oracle(realize_axiom(expand_named(spec, n), n), n, planes, lanes)
+
+
+def test_rows_match_the_assignment_oracle_on_every_n4_space():
+    for n, specs in SPACES:
+        if n == 4:
+            formulas = [realize_axiom(ax, n) for ax in axiom_set_from_specs(specs, n)]
+            programs = [compile_membership(f, n) for f in formulas]
+            oracle = [dataclasses.replace(prog, rows=oracles.membership_rows(f, n)) for prog, f in zip(programs, formulas)]
+            assert family_filter(0, 1 << 16, programs) == family_filter(0, 1 << 16, oracle), specs
+
+
+def test_rows_match_the_assignment_oracle_on_wide_samples():
+    # A naked variable's entries, 2^n and 2^n + 1, need two bytes from
+    # n = 8, and a boxed argument's from n = 9.  The famasks sampled: the
+    # empty and the full family, the up-cone and its complement of a few
+    # subsets, and random families.
+    rng = random.Random(30)
+    cases = [(8, "box (p & q) -> box p"), (8, "box (p & q) | q"), (9, "box p -> p"), (10, "box ~p | p"), (10, "box p & box ~p")]
+    for n, text in cases:
+        m = 1 << n
+        cones = [rng.randrange(m) for _ in range(4)]
+        famasks = [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(6)]
+        for c in cones:
+            cone = sum(1 << a for a in range(m) if a & c == c)
+            famasks += [cone, cone ^ ((1 << m) - 1)]
+        f = parse(text)
+        planes, lanes = famask_planes(n, famasks)
+        assert_rows_match_oracle(f, n, planes, lanes)
+        if not is_one_step(f):
+            assert max(entry for prog in compile_pointwise(f, n) for row in prog.rows for entry in row) >= m
+
+
+@st.composite
+def depth1_formulas(draw):
+    """A Boolean combination of boxed box-free formulas and box-free
+    formulas over p, q and r: one-step when no variable is naked."""
+    atoms = st.sampled_from(["p", "q", "r", "T", "F"])
+    box_free = st.recursive(
+        atoms,
+        lambda inner: st.one_of(inner.map(lambda text: f"~{text}"), st.tuples(inner, st.sampled_from(["&", "|", "->"]), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})")),
+        max_leaves=4,
+    )
+    boxed = box_free.map(lambda text: f"box {text}")
+    parts = st.one_of(boxed, boxed, box_free)  # two boxed parts to one naked
+    whole = st.recursive(
+        parts,
+        lambda inner: st.one_of(inner.map(lambda text: f"~{text}"), st.tuples(inner, st.sampled_from(["&", "|", "->", "<->"]), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})")),
+        max_leaves=4,
+    )
+    return draw(whole)
+
+
+@given(depth1_formulas(), st.integers(0, 3))
+def test_property_rows_match_the_assignment_oracle(text, n):
+    planes, lanes = famask_planes(n, range(1 << (1 << n)))
+    assert_rows_match_oracle(parse(text), n, planes, lanes)
+
+
 def test_assignment_at_order_and_keys():
     assert assignment_at(["u", "v"], 1, 0) == {"u": 0, "v": 0}
     assert assignment_at(["u", "v"], 1, 1) == {"u": 0, "v": 1}
@@ -189,6 +323,13 @@ def test_is_ax_subset_refuses_wide_n():
     for specs in (["@M"], ["@CInf"]):
         with pytest.raises(CapExceededError):
             is_ax_subset(0, axiom_set_from_specs(specs), 40)
+
+
+def test_is_ax_subset_refuses_non_famasks():
+    axs = axiom_set_from_specs(["@M"], 2)
+    for famask in (-1, 1 << 20 | 8, "8", 8.0):
+        with pytest.raises(InvalidInputError, match="is_ax_subset"):
+            is_ax_subset(famask, axs, 2)
 
 
 def test_is_ax_subset_semantic_axioms():
