@@ -3,6 +3,7 @@ import random
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import cycle, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -607,12 +608,21 @@ def test_find_countermodel_matches_key_by_key_search():
 RANK1_AXIOMS = ("@M", "@C", "@N", "@Cont", "@Conv", "@CoConv", "@T", "@Ck(2)", "@CInf")
 # The classes whose n = 3 level the definitional search walks quickly.
 SMALL_AT_N3 = ("filter", "pretopological", "topological")
+# Targets of modal depth 2: Four, its converse, S4.2 and McKinsey.
+DEEP_TARGETS = ("@Four", "box v -> box box v", "box box v -> box v", "~box~box p -> box~box~p", "box~box~p -> ~box~box p")
+# (tag, target, mode, result) of each DEEP_TARGETS search over each class
+# tag, as the search answered when a depth-2 target was swept frame by
+# frame through block_refute.
+DEEP_PINS = json.loads((Path(__file__).parent / "data" / "deep_targets.json").read_text())
 
 
 def test_pointwise_route_matches_key_by_key_search_on_every_class():
     # Every rank-1 registry axiom over every class tag, in all three
     # modes: the pass-plane route against the definitional search, and
-    # level by level against the block_refute sweep it replaces.
+    # level by level against the block_refute sweep it replaces.  The
+    # depth-2 targets give their pinned answers.
+    assert len(DEEP_PINS) == len(CLASS_TABLE) * len(DEEP_TARGETS) * len(MODES)
+    pins = {(tag, target, mode): result for tag, target, mode, result in DEEP_PINS}
     for tag, _, _ in CLASS_TABLE:
         max_n = 3 if tag in SMALL_AT_N3 else 2
         levels = [search._Level(n, *search._compile_constraints(n, (tag,))) for n in range(max_n + 1)]
@@ -623,6 +633,10 @@ def test_pointwise_route_matches_key_by_key_search_on_every_class():
                 for level in levels:
                     want = search._sweep_scan(level, True, compile_target(target, level.n), mode)
                     assert search._scan(level, True, target, mode) == want, (spec, level.n)
+        for target in DEEP_TARGETS:
+            for mode in MODES:
+                spec = SearchSpec(target=target, constraints=(tag,), mode=mode, max_n=max_n)
+                assert find_countermodel(spec) == pins[tag, target, mode], spec
 
 
 @st.composite
