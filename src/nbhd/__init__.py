@@ -19,7 +19,6 @@ _HOME = {
             "BaxSpace",
             "bax_map",
             "baxspace_from_json",
-            "baxspace_text",
             "baxspace_to_json",
             "compose_morphisms",
             "enumerate_bax",
@@ -72,7 +71,6 @@ _HOME = {
             "is_complete_nbhd_hom",
             "lax_algebra",
             "lax_from_json",
-            "lax_text",
             "lax_to_json",
             "onestep_top_check",
         ),

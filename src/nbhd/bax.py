@@ -15,9 +15,8 @@ is never joined into one string, through a text table per base: the
 base's famasks split into runs that share their high half (the sets
 with the top point), each with its high half's text and its famasks'
 low-half texts (the sets without it).  The tables of the two bases
-`enumerate_bax` sweeps are built once and cached.  `baxspace_text`
-joins the chunks, and `baxspace_to_json` is the definitional dict codec
-the text must match.
+`enumerate_bax` sweeps are built once and cached.  `baxspace_to_json`
+is the definitional dict codec the joined chunks must match.
 
 `enumerate_bax` is the one route from an axiom set to its families.
 When some axiom forces up-closure (@M, @C, @CInf, or a degraded @Ck) it
@@ -279,12 +278,6 @@ def baxspace_chunks(space: BaxSpace) -> list[str]:
     chunks[0] = head + "["
     chunks[-1] += "]]}"
     return chunks
-
-
-def baxspace_text(space: BaxSpace) -> str:
-    """`baxspace_chunks(space)` joined: `baxspace_to_json(space)` as
-    compact JSON text."""
-    return "".join(baxspace_chunks(space))
 
 
 def baxspace_from_json(obj: dict) -> BaxSpace:

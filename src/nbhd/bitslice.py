@@ -9,14 +9,15 @@ left set after the rows are AND-ed together.  Each program shape
 (opcodes, opargs) runs as a row sweep generated once (`_row_sweep`):
 straight-line Python with one operator per statement and the row loop
 inside, so no interpreter steps through the opcodes per row.  An algebra
-program is evaluated for every assignment of a block of frames at once:
-lane i * 2^b + f is assignment i of frame f, a subset value is n planes
-(one per point), and a box node ANDs each of the 2^n "value equals a"
-masks with the plane of the frames whose N(y) holds a and ORs it into
-plane y; it is interpreted, once per call.  A single algebra is a block
-of one frame.  The up-closed families over n points are built once per
-n, as pairs L <= H of up-closed families over one point fewer, and cut
-once per block size into blocks of lanes with their planes (`transpose`,
+program (`_refuted`) is evaluated on every lane at once: a subset value
+is n planes (one per point), and a box node splits the lanes by the
+value's subset a and takes, within each part, the n planes of box a; it
+is interpreted, once per call.  `algebra_refute` gives each assignment
+of one algebra a lane, and the search's whole-frame test gives each
+frame of a scan block a lane, one call per assignment.  The up-closed
+families over n points are built once per n, as pairs L <= H of
+up-closed families over one point fewer, and cut once per block size
+into blocks of lanes with their planes (`transpose`,
 which also turns per-point famasks into box tables and back).  Both
 filters return their accepted lanes over the base they swept, as a
 `Lanes` view: its length is the popcount of the lanes, and it decodes
@@ -289,27 +290,21 @@ def upset_enumerate(n: int, nonempty: bool, programs) -> Lanes:
 
 
 @lru_cache(maxsize=32)
-def _variable_planes(n: int, n_vars: int, frame_bits: int) -> tuple[tuple[int, ...], ...]:
-    """Per variable, its n planes over the lanes of 2^frame_bits frames'
-    assignments, plane x holding the lanes whose value contains point x.
-    Lane i * 2^frame_bits + f is assignment i of frame f, and variable i
-    is digit i base 2^n of i, first most significant."""
-    index = _index_planes(n * n_vars + frame_bits)
-    return tuple(tuple(index[frame_bits + n * (n_vars - 1 - i) + x] for x in range(n)) for i in range(n_vars))
+def _variable_planes(n: int, n_vars: int) -> tuple[tuple[int, ...], ...]:
+    """Per variable, its n planes over the lanes of every assignment,
+    plane x holding the lanes whose value contains point x.  Lane i is
+    assignment i, and variable i is digit i base 2^n of i, first most
+    significant."""
+    index = _index_planes(n * n_vars)
+    return tuple(tuple(index[n * (n_vars - 1 - i) + x] for x in range(n)) for i in range(n_vars))
 
 
 @lru_cache(maxsize=32)
-def _points(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each subset mask over n points, its points in ascending order."""
-    return tuple(tuple(y for y in range(n) if a >> y & 1) for a in range(1 << n))
-
-
-def _repeat(mask: int, frame_bits: int, assign_bits: int) -> int:
-    """A plane with lane i * 2^frame_bits + f set iff bit f of mask is,
-    for every assignment i below 2^assign_bits."""
-    for b in range(frame_bits, frame_bits + assign_bits):
-        mask |= mask << (1 << b)
-    return mask
+def _subset_values(n: int, bits: int) -> tuple[tuple[int, ...], ...]:
+    """Per subset a of the n points, the value that is a on each of 2^bits
+    lanes: n planes, plane x full when x is in a and empty otherwise."""
+    full = (1 << (1 << bits)) - 1
+    return tuple(tuple(full if a >> x & 1 else 0 for x in range(n)) for a in range(1 << n))
 
 
 def _lane_parts(value, lanes: int) -> list[tuple[int, int]]:
@@ -329,35 +324,38 @@ def _lane_parts(value, lanes: int) -> list[tuple[int, int]]:
     return parts
 
 
-def _apply_box(whole, within, n: int, value: tuple[int, ...], full: int) -> tuple[int, ...]:
-    """Planes of box[value]: each part of `_lane_parts` joins the planes
-    of the points of whole[a] and, for each pair (y, plane) of within[a],
-    plane y within the given plane."""
-    parts = _lane_parts(value, full)
-    out = [0] * n
-    for a, part in parts:
-        for y in whole[a]:
-            out[y] |= part
-    if within:
-        for a, part in parts:
-            for y, plane in within[a]:
+def _apply_box(images, value: tuple[int, ...], full: int) -> tuple[int, ...]:
+    """Planes of box[value], where images[a] is the value of box a: a
+    constant value, each of its planes empty or full, is the image of its
+    subset, and otherwise each part (a, part) of `_lane_parts` takes the
+    planes of images[a] within it."""
+    a = 0
+    for x, plane in enumerate(value):
+        if plane == full:
+            a |= 1 << x
+        elif plane:
+            break
+    else:
+        return images[a]
+    out = [0] * len(value)
+    for a, part in _lane_parts(value, full):
+        for y, plane in enumerate(images[a]):
+            if plane:
                 out[y] |= part & plane
     return tuple(out)
 
 
-def _refuted(whole, within, n: int, opcodes, opargs, n_vars: int, frame_bits: int) -> int:
-    """Lanes (i * 2^frame_bits + f) where the program evaluates below the
-    full set in frame f under assignment i.  whole[a] lists the points
-    whose N holds a in every frame, and within[a] the rest, as
-    `_apply_box` reads them.
+def _refuted(images, opcodes, opargs, variables, full: int) -> int:
+    """Lanes of `full` where the program evaluates below the full set.
+    variables[i] is the n planes of variable i, and images[a] the n planes
+    of box a, as `_apply_box` reads them.
 
     Postfix opcodes: 0 pushes variable arg, 1 the full set, 2 complements
-    the top, 3 folds an and of arg operands, 4 applies the box.  Every
-    value is a tuple of n planes over all lanes."""
-    full = (1 << (1 << n * n_vars + frame_bits)) - 1
-    variables = _variable_planes(n, n_vars, frame_bits)
-    top = (full,) * n
-    boxed: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal values, equal images
+    the top, 3 folds an and of arg operands, 4 applies the box to the
+    top, whose subprogram arg numbers: the image of the first box of each
+    number serves the later ones.  Every value is a tuple of n planes."""
+    top = (full,) * len(images[0])
+    boxed: dict[int, tuple[int, ...]] = {}
     stack = []
     for op, arg in zip(opcodes, opargs):
         if op == 0:
@@ -375,10 +373,9 @@ def _refuted(whole, within, n: int, opcodes, opargs, n_vars: int, frame_bits: in
             else:
                 stack.append(top)
         else:
-            value = stack[-1]
-            if value not in boxed:
-                boxed[value] = _apply_box(whole, within, n, value, full)
-            stack[-1] = boxed[value]
+            if arg not in boxed:
+                boxed[arg] = _apply_box(images, stack[-1], full)
+            stack[-1] = boxed[arg]
     holds = full
     for plane in stack[-1]:
         holds &= plane
@@ -387,43 +384,10 @@ def _refuted(whole, within, n: int, opcodes, opargs, n_vars: int, frame_bits: in
 
 def algebra_refute(box, n: int, opcodes, opargs, n_vars: int) -> int:
     """Index of the first assignment where the program evaluates below the
-    full set in the algebra with this box table, or -1: the sweep of a
-    block of one frame.  Assignment index idx encodes variable i
-    (first-occurrence order) as digit i base 2^n, first variable most
-    significant."""
-    points = _points(n)
-    refuted = _refuted([points[b] for b in box], (), n, opcodes, opargs, n_vars, 0)
+    full set in the algebra with this box table, or -1: one lane per
+    assignment.  Assignment index idx encodes variable i (first-occurrence
+    order) as digit i base 2^n, first variable most significant."""
+    values = _subset_values(n, n * n_vars)
+    full = (1 << (1 << n * n_vars)) - 1
+    refuted = _refuted([values[b] for b in box], opcodes, opargs, _variable_planes(n, n_vars), full)
     return (refuted & -refuted).bit_length() - 1
-
-
-def block_refute(columns, frames: int, n: int, opcodes, opargs, n_vars: int) -> tuple[int, int]:
-    """Sweep every assignment of a block of frames at once.
-
-    The block holds `frames` frames on n points, and columns[y][f] is the
-    famask of N(y) in frame f.  With 2^b the number of frames rounded up
-    to a power of two, lane i * 2^b + f is assignment i of frame f, and
-    the box node reads, per subset a and point y, the frames whose N(y)
-    holds a (a transpose of column y) repeated over the assignments.
-    Returns (bit f set when frame f has a refuting assignment, the least
-    refuting assignment of the least such frame or -1)."""
-    frame_bits = (frames - 1).bit_length()
-    assign_bits = n * n_vars
-    members = [transpose(column, 1 << n) for column in columns]
-    every = (1 << frames) - 1
-    # Per subset a: the points whose N(y) holds a in every frame, and the
-    # points where only some frames do, with the plane of those frames.
-    whole = [[y for y, slot in enumerate(members) if slot[a] == every] for a in range(1 << n)]
-    within = [
-        [(y, _repeat(slot[a], frame_bits, assign_bits)) for y, slot in enumerate(members) if 0 < slot[a] < every]
-        for a in range(1 << n)
-    ]
-    refuted = _refuted(whole, within, n, opcodes, opargs, n_vars, frame_bits)
-    # Fold the assignments onto lane f: bit f is then frame f's any-refuted bit.
-    hit = refuted
-    for b in range(frame_bits, frame_bits + assign_bits):
-        hit |= hit >> (1 << b)
-    hit &= every
-    if not hit:
-        return 0, -1
-    first = (refuted >> (hit & -hit).bit_length() - 1) & _repeat(1, frame_bits, assign_bits)
-    return hit, ((first & -first).bit_length() - 1) >> frame_bits

@@ -361,7 +361,7 @@ def cmd_search_enumerate(args) -> int:
     return 0
 
 
-CONSTRAINTS_HELP = "comma-separated class tags, @names, one-step formulas, or formulas of modal depth 1 such as @T"
+CONSTRAINTS_HELP = "comma-separated class tags, @names, or formulas with a box, such as @T or @Four"
 
 
 def build_parser() -> argparse.ArgumentParser:

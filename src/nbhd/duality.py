@@ -147,11 +147,6 @@ def lax_chunks(lax: LaxAlgebra) -> list[str]:
     return chunks
 
 
-def lax_text(lax: LaxAlgebra) -> str:
-    """`lax_chunks(lax)` joined: `lax_to_json(lax)` as compact JSON text."""
-    return "".join(lax_chunks(lax))
-
-
 def lax_from_json(obj: dict) -> LaxAlgebra:
     if not isinstance(obj, dict) or set(obj) != {"n", "axioms", "members", "gen"}:
         raise InvalidInputError("lax algebra: expected keys ['n', 'axioms', 'members', 'gen']")

@@ -215,7 +215,7 @@ def _membership_program(f: Formula, n: int, point: int | None) -> MembershipProg
         args.append(slots.setdefault(node, len(slots)))
 
     _lower(f, opcodes, opargs, slot, slot)
-    planes = _variable_planes(n, len(names), 0)
+    planes = _variable_planes(n, len(names))
     env = {name: sum(plane << x * n_rows for x, plane in enumerate(value)) for name, value in zip(names, planes)}
     width = n * n_rows  # a value's n planes, end to end
     lane_mask = (1 << n_rows) - 1
@@ -274,16 +274,19 @@ def compile_pointwise(f: Formula, n: int) -> tuple[MembershipProgram, ...]:
 
 @lru_cache(maxsize=512)
 def compile_algebra(f: Formula) -> AlgebraProgram:
-    """Lower any formula for the assignment-sweep kernel over a box table."""
+    """Lower any formula for the assignment-sweep kernel over a box table.
+    A box's oparg numbers its argument, so equal boxed subformulas share
+    one number and the kernel applies the box to them once."""
     names = free_vars(f)
     index = {name: i for i, name in enumerate(names)}
     opcodes: list[int] = []
     opargs: list[int] = []
+    boxes: dict[Formula, int] = {}
 
     def on_box(node: Box, ops: list[int], args: list[int]) -> None:
         _lower(node.sub, ops, args, on_box, var_slot)
         ops.append(4)
-        args.append(0)
+        args.append(boxes.setdefault(node.sub, len(boxes)))
 
     def var_slot(node: Var, ops: list[int], args: list[int]) -> None:
         ops.append(0)

@@ -9,46 +9,46 @@ point shares.  A formula of modal depth 1 with a naked variable, such as
 T (the centered condition of `centered` and the topological tags), is
 still a test on x and N(x) alone: `evaluate.compile_pointwise` gives one
 membership program per point, and each point keeps the candidates that
-pass its program (`_pass_masks`, one transpose of the shared list).
-Four, the iv condition, reads other points' neighborhoods and is
-decided per frame.
+pass its program (`_pass_masks`, one transpose of the shared list).  A
+formula of depth 2 or more, such as Four (the iv condition), reads other
+points' neighborhoods and is decided per frame.
 
 The product is scanned serially in blocks, first point outermost and
 famasks ascending, which is the ascending lexicographic order on keys.
 A block fixes the first points and gives one lane to each key of the
 others' candidates; plane (x, a) holds the lanes whose N(x) contains a,
-and canonicity and the iv condition are decided lane-wise on the planes.
+and canonicity and every formula of depth 2 or more are decided
+lane-wise on the planes.  `_whole_lanes` is that one whole-frame test:
+the lanes whose frame validates a formula's algebra program, run on all
+lanes at once per assignment, the box of a subset read off the planes.
 `enumerate_frames` and `frames_chunks` decode the passing lanes into one
 famask column per point; only `enumerate_frames` zips the columns into
 keys, while `frames_chunks`, the compact JSON text of its frames in
 chunks of at most _FRAMES_CHUNK_CHARS characters, joins one text per
-candidate family along the columns.  `frames_text` joins the chunks.
+candidate family along the columns.
 
 A level, the frames on n points in a class, does not depend on the
 formula tested against it, so every target and mode shares one compiled
-`_Level`: its candidate tuples, its iv flag and, built on its first
-scan, its block plan, the block shape (p, size, runs) and the free
-points' planes; it holds nothing that depends on a target.  `_class_level`
-is one `lru_cache` of at most 16 levels, keyed by n, the constraint specs
-(each stripped, a repeat dropped) and SCAN_BLOCK_BITS, which the plan
-reads.  `_level` refuses a level of more keys than its route's cap on
-every call, before any plane is built.  The cache serves a process that
-scans one class more than once, with several targets or commands; one
-CLI search visits each of its levels once.
+`_Level`: its candidate tuples, the algebra programs of its whole-frame
+constraints and, built on its first scan, its block plan, the block
+shape (p, size, runs) and the free points' planes; it holds nothing that
+depends on a target.  `_class_level` is one `lru_cache` of at most 16
+levels, keyed by n, the constraint specs (each stripped, a repeat
+dropped) and SCAN_BLOCK_BITS, which the plan reads.  `_level` refuses a
+level of more keys than its route's cap on every call, before any plane
+is built.  The cache serves a process that scans one class more than
+once, with several targets or commands; one CLI search visits each of
+its levels once.
 
 A target of modal depth at most 1 is valid on a frame exactly when every
 N(x) passes x's program, so it is decided by the same pass masks: a
 block's validating lanes are its in-class lanes within the passing runs
-of its free points, when every fixed point passes.  A count sums both
-popcounts, and a find mode takes the least lane of the validating or of
-the other in-class lanes; only that frame's key is built, and a
-refuting frame's least assignment comes from `find_refuting_assignment`
-on its box table.  A target of depth 2 or more is checked on slices of
-a block's columns in scan order, each of at most 2^TARGET_BLOCK_BITS
-lanes, by one `bitslice.block_refute` sweep, lane i * 2^b + f for
-assignment i of frame f.  The least frame with a refuted lane is the
-slice's first refuting frame and its least refuted lane the least
-assignment, so slicing changes neither the hit nor "checked".
+of its free points, when every fixed point passes.  A target of depth 2
+or more is decided on the in-class lanes by `_whole_lanes`.  Either way
+a count sums both popcounts, and a find mode takes the least lane of the
+validating or of the other in-class lanes; only that frame's key is
+built, and a refuting frame's least assignment comes from
+`find_refuting_assignment` on its box table.
 
 The search visits n = 0, 1, ... and scans canonical representatives
 only (every class here is closed under point relabeling), so ties break
@@ -66,7 +66,7 @@ from itertools import chain, islice, permutations, product, repeat
 from math import prod
 
 from .bax import _lane_text, enumerate_bax
-from .bitslice import _accepted, _lane_parts, block_refute, transpose
+from .bitslice import _accepted, _refuted, transpose
 from .classes import FRAME_TAGS, frame_tag_axioms, parse_class_tag
 from .core import (
     CANONICAL_CAP,
@@ -96,9 +96,7 @@ from .evaluate import (
 from .formulas import Formula, axiom_set_from_specs, expand_named, free_vars, is_one_step, modal_depth, parse, render
 
 MODES = ("find_refuting", "find_validating", "count")
-# A target block holds at most 2^16 lanes (frames times assignments) and
-# at least one frame; a scan block at most 2^16 keys, one lane each.
-TARGET_BLOCK_BITS = 16
+# A scan block holds at most 2^16 keys, one lane each.
 SCAN_BLOCK_BITS = 16
 
 
@@ -160,16 +158,18 @@ def _pass_masks(n: int, cands, formulas) -> list[int]:
 
 
 def _compile_constraints(n: int, specs: tuple[str, ...]):
-    """Per-point famask candidate tuples plus the whole-frame iv flag, of
-    stripped specs.  The axiom specs keep their order; each frame tag's
-    registry axioms follow them, skipping any already listed, and Four
-    sets the iv flag.  A formula spec stands for its parsed formula, so
+    """Per-point famask candidate tuples plus the algebra programs of the
+    whole-frame constraints, of stripped specs.  The axiom specs keep
+    their order; each frame tag's registry axioms follow them, skipping
+    any already listed.  A formula spec stands for its parsed formula, so
     two spellings of one formula are one constraint.  The one-step specs
     give the candidates every point shares, one `enumerate_bax` call of
     them.  Each other spec of modal depth 1, such as T, has a naked
     variable: it cuts every point's list to the famasks that pass at that
-    point.  A box-free spec with a variable (a misspelt tag parses as one)
-    and a spec of depth 2 or more are refused."""
+    point.  A spec of depth 2 or more, such as Four, reads other points'
+    neighborhoods and is a whole-frame constraint, decided per block by
+    `_whole_lanes`.  A box-free spec with a variable (a misspelt tag
+    parses as one) is refused."""
     axioms: list[str] = []
     tag_axioms: list[str] = []
     for text in specs:
@@ -178,10 +178,11 @@ def _compile_constraints(n: int, specs: tuple[str, ...]):
         else:
             axioms.append(text)
     for name in tag_axioms:
-        if name != "Four" and f"@{name}" not in axioms:
+        if f"@{name}" not in axioms:
             axioms.append(f"@{name}")
     one_step: list[str] = []
     pointwise: list[Formula] = []
+    whole: list[Formula] = []
     for spec in axioms:
         if spec.startswith("@"):
             ax = expand_named(spec, n)
@@ -193,19 +194,18 @@ def _compile_constraints(n: int, specs: tuple[str, ...]):
             name = spec if f is None or spec.startswith("@") else render(f)
             if name not in one_step:
                 one_step.append(name)
-        elif modal_depth(f) == 1:
-            if f not in pointwise:
-                pointwise.append(f)
-        else:
+        elif not modal_depth(f):
             raise InvalidInputError(
-                f"constraint {spec!r} has modal depth {modal_depth(f)}: a constraint is a class tag, a one-step formula"
-                " or a formula of modal depth 1"
+                f"constraint {spec!r} has modal depth 0: a constraint is a class tag, an @name or a formula with a box"
             )
+        elif f not in pointwise and f not in whole:
+            (pointwise if modal_depth(f) == 1 else whole).append(f)
     shared = enumerate_bax(n, axiom_set_from_specs(one_step, n)).famasks()
+    programs = tuple(compile_algebra(f) for f in whole)
     if not pointwise:
-        return (shared,) * n, "Four" in tag_axioms
+        return (shared,) * n, programs
     masks = _pass_masks(n, [shared] * n, pointwise)
-    return tuple(tuple(_lane_picker(mask)(shared)) for mask in masks), "Four" in tag_axioms
+    return tuple(tuple(_lane_picker(mask)(shared)) for mask in masks), programs
 
 
 @lru_cache(maxsize=None)
@@ -243,18 +243,22 @@ def _canonical_lanes(planes, n: int, lanes: int) -> int:
     return lanes
 
 
-def _iv_lanes(planes, n: int, lanes: int) -> int:
-    """The lanes whose frame meets the iv condition: whenever a is in
-    N(x), so is box a.  Per subset a, `_lane_parts` splits the lanes by
-    the value of box a, read from the planes (y, a); a part with box a = c
-    fails at x where N(x) holds a but not c."""
-    for a in range(1 << n):
-        parts = _lane_parts([planes[y][a] for y in range(n)], lanes)
-        for x in range(n):
-            holds = planes[x][a]
-            if holds:
-                for c, part in parts:
-                    lanes &= ~(part & holds & ~planes[x][c])
+def _whole_lanes(planes, n: int, lanes: int, program) -> int:
+    """The lanes of `lanes` whose frame validates the algebra program,
+    under every assignment: each variable is a constant, a tuple of n
+    planes each empty or full, and `bitslice._refuted` runs the program on
+    every lane at once.  The box of a subset a is read off the planes: its
+    plane y is plane (y, a), the lanes whose N(y) holds a.  Stops once no
+    lane is left."""
+    if not lanes:
+        return 0
+    full = lanes
+    images = [tuple(row[a] & full for row in planes) for a in range(1 << n)]
+    assignment_space(n, len(program.names), "validates")
+    for variables in product(product((0, full), repeat=n), repeat=len(program.names)):
+        lanes &= ~_refuted(images, program.opcodes, program.opargs, variables, full)
+        if not lanes:
+            break
     return lanes
 
 
@@ -280,12 +284,12 @@ def _level_shape(cands) -> tuple[int, int, list[tuple[int, int, int]]]:
 @dataclass(frozen=True, eq=False)
 class _Level:
     """The frames on n points in a class: the candidate tuple of each
-    point, the iv flag and, built on the level's first scan, the plan
-    every block shares."""
+    point, the algebra programs of its whole-frame constraints and, built
+    on the level's first scan, the plan every block shares."""
 
     n: int
     cands: tuple[tuple[int, ...], ...]
-    iv: bool
+    whole: tuple
 
     @cached_property
     def plan(self):
@@ -302,18 +306,22 @@ class _Level:
 
 
 def _lane_blocks(level: _Level, canonical: bool):
-    """(prefix, in-class lanes) per block, in scan order.  Plane (x, a) of
-    a block holds the lanes whose N(x) contains a: a constant for a fixed
-    point, and for a free point its plane in the level's plan."""
+    """(prefix, planes, in-class lanes) per block, in scan order.  Plane
+    (x, a) of a block holds the lanes whose N(x) contains a: a constant
+    for a fixed point, and for a free point its plane in the level's plan.
+    The lanes are those whose frame validates every whole-frame
+    constraint and, when canonical is set, whose key no relabeling lowers."""
     n, cands = level.n, level.cands
     p, size, _, free = level.plan
     full = (1 << size) - 1
     for prefix in product(*cands[:p]):
         planes = [[full if famask >> a & 1 else 0 for a in range(1 << n)] for famask in prefix] + list(free)
-        lanes = _iv_lanes(planes, n, full) if level.iv else full
+        lanes = full
+        for program in level.whole:
+            lanes = _whole_lanes(planes, n, lanes, program)
         if canonical and lanes:
             lanes = _canonical_lanes(planes, n, lanes)
-        yield prefix, lanes
+        yield prefix, planes, lanes
 
 
 def compile_target(text: str | None, n: int) -> Formula | None:
@@ -334,7 +342,7 @@ def _in_class(level: _Level, canonical: bool):
     cands = level.cands
     runs = level.plan[2]
     columns = [list(chain.from_iterable(repeat(famask, stride) for famask in cands[x])) * times for x, stride, times in runs]
-    for prefix, lanes in _lane_blocks(level, canonical):
+    for prefix, _, lanes in _lane_blocks(level, canonical):
         if lanes:
             count = lanes.bit_count()
             pick = _lane_picker(lanes)
@@ -350,29 +358,32 @@ def _scan(level: _Level, canonical, target_text, mode):
     A target of modal depth at most 1 holds on a block's lane when every
     point's famask passes that point's program: the fixed points' famasks
     are looked up in their passing sets, and the free points' passing
-    candidates fill runs of lanes, as their famasks fill the planes."""
+    candidates fill runs of lanes, as their famasks fill the planes.  A
+    target of depth 2 or more holds on the lanes `_whole_lanes` keeps."""
     n, cands = level.n, level.cands
     target = compile_target(target_text, n)
     if target is None:
-        return sum(lanes.bit_count() for _, lanes in _lane_blocks(level, canonical)), 0, None
-    if modal_depth(target) > 1:
-        return _sweep_scan(level, canonical, target, mode)
+        return sum(lanes.bit_count() for _, _, lanes in _lane_blocks(level, canonical)), 0, None
     p, _, runs, _ = level.plan
+    program = compile_algebra(target) if modal_depth(target) > 1 else None
     in_class = validating = 0
     passing = None
-    for prefix, lanes in _lane_blocks(level, canonical):
+    for prefix, planes, lanes in _lane_blocks(level, canonical):
         if not lanes:
             continue
-        if passing is None:
-            # Built at the level's first in-class frame: a level without
-            # one meets no assignment guard, as with a sweep.
-            assignment_space(n, len(free_vars(target)), "validates")
-            masks = _pass_masks(n, cands, [target])
-            passing = [set(_lane_picker(mask)(cand)) for mask, cand in zip(masks, cands[:p])]
-            free = -1
-            for x, stride, times in runs:
-                free &= int("".join(bit * stride for bit in bin(masks[x])[2:].zfill(len(cands[x]))) * times, 2)
-        holding = lanes & free if all(map(set.__contains__, passing, prefix)) else 0
+        if program:
+            holding = _whole_lanes(planes, n, lanes, program)
+        else:
+            if passing is None:
+                # Built at the level's first in-class frame: a level without
+                # one meets no assignment guard, as with the lane test.
+                assignment_space(n, len(free_vars(target)), "validates")
+                masks = _pass_masks(n, cands, [target])
+                passing = [set(_lane_picker(mask)(cand)) for mask, cand in zip(masks, cands[:p])]
+                free = -1
+                for x, stride, times in runs:
+                    free &= int("".join(bit * stride for bit in bin(masks[x])[2:].zfill(len(cands[x]))) * times, 2)
+            holding = lanes & free if all(map(set.__contains__, passing, prefix)) else 0
         hits = 0 if mode == "count" else holding if mode == "find_validating" else lanes ^ holding
         if hits:
             lane = (hits & -hits).bit_length() - 1
@@ -382,33 +393,6 @@ def _scan(level: _Level, canonical, target_text, mode):
             return in_class + (lanes & upto).bit_count(), validating + (holding & upto).bit_count(), (key, env)
         in_class += lanes.bit_count()
         validating += holding.bit_count()
-    return in_class, validating, None
-
-
-def _sweep_scan(level: _Level, canonical, target, mode):
-    """`_scan` for a target of modal depth 2 or more: slices of each
-    block's in-class columns go through one `block_refute` sweep each."""
-    n = level.n
-    program = compile_algebra(target)
-    names = list(program.names)
-    cap = 1 << max(0, TARGET_BLOCK_BITS - n * len(names))
-    in_class = 0
-    validating = 0
-    for count, columns in _in_class(level, canonical):
-        for start in range(0, count, cap):
-            assignment_space(n, len(names), "validates")
-            block = [column[start:start + cap] for column in columns]
-            frames = min(cap, count - start)
-            refuted, idx = block_refute(block, frames, n, program.opcodes, program.opargs, len(names))
-            if mode == "find_refuting" and refuted:
-                f = (refuted & -refuted).bit_length() - 1
-                return in_class + f + 1, validating + f, (tuple(column[f] for column in block), assignment_at(names, n, idx))
-            holding = ((1 << frames) - 1) ^ refuted
-            if mode == "find_validating" and holding:
-                f = (holding & -holding).bit_length() - 1
-                return in_class + f + 1, validating + 1, (tuple(column[f] for column in block), None)
-            in_class += frames
-            validating += holding.bit_count()
     return in_class, validating, None
 
 
@@ -489,11 +473,6 @@ def frames_chunks(n: int, constraints=(), canonical: bool = False) -> list[str]:
     compact JSON text in chunks, written from the scan's famask columns,
     so no frame or key is built."""
     return _frames_chunks(n, *_class_blocks(n, constraints, canonical))
-
-
-def frames_text(n: int, constraints=(), canonical: bool = False) -> str:
-    """`frames_chunks(...)` joined into one string."""
-    return "".join(frames_chunks(n, constraints, canonical))
 
 
 def count_frames(n: int, constraints=(), canonical: bool = False) -> int:

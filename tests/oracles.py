@@ -206,6 +206,21 @@ def kripke_box(successors, a_set, n):
     return frozenset(x for x in range(n) if successors[x] <= a_set)
 
 
+def is_confluent(rel):
+    """Any two successors of a point share a successor: on a preorder, the
+    frame condition of S4.2 (Chagrov and Zakharyaschev, Modal Logic,
+    1997).  rel is a `core.Relation`, successor masks per point."""
+    succ = [mask_to_set(mask) for mask in rel.succ]
+    return all(succ[y] & succ[z] for x in range(rel.n) for y in succ[x] for z in succ[x])
+
+
+def sees_an_end(rel):
+    """Every point sees a point whose only successor is itself: on a
+    finite preorder, the frame condition of McKinsey's axiom."""
+    succ = [mask_to_set(mask) for mask in rel.succ]
+    return all(any(succ[y] == {y} for y in succ[x]) for x in range(rel.n))
+
+
 def relabel_key(key, perm):
     """Frame key after renaming point x to perm[x], recomputed from sets."""
     n = len(key)

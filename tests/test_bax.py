@@ -12,7 +12,6 @@ from nbhd.bax import (
     BaxSpace,
     bax_map,
     baxspace_from_json,
-    baxspace_text,
     baxspace_to_json,
     compose_morphisms,
     enumerate_bax,
@@ -32,6 +31,11 @@ import oracles
 
 def space(n, specs):
     return enumerate_bax(n, axiom_set_from_specs(specs, n))
+
+
+def baxspace_text(sp):
+    """The text `bax enum` prints: the space's chunks, joined."""
+    return "".join(bax.baxspace_chunks(sp))
 
 
 def test_monotone_space_counts_match_up_closed_oracle():

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from nbhd import bitslice, core
+from nbhd import bitslice, core, search
 from nbhd.bax import enumerate_bax
 from nbhd.core import NeighborhoodAlgebra, NeighborhoodFrame, _lane_picker, _set_lanes, box_n, full_mask
 from nbhd.duality import complex_algebra
@@ -269,33 +269,33 @@ def box_n_refutation(n, key, f):
 
 
 @st.composite
-def key_blocks_and_formulas(draw):
+def candidate_levels_and_formulas(draw):
+    """n in {3, 4}, per point a short list of famasks, a scan block size
+    of 2^bits lanes, and a formula over p and q."""
     n = draw(st.integers(3, 4))
-    key = st.lists(st.integers(0, (1 << (1 << n)) - 1), min_size=n, max_size=n).map(tuple)
-    keys = draw(st.lists(key, min_size=1, max_size=8))
-    sizes = [1] + draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
-    return n, keys, sizes, draw(formula_texts(["p", "q"]))
+    famask = st.integers(0, (1 << (1 << n)) - 1)
+    cands = tuple(tuple(sorted(draw(st.sets(famask, min_size=1, max_size=2)))) for _ in range(n))
+    return n, cands, draw(st.integers(0, n)), draw(formula_texts(["p", "q"]))
 
 
-@given(key_blocks_and_formulas())
-def test_property_block_refute_matches_eval_formula(case):
-    # Blocks of mixed sizes, a block of one among them, each given as its
-    # columns: each frame's verdict, and the least refuted frame's first
-    # refuting assignment.
-    n, keys, sizes, text = case
+@given(candidate_levels_and_formulas())
+def test_property_whole_lanes_match_eval_formula(case):
+    # The search's whole-frame lane test on every block of a level, with
+    # every lane given and with the canonical lanes given: it keeps
+    # exactly the given lanes whose frame validates the formula.
+    n, cands, bits, text = case
     f = parse(text)
-    prog = compile_algebra(f)
-    want = [box_n_refutation(n, key, f) for key in keys]
-    start = 0
-    for size in sizes * len(keys):
-        block, wanted = keys[start:start + size], want[start:start + size]
-        if not block:
-            break
-        columns = [[key[y] for key in block] for y in range(n)]
-        refuted, idx = bitslice.block_refute(columns, len(block), n, prog.opcodes, prog.opargs, len(prog.names))
-        assert refuted == sum(1 << j for j, w in enumerate(wanted) if w >= 0), (block, text)
-        assert idx == next((w for w in wanted if w >= 0), -1), (block, text)
-        start += size
+    program = compile_algebra(f)
+    valid = {key: box_n_refutation(n, key, f) < 0 for key in product(*cands)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "SCAN_BLOCK_BITS", bits)
+        level = search._Level(n, cands, ())
+        p = level.plan[0]
+        for canonical in (False, True):
+            for prefix, planes, lanes in search._lane_blocks(level, canonical):
+                keys = [prefix + tail for tail in product(*cands[p:])]
+                want = sum(1 << i for i, key in enumerate(keys) if lanes >> i & 1 and valid[key])
+                assert search._whole_lanes(planes, n, lanes, program) == want, (cands, text)
 
 
 @given(st.integers(1, 3), st.sampled_from(AXIOMS), st.data())

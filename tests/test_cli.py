@@ -323,11 +323,13 @@ def test_unconstrained_target_count_at_n3(capsys):
 
 def test_rank1_targets_never_sweep(capsys, monkeypatch):
     # A target of modal depth at most 1 is decided by per-point pass
-    # planes in every mode: block_refute is never called.  It still
-    # sweeps @Four, whose witness the benchmark pins byte for byte.
+    # planes in every mode: the whole-frame lane test only ever gets the
+    # Four of `topological`.  It still tests @Four as a target, whose
+    # witness the benchmark pins byte for byte, once per level.
+    four = search.compile_algebra(search.compile_target("@Four", 1))
     sweeps = []
-    sweep = search.block_refute
-    monkeypatch.setattr(search, "block_refute", lambda *args: sweeps.append(args[2]) or sweep(*args))
+    whole = search._whole_lanes
+    monkeypatch.setattr(search, "_whole_lanes", lambda planes, n, lanes, program: sweeps.append((n, program)) or whole(planes, n, lanes, program))
     rank1 = ("@M", "@C", "@N", "@Cont", "@Conv", "@CoConv", "@T", "@Ck(2)", "@CInf", "box p -> p | box ~p", "p", "T")
     for target in rank1:
         for mode in ("find_refuting", "find_validating", "count"):
@@ -338,16 +340,17 @@ def test_rank1_targets_never_sweep(capsys, monkeypatch):
     for target, text in (("@T", '{"count":21,"checked":117}\n'), ("@Conv", '{"count":117,"checked":117}\n')):
         argv = ("search", "countermodel", "--mode", "count", "--target", target, "--constraints", "filter", "--max-n", "3")
         assert run(capsys, *argv) == (0, text, "")
-    assert sweeps == []
+    assert sweeps and {program for _, program in sweeps} == {four}
+    sweeps.clear()
     code, out, err = run(capsys, "search", "countermodel", "--target", "@Four", "--constraints", "filter", "--max-n", "4")
     assert (code, out, err) == (1, '{"found":true,"frame":{"n":2,"N":[[3],[1,3]]},"assignment":{"b":1},"checked":5}\n', "")
-    assert sweeps == [0, 1, 2]
+    assert sweeps == [(0, four), (1, four), (2, four)]
 
 
 def test_rank1_constraints(capsys):
     # @T and inline formulas of modal depth 1 are constraints; T is the
-    # centered class.  A constraint of depth 2 that is not a tag, and a
-    # box-free formula with a variable (a misspelt tag), exit 2.
+    # centered class.  A box-free formula with a variable (a misspelt
+    # tag) exits 2.
     for argv in (("countermodel", "--mode", "count", "--max-n", "3"), ("enumerate", "--n", "3", "--count")):
         centered = run(capsys, "search", *argv, "--constraints", "centered")
         assert centered[0] == 0
@@ -355,9 +358,23 @@ def test_rank1_constraints(capsys):
             assert run(capsys, "search", *argv, "--constraints", constraints) == centered, (argv, constraints)
     code, out = jout(capsys, "search", "enumerate", "--n", "2", "--constraints", "filter,box p -> p")
     assert (code, out) == (0, json.loads(run(capsys, "search", "enumerate", "--n", "2", "--constraints", "pretopological")[1]))
-    for constraints, depth in (("box b -> box box b", 2), ("@Four", 2), ("topologcal", 0)):
-        code, out, err = run(capsys, "search", "enumerate", "--n", "2", "--constraints", constraints)
-        assert (code, out) == (2, "") and f"has modal depth {depth}" in err, constraints
+    for argv in (("enumerate", "--n", "2"), ("countermodel", "--mode", "count")):
+        code, out, err = run(capsys, "search", *argv, "--constraints", "topologcal")
+        assert (code, out) == (2, "") and "constraint 'topologcal' has modal depth 0" in err, argv
+
+
+def test_whole_frame_constraints(capsys):
+    # @Four, and Four spelled out, are the class of the tag iv: the same
+    # counts and the same enumerate bytes.  Other formulas of modal depth
+    # 2 are constraints too.
+    for argv in (("countermodel", "--mode", "count", "--max-n", "3"), ("enumerate", "--n", "3", "--count"), ("enumerate", "--n", "2")):
+        iv = run(capsys, "search", *argv, "--constraints", "iv")
+        assert iv[0] == 0
+        for constraints in ("@Four", "box b -> box box b", "iv,@Four"):
+            assert run(capsys, "search", *argv, "--constraints", constraints) == iv, (argv, constraints)
+    assert run(capsys, "search", "countermodel", "--mode", "count", "--max-n", "3", "--constraints", "iv")[1] == '{"count":43425,"checked":43425}\n'
+    argv = ("search", "countermodel", "--mode", "count", "--max-n", "4", "--constraints", "topological,~box~box p -> box~box~p")
+    assert run(capsys, *argv) == (0, '{"count":38,"checked":38}\n', "")
 
 
 def test_bax_map(capsys, tmp_path):

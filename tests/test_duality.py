@@ -24,12 +24,17 @@ from nbhd.duality import (
     is_complete_nbhd_hom,
     lax_algebra,
     lax_from_json,
-    lax_text,
+    lax_chunks,
     lax_to_json,
     onestep_top_check,
 )
 from nbhd.evaluate import assignment_at, theta_t_member
 from nbhd.formulas import axiom_set_from_specs, expand_named, free_vars, parse
+
+
+def lax_text(lax):
+    """The text `lax build` prints: the algebra's chunks, joined."""
+    return "".join(lax_chunks(lax))
 
 
 def all_frames(n):

@@ -26,6 +26,7 @@ import nbhd
 from srcenv import source_env
 
 PACKAGE = Path(nbhd.__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
 EXEMPT = {"__init__.py", "_backend.py"}
 
 
@@ -199,6 +200,69 @@ def test_every_module_level_private_name_is_read():
     assert unread_private_names(sources) == []
 
 
+def top_level_bound(stmt) -> list[str]:
+    """The names other than dunders that a module-level def, class or
+    assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        bound = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        bound = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+    else:
+        bound = []
+    return [name for name in bound if not name.startswith("__")]
+
+
+def referenced(stmt) -> set[str]:
+    """The names a statement's code reads: names, attributes, and string
+    constants that are one identifier (a name in the package's lazy
+    table, or given to setattr), docstrings and other bare strings left
+    out."""
+    bare = {id(node.value) for node in ast.walk(stmt) if isinstance(node, ast.Expr)}
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier() and id(node) not in bare:
+            names.add(node.value)
+    return names
+
+
+def unreferenced_names(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """"module.name" for each name that a module of package (file name to
+    text) binds at top level and that no statement of package or others
+    reads, the statement that binds it aside."""
+    reads = set()
+    bound = []
+    for name, text in [*package.items(), *others.items()]:
+        for stmt in ast.parse(text).body:
+            names = top_level_bound(stmt)
+            reads |= referenced(stmt) - set(names)
+            if name in package:
+                bound += [(name, binding) for binding in names]
+    return [f"{name[:-3]}.{binding}" for name, binding in bound if binding not in reads]
+
+
+def test_the_check_catches_an_unreferenced_name():
+    package = {
+        "a.py": '"""_docs names _spare."""\ndef _repeat(m): return _repeat(m)\ndef public(): pass\nLIMIT = 2\n_CAP = LIMIT\n_spare = 0\n',
+        "b.py": "from .a import public\n",
+    }
+    others = {"test_a.py": 'import a\n"""_CAP"""\ndef test(monkeypatch): monkeypatch.setattr(a, "_CAP", 3)\n'}
+    # _repeat only calls itself, b only imports public, and _spare is
+    # named in a docstring alone.
+    assert unreferenced_names(package, others) == ["a._repeat", "a.public", "a._spare"]
+
+
+def test_every_module_level_name_is_referenced():
+    package = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    others = {f"{path.parent.name}/{path.name}": path.read_text() for folder in ("tests", "perfbench") for path in (ROOT / folder).glob("*.py")}
+    assert sum(len(top_level_bound(stmt)) for text in package.values() for stmt in ast.parse(text).body) >= 250
+    assert unreferenced_names(package, others) == []
+
+
 def test_the_check_catches_a_parameter_every_call_fixes():
     sources = {
         "a.py": "def _pick(mask, offset): pass\ndef _spread(x, k): pass\ndef _seen(x, k): pass\n_pick(3, 0)\n_spread(1, k=2)\nmap(_seen, [])\n_seen(1, 2)\n",
@@ -222,7 +286,7 @@ ALL = sorted(
         *"Axiom AxiomSet BaxSpace CapExceededError ClassTag CompleteHom FrameMorphism GeneralFrame".split(),
         *"InvalidInputError LaxAlgebra NbhdError NeighborhoodAlgebra NeighborhoodFrame ParseError".split(),
         *"Relation SearchSpec algebra_class_check algebra_from_json algebra_to_json all_subalgebras".split(),
-        *"atom_frame axiom_set_from_specs bax_map baxspace_from_json baxspace_text baxspace_to_json".split(),
+        *"atom_frame axiom_set_from_specs bax_map baxspace_from_json baxspace_to_json".split(),
         *"box_n canonical_form complement_frame complement_within_admissible complex_algebra".split(),
         *"compose_morphisms correspondence_check count_frames dualize_complete_hom".split(),
         *"dualize_frame_morphism enumerate_bax enumerate_frames eval_formula expand_named".split(),
@@ -230,7 +294,7 @@ ALL = sorted(
         *"frame_from_json frame_to_json free_vars from_relation full_mask general_frame_from_json".split(),
         *"general_frame_report general_frame_to_json hom_from_json hom_to_json is_ax_subset".split(),
         *"is_complete_nbhd_hom is_nbhd_morphism is_one_step is_pi_descriptive is_sigma_descriptive".split(),
-        *"lax_algebra lax_from_json lax_text lax_to_json morphism_from_json morphism_to_json".split(),
+        *"lax_algebra lax_from_json lax_to_json morphism_from_json morphism_to_json".split(),
         *"naturality_check onestep_top_check parse parse_class_tag pi_extend principal_iso".split(),
         *"relabel_frame relation_from_json relation_to_json render sigma_extend".split(),
         *"sigma_morphism_transfer subalgebra_from_partition theta_t_member to_relation truncate".split(),
@@ -275,7 +339,7 @@ def test_a_process_loads_only_the_modules_it_runs(case):
 
 
 def test_the_package_names_resolve_to_their_modules():
-    assert nbhd.__all__ == ALL and len(ALL) == 95
+    assert nbhd.__all__ == ALL and len(ALL) == 93
     for name in ALL:
         value = getattr(nbhd, name)
         home = sys.modules[f"nbhd.{name}"] if name in SUBMODULES else sys.modules[value.__module__]

@@ -2,7 +2,7 @@ import json
 import random
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
-from itertools import cycle, permutations, product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -16,14 +16,17 @@ from nbhd.core import (
     InvalidInputError,
     NeighborhoodAlgebra,
     NeighborhoodFrame,
+    Relation,
     box_n,
     famask_members,
     famask_of,
     frame_from_json,
     frame_to_json,
+    from_relation,
     full_mask,
+    to_relation,
 )
-from nbhd.bitslice import block_refute, transpose
+from nbhd.bitslice import transpose
 from nbhd.duality import complex_algebra
 from nbhd.evaluate import assignment_at, compile_algebra, eval_formula, find_refuting_assignment
 from nbhd.bax import enumerate_bax
@@ -37,7 +40,7 @@ from nbhd.search import (
     count_frames,
     enumerate_frames,
     find_countermodel,
-    frames_text,
+    frames_chunks,
     relabel_frame,
 )
 
@@ -110,16 +113,20 @@ def definitional_scan(n, cands, iv, canonical):
     ]
 
 
-def columns_of(n, keys):
-    """Column y of a block of keys: the famasks of N(y), frame by frame."""
-    return [[key[y] for key in keys] for y in range(n)]
+FOUR = compile_target("@Four", 1)
+
+
+def iv_level(n, cands, iv):
+    """A level of the candidate lists, with Four as its one whole-frame
+    constraint when iv is set."""
+    return search._Level(n, tuple(map(tuple, cands)), (compile_algebra(FOUR),) if iv else ())
 
 
 def scan_keys(n, cands, iv, canonical):
     """The keys of search._in_class's blocks, in scan order.  Each block
     is non-empty and holds one column per point, each of its count."""
     keys = []
-    for count, columns in search._in_class(search._Level(n, cands, iv), canonical):
+    for count, columns in search._in_class(iv_level(n, cands, iv), canonical):
         assert count > 0 and len(columns) == n and all(len(column) == count for column in columns)
         keys += zip(*columns) if n else [()] * count
     return keys
@@ -167,7 +174,7 @@ def test_property_plane_scan_matches_definitions(case):
         for canonical in (False, True):
             want = definitional_scan(n, cands, iv, canonical)
             assert scan_keys(n, cands, iv, canonical) == want
-            assert search._scan(search._Level(n, cands, iv), canonical, None, "count") == (len(want), 0, None)
+            assert search._scan(iv_level(n, cands, iv), canonical, None, "count") == (len(want), 0, None)
 
 
 def test_block_shapes_fix_one_and_two_points(monkeypatch):
@@ -216,10 +223,14 @@ def frames_json(frames) -> str:
     return json.dumps({"frames": [frame_to_json(frame) for frame in frames]}, separators=(",", ":"))
 
 
+def frames_text(n, constraints=(), canonical=False):
+    return "".join(frames_chunks(n, constraints, canonical))
+
+
 def test_frames_text_equals_the_dict_codec():
-    # The text `search enumerate` prints, against the frames
-    # enumerate_frames streams, encoded from frame_to_json's dicts.  A
-    # level of more than 2^18 frames is left out for time.
+    # The text `search enumerate` prints, its chunks joined, against the
+    # frames enumerate_frames streams, encoded from frame_to_json's dicts.
+    # A level of more than 2^18 frames is left out for time.
     left_out = set()
     for n in range(4):
         for constraints in ((), ("filter",), ("monotone",), ("iv",), ("topological",), ("centered",), ("kappa:1",), ("@Conv",), ("box(u)",)):
@@ -331,9 +342,9 @@ def test_tag_candidates_equal_their_family_tests_n4():
         axioms = frame_tag_axioms(search.parse_class_tag(text))
         shared = [fm for fm in families(4) if all(fm in passing[name] for name in axioms if name in passing)]
         want = [[fm for fm in shared if "T" not in axioms or fm & plane == fm] for plane in planes]
-        cands, iv = search._compile_constraints(4, (text,))
+        cands, whole = search._compile_constraints(4, (text,))
         assert [list(c) for c in cands] == want, text
-        assert iv == ("Four" in axioms), text
+        assert whole == ((compile_algebra(FOUR),) if "Four" in axioms else ()), text
 
 
 def test_tag_axioms_follow_the_specs():
@@ -470,59 +481,66 @@ def box_n_refutation(n, key, f):
     return -1
 
 
-def assert_block_check_is_definitional(n, keys, texts):
-    """The search's block check, one block_refute sweep over a block's
-    columns, on consecutive blocks of mixed sizes gives each frame's
-    eval_formula verdict, and as the least refuted frame of a block every
-    refuting frame gets its first refuting assignment."""
+def assert_block_check_is_definitional(n, cands, texts):
+    """The whole-frame lane test of the search, `_whole_lanes` on each
+    block of the level of these candidate lists, in blocks of mixed sizes,
+    keeps of the lanes it is given exactly those whose frame validates
+    the formula by eval_formula: every lane of the block, or its
+    canonical ones."""
     for text in texts:
         f = compile_target(text, n)
         program = compile_algebra(f)
-        names = free_vars(f)
-        assert list(program.names) == names
-
-        def check(block):
-            refuted, idx = block_refute(columns_of(n, block), len(block), n, program.opcodes, program.opargs, len(names))
-            return refuted, None if idx < 0 else assignment_at(names, n, idx)
-
-        cap = 1 << max(0, search.TARGET_BLOCK_BITS - n * len(names))
-        want = [box_n_refutation(n, key, f) for key in keys]
-        start = 0
-        for size in cycle((1, 2, 7, 64, cap)):
-            block = keys[start:start + size]
-            if not block:
-                break
-            refuted, _ = check(block)
-            assert refuted == sum(1 << j for j, w in enumerate(want[start:start + size]) if w >= 0), (n, text)
-            start += size
-        for j, w in enumerate(want):
-            if w >= 0:
-                refuted, env = check(keys[j:j + 1 + j % 4])
-                assert refuted & 1 and env == assignment_at(names, n, w), (n, keys[j], text)
+        for bits in (2, 5, search.SCAN_BLOCK_BITS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(search, "SCAN_BLOCK_BITS", bits)
+                level = search._Level(n, tuple(cands), ())
+                p = level.plan[0]
+                for canonical in (False, True):
+                    for prefix, planes, lanes in search._lane_blocks(level, canonical):
+                        keys = [prefix + tail for tail in product(*cands[p:])]
+                        want = sum(1 << i for i, key in enumerate(keys) if lanes >> i & 1 and box_n_refutation(n, key, f) < 0)
+                        assert search._whole_lanes(planes, n, lanes, program) == want, (n, text, bits, prefix)
 
 
 def test_block_check_matches_eval_formula_on_small_spaces():
     for n in range(3):
         # @Ck(4) is the @C formula up to n = 2; @CInf adds @N to it.
-        assert_block_check_is_definitional(n, [frame.key() for frame in all_frames(n)], BLOCK_TARGETS + ("@CInf", "@Ck(4)"))
+        assert_block_check_is_definitional(n, [tuple(families(n))] * n, BLOCK_TARGETS + ("@CInf", "@Ck(4)"))
 
 
 def test_block_check_matches_eval_formula_on_filter_and_monotone_n3():
-    filters = [frame.key() for frame in enumerate_frames(3, ("filter",))]
+    filters, _ = search._compile_constraints(3, ("filter",))
     assert_block_check_is_definitional(3, filters, BLOCK_TARGETS)
-    monotone = [frame.key() for frame in enumerate_frames(3, ("monotone",))]
-    assert len(monotone) == 20 ** 3
+    monotone, _ = search._compile_constraints(3, ("monotone",))
+    assert len(monotone[0]) ** 3 == 20 ** 3
     assert_block_check_is_definitional(3, monotone, ("@T", "@Four", "box v"))
+
+
+def whole_formulas(n, constraints):
+    """The constraints of modal depth 2 or more, as formulas: the registry
+    axioms of that depth of each tag, and each such spec."""
+    found = []
+    for spec in constraints:
+        if spec in FRAME_TAGS or spec.startswith("kappa:"):
+            texts = [f"@{name}" for name in frame_tag_axioms(search.parse_class_tag(spec))]
+        else:
+            texts = [spec]
+        found += [f for f in map(compile_target, texts, [n] * len(texts)) if modal_depth(f) > 1]
+    return found
 
 
 def key_by_key_search(spec):
     """find_countermodel, definitionally: each level's in-class keys in
-    scan order, every target check an eval_formula sweep."""
+    scan order, every constraint of modal depth 2 or more and every target
+    check an eval_formula sweep."""
     checked = count = 0
     for n in range(spec.max_n + 1):
-        cands, iv = search._compile_constraints(n, spec.constraints)
+        cands, _ = search._compile_constraints(n, spec.constraints)
         target = compile_target(spec.target, n)
-        for key in definitional_scan(n, cands, iv, True):
+        whole = whole_formulas(n, spec.constraints)
+        for key in definitional_scan(n, cands, False, True):
+            if any(box_n_refutation(n, key, f) >= 0 for f in whole):
+                continue
             checked += 1
             if target is None:
                 count += 1
@@ -540,34 +558,30 @@ def key_by_key_search(spec):
 
 
 def traced_search(spec, patch):
-    """find_countermodel with a log of its scan blocks and target sweeps:
-    per level, the number of frames of each block's sweeps, one list per
-    scan block."""
+    """find_countermodel with a log of the target's whole-frame lane
+    tests: per level, the number of lanes of each call, one entry per
+    scan block with an in-class lane."""
     levels = {}
-    in_class, sweep = search._in_class, search.block_refute
+    whole = search._whole_lanes
 
-    def logged_in_class(level, canonical):
-        for count, columns in in_class(level, canonical):
-            levels.setdefault(level.n, []).append([])
-            yield count, columns
+    def logged(planes, n, lanes, program):
+        if program == compile_algebra(compile_target(spec.target, n)):
+            levels.setdefault(n, []).append(lanes.bit_count())
+        return whole(planes, n, lanes, program)
 
-    def logged_sweep(columns, frames, n, *args):
-        levels[n][-1].append(frames)
-        return sweep(columns, frames, n, *args)
-
-    patch.setattr(search, "_in_class", logged_in_class)
-    patch.setattr(search, "block_refute", logged_sweep)
+    patch.setattr(search, "_whole_lanes", logged)
     return find_countermodel(spec), levels
 
 
 def test_find_countermodel_matches_key_by_key_search():
-    # Again with scan blocks of at most 8 keys and target slices of at
-    # most 2^(3 - n * v) frames.  A target of modal depth 2 is swept: a
-    # count and a refuting search then span several scan blocks at a
-    # level and several slices in one block, and a refuting hit lies past
-    # its level's first slice.  A validating search always stops at the
-    # 0-point frame, one block of one slice.  A target of depth at most 1,
-    # or none, is decided by pass planes: no columns, no sweep.
+    # Again with scan blocks of at most 8 keys.  A target of modal depth
+    # 2 takes the whole-frame lane test on each block with an in-class
+    # lane: a count and a refuting search then span several blocks at a
+    # level, and a refuting hit lies past its level's first block.  A
+    # validating search always stops at the 0-point frame, one block of
+    # one lane.  A target of depth at most 1, or none, is decided by pass
+    # planes: it is never given to the lane test.  Constraints of depth
+    # 2 or more take the lane test too.
     specs = (
         SearchSpec(target="@M"),
         SearchSpec(target="@M", constraints=("monotone",), max_n=2),
@@ -581,6 +595,11 @@ def test_find_countermodel_matches_key_by_key_search():
         SearchSpec(target="box v -> box box v", constraints=("centered",), max_n=3),
         SearchSpec(target="@Four", constraints=("monotone",), mode="count", max_n=2),
         SearchSpec(target="box box v -> box v", constraints=("monotone",), max_n=2),
+        SearchSpec(target="@T", constraints=("box b -> box box b",), mode="count", max_n=2),
+        SearchSpec(target="@Four", constraints=("~box~box p -> box~box~p",), max_n=2),
+        SearchSpec(target="box~box~p -> ~box~box p", constraints=("topological",), mode="count", max_n=3),
+        SearchSpec(target="box v", constraints=("monotone", "box~box~p -> ~box~box p"), mode="count", max_n=2),
+        SearchSpec(target="~box~box p -> box~box~p", constraints=("filter", "box box v -> box v"), max_n=3),
     )
     spread = {"count": False, "find_refuting": False}
     late_hit = False
@@ -589,7 +608,6 @@ def test_find_countermodel_matches_key_by_key_search():
         assert find_countermodel(spec) == want, spec
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(search, "SCAN_BLOCK_BITS", 3)
-            patch.setattr(search, "TARGET_BLOCK_BITS", 3)
             got, levels = traced_search(spec, patch)
         assert got == want, spec
         target = compile_target(spec.target, 1)
@@ -597,11 +615,11 @@ def test_find_countermodel_matches_key_by_key_search():
             assert levels == {}, spec
             continue
         if spec.mode in spread:
-            spread[spec.mode] |= any(len(blocks) > 1 and max(map(len, blocks)) > 1 for blocks in levels.values())
+            spread[spec.mode] |= any(len(calls) > 1 for calls in levels.values())
         if spec.mode == "find_refuting" and want["found"]:
-            late_hit |= sum(map(len, levels[want["frame"]["n"]])) > 1
+            late_hit |= len(levels[want["frame"]["n"]]) > 1
         if spec.mode == "find_validating":
-            assert levels == {0: [[1]]}, spec
+            assert levels == {0: [1]}, spec
     assert all(spread.values()) and late_hit, (spread, late_hit)
 
 
@@ -611,32 +629,28 @@ SMALL_AT_N3 = ("filter", "pretopological", "topological")
 # Targets of modal depth 2: Four, its converse, S4.2 and McKinsey.
 DEEP_TARGETS = ("@Four", "box v -> box box v", "box box v -> box v", "~box~box p -> box~box~p", "box~box~p -> ~box~box p")
 # (tag, target, mode, result) of each DEEP_TARGETS search over each class
-# tag, as the search answered when a depth-2 target was swept frame by
-# frame through block_refute.
+# tag, pinned from a search that swept each in-class frame on its own.
 DEEP_PINS = json.loads((Path(__file__).parent / "data" / "deep_targets.json").read_text())
 
 
 def test_pointwise_route_matches_key_by_key_search_on_every_class():
     # Every rank-1 registry axiom over every class tag, in all three
-    # modes: the pass-plane route against the definitional search, and
-    # level by level against the block_refute sweep it replaces.  The
-    # depth-2 targets give their pinned answers.
+    # modes: the pass-plane route against the definitional search.  The
+    # depth-2 targets, decided by the whole-frame lane test, give the
+    # answers pinned from the frame-by-frame sweep it replaced, which the
+    # definitional search gives too.
     assert len(DEEP_PINS) == len(CLASS_TABLE) * len(DEEP_TARGETS) * len(MODES)
     pins = {(tag, target, mode): result for tag, target, mode, result in DEEP_PINS}
     for tag, _, _ in CLASS_TABLE:
         max_n = 3 if tag in SMALL_AT_N3 else 2
-        levels = [search._Level(n, *search._compile_constraints(n, (tag,))) for n in range(max_n + 1)]
         for target in RANK1_AXIOMS:
             for mode in MODES:
                 spec = SearchSpec(target=target, constraints=(tag,), mode=mode, max_n=max_n)
                 assert find_countermodel(spec) == key_by_key_search(spec), spec
-                for level in levels:
-                    want = search._sweep_scan(level, True, compile_target(target, level.n), mode)
-                    assert search._scan(level, True, target, mode) == want, (spec, level.n)
         for target in DEEP_TARGETS:
             for mode in MODES:
                 spec = SearchSpec(target=target, constraints=(tag,), mode=mode, max_n=max_n)
-                assert find_countermodel(spec) == pins[tag, target, mode], spec
+                assert find_countermodel(spec) == pins[tag, target, mode] == key_by_key_search(spec), spec
 
 
 @st.composite
@@ -682,6 +696,52 @@ def pointwise_passes(n, x, famask, f):
     return all(eval_formula(alg, f, assignment_at(names, n, idx)) >> x & 1 for idx in range((1 << n) ** len(names)))
 
 
+def brute_valid(frame, f):
+    """f holds under every assignment on the frame, by eval_formula over
+    its complex algebra."""
+    alg = complex_algebra(frame)
+    names = free_vars(f)
+    return all(eval_formula(alg, f, assignment_at(names, frame.n, idx)) == full_mask(frame.n) for idx in range((1 << frame.n) ** len(names)))
+
+
+def test_whole_frame_constraints_match_a_brute_count():
+    # A constraint of modal depth 2 keeps exactly the frames that validate
+    # it: every frame at n <= 2 and every monotone frame at n = 3, counted
+    # and enumerated, and canonically against the orbit oracle.
+    for n, tags in ((0, ()), (1, ()), (2, ()), (3, ("monotone",))):
+        frames = list(enumerate_frames(n, tags))
+        for text in DEEP_TARGETS[1:]:
+            f = parse(text)
+            brute = [frame.key() for frame in frames if brute_valid(frame, f)]
+            specs = (*tags, text)
+            assert [frame.key() for frame in enumerate_frames(n, specs)] == brute, (n, text)
+            assert count_frames(n, specs) == len(brute), (n, text)
+            assert count_frames(n, specs, canonical=True) == oracles.orbit_count(brute), (n, text)
+
+
+def test_topological_s4_2_and_mckinsey_frames_are_their_preorders():
+    # A finite topological frame is its specialization preorder
+    # (to_relation).  It validates S4.2 exactly when the preorder is
+    # confluent, and McKinsey exactly when every point sees a point whose
+    # only successor is itself: the counts under each constraint equal
+    # the oracle's over the canonical topological frames, labeled and
+    # canonical.
+    s42, mckinsey = DEEP_TARGETS[3:]
+    for text, oracle in ((s42, oracles.is_confluent), (mckinsey, oracles.sees_an_end)):
+        for n in range(5):
+            for canonical in (False, True):
+                frames = enumerate_frames(n, ("topological",), canonical=canonical)
+                want = sum(1 for frame in frames if oracle(to_relation(frame)))
+                assert count_frames(n, ("topological", text), canonical=canonical) == want, (text, n, canonical)
+    # The 2-point cluster separates them: it is confluent, and no point of
+    # it has itself as its only successor.
+    cluster = Relation(2, (0b11, 0b11))
+    frame = from_relation(cluster)
+    assert oracles.is_confluent(cluster) and not oracles.sees_an_end(cluster)
+    assert brute_valid(frame, parse(s42)) and not brute_valid(frame, parse(mckinsey))
+    assert find_countermodel(SearchSpec(target=mckinsey, constraints=("topological", s42), max_n=3))["frame"] == frame_to_json(frame)
+
+
 def test_a_level_refused_by_its_cap_raises_on_every_call():
     # The refusal is decided on every call, and no plane is built for it:
     # the unconstrained n = 4 level is past both caps, and filter at n = 5
@@ -711,7 +771,7 @@ def test_a_level_is_immutable_and_shared_by_repeated_specs():
         p, size, runs, free = level.plan
         assert type(level.cands) is tuple and all(type(cand) is tuple for cand in level.cands)
         assert type(runs) is tuple and type(free) is tuple and all(type(planes) is tuple for planes in free)
-        assert (level.cands, level.iv) == search._compile_constraints(3, specs)
+        assert (level.cands, level.whole) == search._compile_constraints(3, specs)
         assert (p, size, list(runs)) == search._level_shape(level.cands)
         assert search._level(3, (*specs, f" {specs[0]} ", *reversed(specs)), search.SCAN_KEYS_CAP) is level
         with pytest.raises(FrozenInstanceError):
@@ -791,8 +851,7 @@ def test_spec_and_cap_errors():
         count_frames(4)
     with pytest.raises(InvalidInputError):
         count_frames(1, ("zebra",))
-    with pytest.raises(InvalidInputError, match="modal depth 2"):
-        count_frames(1, ("box b -> box box b",))
+    assert count_frames(2, ("box b -> box box b",)) == count_frames(2, ("iv",))
     for n in range(4):
         for canonical in (False, True):
             assert count_frames(n, ("@T",), canonical=canonical) == count_frames(n, ("centered",), canonical=canonical), n
