@@ -309,18 +309,16 @@ def _lane_blocks(level: _Level, canonical: bool):
     """(prefix, planes, in-class lanes) per block, in scan order.  Plane
     (x, a) of a block holds the lanes whose N(x) contains a: a constant
     for a fixed point, and for a free point its plane in the level's plan.
-    The lanes are those whose frame validates every whole-frame
-    constraint and, when canonical is set, whose key no relabeling lowers."""
+    The lanes are those whose key no relabeling lowers, when canonical is
+    set, and whose frame validates every whole-frame constraint."""
     n, cands = level.n, level.cands
     p, size, _, free = level.plan
     full = (1 << size) - 1
     for prefix in product(*cands[:p]):
         planes = [[full if famask >> a & 1 else 0 for a in range(1 << n)] for famask in prefix] + list(free)
-        lanes = full
+        lanes = _canonical_lanes(planes, n, full) if canonical else full
         for program in level.whole:
             lanes = _whole_lanes(planes, n, lanes, program)
-        if canonical and lanes:
-            lanes = _canonical_lanes(planes, n, lanes)
         yield prefix, planes, lanes
 
 
