@@ -352,8 +352,8 @@ def _refuted(images, opcodes, opargs, variables, full: int) -> int:
 
     Postfix opcodes: 0 pushes variable arg, 1 the full set, 2 complements
     the top, 3 folds an and of arg operands, 4 applies the box to the
-    top, whose subprogram arg numbers: the image of the first box of each
-    number serves the later ones.  Every value is a tuple of n planes."""
+    top, arg numbering the boxed subformula, so a number already seen
+    reuses its image.  Every value is a tuple of n planes."""
     top = (full,) * len(images[0])
     boxed: dict[int, tuple[int, ...]] = {}
     stack = []
