@@ -5,10 +5,12 @@ Each `from ... import` binding of a module must be read somewhere in
 it as a name.  Each private name a module binds at top level must be
 read as a name in that module, or imported by name into another module
 that reads it.  `__init__` re-exports its imports and `_backend` picks
-a module by name, so both are left out.  No parameter of a private
-function takes the same literal at every call in the package.  Every
-`lru_cache` is bounded by a numeric maxsize, or caches a function whose
-parameters are all ints, or that has none.
+a module by name, so both are left out.  Every name a module binds at
+top level, public or private, is read by the code of some other
+statement of the package, its tests or the benchmark.  No parameter of
+a private function takes the same literal at every call in the
+package.  Every `lru_cache` is bounded by a numeric maxsize, or caches
+a function whose parameters are all ints, or that has none.
 
 `import nbhd` loads no submodule, each public name resolves to the
 object its module defines, and a process loads only the modules of the

@@ -565,7 +565,7 @@ def traced_search(spec, patch):
     whole = search._whole_lanes
 
     def logged(planes, n, lanes, program):
-        if program == compile_algebra(compile_target(spec.target, n)):
+        if spec.target is not None and program == compile_algebra(compile_target(spec.target, n)):
             levels.setdefault(n, []).append(lanes.bit_count())
         return whole(planes, n, lanes, program)
 
