@@ -22,9 +22,9 @@ is the definitional dict codec the joined chunks must match.
 When some axiom forces up-closure (@M, @C, @CInf, or a degraded @Ck) it
 takes the up-set route, n <= 5: the up-closed families, tabulated once
 per n in ascending order as pairs of up-closed families over one point
-fewer, are filtered in cached bit-sliced blocks.  The @M and @N
-programs are not compiled there: the construction guarantees @M, and
-@N only drops the empty family.  Otherwise it sweeps all 2^(2^n)
+fewer, are filtered in cached bit-sliced blocks.  The @M program is
+not compiled there, as the construction guarantees @M; @N is one row,
+which drops only the empty family.  Otherwise it sweeps all 2^(2^n)
 famasks through the membership programs, bit-sliced with one lane per
 famask, n <= 4.  Both give the same ascending space wherever
 both apply.
@@ -108,12 +108,9 @@ def enumerate_bax(n: int, axs: AxiomSet) -> BaxSpace:
         lanes = family_filter(0, 1 << (1 << n), _membership_programs(axs, n))
     else:
         check_width(n, ENUM_BACKTRACK_CAP, "enumerate_bax[backtrack]")
-        # Up-closure is guaranteed by construction, and @N then only drops
-        # the empty family, so the @M and @N rows would pass every family:
-        # they are dropped by name before they are compiled.
-        leaf_programs = _membership_programs([ax for ax in axs if ax.name not in ("M", "N")], n)
-        nonempty = any("N" in (ax.name, *(ax.semantic or ())) for ax in axs)
-        lanes = upset_enumerate(n, nonempty, leaf_programs)
+        # Up-closure is guaranteed by construction, so the @M rows would
+        # pass every family: @M is dropped by name before it is compiled.
+        lanes = upset_enumerate(n, _membership_programs([ax for ax in axs if ax.name != "M"], n))
     return BaxSpace(n, axs, lanes)
 
 

@@ -265,17 +265,18 @@ def _upset_blocks(n: int, bits: int) -> tuple[tuple[tuple[int, ...], tuple[int, 
     return tuple([(block, transpose(block, 1 << n)) for block in blocks])
 
 
-def upset_enumerate(n: int, nonempty: bool, programs) -> Lanes:
+def upset_enumerate(n: int, programs) -> Lanes:
     """The up-closed families over n points that every program accepts,
-    without the empty family when nonempty is set, as lanes over the
-    per-width table `_upsets(n)`, in its ascending order.
+    as lanes over the per-width table `_upsets(n)`, in its ascending
+    order.
 
     The families are filtered in the table's cached blocks of
     2^FILTER_BLOCK_BITS families, one lane each (`_upset_blocks`), so a
     call builds and transposes nothing that an earlier call at the same
     width built; with no programs every lane is set and no block is
     used.  The empty family, famask 0, is lane 0: the first of the table
-    and the only up-closed family without the full set."""
+    and the only up-closed family without the full set, so the one row
+    of @N drops that lane alone."""
     ups = _upsets(n)
     if programs:
         bits = FILTER_BLOCK_BITS
@@ -284,8 +285,6 @@ def upset_enumerate(n: int, nonempty: bool, programs) -> Lanes:
             mask |= _accepted(planes, (1 << len(block)) - 1, programs) << (i << bits)
     else:
         mask = (1 << len(ups)) - 1
-    if nonempty:
-        mask &= ~1
     return Lanes(ups, mask)
 
 

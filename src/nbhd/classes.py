@@ -217,7 +217,8 @@ def correspondence_check(frame: NeighborhoodFrame, pair: str) -> dict:
         raise InvalidInputError(f"unknown correspondence pair {pair!r}")
     frame_tag, algebra_tag = CORRESPONDENCE_PAIRS[pair]
     frame_side = frame_class_check(frame, ClassTag(frame_tag))
-    # The complex algebra: duality imports evaluate, which imports this module.
+    # The complex algebra, built here rather than by duality.complex_algebra:
+    # duality imports bax, which imports this module.
     alg = NeighborhoodAlgebra(frame.n, transpose(frame.key(), 1 << frame.n))
     algebra_side = algebra_class_check(alg, ClassTag(algebra_tag))
     return {"pair": pair, "frame_side": frame_side, "algebra_side": algebra_side, "agree": frame_side == algebra_side}

@@ -195,7 +195,7 @@ def _algebra_from_args(args):
 
 def cmd_eval(args) -> int:
     alg = _algebra_from_args(args)
-    f = nbhd.search.compile_target(_formula_arg(args.formula), alg.n)
+    f = nbhd.evaluate.compile_target(_formula_arg(args.formula), alg.n)
     env_raw = _parse_inline_json(args.assign, "--assign")
     if not isinstance(env_raw, dict):
         raise InvalidInputError("--assign must be a JSON object of variable masks")
@@ -206,7 +206,7 @@ def cmd_eval(args) -> int:
 
 def cmd_valid(args) -> int:
     alg = _algebra_from_args(args)
-    witness = nbhd.evaluate.find_refuting_assignment(alg, nbhd.search.compile_target(_formula_arg(args.formula), alg.n))
+    witness = nbhd.evaluate.find_refuting_assignment(alg, nbhd.evaluate.compile_target(_formula_arg(args.formula), alg.n))
     _emit({"valid": witness is None, "witness": witness}, args)
     return 0 if witness is None else 1
 

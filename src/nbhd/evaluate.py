@@ -23,6 +23,10 @@ the subsets that assignment names (Schroeder and Pattinson, "Shallow
 models for non-iterative modal logics", KI 2008), so assignments that
 name the same subsets and forbid the same memberships of them give one
 row, and an assignment that forbids none gives no row.
+
+A formula reaches this module resolved at a width n: `compile_target`
+gives a target string's formula through `formulas.resolve`, and
+`realize_axiom` an axiom's, a kappa axiom resolved again at n.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from functools import lru_cache
 
 from .bitslice import _ARRAY_CODES, _index_planes, _row_sweep, _variable_planes, algebra_refute, family_accepts
 from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError, NeighborhoodAlgebra, _check_famask, check_width, full_mask
-from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, Var, expand_named, free_vars, is_one_step, modal_depth, render
+from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, Var, expand_named, free_vars, is_one_step, modal_depth, render, resolve
 
 ASSIGN_SPACE_GUARD = 1 << 18
 
@@ -138,7 +142,6 @@ class MembershipProgram:
     opcodes: tuple[int, ...]
     opargs: tuple[int, ...]
     n: int
-    n_slots: int
     n_rows: int
     rows: tuple[tuple[int, ...], ...]
 
@@ -245,7 +248,7 @@ def _membership_program(f: Formula, n: int, point: int | None) -> MembershipProg
                 fails &= plane if entry > 1 << n else ~plane
         if fails:
             rows.setdefault((tuple(entries), fails), row)
-    return MembershipProgram(tuple(names), tuple(opcodes), tuple(opargs), n, len(slots), n_rows, tuple(rows.values()))
+    return MembershipProgram(tuple(names), tuple(opcodes), tuple(opargs), n, n_rows, tuple(rows.values()))
 
 
 @lru_cache(maxsize=512)
@@ -317,6 +320,12 @@ def realize_axiom(ax: Axiom, n: int) -> Formula:
     if ax.kappa is not None:
         ax = expand_named(ax.name, n)
     return ax.formula
+
+
+def compile_target(text: str | None, n: int) -> Formula | None:
+    """The target formula, or None, from a target string, resolving
+    registry names at width n."""
+    return None if text is None else resolve(text.strip(), n).formula
 
 
 def _membership_programs(axioms: Iterable[Axiom], n: int) -> list[MembershipProgram]:

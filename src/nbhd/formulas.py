@@ -26,71 +26,35 @@ from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError
 
 
 class Formula:
-    """Base marker for AST nodes.  A node's structural hash is computed on
-    its first `hash()` and kept in the node, so formula-keyed caches do
-    not walk the tree per lookup.  Only the hashed node keeps it: its
-    subformulas go through `_tree_hash`, which keeps nothing.  So the
-    first hash of a fresh formula costs more than a plain structural
-    hash, and every later one an attribute read.  Pickling leaves the
-    kept hash out: a str hash differs between processes."""
+    """Base marker for AST nodes.  Every node is a frozen dataclass, so
+    equality and hashing are structural, field by field."""
 
     __slots__ = ()
-    _hash = None
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = _tree_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
 
-def _node(cls):
-    """A frozen dataclass node with the generated equality and the
-    kept `Formula.__hash__`."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Formula.__hash__
-    return cls
-
-
-@_node
+@dataclass(frozen=True)
 class Var(Formula):
     name: str
 
 
-@_node
+@dataclass(frozen=True)
 class Top(Formula):
     pass
 
 
-@_node
+@dataclass(frozen=True)
 class Not(Formula):
     sub: Formula
 
 
-@_node
+@dataclass(frozen=True)
 class And(Formula):
     items: tuple[Formula, ...]
 
 
-@_node
+@dataclass(frozen=True)
 class Box(Formula):
     sub: Formula
-
-
-def _tree_hash(f: Formula) -> int:
-    """The structural hash of f, kept nowhere."""
-    kind = type(f)
-    if kind is And:
-        return hash((And, *map(_tree_hash, f.items)))
-    if kind is Var:
-        return hash((Var, f.name))
-    if kind is Top:
-        return hash(Top)
-    return hash((kind, _tree_hash(f.sub)))
 
 
 TOP = Top()
@@ -312,7 +276,8 @@ def modal_depth(f: Formula) -> int:
 # reduces to on a finite carrier, and its formula is their conjunction:
 # on n points a family closed under binary meets and supersets is empty
 # or the up-cone of its minimum, so @CInf is @N and @C, and @Ck(k) is @C
-# once k >= 2^n values must repeat.
+# once k >= 2^n values must repeat.  Every spec, an @name or an inline
+# formula, becomes an Axiom through `resolve`.
 
 
 @dataclass(frozen=True)
@@ -333,16 +298,16 @@ def _kappa_formula(k: int) -> Formula:
 
 # Each fixed axiom is parsed once, here; expand_named hands out these.
 _FIXED_AXIOMS = {
-    name: Axiom(name, parse(text), one_step)
-    for name, text, one_step in (
-        ("M", "box(u & v) -> box u", True),
-        ("C", "box u & box v <-> box(u & v)", True),
-        ("N", "box T", True),
-        ("Cont", "box v <-> box ~v", True),
-        ("Conv", "box(v & v1) & box(v | v2) -> box v", True),
-        ("CoConv", "box v -> box(v & v1) | box(v | v2)", True),
-        ("T", "box b -> b", False),
-        ("Four", "box b -> box box b", False),
+    name: Axiom(name, f, is_one_step(f))
+    for name, f in (
+        ("M", parse("box(u & v) -> box u")),
+        ("C", parse("box u & box v <-> box(u & v)")),
+        ("N", parse("box T")),
+        ("Cont", parse("box v <-> box ~v")),
+        ("Conv", parse("box(v & v1) & box(v | v2) -> box v")),
+        ("CoConv", parse("box v -> box(v & v1) | box(v | v2)")),
+        ("T", parse("box b -> b")),
+        ("Four", parse("box b -> box box b")),
     )
 }
 
@@ -410,6 +375,17 @@ class AxiomSet:
         return [ax.name if render(ax.formula) == ax.name else "@" + ax.name for ax in self.axioms]
 
 
+def resolve(spec: str, n: int | None = None) -> Axiom:
+    """The axiom a stripped spec names: the registry entry of an '@Name'
+    at width n (`expand_named`), and otherwise the parsed formula, named
+    by its rendering.  Every axiom spec, search target and constraint is
+    resolved here."""
+    if spec.startswith("@"):
+        return expand_named(spec, n)
+    f = parse(spec)
+    return Axiom(render(f), f, is_one_step(f))
+
+
 def axiom_set_from_specs(specs: list[str], n: int | None = None) -> AxiomSet:
     """Build an AxiomSet from '@Name' entries and inline one-step formulas."""
     axioms = []
@@ -417,11 +393,9 @@ def axiom_set_from_specs(specs: list[str], n: int | None = None) -> AxiomSet:
         spec = spec.strip()
         if not spec:
             raise InvalidInputError("axiom set: empty entry")
-        if spec.startswith("@"):
-            axioms.append(expand_named(spec, n))
-        else:
-            f = parse(spec)
-            if not is_one_step(f):
-                raise InvalidInputError(f"axiom set: {spec!r} is not one-step")
-            axioms.append(Axiom(render(f), f, True))
+        ax = resolve(spec, n)
+        # A registry axiom that is not one-step is refused by AxiomSet.
+        if not (ax.one_step or spec.startswith("@")):
+            raise InvalidInputError(f"axiom set: {spec!r} is not one-step")
+        axioms.append(ax)
     return AxiomSet(tuple(axioms))

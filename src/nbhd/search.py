@@ -3,15 +3,16 @@
 A frame on n points is a product of n independent family choices, so
 pointwise constraints shrink each point's candidate list before any
 frame is assembled.  A class tag stands for its registry axioms
-(`classes.frame_tag_axioms`); its one-step axioms join the axiom specs,
-and one `bax.enumerate_bax` call of them gives the candidates every
-point shares.  A formula of modal depth 1 with a naked variable, such as
-T (the centered condition of `centered` and the topological tags), is
-still a test on x and N(x) alone: `evaluate.compile_pointwise` gives one
-membership program per point, and each point keeps the candidates that
-pass its program (`_pass_masks`, one transpose of the shared list).  A
-formula of depth 2 or more, such as Four (the iv condition), reads other
-points' neighborhoods and is decided per frame.
+(`classes.frame_tag_axioms`); they join the axiom specs, each of which
+`formulas.resolve` turns into an `Axiom`, and one `bax.enumerate_bax`
+call of the one-step ones gives the candidates every point shares.  A
+formula of modal depth 1 with a naked variable, such as T (the centered
+condition of `centered` and the topological tags), is still a test on x
+and N(x) alone: `evaluate.compile_pointwise` gives one membership
+program per point, and each point keeps the candidates that pass its
+program (`_pass_masks`, one transpose of the shared list).  A formula of
+depth 2 or more, such as Four (the iv condition), reads other points'
+neighborhoods and is decided per frame.
 
 The product is scanned serially in blocks, first point outermost and
 famasks ascending, which is the ascending lexicographic order on keys.
@@ -40,15 +41,16 @@ is built.  The cache serves a process that scans one class more than
 once, with several targets or commands; one CLI search visits each of
 its levels once.
 
-A target of modal depth at most 1 is valid on a frame exactly when every
-N(x) passes x's program, so it is decided by the same pass masks: a
-block's validating lanes are its in-class lanes within the passing runs
-of its free points, when every fixed point passes.  A target of depth 2
-or more is decided on the in-class lanes by `_whole_lanes`.  Either way
-a count sums both popcounts, and a find mode takes the least lane of the
-validating or of the other in-class lanes; only that frame's key is
-built, and a refuting frame's least assignment comes from
-`find_refuting_assignment` on its box table.
+A target is the formula `evaluate.compile_target` gives at the level's
+width.  A target of modal depth at most 1 is valid on a frame exactly
+when every N(x) passes x's program, so it is decided by the same pass
+masks: a block's validating lanes are its in-class lanes within the
+passing runs of its free points, when every fixed point passes.  A
+target of depth 2 or more is decided on the in-class lanes by
+`_whole_lanes`.  Either way a count sums both popcounts, and a find
+mode takes the least lane of the validating or of the other in-class
+lanes; only that frame's key is built, and a refuting frame's least
+assignment comes from `find_refuting_assignment` on its box table.
 
 The search visits n = 0, 1, ... and scans canonical representatives
 only (every class here is closed under point relabeling), so ties break
@@ -89,11 +91,11 @@ from .evaluate import (
     assignment_space,
     compile_algebra,
     compile_pointwise,
+    compile_target,
     eval_formula,
     find_refuting_assignment,
-    realize_axiom,
 )
-from .formulas import Formula, axiom_set_from_specs, expand_named, free_vars, is_one_step, modal_depth, parse, render
+from .formulas import Axiom, AxiomSet, Formula, free_vars, modal_depth, resolve
 
 MODES = ("find_refuting", "find_validating", "count")
 # A scan block holds at most 2^16 keys, one lane each.
@@ -161,15 +163,17 @@ def _compile_constraints(n: int, specs: tuple[str, ...]):
     """Per-point famask candidate tuples plus the algebra programs of the
     whole-frame constraints, of stripped specs.  The axiom specs keep
     their order; each frame tag's registry axioms follow them, skipping
-    any already listed.  A formula spec stands for its parsed formula, so
-    two spellings of one formula are one constraint.  The one-step specs
-    give the candidates every point shares, one `enumerate_bax` call of
-    them.  Each other spec of modal depth 1, such as T, has a naked
+    any already listed.  Each spec is an `Axiom` of `formulas.resolve`,
+    and a formula spec stands for its parsed formula, so two spellings of
+    one formula are one constraint.  The one-step axioms give the
+    candidates every point shares, one `enumerate_bax` call of their set.
+    Each other spec of modal depth 1, such as T, has a naked
     variable: it cuts every point's list to the famasks that pass at that
     point.  A spec of depth 2 or more, such as Four, reads other points'
     neighborhoods and is a whole-frame constraint, decided per block by
     `_whole_lanes`.  A box-free spec with a variable (a misspelt tag
-    parses as one) is refused."""
+    parses as one) is refused, and an empty spec once every other spec
+    has resolved."""
     axioms: list[str] = []
     tag_axioms: list[str] = []
     for text in specs:
@@ -180,27 +184,24 @@ def _compile_constraints(n: int, specs: tuple[str, ...]):
     for name in tag_axioms:
         if f"@{name}" not in axioms:
             axioms.append(f"@{name}")
-    one_step: list[str] = []
+    one_step: list[Axiom] = []
     pointwise: list[Formula] = []
     whole: list[Formula] = []
-    for spec in axioms:
-        if spec.startswith("@"):
-            ax = expand_named(spec, n)
-            f, one = ax.formula, ax.one_step
-        else:
-            f = parse(spec) if spec else None
-            one = f is None or is_one_step(f)
-        if one:
-            name = spec if f is None or spec.startswith("@") else render(f)
-            if name not in one_step:
-                one_step.append(name)
+    for spec in filter(None, axioms):
+        ax = resolve(spec, n)
+        f = ax.formula
+        if ax.one_step:
+            if ax not in one_step:
+                one_step.append(ax)
         elif not modal_depth(f):
             raise InvalidInputError(
                 f"constraint {spec!r} has modal depth 0: a constraint is a class tag, an @name or a formula with a box"
             )
         elif f not in pointwise and f not in whole:
             (pointwise if modal_depth(f) == 1 else whole).append(f)
-    shared = enumerate_bax(n, axiom_set_from_specs(one_step, n)).famasks()
+    if "" in axioms:
+        raise InvalidInputError("axiom set: empty entry")
+    shared = enumerate_bax(n, AxiomSet(tuple(one_step))).famasks()
     programs = tuple(compile_algebra(f) for f in whole)
     if not pointwise:
         return (shared,) * n, programs
@@ -320,17 +321,6 @@ def _lane_blocks(level: _Level, canonical: bool):
         for program in level.whole:
             lanes = _whole_lanes(planes, n, lanes, program)
         yield prefix, planes, lanes
-
-
-def compile_target(text: str | None, n: int) -> Formula | None:
-    """The target formula, or None, from a target string, resolving
-    registry names at width n."""
-    if text is None:
-        return None
-    text = text.strip()
-    if text.startswith("@"):
-        return realize_axiom(expand_named(text, n), n)
-    return parse(text)
 
 
 def _in_class(level: _Level, canonical: bool):

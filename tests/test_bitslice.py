@@ -100,22 +100,17 @@ def test_upset_enumerate_matches_brute_up_closure(monkeypatch):
     for block_bits in (bitslice.FILTER_BLOCK_BITS, 2):
         monkeypatch.setattr(bitslice, "FILTER_BLOCK_BITS", block_bits)
         for n, up_closed in brute_up_closed.items():
-            for nonempty in (False, True):
-                for specs in ([], ["@C"]):
-                    got = list(bitslice.upset_enumerate(n, nonempty, [program(spec, n) for spec in specs]))
-                    brute = [
-                        fm
-                        for fm in up_closed
-                        if (fm or not nonempty) and all(theta_holds(fm, spec, n) for spec in specs)
-                    ]
-                    assert got == brute, (block_bits, n, nonempty, specs)
+            for specs in ([], ["@C"], ["@N"], ["@N", "@C"]):
+                got = list(bitslice.upset_enumerate(n, [program(spec, n) for spec in specs]))
+                brute = [fm for fm in up_closed if all(theta_holds(fm, spec, n) for spec in specs)]
+                assert got == brute, (block_bits, n, specs)
 
 
 def test_upset_enumerate_runs_many_blocks_at_n5(monkeypatch):
     # The Dedekind numbers M(0), ..., M(5) (OEIS A000372).
-    assert [len(bitslice.upset_enumerate(k, False, [])) for k in range(6)] == [2, 3, 6, 20, 168, 7581]
+    assert [len(bitslice.upset_enumerate(k, [])) for k in range(6)] == [2, 3, 6, 20, 168, 7581]
     n = 5
-    upsets = list(bitslice.upset_enumerate(n, False, []))
+    upsets = list(bitslice.upset_enumerate(n, []))
     assert len(upsets) == 7581  # the Dedekind number M(5)
     assert upsets == sorted(set(upsets))
     assert all(is_up_closed(fm, n) for fm in upsets)
@@ -131,7 +126,7 @@ def test_upset_enumerate_runs_many_blocks_at_n5(monkeypatch):
     monkeypatch.setattr(bitslice, "_accepted", counted)
     # Blocks of 512 lanes: the 7,581 families fill 15 of them.
     monkeypatch.setattr(bitslice, "FILTER_BLOCK_BITS", 9)
-    got = list(bitslice.upset_enumerate(n, False, [program("@C", n)]))
+    got = list(bitslice.upset_enumerate(n, [program("@C", n)]))
     assert len(blocks) > 1 and sum(blocks) == 7581
     # Up-closed and closed under binary meets: the empty family and the
     # principal filters, one per subset.
@@ -161,30 +156,33 @@ def test_upset_tables_match_the_dedekind_recursion(monkeypatch):
                 assert planes == brute_transpose(block, 1 << n), (n, bits)
     # upset_enumerate reads its block size when called.
     monkeypatch.setattr(bitslice, "FILTER_BLOCK_BITS", 2)
-    assert list(bitslice.upset_enumerate(3, True, [program("@C", 3)])) == [fm for fm in bitslice._upsets(3) if fm and theta_holds(fm, "@C", 3)]
+    specs = ["@N", "@C"]
+    assert list(bitslice.upset_enumerate(3, [program(spec, 3) for spec in specs])) == [
+        fm for fm in bitslice._upsets(3) if all(theta_holds(fm, spec, 3) for spec in specs)
+    ]
 
 
 def test_upset_enumerate_result_cannot_alter_the_table():
     # The view shares the cached table `_upsets(n)` as its base, so it
     # must refuse every change: to its items, its lanes and its base.
-    for programs in ([], [program("@C", 4)]):
-        for nonempty in (False, True):
-            want = list(bitslice.upset_enumerate(4, nonempty, programs))
-            got = bitslice.upset_enumerate(4, nonempty, programs)
-            with pytest.raises(TypeError):
-                got[0] = -1
-            with pytest.raises(AttributeError):
-                got.append(-2)
-            with pytest.raises(FrozenInstanceError):
-                got.mask = -1
-            with pytest.raises(FrozenInstanceError):
-                got.base = [-1]
-            with pytest.raises(TypeError):
-                got.base[0] = -1
-            with pytest.raises(TypeError):
-                got.famasks[0] = -1
-            assert list(got) == want
-            assert list(bitslice.upset_enumerate(4, nonempty, programs)) == want
+    for specs in ([], ["@C"], ["@N"], ["@N", "@C"]):
+        programs = [program(spec, 4) for spec in specs]
+        want = list(bitslice.upset_enumerate(4, programs))
+        got = bitslice.upset_enumerate(4, programs)
+        with pytest.raises(TypeError):
+            got[0] = -1
+        with pytest.raises(AttributeError):
+            got.append(-2)
+        with pytest.raises(FrozenInstanceError):
+            got.mask = -1
+        with pytest.raises(FrozenInstanceError):
+            got.base = [-1]
+        with pytest.raises(TypeError):
+            got.base[0] = -1
+        with pytest.raises(TypeError):
+            got.famasks[0] = -1
+        assert list(got) == want
+        assert list(bitslice.upset_enumerate(4, programs)) == want
     assert len(bitslice._upsets(4)) == 168
     assert list(bitslice._upsets(4)) == dedekind_recursion(4)
 

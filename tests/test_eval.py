@@ -111,7 +111,7 @@ def test_membership_program_equals_all_assignment_sweep():
 def test_compile_membership_dedupes_box_arguments():
     # The biconditional repeats each boxed argument; three distinct ones remain.
     prog = compile_membership(expand_named("C").formula, 1)
-    assert prog.n_slots == 3
+    assert {len(row) for row in prog.rows} == {3}
     assert prog.n_rows == 4
     with pytest.raises(InvalidInputError):
         compile_membership(parse("box b -> b"), 1)

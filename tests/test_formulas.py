@@ -10,7 +10,7 @@ from srcenv import source_env
 
 from nbhd.classes import AXIOM_TESTS
 from nbhd.core import CapExceededError, InvalidInputError
-from nbhd.evaluate import is_ax_subset, realize_axiom
+from nbhd.evaluate import compile_target, is_ax_subset, realize_axiom
 from nbhd.formulas import (
     TOP,
     And,
@@ -34,7 +34,9 @@ from nbhd.formulas import (
     modal_depth,
     parse,
     render,
+    resolve,
 )
+from nbhd.search import count_frames
 
 U, V, W = Var("u"), Var("v"), Var("w")
 
@@ -52,7 +54,7 @@ def test_parse_basic_shapes():
     assert parse("(u)") == U
 
 
-def test_equal_formulas_hash_equal_and_keep_their_hash():
+def test_equal_formulas_hash_equal():
     text = "box (u & ~v) <-> (box u | v & T)"
     first, second = parse(text), parse(text)
     assert first is not second and first == second and hash(first) == hash(second)
@@ -62,8 +64,15 @@ def test_equal_formulas_hash_equal_and_keep_their_hash():
     assert Not(U) != Box(U) and And((U,)) != U and Top() == TOP
 
 
+def test_a_hashed_node_holds_only_its_fields():
+    f = parse("box (u & box v) -> ~w")
+    hash(f)
+    assert vars(f) == {"sub": f.sub} and vars(f.sub) == {"items": f.sub.items}
+    assert vars(U) == {"name": "u"} and vars(TOP) == {}
+
+
 def test_a_pickled_formula_hashes_like_a_fresh_parse():
-    # The kept hash is not pickled: a str hash differs between processes.
+    # A str hash differs between processes.
     text = "box (u & box v) -> ~w"
     hashed = parse(text)
     hash(hashed)
@@ -275,3 +284,42 @@ def test_axiom_set_from_specs():
         axiom_set_from_specs([""])
     with pytest.raises(InvalidInputError):
         AxiomSet((Axiom("T", parse("box b -> b"), False),))
+
+
+def test_resolve_answers_as_the_target_and_axiom_set_routes_did():
+    # Per spec: its axiom (name, formula, one_step), and the refusal of
+    # axiom_set_from_specs, if any.  The target is the axiom's formula.
+    c = "box u & box v <-> box(u & v)"
+    cases = [
+        ("@M", 2, "M", "box(u & v) -> box u", True, None),
+        (" @M ", 2, "M", "box(u & v) -> box u", True, None),
+        ("@Ck(4)", 1, "Ck(4)", c, True, None),
+        ("@Ck(4)", 3, "Ck(4)", "box v1 & box v2 & box v3 & box v4 <-> box(v1 & v2 & v3 & v4)", True, None),
+        ("@CInf", 2, "CInf", f"box T & ({c})", True, None),
+        ("@T", 2, "T", "box b -> b", False, "axiom set: @T is not a one-step axiom"),
+        ("box u -> box(u | v)", 2, "~(box u & ~box ~(~u & ~v))", "box u -> box(u | v)", True, None),
+        ("box u -> box box u", 2, "~(box u & ~box box u)", "box u -> box box u", False, "axiom set: 'box u -> box box u' is not one-step"),
+    ]
+    for spec, n, name, text, one_step, refusal in cases:
+        ax = resolve(spec.strip(), n)
+        assert (ax.name, ax.formula, ax.one_step) == (name, parse(text), one_step), spec
+        assert compile_target(spec, n) == ax.formula
+        if refusal is None:
+            assert tuple(axiom_set_from_specs([spec], n)) == (ax,)
+        else:
+            with pytest.raises(InvalidInputError) as info:
+                axiom_set_from_specs([spec], n)
+            assert str(info.value) == refusal
+    for spec, error, message in (
+        ("@Zed", InvalidInputError, "unknown axiom name '@Zed'"),
+        ("box (u", ParseError, "at byte 6: expected one of ')'; found end of input"),
+    ):
+        for call in (resolve, compile_target, lambda spec, n: axiom_set_from_specs([spec], n)):
+            with pytest.raises(error) as info:
+                call(spec, 2)
+            assert str(info.value) == message
+    # A constraint tuple names its first bad spec; an empty one comes last.
+    with pytest.raises(InvalidInputError, match="^constraint 'topologcal' has modal depth 0: "):
+        count_frames(2, ("", "topologcal"))
+    with pytest.raises(InvalidInputError, match="^axiom set: empty entry$"):
+        count_frames(2, ("", "box u"))

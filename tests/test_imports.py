@@ -326,6 +326,13 @@ LOADS = {
         ("nbhd.search", "nbhd.genframe", "nbhd.duality"),
     ),
     "parse": ([], run_command("parse", "--formula", "@M"), ("nbhd.formulas",), LAZY),
+    # On stdin, the one-point algebra whose box is the identity, so @T is valid.
+    "valid": (
+        [],
+        "import io; sys.stdin = io.StringIO('{\"n\":1,\"box\":[0,1]}'); " + run_command("valid", "--algebra", "-", "--formula", "@T"),
+        ("nbhd.evaluate", "nbhd.formulas"),
+        ("nbhd.search", "nbhd.bax", "nbhd.duality", "nbhd.genframe"),
+    ),
 }
 
 
