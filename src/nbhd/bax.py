@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import lt
@@ -57,6 +56,8 @@ from .core import (
     _lane_flags,
     _push_forward,
     _set_lanes,
+    _setattr,
+    _Value,
     check_width,
     up_cone,
 )
@@ -64,21 +65,21 @@ from .evaluate import _membership_programs, is_ax_subset
 from .formulas import AxiomSet, axiom_set_from_specs
 
 
-@dataclass(frozen=True)
-class BaxSpace:
+class BaxSpace(_Value):
     """The Ax-subset families over n points, as the lanes that accepted
     them, whose famasks run in strictly ascending order; the index of a
     famask is its atom.  Given famasks instead of a view, the space holds
     every lane of them."""
 
-    n: int
-    axioms: AxiomSet
-    lanes: Lanes
+    __slots__ = _fields = ("n", "axioms", "lanes")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.lanes, Lanes):
-            famasks = tuple(self.lanes)
-            object.__setattr__(self, "lanes", Lanes(famasks, (1 << len(famasks)) - 1))
+    def __init__(self, n: int, axioms: AxiomSet, lanes: Lanes) -> None:
+        if not isinstance(lanes, Lanes):
+            famasks = tuple(lanes)
+            lanes = Lanes(famasks, (1 << len(famasks)) - 1)
+        _setattr(self, "n", n)
+        _setattr(self, "axioms", axioms)
+        _setattr(self, "lanes", lanes)
 
     def famasks(self) -> tuple[int, ...]:
         """The famasks, decoded on the first call; later calls return the

@@ -39,10 +39,9 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .core import _lane_picker
+from .core import _lane_picker, _setattr, _Value
 
 # The family filter sweeps famasks, and the up-set filter up-closed
 # families, in blocks of at most 2^16 lanes.
@@ -130,16 +129,18 @@ def family_accepts(famask: int, m: int, programs) -> bool:
     return bool(_accepted([famask >> a & 1 for a in range(m)], 1, programs))
 
 
-@dataclass(frozen=True, eq=False)
-class Lanes:
+class Lanes(_Value):
     """The famasks base[i] at the set bits i of mask, in base order: the
     lanes a filter accepted over the famasks it swept.  Its length is the
     popcount of mask; iterating or indexing it decodes the lanes, once,
     into the tuple `famasks`.  Views holding the same famasks are equal
     and hash alike, whatever their bases."""
 
-    base: Sequence[int]
-    mask: int
+    _fields = ("base", "mask")
+
+    def __init__(self, base: Sequence[int], mask: int) -> None:
+        _setattr(self, "base", base)
+        _setattr(self, "mask", mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -24,8 +24,6 @@ compares box table entries, so the agreement stays a real check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bitslice import _index_planes, transpose
 from .core import (
     PLAIN_OP_CAP,
@@ -34,6 +32,8 @@ from .core import (
     NeighborhoodAlgebra,
     NeighborhoodFrame,
     _set_lanes,
+    _setattr,
+    _Value,
     check_width,
     full_mask,
 )
@@ -130,10 +130,12 @@ FRAME_TAGS = (*_FRAME_CLASSES, "kappa")
 ALGEBRA_TAGS = tuple(_ALGEBRA_CLASSES)
 
 
-@dataclass(frozen=True)
-class ClassTag:
-    name: str
-    kappa: int | None = None
+class ClassTag(_Value):
+    __slots__ = _fields = ("name", "kappa")
+
+    def __init__(self, name: str, kappa: int | None = None) -> None:
+        _setattr(self, "name", name)
+        _setattr(self, "kappa", kappa)
 
 
 def parse_class_tag(text: str) -> ClassTag:

@@ -83,11 +83,14 @@ def _parse_inline_json(text: str, what: str):
         raise InvalidInputError(f"bad JSON for {what}: {exc}") from exc
 
 
-# A token of compact JSON text that --pretty lays out: a string, an empty
-# list or object, an opening or closing bracket, or "],[" between two
-# lists that holds no empty list.  The text between tokens holds only
-# numbers, literals, commas and colons.
-_TOKEN = re.compile(r'("(?:[^"\\]|\\.)*"|\[\]|\{\}|\],\[(?!\])|[\[\]{}])')
+@lru_cache(maxsize=None)
+def _token():
+    """A token of compact JSON text that --pretty lays out: a string, an
+    empty list or object, an opening or closing bracket, or "],[" between
+    two lists that holds no empty list.  The text between tokens holds
+    only numbers, literals, commas and colons.  Compiled on the first
+    layout, so no other process pays for it."""
+    return re.compile(r'("(?:[^"\\]|\\.)*"|\[\]|\{\}|\],\[(?!\])|[\[\]{}])')
 
 
 def _pretty(chunks) -> list[str]:
@@ -100,6 +103,7 @@ def _pretty(chunks) -> list[str]:
     strings stay as they are.  No string may span two chunks.  An opening
     bracket that ends a chunk is laid out with the next chunk, which tells
     whether it opens an empty list."""
+    split = _token().split
     out = []
     depth = 0
     carry = ""
@@ -117,7 +121,7 @@ def _pretty(chunks) -> list[str]:
         carry = chunk[-1:] if chunk.endswith(("[", "{")) else ""
         if carry:
             chunk = chunk[:-1]
-        for i, part in enumerate(_TOKEN.split(chunk)):
+        for i, part in enumerate(split(chunk)):
             if not i & 1:
                 if part:
                     pieces.append(part.replace(",", ",\n" + "  " * depth).replace(":", ": "))
@@ -169,8 +173,7 @@ def _formula_arg(text: str):
 
 
 def cmd_parse(args) -> int:
-    text = _formula_arg(args.formula)
-    f = nbhd.formulas.expand_named(text.strip()).formula if text.strip().startswith("@") else nbhd.formulas.parse(text)
+    f = nbhd.formulas.resolve(_formula_arg(args.formula).strip()).formula
     _emit(
         {
             "formula": nbhd.formulas.render(f),

@@ -10,15 +10,15 @@ which its one constructor checks.  A point map f is a frame morphism
 when N'(f(x)) = F(f)(N(x)) at every x, F(f)(W) being the push-forward
 {a' : f^-1[a'] in W}.  A famask takes 2^n bits, so families hold subsets
 of at most PLAIN_OP_CAP points, and the JSON decoders range-check
-members against n before packing them.  Famasks are ints and frames,
-algebras, relations and morphisms are frozen, so every value in the
-package is immutable.
+members against n before packing them.  Famasks are ints, and frames,
+algebras, relations, morphisms and the package's other value types are
+`_Value`s, plain classes frozen after their constructor's checks, so
+every value in the package is immutable.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import compress
 
 PLAIN_OP_CAP = 16
@@ -41,6 +41,45 @@ class InvalidInputError(NbhdError, ValueError):
 
 class CapExceededError(NbhdError):
     """A size cap or work guard was exceeded."""
+
+
+# Sets a field of a frozen value; the value's own __setattr__ refuses.
+_setattr = object.__setattr__
+
+
+class _Value:
+    """A frozen value with the fields `_fields`, in order.  It equals a
+    value of its own type with equal fields and hashes their tuple; its
+    repr, pickle and copies go through them, a copy or an unpickled value
+    being built anew by its constructor, checks and all.  The constructor
+    sets the fields by `_setattr`; any other assignment or deletion
+    raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def _check_size(n, what: str) -> None:
@@ -158,13 +197,11 @@ def _check_key(key: tuple[int, ...], n: int, what: str) -> None:
             _check_famask(famask, n, f"{what}: N({x})")
 
 
-@dataclass(frozen=True, init=False)
-class NeighborhoodFrame:
+class NeighborhoodFrame(_Value):
     """(X, N) with N assigning an arbitrary family of subsets to each point,
     held as its key: the famask of each N(x)."""
 
-    n: int
-    _key: tuple[int, ...]
+    __slots__ = _fields = ("n", "_key")
 
     def __init__(self, n: int, key: Iterable[int]) -> None:
         key = tuple(key)
@@ -172,63 +209,62 @@ class NeighborhoodFrame:
         if len(key) != n:
             raise InvalidInputError(f"frame: expected {n} neighborhood families, got {len(key)}")
         _check_key(key, n, "frame")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_key", key)
+        _setattr(self, "n", n)
+        _setattr(self, "_key", key)
 
     def key(self) -> tuple[int, ...]:
         """Total-order key: per-point famasks, compared left to right."""
         return self._key
 
 
-@dataclass(frozen=True)
-class NeighborhoodAlgebra:
+class NeighborhoodAlgebra(_Value):
     """Powerset algebra over n atoms with an arbitrary unary box table."""
 
-    n: int
-    box: tuple[int, ...]
+    __slots__ = _fields = ("n", "box")
 
-    def __post_init__(self) -> None:
-        _check_size(self.n, "algebra: n")
-        if len(self.box) != 1 << self.n:
-            raise InvalidInputError(f"algebra: box table must have {1 << self.n} entries, got {len(self.box)}")
-        box = self.box
-        if not (_INT_TYPE.issuperset(map(type, box)) and min(box) >= 0 and max(box) <= full_mask(self.n)):
+    def __init__(self, n: int, box: tuple[int, ...]) -> None:
+        _check_size(n, "algebra: n")
+        if len(box) != 1 << n:
+            raise InvalidInputError(f"algebra: box table must have {1 << n} entries, got {len(box)}")
+        if not (_INT_TYPE.issuperset(map(type, box)) and min(box) >= 0 and max(box) <= full_mask(n)):
             # Name the first bad entry; entries of int subclasses pass here.
             for a, value in enumerate(box):
-                check_subset(value, self.n, f"algebra: box[{a}]")
+                check_subset(value, n, f"algebra: box[{a}]")
+        _setattr(self, "n", n)
+        _setattr(self, "box", box)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Value):
     """Kripke relation given by successor masks."""
 
-    n: int
-    succ: tuple[int, ...]
+    __slots__ = _fields = ("n", "succ")
 
-    def __post_init__(self) -> None:
-        _check_size(self.n, "relation: n")
-        if len(self.succ) != self.n:
-            raise InvalidInputError(f"relation: expected {self.n} successor masks, got {len(self.succ)}")
-        for x, s in enumerate(self.succ):
-            check_subset(s, self.n, f"relation: R[{x}]")
+    def __init__(self, n: int, succ: tuple[int, ...]) -> None:
+        _check_size(n, "relation: n")
+        if len(succ) != n:
+            raise InvalidInputError(f"relation: expected {n} successor masks, got {len(succ)}")
+        for x, s in enumerate(succ):
+            check_subset(s, n, f"relation: R[{x}]")
+        _setattr(self, "n", n)
+        _setattr(self, "succ", succ)
 
 
-@dataclass(frozen=True)
-class FrameMorphism:
+class FrameMorphism(_Value):
     """Point map between ground sets, stored as an image table."""
 
-    n_dom: int
-    n_cod: int
-    map: tuple[int, ...]
+    __slots__ = _fields = ("n_dom", "n_cod", "map")
 
-    def __post_init__(self) -> None:
-        _check_size(self.n_dom, "morphism: n_dom")
-        _check_size(self.n_cod, "morphism: n_cod")
-        if len(self.map) != self.n_dom:
-            raise InvalidInputError(f"morphism: expected {self.n_dom} entries, got {len(self.map)}")
-        for x, y in enumerate(self.map):
-            if not isinstance(y, int) or not 0 <= y < self.n_cod:
+    def __init__(self, n_dom: int, n_cod: int, map: tuple[int, ...]) -> None:
+        _check_size(n_dom, "morphism: n_dom")
+        _check_size(n_cod, "morphism: n_cod")
+        if len(map) != n_dom:
+            raise InvalidInputError(f"morphism: expected {n_dom} entries, got {len(map)}")
+        for x, y in enumerate(map):
+            if not isinstance(y, int) or not 0 <= y < n_cod:
                 raise InvalidInputError(f"morphism: map[{x}]={y!r} is not a point of the codomain")
+        _setattr(self, "n_dom", n_dom)
+        _setattr(self, "n_cod", n_cod)
+        _setattr(self, "map", map)
 
     def preimage(self, a_cod: int) -> int:
         return _preimage(self.map, a_cod)
@@ -258,8 +294,7 @@ def _disagreement(f: FrameMorphism, dom_key: tuple[int, ...], cod_key: tuple[int
     return None
 
 
-@dataclass(frozen=True)
-class CompleteHom:
+class CompleteHom(_Value):
     """Complete Boolean-with-box hom between powerset algebras.
 
     Stored by its atom map: atom_map[y] is the domain atom under the
@@ -268,18 +303,19 @@ class CompleteHom:
     and joins by construction.
     """
 
-    n_dom: int
-    n_cod: int
-    atom_map: tuple[int, ...]
+    __slots__ = _fields = ("n_dom", "n_cod", "atom_map")
 
-    def __post_init__(self) -> None:
-        _check_size(self.n_dom, "hom: n_dom")
-        _check_size(self.n_cod, "hom: n_cod")
-        if len(self.atom_map) != self.n_cod:
-            raise InvalidInputError(f"hom: expected {self.n_cod} atom entries, got {len(self.atom_map)}")
-        for y, x in enumerate(self.atom_map):
-            if not isinstance(x, int) or not 0 <= x < self.n_dom:
+    def __init__(self, n_dom: int, n_cod: int, atom_map: tuple[int, ...]) -> None:
+        _check_size(n_dom, "hom: n_dom")
+        _check_size(n_cod, "hom: n_cod")
+        if len(atom_map) != n_cod:
+            raise InvalidInputError(f"hom: expected {n_cod} atom entries, got {len(atom_map)}")
+        for y, x in enumerate(atom_map):
+            if not isinstance(x, int) or not 0 <= x < n_dom:
                 raise InvalidInputError(f"hom: atom_map[{y}]={x!r} is not a domain atom")
+        _setattr(self, "n_dom", n_dom)
+        _setattr(self, "n_cod", n_cod)
+        _setattr(self, "atom_map", atom_map)
 
     def apply(self, a_dom: int) -> int:
         return _preimage(self.atom_map, a_dom)

@@ -15,7 +15,6 @@ with gen as the planes and the atoms as the lanes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
@@ -30,6 +29,8 @@ from .core import (
     NeighborhoodFrame,
     _lane_flags,
     _set_lanes,
+    _setattr,
+    _Value,
     check_width,
 )
 from .evaluate import assignment_space, compile_membership, realize_axiom
@@ -65,16 +66,18 @@ def dualize_complete_hom(h: CompleteHom) -> FrameMorphism:
     return FrameMorphism(n_dom=h.n_cod, n_cod=h.n_dom, map=h.atom_map)
 
 
-@dataclass(frozen=True)
-class LaxAlgebra:
+class LaxAlgebra(_Value):
     """Powerset algebra over the atoms of an Ax-subset space.
 
     gen[a] is the atom set of the generator at subset a: bit i is set when
     subset-mask a is a member of the family space.famasks()[i].
     """
 
-    space: BaxSpace
-    gen: tuple[int, ...]
+    __slots__ = _fields = ("space", "gen")
+
+    def __init__(self, space: BaxSpace, gen: tuple[int, ...]) -> None:
+        _setattr(self, "space", space)
+        _setattr(self, "gen", gen)
 
     @property
     def n(self) -> int:

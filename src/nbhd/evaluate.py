@@ -34,11 +34,10 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitslice import _ARRAY_CODES, _index_planes, _row_sweep, _variable_planes, algebra_refute, family_accepts
-from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError, NeighborhoodAlgebra, _check_famask, check_width, full_mask
+from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError, NeighborhoodAlgebra, _check_famask, _setattr, _Value, check_width, full_mask
 from .formulas import And, Axiom, AxiomSet, Box, Formula, Not, Top, Var, expand_named, free_vars, is_one_step, modal_depth, render, resolve
 
 ASSIGN_SPACE_GUARD = 1 << 18
@@ -125,8 +124,7 @@ def assignment_at(names: list[str], n: int, idx: int) -> dict[str, int]:
     return {name: values[name] for name in names}
 
 
-@dataclass(frozen=True)
-class MembershipProgram:
+class MembershipProgram(_Value):
     """Postfix membership code over slots at width n.
 
     n_rows counts the assignments.  An assignment gives a row, its tuple of
@@ -138,19 +136,26 @@ class MembershipProgram:
     assignment order, and none whose code never fails.  A family is
     accepted when the code holds on every row."""
 
-    names: tuple[str, ...]
-    opcodes: tuple[int, ...]
-    opargs: tuple[int, ...]
-    n: int
-    n_rows: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("names", "opcodes", "opargs", "n", "n_rows", "rows")
+
+    def __init__(
+        self, names: tuple[str, ...], opcodes: tuple[int, ...], opargs: tuple[int, ...], n: int, n_rows: int, rows: tuple[tuple[int, ...], ...]
+    ) -> None:
+        _setattr(self, "names", names)
+        _setattr(self, "opcodes", opcodes)
+        _setattr(self, "opargs", opargs)
+        _setattr(self, "n", n)
+        _setattr(self, "n_rows", n_rows)
+        _setattr(self, "rows", rows)
 
 
-@dataclass(frozen=True)
-class AlgebraProgram:
-    names: tuple[str, ...]
-    opcodes: tuple[int, ...]
-    opargs: tuple[int, ...]
+class AlgebraProgram(_Value):
+    __slots__ = _fields = ("names", "opcodes", "opargs")
+
+    def __init__(self, names: tuple[str, ...], opcodes: tuple[int, ...], opargs: tuple[int, ...]) -> None:
+        _setattr(self, "names", names)
+        _setattr(self, "opcodes", opcodes)
+        _setattr(self, "opargs", opargs)
 
 
 def _lower(f: Formula, opcodes: list[int], opargs: list[int], on_box, var_slot) -> None:

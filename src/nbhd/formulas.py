@@ -20,41 +20,89 @@ always reparses to an equal AST.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError
+from .core import PLAIN_OP_CAP, CapExceededError, InvalidInputError, _setattr, _Value
 
 
-class Formula:
-    """Base marker for AST nodes.  Every node is a frozen dataclass, so
-    equality and hashing are structural, field by field."""
+class Formula(_Value):
+    """Base marker for AST nodes.  Every node is a frozen `_Value`, so
+    equality and hashing are structural, field by field; each node class
+    spells out its own, since every formula-keyed cache lookup hashes the
+    tree and may compare it."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Formula):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _setattr(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is Var:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is Top:
+            return True
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
+
+    def __init__(self, sub: Formula) -> None:
+        _setattr(self, "sub", sub)
+
+    def __eq__(self, other):
+        if other.__class__ is Not:
+            return (self.sub,) == (other.sub,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sub,))
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    items: tuple[Formula, ...]
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: tuple[Formula, ...]) -> None:
+        _setattr(self, "items", items)
+
+    def __eq__(self, other):
+        if other.__class__ is And:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.items,))
 
 
-@dataclass(frozen=True)
 class Box(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
+
+    def __init__(self, sub: Formula) -> None:
+        _setattr(self, "sub", sub)
+
+    def __eq__(self, other):
+        if other.__class__ is Box:
+            return (self.sub,) == (other.sub,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sub,))
 
 
 TOP = Top()
@@ -280,13 +328,15 @@ def modal_depth(f: Formula) -> int:
 # formula, becomes an Axiom through `resolve`.
 
 
-@dataclass(frozen=True)
-class Axiom:
-    name: str
-    formula: Formula
-    one_step: bool
-    kappa: int | None = None
-    semantic: tuple[str, ...] | None = None
+class Axiom(_Value):
+    __slots__ = _fields = ("name", "formula", "one_step", "kappa", "semantic")
+
+    def __init__(self, name: str, formula: Formula, one_step: bool, kappa: int | None = None, semantic: tuple[str, ...] | None = None) -> None:
+        _setattr(self, "name", name)
+        _setattr(self, "formula", formula)
+        _setattr(self, "one_step", one_step)
+        _setattr(self, "kappa", kappa)
+        _setattr(self, "semantic", semantic)
 
 
 def _kappa_formula(k: int) -> Formula:
@@ -349,19 +399,19 @@ def expand_named(name: str, n: int | None = None) -> Axiom:
     raise InvalidInputError(f"unknown axiom name {name!r}")
 
 
-@dataclass(frozen=True)
-class AxiomSet:
+class AxiomSet(_Value):
     """Name-keyed collection of one-step axioms."""
 
-    axioms: tuple[Axiom, ...]
+    __slots__ = _fields = ("axioms",)
 
-    def __post_init__(self) -> None:
-        names = [ax.name for ax in self.axioms]
+    def __init__(self, axioms: tuple[Axiom, ...]) -> None:
+        names = [ax.name for ax in axioms]
         if len(set(names)) != len(names):
             raise InvalidInputError(f"axiom set: duplicate names in {names}")
-        for ax in self.axioms:
+        for ax in axioms:
             if not ax.one_step:
                 raise InvalidInputError(f"axiom set: @{ax.name} is not a one-step axiom")
+        _setattr(self, "axioms", axioms)
 
     def __iter__(self):
         return iter(self.axioms)

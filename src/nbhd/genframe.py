@@ -27,8 +27,6 @@ Every finite frame is compact, so the report's "compact" is always true.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bitslice import _index_planes, transpose
 from .classes import _down_closure, _up_closure, family_is_convex
 from .core import (
@@ -43,18 +41,17 @@ from .core import (
     _json_famask,
     _push_forward,
     _set_lanes,
+    _setattr,
+    _Value,
     check_width,
     full_mask,
 )
 
 
-@dataclass(frozen=True, init=False)
-class GeneralFrame:
+class GeneralFrame(_Value):
     """A frame with admissible sets A, held as its key and the famask of A."""
 
-    n: int
-    _key: tuple[int, ...]
-    _admissible: int
+    __slots__ = _fields = ("n", "_key", "_admissible")
 
     def __init__(self, n: int, key, admissible: int) -> None:
         key = tuple(key)
@@ -63,9 +60,9 @@ class GeneralFrame:
             raise InvalidInputError(f"general frame: expected {n} neighborhood families")
         _check_key(key, n, "general frame")
         _check_famask(admissible, n, "general frame: A")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_admissible", admissible)
+        _setattr(self, "n", n)
+        _setattr(self, "_key", key)
+        _setattr(self, "_admissible", admissible)
 
 
 def _unions(blocks) -> int:

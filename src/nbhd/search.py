@@ -62,7 +62,6 @@ hit; in mode "count", which tallies the frames that validate the target
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, islice, permutations, product, repeat
 from math import prod
@@ -81,6 +80,8 @@ from .core import (
     NeighborhoodFrame,
     _lane_picker,
     _set_lanes,
+    _setattr,
+    _Value,
     box_n,
     check_width,
     frame_to_json,
@@ -102,19 +103,19 @@ MODES = ("find_refuting", "find_validating", "count")
 SCAN_BLOCK_BITS = 16
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    target: str | None = None
-    constraints: tuple[str, ...] = ()
-    mode: str = "find_refuting"
-    max_n: int = 3
+class SearchSpec(_Value):
+    __slots__ = _fields = ("target", "constraints", "mode", "max_n")
 
-    def __post_init__(self) -> None:
-        _constraint_tuple(self.constraints)
-        if self.mode not in MODES:
-            raise InvalidInputError(f"search mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode != "count" and self.target is None:
-            raise InvalidInputError(f"search mode {self.mode} needs a target")
+    def __init__(self, target: str | None = None, constraints: tuple[str, ...] = (), mode: str = "find_refuting", max_n: int = 3) -> None:
+        _constraint_tuple(constraints)
+        if mode not in MODES:
+            raise InvalidInputError(f"search mode must be one of {MODES}, got {mode!r}")
+        if mode != "count" and target is None:
+            raise InvalidInputError(f"search mode {mode} needs a target")
+        _setattr(self, "target", target)
+        _setattr(self, "constraints", constraints)
+        _setattr(self, "mode", mode)
+        _setattr(self, "max_n", max_n)
 
 
 def apply_perm_mask(a: int, perm: tuple[int, ...]) -> int:
@@ -282,15 +283,20 @@ def _level_shape(cands) -> tuple[int, int, list[tuple[int, int, int]]]:
     return p, size, runs
 
 
-@dataclass(frozen=True, eq=False)
-class _Level:
+class _Level(_Value):
     """The frames on n points in a class: the candidate tuple of each
     point, the algebra programs of its whole-frame constraints and, built
-    on the level's first scan, the plan every block shares."""
+    on the level's first scan, the plan every block shares.  A level is
+    equal only to itself."""
 
-    n: int
-    cands: tuple[tuple[int, ...], ...]
-    whole: tuple
+    _fields = ("n", "cands", "whole")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, n: int, cands: tuple[tuple[int, ...], ...], whole: tuple) -> None:
+        _setattr(self, "n", n)
+        _setattr(self, "cands", cands)
+        _setattr(self, "whole", whole)
 
     @cached_property
     def plan(self):

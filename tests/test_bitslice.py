@@ -6,7 +6,6 @@ assignment, up-closure tested member by member, and tests/oracles.py.
 """
 
 import random
-from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -173,9 +172,9 @@ def test_upset_enumerate_result_cannot_alter_the_table():
             got[0] = -1
         with pytest.raises(AttributeError):
             got.append(-2)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             got.mask = -1
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             got.base = [-1]
         with pytest.raises(TypeError):
             got.base[0] = -1

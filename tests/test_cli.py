@@ -76,6 +76,15 @@ def test_parse(capsys):
     }
 
 
+
+def test_parse_names_the_offset_valid_names(capsys, tmp_path):
+    # Both read the stripped text, so a syntax error has one offset.
+    frame = write(tmp_path, "f.json", FRAME)
+    for text, offset in (("  box (u", 6), (" u &", 3), ("   ", 0), ("\tbox ~ )", 6)):
+        code, out, err = run(capsys, "parse", "--formula", text)
+        assert (code, out) == (2, "") and f"at byte {offset}:" in err, text
+        assert run(capsys, "valid", "--frame", frame, "--formula", text) == (2, "", err)
+
 def test_eval(capsys, tmp_path):
     frame = write(tmp_path, "f.json", FRAME)
     algebra = write(tmp_path, "a.json", {"n": 2, "box": [2, 1, 0, 1]})

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import product
 
@@ -9,6 +8,7 @@ from nbhd.bitslice import family_accepts, family_filter
 from nbhd.core import CapExceededError, InvalidInputError, NeighborhoodAlgebra, famask_members, full_mask
 from nbhd.evaluate import (
     ASSIGN_SPACE_GUARD,
+    MembershipProgram,
     assignment_at,
     assignment_space,
     compile_algebra,
@@ -174,7 +174,7 @@ def assert_rows_match_oracle(f, n, planes, lanes):
         rows = oracles.membership_rows(f, n, point)
         assert prog.n_rows == (1 << n) ** len(prog.names)
         assert set(prog.rows) <= set(rows), (f, n, point)
-        oracle = dataclasses.replace(prog, rows=rows)
+        oracle = MembershipProgram(prog.names, prog.opcodes, prog.opargs, prog.n, prog.n_rows, rows)
         want = oracles.membership_program_lanes([oracle], planes, lanes)
         assert oracles.membership_program_lanes([prog], planes, lanes) == want, (f, n, point)
 
@@ -195,7 +195,10 @@ def test_rows_match_the_assignment_oracle_on_every_n4_space():
         if n == 4:
             formulas = [realize_axiom(ax, n) for ax in axiom_set_from_specs(specs, n)]
             programs = [compile_membership(f, n) for f in formulas]
-            oracle = [dataclasses.replace(prog, rows=oracles.membership_rows(f, n)) for prog, f in zip(programs, formulas)]
+            oracle = [
+                MembershipProgram(prog.names, prog.opcodes, prog.opargs, prog.n, prog.n_rows, oracles.membership_rows(f, n))
+                for prog, f in zip(programs, formulas)
+            ]
             assert family_filter(0, 1 << 16, programs) == family_filter(0, 1 << 16, oracle), specs
 
 

@@ -67,8 +67,10 @@ def test_equal_formulas_hash_equal():
 def test_a_hashed_node_holds_only_its_fields():
     f = parse("box (u & box v) -> ~w")
     hash(f)
-    assert vars(f) == {"sub": f.sub} and vars(f.sub) == {"items": f.sub.items}
-    assert vars(U) == {"name": "u"} and vars(TOP) == {}
+    # A node has no __dict__, so its slots, its fields, are all it holds.
+    for node, fields in ((f, {"sub": f.sub}), (f.sub, {"items": f.sub.items}), (U, {"name": "u"}), (TOP, {})):
+        assert not hasattr(node, "__dict__")
+        assert {name: getattr(node, name) for cls in type(node).__mro__ for name in getattr(cls, "__slots__", ())} == fields
 
 
 def test_a_pickled_formula_hashes_like_a_fresh_parse():

@@ -311,27 +311,30 @@ def run_command(*argv: str) -> str:
 
 
 LAZY = tuple(f"nbhd.{name}" for name in ("bax", "search", "genframe", "duality", "evaluate"))
+# dataclasses imports inspect, and inspect imports ast, dis and tokenize;
+# the package's value types are plain classes and need none of them.
+UNUSED = ("dataclasses", "inspect")
 # Per process: interpreter flags, the statement it runs, modules it must
 # load and modules it must not.  The loaded modules are read from
 # sys.modules at exit.  multiprocessing and typing cost start-up time and
 # the package needs neither; -S keeps site from loading typing first.
 LOADS = {
     "package": ([], "import nbhd", ("nbhd",), tuple(f"nbhd.{path.stem}" for path in PACKAGE.glob("*.py") if path.stem != "__init__")),
-    "cli": ([], "import nbhd, nbhd.cli", ("nbhd.cli", "nbhd.core"), ("multiprocessing", *LAZY)),
-    "everything-without-site": (["-S"], "import nbhd.cli; from nbhd import *", LAZY, ("typing", "multiprocessing")),
+    "cli": ([], "import nbhd, nbhd.cli", ("nbhd.cli", "nbhd.core"), ("multiprocessing", *UNUSED, *LAZY)),
+    "everything-without-site": (["-S"], "import nbhd.cli; from nbhd import *", LAZY, ("typing", "multiprocessing", *UNUSED)),
     "bax-enum": (
         [],
         run_command("bax", "enum", "--n", "2", "--axioms", "@M", "--count"),
         ("nbhd.bax", "nbhd.formulas", "nbhd.evaluate"),
-        ("nbhd.search", "nbhd.genframe", "nbhd.duality"),
+        ("nbhd.search", "nbhd.genframe", "nbhd.duality", *UNUSED),
     ),
-    "parse": ([], run_command("parse", "--formula", "@M"), ("nbhd.formulas",), LAZY),
+    "parse": ([], run_command("parse", "--formula", "@M"), ("nbhd.formulas",), (*LAZY, *UNUSED)),
     # On stdin, the one-point algebra whose box is the identity, so @T is valid.
     "valid": (
         [],
         "import io; sys.stdin = io.StringIO('{\"n\":1,\"box\":[0,1]}'); " + run_command("valid", "--algebra", "-", "--formula", "@T"),
         ("nbhd.evaluate", "nbhd.formulas"),
-        ("nbhd.search", "nbhd.bax", "nbhd.duality", "nbhd.genframe"),
+        ("nbhd.search", "nbhd.bax", "nbhd.duality", "nbhd.genframe", *UNUSED),
     ),
 }
 

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import permutations, product
 from pathlib import Path
@@ -774,7 +773,7 @@ def test_a_level_is_immutable_and_shared_by_repeated_specs():
         assert (level.cands, level.whole) == search._compile_constraints(3, specs)
         assert (p, size, list(runs)) == search._level_shape(level.cands)
         assert search._level(3, (*specs, f" {specs[0]} ", *reversed(specs)), search.SCAN_KEYS_CAP) is level
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             level.cands = ()
 
 
