@@ -28,7 +28,9 @@ class Formula(_Value):
     """Base marker for AST nodes.  Every node is a frozen `_Value`, so
     equality and hashing are structural, field by field; each node class
     spells out its own, since every formula-keyed cache lookup hashes the
-    tree and may compare it."""
+    tree and may compare it.  A node hashes the tuple of its fields and
+    compares a child inside a tuple, which tries identity first, as the
+    generated methods of a dataclass did."""
 
     __slots__ = ()
 
