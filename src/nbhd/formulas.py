@@ -29,8 +29,8 @@ class Formula(_Value):
     equality and hashing are structural, field by field; each node class
     spells out its own, since every formula-keyed cache lookup hashes the
     tree and may compare it.  A node hashes the tuple of its fields and
-    compares a child inside a tuple, which tries identity first, as the
-    generated methods of a dataclass did."""
+    compares a child inside a tuple, which tries identity before
+    equality."""
 
     __slots__ = ()
 
