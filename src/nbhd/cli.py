@@ -13,30 +13,34 @@ written as they are: the whole output is never joined into one string,
 and under --pretty each chunk is laid out on its own (`_pretty`), with
 no `json.loads` of the output.
 
-Global flags come before the command.  `main` parses an argv that
-begins with a full command path, such as `search enumerate`, by one
-parse of that command's own parser, and any other argv by the whole
-tree; both give the same namespace and the same usage errors.
+Global flags come before the command.  Every command is one row of
+`_COMMANDS`: its full path, such as `("search", "enumerate")`, its
+handler, its help and its options.  `main` reads an argv of global
+flags, a full command path and that command's exact long options, each
+once with a value that does not start with "-", from the table alone.
+Any other argv, -h among them, goes to the argparse tree that
+`build_parser` builds from the same table, so help texts and usage
+errors are argparse's, and both routes give the same attributes.
 
 A command reads the library names it calls through the package, as
 `nbhd.search.count_frames`, and the package imports a submodule on its
 first access, so a process loads only the modules of the commands it
 runs: `bax enum` never loads `search`, `genframe` or `duality`, and
-`parse` loads `formulas` and the `classes` tables the parser reads.
-Importing this module loads `core`, whose errors `main` catches and
-whose codecs the commands share, and nothing more of the package; the
-parser is built on the first `main`.  After the first access a name
-costs two attribute reads per call, where an import statement in the
-command would run the import system on every call.
+`parse` loads `formulas` alone.  Importing this module loads `core`,
+whose errors `main` catches and whose codecs the commands share, and
+nothing more of the package, nor `argparse`: a command line the table
+reads builds no parser.  After the first access a name costs two
+attribute reads per call, where an import statement in the command
+would run the import system on every call.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import nbhd
 
@@ -140,6 +144,10 @@ def _pretty(chunks) -> list[str]:
     return out
 
 
+# One encoder for every compact dict: json.dumps with separators builds a new one per call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def _emit(obj, args) -> None:
     """Write obj as JSON and a newline, compact or under --pretty indented.
     A dict is encoded here; a list is compact JSON text already encoded,
@@ -152,7 +160,7 @@ def _emit(obj, args) -> None:
     if isinstance(obj, list):
         chunks = _pretty(obj) if args.pretty else obj
     else:
-        chunks = [json.dumps(obj, indent=2) if args.pretty else json.dumps(obj, separators=(",", ":"))]
+        chunks = [json.dumps(obj, indent=2) if args.pretty else _COMPACT.encode(obj)]
     size = sum(map(len, chunks)) + 1
     if args.limit_bytes is not None and size > args.limit_bytes:
         raise OutputLimitError(f"output of {size} bytes exceeds --limit-bytes {args.limit_bytes}")
@@ -364,166 +372,157 @@ def cmd_search_enumerate(args) -> int:
     return 0
 
 
-CONSTRAINTS_HELP = "comma-separated class tags, @names, or formulas with a box, such as @T or @Four"
+def _opt(flag, help=None, kind=str, default=None, choices=None, required=False, dest=None):
+    """An option row: (flag, dest, kind, required, default, choices, help).
+    kind is int, str, or bool for a flag, False unless given.  choices and
+    help may be functions, called on use, that read another module."""
+    return flag, dest or flag[2:].replace("-", "_"), kind, required, False if kind is bool else default, choices, help
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from .classes import ALGEBRA_TAGS, CORRESPONDENCE_PAIRS, FRAME_TAGS
+def _now(value):
+    return value() if callable(value) else value
 
-    parser = argparse.ArgumentParser(
-        prog="nbhd",
-        description="Neighborhood frames, their algebras, and the constructions between them.",
-    )
-    parser.add_argument("--pretty", action="store_true", help="indented JSON output")
-    parser.add_argument("--limit-bytes", type=int, default=None, help="fail with exit 3 if output exceeds this size")
+
+_req = partial(_opt, required=True)
+_GLOBAL_OPTIONS = (_opt("--pretty", "indented JSON output", bool), _opt("--limit-bytes", "fail with exit 3 if output exceeds this size", int))
+_GROUPS = {
+    "bax": "families closed under a one-step axiom set",
+    "lax": "one-step algebra over the closed families",
+    "class": "frame and algebra class membership",
+    "gen": "general frames and the sigma/pi extensions",
+    "morphism": "point maps between frames and their duals",
+    "search": "frame enumeration and countermodel search",
+}
+# Help texts and options of more than one command, and options of a long help text.
+_POINT_MAP, _MASKS = "point map JSON file or -", "JSON list of subset masks"
+_N, _AXIOMS, _FORMULA, _GENERAL = _req("--n", kind=int), _req("--axioms"), _req("--formula"), _req("--general")
+_FRAME, _ALGEBRA = _opt("--frame", "frame JSON file or -"), _opt("--algebra", "algebra JSON file or -")
+_COMPLEX = _opt("--frame", "frame JSON file or -; its complex algebra is used")
+_ASSIGN = _req("--assign", 'JSON object, e.g. {"u":1,"v":0}')
+_SPECS, _GENERAL_FILE = _req("--axioms", "comma-separated @names or one-step formulas"), _req("--general", "general frame JSON file or -")
+_CONSTRAINTS = _opt("--constraints", "comma-separated class tags, @names, or formulas with a box, such as @T or @Four", default="")
+_TAG = _req("--tag", lambda: f"frame tags: {', '.join(nbhd.classes.FRAME_TAGS)}; algebra tags: {', '.join(nbhd.classes.ALGEBRA_TAGS)}")
+_PAIR = _req("--pair", choices=lambda: nbhd.classes.CORRESPONDENCE_PAIRS)
+_ADMISSIBLE = _req("--admissible", _MASKS, dest="admissible_json")
+_MODE = _opt("--mode", default="find_refuting", choices=("find_refuting", "find_validating", "count"))
+_COUNT = _opt("--count", kind=bool)
+# Every command: its full path, its handler, its help (None lists no line
+# for it under its group) and its options, in the order -h lists them.
+_COMMANDS = {
+    ("parse",): (cmd_parse, "parse a formula and report its shape", (_req("--formula", "formula text, @name, or - for stdin"),)),
+    ("eval",): (cmd_eval, "evaluate a formula in an algebra under an assignment", (_ALGEBRA, _COMPLEX, _FORMULA, _ASSIGN)),
+    ("valid",): (cmd_valid, "exit 0 when the formula holds under every assignment", (_ALGEBRA, _COMPLEX, _FORMULA)),
+    ("dualize",): (cmd_dualize, "frame to its algebra, or algebra to its atom frame", (_FRAME, _ALGEBRA)),
+    ("bax", "enum"): (cmd_bax_enum, "enumerate all closed families at width n", (_N, _SPECS, _COUNT)),
+    ("bax", "map"): (cmd_bax_map, "push a closed family along a point map", (_req("--morphism", _POINT_MAP), _AXIOMS, _req("--family", _MASKS))),
+    ("lax", "build"): (cmd_lax_build, None, (_N, _AXIOMS)),
+    ("lax", "check"): (cmd_lax_check, "verify each axiom evaluates to the top element", (_req("--lax", "lax algebra JSON file or -"),)),
+    ("class", "check"): (cmd_class_check, None, (_FRAME, _ALGEBRA, _TAG)),
+    ("class", "correspond"): (cmd_class_correspond, "two-sided frame/algebra property agreement", (_req("--frame"), _PAIR)),
+    ("gen", "validate"): (cmd_gen_validate, "report subalgebra closure and separation flags", (_GENERAL_FILE,)),
+    ("gen", "sigma"): (cmd_gen_sigma, "sigma extension as a plain frame", (_GENERAL,)),
+    ("gen", "pi"): (cmd_gen_pi, "pi extension as a plain frame", (_GENERAL,)),
+    ("gen", "complement"): (cmd_gen_complement, "complement the neighborhoods within the admissibles", (_GENERAL,)),
+    ("gen", "truncate"): (cmd_gen_truncate, "restrict a frame to an admissible subalgebra", (_req("--frame"), _ADMISSIBLE)),
+    ("gen", "descriptive"): (cmd_gen_descriptive, "is the frame its own sigma (and pi) extension; exit 0 when sigma holds", (_GENERAL,)),
+    ("morphism", "check"): (cmd_morphism_check, None, (_req("--morphism"), _req("--dom"), _req("--cod"))),
+    ("morphism", "dualize"): (cmd_morphism_dualize, None, (_opt("--morphism", _POINT_MAP), _opt("--hom", "atom-map hom JSON file or -"))),
+    ("search", "countermodel"): (
+        cmd_search_countermodel,
+        "smallest frame refuting (or validating) a target",
+        (_opt("--target", "formula text or @name"), _CONSTRAINTS, _opt("--max-n", kind=int, default=3), _MODE),
+    ),
+    ("search", "enumerate"): (
+        cmd_search_enumerate,
+        "stream or count the frames in a constrained class",
+        (_N, _CONSTRAINTS, _opt("--canonical", kind=bool), _COUNT),
+    ),
+}
+
+
+def build_parser():
+    """The argparse tree of the command table, for help texts and usage
+    errors.  argparse is imported here alone."""
+    import argparse
+
+    def add(parser, rows):
+        for flag, dest, kind, required, default, choices, help in rows:
+            typed = {"action": "store_true"} if kind is bool else {"type": int if kind is int else None, "choices": _now(choices)}
+            parser.add_argument(flag, dest=dest, required=required, default=default, help=_now(help), **typed)
+
+    parser = argparse.ArgumentParser(prog="nbhd", description="Neighborhood frames, their algebras, and the constructions between them.")
+    add(parser, _GLOBAL_OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a formula and report its shape")
-    p.add_argument("--formula", required=True, help="formula text, @name, or - for stdin")
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("eval", help="evaluate a formula in an algebra under an assignment")
-    p.add_argument("--algebra", help="algebra JSON file or -")
-    p.add_argument("--frame", help="frame JSON file or -; its complex algebra is used")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--assign", required=True, help='JSON object, e.g. {"u":1,"v":0}')
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("valid", help="exit 0 when the formula holds under every assignment")
-    p.add_argument("--algebra", help="algebra JSON file or -")
-    p.add_argument("--frame", help="frame JSON file or -; its complex algebra is used")
-    p.add_argument("--formula", required=True)
-    p.set_defaults(func=cmd_valid)
-
-    p = sub.add_parser("dualize", help="frame to its algebra, or algebra to its atom frame")
-    p.add_argument("--frame", help="frame JSON file or -")
-    p.add_argument("--algebra", help="algebra JSON file or -")
-    p.set_defaults(func=cmd_dualize)
-
-    p_bax = sub.add_parser("bax", help="families closed under a one-step axiom set")
-    bax_sub = p_bax.add_subparsers(dest="subcommand", required=True)
-    p = bax_sub.add_parser("enum", help="enumerate all closed families at width n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--axioms", required=True, help="comma-separated @names or one-step formulas")
-    p.add_argument("--count", action="store_true")
-    p.set_defaults(func=cmd_bax_enum)
-    p = bax_sub.add_parser("map", help="push a closed family along a point map")
-    p.add_argument("--morphism", required=True, help="point map JSON file or -")
-    p.add_argument("--axioms", required=True)
-    p.add_argument("--family", required=True, help="JSON list of subset masks")
-    p.set_defaults(func=cmd_bax_map)
-
-    p_lax = sub.add_parser("lax", help="one-step algebra over the closed families")
-    lax_sub = p_lax.add_subparsers(dest="subcommand", required=True)
-    p = lax_sub.add_parser("build")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--axioms", required=True)
-    p.set_defaults(func=cmd_lax_build)
-    p = lax_sub.add_parser("check", help="verify each axiom evaluates to the top element")
-    p.add_argument("--lax", required=True, help="lax algebra JSON file or -")
-    p.set_defaults(func=cmd_lax_check)
-
-    p_class = sub.add_parser("class", help="frame and algebra class membership")
-    class_sub = p_class.add_subparsers(dest="subcommand", required=True)
-    p = class_sub.add_parser("check")
-    p.add_argument("--frame", help="frame JSON file or -")
-    p.add_argument("--algebra", help="algebra JSON file or -")
-    p.add_argument("--tag", required=True, help=f"frame tags: {', '.join(FRAME_TAGS)}; algebra tags: {', '.join(ALGEBRA_TAGS)}")
-    p.set_defaults(func=cmd_class_check)
-    p = class_sub.add_parser("correspond", help="two-sided frame/algebra property agreement")
-    p.add_argument("--frame", required=True)
-    p.add_argument("--pair", required=True, choices=CORRESPONDENCE_PAIRS)
-    p.set_defaults(func=cmd_class_correspond)
-
-    p_gen = sub.add_parser("gen", help="general frames and the sigma/pi extensions")
-    gen_sub = p_gen.add_subparsers(dest="subcommand", required=True)
-    p = gen_sub.add_parser("validate", help="report subalgebra closure and separation flags")
-    p.add_argument("--general", required=True, help="general frame JSON file or -")
-    p.set_defaults(func=cmd_gen_validate)
-    p = gen_sub.add_parser("sigma", help="sigma extension as a plain frame")
-    p.add_argument("--general", required=True)
-    p.set_defaults(func=cmd_gen_sigma)
-    p = gen_sub.add_parser("pi", help="pi extension as a plain frame")
-    p.add_argument("--general", required=True)
-    p.set_defaults(func=cmd_gen_pi)
-    p = gen_sub.add_parser("complement", help="complement the neighborhoods within the admissibles")
-    p.add_argument("--general", required=True)
-    p.set_defaults(func=cmd_gen_complement)
-    p = gen_sub.add_parser("truncate", help="restrict a frame to an admissible subalgebra")
-    p.add_argument("--frame", required=True)
-    p.add_argument("--admissible", dest="admissible_json", required=True, help="JSON list of subset masks")
-    p.set_defaults(func=cmd_gen_truncate)
-    p = gen_sub.add_parser("descriptive", help="is the frame its own sigma (and pi) extension; exit 0 when sigma holds")
-    p.add_argument("--general", required=True)
-    p.set_defaults(func=cmd_gen_descriptive)
-
-    p_mor = sub.add_parser("morphism", help="point maps between frames and their duals")
-    mor_sub = p_mor.add_subparsers(dest="subcommand", required=True)
-    p = mor_sub.add_parser("check")
-    p.add_argument("--morphism", required=True)
-    p.add_argument("--dom", required=True)
-    p.add_argument("--cod", required=True)
-    p.set_defaults(func=cmd_morphism_check)
-    p = mor_sub.add_parser("dualize")
-    p.add_argument("--morphism", help="point map JSON file or -")
-    p.add_argument("--hom", help="atom-map hom JSON file or -")
-    p.set_defaults(func=cmd_morphism_dualize)
-
-    p_search = sub.add_parser("search", help="frame enumeration and countermodel search")
-    search_sub = p_search.add_subparsers(dest="subcommand", required=True)
-    p = search_sub.add_parser("countermodel", help="smallest frame refuting (or validating) a target")
-    p.add_argument("--target", help="formula text or @name")
-    p.add_argument("--constraints", default="", help=CONSTRAINTS_HELP)
-    p.add_argument("--max-n", type=int, default=3, dest="max_n")
-    p.add_argument("--mode", choices=("find_refuting", "find_validating", "count"), default="find_refuting")
-    p.set_defaults(func=cmd_search_countermodel)
-    p = search_sub.add_parser("enumerate", help="stream or count the frames in a constrained class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--constraints", default="", help=CONSTRAINTS_HELP)
-    p.add_argument("--canonical", action="store_true")
-    p.add_argument("--count", action="store_true")
-    p.set_defaults(func=cmd_search_enumerate)
-
+    groups = {}
+    for path, (func, help, rows) in _COMMANDS.items():
+        if len(path) == 2 and path[0] not in groups:
+            groups[path[0]] = sub.add_parser(path[0], help=_GROUPS[path[0]]).add_subparsers(dest="subcommand", required=True)
+        leaf = (groups[path[0]] if len(path) == 2 else sub).add_parser(path[-1], **({"help": help} if help else {}))
+        add(leaf, rows)
+        leaf.set_defaults(func=func)
     return parser
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call of main rather than at import;
-    parsing keeps no state between calls."""
+def _parser():
+    """The parser, built on the first argv `_route` leaves to it; parsing
+    keeps no state between calls."""
     return build_parser()
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """`_parser().parse_args(argv)` by one parse of the leaf parser when
-    argv begins with a full command path.
+def _read_options(argv, i, rows, values):
+    """Read argv[i:] into values (dest to value) while each token is the
+    flag of a row not read yet.  A flag of kind bool takes no value; any
+    other takes the next token, which must not start with "-" and must
+    pass int() for kind int and its choices.  The index of the first other
+    token, or None where these rules fail."""
+    options = {row[0]: row for row in rows}
+    while i < len(argv) and argv[i] in options:
+        _, dest, kind, _, _, choices, _ = options[argv[i]]
+        if kind is bool:
+            value, i = True, i + 1
+        elif i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+            value, i = argv[i + 1], i + 2
+        else:
+            return None
+        try:
+            value = int(value) if kind is int else value
+        except ValueError:
+            return None
+        if dest in values or (choices is not None and value not in _now(choices)):
+            return None
+        values[dest] = value
+    return i
 
-    argparse hands every token after the command words to the leaf
-    parser, so the words are walked through the subparser choices, and
-    the leaf parses the rest into a namespace that holds each level's
-    defaults and command word, as the whole tree leaves them.  Leftover
-    tokens are refused by the top parser, in parse_args' words.  Any other
-    argv (a global flag or -h first, a word that names no command, a
-    missing word) is parsed by the whole tree, and so is one with a token
-    the top parser refuses as ambiguous, which starts with "--="."""
-    top = parser = _parser()
-    namespace = argparse.Namespace()
-    depth = 0
-    while sub := next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None):
-        if depth == len(argv) or argv[depth] not in sub.choices:
-            return top.parse_args(argv)
-        for action in parser._actions:
-            if action.default is not argparse.SUPPRESS:
-                setattr(namespace, action.dest, action.default)
-        setattr(namespace, sub.dest, argv[depth])
-        parser = sub.choices[argv[depth]]
-        depth += 1
-    if any(arg.startswith("--=") for arg in argv):
-        return top.parse_args(argv)
-    namespace, extras = parser.parse_known_args(argv[depth:], namespace)
-    if extras:
-        top.error(f"unrecognized arguments: {' '.join(extras)}")
-    return namespace
+
+def _route(argv: list[str]):
+    """`_parser().parse_args(argv)` from the command table alone, when argv
+    is global flags, a full command path and that command's options, each
+    at most once and every required one given; None for any other argv.
+    argparse reads such an argv the same way: an exact option string wins
+    over any prefix, and a token that does not start with "-" is a value."""
+    values = {}
+    i = _read_options(argv, 0, _GLOBAL_OPTIONS, values)
+    if i is None:
+        return None
+    path = tuple(argv[i : i + 1])
+    if path not in _COMMANDS:
+        path = tuple(argv[i : i + 2])
+    func, _, rows = _COMMANDS.get(path, (None, None, ()))
+    if func is None or _read_options(argv, i + len(path), rows, values) != len(argv):
+        return None
+    unread = [row for row in (*_GLOBAL_OPTIONS, *rows) if row[1] not in values]
+    if any(row[3] for row in unread):
+        return None
+    values.update((row[1], row[4]) for row in unread)
+    return SimpleNamespace(**values, **dict(zip(("command", "subcommand"), path)), func=func)
+
+
+def _parse(argv: list[str]):
+    """The namespace of argv, by `_route` or else by the whole tree, which
+    gives the help text or usage error of any argv the route leaves."""
+    namespace = _route(argv)
+    return _parser().parse_args(argv) if namespace is None else namespace
 
 
 def main(argv=None) -> int:

@@ -320,15 +320,23 @@ UNUSED = ("dataclasses", "inspect")
 # the package needs neither; -S keeps site from loading typing first.
 LOADS = {
     "package": ([], "import nbhd", ("nbhd",), tuple(f"nbhd.{path.stem}" for path in PACKAGE.glob("*.py") if path.stem != "__init__")),
-    "cli": ([], "import nbhd, nbhd.cli", ("nbhd.cli", "nbhd.core"), ("multiprocessing", *UNUSED, *LAZY)),
+    "cli": ([], "import nbhd, nbhd.cli", ("nbhd.cli", "nbhd.core"), ("argparse", "multiprocessing", *UNUSED, *LAZY)),
     "everything-without-site": (["-S"], "import nbhd.cli; from nbhd import *", LAZY, ("typing", "multiprocessing", *UNUSED)),
     "bax-enum": (
         [],
         run_command("bax", "enum", "--n", "2", "--axioms", "@M", "--count"),
         ("nbhd.bax", "nbhd.formulas", "nbhd.evaluate"),
-        ("nbhd.search", "nbhd.genframe", "nbhd.duality", *UNUSED),
+        ("argparse", "nbhd.search", "nbhd.genframe", "nbhd.duality", *UNUSED),
     ),
-    "parse": ([], run_command("parse", "--formula", "@M"), ("nbhd.formulas",), (*LAZY, *UNUSED)),
+    # A command line the command table reads builds no argparse tree, so
+    # parse needs neither argparse nor the classes tables of its help.
+    "parse": (
+        [],
+        run_command("parse", "--formula", "@M"),
+        ("nbhd.formulas",),
+        ("argparse", "nbhd.classes", "nbhd.bitslice", *LAZY, *UNUSED),
+    ),
+    "help": ([], run_command("-h"), ("argparse", "nbhd.classes"), ("nbhd.search", "nbhd.bax", *UNUSED)),
     # On stdin, the one-point algebra whose box is the identity, so @T is valid.
     "valid": (
         [],
