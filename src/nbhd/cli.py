@@ -473,15 +473,16 @@ def _parser():
 def _read_options(argv, i, rows, values):
     """Read argv[i:] into values (dest to value) while each token is the
     flag of a row not read yet.  A flag of kind bool takes no value; any
-    other takes the next token, which must not start with "-" and must
-    pass int() for kind int and its choices.  The index of the first other
-    token, or None where these rules fail."""
+    other takes the next token, which must be "-" or not start with "-",
+    as argparse reads it, and must pass int() for kind int and its
+    choices.  The index of the first other token, or None where these
+    rules fail."""
     options = {row[0]: row for row in rows}
     while i < len(argv) and argv[i] in options:
         _, dest, kind, _, _, choices, _ = options[argv[i]]
         if kind is bool:
             value, i = True, i + 1
-        elif i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+        elif i + 1 < len(argv) and (argv[i + 1] == "-" or not argv[i + 1].startswith("-")):
             value, i = argv[i + 1], i + 2
         else:
             return None

@@ -10,7 +10,8 @@ formula of modal depth 1 with a naked variable, such as T (the centered
 condition of `centered` and the topological tags), is still a test on x
 and N(x) alone: `evaluate.compile_pointwise` gives one membership
 program per point, and each point keeps the candidates that pass its
-program (`_pass_masks`, one transpose of the shared list).  A formula of
+program (`_pass_masks`, run on `_candidate_planes`, one transpose of
+the shared list).  A formula of
 depth 2 or more, such as Four (the iv condition), reads other points'
 neighborhoods and is decided per frame.
 
@@ -31,15 +32,29 @@ candidate family along the columns.
 A level, the frames on n points in a class, does not depend on the
 formula tested against it, so every target and mode shares one compiled
 `_Level`: its candidate tuples, the algebra programs of its whole-frame
-constraints and, built on its first scan, its block plan, the block
-shape (p, size, runs) and the free points' planes; it holds nothing that
-depends on a target.  `_class_level` is one `lru_cache` of at most 16
-levels, keyed by n, the constraint specs (each stripped, a repeat
-dropped) and SCAN_BLOCK_BITS, which the plan reads.  `_level` refuses a
-level of more keys than its route's cap on every call, before any plane
-is built.  The cache serves a process that scans one class more than
-once, with several targets or commands; one CLI search visits each of
-its levels once.
+constraints and, each built on first use, its block plan (the block
+shape (p, size, runs) and the free points' planes), its candidate planes
+and its table of fixed candidates; it holds nothing that depends on a
+target.  `_class_level` is one `lru_cache` of at most 16 levels, keyed
+by n, the constraint specs (each stripped, a repeat dropped) and
+SCAN_BLOCK_BITS, which the plan reads.  `_level` refuses a level of more
+keys than its route's cap on every call, before any plane is built.  The
+cache serves a process that scans one class more than once, with several
+targets or commands; one CLI search visits each of its levels once.
+
+A count of a pointwise level, one without a whole-frame constraint and
+with a target of modal depth at most 1 or none, scans no key: every
+class here is closed under relabeling, so `_orbit_scan` counts its
+frames up to relabeling by Burnside's lemma, as the mean over the
+permutations σ of the frames σ fixes.  Such a frame is set by one
+candidate per cycle c of σ, one that σ^|c| fixes, and the level's
+`fixed` table holds those candidates as one mask per cycle, decided on
+the candidate planes.  The labeled count is the identity's
+term, and a target's count takes each mask within the target's pass
+masks.  Its work is bounded by the candidate lists, not by keys, so it
+answers past SCAN_KEYS_CAP: the unconstrained class at n = 4 and the
+monotone one at n = 5.  The find modes, the other counts,
+`enumerate_frames` and `frames_chunks` scan.
 
 A target is the formula `evaluate.compile_target` gives at the level's
 width.  A target of modal depth at most 1 is valid on a frame exactly
@@ -50,7 +65,8 @@ target of depth 2 or more is decided on the in-class lanes by
 `_whole_lanes`.  Either way a count sums both popcounts, and a find
 mode takes the least lane of the validating or of the other in-class
 lanes; only that frame's key is built, and a refuting frame's least
-assignment comes from `find_refuting_assignment` on its box table.
+assignment comes from `find_refuting_assignment` on its box table.  A
+target is compiled, and its depth taken, once per level.
 
 The search visits n = 0, 1, ... and scans canonical representatives
 only (every class here is closed under point relabeling), so ties break
@@ -143,21 +159,24 @@ def canonical_form(frame: NeighborhoodFrame) -> NeighborhoodFrame:
     return min((relabel_frame(frame, perm) for perm in permutations(range(frame.n))), key=NeighborhoodFrame.key)
 
 
-def _pass_masks(n: int, cands, formulas) -> list[int]:
-    """Per point x, the mask over cands[x] of the famasks that pass at x
-    under every formula of modal depth at most 1: their `compile_pointwise`
-    programs at x run on the planes of cands[x], with the empty and the
-    full plane after them.  Points that share one list share its planes,
-    transposed once."""
-    programs = [compile_pointwise(f, n) for f in formulas]
+def _candidate_planes(n: int, cands) -> tuple[tuple[int, ...], ...]:
+    """Per point x, the planes of cands[x], plane a holding the candidates
+    that contain subset a, with the empty and the full plane after them,
+    the constants a naked variable reads.  Points that share one list
+    share its planes, transposed once."""
     planes = {}
-    masks = []
-    for x, cand in enumerate(cands):
-        full = (1 << len(cand)) - 1
+    for cand in cands:
         if id(cand) not in planes:
-            planes[id(cand)] = (*transpose(cand, 1 << n), 0, full)
-        masks.append(_accepted(planes[id(cand)], full, [program[x] for program in programs]))
-    return masks
+            planes[id(cand)] = (*transpose(cand, 1 << n), 0, (1 << len(cand)) - 1)
+    return tuple(planes[id(cand)] for cand in cands)
+
+
+def _pass_masks(n: int, planes, formulas) -> list[int]:
+    """Per point x, the mask over its candidates of the famasks that pass
+    at x under every formula of modal depth at most 1: their
+    `compile_pointwise` programs at x run on x's `_candidate_planes`."""
+    programs = [compile_pointwise(f, n) for f in formulas]
+    return [_accepted(p, p[-1], [program[x] for program in programs]) for x, p in enumerate(planes)]
 
 
 def _compile_constraints(n: int, specs: tuple[str, ...]):
@@ -206,7 +225,7 @@ def _compile_constraints(n: int, specs: tuple[str, ...]):
     programs = tuple(compile_algebra(f) for f in whole)
     if not pointwise:
         return (shared,) * n, programs
-    masks = _pass_masks(n, [shared] * n, pointwise)
+    masks = _pass_masks(n, _candidate_planes(n, (shared,) * n), pointwise)
     return tuple(tuple(_lane_picker(mask)(shared)) for mask in masks), programs
 
 
@@ -285,9 +304,10 @@ def _level_shape(cands) -> tuple[int, int, list[tuple[int, int, int]]]:
 
 class _Level(_Value):
     """The frames on n points in a class: the candidate tuple of each
-    point, the algebra programs of its whole-frame constraints and, built
-    on the level's first scan, the plan every block shares.  A level is
-    equal only to itself."""
+    point, the algebra programs of its whole-frame constraints and, each
+    built on first use, the plan every block of a scan shares, the
+    candidate planes and the fixed candidates of each relabeling.  A
+    level is equal only to itself."""
 
     _fields = ("n", "cands", "whole")
     __eq__ = object.__eq__
@@ -310,6 +330,40 @@ class _Level(_Value):
             for x, stride, times in runs
         )
         return p, size, tuple(runs), free
+
+    @cached_property
+    def planes(self):
+        """The `_candidate_planes` of the candidate tuples."""
+        return _candidate_planes(self.n, self.cands)
+
+    @cached_property
+    def fixed(self):
+        """Per permutation σ of the points, identity first, per cycle c of
+        σ: (x, mask), x the cycle's least point and mask the candidates F
+        of x with q.F = F for q = σ^|c|.  That holds when every subset a
+        and its image q.a are in F together, so mask is the AND over a of
+        the complement of plane a XOR plane q.a."""
+        n = self.n
+        table = []
+        for perm in permutations(range(n)):
+            cycles = []
+            seen = set()
+            for x in range(n):
+                if x in seen:
+                    continue
+                # Walking the cycle of x takes q from σ to σ^|c|.
+                seen.add(x)
+                q, y = perm, perm[x]
+                while y != x:
+                    seen.add(y)
+                    q, y = [perm[i] for i in q], perm[y]
+                plane = self.planes[x]
+                mask = plane[-1]
+                for a in range(1 << n):
+                    mask &= ~(plane[a] ^ plane[apply_perm_mask(a, q)])
+                cycles.append((x, mask))
+            table.append(tuple(cycles))
+        return tuple(table)
 
 
 def _lane_blocks(level: _Level, canonical: bool):
@@ -343,23 +397,23 @@ def _in_class(level: _Level, canonical: bool):
             yield count, [[famask] * count for famask in prefix] + [pick(column) for column in columns]
 
 
-def _scan(level: _Level, canonical, target_text, mode):
+def _scan(level: _Level, canonical, target, mode, deep):
     """Count the in-class frames and the ones that validate the target.
-    Returns (in_class, validating, hit) where hit = (frame key, refuting
-    env).  Find modes stop at the first hit, so in_class then counts
-    frames up to and including it.
+    The target is a compiled formula or None, and deep tells whether its
+    modal depth is 2 or more.  Returns (in_class, validating, hit) where
+    hit = (frame key, refuting env).  Find modes stop at the first hit,
+    so in_class then counts frames up to and including it.
 
     A target of modal depth at most 1 holds on a block's lane when every
     point's famask passes that point's program: the fixed points' famasks
     are looked up in their passing sets, and the free points' passing
     candidates fill runs of lanes, as their famasks fill the planes.  A
-    target of depth 2 or more holds on the lanes `_whole_lanes` keeps."""
+    deep target holds on the lanes `_whole_lanes` keeps."""
     n, cands = level.n, level.cands
-    target = compile_target(target_text, n)
     if target is None:
         return sum(lanes.bit_count() for _, _, lanes in _lane_blocks(level, canonical)), 0, None
     p, _, runs, _ = level.plan
-    program = compile_algebra(target) if modal_depth(target) > 1 else None
+    program = compile_algebra(target) if deep else None
     in_class = validating = 0
     passing = None
     for prefix, planes, lanes in _lane_blocks(level, canonical):
@@ -372,7 +426,7 @@ def _scan(level: _Level, canonical, target_text, mode):
                 # Built at the level's first in-class frame: a level without
                 # one meets no assignment guard, as with the lane test.
                 assignment_space(n, len(free_vars(target)), "validates")
-                masks = _pass_masks(n, cands, [target])
+                masks = _pass_masks(n, level.planes, [target])
                 passing = [set(_lane_picker(mask)(cand)) for mask, cand in zip(masks, cands[:p])]
                 free = -1
                 for x, stride, times in runs:
@@ -403,21 +457,56 @@ def _class_level(n: int, specs: tuple[str, ...], bits: int) -> _Level:
     return _Level(n, *_compile_constraints(n, specs))
 
 
-def _level(n: int, constraints, cap: int) -> _Level:
+def _level(n: int, constraints, cap: int | None) -> _Level:
     """`_class_level` of the constraints, each spec stripped and kept at its
     first occurrence, so a repeated spec names the same level; refused, on
-    every call, when the product of the candidate counts exceeds cap keys."""
+    every call, when a cap is given and the product of the candidate
+    counts exceeds it."""
     specs = tuple(dict.fromkeys(map(str.strip, _constraint_tuple(constraints))))
     level = _class_level(n, specs, SCAN_BLOCK_BITS)
     keys = prod(map(len, level.cands))
-    if keys > cap:
+    if cap is not None and keys > cap:
         raise CapExceededError(f"search: level n={n} has {keys} keys, exceeds cap {cap}")
     return level
 
 
+def _orbit_scan(level: _Level, canonical, target):
+    """`_scan`'s count of a pointwise level, one without a whole-frame
+    constraint and with a target of modal depth at most 1 or none, by
+    Burnside's lemma: the orbits under relabeling number (1/n!) times the
+    sum over permutations σ of the frames σ fixes.  A frame is fixed by σ
+    exactly when, for each cycle c of σ with least point x, N(x) is a
+    candidate fixed by σ^|c|, which sets N on the rest of c; so σ fixes
+    the product over its cycles of the candidates in its `fixed` masks.
+    The labeled count is the identity's term alone, and the validating
+    count is the same sum over the candidates that pass the target."""
+    terms = level.fixed if canonical else level.fixed[:1]
+
+    def orbits(cut) -> int:
+        total = sum(prod((mask & cut[x]).bit_count() for x, mask in cycles) for cycles in terms)
+        count, rest = divmod(total, len(terms))
+        if rest:
+            raise AssertionError(f"search: orbit sum {total} is not a multiple of {len(terms)}")
+        return count
+
+    in_class = orbits([-1] * level.n)
+    if target is None or not in_class:
+        return in_class, 0, None
+    # Only a level with an in-class frame meets the assignment guard, as
+    # with the scan.
+    assignment_space(level.n, len(free_vars(target)), "validates")
+    return in_class, orbits(_pass_masks(level.n, level.planes, [target])), None
+
+
 def _scan_level(n, constraints, canonical, target_text, mode):
-    """One carrier size, scanned in serial order."""
-    return _scan(_level(n, constraints, SCAN_KEYS_CAP), canonical, target_text, mode)
+    """One carrier size: a count of a pointwise level by `_orbit_scan`,
+    past any key cap, and any other search by `_scan` in serial order."""
+    level = _level(n, constraints, None)
+    target = compile_target(target_text, n)
+    deep = target is not None and modal_depth(target) > 1
+    if mode == "count" and not level.whole and not deep:
+        return _orbit_scan(level, canonical, target)
+    return _scan(_level(n, constraints, SCAN_KEYS_CAP), canonical, target, mode, deep)
 
 
 def _class_blocks(n: int, constraints, canonical: bool):

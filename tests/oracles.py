@@ -9,6 +9,7 @@ one assignment at a time with the package's definitional evaluators.
 """
 
 from itertools import permutations, product
+from math import factorial
 
 from nbhd import evaluate
 from nbhd.formulas import And, Box, Not, Var, free_vars
@@ -259,6 +260,43 @@ def orbit_minima(keys):
 def orbit_count(keys):
     """Number of point-relabeling orbits among the given frame keys."""
     return len(orbit_minima(keys))
+
+
+def unconstrained_orbit_count(n):
+    """Frames on n points up to relabeling, by Burnside's lemma in closed
+    form: a frame fixed by a permutation s is set, on each cycle c of s,
+    by the neighborhood of one of its points, which may be any family
+    fixed by q = s^|c|, that is any union of orbits of q on subsets."""
+    points = list(range(n))
+    universe = subsets(points)
+    total = 0
+    for perm in permutations(points):
+        term = 1
+        seen = set()
+        for x in points:
+            if x in seen:
+                continue
+            cycle = [x]
+            while perm[cycle[-1]] != x:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            q = points
+            for _ in cycle:
+                q = [perm[i] for i in q]
+            orbits = 0
+            met = set()
+            for a in universe:
+                if a in met:
+                    continue
+                orbits += 1
+                while a not in met:
+                    met.add(a)
+                    a = frozenset(q[i] for i in a)
+            term *= 2**orbits
+        total += term
+    count, rest = divmod(total, factorial(n))
+    assert rest == 0
+    return count
 
 
 def sigma_member_sets(e_set, trace, admissible):

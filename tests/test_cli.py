@@ -13,7 +13,7 @@ import pytest
 from nbhd import search
 from nbhd.bax import baxspace_to_json, enumerate_bax
 from nbhd.classes import CLASS_TABLE
-from nbhd.cli import _parse, _parser, _pretty, build_parser, main
+from nbhd.cli import _parse, _parser, _pretty, _route, build_parser, main
 from nbhd.core import famask_of, frame_from_json, frame_to_json
 from nbhd.duality import complex_algebra, lax_algebra, lax_to_json
 from nbhd.evaluate import eval_formula
@@ -281,7 +281,9 @@ def test_workers_flag_is_unrecognized(capsys):
 
 
 def test_search_level_guard_exits_3(capsys):
-    code, out, err = run(capsys, "search", "countermodel", "--mode", "count", "--max-n", "4")
+    # iv has a whole-frame constraint, so its count scans, and its n = 4
+    # level is past the key cap.
+    code, out, err = run(capsys, "search", "countermodel", "--mode", "count", "--constraints", "iv", "--max-n", "4")
     assert (code, out) == (3, "") and f"level n=4 has {1 << 64} keys, exceeds cap" in err
     code, out = jout(capsys, "search", "countermodel", "--mode", "count", "--constraints", "filter", "--max-n", "4")
     assert code == 0 and out == {"count": 3161, "checked": 3161}
@@ -299,6 +301,14 @@ def test_search_answers_at_n5(capsys):
         (("--target", "@Four", "--constraints", "filter"), '{"count":2187,"checked":295129}\n'),
     ):
         assert run(capsys, "search", "countermodel", "--mode", "count", *argv, "--max-n", "5") == (0, out, "")
+
+
+def test_search_counts_pointwise_levels_by_orbits(capsys):
+    # Levels past the key cap that have no whole-frame constraint are
+    # counted by orbits.
+    argv = ("search", "countermodel", "--mode", "count", "--max-n", "4")
+    assert run(capsys, *argv, "--constraints", "contingency") == (0, '{"count":179229501,"checked":179229501}\n', "")
+    assert run(capsys, *argv) == (0, '{"count":768614611827755917,"checked":768614611827755917}\n', "")
 
 
 def test_search_refusals_by_work(capsys, monkeypatch):
@@ -651,8 +661,11 @@ def test_search_enumerate_cli(capsys):
     assert code == 0 and out == {"count": 10}
     code, out = jout(capsys, "search", "enumerate", "--n", "1", "--constraints", "filter")
     assert code == 0 and out == {"frames": [{"n": 1, "N": [[1]]}, {"n": 1, "N": [[0, 1]]}]}
-    code, _, err = run(capsys, "search", "enumerate", "--n", "4", "--count")
+    # A count with a whole-frame constraint scans, up to the key cap; one
+    # without is counted by orbits.
+    code, _, err = run(capsys, "search", "enumerate", "--n", "4", "--constraints", "iv", "--count")
     assert code == 3
+    assert run(capsys, "search", "enumerate", "--n", "4", "--count") == (0, f'{{"count":{1 << 64}}}\n', "")
     # An inline T constrains nothing; the tag's @M joins a listed @M once.
     code, out = jout(capsys, "search", "enumerate", "--n", "2", "--constraints", "T", "--count")
     assert code == 0 and out == {"count": 256}
@@ -890,6 +903,9 @@ def parse_corpus():
         ["--limit-bytes", "0", "bax", "enum", "--n", "2", "--axioms", "@M"],
         ["--pretty", "--limit-bytes", "0", "search", "enumerate", "--n", "2"],
         ["bax", "enum", "--n", "2", "--axioms", "@M", "--canonical"],
+        # A lone "-" is a value, as for the stdin pipe of the README.
+        ["dualize", "--algebra", "-"],
+        ["valid", "--algebra", "-", "--formula", "@T"],
     ]
     return corpus
 
@@ -916,6 +932,13 @@ def test_leaf_route_parses_as_the_whole_tree(capsys):
         assert parse_outcome(capsys, _parse, argv) == expected, argv
         kinds.add(expected[0][0] if expected[0][0] == "namespace" else expected[0])
     assert kinds == {"namespace", ("exit", 0), ("exit", 2)}
+
+
+def test_a_lone_dash_value_takes_the_route():
+    # "-" names stdin, and argparse reads it as a value, not an option.
+    for argv in (["dualize", "--algebra", "-"], ["valid", "--algebra", "-", "--formula", "@T"], ["parse", "--formula", "-"]):
+        assert vars(_route(argv)) == vars(build_parser().parse_args(argv)), argv
+    assert _route(["bax", "enum", "--n", "-", "--axioms", "@M"]) is None
 
 
 def test_main_builds_no_parser_for_a_benchmark_command():

@@ -115,6 +115,13 @@ def definitional_scan(n, cands, iv, canonical):
 FOUR = compile_target("@Four", 1)
 
 
+def scan(level, canonical, text, mode):
+    """`search._scan` of the level, with the target text compiled at its
+    width."""
+    target = compile_target(text, level.n)
+    return search._scan(level, canonical, target, mode, target is not None and modal_depth(target) > 1)
+
+
 def iv_level(n, cands, iv):
     """A level of the candidate lists, with Four as its one whole-frame
     constraint when iv is set."""
@@ -173,7 +180,7 @@ def test_property_plane_scan_matches_definitions(case):
         for canonical in (False, True):
             want = definitional_scan(n, cands, iv, canonical)
             assert scan_keys(n, cands, iv, canonical) == want
-            assert search._scan(iv_level(n, cands, iv), canonical, None, "count") == (len(want), 0, None)
+            assert search._scan(iv_level(n, cands, iv), canonical, None, "count", False) == (len(want), 0, None)
 
 
 def test_block_shapes_fix_one_and_two_points(monkeypatch):
@@ -786,7 +793,7 @@ def test_a_level_is_keyed_by_the_block_bits(monkeypatch):
     narrow = search._level(3, ("filter",), search.SCAN_KEYS_CAP)
     assert narrow is not wide and narrow.cands == wide.cands and narrow.plan[:2] == (2, 8)
     for target in ("@Conv", "box box v -> box v", None):
-        assert search._scan(narrow, True, target, "count") == search._scan(wide, True, target, "count"), target
+        assert scan(narrow, True, target, "count") == scan(wide, True, target, "count"), target
     monkeypatch.undo()
     assert search._level(3, ("filter",), search.SCAN_KEYS_CAP) is wide
 
@@ -808,16 +815,72 @@ def test_cold_and_warm_levels_give_the_same_answers():
 
 
 def test_level_work_guard():
-    # The unconstrained n = 4 level has 65,536^4 keys: refused before any
-    # plane is built, after the levels below it were scanned.
+    # The iv level at n = 4 has 65,536^4 keys and a whole-frame
+    # constraint, so it is scanned: refused before any plane is built,
+    # after the levels below it were scanned.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_lane_blocks", lambda *args: pytest.fail("a level was scanned"))
         with pytest.raises(CapExceededError, match=f"level n=4 has {1 << 64} keys, exceeds cap {search.SCAN_KEYS_CAP}"):
-            search._scan_level(4, (), True, None, "count")
+            search._scan_level(4, ("iv",), True, None, "count")
     with pytest.raises(CapExceededError, match="n=4"):
-        find_countermodel(SearchSpec(mode="count", max_n=4))
+        find_countermodel(SearchSpec(mode="count", constraints=("iv",), max_n=4))
     assert 1 << 24 <= search.SCAN_KEYS_CAP < 1 << 64
     assert find_countermodel(SearchSpec(constraints=("filter",), mode="count", max_n=4)) == {"count": 3161, "checked": 3161}
+
+
+def test_orbit_counts_equal_the_scan_up_to_n3():
+    # Every class tag without a whole-frame constraint, with every rank-1
+    # target and none, canonical and labeled: Burnside's count of a level
+    # against the scan of the same level.
+    pointwise = []
+    for tag, _, _ in CLASS_TABLE:
+        levels = [search._level(n, (tag,), None) for n in range(4)]
+        if any(level.whole for level in levels):
+            continue
+        pointwise.append(tag)
+        for level in levels:
+            for canonical in (False, True):
+                for text in (None, *RANK1_AXIOMS):
+                    want = scan(level, canonical, text, "count")
+                    assert search._orbit_scan(level, canonical, compile_target(text, level.n)) == want, (tag, level.n, canonical, text)
+    assert pointwise == ["monotone", "convex", "coconvex", "contingency", "filter", "centered", "pretopological"]
+
+
+def test_orbit_counts_equal_the_scan_at_n4():
+    # The n = 4 levels the scan reaches in seconds, with no target and
+    # with @T: the scan gives both counts at once.  A pointwise count
+    # takes the orbit route and scans no block.
+    for tag in ("filter", "pretopological", "monotone"):
+        level = search._level(4, (tag,), search.SCAN_KEYS_CAP)
+        want = scan(level, True, "@T", "count")
+        assert search._orbit_scan(level, True, compile_target("@T", 4)) == want, tag
+        assert search._orbit_scan(level, True, None) == (want[0], 0, None), tag
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_lane_blocks", lambda *args: pytest.fail("a level was scanned"))
+            assert search._scan_level(4, (tag,), True, "@T", "count") == want, tag
+    spec = SearchSpec(constraints=("monotone",), mode="count", max_n=4)
+    assert find_countermodel(spec) == {"count": 33_302_299, "checked": 33_302_299}
+
+
+def test_orbit_counts_past_the_scan_are_pinned_by_a_second_route():
+    # The unconstrained class against the closed form.  Complementing a
+    # family maps the convex ones onto the coconvex ones, and W -> W ∩ {a :
+    # x in a} maps the complement-closed ones onto those centered at x;
+    # both maps commute with relabeling, so each pair of classes has one
+    # orbit count.
+    for n in range(5):
+        assert count_frames(n, (), canonical=True) == oracles.unconstrained_orbit_count(n), n
+    assert count_frames(4, (), canonical=True) == 768_614_611_824_951_296
+    assert count_frames(4, ()) == 1 << 64
+    full = (1 << 16) - 1
+    convex, coconvex = (search._level(4, (tag,), None).cands[0] for tag in ("convex", "coconvex"))
+    assert sorted(full ^ famask for famask in convex) == list(coconvex)
+    contingency = search._level(4, ("contingency",), None).cands[0]
+    for x, centered in enumerate(search._level(4, ("centered",), None).cands):
+        at_x = sum(1 << a for a in range(16) if a >> x & 1)
+        assert sorted(famask & at_x for famask in contingency) == list(centered), x
+    assert count_frames(4, ("contingency",), canonical=True) == count_frames(4, ("centered",), canonical=True) == 179_228_736
+    assert count_frames(4, ("convex",), canonical=True) == count_frames(4, ("coconvex",), canonical=True) == 10_020_825_483_867
 
 
 def test_a_string_is_not_a_constraint_sequence():
@@ -847,7 +910,7 @@ def test_spec_and_cap_errors():
     with pytest.raises(CapExceededError):
         enumerate_frames(4)
     with pytest.raises(CapExceededError):
-        count_frames(4)
+        count_frames(4, ("iv",))
     with pytest.raises(InvalidInputError):
         count_frames(1, ("zebra",))
     assert count_frames(2, ("box b -> box box b",)) == count_frames(2, ("iv",))
