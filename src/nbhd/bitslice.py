@@ -4,8 +4,11 @@ Python ints serve as bit vectors with one lane per candidate (Knuth,
 TAOCP 4A, 7.1.3; Biham, FSE 1997).  A membership program is evaluated for
 many families at once: plane[a] holds, in lane f, whether subset a is a
 member of family f, so each deduplicated row of the program is a few
-ANDs and XORs of whole planes, and the families that pass are the lanes
-left set after the rows are AND-ed together.  Each program shape
+ANDs, ORs and XORs of whole planes, and the families that pass are the
+lanes left set after the rows are AND-ed together.  The lowering
+(`evaluate._lower`) gives each connective one operation: a -> b and
+a | b are one OR (after a NOT of a for ->), a <-> b one XNOR, that is an
+XOR and a NOT.  Each program shape
 (opcodes, opargs) runs as a row sweep generated once (`_row_sweep`):
 straight-line Python with one operator per statement and the row loop
 inside, so no interpreter steps through the opcodes per row.  An algebra
@@ -77,12 +80,16 @@ def _row_sweep(opcodes: tuple[int, ...], opargs: tuple[int, ...]):
     Postfix opcodes: 0 pushes the plane the row names in slot arg (a
     subset's membership plane, or for a naked variable one of the two
     constant planes after them), 1 pushes true, 2 negates the top, 3
-    folds an and of arg operands (true when arg is 0).  Stack position d holds an operand text: `lanes`, a
-    plane `planes[s<slot>]`, or the local v<d> once an operation wrote it.
-    Each operation is one statement with one operator on such operands,
-    so the code never nests however long the formula.  Bits outside
-    `lanes` may hold anything: every operation is lane-wise and acc stays
-    inside it."""
+    folds an and of arg operands (true when arg is 0), 5 an or of arg
+    operands (arg at least 1), and 6 replaces the top two by their
+    equality (`evaluate._lower`).  Stack position d holds an operand
+    text: `lanes`, a plane `planes[s<slot>]`, or the local v<d> once an
+    operation wrote it.  Each operation is one statement with one
+    operator on such operands, so the code never nests however long the
+    formula: a not is `v = a ^ lanes`, an and or an or of k operands k - 1
+    statements `v = a & b`, `v &= c`, ... or `v = a | b`, ..., and an
+    equality `v = a ^ b; v ^= lanes`.  Bits outside `lanes` may hold
+    anything: every operation is lane-wise and acc stays inside it."""
     slots = 1 + max((int(arg) for op, arg in zip(opcodes, opargs) if op == 0), default=-1)
     stack = []
     body = []
@@ -94,14 +101,19 @@ def _row_sweep(opcodes: tuple[int, ...], opargs: tuple[int, ...]):
             d = len(stack) - 1
             body.append(f"v{d} = {stack[d]} ^ lanes")
             stack[d] = f"v{d}"
+        elif op == 6:
+            d = len(stack) - 2
+            body += [f"v{d} = {stack[d]} ^ {stack[d + 1]}", f"v{d} ^= lanes"]
+            stack[d:] = [f"v{d}"]
         elif op == 1 or not arg:
             stack.append("lanes")
-        elif arg > 1:  # an and of one operand is that operand
+        elif arg > 1:  # an and or an or of one operand is that operand
+            sign = "&" if op == 3 else "|"
             d = len(stack) - arg
             first, *rest = stack[d:]
             del stack[d:]
-            body.append(f"v{d} = {first} & {rest[0]}")
-            body += [f"v{d} &= {operand}" for operand in rest[1:]]
+            body.append(f"v{d} = {first} {sign} {rest[0]}")
+            body += [f"v{d} {sign}= {operand}" for operand in rest[1:]]
             stack.append(f"v{d}")
     targets = "".join(f"s{i}, " for i in range(slots))
     lines = ["def sweep(planes, lanes, rows, acc):", f"    for ({targets}) in rows:"]
@@ -351,9 +363,11 @@ def _refuted(images, opcodes, opargs, variables, full: int) -> int:
     of box a, as `_apply_box` reads them.
 
     Postfix opcodes: 0 pushes variable arg, 1 the full set, 2 complements
-    the top, 3 folds an and of arg operands, 4 applies the box to the
+    the top, 3 folds an and of arg operands, 5 an or of arg operands, 6
+    replaces the top two by their equality, and 4 applies the box to the
     top, arg numbering the boxed subformula, so a number already seen
-    reuses its image.  Every value is a tuple of n planes."""
+    reuses its image.  Every value is a tuple of n planes, and each
+    operation is one step per plane: an equality is `x ^ y ^ full`."""
     top = (full,) * len(images[0])
     boxed: dict[int, tuple[int, ...]] = {}
     stack = []
@@ -372,6 +386,14 @@ def _refuted(images, opcodes, opargs, variables, full: int) -> int:
                 stack.append(value)
             else:
                 stack.append(top)
+        elif op == 5:
+            value = stack.pop()
+            for _ in range(arg - 1):
+                value = tuple([x | y for x, y in zip(value, stack.pop())])
+            stack.append(value)
+        elif op == 6:
+            value = stack.pop()
+            stack[-1] = tuple([x ^ y ^ full for x, y in zip(stack[-1], value)])
         else:
             if arg not in boxed:
                 boxed[arg] = _apply_box(images, stack[-1], full)

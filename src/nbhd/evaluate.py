@@ -158,21 +158,55 @@ class AlgebraProgram(_Value):
         _setattr(self, "opargs", opargs)
 
 
+def _implication(f: Formula) -> tuple[Formula, Formula] | None:
+    """(a, b) when f is a -> b as the parser stores it, ~(a & ~b), else None."""
+    if isinstance(f, Not) and isinstance(f.sub, And) and len(f.sub.items) == 2 and isinstance(f.sub.items[1], Not):
+        return f.sub.items[0], f.sub.items[1].sub
+    return None
+
+
+def _iff_operands(f: And) -> tuple[Formula, Formula] | None:
+    """(a, b) when f is a <-> b as the parser stores it, the and of
+    a -> b and b -> a, else None."""
+    if len(f.items) != 2:
+        return None
+    first, second = map(_implication, f.items)
+    return first if first is not None and second is not None and first == second[::-1] else None
+
+
 def _lower(f: Formula, opcodes: list[int], opargs: list[int], on_box, var_slot) -> None:
+    """Append f's postfix code: opcode 0 for a boxed or naked slot
+    (through the callbacks), 1 true, 2 not, 3 an and of arg operands, 5
+    an or of arg operands, 6 the equality of two.  Two patterns of the
+    desugared connectives fuse into one operation.  ~(x1 & ... & xk)
+    with at least half its items negations is the or of their
+    complements, the complement of ~y being y: a -> b, stored as
+    ~(a & ~b), is ~a | b, and a | b, stored as ~(~a & ~b), one or.
+    a <-> b (`_iff_operands`) is the xnor of a and b, each lowered once.  Slots keep the order in
+    which they first occur, left to right."""
     if isinstance(f, Box):
         on_box(f, opcodes, opargs)
     elif isinstance(f, Top):
         opcodes.append(1)
         opargs.append(0)
     elif isinstance(f, Not):
-        _lower(f.sub, opcodes, opargs, on_box, var_slot)
-        opcodes.append(2)
-        opargs.append(0)
+        sub = f.sub
+        if isinstance(sub, And) and sub.items and 2 * sum(isinstance(item, Not) for item in sub.items) >= len(sub.items):
+            for item in sub.items:
+                _lower(item.sub if isinstance(item, Not) else Not(item), opcodes, opargs, on_box, var_slot)
+            opcodes.append(5)
+            opargs.append(len(sub.items))
+        else:
+            _lower(sub, opcodes, opargs, on_box, var_slot)
+            opcodes.append(2)
+            opargs.append(0)
     elif isinstance(f, And):
-        for item in f.items:
+        pair = _iff_operands(f)
+        items, op, arg = (f.items, 3, len(f.items)) if pair is None else (pair, 6, 0)
+        for item in items:
             _lower(item, opcodes, opargs, on_box, var_slot)
-        opcodes.append(3)
-        opargs.append(len(f.items))
+        opcodes.append(op)
+        opargs.append(arg)
     elif isinstance(f, Var):
         var_slot(f, opcodes, opargs)
     else:

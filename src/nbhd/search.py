@@ -461,12 +461,18 @@ def _level(n: int, constraints, cap: int | None) -> _Level:
     """`_class_level` of the constraints, each spec stripped and kept at its
     first occurrence, so a repeated spec names the same level; refused, on
     every call, when a cap is given and the product of the candidate
-    counts exceeds it."""
+    counts exceeds it (`_capped`)."""
     specs = tuple(dict.fromkeys(map(str.strip, _constraint_tuple(constraints))))
     level = _class_level(n, specs, SCAN_BLOCK_BITS)
+    return level if cap is None else _capped(level, cap)
+
+
+def _capped(level: _Level, cap: int) -> _Level:
+    """The level, refused when the product of its candidate counts
+    exceeds cap."""
     keys = prod(map(len, level.cands))
-    if cap is not None and keys > cap:
-        raise CapExceededError(f"search: level n={n} has {keys} keys, exceeds cap {cap}")
+    if keys > cap:
+        raise CapExceededError(f"search: level n={level.n} has {keys} keys, exceeds cap {cap}")
     return level
 
 
@@ -506,7 +512,7 @@ def _scan_level(n, constraints, canonical, target_text, mode):
     deep = target is not None and modal_depth(target) > 1
     if mode == "count" and not level.whole and not deep:
         return _orbit_scan(level, canonical, target)
-    return _scan(_level(n, constraints, SCAN_KEYS_CAP), canonical, target, mode, deep)
+    return _scan(_capped(level, SCAN_KEYS_CAP), canonical, target, mode, deep)
 
 
 def _class_blocks(n: int, constraints, canonical: bool):

@@ -386,7 +386,8 @@ def membership_program_lanes(programs, planes, lanes):
     lane j reads subset a as a member when bit j of planes[a] is set.
     Postfix opcodes: 0 pushes the membership of the row's subset in slot
     arg, 1 pushes True, 2 negates the top, 3 replaces the top arg values
-    by their conjunction (True when arg is 0)."""
+    by their conjunction (True when arg is 0), 5 by their disjunction,
+    and 6 replaces the top two values by their equality."""
     out = 0
     for j in range(lanes.bit_length()):
         if lanes >> j & 1 and all(_row_holds(prog, row, planes, j) for prog in programs for row in prog.rows):
@@ -403,10 +404,13 @@ def _row_holds(prog, row, planes, j):
             stack.append(True)
         elif op == 2:
             stack.append(not stack.pop())
-        elif op == 3:
+        elif op in (3, 5):
             operands = stack[len(stack) - arg:]
             del stack[len(stack) - arg:]
-            stack.append(all(operands))
+            stack.append(all(operands) if op == 3 else any(operands))
+        elif op == 6:
+            b = stack.pop()
+            stack.append(stack.pop() == b)
         else:
             raise ValueError(f"unknown membership opcode {op}")
     if len(stack) != 1:

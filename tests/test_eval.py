@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from nbhd import evaluate
-from nbhd.bitslice import family_accepts, family_filter
+from nbhd.bitslice import algebra_refute, family_accepts, family_filter
 from nbhd.core import CapExceededError, InvalidInputError, NeighborhoodAlgebra, famask_members, full_mask
 from nbhd.evaluate import (
     ASSIGN_SPACE_GUARD,
@@ -247,6 +247,83 @@ def depth1_formulas(draw):
 def test_property_rows_match_the_assignment_oracle(text, n):
     planes, lanes = famask_planes(n, range(1 << (1 << n)))
     assert_rows_match_oracle(parse(text), n, planes, lanes)
+
+
+# Per registry axiom, its (opcodes, opargs): the algebra program, then
+# the membership program at a point for formulas of modal depth <= 1.
+# Opcode 5 is an or and 6 an equality (`evaluate._lower`).
+LOWERED = {
+    "@M": (((0, 0, 3, 4, 2, 0, 4, 5), (0, 1, 2, 0, 0, 0, 1, 2)), ((0, 2, 0, 5), (0, 0, 1, 2))),
+    "@C": (((0, 4, 0, 4, 3, 0, 0, 3, 4, 6), (0, 0, 1, 1, 2, 0, 1, 2, 2, 0)), ((0, 0, 3, 0, 6), (0, 1, 2, 2, 0))),
+    "@Cont": (((0, 4, 0, 2, 4, 6), (0, 0, 0, 0, 1, 0)), ((0, 0, 6), (0, 1, 0))),
+    "@Conv": (((0, 0, 3, 4, 0, 0, 5, 4, 3, 2, 0, 4, 5), (0, 1, 2, 0, 0, 2, 2, 1, 2, 0, 0, 2, 2)), ((0, 0, 3, 2, 0, 5), (0, 1, 2, 0, 2, 2))),
+    "@CoConv": (((0, 4, 2, 0, 0, 3, 4, 0, 0, 5, 4, 5, 5), (0, 0, 0, 0, 1, 2, 1, 0, 2, 2, 2, 2, 2)), ((0, 2, 0, 0, 5, 5), (0, 0, 1, 2, 2, 2))),
+    "@T": (((0, 4, 2, 0, 5), (0, 0, 0, 0, 2)), ((0, 2, 0, 5), (0, 0, 1, 2))),
+    "@Four": (((0, 4, 2, 0, 4, 4, 5), (0, 0, 0, 0, 0, 1, 2)), None),
+}
+
+
+def lowered(prog):
+    return prog.opcodes, prog.opargs
+
+
+def test_registry_axioms_lower_to_pinned_programs():
+    for spec, (algebra, membership) in LOWERED.items():
+        f = expand_named(spec).formula
+        assert lowered(compile_algebra(f)) == algebra, spec
+        if membership is not None:
+            assert {lowered(prog) for n in (1, 3) for prog in compile_pointwise(f, n)} == {membership}, spec
+
+
+def test_a_hand_typed_biconditional_lowers_as_iff():
+    for a, b in (("u", "v"), ("box u & box v", "box (u & v)"), ("~box u", "box ~u")):
+        hand = parse(f"~(({a}) & ~({b})) & ~(({b}) & ~({a}))")
+        iff = parse(f"({a}) <-> ({b})")
+        assert lowered(compile_algebra(hand)) == lowered(compile_algebra(iff))
+        assert compile_algebra(hand).opcodes[-1] == 6
+        if "box" in a:
+            assert lowered(compile_membership(hand, 2)) == lowered(compile_membership(iff, 2))
+
+
+def test_the_xnor_rule_needs_two_matching_implications():
+    cases = ("(box p -> box q) & (box q -> box r)", "(box p -> box q) & (box r -> box p)", "(box p -> box q) & (box q -> box p) & box r", "(box p -> box q) & (box p -> box q)")
+    for text in cases:
+        f = parse(text)
+        assert 6 not in compile_algebra(f).opcodes and 6 not in compile_membership(f, 2).opcodes, text
+        assert compile_membership(f, 2).opcodes.count(5) == 2, text
+
+
+# Degenerate shapes of the fused connectives, then the same with every
+# variable boxed: the or of a constant, an equality of one operand with
+# itself, an or of three items of which two are negations, and a negated
+# and with no negated item, which stays an and and a not.
+DEGENERATE = {
+    "p <-> p": ((0, 0, 6), (0, 0, 0)),
+    "T -> p": ((1, 2, 0, 5), (0, 0, 0, 2)),
+    "~(~p & ~q & r)": ((0, 0, 0, 2, 5), (0, 1, 2, 0, 3)),
+    "~(p & q)": ((0, 0, 3, 2), (0, 1, 2, 0)),
+}
+
+
+def test_degenerate_fused_forms_refute_and_filter_as_defined():
+    rng = random.Random(38)
+    texts = [*DEGENERATE, "box p <-> box p", "T -> box p", "~(~box p & ~box q & box r)", "~(box p & box q)"]
+    for text, want in DEGENERATE.items():
+        assert lowered(compile_algebra(parse(text))) == want, text
+    for n in range(4):
+        m = 1 << n
+        tables = product(range(m), repeat=m) if n < 3 else (tuple(rng.randrange(m) for _ in range(m)) for _ in range(30))
+        for box in tables:
+            alg = NeighborhoodAlgebra(n, box)
+            for text in texts:
+                f = parse(text)
+                prog = compile_algebra(f)
+                names = list(prog.names)
+                first = next((idx for idx in range(m ** len(names)) if eval_formula(alg, f, assignment_at(names, n, idx)) != full_mask(n)), -1)
+                assert algebra_refute(alg.box, n, prog.opcodes, prog.opargs, len(names)) == first, (text, box)
+        planes, lanes = famask_planes(n, range(1 << m))
+        for text in texts:
+            assert_rows_match_oracle(parse(text), n, planes, lanes)
 
 
 def test_assignment_at_order_and_keys():

@@ -771,6 +771,20 @@ def test_a_level_refused_by_its_cap_raises_on_every_call():
     assert search._class_level.cache_info().currsize == 2
 
 
+def test_a_scan_resolves_its_level_once(monkeypatch):
+    # The scan path caps the level it resolved for the orbit check; the
+    # refusal reads as from `_level`.
+    calls = []
+    level = search._level
+    monkeypatch.setattr(search, "_level", lambda *args: calls.append(args) or level(*args))
+    search._scan_level(3, [" filter"], True, "@Conv", "find_refuting")
+    assert calls == [(3, [" filter"], None)]
+    with pytest.raises(CapExceededError) as refused:
+        search._scan_level(4, (), True, "@Conv", "find_refuting")
+    assert str(refused.value) == f"search: level n=4 has {1 << 64} keys, exceeds cap {search.SCAN_KEYS_CAP}"
+    assert len(calls) == 2
+
+
 def test_a_level_is_immutable_and_shared_by_repeated_specs():
     for specs in (("filter",), ("@T", "monotone")):
         level = search._level(3, specs, search.SCAN_KEYS_CAP)

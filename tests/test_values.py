@@ -104,15 +104,15 @@ REPRS = {
     'Box': "Box(sub=Var(name='u'))",
     'Axiom': "Axiom(name='u', formula=Var(name='u'), one_step=False, kappa=None, semantic=None)",
     'AxiomSet': "AxiomSet(axioms=(Axiom(name='M', formula=Not(sub=And(items=(Box(sub=And(items=(Var(name='u'), Var(name='v')))), Not(sub=Box(sub=Var(name='u')))))), one_step=True, kappa=None, semantic=None),))",
-    'MembershipProgram': "MembershipProgram(names=('v',), opcodes=(0, 0, 2, 3, 2, 0, 0, 2, 3, 2, 3), opargs=(0, 1, 0, 2, 0, 1, 0, 0, 2, 0, 2), n=1, n_rows=2, rows=((0, 1),))",
-    'AlgebraProgram': "AlgebraProgram(names=('u',), opcodes=(0, 4, 0, 2, 3, 2), opargs=(0, 0, 0, 0, 2, 0))",
+    'MembershipProgram': "MembershipProgram(names=('v',), opcodes=(0, 0, 6), opargs=(0, 1, 0), n=1, n_rows=2, rows=((0, 1),))",
+    'AlgebraProgram': "AlgebraProgram(names=('u',), opcodes=(0, 4, 2, 0, 5), opargs=(0, 0, 0, 0, 2))",
     'Lanes': 'Lanes(base=range(0, 4), mask=10)',
     'BaxSpace': "BaxSpace(n=1, axioms=AxiomSet(axioms=(Axiom(name='M', formula=Not(sub=And(items=(Box(sub=And(items=(Var(name='u'), Var(name='v')))), Not(sub=Box(sub=Var(name='u')))))), one_step=True, kappa=None, semantic=None),)), lanes=Lanes(base=(0, 2, 3), mask=7))",
     'ClassTag': "ClassTag(name='filter', kappa=None)",
     'LaxAlgebra': "LaxAlgebra(space=BaxSpace(n=1, axioms=AxiomSet(axioms=(Axiom(name='M', formula=Not(sub=And(items=(Box(sub=And(items=(Var(name='u'), Var(name='v')))), Not(sub=Box(sub=Var(name='u')))))), one_step=True, kappa=None, semantic=None),)), lanes=Lanes(base=(0, 2, 3), mask=7)), gen=(4, 6))",
     'GeneralFrame': 'GeneralFrame(n=1, _key=(2,), _admissible=3)',
     'SearchSpec': "SearchSpec(target='@M', constraints=(), mode='find_refuting', max_n=3)",
-    '_Level': "_Level(n=2, cands=((0, 2, 8, 10), (0, 4, 8, 12)), whole=(AlgebraProgram(names=('b',), opcodes=(0, 4, 0, 4, 4, 2, 3, 2), opargs=(0, 0, 0, 0, 1, 0, 2, 0)),))",
+    '_Level': "_Level(n=2, cands=((0, 2, 8, 10), (0, 4, 8, 12)), whole=(AlgebraProgram(names=('b',), opcodes=(0, 4, 2, 0, 4, 4, 5), opargs=(0, 0, 0, 0, 0, 1, 2)),))",
 }
 # Types that keep a __dict__, for the properties they cache.
 CACHING = ("Lanes", "_Level")
