@@ -17,7 +17,8 @@ is n planes (one per point), and a box node splits the lanes by the
 value's subset a and takes, within each part, the n planes of box a; it
 is interpreted, once per call.  `algebra_refute` gives each assignment
 of one algebra a lane, and the search's whole-frame test gives each
-frame of a scan block a lane, one call per assignment.  The up-closed
+pair of a frame of a scan block and a value of the low assignment
+digits a lane, one call per value of the high digits.  The up-closed
 families over n points are built once per n, as pairs L <= H of
 up-closed families over one point fewer, and cut once per block size
 into blocks of lanes with their planes (`transpose`,

@@ -21,8 +21,10 @@ A block fixes the first points and gives one lane to each key of the
 others' candidates; plane (x, a) holds the lanes whose N(x) contains a,
 and canonicity and every formula of depth 2 or more are decided
 lane-wise on the planes.  `_whole_lanes` is that one whole-frame test:
-the lanes whose frame validates a formula's algebra program, run on all
-lanes at once per assignment, the box of a subset read off the planes.
+the lanes whose frame validates a formula's algebra program, the box of
+a subset read off the planes.  The low digits of the assignment index
+take lanes too, the block copied once per value of them, and the high
+digits are constants, one run of the program per value.
 `enumerate_frames` and `frames_chunks` decode the passing lanes into one
 famask column per point; only `enumerate_frames` zips the columns into
 keys, while `frames_chunks`, the compact JSON text of its frames in
@@ -56,17 +58,19 @@ answers past SCAN_KEYS_CAP: the unconstrained class at n = 4 and the
 monotone one at n = 5.  The find modes, the other counts,
 `enumerate_frames` and `frames_chunks` scan.
 
-A target is the formula `evaluate.compile_target` gives at the level's
-width.  A target of modal depth at most 1 is valid on a frame exactly
-when every N(x) passes x's program, so it is decided by the same pass
-masks: a block's validating lanes are its in-class lanes within the
-passing runs of its free points, when every fixed point passes.  A
-target of depth 2 or more is decided on the in-class lanes by
-`_whole_lanes`.  Either way a count sums both popcounts, and a find
+A target is a `_Target`, resolved once per stripped text and width by
+`_target`: the formula `evaluate.compile_target` gives, whether its
+depth is 2 or more, its variable count and, built at the first level
+with an in-class frame, its program; a warm level resolves, compiles
+and walks no formula.  A target of modal depth at most 1 is valid on a
+frame exactly when every N(x) passes x's program, so it is decided by
+the same pass masks: a block's validating lanes are its in-class lanes
+within the passing runs of its free points, when every fixed point
+passes.  A target of depth 2 or more is decided on the in-class lanes
+by `_whole_lanes`.  Either way a count sums both popcounts, and a find
 mode takes the least lane of the validating or of the other in-class
 lanes; only that frame's key is built, and a refuting frame's least
-assignment comes from `find_refuting_assignment` on its box table.  A
-target is compiled, and its depth taken, once per level.
+assignment comes from `find_refuting_assignment` on its box table.
 
 The search visits n = 0, 1, ... and scans canonical representatives
 only (every class here is closed under point relabeling), so ties break
@@ -83,7 +87,7 @@ from itertools import chain, islice, permutations, product, repeat
 from math import prod
 
 from .bax import _lane_text, enumerate_bax
-from .bitslice import _accepted, _refuted, transpose
+from .bitslice import _accepted, _index_planes, _refuted, transpose
 from .classes import FRAME_TAGS, frame_tag_axioms, parse_class_tag
 from .core import (
     CANONICAL_CAP,
@@ -117,6 +121,9 @@ from .formulas import Axiom, AxiomSet, Formula, free_vars, modal_depth, resolve
 MODES = ("find_refuting", "find_validating", "count")
 # A scan block holds at most 2^16 keys, one lane each.
 SCAN_BLOCK_BITS = 16
+# The whole-frame lane test copies a block's lanes once per low
+# assignment digit value while they stay within 2^WHOLE_LANE_BITS lanes.
+WHOLE_LANE_BITS = 12
 
 
 class SearchSpec(_Value):
@@ -171,11 +178,10 @@ def _candidate_planes(n: int, cands) -> tuple[tuple[int, ...], ...]:
     return tuple(planes[id(cand)] for cand in cands)
 
 
-def _pass_masks(n: int, planes, formulas) -> list[int]:
+def _pass_masks(planes, programs) -> list[int]:
     """Per point x, the mask over its candidates of the famasks that pass
-    at x under every formula of modal depth at most 1: their
-    `compile_pointwise` programs at x run on x's `_candidate_planes`."""
-    programs = [compile_pointwise(f, n) for f in formulas]
+    at x under every formula of modal depth at most 1: each formula's
+    `compile_pointwise` programs, program x run on x's `_candidate_planes`."""
     return [_accepted(p, p[-1], [program[x] for program in programs]) for x, p in enumerate(planes)]
 
 
@@ -225,7 +231,7 @@ def _compile_constraints(n: int, specs: tuple[str, ...]):
     programs = tuple(compile_algebra(f) for f in whole)
     if not pointwise:
         return (shared,) * n, programs
-    masks = _pass_masks(n, _candidate_planes(n, (shared,) * n), pointwise)
+    masks = _pass_masks(_candidate_planes(n, (shared,) * n), [compile_pointwise(f, n) for f in pointwise])
     return tuple(tuple(_lane_picker(mask)(shared)) for mask in masks), programs
 
 
@@ -264,20 +270,60 @@ def _canonical_lanes(planes, n: int, lanes: int) -> int:
     return lanes
 
 
+@lru_cache(maxsize=None)
+def _digit_lanes(bits: int, low: int) -> tuple[int, tuple[int, ...]]:
+    """(repunit, digits) over 2^low copies of a block of 2^bits lanes:
+    the repunit has the first lane of each copy set, so a plane of the
+    block times it is that plane in every copy, and digit j holds the
+    copies whose index has bit j set, as `_index_planes` gives them.
+    bits is at most SCAN_BLOCK_BITS and bits + low at most
+    WHOLE_LANE_BITS when low > 0, so the cache stays small."""
+    if not low:
+        return 1, ()
+    return ((1 << (1 << bits + low)) - 1) // ((1 << (1 << bits)) - 1), _index_planes(bits + low)[bits:]
+
+
 def _whole_lanes(planes, n: int, lanes: int, program) -> int:
     """The lanes of `lanes` whose frame validates the algebra program,
-    under every assignment: each variable is a constant, a tuple of n
-    planes each empty or full, and `bitslice._refuted` runs the program on
+    under every assignment, `bitslice._refuted` running the program on
     every lane at once.  The box of a subset a is read off the planes: its
-    plane y is plane (y, a), the lanes whose N(y) holds a.  Stops once no
-    lane is left."""
+    plane y is plane (y, a), the lanes whose N(y) holds a.
+
+    Bit j of an assignment index (`evaluate.assignment_at`, the first of
+    the k variables most significant) tells whether point j mod n is in
+    variable k - 1 - j div n.  The block's lanes, rounded up to 2^bits,
+    are copied 2^low times, the most that stay within 2^WHOLE_LANE_BITS
+    lanes and no more than the n * k bits, and copy c takes the
+    assignments whose low bits are c: each image plane is multiplied by
+    the repunit of `_digit_lanes`, and a low bit's variable plane is its
+    digit plane, masked to the live lanes.  The high bits are constants,
+    each plane empty or full, run through by `itertools.product`, one
+    `_refuted` call per value; the refuted lanes are ORed down onto the
+    first copy in low halvings, where the bits above it hold no lane.
+    With low = 0 every variable is a constant.  Stops once no lane is
+    left."""
     if not lanes:
         return 0
-    full = lanes
-    images = [tuple(row[a] & full for row in planes) for a in range(1 << n)]
-    assignment_space(n, len(program.names), "validates")
-    for variables in product(product((0, full), repeat=n), repeat=len(program.names)):
-        lanes &= ~_refuted(images, program.opcodes, program.opargs, variables, full)
+    k = len(program.names)
+    assignment_space(n, k, "validates")
+    bits = (lanes.bit_length() - 1).bit_length()
+    low = min(n * k, max(0, WHOLE_LANE_BITS - bits))
+    repunit, digits = _digit_lanes(bits, low)
+    full = lanes * repunit
+    images = [tuple([row[a] & lanes for row in planes]) for a in range(1 << n)]
+    if low:
+        images = [tuple([plane * repunit for plane in image]) for image in images]
+    choices = []
+    for i in range(k):
+        # Variable i's plane x is bit j + x: a digit plane below bit low.
+        j = n * (k - 1 - i)
+        fixed = tuple([plane & full for plane in digits[j:j + n]])
+        choices.append([fixed + high for high in product((0, full), repeat=n - len(fixed))])
+    for variables in product(*choices):
+        refuted = _refuted(images, program.opcodes, program.opargs, variables, full)
+        for s in reversed(range(low)):
+            refuted |= refuted >> (1 << bits + s)
+        lanes &= ~refuted
         if not lanes:
             break
     return lanes
@@ -397,12 +443,12 @@ def _in_class(level: _Level, canonical: bool):
             yield count, [[famask] * count for famask in prefix] + [pick(column) for column in columns]
 
 
-def _scan(level: _Level, canonical, target, mode, deep):
-    """Count the in-class frames and the ones that validate the target.
-    The target is a compiled formula or None, and deep tells whether its
-    modal depth is 2 or more.  Returns (in_class, validating, hit) where
-    hit = (frame key, refuting env).  Find modes stop at the first hit,
-    so in_class then counts frames up to and including it.
+def _scan(level: _Level, canonical, target, mode):
+    """Count the in-class frames and the ones that validate the target, a
+    `_Target` at the level's width or None.  Returns (in_class,
+    validating, hit) where hit = (frame key, refuting env).  Find modes
+    stop at the first hit, so in_class then counts frames up to and
+    including it.
 
     A target of modal depth at most 1 holds on a block's lane when every
     point's famask passes that point's program: the fixed points' famasks
@@ -413,20 +459,18 @@ def _scan(level: _Level, canonical, target, mode, deep):
     if target is None:
         return sum(lanes.bit_count() for _, _, lanes in _lane_blocks(level, canonical)), 0, None
     p, _, runs, _ = level.plan
-    program = compile_algebra(target) if deep else None
     in_class = validating = 0
     passing = None
     for prefix, planes, lanes in _lane_blocks(level, canonical):
         if not lanes:
             continue
-        if program:
-            holding = _whole_lanes(planes, n, lanes, program)
+        if target.deep:
+            holding = _whole_lanes(planes, n, lanes, target.program)
         else:
             if passing is None:
                 # Built at the level's first in-class frame: a level without
                 # one meets no assignment guard, as with the lane test.
-                assignment_space(n, len(free_vars(target)), "validates")
-                masks = _pass_masks(n, level.planes, [target])
+                masks = _pass_masks(level.planes, [target.program])
                 passing = [set(_lane_picker(mask)(cand)) for mask, cand in zip(masks, cands[:p])]
                 free = -1
                 for x, stride, times in runs:
@@ -436,7 +480,7 @@ def _scan(level: _Level, canonical, target, mode, deep):
         if hits:
             lane = (hits & -hits).bit_length() - 1
             key = prefix + tuple(cands[x][lane // stride % len(cands[x])] for x, stride, _ in runs)
-            env = None if mode == "find_validating" else find_refuting_assignment(NeighborhoodAlgebra(n, transpose(key, 1 << n)), target)
+            env = None if mode == "find_validating" else find_refuting_assignment(NeighborhoodAlgebra(n, transpose(key, 1 << n)), target.formula)
             upto = (2 << lane) - 1
             return in_class + (lanes & upto).bit_count(), validating + (holding & upto).bit_count(), (key, env)
         in_class += lanes.bit_count()
@@ -476,6 +520,41 @@ def _capped(level: _Level, cap: int) -> _Level:
     return level
 
 
+class _Target(_Value):
+    """A search target resolved at width n: its formula, whether its
+    modal depth is 2 or more (deep) and its number of variables.  Its
+    program, built on first use behind the assignment guard, is the
+    algebra program of a deep target and the `compile_pointwise`
+    programs of any other.  A target is equal only to itself."""
+
+    _fields = ("n", "formula", "deep", "n_vars")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, n: int, formula: Formula, deep: bool, n_vars: int) -> None:
+        _setattr(self, "n", n)
+        _setattr(self, "formula", formula)
+        _setattr(self, "deep", deep)
+        _setattr(self, "n_vars", n_vars)
+
+    @cached_property
+    def program(self):
+        assignment_space(self.n, self.n_vars, "validates")
+        return compile_algebra(self.formula) if self.deep else compile_pointwise(self.formula, self.n)
+
+
+@lru_cache(maxsize=64)
+def _resolved_target(spec: str, n: int) -> _Target:
+    f = compile_target(spec, n)
+    return _Target(n, f, modal_depth(f) > 1, len(free_vars(f)))
+
+
+def _target(text: str | None, n: int) -> _Target | None:
+    """The `_Target` of a target string at width n, or None: resolved once
+    per stripped text and n, so a warm level walks no formula tree."""
+    return None if text is None else _resolved_target(text.strip(), n)
+
+
 def _orbit_scan(level: _Level, canonical, target):
     """`_scan`'s count of a pointwise level, one without a whole-frame
     constraint and with a target of modal depth at most 1 or none, by
@@ -498,21 +577,19 @@ def _orbit_scan(level: _Level, canonical, target):
     in_class = orbits([-1] * level.n)
     if target is None or not in_class:
         return in_class, 0, None
-    # Only a level with an in-class frame meets the assignment guard, as
-    # with the scan.
-    assignment_space(level.n, len(free_vars(target)), "validates")
-    return in_class, orbits(_pass_masks(level.n, level.planes, [target])), None
+    # Only a level with an in-class frame builds the target's program and
+    # meets its assignment guard, as with the scan.
+    return in_class, orbits(_pass_masks(level.planes, [target.program])), None
 
 
 def _scan_level(n, constraints, canonical, target_text, mode):
     """One carrier size: a count of a pointwise level by `_orbit_scan`,
     past any key cap, and any other search by `_scan` in serial order."""
     level = _level(n, constraints, None)
-    target = compile_target(target_text, n)
-    deep = target is not None and modal_depth(target) > 1
-    if mode == "count" and not level.whole and not deep:
+    target = _target(target_text, n)
+    if mode == "count" and not level.whole and not (target and target.deep):
         return _orbit_scan(level, canonical, target)
-    return _scan(_capped(level, SCAN_KEYS_CAP), canonical, target, mode, deep)
+    return _scan(_capped(level, SCAN_KEYS_CAP), canonical, target, mode)
 
 
 def _class_blocks(n: int, constraints, canonical: bool):
@@ -605,7 +682,7 @@ def find_countermodel(spec: SearchSpec) -> dict:
         elif hit is not None:
             key, env = hit
             frame = NeighborhoodFrame(n, key)
-            _verify_hit(frame, compile_target(spec.target, n), spec.mode, env)
+            _verify_hit(frame, _target(spec.target, n).formula, spec.mode, env)
             return {"found": True, "frame": frame_to_json(frame), "assignment": env, "checked": checked}
     if spec.mode == "count":
         return {"count": count, "checked": checked}

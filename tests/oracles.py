@@ -222,6 +222,24 @@ def sees_an_end(rel):
     return all(any(succ[y] == {y} for y in succ[x]) for x in range(rel.n))
 
 
+def preorder_depth(rel):
+    """The number of clusters on the longest chain of a finite preorder: a
+    cluster is a class of points that see each other, and a chain steps
+    from a point to a successor that does not see it back.  A finite
+    topological frame validates bd_k exactly when its specialization
+    preorder has depth at most k (Segerberg, An Essay in Classical Modal
+    Logic, 1971)."""
+    succ = [mask_to_set(mask) for mask in rel.succ]
+    depth = {}
+
+    def from_point(x):
+        if x not in depth:
+            depth[x] = 1 + max((from_point(y) for y in succ[x] if x not in succ[y]), default=0)
+        return depth[x]
+
+    return max(map(from_point, range(rel.n)), default=0)
+
+
 def relabel_key(key, perm):
     """Frame key after renaming point x to perm[x], recomputed from sets."""
     n = len(key)

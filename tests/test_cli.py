@@ -797,6 +797,25 @@ def test_benchmark_commands_compile_each_class_level_once(monkeypatch):
     assert compiled == [(n, ("filter",)) for n in (3, 0, 1, 2)] + [(3, ("topological",))]
 
 
+def test_a_warm_repeat_of_the_benchmark_commands_compiles_nothing(monkeypatch):
+    # A target is resolved once per stripped text and width: a second pass
+    # of the five commands resolves, compiles and walks no formula.
+    def one_pass():
+        outputs = []
+        for line in IN_PROCESS_COMMANDS:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = main(line.split())
+            outputs.append((code, buf.getvalue()))
+        return outputs
+
+    cold = one_pass()
+    for name in ("compile_target", "modal_depth", "free_vars"):
+        monkeypatch.setattr(search, name, lambda *args, name=name: pytest.fail(f"a warm pass called {name}"))
+    assert one_pass() == cold
+    assert search._target("  @Four ", 2) is search._target("@Four", 2)
+
+
 def test_runs_are_byte_identical(capsys):
     argv = ("search", "countermodel", "--target", "box v -> v", "--constraints", "filter")
     first = run(capsys, *argv)

@@ -27,7 +27,7 @@ from nbhd.core import (
 )
 from nbhd.bitslice import transpose
 from nbhd.duality import complex_algebra
-from nbhd.evaluate import assignment_at, compile_algebra, eval_formula, find_refuting_assignment
+from nbhd.evaluate import assignment_at, compile_algebra, eval_formula, find_refuting_assignment, validates
 from nbhd.bax import enumerate_bax
 from nbhd.formulas import axiom_set_from_specs, free_vars, is_one_step, modal_depth, parse
 from nbhd.search import (
@@ -116,10 +116,9 @@ FOUR = compile_target("@Four", 1)
 
 
 def scan(level, canonical, text, mode):
-    """`search._scan` of the level, with the target text compiled at its
+    """`search._scan` of the level, with the target text resolved at its
     width."""
-    target = compile_target(text, level.n)
-    return search._scan(level, canonical, target, mode, target is not None and modal_depth(target) > 1)
+    return search._scan(level, canonical, search._target(text, level.n), mode)
 
 
 def iv_level(n, cands, iv):
@@ -180,7 +179,7 @@ def test_property_plane_scan_matches_definitions(case):
         for canonical in (False, True):
             want = definitional_scan(n, cands, iv, canonical)
             assert scan_keys(n, cands, iv, canonical) == want
-            assert search._scan(iv_level(n, cands, iv), canonical, None, "count", False) == (len(want), 0, None)
+            assert search._scan(iv_level(n, cands, iv), canonical, None, "count") == (len(want), 0, None)
 
 
 def test_block_shapes_fix_one_and_two_points(monkeypatch):
@@ -748,6 +747,120 @@ def test_topological_s4_2_and_mckinsey_frames_are_their_preorders():
     assert find_countermodel(SearchSpec(target=mckinsey, constraints=("topological", s42), max_n=3))["frame"] == frame_to_json(frame)
 
 
+def bd(k):
+    """The bounded-depth formula bd_k: bd_1 = ~box~box p1 -> p1, and
+    bd_(k+1) = ~box~(box p(k+1) & ~bd_k) -> p(k+1)."""
+    text = "~box~box p1 -> p1"
+    for i in range(2, k + 1):
+        text = f"~box~(box p{i} & ~({text})) -> p{i}"
+    return text
+
+
+# .3, connectedness: depth 2 in two variables.
+DOT3 = "box(box p -> q) | box(box q -> p)"
+# No constraint, pointwise constraints, and a whole-frame one.
+MULTI_CLASSES = ((), ("filter",), ("topological",))
+# Lane budgets of the whole-frame test: at 2^0 lanes every assignment
+# digit is a constant, and at 2^4 a level of a few lanes gives some of
+# its digits lanes and keeps the others constant.
+SMALL_BUDGETS = (4, 0)
+
+
+def lane_splits(patch):
+    """Log each whole-frame lane test as [digits, low]: the bits of its
+    assignment index and how many of them took lanes of their own."""
+    log = []
+    whole, digit_lanes = search._whole_lanes, search._digit_lanes
+
+    def logged(planes, n, lanes, program):
+        log.append([n * len(program.names), 0])
+        return whole(planes, n, lanes, program)
+
+    def logged_digits(bits, low):
+        log[-1][1] = low
+        return digit_lanes(bits, low)
+
+    patch.setattr(search, "_whole_lanes", logged)
+    patch.setattr(search, "_digit_lanes", logged_digits)
+    return log
+
+
+def multi_variable_spec(text, constraints, mode):
+    return SearchSpec(target=text, constraints=constraints, mode=mode, max_n=3 if constraints == ("topological",) else 2)
+
+
+def assert_same_search(spec, want, budget):
+    """find_countermodel under the lane budget gives the key-by-key answer,
+    the witness's assignment in the same variable order."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "WHOLE_LANE_BITS", budget)
+        log = lane_splits(patch)
+        got = find_countermodel(spec)
+    assert json.dumps(got) == json.dumps(want), (budget, spec)
+    return log
+
+
+def test_deep_targets_with_several_variables_match_key_by_key_search():
+    # bd2, bd3 and .3 in every mode over a class of each kind.  The
+    # assignment index puts the first variable most significant, so a
+    # refuting witness's assignment is the key-by-key search's only when
+    # the lanes and the constants read the digits in that order.  By
+    # default a small level's digits all take lanes; under the small
+    # budgets they split, or are all constants.
+    cases = [(multi_variable_spec(text, constraints, mode), text) for text in (bd(2), bd(3), DOT3) for constraints in MULTI_CLASSES for mode in MODES]
+    wants = [key_by_key_search(spec) for spec, _ in cases]
+    assert sum(want.get("assignment") is not None and len(want["assignment"]) > 1 for want in wants) >= 6
+    logs = {}
+    for budget in (search.WHOLE_LANE_BITS, *SMALL_BUDGETS):
+        logs[budget] = [entry for (spec, _), want in zip(cases, wants) for entry in assert_same_search(spec, want, budget)]
+    assert any(low == digits > 0 for digits, low in logs[search.WHOLE_LANE_BITS])
+    assert any(0 < low < digits for digits, low in logs[SMALL_BUDGETS[0]])
+    assert all(low == 0 for _, low in logs[0]) and len(logs[0]) == len(logs[search.WHOLE_LANE_BITS])
+
+
+@st.composite
+def depth2_formulas(draw):
+    """A formula of modal depth 2 over p and q: a box over a Boolean
+    combination of a boxed and a box-free part, combined with a part of
+    depth at most 1, either side first."""
+    atoms = st.sampled_from(["p", "q", "~p", "~q", "T", "(p & q)", "(p | ~q)"])
+    ops = st.sampled_from(["&", "|", "->", "<->"])
+    boxes = st.sampled_from(["box ", "~box ", "box ~", "~box ~"])
+    deep = f"{draw(boxes)}({draw(boxes)}{draw(atoms)} {draw(ops)} {draw(atoms)})"
+    rest = draw(st.one_of(atoms, st.builds("".join, st.tuples(boxes, atoms))))
+    first, second = (deep, rest) if draw(st.booleans()) else (rest, deep)
+    return f"{first} {draw(ops)} {second}"
+
+
+@given(depth2_formulas(), st.sampled_from(MULTI_CLASSES), st.sampled_from(MODES))
+def test_property_depth2_targets_over_p_and_q_match_key_by_key_search(text, constraints, mode):
+    assert modal_depth(parse(text)) == 2
+    spec = multi_variable_spec(text, constraints, mode)
+    want = key_by_key_search(spec)
+    for budget in (search.WHOLE_LANE_BITS, *SMALL_BUDGETS):
+        assert_same_search(spec, want, budget)
+
+
+def test_bounded_depth_is_the_depth_of_the_preorder():
+    # A finite topological frame validates bd_k exactly when its
+    # specialization preorder has at most k clusters on a chain: on every
+    # canonical topological frame at n <= 4, by the definitional route
+    # and by the search's count.  The least countermodel of bd_k is the
+    # chain of k + 1 points.
+    frames = [frame for n in range(5) for frame in enumerate_frames(n, ("topological",), canonical=True)]
+    depths = [oracles.preorder_depth(to_relation(frame)) for frame in frames]
+    assert len(frames) == 47 and sorted(set(depths)) == [0, 1, 2, 3, 4]
+    for k in (1, 2, 3):
+        f = parse(bd(k))
+        assert [validates(complex_algebra(frame), f) for frame in frames] == [depth <= k for depth in depths], k
+        count = SearchSpec(target=bd(k), constraints=("topological",), mode="count", max_n=4)
+        assert find_countermodel(count) == {"count": sum(depth <= k for depth in depths), "checked": 47}, k
+        chain = from_relation(Relation(k + 1, tuple(((1 << k + 1) - 1) >> x << x for x in range(k + 1))))
+        assert oracles.preorder_depth(to_relation(chain)) == k + 1
+        found = find_countermodel(SearchSpec(target=bd(k), constraints=("topological",), max_n=4))
+        assert (found["frame"], found["checked"]) == (frame_to_json(canonical_form(chain)), (4, 9, 23)[k - 1]), k
+
+
 def test_a_level_refused_by_its_cap_raises_on_every_call():
     # The refusal is decided on every call, and no plane is built for it:
     # the unconstrained n = 4 level is past both caps, and filter at n = 5
@@ -856,7 +969,7 @@ def test_orbit_counts_equal_the_scan_up_to_n3():
             for canonical in (False, True):
                 for text in (None, *RANK1_AXIOMS):
                     want = scan(level, canonical, text, "count")
-                    assert search._orbit_scan(level, canonical, compile_target(text, level.n)) == want, (tag, level.n, canonical, text)
+                    assert search._orbit_scan(level, canonical, search._target(text, level.n)) == want, (tag, level.n, canonical, text)
     assert pointwise == ["monotone", "convex", "coconvex", "contingency", "filter", "centered", "pretopological"]
 
 
@@ -867,7 +980,7 @@ def test_orbit_counts_equal_the_scan_at_n4():
     for tag in ("filter", "pretopological", "monotone"):
         level = search._level(4, (tag,), search.SCAN_KEYS_CAP)
         want = scan(level, True, "@T", "count")
-        assert search._orbit_scan(level, True, compile_target("@T", 4)) == want, tag
+        assert search._orbit_scan(level, True, search._target("@T", 4)) == want, tag
         assert search._orbit_scan(level, True, None) == (want[0], 0, None), tag
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(search, "_lane_blocks", lambda *args: pytest.fail("a level was scanned"))

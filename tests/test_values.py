@@ -3,8 +3,9 @@
 A value equals a value of its own type with equal fields, and only such
 a value, and hashes alike; its repr lists its fields; assigning or
 deleting a field raises AttributeError; and pickle, `copy.copy` and
-`copy.deepcopy` give an equal value of the same type.  A search level is
-the one exception to equality: it is equal only to itself.
+`copy.deepcopy` give an equal value of the same type.  A search level and
+a search target are the exceptions to equality: each is equal only to
+itself.
 """
 
 import copy
@@ -30,6 +31,7 @@ N_PROGRAM = compile_membership(expand_named("@N").formula, 1)
 CONT_PROGRAM = compile_membership(expand_named("@Cont").formula, 1)
 T_PROGRAM = compile_algebra(parse("box u -> u"))
 LEVEL = search._level(2, ("@T", "@Four"), search.SCAN_KEYS_CAP)
+FOUR = parse("box v -> box box v")
 
 
 def program_fields(prog):
@@ -81,13 +83,14 @@ CASES = {
     "GeneralFrame": (("n", "_key", "_admissible"), (1, (2,), 3), {"n": 1, "key": (2,), "admissible": 3}, (1, (3,), 3), None),
     "SearchSpec": (("target", "constraints", "mode", "max_n"), ("@M",), {"target": "@M"}, ("@M", (), "find_refuting", 2), None),
     "_Level": (("n", "cands", "whole"), (LEVEL.n, LEVEL.cands, LEVEL.whole), {"n": LEVEL.n, "cands": LEVEL.cands, "whole": LEVEL.whole}, (1, LEVEL.cands, ()), None),
+    "_Target": (("n", "formula", "deep", "n_vars"), (2, FOUR, True, 1), {"n": 2, "formula": FOUR, "deep": True, "n_vars": 1}, (3, FOUR, True, 1), None),
 }
 TYPES = {
     cls.__name__: cls
     for cls in (
         *(NeighborhoodFrame, NeighborhoodAlgebra, Relation, FrameMorphism, CompleteHom),
         *(Var, Top, Not, And, Box, Axiom, AxiomSet, MembershipProgram, AlgebraProgram),
-        *(Lanes, BaxSpace, ClassTag, LaxAlgebra, GeneralFrame, search.SearchSpec, search._Level),
+        *(Lanes, BaxSpace, ClassTag, LaxAlgebra, GeneralFrame, search.SearchSpec, search._Level, search._Target),
     )
 }
 # The reprs, as the frozen dataclasses these types once were wrote them.
@@ -113,11 +116,12 @@ REPRS = {
     'GeneralFrame': 'GeneralFrame(n=1, _key=(2,), _admissible=3)',
     'SearchSpec': "SearchSpec(target='@M', constraints=(), mode='find_refuting', max_n=3)",
     '_Level': "_Level(n=2, cands=((0, 2, 8, 10), (0, 4, 8, 12)), whole=(AlgebraProgram(names=('b',), opcodes=(0, 4, 2, 0, 4, 4, 5), opargs=(0, 0, 0, 0, 0, 1, 2)),))",
+    '_Target': "_Target(n=2, formula=Not(sub=And(items=(Box(sub=Var(name='v')), Not(sub=Box(sub=Box(sub=Var(name='v'))))))), deep=True, n_vars=1)",
 }
 # Types that keep a __dict__, for the properties they cache.
-CACHING = ("Lanes", "_Level")
+CACHING = ("Lanes", "_Level", "_Target")
 # Equal only to itself.
-BY_IDENTITY = ("_Level",)
+BY_IDENTITY = ("_Level", "_Target")
 
 
 def assert_same(name, value, twin):
