@@ -14,9 +14,12 @@ a space's compact JSON from its lanes, as a list of text chunks that
 is never joined into one string, through a text table per base: the
 base's famasks split into runs that share their high half (the sets
 with the top point), each with its high half's text and its famasks'
-low-half texts (the sets without it).  The tables of the two bases
-`enumerate_bax` sweeps are built once and cached.  `baxspace_to_json`
-is the definitional dict codec the joined chunks must match.
+low-half texts (the sets without it).  A run is selected by comparing
+its span of the mask's bytes with all-set and all-clear, and a run with
+every lane set is written from its text, joined once and kept in the
+table.  The tables of the two bases `enumerate_bax` sweeps are built
+once and cached.  `baxspace_to_json` is the definitional dict codec the
+joined chunks must match.
 
 `enumerate_bax` is the one route from an axiom set to its families.
 When some axiom forces up-closure (@M, @C, @CInf, or a degraded @Ck) it
@@ -52,6 +55,7 @@ from .core import (
     _ROW3,
     _check_famask,
     _check_size,
+    _dense,
     _json_famask,
     _lane_flags,
     _push_forward,
@@ -62,7 +66,7 @@ from .core import (
     up_cone,
 )
 from .evaluate import _membership_programs, is_ax_subset
-from .formulas import AxiomSet, axiom_set_from_specs
+from .formulas import AxiomSet, axiom_set_from_specs, expand_named
 
 
 class BaxSpace(_Value):
@@ -94,9 +98,15 @@ class BaxSpace(_Value):
         return i
 
 
+def _is_registry(ax, name: str) -> bool:
+    """Is ax the registry axiom of that name, not only named like it?"""
+    entry = expand_named(name)
+    return ax is entry or ax.name == name and ax == entry
+
+
 def _forces_up_closure(axs: AxiomSet) -> bool:
     # box(u & v) -> box u is @M and one half of @C.
-    return any(ax.name in ("M", "C") or ax.semantic is not None for ax in axs)
+    return any(_is_registry(ax, "M") or _is_registry(ax, "C") or ax.semantic is not None for ax in axs)
 
 
 def enumerate_bax(n: int, axs: AxiomSet) -> BaxSpace:
@@ -110,8 +120,8 @@ def enumerate_bax(n: int, axs: AxiomSet) -> BaxSpace:
     else:
         check_width(n, ENUM_BACKTRACK_CAP, "enumerate_bax[backtrack]")
         # Up-closure is guaranteed by construction, so the @M rows would
-        # pass every family: @M is dropped by name before it is compiled.
-        lanes = upset_enumerate(n, _membership_programs([ax for ax in axs if ax.name != "M"], n))
+        # pass every family: @M is dropped before it is compiled.
+        lanes = upset_enumerate(n, _membership_programs([ax for ax in axs if not _is_registry(ax, "M")], n))
     return BaxSpace(n, axs, lanes)
 
 
@@ -188,11 +198,18 @@ def _lane_text(x: int) -> str:
     return "".join([f"{i}," for i in _set_lanes(x)])
 
 
-def _runs(base, n: int) -> tuple[tuple[int, int, tuple[str, ...], str, str], ...]:
-    """The text table of a base of ascending famasks over n points: per
-    run of lanes [a, b) whose famasks share their high half, the low
-    texts of those famasks, the separator between members and the tail
-    after the last.
+def _runs(base, n: int):
+    """The text table of a base of ascending famasks over n points, as
+    (per_bit, rows, kept).  A row is a run of lanes [a, b) whose famasks
+    share their high half: the span [i, j) of the run in the mask's
+    selection bytes, the span's values with every lane set and with none,
+    the low texts of the run's famasks, the separator between members and
+    the tail after the last.  kept[k] is the text of row k with every
+    lane set, None until a call first writes it.
+
+    The selection bytes hold one bit per lane, `mask.to_bytes`, when
+    every run starts on a byte (per_bit, as in every sweep), and one flag
+    byte per lane otherwise.
 
     Each famask splits at bit `shift` = max(8, 2^(n-1)) into a low half,
     the members without the top point, and a high half, those with it
@@ -223,20 +240,32 @@ def _runs(base, n: int) -> tuple[tuple[int, int, tuple[str, ...], str, str], ...
         else:
             runs.append((a, b, tuple([text[:-1] for text in texts]), "],[", ""))
         a = b
-    return tuple(runs)
+    per_bit = all(not a & 7 for a, *_ in runs)
+    rows = []
+    for a, b, texts, sep, tail in runs:
+        if per_bit:
+            i, j = a >> 3, (b + 7) >> 3
+            full = ((1 << (b - a)) - 1).to_bytes(j - i, "little")
+        else:
+            i, j, full = a, b, b"\1" * (b - a)
+        rows.append((i, j, full, bytes(j - i), texts, sep, tail))
+    return per_bit, tuple(rows), [None] * len(rows)
 
 
 @lru_cache(maxsize=32)
 def _kept_runs(n: int, sweep: range | None):
     """`_runs` of a range of famasks, or of `bitslice._upsets(n)` when
-    sweep is None: built once per base."""
+    sweep is None: built once per base, with the texts of its full runs
+    kept as calls write them.  A base keeps at most the text of its every
+    famask, 1.38 MB for the sweep at n = 4 and 0.36 MB for the
+    up-closed families at n = 5, and at most 32 bases are kept."""
     return _runs(_upsets(n) if sweep is None else sweep, n)
 
 
 def _text_table(base, n: int):
-    """The runs of base: kept for a range, as `family_filter` sweeps, and
-    for `_upsets(n)`, told by identity so that no lookup hashes its
-    famasks; built on the call for any other base."""
+    """The text table of base: kept for a range, as `family_filter`
+    sweeps, and for `_upsets(n)`, told by identity so that no lookup
+    hashes its famasks; built on the call for any other base."""
     if type(base) is range:
         return _kept_runs(n, base)
     if n <= ENUM_BACKTRACK_CAP and base is _upsets(n):
@@ -244,37 +273,55 @@ def _text_table(base, n: int):
     return _runs(base, n)
 
 
+def _picked(texts, bits: int):
+    """The texts at the set bits of bits, lowest first: one lookup per
+    set bit, or `compress` over flag bytes when bits is dense."""
+    if _dense(bits):
+        return compress(texts, _lane_flags(bits))
+    picked = []
+    while bits:
+        low = bits & -bits
+        picked.append(texts[low.bit_length() - 1])
+        bits ^= low
+    return picked
+
+
 def baxspace_chunks(space: BaxSpace) -> list[str]:
     """`baxspace_to_json(space)` as compact JSON text in chunks, written
-    from the space's lanes without decoding them: one chunk per run of
-    the base's text table (`_runs`) that holds a member, and the "],["
-    between two runs as an item of its own.  The head of the JSON is the
-    first item and its tail rides on the last chunk; no chunk is joined
-    to another.
+    from the space's lanes without decoding them: the head, one chunk per
+    run of the base's text table (`_runs`) that holds a member, with the
+    "],[" between two runs as an item of its own, and the closing "]]}".
 
-    The mask becomes one flag byte per lane of the base, and each run
-    reads its slice of the flags: a run with every lane set joins its
-    low texts as they stand, one with none is skipped, and any other
-    selects its texts through `itertools.compress`, only from its first
-    set lane to its last, so a sparse run costs little more than an empty
-    one."""
+    Each run reads its span of the mask's selection bytes and compares
+    it whole: a run with no lane set is skipped, and a run with every
+    lane set is the table's kept text, joined on the first call that
+    writes it and the same object on every later one.  Any other run
+    selects its low texts from its set lanes (`_picked`), or through
+    `compress` when the table holds flag bytes."""
     lanes = space.lanes
-    flags = _lane_flags(lanes.mask).ljust(len(lanes.base), b"\0")
+    per_bit, rows, kept = _text_table(lanes.base, space.n)
+    if per_bit:
+        select = lanes.mask.to_bytes((len(lanes.base) + 7) >> 3, "little")
+    else:
+        select = _lane_flags(lanes.mask).ljust(len(lanes.base), b"\0")
     chunks = []
-    for a, b, texts, sep, tail in _text_table(lanes.base, space.n):
-        run_flags = flags[a:b]
-        members = texts
-        if 0 in run_flags:
-            if 1 not in run_flags:
-                continue
-            first, last = run_flags.find(1), run_flags.rfind(1) + 1
-            members = compress(texts[first:last], run_flags[first:last])
-        chunks += ("],[", sep.join(members) + tail)
-    head = json.dumps({"n": space.n, "axioms": space.axioms.specs()}, separators=(",", ":"))[:-1] + ',"members":['
+    for k, (i, j, full, empty, texts, sep, tail) in enumerate(rows):
+        run = select[i:j]
+        if run == empty:
+            continue
+        if run == full:
+            text = kept[k]
+            if text is None:
+                text = kept[k] = sep.join(texts) + tail
+        else:
+            members = _picked(texts, int.from_bytes(run, "little")) if per_bit else compress(texts, run)
+            text = sep.join(members) + tail
+        chunks += ("],[", text)
+    head = '{"n":%d,"axioms":[%s],"members":[' % (space.n, ",".join(map(json.dumps, space.axioms.specs())))
     if not chunks:
         return [head + "]}"]
     chunks[0] = head + "["
-    chunks[-1] += "]]}"
+    chunks.append("]]}")
     return chunks
 
 

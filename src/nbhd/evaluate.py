@@ -368,8 +368,15 @@ def compile_target(text: str | None, n: int) -> Formula | None:
 
 
 def _membership_programs(axioms: Iterable[Axiom], n: int) -> list[MembershipProgram]:
-    """The compiled membership program of each axiom at width n."""
-    return [compile_membership(realize_axiom(ax, n), n) for ax in axioms]
+    """The compiled membership program of each axiom at width n, kept on
+    the axiom by width: only the first lookup hashes its formula."""
+    programs = []
+    for ax in axioms:
+        program = ax._programs.get(n)
+        if program is None:
+            program = ax._programs[n] = compile_membership(realize_axiom(ax, n), n)
+        programs.append(program)
+    return programs
 
 
 def is_ax_subset(famask: int, axs: AxiomSet, n: int) -> bool:

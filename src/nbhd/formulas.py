@@ -331,7 +331,13 @@ def modal_depth(f: Formula) -> int:
 
 
 class Axiom(_Value):
-    __slots__ = _fields = ("name", "formula", "one_step", "kappa", "semantic")
+    """A named formula.  Besides its fields it keeps two things read again
+    and again: its spec text (`spec`), rendered on first use, and
+    `_programs`, the membership programs `evaluate` compiled from it, by
+    width, so that a warm lookup hashes no formula tree."""
+
+    _fields = ("name", "formula", "one_step", "kappa", "semantic")
+    __slots__ = (*_fields, "_spec", "_programs")
 
     def __init__(self, name: str, formula: Formula, one_step: bool, kappa: int | None = None, semantic: tuple[str, ...] | None = None) -> None:
         _setattr(self, "name", name)
@@ -339,6 +345,16 @@ class Axiom(_Value):
         _setattr(self, "one_step", one_step)
         _setattr(self, "kappa", kappa)
         _setattr(self, "semantic", semantic)
+        _setattr(self, "_spec", None)
+        _setattr(self, "_programs", {})
+
+    def spec(self) -> str:
+        """The round-trippable spec, '@' and the name for a registry entry.
+        An inline axiom is named by its rendering, which no registry name
+        is."""
+        if self._spec is None:
+            _setattr(self, "_spec", self.name if render(self.formula) == self.name else "@" + self.name)
+        return self._spec
 
 
 def _kappa_formula(k: int) -> Formula:
@@ -422,9 +438,8 @@ class AxiomSet(_Value):
         return len(self.axioms)
 
     def specs(self) -> list[str]:
-        """Round-trippable spec strings, '@' for registry entries.  An
-        inline axiom is named by its rendering, which no registry name is."""
-        return [ax.name if render(ax.formula) == ax.name else "@" + ax.name for ax in self.axioms]
+        """The axioms' round-trippable spec strings (`Axiom.spec`)."""
+        return [ax.spec() for ax in self.axioms]
 
 
 def resolve(spec: str, n: int | None = None) -> Axiom:

@@ -3,6 +3,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stdout
+from functools import cache
 from itertools import product
 
 import pytest
@@ -22,8 +23,9 @@ from nbhd.bitslice import Lanes
 from nbhd.classes import AXIOM_TESTS
 from nbhd.cli import main
 from nbhd.core import CapExceededError, FrameMorphism, InvalidInputError, famask_members, famask_of, up_cone
-from nbhd.evaluate import compile_membership, realize_axiom
-from nbhd.formulas import axiom_set_from_specs, expand_named
+from nbhd.duality import lax_algebra, lax_chunks, lax_to_json
+from nbhd.evaluate import _membership_programs, compile_membership, is_ax_subset, realize_axiom
+from nbhd.formulas import Axiom, AxiomSet, axiom_set_from_specs, expand_named
 
 from conftest import given, st
 import oracles
@@ -150,13 +152,15 @@ def test_n5_spaces_equal_the_family_test_route():
 
 
 def test_up_set_route_compiles_no_program_it_drops():
-    # @M is dropped by name before compiling: at n = 5 the @M program
-    # alone is 1,024 assignments.  Of @M,@N,@Cont, @N and @Cont are
-    # compiled.
+    # @M is dropped before compiling: at n = 5 the @M program alone is
+    # 1,024 assignments.  Of @M,@N,@Cont, @N and @Cont are compiled.  Each
+    # axiom keeps its programs by width, so both caches start empty.
     n = 5
     compile_membership.cache_clear()
+    for name in ("M", "N", "Cont"):
+        expand_named(name)._programs.clear()
     assert len(space(n, ["@M"]).famasks()) == 7581
-    assert compile_membership.cache_info().currsize == 0
+    assert compile_membership.cache_info().currsize == 0 and not expand_named("M")._programs
     assert len(space(n, ["@M", "@N", "@Cont"]).famasks()) == 1
     assert compile_membership.cache_info().currsize == 2
     hits = compile_membership.cache_info().hits
@@ -337,6 +341,21 @@ def test_property_baxspace_text_equals_dict_codec(n, data):
     loose = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=4))
     sp = famask_space(n, [high << split | low for high in highs for low in lows] + loose)
     assert baxspace_text(sp) == compact(sp)
+    # On both cached bases, masks whose runs are all full, all empty or
+    # hold one lane each, and masks that mix the three run by run.
+    m, base = data.draw(st.sampled_from(CACHED_BASES))
+    spans = run_spans(m, base)
+    pattern = data.draw(st.sampled_from(("full", "empty", "one", "mixed")))
+    kinds = [pattern] * len(spans) if pattern != "mixed" else data.draw(st.lists(st.sampled_from(("full", "empty", "one")), min_size=len(spans), max_size=len(spans)))
+    offset = data.draw(st.integers(0, 1 << 16))
+    mask = 0
+    for k, ((a, b), kind) in enumerate(zip(spans, kinds)):
+        if kind == "full":
+            mask |= ((1 << (b - a)) - 1) << a
+        elif kind == "one":
+            mask |= 1 << a + (offset + 7 * k) % (b - a)
+    sp = lane_space(m, base, mask)
+    assert baxspace_text(sp) == compact(sp)
 
 
 def test_baxspace_from_json_refuses_unordered_members():
@@ -421,6 +440,84 @@ BASES = (
 
 def lane_space(n, base, mask):
     return BaxSpace(n, axiom_set_from_specs([], n), Lanes(base, mask))
+
+
+# The two bases whose text tables are kept: the sweep at n = 4 and the
+# up-closed families at n = 5.
+CACHED_BASES = ((4, range(1 << 16)), (5, bitslice._upsets(5)))
+
+
+@cache
+def run_spans(n, base):
+    """The runs [a, b) of lanes whose famasks agree above bit
+    max(8, 2^(n-1)), found by comparing neighbours."""
+    shift = max(8, (1 << n) >> 1)
+    spans, a = [], 0
+    for b in range(1, len(base) + 1):
+        if b == len(base) or base[b] >> shift != base[a] >> shift:
+            spans.append((a, b))
+            a = b
+    return tuple(spans)
+
+
+def test_a_warm_repeat_writes_the_kept_run_texts(monkeypatch):
+    # The first command joins each run with every lane set and keeps it;
+    # the second writes the same bytes from the same text objects.
+    bax._kept_runs.cache_clear()
+    written = []
+    chunks_of = bax.baxspace_chunks
+    monkeypatch.setattr(bax, "baxspace_chunks", lambda sp: written.append((sp, chunks_of(sp))) or written[-1][1])
+    for line in ("bax enum --n 4 --axioms @N", "bax enum --n 5 --axioms @M"):
+        for _ in range(2):
+            code, out = cli_out(*line.split())
+            assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == PINNED[line], line
+        (sp, first), (_, second) = written[-2:]
+        assert first is not second and len(first) == len(second)
+        # The head, then run texts with "],[" between them, then "]]}".
+        assert all(a is b for a, b in zip(first[1:-1], second[1:-1]))
+        kept = {id(text) for text in bax._text_table(sp.lanes.base, sp.n)[2] if text is not None}
+        assert {id(text) for text in second[1:-1:2]} == kept and len(kept) == (len(second) - 1) // 2
+
+
+def test_a_run_full_in_one_call_and_partial_in_the_next():
+    # One run of each cached base, cold: partial first, then full, then
+    # partial again with the full text kept, and full once more.
+    bax._kept_runs.cache_clear()
+    for n, base in CACHED_BASES:
+        spans = run_spans(n, base)
+        for a, b in (spans[0], spans[len(spans) // 2], spans[-1]):
+            full = ((1 << (b - a)) - 1) << a
+            for mask in (full ^ 1 << a, full, full ^ 1 << (b - 1), 1 << a, full, full | 1 << (b % len(base))):
+                sp = lane_space(n, base, mask)
+                assert baxspace_text(sp) == compact(sp), (n, a, b, mask)
+
+
+def test_a_caller_cannot_alter_the_kept_run_texts():
+    # `lax_chunks` rewrites the last chunk of the space's list, and a
+    # caller may overwrite every item of its own list: the next call
+    # still writes the dict codec's text.
+    for n, specs in ((3, ["@N"]), (4, ["@N"]), (5, ["@M"])):
+        lax = lax_algebra(n, axiom_set_from_specs(specs, n))
+        assert "".join(lax_chunks(lax)) == json.dumps(lax_to_json(lax), separators=(",", ":"))
+        chunks = bax.baxspace_chunks(lax.space)
+        chunks[:] = ["x"] * len(chunks)
+        assert baxspace_text(lax.space) == compact(lax.space), (n, specs)
+
+
+def test_an_axiom_named_like_a_registry_entry_keeps_its_own_program():
+    # An axiom named M that holds @N's formula is compiled as @N and keeps
+    # that program on itself; its space is @N's, not @M's.
+    impostor = Axiom("M", expand_named("N").formula, True)
+    assert impostor.spec() == "@M"
+    for n in (2, 3):
+        axs = AxiomSet((impostor,))
+        (program,) = _membership_programs(axs, n)
+        assert program == compile_membership(expand_named("N").formula, n)
+        assert program != _membership_programs([expand_named("M")], n)[0]
+        assert impostor._programs[n] is program and _membership_programs(axs, n)[0] is program
+        assert enumerate_bax(n, axs).famasks() == space(n, ["@N"]).famasks() != space(n, ["@M"]).famasks()
+        n_axs = axiom_set_from_specs(["@N"], n)
+        assert [is_ax_subset(w, axs, n) for w in range(1 << (1 << n))] == [is_ax_subset(w, n_axs, n) for w in range(1 << (1 << n))]
 
 
 def test_text_of_edge_lane_subsets():

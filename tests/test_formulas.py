@@ -37,6 +37,7 @@ from nbhd.formulas import (
     resolve,
 )
 from nbhd.search import count_frames
+from nbhd import formulas
 
 U, V, W = Var("u"), Var("v"), Var("w")
 
@@ -263,6 +264,29 @@ def test_famask_is_principal():
     degraded = axiom_set_from_specs(["@Ck(4)"], 2)
     for famask, holds in ((0, True), (0b1100, True), (0b0110, False)):
         assert AXIOM_TESTS["C"](famask, 2) == is_ax_subset(famask, degraded, 2) == holds
+
+
+def test_specs_keep_their_text_and_render_once(monkeypatch):
+    # Registry names, inline formulas (named by their rendering), @CInf and
+    # a @Ck(16) that degrades to @C's formula at n = 2: each spec is
+    # rendered on the first call, and later calls give the same text.
+    cases = (
+        (["@M", "@Cont", "@Ck(2)", "@CInf"], None, ["@M", "@Cont", "@Ck(2)", "@CInf"]),
+        (["box w", "T", "box(u & v) -> box u", "box p | box ~p"], None, ["box w", "T", "~(box (u & v) & ~box u)", "~(~box p & ~box ~p)"]),
+        (["@Ck(16)", "@CInf"], 2, ["@Ck(16)", "@CInf"]),
+    )
+    sets = [(axiom_set_from_specs(specs, n), n, want) for specs, n, want in cases]
+    for axs, n, want in sets:
+        assert axs.specs() == want
+        assert axiom_set_from_specs(want, n) == axs
+    assert sets[2][0].axioms[0].formula == expand_named("C").formula
+
+    def refuse(f):
+        raise AssertionError("a spec was rendered again")
+
+    monkeypatch.setattr(formulas, "render", refuse)
+    for axs, n, want in sets:
+        assert axs.specs() == want
 
 
 def test_axiom_set_from_specs():
